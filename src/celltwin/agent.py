@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, TrainingError
+from .errors import ConfigError, DomainError, ShapeError, TrainingError
 from .nn import MLP, ParamStore, softmax
 
 DEFAULT_BIAS_LEVELS = (0.0, 3.0, 6.0)
@@ -29,12 +29,13 @@ class RewardWeights:
     rsrp_hi_dbm: float = -80.0
 
     def __post_init__(self):
-        if self.lambda_e < 0 or self.lambda_r < 0 or self.lambda_d < 0:
-            raise ValueError("reward weights must be nonnegative")
+        for name in ("lambda_e", "lambda_r", "lambda_d"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"reward weight {name} must be nonnegative")
         if self.lambda_e + self.lambda_r <= 0:
-            raise ValueError("lambda_e + lambda_r must be positive")
+            raise ConfigError("reward weights lambda_e + lambda_r must be positive")
         if self.rsrp_hi_dbm <= self.rsrp_lo_dbm:
-            raise ValueError("rsrp_hi_dbm must exceed rsrp_lo_dbm")
+            raise ConfigError("reward rsrp_hi_dbm must exceed rsrp_lo_dbm")
 
 
 def compute_reward(
@@ -51,7 +52,7 @@ def compute_reward(
     users exist but none is served.
     """
     if reference_energy_wh <= 0:
-        raise ValueError("reference_energy_wh must be positive")
+        raise DomainError("reference_energy_wh must be positive")
     if total_users == 0:
         rsrp_term = 1.0
     elif rsrp_avg_dbm is None:

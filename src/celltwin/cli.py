@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .agent import Policy, RewardWeights
 from .dataset import collect_dataset, read_dataset, write_dataset
-from .errors import ConfigError, FormatError, ModelError
+from .errors import CelltwinError, ConfigError
 from .harness import (
     AgentTrainConfig,
     CounterfactualConfig,
@@ -236,6 +236,13 @@ def parse_config(path: str) -> RunConfig:
     effective = {"scenario": scenario_to_dict(scenario), **effective}
     if not effective["seeds"]:
         raise ConfigError("config key seeds must be nonempty")
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in effective["seeds"]):
+        raise ConfigError("config key seeds must hold integers")
+    # The custom baseline, which counterfactual always runs, reads the day before.
+    last_day = scenario.horizon_hours // 24 - 1
+    if not 1 <= effective["evaluation"]["day"] <= last_day:
+        raise ConfigError(f"config key evaluation.day must be in [1, {last_day}]")
+    RewardWeights(**effective["reward"])
     canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     out_root = os.environ.get(OUT_ROOT_ENV, "")
@@ -449,7 +456,7 @@ def main(argv=None) -> int:
         run = parse_config(args.config)
         run.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](run, args)
-    except (ConfigError, FormatError, ModelError, FileNotFoundError) as exc:
+    except (CelltwinError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

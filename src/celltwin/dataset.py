@@ -71,14 +71,6 @@ def fit_stats(values: np.ndarray) -> NormalizationStats:
     return NormalizationStats(mean=float(v.mean()), std=float(max(v.std(), STD_FLOOR)))
 
 
-def normalize(series: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    return stats.normalize(series)
-
-
-def denormalize(series: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    return stats.denormalize(series)
-
-
 class ConditionLayout:
     """Frozen field order plus per-dimension train-split statistics."""
 
@@ -124,14 +116,6 @@ class ConditionLayout:
         return slice(lo, hi)
 
 
-@dataclass(frozen=True)
-class Sample:
-    series: np.ndarray
-    condition: np.ndarray
-    mask: np.ndarray
-    kind: str
-
-
 @dataclass
 class SampleSet:
     """All samples of one kind plus split indices and train-split statistics."""
@@ -150,9 +134,6 @@ class SampleSet:
     @property
     def series_len(self) -> int:
         return self.series.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.series[i], self.conditions[i], self.masks[i], self.kind)
 
     def normalized_series(self, idx: np.ndarray | None = None) -> np.ndarray:
         sel = self.series if idx is None else self.series[idx]

@@ -554,9 +554,3 @@ class DiffusionModel:
         for net in model._nets():
             net.store = store
         return model
-
-    def check_layout(self, layout: ConditionLayout) -> None:
-        if layout.dim != self.layout.dim:
-            raise ModelError(
-                f"dataset condition dim {layout.dim} != model condition dim {self.layout.dim}"
-            )

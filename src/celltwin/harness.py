@@ -33,7 +33,7 @@ from .agent import (
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
 from .errors import ConfigError, ModelError
-from .scenario import Oracle, ScenarioConfig, build_scenario, cell_power_watts
+from .scenario import Oracle, ScenarioConfig, build_scenario, step_physics
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
@@ -180,8 +180,9 @@ class _Geometry:
         self.n_cells = oracle.n_cells
         self.n_grids = oracle.n_grids
         self.cells = oracle.cells
+        self.arrays = oracle.arrays
         self.neighbors = [tuple(oracle.cell_pos_index(nb) for nb in c.neighbors) for c in oracle.cells]
-        self.capacity = np.array([c.capacity_mbps for c in oracle.cells])
+        self.capacity = oracle.arrays.capacity_mbps
         self.nearest = np.array([oracle.nearest_cell_of_grid(g) for g in range(oracle.n_grids)])
         self.grid_users_weight = np.array(
             [g.base_users * g.poi_weight for g in oracle.config.grids]
@@ -376,29 +377,11 @@ class WorldModelEnv:
             served_frac = np.zeros(geo.n_grids)
             grid_rsrp = np.full(geo.n_grids, np.nan)
 
-        # Load bookkeeping mirrors the oracle: active cells keep their native
-        # load; a sleeping cell's load follows its natural users proportionally.
-        load = np.where(sleep, 0.0, native)
-        nat_users_per_cell = np.bincount(self._natural, weights=users, minlength=geo.n_cells)
-        for c in np.flatnonzero(sleep):
-            if nat_users_per_cell[c] <= 0:
-                continue
-            mine = self._natural == c
-            share = native[c] * users[mine] * served_frac[mine] / nat_users_per_cell[c]
-            np.add.at(load, serving[mine], share)
-        load[sleep] = 0.0
-        overload = np.maximum(load - geo.capacity, 0.0)
-        load = np.minimum(load, geo.capacity)
-
-        power = np.array([
-            cell_power_watts(cell, load[i] / cell.capacity_mbps, bool(sleep[i]))
-            for i, cell in enumerate(geo.cells)
-        ])
-        energy = float(power.sum() * geo.step_hours)
-        ref_power = sum(
-            cell_power_watts(cell, min(native[i] / cell.capacity_mbps, 1.0), False)
-            for i, cell in enumerate(geo.cells)
+        # Each grid is one unit of the oracle's step physics.
+        _, overload, power, ref_power = step_physics(
+            geo.arrays, native, sleep, self._natural, serving, users, served_frac
         )
+        energy = float(power.sum() * geo.step_hours)
         ref_energy = float(ref_power * geo.step_hours)
 
         served_users = users * served_frac
@@ -587,7 +570,7 @@ class OracleEnv:
         bias = resolve_bias(action, geo.neighbors)
         state = self.oracle.step_network(t, action.sleep, bias)
         energy = state.energy_wh(geo.step_hours)
-        ref_energy = self.oracle.reference_power_watts(t) * geo.step_hours
+        ref_energy = state.reference_power_watts * geo.step_hours
         reward = compute_reward(
             energy, ref_energy, state.rsrp_avg_dbm, state.dropped_users,
             state.total_users, self.weights,
@@ -620,38 +603,48 @@ def _policy_action(policy: Policy, obs: Observation, rng, stochastic: bool):
     return Action.from_choices(choices, policy.bias_levels), log_prob, choices
 
 
-def run_wm_episode(
-    env: WorldModelEnv, policy: Policy, rng: np.random.Generator, stochastic: bool = True
-) -> tuple[Trajectory, EpisodeResult]:
+def _rollout(
+    env, act, policy_id: str, seed: int, rng: np.random.Generator | None = None
+) -> EpisodeResult:
+    """Run one episode of `env`, taking each action from `act(observation)`."""
     obs = env.reset(rng)
-    obs_rows, choice_rows, rewards, log_probs = [], [], [], []
-    energy, rsrp, dropped = [], [], []
+    energy, rsrp, dropped, rewards = [], [], [], []
     done = False
     while not done:
-        action, log_prob, choices = _policy_action(policy, obs, rng, stochastic)
-        obs_rows.append(obs.vector())
-        choice_rows.append(choices)
-        next_obs, reward, done, info = env.step(action)
+        obs, reward, done, info = env.step(act(obs))
         rewards.append(reward)
-        log_probs.append(log_prob)
         energy.append(info["energy_wh"])
         rsrp.append(np.nan if info["rsrp_avg_dbm"] is None else info["rsrp_avg_dbm"])
         dropped.append(info["dropped"] / max(info["total_users"], 1))
-        obs = next_obs
-    traj = Trajectory(
-        observations=np.array(obs_rows),
-        choices=np.array(choice_rows),
-        rewards=np.array(rewards),
-        log_probs=np.array(log_probs),
-    )
-    result = EpisodeResult(
-        policy_id="agent",
+    return EpisodeResult(
+        policy_id=policy_id,
         environment=env.environment_id,
-        seed=env.config.sample_seed,
+        seed=seed,
         energy_wh=np.array(energy),
         rsrp_avg_dbm=np.array(rsrp),
         dropped_rate=np.array(dropped),
         rewards=np.array(rewards),
+    )
+
+
+def run_wm_episode(
+    env: WorldModelEnv, policy: Policy, rng: np.random.Generator, stochastic: bool = True
+) -> tuple[Trajectory, EpisodeResult]:
+    obs_rows, choice_rows, log_probs = [], [], []
+
+    def act(obs: Observation) -> Action:
+        action, log_prob, choices = _policy_action(policy, obs, rng, stochastic)
+        obs_rows.append(obs.vector())
+        choice_rows.append(choices)
+        log_probs.append(log_prob)
+        return action
+
+    result = _rollout(env, act, "agent", env.config.sample_seed, rng)
+    traj = Trajectory(
+        observations=np.array(obs_rows),
+        choices=np.array(choice_rows),
+        rewards=result.rewards,
+        log_probs=np.array(log_probs),
     )
     return traj, result
 
@@ -735,31 +728,12 @@ def run_oracle_episode(
     cfg: EvalConfig = EvalConfig(),
 ) -> EpisodeResult:
     """One evaluated day on the oracle for one scheme; deterministic per inputs."""
+    if scheme == "agent":
+        if policy is None:
+            raise ConfigError("agent scheme needs a policy")
+        return _rollout(env, lambda obs: _policy_action(policy, obs, None, False)[0], scheme, seed)
     history = env.history_load_fractions() if scheme == "custom" else None
-    obs = env.reset()
-    energy, rsrp, dropped, rewards = [], [], [], []
-    done = False
-    while not done:
-        if scheme == "agent":
-            if policy is None:
-                raise ConfigError("agent scheme needs a policy")
-            action, _, _ = _policy_action(policy, obs, rng=None, stochastic=False)
-        else:
-            action = _rule_action(scheme, env, history, cfg)
-        obs, reward, done, info = env.step(action)
-        rewards.append(reward)
-        energy.append(info["energy_wh"])
-        rsrp.append(np.nan if info["rsrp_avg_dbm"] is None else info["rsrp_avg_dbm"])
-        dropped.append(info["dropped"] / max(info["total_users"], 1))
-    return EpisodeResult(
-        policy_id=scheme,
-        environment=env.environment_id,
-        seed=seed,
-        energy_wh=np.array(energy),
-        rsrp_avg_dbm=np.array(rsrp),
-        dropped_rate=np.array(dropped),
-        rewards=np.array(rewards),
-    )
+    return _rollout(env, lambda obs: _rule_action(scheme, env, history, cfg), scheme, seed)
 
 
 def _check_envelope(results: dict[str, EpisodeResult], weights: RewardWeights) -> None:

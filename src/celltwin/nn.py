@@ -124,16 +124,6 @@ class ParamStore:
             if t.trainable or not trainable_only
         )
 
-    def clone(self) -> "ParamStore":
-        other = ParamStore()
-        for name, t in self._tensors.items():
-            nt = Tensor(t.value.copy(), t.trainable)
-            nt.m = t.m.copy()
-            nt.v = t.v.copy()
-            nt.step = t.step
-            other._tensors[name] = nt
-        return other
-
     # -- optimization ---------------------------------------------------------
 
     def adam_step(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -127,6 +127,7 @@ class NetworkState:
     per_user_rsrp_dbm: np.ndarray
     per_cell_power_watts: np.ndarray
     dropped_users: int
+    reference_power_watts: float
 
     @property
     def total_users(self) -> int:
@@ -147,12 +148,32 @@ class NetworkState:
         return float(self.per_cell_power_watts.sum() * step_hours)
 
 
-def path_loss_db(distance_km: float, freq_mhz: float) -> float:
-    """Free-space path loss; distance clamped at 10 m to avoid the d→0 pole."""
-    if freq_mhz <= 0:
+@dataclass(frozen=True)
+class CellArrays:
+    """Per-cell numeric parameters as arrays in cell order, named as in CellConfig."""
+
+    tx_power_dbm: np.ndarray
+    carrier_freq_mhz: np.ndarray
+    capacity_mbps: np.ndarray
+    p0_watts: np.ndarray
+    delta_p: np.ndarray
+    p_max_out_watts: np.ndarray
+    p_sleep_watts: np.ndarray
+
+    @classmethod
+    def of(cls, cells: Sequence[CellConfig]) -> "CellArrays":
+        return cls(**{
+            f.name: np.array([getattr(c, f.name) for c in cells], dtype=float) for f in fields(cls)
+        })
+
+
+def path_loss_db(distance_km, freq_mhz):
+    """Free-space path loss, elementwise; distance clamped at 10 m to avoid the d→0 pole."""
+    freq = np.asarray(freq_mhz, dtype=float)
+    if (freq <= 0).any():
         raise DomainError(f"freq_mhz must be > 0, got {freq_mhz}")
-    d = max(float(distance_km), MIN_DISTANCE_KM)
-    return 32.45 + 20.0 * math.log10(d) + 20.0 * math.log10(freq_mhz)
+    d = np.maximum(distance_km, MIN_DISTANCE_KM)
+    return 32.45 + 20.0 * np.log10(d) + 20.0 * np.log10(freq)
 
 
 def rsrp_dbm(
@@ -168,13 +189,56 @@ def rsrp_dbm(
     return cell.tx_power_dbm - path_loss_db(d, cell.carrier_freq_mhz) + shadowing_db
 
 
-def cell_power_watts(cell: CellConfig, load_fraction: float, asleep: bool) -> float:
-    """Linear power model: p0 + delta_p * rho * p_max_out when active, p_sleep otherwise."""
-    if not 0.0 <= load_fraction <= 1.0:
+def cell_power_watts(cell: CellConfig | CellArrays, load_fraction, asleep):
+    """Linear power model: p0 + delta_p * rho * p_max_out when active, p_sleep otherwise.
+
+    Takes one CellConfig with scalar arguments, or a CellArrays with one
+    argument entry per cell.
+    """
+    rho = np.asarray(load_fraction, dtype=float)
+    if not ((0.0 <= rho) & (rho <= 1.0)).all():
         raise DomainError(f"load_fraction must be in [0, 1], got {load_fraction}")
-    if asleep:
-        return cell.p_sleep_watts
-    return cell.p0_watts + cell.delta_p * load_fraction * cell.p_max_out_watts
+    active = cell.p0_watts + cell.delta_p * rho * cell.p_max_out_watts
+    return np.where(asleep, cell.p_sleep_watts, active)
+
+
+def step_physics(
+    cells: CellArrays,
+    native_mbps: np.ndarray,
+    sleep: np.ndarray,
+    natural: np.ndarray,
+    serving: np.ndarray,
+    weight: np.ndarray,
+    served: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Carried load, overload, per-cell power and reference power of one step.
+
+    A unit carries demand: one user in the oracle, one grid in the world-model
+    twin. `natural` and `serving` are each unit's cell with everything active
+    and under the action (-1 for none), `weight` its size and `served` the
+    fraction of it that is attached. Active cells keep their native load. A
+    sleeping cell's native load is split over its natural units by weight, and
+    each unit's served share moves to its serving cell. Re-routed load is capped
+    at capacity and the excess reported as overload. Reference power is the
+    all-active draw with every cell carrying its native load.
+    """
+    load = np.where(sleep, 0.0, native_mbps)
+    attached = natural >= 0
+    total_weight = np.bincount(natural[attached], weights=weight[attached], minlength=len(native_mbps))
+    # Ascending cell order fixes the order np.add.at accumulates in.
+    for c in np.flatnonzero(sleep):
+        if total_weight[c] <= 0:
+            continue
+        moved = (natural == c) & (serving >= 0)
+        share = native_mbps[c] * weight[moved] * served[moved] / total_weight[c]
+        np.add.at(load, serving[moved], share)
+    load[sleep] = 0.0
+    overload = np.maximum(load - cells.capacity_mbps, 0.0)
+    load = np.minimum(load, cells.capacity_mbps)
+    power = cell_power_watts(cells, load / cells.capacity_mbps, sleep)
+    reference = cell_power_watts(cells, np.minimum(native_mbps / cells.capacity_mbps, 1.0), False)
+    # Left-to-right, as a per-cell loop adds; numpy's sum associates differently.
+    return load, overload, power, sum(reference.tolist())
 
 
 def associate_users(
@@ -219,9 +283,7 @@ class Oracle:
         self.n_grids = len(config.grids)
         self._grid_pos = np.array([g.position for g in config.grids])
         self._cell_pos = np.array([c.position for c in self.cells])
-        self._tx = np.array([c.tx_power_dbm for c in self.cells])
-        self._freq = np.array([c.carrier_freq_mhz for c in self.cells])
-        self._capacity = np.array([c.capacity_mbps for c in self.cells])
+        self.arrays = CellArrays.of(self.cells)
         # Grid square edge, inferred from the lattice pitch.
         xs = np.unique(self._grid_pos[:, 0])
         self._grid_edge_km = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
@@ -262,8 +324,8 @@ class Oracle:
                 f"t_hours {t_hours} outside horizon [0, {self.config.horizon_hours})"
             )
 
-    def deterministic_traffic_at(self, cell_id: int, t_hours: int) -> float:
-        """Noise-free load in Mbps (the expected value of traffic_at)."""
+    def _demand(self, cell_id: int, t_hours: int) -> tuple[CellConfig, int, float]:
+        """(cell, traffic-step start, unclipped noise-free demand fraction) at t."""
         cell = self.cell(cell_id)
         self._check_t(t_hours)
         step = self.config.traffic_step_hours
@@ -271,19 +333,16 @@ class Oracle:
         raw = self.config.traffic_base + self.config.traffic_amp * diurnal(
             cell.poi_profile, tq % 24
         )
-        raw *= self._peak_scale[cell.poi_profile]
+        return cell, tq, raw * self._peak_scale[cell.poi_profile]
+
+    def deterministic_traffic_at(self, cell_id: int, t_hours: int) -> float:
+        """Noise-free load in Mbps (the expected value of traffic_at)."""
+        cell, _, raw = self._demand(cell_id, t_hours)
         return cell.capacity_mbps * min(max(raw, 0.0), 1.0)
 
     def traffic_at(self, cell_id: int, t_hours: int) -> float:
         """Load in Mbps at the traffic-step granularity, with seeded noise."""
-        cell = self.cell(cell_id)
-        self._check_t(t_hours)
-        step = self.config.traffic_step_hours
-        tq = (t_hours // step) * step
-        raw = self.config.traffic_base + self.config.traffic_amp * diurnal(
-            cell.poi_profile, tq % 24
-        )
-        raw *= self._peak_scale[cell.poi_profile]
+        cell, tq, raw = self._demand(cell_id, t_hours)
         sigma = self.config.traffic_noise_sigma
         if sigma > 0:
             eta = float(self._rng(_S_TRAFFIC, cell.id, tq).normal(0.0, sigma))
@@ -339,9 +398,7 @@ class Oracle:
         if positions.shape[0] == 0:
             return np.zeros((0, self.n_cells))
         d = np.linalg.norm(positions[:, None, :] - self._cell_pos[None, :, :], axis=2)
-        d = np.maximum(d, MIN_DISTANCE_KM)
-        pl = 32.45 + 20.0 * np.log10(d) + 20.0 * np.log10(self._freq)[None, :]
-        return self._tx[None, :] - pl + shadowing
+        return self.arrays.tx_power_dbm - path_loss_db(d, self.arrays.carrier_freq_mhz) + shadowing
 
     def step_network(
         self,
@@ -351,10 +408,9 @@ class Oracle:
     ) -> NetworkState:
         """One decision step: demand, association, offloaded load, power.
 
-        A sleeping cell's native load travels with its natural users (equal
-        per-user share) to wherever those users re-attach; active cells keep
-        their native load. Re-routed load is capped at capacity and the excess
-        reported as overload.
+        Each user is one unit of `step_physics`, so a sleeping cell's native
+        load travels in equal per-user shares to wherever its natural users
+        re-attach.
         """
         self._check_t(t_hours)
         sleep = np.zeros(self.n_cells, dtype=bool) if sleep_mask is None else np.asarray(sleep_mask, dtype=bool)
@@ -370,29 +426,10 @@ class Oracle:
         nat_serving, _, _ = associate_users(
             rsrp, np.zeros(self.n_cells, dtype=bool), np.zeros(self.n_cells), self.config.rsrp_floor_dbm
         )
-        demand = np.zeros(len(user_grid))
-        for c in range(self.n_cells):
-            mine = nat_serving == c
-            n = int(mine.sum())
-            if n > 0:
-                demand[mine] = native[c] / n
-
         serving, user_rsrp, dropped = associate_users(rsrp, sleep, bias, self.config.rsrp_floor_dbm)
-
-        load = np.where(sleep, 0.0, native)
-        for c in np.flatnonzero(sleep):
-            moved = (nat_serving == c) & (serving >= 0)
-            if moved.any():
-                np.add.at(load, serving[moved], demand[moved])
-        load[sleep] = 0.0
-        overload = np.maximum(load - self._capacity, 0.0)
-        load = np.minimum(load, self._capacity)
-
-        power = np.array(
-            [
-                cell_power_watts(cell, load[i] / cell.capacity_mbps, bool(sleep[i]))
-                for i, cell in enumerate(self.cells)
-            ]
+        load, overload, power, reference = step_physics(
+            self.arrays, native, sleep, nat_serving, serving,
+            np.ones(len(serving)), (serving >= 0).astype(float),
         )
         return NetworkState(
             t_hours=t_hours,
@@ -405,15 +442,8 @@ class Oracle:
             per_user_rsrp_dbm=user_rsrp,
             per_cell_power_watts=power,
             dropped_users=dropped,
+            reference_power_watts=reference,
         )
-
-    def reference_power_watts(self, t_hours: int) -> float:
-        """Total power with every cell active carrying its native load."""
-        total = 0.0
-        for cell in self.cells:
-            rho = min(self.traffic_at(cell.id, t_hours) / cell.capacity_mbps, 1.0)
-            total += cell_power_watts(cell, rho, asleep=False)
-        return total
 
     def nearest_cell_of_grid(self, grid_index: int) -> int:
         if not 0 <= grid_index < self.n_grids:

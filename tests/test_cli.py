@@ -77,6 +77,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(str(path))
 
+    def test_fractional_seed_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"seeds": [0.5]}')
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(str(path))
+
+    def test_evaluation_day_without_previous_day_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"evaluation": {"day": 0, "schemes": ["custom"]}}')
+        with pytest.raises(ConfigError, match="evaluation.day"):
+            parse_config(str(path))
+
     def test_out_root_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CELLTWIN_OUT_ROOT", str(tmp_path / "root"))
         path = tmp_path / "c.json"
@@ -115,6 +127,13 @@ class TestCliCommands:
         path.write_text('{"foo": 1}')
         assert main(["collect", "--config", str(path)]) == 1
         assert "foo" in capsys.readouterr().err
+
+    def test_negative_reward_weight_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reward={"lambda_e": -1})
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lambda_e" in err
+        assert "Traceback" not in err
 
     def test_missing_models_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

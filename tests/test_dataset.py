@@ -7,10 +7,8 @@ from celltwin.dataset import (
     NormalizationStats,
     collect_dataset,
     condition_for_rsrp,
-    denormalize,
     fit_stats,
     make_mask,
-    normalize,
     read_dataset,
     split_dataset,
     write_dataset,
@@ -79,20 +77,20 @@ class TestCollect:
 class TestNormalization:
     def test_mean_maps_to_zero(self):
         stats = NormalizationStats(mean=4.2, std=2.0)
-        assert normalize(np.array([4.2]), stats)[0] == 0.0
+        assert stats.normalize(np.array([4.2]))[0] == 0.0
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         x = rng.normal(5.0, 3.0, size=64)
         stats = fit_stats(x)
-        back = denormalize(normalize(x, stats), stats)
+        back = stats.denormalize(stats.normalize(x))
         assert np.allclose(back, x, rtol=1e-9, atol=1e-12)
 
     def test_constant_series_floors_std(self):
         x = np.full(16, 7.0)
         stats = fit_stats(x)
         assert stats.std == 1e-6
-        assert (normalize(x, stats) == 0.0).all()
+        assert (stats.normalize(x) == 0.0).all()
 
 
 class TestMasks:

@@ -415,11 +415,6 @@ class TestPersistence:
         assert back.lora_state == {"rank": 2, "alpha": 4.0}
         assert not back.store.is_trainable("gate/W0")
 
-    def test_layout_dim_check(self):
-        model = tiny_model()
-        good = ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
-        model.check_layout(good)
-
 
 class TestTimeFeatures:
     def test_bounded_and_shaped(self):

@@ -80,6 +80,36 @@ class TestWorldModelEnv:
         _, _, _, info_sleep = env.step(Action.all_sleep(oracle.n_cells))
         assert info_sleep["energy_wh"] < info_active["energy_wh"]
 
+    @pytest.mark.parametrize("make_action", [Action.all_active, Action.all_sleep])
+    def test_mirrors_oracle_on_its_realised_day(self, bundle, oracle, env_config, make_action):
+        # Feed the twin the oracle's day 1: native traffic, users per grid and
+        # one RSRP draw per (grid, cell) at the grid centre.
+        oracle_env = OracleEnv(oracle, WEIGHTS, day=1)
+        t0 = 24
+        step = oracle.config.traffic_step_hours
+        day = np.array([
+            [oracle.traffic_at(c.id, t0 + k * step) for k in range(oracle_env.steps_per_episode)]
+            for c in oracle.cells
+        ])
+        users = np.array([
+            [oracle.users_at(g, t0 + h) for h in range(24 // oracle.config.user_step_hours)]
+            for g in range(oracle.n_grids)
+        ])
+        centres = np.array([g.position for g in oracle.config.grids])
+        rsrp = oracle.rsrp_matrix(centres, np.zeros((oracle.n_grids, oracle.n_cells)))
+        env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
+        env.traffic_pool, env.users_pool = day[None], users[None].astype(float)
+        env.rsrp_pool = rsrp[None, :, :, None]
+        env.reset(np.random.default_rng(0))
+        oracle_env.reset()
+        action = make_action(oracle.n_cells)
+        for _ in range(env.steps_per_episode):
+            _, _, _, twin = env.step(action)
+            _, _, _, truth = oracle_env.step(action)
+            assert twin["energy_wh"] == truth["energy_wh"]
+            assert twin["reference_energy_wh"] == truth["reference_energy_wh"]
+            assert twin["total_users"] == truth["total_users"]
+
     def test_episode_tagged_as_worldmodel(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
         policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=1)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from celltwin.errors import CellAsleepError, ConfigError, DomainError, UnknownIdError
 from celltwin.scenario import (
+    CellArrays,
     CellConfig,
     GridCell,
     ScenarioConfig,
+    associate_users,
     build_scenario,
     cell_power_watts,
     make_hex_scenario,
@@ -15,6 +18,7 @@ from celltwin.scenario import (
     rsrp_dbm,
     scenario_from_dict,
     scenario_to_dict,
+    step_physics,
 )
 
 
@@ -300,6 +304,59 @@ class TestStepNetwork:
         high = boosted.rsrp_matrix(pos, shadow)
         assert (high[:, 3] >= low[:, 3]).all()
         assert np.allclose(high[:, :3], low[:, :3])
+
+
+HEX_ARRAYS = CellArrays.of(make_hex_scenario().cell_configs)
+N_HEX = len(HEX_ARRAYS.capacity_mbps)
+
+
+@st.composite
+def step_inputs(draw, sleeping=True):
+    """Random step: sleep mask, bias, native load and units attached by real association.
+
+    Units are unit-weight fully served users (oracle) or weighted, partly
+    served grids (world-model twin).
+    """
+    cells = st.lists(st.booleans(), min_size=N_HEX, max_size=N_HEX)
+    sleep = np.array(draw(cells)) if sleeping else np.zeros(N_HEX, dtype=bool)
+    bias = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=N_HEX, max_size=N_HEX)))
+    frac = draw(st.lists(st.floats(0.0, 1.5), min_size=N_HEX, max_size=N_HEX))
+    native = HEX_ARRAYS.capacity_mbps * np.array(frac)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_units = draw(st.integers(0, 40))
+    rsrp = rng.normal(-88.0, 8.0, size=(n_units, N_HEX))
+    natural, _, _ = associate_users(rsrp, np.zeros(N_HEX, dtype=bool), np.zeros(N_HEX), -95.0)
+    serving, _, _ = associate_users(rsrp, sleep, bias, -95.0)
+    if draw(st.booleans()):
+        weight, served = np.ones(n_units), np.ones(n_units)
+    else:
+        weight, served = rng.integers(0, 6, n_units).astype(float), rng.uniform(0.0, 1.0, n_units)
+    served = np.where(serving >= 0, served, 0.0)
+    return native, sleep, natural, serving, weight, served
+
+
+class TestStepPhysicsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(step_inputs())
+    def test_sleeping_cells_draw_sleep_power(self, inputs):
+        native, sleep, *units = inputs
+        _, _, power, _ = step_physics(HEX_ARRAYS, native, sleep, *units)
+        assert np.array_equal(power[sleep], HEX_ARRAYS.p_sleep_watts[sleep])
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_inputs(sleeping=False))
+    def test_all_active_carries_native_at_reference_power(self, inputs):
+        native, sleep, *units = inputs
+        load, _, power, reference = step_physics(HEX_ARRAYS, native, sleep, *units)
+        assert np.array_equal(load, np.minimum(native, HEX_ARRAYS.capacity_mbps))
+        assert sum(power.tolist()) == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_inputs())
+    def test_carried_plus_overload_within_native(self, inputs):
+        native, sleep, *units = inputs
+        load, overload, _, _ = step_physics(HEX_ARRAYS, native, sleep, *units)
+        assert load.sum() + overload.sum() <= native.sum() * (1.0 + 1e-12)
 
 
 class TestScenarioJson:
