@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,20 @@ from .scenario import ScenarioConfig, build_scenario, load_scenario, scenario_fr
 
 OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 
+
+def _section_defaults(cls, **extra) -> dict:
+    """JSON form of a config dataclass's default instance: tuples become arrays."""
+    defaults = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cls()).items()}
+    return {**defaults, **extra}
+
+
+def _build_section(cls, section: dict):
+    """Typed config from an effective JSON section; arrays become tuples, other keys are skipped."""
+    values = {f.name: section[f.name] for f in fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+
+
+# Keys no config dataclass owns; every other section's defaults come from its dataclass.
 DEFAULTS: dict = {
     "scenario": {"preset": "hex7", "seed": 0},
     "out_dir": "out",
@@ -54,60 +68,13 @@ DEFAULTS: dict = {
         "kinds": ["traffic", "users", "rsrp"],
         "split": [0.8, 0.1, 0.1],
     },
-    "worldmodel": {
-        "diffusion_steps": 100,
-        "beta_min": 1e-4,
-        "beta_max": 0.02,
-        "n_experts": 3,
-        "expert_hidden": [64, 64],
-        "gate_hidden": [32],
-        "cond_emb_dim": 8,
-        "time_dim": 8,
-        "train_steps": 2500,
-        "batch_size": 64,
-        "lr": 1e-3,
-        "p_uncond": 0.1,
-        "guidance_w": 1.0,
-        "memory_kinds": ["traffic", "users"],
-        "seed": 11,
-    },
-    "agent": {
-        "updates": 300,
-        "episodes_per_update": 6,
-        "lr": 0.03,
-        "hidden": [32],
-        "bias_levels": [0.0, 3.0, 6.0],
-        "seed": 3,
-        "env": {"day_pool": 32, "rsrp_pool": 12, "rsrp_draws": 4, "sample_seed": 19},
-    },
-    "reward": {
-        "lambda_e": 1.0,
-        "lambda_r": 1.0,
-        "lambda_d": 2.0,
-        "rsrp_lo_dbm": -120.0,
-        "rsrp_hi_dbm": -80.0,
-    },
-    "evaluation": {
-        "tau": 0.2,
-        "percentile": 25.0,
-        "greedy_margin_db": 8.0,
-        "baseline_bias_db": 3.0,
-        "day": 1,
-        "predict_mode": "long_term",
-        "schemes": ["agent", "empirical", "custom", "greedy"],
-        "n_gen_samples": 48,
-    },
-    "counterfactual": {
-        "fractions": [0.5, 0.6, 0.8],
-        "lora_rank": 4,
-        "lora_alpha": 8.0,
-        "adapt_steps": 200,
-        "adapt_days": 4,
-        "adapt_lr": 2e-3,
-        "adapt_seed": 43,
-        "retrain_agent": False,
-        "retrain_updates": 120,
-    },
+    "worldmodel": _section_defaults(WMTrainConfig),
+    "agent": _section_defaults(AgentTrainConfig, env=_section_defaults(WorldModelEnvConfig)),
+    "reward": _section_defaults(RewardWeights),
+    "evaluation": _section_defaults(
+        EvalConfig, schemes=["agent", "empirical", "custom", "greedy"], n_gen_samples=48,
+    ),
+    "counterfactual": _section_defaults(CounterfactualConfig),
 }
 
 
@@ -130,6 +97,8 @@ def _merge_strict(defaults, given, path: str):
         raise ConfigError(f"config key {path} must be a boolean")
     if isinstance(defaults, (int, float)) and not isinstance(given, (int, float)):
         raise ConfigError(f"config key {path} must be a number")
+    if isinstance(defaults, int) and not isinstance(defaults, bool) and not isinstance(given, int):
+        raise ConfigError(f"config key {path} must be an integer")
     if isinstance(defaults, str) and not isinstance(given, str):
         raise ConfigError(f"config key {path} must be a string")
     if isinstance(defaults, list) and not isinstance(given, list):
@@ -143,42 +112,16 @@ class RunConfig:
     scenario: ScenarioConfig
     config_hash: str
     out_dir: Path
+    worldmodel: WMTrainConfig
+    agent: AgentTrainConfig
+    env: WorldModelEnvConfig
+    reward: RewardWeights
+    evaluation: EvalConfig
+    counterfactual: CounterfactualConfig
 
     @property
     def seeds(self) -> tuple[int, ...]:
         return tuple(int(s) for s in self.effective["seeds"])
-
-    def reward_weights(self) -> RewardWeights:
-        return RewardWeights(**self.effective["reward"])
-
-    def wm_config(self) -> WMTrainConfig:
-        wm = dict(self.effective["worldmodel"])
-        wm["expert_hidden"] = tuple(wm["expert_hidden"])
-        wm["gate_hidden"] = tuple(wm["gate_hidden"])
-        wm["memory_kinds"] = tuple(wm["memory_kinds"])
-        return WMTrainConfig(**wm)
-
-    def agent_config(self) -> AgentTrainConfig:
-        ag = {k: v for k, v in self.effective["agent"].items() if k != "env"}
-        ag["hidden"] = tuple(ag["hidden"])
-        ag["bias_levels"] = tuple(ag["bias_levels"])
-        return AgentTrainConfig(**ag)
-
-    def env_config(self) -> WorldModelEnvConfig:
-        return WorldModelEnvConfig(**self.effective["agent"]["env"])
-
-    def eval_config(self) -> EvalConfig:
-        ev = self.effective["evaluation"]
-        return EvalConfig(
-            tau=ev["tau"], percentile=ev["percentile"],
-            greedy_margin_db=ev["greedy_margin_db"], baseline_bias_db=ev["baseline_bias_db"],
-            day=ev["day"], predict_mode=ev["predict_mode"],
-        )
-
-    def cf_config(self) -> CounterfactualConfig:
-        cf = dict(self.effective["counterfactual"])
-        cf["fractions"] = tuple(cf["fractions"])
-        return CounterfactualConfig(**cf)
 
     # -- artifact layout -------------------------------------------------------
 
@@ -242,12 +185,19 @@ def parse_config(path: str) -> RunConfig:
     last_day = scenario.horizon_hours // 24 - 1
     if not 1 <= effective["evaluation"]["day"] <= last_day:
         raise ConfigError(f"config key evaluation.day must be in [1, {last_day}]")
-    RewardWeights(**effective["reward"])
     canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     out_root = os.environ.get(OUT_ROOT_ENV, "")
     out_dir = Path(out_root) / effective["out_dir"] if out_root else Path(effective["out_dir"])
-    return RunConfig(effective=effective, scenario=scenario, config_hash=digest, out_dir=out_dir)
+    return RunConfig(
+        effective=effective, scenario=scenario, config_hash=digest, out_dir=out_dir,
+        worldmodel=_build_section(WMTrainConfig, effective["worldmodel"]),
+        agent=_build_section(AgentTrainConfig, effective["agent"]),
+        env=_build_section(WorldModelEnvConfig, effective["agent"]["env"]),
+        reward=_build_section(RewardWeights, effective["reward"]),  # runs the weight range checks
+        evaluation=_build_section(EvalConfig, effective["evaluation"]),
+        counterfactual=_build_section(CounterfactualConfig, effective["counterfactual"]),
+    )
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -290,7 +240,7 @@ def cmd_train_wm(run: RunConfig, args) -> int:
         kind: read_dataset(str(run.dataset_path(kind)))
         for kind in ("traffic", "users", "rsrp")
     }
-    bundle, curves = WorldModelBundle.train_from_datasets(datasets, run.wm_config())
+    bundle, curves = WorldModelBundle.train_from_datasets(datasets, run.worldmodel)
     (run.out_dir / "models").mkdir(parents=True, exist_ok=True)
     bundle.save(run.model_paths())
     rows = [
@@ -321,9 +271,7 @@ def cmd_eval_gen(run: RunConfig, args) -> int:
 def cmd_optimize(run: RunConfig, args) -> int:
     bundle = WorldModelBundle.load(run.model_paths())
     oracle = build_scenario(run.scenario)
-    policy, curve = run_training(
-        bundle, oracle, run.reward_weights(), run.agent_config(), run.env_config()
-    )
+    policy, curve = run_training(bundle, oracle, run.reward, run.agent, run.env)
     run.policy_path.parent.mkdir(parents=True, exist_ok=True)
     policy.save(str(run.policy_path))
     rows = [{"update": i, "mean_return": r} for i, r in enumerate(curve)]
@@ -345,7 +293,7 @@ def cmd_evaluate(run: RunConfig, args) -> int:
     bundle = WorldModelBundle.load(run.model_paths()) if "agent" in schemes else None
     policy = Policy.load(str(run.policy_path)) if "agent" in schemes else None
     payloads = [
-        (run.scenario, schemes, seed, run.reward_weights(), bundle, policy, run.eval_config())
+        (run.scenario, schemes, seed, run.reward, bundle, policy, run.evaluation)
         for seed in run.seeds
     ]
     jobs = args.jobs if args.jobs is not None else run.effective["jobs"]
@@ -366,8 +314,8 @@ def cmd_counterfactual(run: RunConfig, args) -> int:
     bundle = WorldModelBundle.load(run.model_paths())
     policy = Policy.load(str(run.policy_path))
     rows, wm_rows = counterfactual_suite(
-        run.scenario, bundle, policy, run.seeds, run.reward_weights(),
-        run.cf_config(), run.eval_config(), run.agent_config(),
+        run.scenario, bundle, policy, run.seeds, run.reward,
+        run.counterfactual, run.evaluation, run.agent,
     )
     run.reports_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(rows, str(run.reports_dir / "counterfactual.csv"))

@@ -32,9 +32,5 @@ class ModelError(CelltwinError, RuntimeError):
     """Model unusable for the requested operation (untrained, layout mismatch)."""
 
 
-class CellAsleepError(CelltwinError, RuntimeError):
-    """A sleeping cell was queried for a signal it cannot emit."""
-
-
 class UnknownIdError(CelltwinError, LookupError):
     """Cell id or grid index not present in the scenario."""

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import dataset as ds
 from .agent import (
@@ -700,8 +699,10 @@ class EvalConfig:
     predict_mode: str = "long_term"
 
 
-def _rule_action(scheme: str, env: OracleEnv, history: np.ndarray, cfg: EvalConfig) -> Action:
-    load = env.current_load_fraction()
+def _rule_action(
+    scheme: str, env: OracleEnv, obs: Observation, history: np.ndarray, cfg: EvalConfig
+) -> Action:
+    load = obs.load_frac
     n = env.geo.n_cells
     if scheme == "always_on":
         return Action.all_active(n)
@@ -733,7 +734,7 @@ def run_oracle_episode(
             raise ConfigError("agent scheme needs a policy")
         return _rollout(env, lambda obs: _policy_action(policy, obs, None, False)[0], scheme, seed)
     history = env.history_load_fractions() if scheme == "custom" else None
-    return _rollout(env, lambda obs: _rule_action(scheme, env, history, cfg), scheme, seed)
+    return _rollout(env, lambda obs: _rule_action(scheme, env, obs, history, cfg), scheme, seed)
 
 
 def _check_envelope(results: dict[str, EpisodeResult], weights: RewardWeights) -> None:
@@ -833,6 +834,8 @@ def traffic_generation_metrics(
     ``short_term_prediction`` (the day's first ``history_steps`` windows are
     revealed from a held-out oracle realization and only the tail is scored).
     """
+    from scipy import stats as sstats  # deferred: slow to import; only the generation metrics use it
+
     oracle = build_scenario(scenario)
     det_profile = oracle_mean_traffic(oracle)
     n_cells, steps = det_profile.shape
@@ -904,6 +907,8 @@ def rsrp_controllability(
     generated RSRP is averaged over every (freq, distance, replicate) cell
     before ranking, and likewise per distance level.
     """
+    from scipy import stats as sstats  # deferred: slow to import; only the generation metrics use it
+
     tx = np.linspace(*tx_range, grid_points)
     freq = np.linspace(*freq_range, grid_points)
     dist = np.linspace(*dist_range, grid_points)

@@ -167,7 +167,7 @@ class ParamStore:
         )
 
     @classmethod
-    def load(cls, path: str, expect_shapes: dict[str, tuple] | None = None) -> tuple["ParamStore", dict]:
+    def load(cls, path: str) -> tuple["ParamStore", dict]:
         try:
             with np.load(path) as data:
                 payload = {k: data[k] for k in data.files}
@@ -185,10 +185,6 @@ class ParamStore:
             if not key.startswith("param::"):
                 continue
             name = key[len("param::"):]
-            if expect_shapes and name in expect_shapes and tuple(value.shape) != tuple(expect_shapes[name]):
-                raise FormatError(
-                    f"checkpoint tensor {name!r} has shape {value.shape}, expected {expect_shapes[name]}"
-                )
             store.add(name, value, trainable=header["trainable"].get(name, True))
         return store, header.get("manifest", {})
 
@@ -336,13 +332,6 @@ class MLP:
             self.store.remove(f"{self.prefix}/B{i}")
         self.lora.clear()
         self.store.unfreeze(self.base_names())
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all entries and its gradient wrt pred."""
-    diff = pred - target
-    loss = float((diff * diff).mean())
-    return loss, 2.0 * diff / diff.size
 
 
 def finite_difference_check(

@@ -14,14 +14,15 @@ Modelling choices (stand-ins; the real quantities these mimic are unspecified):
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CellAsleepError, ConfigError, DomainError, UnknownIdError
+from .errors import ConfigError, DomainError, UnknownIdError
 
 POI_PROFILES = ("residential", "office", "mixed", "event")
 
@@ -174,19 +175,6 @@ def path_loss_db(distance_km, freq_mhz):
         raise DomainError(f"freq_mhz must be > 0, got {freq_mhz}")
     d = np.maximum(distance_km, MIN_DISTANCE_KM)
     return 32.45 + 20.0 * np.log10(d) + 20.0 * np.log10(freq)
-
-
-def rsrp_dbm(
-    cell: CellConfig,
-    user_pos: tuple[float, float],
-    shadowing_db: float = 0.0,
-    asleep: bool = False,
-) -> float:
-    """Received power from one cell at one position; sleeping cells emit nothing."""
-    if asleep:
-        raise CellAsleepError(f"cell {cell.id} is asleep")
-    d = math.dist(cell.position, user_pos)
-    return cell.tx_power_dbm - path_loss_db(d, cell.carrier_freq_mhz) + shadowing_db
 
 
 def cell_power_watts(cell: CellConfig | CellArrays, load_fraction, asleep):
@@ -590,18 +578,14 @@ def make_hex_scenario(
 
 # -- JSON persistence ----------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "seed", "n_cells", "cell_configs", "grid_dim", "grids", "horizon_hours",
-    "traffic_step_hours", "user_step_hours", "counterfactual_peak_fraction",
-    "rsrp_floor_dbm", "shadowing_sigma_db", "traffic_base", "traffic_amp",
-    "traffic_noise_sigma",
-}
-_PRESET_KEYS = {
-    "preset", "seed", "grid_dim", "horizon_hours", "ring_radius_km", "base_users",
-    "counterfactual_peak_fraction", "traffic_base", "traffic_amp",
-    "traffic_noise_sigma", "rsrp_floor_dbm", "shadowing_sigma_db",
-    "traffic_step_hours", "user_step_hours",
-}
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
+_REQUIRED_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig) if f.default is MISSING}
+# A preset takes make_hex_scenario's named parameters plus any defaulted ScenarioConfig field.
+_PRESET_KEYS = (
+    {"preset"}
+    | (set(inspect.signature(make_hex_scenario).parameters) - {"overrides"})
+    | (_SCENARIO_KEYS - _REQUIRED_SCENARIO_KEYS)
+)
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -626,7 +610,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario key {sorted(unknown)[0]!r}")
-    missing = {"seed", "n_cells", "cell_configs", "grid_dim", "grids", "horizon_hours"} - set(data)
+    missing = _REQUIRED_SCENARIO_KEYS - set(data)
     if missing:
         raise ConfigError(f"scenario missing key {sorted(missing)[0]!r}")
     try:

@@ -4,8 +4,16 @@ import sys
 
 import pytest
 
+from celltwin.agent import RewardWeights
 from celltwin.cli import main, parse_config
 from celltwin.errors import ConfigError
+from celltwin.harness import (
+    AgentTrainConfig,
+    CounterfactualConfig,
+    EvalConfig,
+    WMTrainConfig,
+    WorldModelEnvConfig,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -34,6 +42,33 @@ class TestParseConfig:
         assert run.effective["dataset"]["n_days"] == 16
         assert run.seeds == (0, 1, 2, 3, 4)
         assert run.scenario.n_cells == 7
+        assert run.worldmodel == WMTrainConfig()
+        assert run.agent == AgentTrainConfig()
+        assert run.env == WorldModelEnvConfig()
+        assert run.reward == RewardWeights()
+        assert run.evaluation == EvalConfig()
+        assert run.counterfactual == CounterfactualConfig()
+
+    def test_array_becomes_tuple(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"worldmodel": {"expert_hidden": [16]}}')
+        assert parse_config(str(path)).worldmodel.expert_hidden == (16,)
+
+    def test_negative_reward_weight_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"reward": {"lambda_d": -0.5}}')
+        with pytest.raises(ConfigError, match="lambda_d"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"worldmodel": {"train_steps": 10.5}}', "worldmodel.train_steps"),
+        ('{"jobs": 1.5}', "jobs"),
+    ])
+    def test_fractional_integer_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            parse_config(str(path))
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -139,6 +174,11 @@ class TestCliCommands:
         cfg = write_config(tmp_path)
         assert main(["eval-gen", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_import_does_not_load_scipy(self):
+        code = "import sys, celltwin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.slow

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from celltwin.errors import CellAsleepError, ConfigError, DomainError, UnknownIdError
+from celltwin.errors import ConfigError, DomainError, UnknownIdError
 from celltwin.scenario import (
     CellArrays,
     CellConfig,
@@ -15,7 +15,6 @@ from celltwin.scenario import (
     cell_power_watts,
     make_hex_scenario,
     path_loss_db,
-    rsrp_dbm,
     scenario_from_dict,
     scenario_to_dict,
     step_physics,
@@ -182,20 +181,24 @@ class TestRsrp:
     CELL = CellConfig(id=0, position=(0.0, 0.0), tx_power_dbm=46.0, carrier_freq_mhz=1000.0,
                       capacity_mbps=100.0, poi_profile="office", neighbors=(1,))
 
+    def cell0_rsrp(self, positions, tx_power_dbm=46.0):
+        """Cell 0's RSRP without shadowing, from the array formula the oracle steps with."""
+        cell0 = CellConfig(**{**self.CELL.__dict__, "tx_power_dbm": tx_power_dbm})
+        cell1 = two_cell_config().cell_configs[1]
+        oracle = build_scenario(two_cell_config(cell_configs=(cell0, cell1)))
+        positions = np.array(positions, dtype=float)
+        return oracle.rsrp_matrix(positions, np.zeros((len(positions), 2)))[:, 0]
+
     def test_link_budget(self):
-        assert rsrp_dbm(self.CELL, (1.0, 0.0)) == pytest.approx(-46.45, abs=1e-9)
+        assert self.cell0_rsrp([(1.0, 0.0)])[0] == pytest.approx(-46.45, abs=1e-9)
 
     def test_linear_in_tx_power(self):
-        boosted = CellConfig(**{**self.CELL.__dict__, "tx_power_dbm": 49.0})
-        assert rsrp_dbm(boosted, (1.0, 0.0)) == pytest.approx(rsrp_dbm(self.CELL, (1.0, 0.0)) + 3.0)
+        boosted = self.cell0_rsrp([(1.0, 0.0)], tx_power_dbm=49.0)[0]
+        assert boosted == pytest.approx(self.cell0_rsrp([(1.0, 0.0)])[0] + 3.0)
 
     def test_distance_doubling(self):
-        drop = rsrp_dbm(self.CELL, (1.0, 0.0)) - rsrp_dbm(self.CELL, (2.0, 0.0))
-        assert drop == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
-
-    def test_sleeping_cell_rejects_query(self):
-        with pytest.raises(CellAsleepError):
-            rsrp_dbm(self.CELL, (1.0, 0.0), asleep=True)
+        near, far = self.cell0_rsrp([(1.0, 0.0), (2.0, 0.0)])
+        assert near - far == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
 
 class TestPower:
