@@ -1,0 +1,101 @@
+"""Golden output bytes: a few-second pipeline run reproduces recorded digests.
+
+Runs ``collect -> train-wm -> optimize -> evaluate -> eval-gen`` through
+``cli.main`` on a small config (three experts per head, short-term forecasts
+for the agent, evaluation both sequential and with ``--jobs 2``) and compares
+the sha256 of ``wm_losses.csv``, ``learning_curve.csv``, ``evaluation.csv``
+and ``generation.csv``, plus the config hash of ``{}``, against
+``tests/golden.json``. Float results depend on the numpy build and its BLAS,
+so the file records both and a mismatch names the recorded and the running
+environment.
+
+A change that alters numerics on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from celltwin.cli import main, parse_config
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+CONFIG = {
+    "scenario": {"preset": "hex7", "seed": 0, "grid_dim": 4, "horizon_hours": 96},
+    "seeds": [0, 1],
+    "dataset": {"n_days": 3},
+    "worldmodel": {"diffusion_steps": 20, "train_steps": 40, "batch_size": 16,
+                   "n_experts": 3, "expert_hidden": [16], "gate_hidden": [8]},
+    "agent": {"updates": 2, "episodes_per_update": 2,
+              "env": {"day_pool": 2, "rsrp_pool": 1, "rsrp_draws": 2}},
+    "evaluation": {"schemes": ["agent", "empirical", "custom", "greedy"],
+                   "n_gen_samples": 4, "predict_mode": "short_term"},
+}
+
+# (command line, digest key, file the command writes under out_dir), in pipeline order
+STAGES = (
+    (["collect"], None, None),
+    (["train-wm"], "wm_losses.csv", "models/wm_losses.csv"),
+    (["optimize"], "learning_curve.csv", "models/learning_curve.csv"),
+    (["evaluate"], "evaluation.csv", "reports/evaluation.csv"),
+    (["evaluate", "--jobs", "2"], "evaluation.csv --jobs 2", "reports/evaluation.csv"),
+    (["eval-gen"], "generation.csv", "reports/generation.csv"),
+)
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def run_pipeline(root: Path) -> dict[str, str]:
+    """sha256 of every golden output, keyed as in ``golden.json``."""
+    config = root / "config.json"
+    config.write_text(json.dumps({**CONFIG, "out_dir": str(root / "out")}))
+    digests = {}
+    for command, key, output in STAGES:
+        if main([*command, "--config", str(config)]) != 0:
+            raise RuntimeError(f"celltwin {' '.join(command)} failed")
+        if key is not None:
+            digests[key] = hashlib.sha256((root / "out" / output).read_bytes()).hexdigest()
+    empty = root / "empty.json"
+    empty.write_text("{}")
+    digests["config_hash {}"] = parse_config(str(empty)).config_hash
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_pipeline(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("key", [key for _, key, _ in STAGES if key] + ["config_hash {}"])
+def test_digest_matches_golden(digests, golden, key):
+    assert digests[key] == golden["digests"][key], (
+        f"{key} changed: golden.json was recorded with {golden['environment']}, "
+        f"this run uses {environment()}. If the numerics changed on purpose, regenerate "
+        f"with `PYTHONPATH=src python tests/test_golden.py`."
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"environment": environment(), "digests": run_pipeline(Path(tmp))}
+    GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
