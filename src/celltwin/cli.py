@@ -78,8 +78,23 @@ DEFAULTS: dict = {
 }
 
 
+# bool before int: a JSON true is a Python int too.
+_KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"), (str, "a string"), (list, "an array"))
+
+
+def _kind(value) -> str | None:
+    return next((name for t, name in _KINDS if isinstance(value, t)), None)
+
+
+def _check_type(default, given, path: str) -> None:
+    """Reject a JSON value whose type differs from the default's; an integer passes as a number."""
+    want, got = _kind(default), _kind(given)
+    if want is not None and got != want and (want, got) != ("a number", "an integer"):
+        raise ConfigError(f"config key {path} must be {want}")
+
+
 def _merge_strict(defaults, given, path: str):
-    """Fill defaults, rejecting unknown keys and gross type mismatches."""
+    """Fill defaults, rejecting unknown keys and values (array elements too) of the wrong type."""
     if isinstance(defaults, dict):
         if not isinstance(given, dict):
             raise ConfigError(f"config key {path or '<root>'} must be an object")
@@ -93,16 +108,10 @@ def _merge_strict(defaults, given, path: str):
         }
     if given is None:
         return defaults
-    if isinstance(defaults, bool) is not isinstance(given, bool):
-        raise ConfigError(f"config key {path} must be a boolean")
-    if isinstance(defaults, (int, float)) and not isinstance(given, (int, float)):
-        raise ConfigError(f"config key {path} must be a number")
-    if isinstance(defaults, int) and not isinstance(defaults, bool) and not isinstance(given, int):
-        raise ConfigError(f"config key {path} must be an integer")
-    if isinstance(defaults, str) and not isinstance(given, str):
-        raise ConfigError(f"config key {path} must be a string")
-    if isinstance(defaults, list) and not isinstance(given, list):
-        raise ConfigError(f"config key {path} must be an array")
+    _check_type(defaults, given, path)
+    if isinstance(defaults, list) and defaults:
+        for k, item in enumerate(given):
+            _check_type(defaults[0], item, f"{path}[{k}]")
     return given
 
 
@@ -179,8 +188,6 @@ def parse_config(path: str) -> RunConfig:
     effective = {"scenario": scenario_to_dict(scenario), **effective}
     if not effective["seeds"]:
         raise ConfigError("config key seeds must be nonempty")
-    if any(isinstance(s, bool) or not isinstance(s, int) for s in effective["seeds"]):
-        raise ConfigError("config key seeds must hold integers")
     # The custom baseline, which counterfactual always runs, reads the day before.
     last_day = scenario.horizon_hours // 24 - 1
     if not 1 <= effective["evaluation"]["day"] <= last_day:

@@ -12,9 +12,13 @@ enable classifier-free guidance at sampling time. Sampling is ancestral DDPM;
 revealed history is enforced by re-noising it to the current step after every
 update (inpainting), so unmasked positions come back exactly.
 
-Fine-tuning hooks: low-rank adapters on the expert layers (base frozen while
-attached, foldable on merge) and a retrieval memory of learnable key-prompt
-pairs appended to the denoiser input.
+The M experts are one stacked ``MLP`` (``stack=M``): each expert layer is one
+(M, out, in) tensor ``experts/W{i}``, and one call runs every expert on the
+shared input.
+
+Fine-tuning hooks: low-rank adapters on the expert layers, stacked the same
+way (base frozen while attached, foldable on merge), and a retrieval memory of
+learnable key-prompt pairs appended to the denoiser input.
 """
 
 from __future__ import annotations
@@ -184,10 +188,8 @@ class DiffusionModel:
         self.store.add("null_embed", rng.normal(0.0, 0.1, size=a.cond_emb_dim))
         zin = a.input_dim
         self.gate_mlp = MLP(self.store, "gate", (zin, *a.gate_hidden, a.n_experts), rng=rng)
-        self.experts = [
-            MLP(self.store, f"expert{i}", (zin, *a.expert_hidden, a.series_len), rng=rng)
-            for i in range(a.n_experts)
-        ]
+        self.experts = MLP(self.store, "experts", (zin, *a.expert_hidden, a.series_len),
+                           rng=rng, stack=a.n_experts)
         if a.memory:
             m = a.memory
             self.query_mlp = MLP(self.store, "memory/query", (2 * a.series_len, m.key_dim),
@@ -198,12 +200,6 @@ class DiffusionModel:
             self.store.add("memory/prompts", rng.normal(0.0, 0.1, size=(m.n_pairs, m.prompt_dim)))
         else:
             self.query_mlp = None
-
-    def _nets(self) -> list[MLP]:
-        nets = [self.cond_mlp, self.time_mlp, self.gate_mlp, *self.experts]
-        if self.query_mlp is not None:
-            nets.append(self.query_mlp)
-        return nets
 
     # -- forward ---------------------------------------------------------------
 
@@ -259,8 +255,8 @@ class DiffusionModel:
         return softmax(logits)
 
     def expert_output(self, i: int, z: np.ndarray) -> np.ndarray:
-        out, _ = self.experts[i].forward(z)
-        return out
+        out, _ = self.experts.forward(z)
+        return out[i]
 
     def denoise(
         self,
@@ -279,23 +275,19 @@ class DiffusionModel:
         z, cache = self.assemble_input(x_t, t, cond, null_mask, mask, context)
         logits, cache_gate = self.gate_mlp.forward(z)
         gate = softmax(logits)
-        outs, caches_e = [], []
-        for expert in self.experts:
-            out, c = expert.forward(z)
-            outs.append(out)
-            caches_e.append(c)
-        expert_out = np.stack(outs, axis=1)  # (B, M, L)
-        eps_hat = (gate[:, :, None] * expert_out).sum(axis=1)
-        cache.update(gate=gate, expert_out=expert_out, cache_gate=cache_gate, caches_e=caches_e)
+        expert_out, cache_e = self.experts.forward(z)  # (M, B, L)
+        eps_hat = (gate.T[:, :, None] * expert_out).sum(axis=0)
+        cache.update(gate=gate, expert_out=expert_out, cache_gate=cache_gate, cache_e=cache_e)
         return eps_hat, cache
 
     def _backward(self, cache: dict, d_eps: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         gate, expert_out = cache["gate"], cache["expert_out"]
-        d_gate = (d_eps[:, None, :] * expert_out).sum(axis=2)
+        d_gate = (d_eps[None] * expert_out).sum(axis=2).T
         d_logits = softmax_backward(gate, d_gate)
         dz = self.gate_mlp.backward(cache["cache_gate"], d_logits, grads)
-        for i, expert in enumerate(self.experts):
-            dz = dz + expert.backward(cache["caches_e"][i], gate[:, i : i + 1] * d_eps, grads)
+        dz_e = self.experts.backward(cache["cache_e"], gate.T[:, :, None] * d_eps, grads)
+        # Gate first, then expert by expert: a fixed summation order keeps the bits.
+        dz = np.concatenate([dz[None], dz_e]).sum(axis=0)
 
         a = self.arch
         L = a.series_len
@@ -470,19 +462,14 @@ class DiffusionModel:
         if self.lora_state is not None:
             raise ConfigError("adapters already attached")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
-        for expert in self.experts:
-            expert.attach_lora(range(expert.n_layers), rank, alpha, rng=rng)
-        adapter_names = {
-            n for e in self.experts for n in e.param_names() if "/A" in n or "/B" in n
-        }
-        self.store.freeze([n for n in self.store.names() if n not in adapter_names])
+        self.store.freeze(self.store.names())
+        self.experts.attach_lora(range(self.experts.n_layers), rank, alpha, rng=rng)
         self.lora_state = {"rank": rank, "alpha": alpha}
 
     def lora_merge(self) -> None:
         if self.lora_state is None:
             raise ConfigError("no adapters attached")
-        for expert in self.experts:
-            expert.merge_lora()
+        self.experts.merge_lora()
         self.store.unfreeze(self.store.names())
         self.lora_state = None
 
@@ -541,16 +528,12 @@ class DiffusionModel:
         )
         if manifest.get("lora"):
             model.lora_attach(manifest["lora"]["rank"], manifest["lora"]["alpha"])
-        expected = {name: model.store[name].shape for name in model.store.names()}
-        missing = set(expected) - set(store.names())
-        if missing:
-            raise ModelError(f"checkpoint {path} missing tensor {sorted(missing)[0]!r}")
-        for name in expected:
-            if store[name].shape != expected[name]:
+        for name in model.store.names():
+            if name not in store:
+                raise ModelError(f"checkpoint {path} missing tensor {name!r}")
+            if store[name].shape != model.store[name].shape:
                 raise ModelError(
-                    f"checkpoint tensor {name!r} shape {store[name].shape} != expected {expected[name]}"
+                    f"checkpoint tensor {name!r} shape {store[name].shape} != expected {model.store[name].shape}"
                 )
-        model.store = store
-        for net in model._nets():
-            net.store = store
+            model.store.set(name, store[name])
         return model

@@ -32,5 +32,9 @@ class ModelError(CelltwinError, RuntimeError):
     """Model unusable for the requested operation (untrained, layout mismatch)."""
 
 
+class EnvelopeError(CelltwinError, RuntimeError):
+    """An evaluated scheme beats a physical bound: all-sleep energy or always-on coverage."""
+
+
 class UnknownIdError(CelltwinError, LookupError):
     """Cell id or grid index not present in the scenario."""

@@ -31,7 +31,7 @@ from .agent import (
     resolve_bias,
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, EnvelopeError, ModelError
 from .scenario import Oracle, ScenarioConfig, build_scenario, step_physics
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
@@ -751,10 +751,10 @@ def _check_envelope(results: dict[str, EpisodeResult], weights: RewardWeights) -
 
     for name, res in results.items():
         if res.total_energy_wh < sleep_floor - 1e-6:
-            raise RuntimeError(f"sanity envelope: {name} reports energy below the all-sleep bound")
+            raise EnvelopeError(f"sanity envelope: {name} reports energy below the all-sleep bound")
         if res.mean_dropped_rate == 0.0 and ref.mean_dropped_rate == 0.0:
             if rsrp_term(res) > rsrp_term(ref) + 1e-9:
-                raise RuntimeError(f"sanity envelope: {name} reports coverage above the always-on bound")
+                raise EnvelopeError(f"sanity envelope: {name} reports coverage above the always-on bound")
 
 
 def evaluate_policy(

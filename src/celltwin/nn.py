@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, TrainingError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -198,7 +198,6 @@ def add_grad(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
 
 @dataclass
 class LoraSpec:
-    layer: int
     rank: int
     scale: float  # alpha / rank
 
@@ -210,6 +209,12 @@ class MLP:
     attached low-rank adapter adds ``{prefix}/A{i}`` (r x in) and
     ``{prefix}/B{i}`` (out x r); the adapted layer computes
     ``W x + scale * B (A x)`` with the base frozen.
+
+    ``stack=M`` holds M independent nets of the same dims as one leading axis
+    on every tensor: ``W{i}`` is (M, out, in), ``b{i}`` is (M, out), and the
+    adapters stack the same way. A 2-D input (B, in) is shared by all M and
+    the output is (M, B, out); the gradient of such a broadcast input comes
+    back per member, (M, B, in), for the caller to sum.
     """
 
     def __init__(
@@ -220,59 +225,57 @@ class MLP:
         hidden_activation: str = "relu",
         output_activation: str = "linear",
         rng: np.random.Generator | None = None,
-        init: bool = True,
+        stack: int | None = None,
     ):
         if len(dims) < 2:
             raise ShapeError(f"{prefix}: need at least input and output dims")
         self.store = store
         self.prefix = prefix
         self.dims = tuple(int(d) for d in dims)
+        self.stack = stack
         self.acts = [hidden_activation] * (len(dims) - 2) + [output_activation]
         for a in self.acts:
             if a not in _ACT:
                 raise ShapeError(f"{prefix}: unknown activation {a!r}")
         self.lora: dict[int, LoraSpec] = {}
-        if init:
-            rng = rng or np.random.default_rng(0)
-            for i, (d_in, d_out) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-                scale = np.sqrt(2.0 / d_in) if self.acts[i] == "relu" else np.sqrt(1.0 / d_in)
-                store.add(f"{prefix}/W{i}", rng.normal(0.0, scale, size=(d_out, d_in)))
-                store.add(f"{prefix}/b{i}", np.zeros(d_out))
+        rng = rng or np.random.default_rng(0)
+        inits = [(np.sqrt((2.0 if act == "relu" else 1.0) / d_in), (d_out, d_in))
+                 for d_in, d_out, act in zip(self.dims[:-1], self.dims[1:], self.acts)]
+        for i, w in enumerate(self._normal(rng, inits)):
+            store.add(f"{prefix}/W{i}", w)
+            store.add(f"{prefix}/b{i}", np.zeros(w.shape[:-1]))
 
     @property
     def n_layers(self) -> int:
         return len(self.dims) - 1
 
-    def param_names(self) -> list[str]:
-        names = []
-        for i in range(self.n_layers):
-            names += [f"{self.prefix}/W{i}", f"{self.prefix}/b{i}"]
-            if i in self.lora:
-                names += [f"{self.prefix}/A{i}", f"{self.prefix}/B{i}"]
-        return names
+    def _normal(self, rng: np.random.Generator, specs: list[tuple[float, tuple]]) -> list[np.ndarray]:
+        """One normal draw per (std, shape), member by member: the draws of M separate nets."""
+        draws = [[rng.normal(0.0, std, size=shape) for std, shape in specs] for _ in range(self.stack or 1)]
+        return [np.stack(d) if self.stack else d[0] for d in zip(*draws)]
 
     def base_names(self) -> list[str]:
         return [n for i in range(self.n_layers) for n in (f"{self.prefix}/W{i}", f"{self.prefix}/b{i}")]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.dims[0]:
+        if x.shape[-1] != self.dims[0]:
             raise ShapeError(
-                f"{self.prefix}: input dim {x.shape[1]} != expected {self.dims[0]}"
+                f"{self.prefix}: input dim {x.shape[-1]} != expected {self.dims[0]}"
             )
         cache = []
         out = x
         for i in range(self.n_layers):
             w = self.store[f"{self.prefix}/W{i}"]
             b = self.store[f"{self.prefix}/b{i}"]
-            pre = out @ w.T + b
+            pre = out @ np.swapaxes(w, -1, -2) + b[..., None, :]
             low = None
             if i in self.lora:
                 spec = self.lora[i]
                 a = self.store[f"{self.prefix}/A{i}"]
                 bb = self.store[f"{self.prefix}/B{i}"]
-                low = out @ a.T
-                pre = pre + spec.scale * (low @ bb.T)
+                low = out @ np.swapaxes(a, -1, -2)
+                pre = pre + spec.scale * (low @ np.swapaxes(bb, -1, -2))
             post = _ACT[self.acts[i]](pre)
             cache.append((out, pre, post, low))
             out = post
@@ -283,17 +286,18 @@ class MLP:
         for i in range(self.n_layers - 1, -1, -1):
             x_in, pre, post, low = cache[i]
             dpre = d * _act_grad(self.acts[i], pre, post)
+            dpre_t = np.swapaxes(dpre, -1, -2)
             w = self.store[f"{self.prefix}/W{i}"]
-            add_grad(grads, f"{self.prefix}/W{i}", dpre.T @ x_in)
-            add_grad(grads, f"{self.prefix}/b{i}", dpre.sum(axis=0))
+            add_grad(grads, f"{self.prefix}/W{i}", dpre_t @ x_in)
+            add_grad(grads, f"{self.prefix}/b{i}", dpre.sum(axis=-2))
             d = dpre @ w
             if i in self.lora:
                 spec = self.lora[i]
                 a = self.store[f"{self.prefix}/A{i}"]
                 bb = self.store[f"{self.prefix}/B{i}"]
-                add_grad(grads, f"{self.prefix}/B{i}", spec.scale * (dpre.T @ low))
+                add_grad(grads, f"{self.prefix}/B{i}", spec.scale * (dpre_t @ low))
                 dlow = spec.scale * (dpre @ bb)
-                add_grad(grads, f"{self.prefix}/A{i}", dlow.T @ x_in)
+                add_grad(grads, f"{self.prefix}/A{i}", np.swapaxes(dlow, -1, -2) @ x_in)
                 d = d + dlow @ a
         return d
 
@@ -316,9 +320,11 @@ class MLP:
                 )
             if i in self.lora:
                 raise ShapeError(f"{self.prefix}: layer {i} already adapted")
-            self.store.add(f"{self.prefix}/A{i}", rng.normal(0.0, 1.0 / rank, size=(rank, d_in)))
-            self.store.add(f"{self.prefix}/B{i}", np.zeros((d_out, rank)))
-            self.lora[i] = LoraSpec(layer=i, rank=rank, scale=alpha / rank)
+        downs = self._normal(rng, [(1.0 / rank, (rank, self.dims[i])) for i in layers])
+        for i, a in zip(layers, downs):
+            self.store.add(f"{self.prefix}/A{i}", a)
+            self.store.add(f"{self.prefix}/B{i}", np.zeros(a.shape[:-2] + (self.dims[i + 1], rank)))
+            self.lora[i] = LoraSpec(rank=rank, scale=alpha / rank)
         self.store.freeze(self.base_names())
 
     def merge_lora(self) -> None:
@@ -327,7 +333,7 @@ class MLP:
             a = self.store[f"{self.prefix}/A{i}"]
             bb = self.store[f"{self.prefix}/B{i}"]
             w = self.store[f"{self.prefix}/W{i}"]
-            self.store._tensors[f"{self.prefix}/W{i}"].value = w + spec.scale * (bb @ a)
+            self.store.set(f"{self.prefix}/W{i}", w + spec.scale * (bb @ a))
             self.store.remove(f"{self.prefix}/A{i}")
             self.store.remove(f"{self.prefix}/B{i}")
         self.lora.clear()

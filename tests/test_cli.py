@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -63,11 +64,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("text, key", [
         ('{"worldmodel": {"train_steps": 10.5}}', "worldmodel.train_steps"),
         ('{"jobs": 1.5}', "jobs"),
+        ('{"jobs": true}', "jobs"),
+        ('{"worldmodel": {"expert_hidden": [16.5]}}', "worldmodel.expert_hidden[0]"),
+        ('{"agent": {"hidden": ["x"]}}', "agent.hidden[0]"),
     ])
     def test_fractional_integer_key_rejected(self, tmp_path, text, key):
         path = tmp_path / "c.json"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer")):
             parse_config(str(path))
 
     def test_unknown_key_named(self, tmp_path):

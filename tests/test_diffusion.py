@@ -12,7 +12,7 @@ from celltwin.diffusion import (
     q_sample,
     time_features,
 )
-from celltwin.errors import ConfigError, DomainError, ModelError, ShapeError
+from celltwin.errors import ConfigError, DomainError, FormatError, ModelError, ShapeError
 from celltwin.nn import finite_difference_check
 
 
@@ -135,12 +135,12 @@ class TestMoEStructure:
     def test_constant_experts_average(self):
         model = tiny_model(n_experts=2)
         # Zero every expert weight and pin outputs at 1.0 and 3.0; uniform gate.
+        last = model.experts.n_layers - 1
         for i, const in enumerate((1.0, 3.0)):
-            for layer in range(model.experts[i].n_layers):
-                model.store.set(f"expert{i}/W{layer}", np.zeros_like(model.store[f"expert{i}/W{layer}"]))
-                model.store.set(f"expert{i}/b{layer}", np.zeros_like(model.store[f"expert{i}/b{layer}"]))
-            model.store.set(f"expert{i}/b{model.experts[i].n_layers - 1}",
-                            np.full(model.arch.series_len, const))
+            for layer in range(last + 1):
+                for name in (f"experts/W{layer}", f"experts/b{layer}"):
+                    model.store[name][i] = 0.0
+            model.store[f"experts/b{last}"][i] = const
         for layer in range(model.gate_mlp.n_layers):
             model.store.set(f"gate/W{layer}", np.zeros_like(model.store[f"gate/W{layer}"]))
             model.store.set(f"gate/b{layer}", np.zeros_like(model.store[f"gate/b{layer}"]))
@@ -317,11 +317,11 @@ class TestLora:
         model = tiny_model(seed=4)
         model.lora_attach(rank=2, alpha=4.0, seed=6)
         rng = np.random.default_rng(23)
-        for expert in model.experts:
-            for i in range(expert.n_layers):
+        for expert in range(model.arch.n_experts):
+            for i in range(model.experts.n_layers):
                 for mat in ("A", "B"):
-                    name = f"{expert.prefix}/{mat}{i}"
-                    model.store.set(name, rng.normal(size=model.store[name].shape) * 0.1)
+                    name = f"experts/{mat}{i}"
+                    model.store[name][expert] = rng.normal(size=model.store[name].shape[1:]) * 0.1
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
         adapted = model.denoise(x_t, t, cond, mask, context)
         model.lora_merge()
@@ -414,6 +414,16 @@ class TestPersistence:
         back = DiffusionModel.load(path)
         assert back.lora_state == {"rank": 2, "alpha": 4.0}
         assert not back.store.is_trainable("gate/W0")
+
+    def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
+        from celltwin import nn
+
+        path = str(tmp_path / "model.npz")
+        monkeypatch.setattr(nn, "CHECKPOINT_VERSION", 1)
+        tiny_model().save(path)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="version"):
+            DiffusionModel.load(path)
 
 
 class TestTimeFeatures:

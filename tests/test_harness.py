@@ -3,7 +3,7 @@ import pytest
 
 from celltwin.agent import Action, Policy, Observation, RewardWeights
 from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset
-from celltwin.errors import ConfigError
+from celltwin.errors import ConfigError, EnvelopeError
 from celltwin.harness import (
     AgentTrainConfig,
     EvalConfig,
@@ -169,25 +169,32 @@ class TestOracleEvaluation:
         agent = next(r for r in results if r.policy_id == "agent")
         assert np.isfinite(agent.rewards).all()
 
-    def test_envelope_violation_detected(self):
-        energy = np.full(12, 100.0)
-        rsrp = np.full(12, -70.0)
-        base = dict(environment="oracle", seed=0)
-        fake = {
-            "always_on": EpisodeResult(policy_id="always_on", energy_wh=energy * 10,
-                                       rsrp_avg_dbm=rsrp, dropped_rate=np.zeros(12),
-                                       rewards=np.zeros(12), **base),
-            "all_sleep": EpisodeResult(policy_id="all_sleep", energy_wh=energy * 5,
-                                       rsrp_avg_dbm=np.full(12, np.nan), dropped_rate=np.ones(12),
-                                       rewards=np.zeros(12), **base),
-            "cheater": EpisodeResult(policy_id="cheater", energy_wh=energy,  # below all-sleep
-                                     rsrp_avg_dbm=rsrp, dropped_rate=np.zeros(12),
-                                     rewards=np.zeros(12), **base),
+    @staticmethod
+    def _envelope_results(cheater_energy_wh, cheater_rsrp_dbm):
+        """Always-on at 1000 Wh and -100 dBm, all-sleep at 500 Wh dropping everyone."""
+        def result(name, energy, rsrp, dropped):
+            return EpisodeResult(policy_id=name, environment="oracle", seed=0,
+                                 energy_wh=np.full(12, energy), rsrp_avg_dbm=np.full(12, rsrp),
+                                 dropped_rate=np.full(12, dropped), rewards=np.zeros(12))
+
+        return {
+            "always_on": result("always_on", 1000.0, -100.0, 0.0),
+            "all_sleep": result("all_sleep", 500.0, np.nan, 1.0),
+            "cheater": result("cheater", cheater_energy_wh, cheater_rsrp_dbm, 0.0),
         }
+
+    def test_envelope_violation_detected(self):
         from celltwin.harness import _check_envelope
 
-        with pytest.raises(RuntimeError, match="all-sleep"):
-            _check_envelope(fake, WEIGHTS)
+        with pytest.raises(EnvelopeError, match="all-sleep"):
+            _check_envelope(self._envelope_results(100.0, -100.0), WEIGHTS)
+
+    def test_coverage_envelope_violation_detected(self):
+        from celltwin.harness import _check_envelope
+
+        _check_envelope(self._envelope_results(800.0, -100.0), WEIGHTS)
+        with pytest.raises(EnvelopeError, match="always-on"):
+            _check_envelope(self._envelope_results(800.0, -90.0), WEIGHTS)
 
 
 class TestGenerationMetrics:

@@ -127,6 +127,38 @@ class TestBackward:
         assert finite_difference_check(store, corrupted, names=["net/W1"]) > 1e-2
 
 
+class TestStack:
+    def test_matches_separate_nets_drawn_in_turn(self):
+        x = np.random.default_rng(10).normal(size=(4, 3))
+        stacked = MLP(ParamStore(), "s", (3, 5, 2), rng=np.random.default_rng(11), stack=3)
+        rng, store = np.random.default_rng(11), ParamStore()
+        singles = [MLP(store, f"e{m}", (3, 5, 2), rng=rng) for m in range(3)]
+        out, _ = stacked.forward(x)
+        assert stacked.store["s/W0"].shape == (3, 5, 3)
+        assert np.array_equal(out, np.stack([net.forward(x)[0] for net in singles]))
+
+    def test_lora_finite_differences_with_broadcast_input(self):
+        rng = np.random.default_rng(12)
+        store = ParamStore()
+        net = MLP(store, "net", (4, 5, 3), hidden_activation="tanh", rng=rng, stack=3)
+        net.attach_lora([0, 1], rank=2, alpha=4.0, rng=rng)
+        store.unfreeze(store.names())
+        for name in ("net/B0", "net/B1"):  # nonzero, so the A adapters get a gradient
+            store.set(name, rng.normal(size=store[name].shape))
+        store.add("x", rng.normal(size=(6, 4)))  # one input shared by the 3 members
+        target = rng.normal(size=(3, 6, 3))
+
+        def loss_fn():
+            out, cache = net.forward(store["x"])
+            loss, dout = mse_loss(out, target)
+            grads = {}
+            grads["x"] = net.backward(cache, dout, grads).sum(axis=0)
+            return loss, grads
+
+        assert store["net/A1"].shape == (3, 2, 5) and store["net/B1"].shape == (3, 3, 2)
+        assert finite_difference_check(store, loss_fn) < 1e-4
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
