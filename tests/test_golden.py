@@ -1,11 +1,12 @@
 """Golden output bytes: a few-second pipeline run reproduces recorded digests.
 
-Runs ``collect -> train-wm -> optimize -> evaluate -> eval-gen`` through
-``cli.main`` on a small config (three experts per head, short-term forecasts
-for the agent, evaluation both sequential and with ``--jobs 2``) and compares
-the sha256 of ``wm_losses.csv``, ``learning_curve.csv``, ``evaluation.csv``
-and ``generation.csv``, plus the config hash of ``{}``, against
-``tests/golden.json``. Float results depend on the numpy build and its BLAS,
+Runs ``collect -> train-wm -> optimize -> evaluate -> eval-gen -> simulate``
+through ``cli.main`` on a small config (three experts per head; evaluation
+with short-term forecasts for the agent, both sequential and with
+``--jobs 2``, then once more with long-term forecasts) and compares the
+sha256 of ``wm_losses.csv``, ``learning_curve.csv``, each ``evaluation.csv``,
+``generation.csv`` and a two-day ``traffic.csv``, plus the config hash of
+``{}``, against ``tests/golden.json``. Float results depend on the numpy build and its BLAS,
 so the file records both and a mismatch names the recorded and the running
 environment.
 
@@ -43,14 +44,19 @@ CONFIG = {
                    "n_gen_samples": 4, "predict_mode": "short_term"},
 }
 
-# (command line, digest key, file the command writes under out_dir), in pipeline order
+# The same run with long-term forecasts; it shares out_dir, so it reads the same models.
+LONG_TERM = {**CONFIG, "evaluation": {**CONFIG["evaluation"], "predict_mode": "long_term"}}
+
+# (command line, config, digest key, file the command writes under out_dir), in pipeline order
 STAGES = (
-    (["collect"], None, None),
-    (["train-wm"], "wm_losses.csv", "models/wm_losses.csv"),
-    (["optimize"], "learning_curve.csv", "models/learning_curve.csv"),
-    (["evaluate"], "evaluation.csv", "reports/evaluation.csv"),
-    (["evaluate", "--jobs", "2"], "evaluation.csv --jobs 2", "reports/evaluation.csv"),
-    (["eval-gen"], "generation.csv", "reports/generation.csv"),
+    (["collect"], CONFIG, None, None),
+    (["train-wm"], CONFIG, "wm_losses.csv", "models/wm_losses.csv"),
+    (["optimize"], CONFIG, "learning_curve.csv", "models/learning_curve.csv"),
+    (["evaluate"], CONFIG, "evaluation.csv", "reports/evaluation.csv"),
+    (["evaluate", "--jobs", "2"], CONFIG, "evaluation.csv --jobs 2", "reports/evaluation.csv"),
+    (["evaluate"], LONG_TERM, "evaluation.csv long_term", "reports/evaluation.csv"),
+    (["eval-gen"], CONFIG, "generation.csv", "reports/generation.csv"),
+    (["simulate", "--days", "2"], CONFIG, "traffic.csv --days 2", "traffic.csv"),
 )
 
 
@@ -61,11 +67,11 @@ def environment() -> dict:
 
 def run_pipeline(root: Path) -> dict[str, str]:
     """sha256 of every golden output, keyed as in ``golden.json``."""
-    config = root / "config.json"
-    config.write_text(json.dumps({**CONFIG, "out_dir": str(root / "out")}))
     digests = {}
-    for command, key, output in STAGES:
-        if main([*command, "--config", str(config)]) != 0:
+    for k, (command, config, key, output) in enumerate(STAGES):
+        path = root / f"config{k}.json"
+        path.write_text(json.dumps({**config, "out_dir": str(root / "out")}))
+        if main([*command, "--config", str(path)]) != 0:
             raise RuntimeError(f"celltwin {' '.join(command)} failed")
         if key is not None:
             digests[key] = hashlib.sha256((root / "out" / output).read_bytes()).hexdigest()
@@ -85,7 +91,7 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("key", [key for _, key, _ in STAGES if key] + ["config_hash {}"])
+@pytest.mark.parametrize("key", [key for _, _, key, _ in STAGES if key] + ["config_hash {}"])
 def test_digest_matches_golden(digests, golden, key):
     assert digests[key] == golden["digests"][key], (
         f"{key} changed: golden.json was recorded with {golden['environment']}, "
