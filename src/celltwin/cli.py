@@ -25,6 +25,7 @@ from .agent import Policy, RewardWeights
 from .dataset import collect_dataset, read_dataset, write_dataset
 from .errors import CelltwinError, ConfigError
 from .harness import (
+    SCHEMES,
     AgentTrainConfig,
     CounterfactualConfig,
     EvalConfig,
@@ -77,6 +78,15 @@ DEFAULTS: dict = {
     "counterfactual": _section_defaults(CounterfactualConfig),
 }
 
+
+# Value checks the types cannot express: (section, key, test, what the value must be).
+_VALUE_CHECKS = (
+    ("evaluation", "schemes", lambda v: set(v) <= set(SCHEMES), f"a list of schemes from {', '.join(SCHEMES)}"),
+    ("evaluation", "predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
+    ("worldmodel", "guidance_w", lambda v: v >= 0, ">= 0"),
+    ("dataset", "split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
+     "three non-negative fractions summing to 1"),
+)
 
 # bool before int: a JSON true is a Python int too.
 _KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"), (str, "a string"), (list, "an array"))
@@ -188,6 +198,9 @@ def parse_config(path: str) -> RunConfig:
     effective = {"scenario": scenario_to_dict(scenario), **effective}
     if not effective["seeds"]:
         raise ConfigError("config key seeds must be nonempty")
+    for section, key, valid, want in _VALUE_CHECKS:
+        if not valid(effective[section][key]):
+            raise ConfigError(f"config key {section}.{key} must be {want}")
     # The custom baseline, which counterfactual always runs, reads the day before.
     last_day = scenario.horizon_hours // 24 - 1
     if not 1 <= effective["evaluation"]["day"] <= last_day:
@@ -212,18 +225,17 @@ def parse_config(path: str) -> RunConfig:
 
 def cmd_simulate(run: RunConfig, args) -> int:
     oracle = build_scenario(run.scenario)
-    days = args.days
     step = run.scenario.traffic_step_hours
     out = Path(args.out) if args.out else run.out_dir / "traffic.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("cell_id,t_hours,load_mbps\n")
-        for day in range(days):
-            for k in range(24 // step):
-                t = day * 24 + k * step
-                for cell in oracle.cells:
-                    fh.write(f"{cell.id},{t},{oracle.traffic_at(cell.id, t)!r}\n")
-    print(f"wrote {out} ({oracle.n_cells * days * (24 // step)} rows)")
+        for day in range(args.days):
+            loads = oracle.traffic_day(day).T.tolist()
+            for k, row in enumerate(loads):
+                for cell, load in zip(oracle.cells, row):
+                    fh.write(f"{cell.id},{day * 24 + k * step},{load!r}\n")
+    print(f"wrote {out} ({oracle.n_cells * args.days * (24 // step)} rows)")
     return 0
 
 

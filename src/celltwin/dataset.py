@@ -258,30 +258,21 @@ def _window_mask(rng: np.random.Generator, length: int) -> np.ndarray:
     return make_mask("short_term_prediction", length, horizon)
 
 
+def _day_windows(days: list[np.ndarray], conds: list[np.ndarray], rng: np.random.Generator):
+    """One window per (day, row) of the daily series, each with its task mask drawn in that order."""
+    series = np.concatenate(days)
+    masks = np.array([_window_mask(rng, series.shape[1]) for _ in series])
+    return series, np.tile(conds, (len(days), 1)), masks
+
+
 def _collect_traffic(oracle: Oracle, n_days: int, rng: np.random.Generator):
-    step = oracle.config.traffic_step_hours
-    length = 24 // step
-    series, conds, masks = [], [], []
-    for day in range(n_days):
-        start = day * 24
-        for cell in oracle.cells:
-            series.append([oracle.traffic_at(cell.id, start + k * step) for k in range(length)])
-            conds.append(condition_for_traffic(oracle, cell.id, start % 24))
-            masks.append(_window_mask(rng, length))
-    return np.array(series), np.array(conds), np.array(masks)
+    conds = [condition_for_traffic(oracle, cell.id, 0) for cell in oracle.cells]
+    return _day_windows([oracle.traffic_day(day) for day in range(n_days)], conds, rng)
 
 
 def _collect_users(oracle: Oracle, n_days: int, rng: np.random.Generator):
-    step = oracle.config.user_step_hours
-    length = 24 // step
-    series, conds, masks = [], [], []
-    for day in range(n_days):
-        start = day * 24
-        for g in range(oracle.n_grids):
-            series.append([float(oracle.users_at(g, start + k * step)) for k in range(length)])
-            conds.append(condition_for_users(oracle, g, start % 24))
-            masks.append(_window_mask(rng, length))
-    return np.array(series), np.array(conds), np.array(masks)
+    conds = [condition_for_users(oracle, g, 0) for g in range(oracle.n_grids)]
+    return _day_windows([oracle.users_day(day) for day in range(n_days)], conds, rng)
 
 
 def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):

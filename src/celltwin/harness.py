@@ -178,34 +178,41 @@ class _Geometry:
         self.oracle = oracle
         self.n_cells = oracle.n_cells
         self.n_grids = oracle.n_grids
-        self.cells = oracle.cells
         self.arrays = oracle.arrays
         self.neighbors = [tuple(oracle.cell_pos_index(nb) for nb in c.neighbors) for c in oracle.cells]
         self.capacity = oracle.arrays.capacity_mbps
         self.nearest = np.array([oracle.nearest_cell_of_grid(g) for g in range(oracle.n_grids)])
-        self.grid_users_weight = np.array(
-            [g.base_users * g.poi_weight for g in oracle.config.grids]
-        )
+        users_weight = [g.base_users * g.poi_weight for g in oracle.config.grids]
         self.users_scale = np.maximum(
-            np.bincount(self.nearest, weights=self.grid_users_weight, minlength=self.n_cells), 1.0
+            np.bincount(self.nearest, weights=users_weight, minlength=self.n_cells), 1.0
         )
         self.step_hours = oracle.config.traffic_step_hours
         self.steps_per_day = 24 // self.step_hours
         self.user_steps_per_day = 24 // oracle.config.user_step_hours
         self.users_per_traffic_step = self.step_hours // oracle.config.user_step_hours
 
-    def aggregate_users(self, per_grid: np.ndarray) -> np.ndarray:
-        return np.bincount(self.nearest, weights=per_grid, minlength=self.n_cells)
+    def user_hour(self, step: int) -> int:
+        """Column of a users day that a traffic step reads."""
+        return min(step * self.users_per_traffic_step, self.user_steps_per_day - 1)
 
-    def observation(self, load_frac, pred_load_frac, pred_users_cell, hour) -> Observation:
-        pred = np.asarray(pred_load_frac, dtype=float)
-        neighbor_pred = np.array([pred[list(nbs)].mean() for nbs in self.neighbors])
-        angle = 2.0 * np.pi * (hour % 24) / 24.0
+    def observation(self, step, load, forecast_day, forecast_users) -> Observation:
+        """Agent view at `step`: current load fractions plus the forecast's next window.
+
+        Without a forecast (``None``) the next window is the current load and no
+        users are predicted.
+        """
+        nxt = min(step + 1, self.steps_per_day - 1)
+        if forecast_day is None:
+            pred, users = load, np.zeros(self.n_grids)
+        else:
+            pred, users = forecast_day[:, nxt] / self.capacity, forecast_users[:, self.user_hour(nxt)]
+        angle = 2.0 * np.pi * (step * self.step_hours % 24) / 24.0
         return Observation(
-            load_frac=np.asarray(load_frac, dtype=float),
+            load_frac=load,
             pred_load_frac=pred,
-            pred_users_norm=np.asarray(pred_users_cell, dtype=float) / self.users_scale,
-            neighbor_pred_load=neighbor_pred,
+            pred_users_norm=np.bincount(self.nearest, weights=users, minlength=self.n_cells)
+            / self.users_scale,
+            neighbor_pred_load=np.array([pred[list(nbs)].mean() for nbs in self.neighbors]),
             hour_sin=float(np.sin(angle)),
             hour_cos=float(np.cos(angle)),
         )
@@ -222,12 +229,9 @@ def _conditions_users(oracle: Oracle, layout: ds.ConditionLayout) -> np.ndarray:
 
 
 def _conditions_rsrp_table(
-    oracle: Oracle,
-    layout: ds.ConditionLayout,
-    draws: int = 1,
-    rng: np.random.Generator | None = None,
+    oracle: Oracle, layout: ds.ConditionLayout, draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Link conditions for every (grid, cell[, draw]) triple, rows in that order.
+    """Link conditions for every (grid, cell, draw) triple, rows in that order.
 
     With multiple draws per link the distances are jittered within the grid
     square, so the draws stand for users spread over the grid rather than a
@@ -240,14 +244,86 @@ def _conditions_rsrp_table(
         for c in range(oracle.n_cells):
             for _ in range(draws):
                 pos = geo_positions[g]
-                if draws > 1 and rng is not None:
+                if draws > 1:
                     pos = pos + rng.uniform(-edge / 2, edge / 2, size=2)
                 dist = float(np.linalg.norm(pos - np.array(oracle.cells[c].position)))
                 rows.append(ds.condition_for_rsrp(oracle, c, dist, hour=12, sleep_frac=0.3))
     return layout.normalize(np.stack(rows))
 
 
-# -- world-model environment -----------------------------------------------------------
+# -- forecasts -------------------------------------------------------------------------
+
+
+def _sample_days(head, cond, length: int, revealed: int, context, rng) -> np.ndarray:
+    """One sampled day per condition row, (rows, length) in raw units.
+
+    The first `revealed` windows are inpainted from `context`, the matching
+    rows of a realised day; with nothing left to generate, `context` is
+    returned as it is and `rng` is not drawn from.
+    """
+    if revealed >= length:
+        return context
+    mask = np.zeros((cond.shape[0], length), dtype=bool)
+    mask[:, revealed:] = True
+    return head.sample(cond, mask, context, rng)
+
+
+def _forecast(
+    bundle: WorldModelBundle, geo: _Geometry, n: int, rng: np.random.Generator,
+    revealed: int = 0, realised: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """n sampled days of traffic, (n, n_cells, steps), and users, (n, n_grids, user steps).
+
+    The first `revealed` traffic windows, and the user hours they span, come
+    from `realised`, the oracle's (traffic_day, users_day) pair; revealing
+    windows needs n = 1. Traffic is clipped to [0, capacity] and users to
+    non-negative whole counts.
+    """
+    context_t, context_u = realised if revealed else (None, None)
+    traffic = _sample_days(
+        bundle.traffic, np.tile(_conditions_traffic(geo.oracle, bundle.traffic.layout), (n, 1)),
+        geo.steps_per_day, revealed, context_t, rng,
+    )
+    users = _sample_days(
+        bundle.users, np.tile(_conditions_users(geo.oracle, bundle.users.layout), (n, 1)),
+        geo.user_steps_per_day, min(revealed * geo.users_per_traffic_step, geo.user_steps_per_day),
+        context_u, rng,
+    )
+    return (
+        np.clip(traffic.reshape(n, geo.n_cells, -1), 0.0, geo.capacity[None, :, None]),
+        np.rint(np.clip(users.reshape(n, geo.n_grids, -1), 0.0, None)),
+    )
+
+
+# -- environments ----------------------------------------------------------------------
+
+
+class _DayEnv:
+    """One day in decision steps; subclasses define `reset`, `step` and `_observation`."""
+
+    def __init__(self, oracle: Oracle, weights: RewardWeights):
+        self.geo = _Geometry(oracle)
+        self.weights = weights
+        self._step = 0
+
+    @property
+    def steps_per_episode(self) -> int:
+        return self.geo.steps_per_day
+
+    def _finish_step(self, energy, ref_energy, rsrp_avg, dropped, total_users, overload):
+        """Reward the step, advance the clock and observe the next step unless the day is over."""
+        reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
+        self._step += 1
+        done = self._step >= self.steps_per_episode
+        info = {
+            "energy_wh": energy,
+            "reference_energy_wh": ref_energy,
+            "rsrp_avg_dbm": rsrp_avg,
+            "dropped": dropped,
+            "total_users": total_users,
+            "overload_mbps": overload,
+        }
+        return None if done else self._observation(), reward, done, info
 
 
 @dataclass
@@ -258,7 +334,7 @@ class WorldModelEnvConfig:
     sample_seed: int = 19
 
 
-class WorldModelEnv:
+class WorldModelEnv(_DayEnv):
     """Virtual day built entirely from world-model samples.
 
     On construction the environment pre-samples a pool of full synthetic days
@@ -278,27 +354,12 @@ class WorldModelEnv:
         weights: RewardWeights,
         config: WorldModelEnvConfig = WorldModelEnvConfig(),
     ):
-        self.geo = _Geometry(oracle)
+        super().__init__(oracle, weights)
         self.bundle = bundle
-        self.weights = weights
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence((config.sample_seed, 3)))
         geo = self.geo
-
-        cond_t = np.tile(_conditions_traffic(oracle, bundle.traffic.layout), (config.day_pool, 1))
-        full_t = np.ones((cond_t.shape[0], geo.steps_per_day), dtype=bool)
-        flat_t = bundle.traffic.sample(cond_t, full_t, None, rng)
-        self.traffic_pool = np.clip(
-            flat_t.reshape(config.day_pool, geo.n_cells, geo.steps_per_day),
-            0.0, geo.capacity[None, :, None],
-        )
-
-        cond_u = np.tile(_conditions_users(oracle, bundle.users.layout), (config.day_pool, 1))
-        full_u = np.ones((cond_u.shape[0], geo.user_steps_per_day), dtype=bool)
-        flat_u = bundle.users.sample(cond_u, full_u, None, rng)
-        self.users_pool = np.rint(np.clip(
-            flat_u.reshape(config.day_pool, geo.n_grids, geo.user_steps_per_day), 0.0, None
-        ))
+        self.traffic_pool, self.users_pool = _forecast(bundle, geo, config.day_pool, rng)
 
         # Guidance-free sampling keeps the conditional spread honest, which is
         # what calibrates the fraction of below-floor draws on far links.
@@ -316,11 +377,6 @@ class WorldModelEnv:
         self._table = None          # (n_grids, n_cells, rsrp_draws)
         self._table_mean = None
         self._natural = None
-        self._step = 0
-
-    @property
-    def steps_per_episode(self) -> int:
-        return self.geo.steps_per_day
 
     def reset(self, rng: np.random.Generator) -> Observation:
         self._day = self.traffic_pool[rng.integers(0, len(self.traffic_pool))]
@@ -331,27 +387,15 @@ class WorldModelEnv:
         self._step = 0
         return self._observation()
 
-    def _users_now(self, step: int) -> np.ndarray:
-        hour = min(step * self.geo.users_per_traffic_step, self.geo.user_steps_per_day - 1)
-        return self._users_day[:, hour]
-
     def _observation(self) -> Observation:
-        geo = self.geo
         d = self._step
-        nxt = min(d + 1, geo.steps_per_day - 1)
-        users_next = self._users_now(nxt)
-        return geo.observation(
-            load_frac=self._day[:, d] / geo.capacity,
-            pred_load_frac=self._day[:, nxt] / geo.capacity,
-            pred_users_cell=geo.aggregate_users(users_next),
-            hour=d * geo.step_hours,
-        )
+        return self.geo.observation(d, self._day[:, d] / self.geo.capacity, self._day, self._users_day)
 
     def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
         geo = self.geo
         d = self._step
         native = self._day[:, d]
-        users = self._users_now(d)
+        users = self._users_day[:, geo.user_hour(d)]
         total_users = int(users.sum())
         floor = geo.oracle.config.rsrp_floor_dbm
 
@@ -380,42 +424,28 @@ class WorldModelEnv:
         _, overload, power, ref_power = step_physics(
             geo.arrays, native, sleep, self._natural, serving, users, served_frac
         )
-        energy = float(power.sum() * geo.step_hours)
-        ref_energy = float(ref_power * geo.step_hours)
-
         served_users = users * served_frac
         n_served = float(served_users.sum())
-        dropped = float(total_users - n_served)
         if n_served > 0:
             valid = served_users > 0
             rsrp_avg = float((served_users[valid] * grid_rsrp[valid]).sum() / n_served)
         else:
             rsrp_avg = None
-        reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
-
-        self._step += 1
-        done = self._step >= geo.steps_per_day
-        obs = None if done else self._observation()
-        info = {
-            "energy_wh": energy,
-            "reference_energy_wh": ref_energy,
-            "rsrp_avg_dbm": rsrp_avg,
-            "dropped": dropped,
-            "total_users": total_users,
-            "overload_mbps": overload,
-        }
-        return obs, reward, done, info
+        return self._finish_step(
+            float(power.sum() * geo.step_hours), float(ref_power * geo.step_hours), rsrp_avg,
+            float(total_users - n_served), total_users, overload,
+        )
 
 
-# -- oracle environment ---------------------------------------------------------------
-
-
-class OracleEnv:
+class OracleEnv(_DayEnv):
     """Ground-truth day; the world model contributes only forecast features.
 
-    ``predict_mode`` selects how next-window forecasts are produced:
-    ``long_term`` draws one full context-only day per episode, ``short_term``
-    re-generates each step conditioned on the history revealed so far.
+    The env reads its realised day from the oracle once, at reset. The
+    forecast is a sampled day whose first ``revealed`` windows are the
+    realised ones: ``long_term`` samples it once per episode with
+    ``revealed = 0``; ``short_term`` samples it again at every step with the
+    windows up to and including the current one revealed. Without a bundle
+    the forecast is the current load and no users.
     """
 
     environment_id = "oracle"
@@ -433,39 +463,22 @@ class OracleEnv:
             raise ConfigError(f"unknown predict_mode {predict_mode!r}")
         if (day + 1) * 24 > oracle.config.horizon_hours:
             raise ConfigError(f"day {day} exceeds the scenario horizon")
-        self.geo = _Geometry(oracle)
+        super().__init__(oracle, weights)
         self.oracle = oracle
-        self.weights = weights
         self.bundle = bundle
         self.day = day
         self.predict_mode = predict_mode
         self.predict_seed = predict_seed
         self._t0 = day * 24
-        self._step = 0
-        self._pred_day = None
-        self._pred_users = None
-
-    @property
-    def steps_per_episode(self) -> int:
-        return self.geo.steps_per_day
+        self._realised = None       # (traffic_day, users_day or None)
+        self._forecast = (None, None)
 
     def history_load_fractions(self) -> np.ndarray:
-        """Previous-day native load fractions, for threshold baselines."""
-        geo = self.geo
-        t0 = self._t0 - 24
-        rows = []
-        for k in range(geo.steps_per_day):
-            t = t0 + k * geo.step_hours
-            rows.append([
-                self.oracle.traffic_at(c.id, t) / c.capacity_mbps for c in geo.cells
-            ])
-        return np.array(rows)
+        """Previous-day native load fractions, (steps, n_cells), for threshold baselines."""
+        return (self.oracle.traffic_day(self.day - 1) / self.geo.capacity[:, None]).T
 
     def current_load_fraction(self) -> np.ndarray:
-        t = self._t0 + self._step * self.geo.step_hours
-        return np.array([
-            min(self.oracle.traffic_at(c.id, t) / c.capacity_mbps, 1.0) for c in self.geo.cells
-        ])
+        return np.minimum(self._realised[0][:, self._step] / self.geo.capacity, 1.0)
 
     def greedy_evaluator(self):
         t = self._t0 + self._step * self.geo.step_hours
@@ -481,111 +494,36 @@ class OracleEnv:
 
     def reset(self, rng: np.random.Generator | None = None) -> Observation:
         self._step = 0
-        if self.bundle is not None:
-            self._sample_predictions()
+        # Only short-term forecasts reveal the realised users.
+        short_term = self.bundle is not None and self.predict_mode == "short_term"
+        self._realised = (
+            self.oracle.traffic_day(self.day), self.oracle.users_day(self.day) if short_term else None
+        )
+        if self.bundle is not None and self.predict_mode == "long_term":
+            self._forecast = self._predict(0, (self.predict_seed, self.oracle.config.seed, self.day))
         return self._observation()
 
-    def _sample_predictions(self) -> None:
-        geo = self.geo
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.predict_seed, self.oracle.config.seed, self.day))
-        )
-        cond_t = _conditions_traffic(self.oracle, self.bundle.traffic.layout)
-        cond_u = _conditions_users(self.oracle, self.bundle.users.layout)
-        if self.predict_mode == "long_term":
-            full_t = np.ones((geo.n_cells, geo.steps_per_day), dtype=bool)
-            self._pred_day = np.clip(
-                self.bundle.traffic.sample(cond_t, full_t, None, rng), 0.0, geo.capacity[:, None]
-            )
-            full_u = np.ones((geo.n_grids, geo.user_steps_per_day), dtype=bool)
-            self._pred_users = np.rint(
-                np.clip(self.bundle.users.sample(cond_u, full_u, None, rng), 0.0, None)
-            )
-        else:
-            self._pred_day = None
-            self._pred_users = None
-
-    def _short_term_prediction(self, step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Regenerate the day conditioned on oracle history up to this step."""
-        geo = self.geo
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.predict_seed, self.oracle.config.seed, self.day, step))
-        )
-        revealed_t = step + 1
-        mask_t = np.zeros((geo.n_cells, geo.steps_per_day), dtype=bool)
-        mask_t[:, revealed_t:] = True
-        context_t = np.zeros((geo.n_cells, geo.steps_per_day))
-        for k in range(revealed_t):
-            t = self._t0 + k * geo.step_hours
-            context_t[:, k] = [self.oracle.traffic_at(c.id, t) for c in geo.cells]
-        cond_t = _conditions_traffic(self.oracle, self.bundle.traffic.layout)
-        if mask_t.any():
-            gen_t = self.bundle.traffic.sample(cond_t, mask_t, context_t, rng)
-        else:
-            gen_t = context_t
-        gen_t = np.clip(gen_t, 0.0, geo.capacity[:, None])
-
-        revealed_u = min((step + 1) * geo.users_per_traffic_step, geo.user_steps_per_day)
-        mask_u = np.zeros((geo.n_grids, geo.user_steps_per_day), dtype=bool)
-        mask_u[:, revealed_u:] = True
-        context_u = np.zeros((geo.n_grids, geo.user_steps_per_day))
-        for h in range(revealed_u):
-            t = self._t0 + h * self.oracle.config.user_step_hours
-            context_u[:, h] = [self.oracle.users_at(g, t) for g in range(geo.n_grids)]
-        cond_u = _conditions_users(self.oracle, self.bundle.users.layout)
-        if mask_u.any():
-            gen_u = self.bundle.users.sample(cond_u, mask_u, context_u, rng)
-        else:
-            gen_u = context_u
-        return gen_t, np.rint(np.clip(gen_u, 0.0, None))
+    def _predict(self, revealed: int, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        traffic, users = _forecast(self.bundle, self.geo, 1, rng, revealed, self._realised)
+        return traffic[0], users[0]
 
     def _observation(self) -> Observation:
-        geo = self.geo
         d = self._step
-        load_frac = self.current_load_fraction()
-        nxt = min(d + 1, geo.steps_per_day - 1)
-        if self.bundle is None:
-            pred_load = load_frac
-            users_next = np.zeros(geo.n_grids)
-        elif self.predict_mode == "long_term":
-            pred_load = self._pred_day[:, nxt] / geo.capacity
-            hour = min(nxt * geo.users_per_traffic_step, geo.user_steps_per_day - 1)
-            users_next = self._pred_users[:, hour]
-        else:
-            gen_t, gen_u = self._short_term_prediction(d)
-            pred_load = gen_t[:, nxt] / geo.capacity
-            hour = min(nxt * geo.users_per_traffic_step, geo.user_steps_per_day - 1)
-            users_next = gen_u[:, hour]
-        return geo.observation(
-            load_frac=load_frac,
-            pred_load_frac=pred_load,
-            pred_users_cell=geo.aggregate_users(users_next),
-            hour=d * geo.step_hours,
-        )
+        if self.bundle is not None and self.predict_mode == "short_term":
+            self._forecast = self._predict(
+                d + 1, (self.predict_seed, self.oracle.config.seed, self.day, d)
+            )
+        return self.geo.observation(d, self.current_load_fraction(), *self._forecast)
 
     def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
         geo = self.geo
         t = self._t0 + self._step * geo.step_hours
-        bias = resolve_bias(action, geo.neighbors)
-        state = self.oracle.step_network(t, action.sleep, bias)
-        energy = state.energy_wh(geo.step_hours)
-        ref_energy = state.reference_power_watts * geo.step_hours
-        reward = compute_reward(
-            energy, ref_energy, state.rsrp_avg_dbm, state.dropped_users,
-            state.total_users, self.weights,
+        state = self.oracle.step_network(t, action.sleep, resolve_bias(action, geo.neighbors))
+        return self._finish_step(
+            state.energy_wh(geo.step_hours), state.reference_power_watts * geo.step_hours,
+            state.rsrp_avg_dbm, state.dropped_users, state.total_users, state.per_cell_overload_mbps,
         )
-        self._step += 1
-        done = self._step >= geo.steps_per_day
-        obs = None if done else self._observation()
-        info = {
-            "energy_wh": energy,
-            "reference_energy_wh": ref_energy,
-            "rsrp_avg_dbm": state.rsrp_avg_dbm,
-            "dropped": state.dropped_users,
-            "total_users": state.total_users,
-            "overload_mbps": state.per_cell_overload_mbps,
-        }
-        return obs, reward, done, info
 
 
 # -- actors ------------------------------------------------------------------------
@@ -802,15 +740,7 @@ def oracle_mean_traffic(oracle: Oracle) -> np.ndarray:
 
 def oracle_traffic_draws(scenario: ScenarioConfig, n: int) -> np.ndarray:
     """(n, n_cells, steps) day realizations across reseeded scenario copies."""
-    step = scenario.traffic_step_hours
-    days = []
-    for k in range(n):
-        oracle = build_scenario(replace(scenario, seed=1_000_003 + k))
-        days.append([
-            [oracle.traffic_at(c.id, s * step) for s in range(24 // step)]
-            for c in oracle.cells
-        ])
-    return np.array(days)
+    return np.array([build_scenario(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n)])
 
 
 def _lag1_autocorr(series: np.ndarray) -> float:
@@ -844,28 +774,21 @@ def traffic_generation_metrics(
     mean_profile = draws.mean(axis=0)  # empirical, same estimator as the generated side
 
     if task == "long_term_generation":
-        mask = np.ones(steps, dtype=bool)
-        context = None
+        revealed = 0
     elif task == "short_term_prediction":
         if not 0 < history_steps < steps:
             raise ConfigError(f"history_steps must be in (0, {steps})")
-        mask = ds.make_mask("short_term_prediction", steps, steps - history_steps)
-        context = np.array([
-            [oracle.traffic_at(c.id, k * scenario.traffic_step_hours) for k in range(steps)]
-            for c in oracle.cells
-        ])
+        revealed = history_steps
     else:
         raise ConfigError(f"unknown task {task!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence((sample_seed, 31)))
-    conds = _conditions_traffic(oracle, model.layout)
-    tiled_cond = np.repeat(conds, n_samples, axis=0)
-    tiled_mask = np.tile(mask, (n_cells * n_samples, 1))
-    tiled_ctx = None if context is None else np.repeat(context, n_samples, axis=0)
-    gen = model.sample(tiled_cond, tiled_mask, tiled_ctx, rng)
+    conds = np.repeat(_conditions_traffic(oracle, model.layout), n_samples, axis=0)
+    context = np.repeat(oracle.traffic_day(0), n_samples, axis=0) if revealed else None
+    gen = _sample_days(model, conds, steps, revealed, context, rng)
     gen = np.clip(gen, 0.0, None).reshape(n_cells, n_samples, steps)
 
-    scored = mask
+    scored = np.arange(steps) >= revealed
     gen_mean = gen.mean(axis=1)
     mae = float(np.abs(gen_mean[:, scored] - mean_profile[:, scored]).mean())
     w1_vals = [

@@ -117,13 +117,6 @@ class ParamStore:
     def trainable_names(self) -> list[str]:
         return [n for n, t in self._tensors.items() if t.trainable]
 
-    def n_params(self, trainable_only: bool = False) -> int:
-        return sum(
-            t.value.size
-            for t in self._tensors.values()
-            if t.trainable or not trainable_only
-        )
-
     # -- optimization ---------------------------------------------------------
 
     def adam_step(

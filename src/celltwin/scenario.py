@@ -135,10 +135,6 @@ class NetworkState:
         return int(self.serving_cell.shape[0])
 
     @property
-    def served_users(self) -> int:
-        return self.total_users - self.dropped_users
-
-    @property
     def rsrp_avg_dbm(self) -> float | None:
         served = self.serving_cell >= 0
         if not served.any():
@@ -355,6 +351,23 @@ class Oracle:
         step = self.config.user_step_hours
         tq = (t_hours // step) * step
         return int(self._rng(_S_USERS, grid_index, tq).poisson(rate))
+
+    # -- day reads -----------------------------------------------------------
+
+    def traffic_day(self, day: int) -> np.ndarray:
+        """traffic_at over one day, (n_cells, 24 / traffic_step_hours) in Mbps."""
+        step = self.config.traffic_step_hours
+        return np.array([
+            [self.traffic_at(c.id, day * 24 + k * step) for k in range(24 // step)] for c in self.cells
+        ])
+
+    def users_day(self, day: int) -> np.ndarray:
+        """users_at over one day as floats, (n_grids, 24 / user_step_hours)."""
+        step = self.config.user_step_hours
+        return np.array([
+            [float(self.users_at(g, day * 24 + k * step)) for k in range(24 // step)]
+            for g in range(self.n_grids)
+        ])
 
     # -- composite step ------------------------------------------------------
 

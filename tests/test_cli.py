@@ -74,6 +74,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer")):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"evaluation": {"schemes": ["agent", "bogus"]}}', "evaluation.schemes"),
+        ('{"evaluation": {"predict_mode": "bogus"}}', "evaluation.predict_mode"),
+        ('{"worldmodel": {"guidance_w": -1}}', "worldmodel.guidance_w"),
+        ('{"dataset": {"split": [0.8, 0.1]}}', "dataset.split"),
+        ('{"dataset": {"split": [0.8, 0.3, -0.1]}}', "dataset.split"),
+        ('{"dataset": {"split": [0.8, 0.1, 0.2]}}', "dataset.split"),
+    ])
+    def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key} must be")):
+            parse_config(str(path))
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"foo": 1}')

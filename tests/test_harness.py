@@ -85,20 +85,10 @@ class TestWorldModelEnv:
         # Feed the twin the oracle's day 1: native traffic, users per grid and
         # one RSRP draw per (grid, cell) at the grid centre.
         oracle_env = OracleEnv(oracle, WEIGHTS, day=1)
-        t0 = 24
-        step = oracle.config.traffic_step_hours
-        day = np.array([
-            [oracle.traffic_at(c.id, t0 + k * step) for k in range(oracle_env.steps_per_episode)]
-            for c in oracle.cells
-        ])
-        users = np.array([
-            [oracle.users_at(g, t0 + h) for h in range(24 // oracle.config.user_step_hours)]
-            for g in range(oracle.n_grids)
-        ])
         centres = np.array([g.position for g in oracle.config.grids])
         rsrp = oracle.rsrp_matrix(centres, np.zeros((oracle.n_grids, oracle.n_cells)))
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        env.traffic_pool, env.users_pool = day[None], users[None].astype(float)
+        env.traffic_pool, env.users_pool = oracle.traffic_day(1)[None], oracle.users_day(1)[None]
         env.rsrp_pool = rsrp[None, :, :, None]
         env.reset(np.random.default_rng(0))
         oracle_env.reset()
@@ -155,6 +145,30 @@ class TestOracleEvaluation:
         rb = next(r for r in b if r.policy_id == "greedy")
         assert np.array_equal(ra.rewards, rb.rewards)
         assert np.array_equal(ra.energy_wh, rb.energy_wh)
+
+    @pytest.mark.parametrize("scheme", ["empirical", "custom", "greedy"])
+    def test_rule_scheme_reads_users_only_in_step_network(self, oracle, scheme, monkeypatch):
+        from celltwin.harness import run_oracle_episode
+        from celltwin.scenario import Oracle
+
+        depth, calls = [0], {"inside": 0, "outside": 0}
+        users_at, step_network = Oracle.users_at, Oracle.step_network
+
+        def counted_users_at(self, *args):
+            calls["inside" if depth[0] else "outside"] += 1
+            return users_at(self, *args)
+
+        def nested_step_network(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return step_network(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Oracle, "users_at", counted_users_at)
+        monkeypatch.setattr(Oracle, "step_network", nested_step_network)
+        run_oracle_episode(scheme, OracleEnv(oracle, WEIGHTS, day=1), 0)
+        assert calls["inside"] > 0 and calls["outside"] == 0
 
     def test_agent_scheme_requires_policy(self, scenario):
         with pytest.raises(ConfigError, match="policy"):

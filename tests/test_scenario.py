@@ -151,6 +151,31 @@ class TestUsers:
             oracle.users_at(4, 0)
 
 
+class TestDayReads:
+    @pytest.mark.parametrize("traffic_step, user_step", [(2, 1), (3, 2)])
+    def test_days_equal_scalar_queries(self, traffic_step, user_step):
+        oracle = build_scenario(make_hex_scenario(
+            seed=3, grid_dim=3, horizon_hours=72,
+            traffic_step_hours=traffic_step, user_step_hours=user_step,
+        ))
+        traffic, users = oracle.traffic_day(2), oracle.users_day(2)
+        assert traffic.shape == (7, 24 // traffic_step)
+        assert users.shape == (9, 24 // user_step) and users.dtype == float
+        for c, cell in enumerate(oracle.cells):
+            for k in range(24 // traffic_step):
+                assert traffic[c, k] == oracle.traffic_at(cell.id, 48 + k * traffic_step)
+        for g in range(9):
+            for k in range(24 // user_step):
+                assert users[g, k] == oracle.users_at(g, 48 + k * user_step)
+
+    def test_day_past_horizon_rejected(self):
+        oracle = build_scenario(two_cell_config())
+        with pytest.raises(DomainError):
+            oracle.traffic_day(2)
+        with pytest.raises(DomainError):
+            oracle.users_day(2)
+
+
 class TestPropagation:
     def test_reference_point(self):
         assert path_loss_db(1.0, 1.0) == pytest.approx(32.45, abs=1e-12)
@@ -264,7 +289,7 @@ class TestStepNetwork:
         oracle = build_scenario(make_hex_scenario(seed=5))
         for t in (0, 8, 14, 20):
             state = oracle.step_network(t, sleep_mask=[False, True, False, True, False, False, False])
-            assert state.served_users + state.dropped_users == state.total_users
+            assert int((state.serving_cell >= 0).sum()) + state.dropped_users == state.total_users
             assert state.total_users == state.per_grid_users.sum()
 
     def test_energy_conservation(self):
