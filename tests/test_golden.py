@@ -1,11 +1,13 @@
 """Golden output bytes: a few-second pipeline run reproduces recorded digests.
 
-Runs ``collect -> train-wm -> optimize -> evaluate -> eval-gen -> simulate``
-through ``cli.main`` on a small config (three experts per head; evaluation
-with short-term forecasts for the agent, both sequential and with
-``--jobs 2``, then once more with long-term forecasts) and compares the
-sha256 of ``wm_losses.csv``, ``learning_curve.csv``, each ``evaluation.csv``,
-``generation.csv`` and a two-day ``traffic.csv``, plus the config hash of
+Runs ``collect -> train-wm -> optimize -> evaluate -> eval-gen -> simulate ->
+counterfactual`` through ``cli.main`` on a small config (three experts per
+head; evaluation with short-term forecasts for the agent, both sequential and
+with ``--jobs 2``, then once more with long-term forecasts; one counterfactual
+fraction, whose adapted traffic head samples with its adapters attached) and
+compares the sha256 of ``wm_losses.csv``, ``learning_curve.csv``, each
+``evaluation.csv``, ``generation.csv``, a two-day ``traffic.csv``,
+``counterfactual.csv`` and ``counterfactual_wm.csv``, plus the config hash of
 ``{}``, against ``tests/golden.json``. Float results depend on the numpy build and its BLAS,
 so the file records both and a mismatch names the recorded and the running
 environment.
@@ -47,16 +49,22 @@ CONFIG = {
 # The same run with long-term forecasts; it shares out_dir, so it reads the same models.
 LONG_TERM = {**CONFIG, "evaluation": {**CONFIG["evaluation"], "predict_mode": "long_term"}}
 
-# (command line, config, digest key, file the command writes under out_dir), in pipeline order
+# One peak fraction and a few adapter steps on two days of the 96-hour horizon.
+COUNTERFACTUAL = {**CONFIG, "counterfactual": {"fractions": [0.6], "lora_rank": 2,
+                                               "adapt_steps": 4, "adapt_days": 2}}
+
+# (command line, config, {digest key: file the command writes under out_dir}), in pipeline order
 STAGES = (
-    (["collect"], CONFIG, None, None),
-    (["train-wm"], CONFIG, "wm_losses.csv", "models/wm_losses.csv"),
-    (["optimize"], CONFIG, "learning_curve.csv", "models/learning_curve.csv"),
-    (["evaluate"], CONFIG, "evaluation.csv", "reports/evaluation.csv"),
-    (["evaluate", "--jobs", "2"], CONFIG, "evaluation.csv --jobs 2", "reports/evaluation.csv"),
-    (["evaluate"], LONG_TERM, "evaluation.csv long_term", "reports/evaluation.csv"),
-    (["eval-gen"], CONFIG, "generation.csv", "reports/generation.csv"),
-    (["simulate", "--days", "2"], CONFIG, "traffic.csv --days 2", "traffic.csv"),
+    (["collect"], CONFIG, {}),
+    (["train-wm"], CONFIG, {"wm_losses.csv": "models/wm_losses.csv"}),
+    (["optimize"], CONFIG, {"learning_curve.csv": "models/learning_curve.csv"}),
+    (["evaluate"], CONFIG, {"evaluation.csv": "reports/evaluation.csv"}),
+    (["evaluate", "--jobs", "2"], CONFIG, {"evaluation.csv --jobs 2": "reports/evaluation.csv"}),
+    (["evaluate"], LONG_TERM, {"evaluation.csv long_term": "reports/evaluation.csv"}),
+    (["eval-gen"], CONFIG, {"generation.csv": "reports/generation.csv"}),
+    (["simulate", "--days", "2"], CONFIG, {"traffic.csv --days 2": "traffic.csv"}),
+    (["counterfactual"], COUNTERFACTUAL, {"counterfactual.csv": "reports/counterfactual.csv",
+                                          "counterfactual_wm.csv": "reports/counterfactual_wm.csv"}),
 )
 
 
@@ -68,12 +76,12 @@ def environment() -> dict:
 def run_pipeline(root: Path) -> dict[str, str]:
     """sha256 of every golden output, keyed as in ``golden.json``."""
     digests = {}
-    for k, (command, config, key, output) in enumerate(STAGES):
+    for k, (command, config, outputs) in enumerate(STAGES):
         path = root / f"config{k}.json"
         path.write_text(json.dumps({**config, "out_dir": str(root / "out")}))
         if main([*command, "--config", str(path)]) != 0:
             raise RuntimeError(f"celltwin {' '.join(command)} failed")
-        if key is not None:
+        for key, output in outputs.items():
             digests[key] = hashlib.sha256((root / "out" / output).read_bytes()).hexdigest()
     empty = root / "empty.json"
     empty.write_text("{}")
@@ -91,7 +99,7 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("key", [key for _, _, key, _ in STAGES if key] + ["config_hash {}"])
+@pytest.mark.parametrize("key", [key for _, _, outputs in STAGES for key in outputs] + ["config_hash {}"])
 def test_digest_matches_golden(digests, golden, key):
     assert digests[key] == golden["digests"][key], (
         f"{key} changed: golden.json was recorded with {golden['environment']}, "
