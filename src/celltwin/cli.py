@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .agent import Policy, RewardWeights
 from .dataset import collect_dataset, read_dataset, write_dataset
-from .errors import CelltwinError, ConfigError
+from .errors import CelltwinError, ConfigError, DomainError
 from .harness import (
     SCHEMES,
     AgentTrainConfig,
@@ -201,6 +201,12 @@ def parse_config(path: str) -> RunConfig:
     for section, key, valid, want in _VALUE_CHECKS:
         if not valid(effective[section][key]):
             raise ConfigError(f"config key {section}.{key} must be {want}")
+    # Adapters go on every expert layer of the traffic head. The smallest layer dim
+    # is a hidden width or the series length; the input dim exceeds three series lengths.
+    rank = effective["counterfactual"]["lora_rank"]
+    max_rank = min([*effective["worldmodel"]["expert_hidden"], 24 // scenario.traffic_step_hours])
+    if not 1 <= rank <= max_rank:
+        raise ConfigError(f"config key counterfactual.lora_rank must be in [1, {max_rank}]")
     # The custom baseline, which counterfactual always runs, reads the day before.
     last_day = scenario.horizon_hours // 24 - 1
     if not 1 <= effective["evaluation"]["day"] <= last_day:
@@ -224,6 +230,10 @@ def parse_config(path: str) -> RunConfig:
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
+    n_days = run.scenario.horizon_hours // 24
+    if not 1 <= args.days <= n_days:
+        raise DomainError(f"--days must be in [1, {n_days}] for a {run.scenario.horizon_hours}-hour "
+                          f"scenario horizon, got {args.days}")
     oracle = build_scenario(run.scenario)
     step = run.scenario.traffic_step_hours
     out = Path(args.out) if args.out else run.out_dir / "traffic.csv"

@@ -12,6 +12,15 @@ enable classifier-free guidance at sampling time. Sampling is ancestral DDPM;
 revealed history is enforced by re-noising it to the current step after every
 update (inpainting), so unmasked positions come back exactly.
 
+Everything fixed for a whole ``sample()`` call is computed once per call:
+``condition`` embeds the condition and retrieves the prompts, and each pass
+(conditional, null) gets one z template holding those columns, the null row,
+the mask and the context. Each step writes only the x_t and time-embedding
+columns, and the time embedding is computed once per step for both passes.
+Sampling runs the gate and experts without caches (``keep_cache=False``),
+in place, with the same ops in the same order as training's forward, so the
+bits are those of the cached path.
+
 The M experts are one stacked ``MLP`` (``stack=M``): each expert layer is one
 (M, out, in) tensor ``experts/W{i}``, and one call runs every expert on the
 shared input.
@@ -23,7 +32,7 @@ learnable key-prompt pairs appended to the denoiser input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,6 +136,16 @@ def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # -- denoiser architecture -----------------------------------------------------------
 
 
+def _per_row(value, batch: int) -> np.ndarray:
+    """A scalar or per-row value as one entry per row."""
+    return np.broadcast_to(np.atleast_1d(value), (batch,))
+
+
+def _mix(gate: np.ndarray, expert_out: np.ndarray) -> np.ndarray:
+    """Gate-weighted sum of the (M, B, L) expert outputs."""
+    return (gate.T[:, :, None] * expert_out).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class DenoiserArch:
     series_len: int
@@ -145,6 +164,38 @@ class DenoiserArch:
     @property
     def input_dim(self) -> int:
         return 3 * self.series_len + self.time_dim + self.cond_emb_dim + self.prompt_dim
+
+    def z_columns(self) -> dict[str, slice]:
+        """Column block of each part of the denoiser input z, in layout order."""
+        L = self.series_len
+        widths = {"x_t": L, "time": self.time_dim, "cond": self.cond_emb_dim,
+                  "mask": L, "context": L, "prompts": self.prompt_dim}
+        ends = np.cumsum(list(widths.values()))
+        return {name: slice(end - width, end) for (name, width), end in zip(widths.items(), ends)}
+
+
+@dataclass
+class Conditioning:
+    """A batch's fixed denoiser inputs, embedded once by ``DiffusionModel.condition``.
+
+    ``denoise`` lays them out as one z template per pass (conditional, null)
+    and keeps it here, so each call writes only the x_t and time columns. The
+    time embedding of the last step is kept too: the two passes of a sampler
+    step compute it once. It holds parameter values, so it is valid only while
+    the model's parameters stay unchanged.
+    """
+
+    c_emb: np.ndarray  # (B, cond_emb_dim) condition embedding
+    mask: np.ndarray  # (B, L) float, 1 = generate
+    context: np.ndarray  # (B, L) normalized history
+    prompts: np.ndarray  # (B, top_n * prompt_dim) retrieved prompts, (B, 0) without memory
+    cache: dict  # embedding internals the backward pass reads
+    templates: dict = field(default_factory=dict)  # scalar null_mask -> z template
+    step: tuple | None = None  # (t, time embedding) of the last step
+
+    @property
+    def batch(self) -> int:
+        return self.mask.shape[0]
 
 
 class DiffusionModel:
@@ -176,6 +227,7 @@ class DiffusionModel:
         self.guidance_w = guidance_w
         self.lora_state: dict | None = None
         self.store = ParamStore()
+        self._columns = arch.z_columns()
         self._build(seed)
 
     def _build(self, seed: int) -> None:
@@ -203,12 +255,46 @@ class DiffusionModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def _check_inputs(self, x_t, cond, mask, context) -> None:
+    def condition(self, cond: np.ndarray, mask: np.ndarray, context: np.ndarray) -> Conditioning:
+        """Embed what stays fixed across steps: the condition, mask, context and prompts."""
         L, dc = self.arch.series_len, self.arch.cond_dim
-        if x_t.shape[1] != L or mask.shape != x_t.shape or context.shape != x_t.shape:
+        cond = np.atleast_2d(np.asarray(cond, dtype=float))
+        mask_f = np.atleast_2d(np.asarray(mask, dtype=float))
+        context = np.atleast_2d(np.asarray(context, dtype=float))
+        if mask_f.shape[1] != L or context.shape != mask_f.shape:
             raise ShapeError(f"series inputs must be (B, {L})")
-        if cond.shape != (x_t.shape[0], dc):
+        if cond.shape != (mask_f.shape[0], dc):
             raise ShapeError(f"condition must be (B, {dc}), got {cond.shape}")
+        c_emb, cache_cond = self.cond_mlp.forward(cond)
+        cache: dict = {"cache_cond": cache_cond}
+        if self.arch.memory:
+            q, cache_q = self.query_mlp.forward(np.concatenate([context, mask_f], axis=1))
+            indices, prompts = prompt_retrieve(
+                self.store["memory/keys"], self.store["memory/prompts"], q, self.arch.memory.top_n
+            )
+            cache.update(cache_query=cache_q, query=q, indices=indices)
+        else:
+            prompts = np.zeros((mask_f.shape[0], 0))
+        return Conditioning(c_emb, mask_f, context, prompts, cache)
+
+    def _series(self, x_t: np.ndarray, batch: int) -> np.ndarray:
+        L = self.arch.series_len
+        x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
+        if x_t.shape != (batch, L):
+            raise ShapeError(f"series inputs must be (B, {L})")
+        return x_t
+
+    def _lay_out(self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray) -> np.ndarray:
+        """The denoiser input z, blocks in ``z_columns`` order; null rows carry the null embedding."""
+        blocks = {
+            "x_t": x_t,
+            "time": t_emb,
+            "cond": np.where(null_mask[:, None], self.store["null_embed"][None, :], cnd.c_emb),
+            "mask": cnd.mask,
+            "context": cnd.context,
+            "prompts": cnd.prompts,
+        }
+        return np.concatenate([blocks[name] for name in self._columns], axis=1)
 
     def assemble_input(
         self,
@@ -221,64 +307,59 @@ class DiffusionModel:
     ) -> tuple[np.ndarray, dict]:
         """Build the shared expert/gate input; cache carries embedding internals."""
         x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-        cond = np.atleast_2d(np.asarray(cond, dtype=float))
-        mask_f = np.atleast_2d(np.asarray(mask, dtype=float))
-        context = np.atleast_2d(np.asarray(context, dtype=float))
-        self._check_inputs(x_t, cond, mask_f, context)
-        t = np.broadcast_to(np.atleast_1d(t), (x_t.shape[0],))
-        null_mask = np.broadcast_to(np.atleast_1d(null_mask), (x_t.shape[0],)).astype(bool)
-
-        t_emb, cache_time = self.time_mlp.forward(time_features(t, self.schedule.steps))
-        c_emb_net, cache_cond = self.cond_mlp.forward(cond)
-        c_emb = np.where(null_mask[:, None], self.store["null_embed"][None, :], c_emb_net)
-
-        cache: dict = {
-            "null_mask": null_mask,
-            "cache_time": cache_time,
-            "cache_cond": cache_cond,
-        }
-        if self.arch.memory:
-            q_in = np.concatenate([context, mask_f], axis=1)
-            q, cache_q = self.query_mlp.forward(q_in)
-            indices, prompt_vec = prompt_retrieve(
-                self.store["memory/keys"], self.store["memory/prompts"], q, self.arch.memory.top_n
-            )
-            cache.update(cache_query=cache_q, query=q, indices=indices)
-        else:
-            prompt_vec = np.zeros((x_t.shape[0], 0))
-        z = np.concatenate([x_t, t_emb, c_emb, mask_f, context, prompt_vec], axis=1)
-        cache["z"] = z
-        return z, cache
+        t_emb, cache_time = self.time_mlp.forward(time_features(_per_row(t, len(x_t)), self.schedule.steps))
+        cnd = self.condition(cond, mask, context)
+        null_mask = _per_row(null_mask, cnd.batch).astype(bool)
+        z = self._lay_out(cnd, null_mask, self._series(x_t, cnd.batch), t_emb)
+        return z, {"null_mask": null_mask, "cache_time": cache_time, **cnd.cache}
 
     def gate_weights(self, z: np.ndarray) -> np.ndarray:
-        logits, _ = self.gate_mlp.forward(z)
-        return softmax(logits)
+        return softmax(self.gate_mlp.forward(z, keep_cache=False))
 
     def expert_output(self, i: int, z: np.ndarray) -> np.ndarray:
-        out, _ = self.experts.forward(z)
-        return out[i]
+        return self.experts.forward(z, keep_cache=False)[i]
 
     def denoise(
         self,
         x_t: np.ndarray,
         t,
-        cond: np.ndarray,
-        mask: np.ndarray,
-        context: np.ndarray,
+        cond: np.ndarray | Conditioning,
+        mask: np.ndarray | None = None,
+        context: np.ndarray | None = None,
         null_mask=False,
     ) -> np.ndarray:
-        """Predicted noise: gate-weighted sum of expert outputs on the shared input."""
-        eps_hat, _ = self._forward(x_t, t, cond, null_mask, mask, context)
-        return eps_hat
+        """Predicted noise: gate-weighted sum of expert outputs on the shared input.
+
+        ``cond`` is either the raw conditions, with ``mask`` and ``context``,
+        or a ``Conditioning`` from ``condition`` that already holds them. Runs
+        cache-free; with a ``Conditioning`` and a scalar ``null_mask`` it writes
+        only x_t and the time embedding into that pass's kept z template.
+        """
+        cnd = cond if isinstance(cond, Conditioning) else self.condition(cond, mask, context)
+        x_t = self._series(x_t, cnd.batch)
+        t = _per_row(t, cnd.batch)
+        if cnd.step is None or not np.array_equal(cnd.step[0], t):
+            cnd.step = (t.copy(), self.time_mlp.forward(time_features(t, self.schedule.steps), keep_cache=False))
+        t_emb = cnd.step[1]
+        if np.ndim(null_mask):
+            z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), x_t, t_emb)
+        else:
+            key = bool(null_mask)
+            if key not in cnd.templates:
+                cnd.templates[key] = self._lay_out(cnd, np.full(cnd.batch, key), x_t, t_emb)
+            z = cnd.templates[key]
+            z[:, self._columns["x_t"]] = x_t
+            z[:, self._columns["time"]] = t_emb
+        gate = softmax(self.gate_mlp.forward(z, keep_cache=False))
+        return _mix(gate, self.experts.forward(z, keep_cache=False))
 
     def _forward(self, x_t, t, cond, null_mask, mask, context) -> tuple[np.ndarray, dict]:
         z, cache = self.assemble_input(x_t, t, cond, null_mask, mask, context)
         logits, cache_gate = self.gate_mlp.forward(z)
         gate = softmax(logits)
         expert_out, cache_e = self.experts.forward(z)  # (M, B, L)
-        eps_hat = (gate.T[:, :, None] * expert_out).sum(axis=0)
         cache.update(gate=gate, expert_out=expert_out, cache_gate=cache_gate, cache_e=cache_e)
-        return eps_hat, cache
+        return _mix(gate, expert_out), cache
 
     def _backward(self, cache: dict, d_eps: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         gate, expert_out = cache["gate"], cache["expert_out"]
@@ -289,15 +370,9 @@ class DiffusionModel:
         # Gate first, then expert by expert: a fixed summation order keeps the bits.
         dz = np.concatenate([dz[None], dz_e]).sum(axis=0)
 
-        a = self.arch
-        L = a.series_len
-        ofs = L
-        d_temb = dz[:, ofs : ofs + a.time_dim]
-        ofs += a.time_dim
-        d_cemb = dz[:, ofs : ofs + a.cond_emb_dim]
-        ofs += a.cond_emb_dim
-        ofs += 2 * L  # mask and context are inputs, no parameters behind them
-        d_prompt = dz[:, ofs:]
+        # Mask and context are inputs, with no parameters behind them.
+        cols = self._columns
+        d_temb, d_cemb, d_prompt = dz[:, cols["time"]], dz[:, cols["cond"]], dz[:, cols["prompts"]]
 
         self.time_mlp.backward(cache["cache_time"], d_temb, grads)
         null = cache["null_mask"]
@@ -439,12 +514,12 @@ class DiffusionModel:
                 raise ModelError(f"model parameter {name!r} is non-finite")
 
         sched = self.schedule
+        cnd = self.condition(cond, mask, ctx)
         x = rng.standard_normal((batch, L))
         for t in range(sched.steps, 0, -1):
-            t_arr = np.full(batch, t)
-            eps_hat = self.denoise(x, t_arr, cond, mask, ctx, null_mask=False)
+            eps_hat = self.denoise(x, t, cnd)
             if w > 0:
-                eps_null = self.denoise(x, t_arr, cond, mask, ctx, null_mask=True)
+                eps_null = self.denoise(x, t, cnd, null_mask=True)
                 eps_hat = (1.0 + w) * eps_hat - w * eps_null
             beta_t = sched.beta_at(t)
             a_bar_t = sched.alpha_bar[t]

@@ -22,15 +22,18 @@ from .errors import FormatError, ShapeError, TrainingError
 CHECKPOINT_VERSION = 2
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+# Activations write into ``out`` when given (``out=x`` works in place).
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
-def identity(x: np.ndarray) -> np.ndarray:
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.tanh(x, out=out)
+
+
+def identity(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
@@ -250,7 +253,13 @@ class MLP:
     def base_names(self) -> list[str]:
         return [n for i in range(self.n_layers) for n in (f"{self.prefix}/W{i}", f"{self.prefix}/b{i}")]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+    def forward(self, x: np.ndarray, keep_cache: bool = True):
+        """Output and the cache ``backward`` needs; with ``keep_cache=False``, the output alone.
+
+        Without a cache nothing needs the pre-activations, so the bias and the
+        activation are applied in place on each matmul output: the same ops in
+        the same order, hence the same bits, without the copies.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.dims[0]:
             raise ShapeError(
@@ -261,18 +270,22 @@ class MLP:
         for i in range(self.n_layers):
             w = self.store[f"{self.prefix}/W{i}"]
             b = self.store[f"{self.prefix}/b{i}"]
-            pre = out @ np.swapaxes(w, -1, -2) + b[..., None, :]
+            pre = out @ np.swapaxes(w, -1, -2)
+            pre += b[..., None, :]
             low = None
             if i in self.lora:
                 spec = self.lora[i]
                 a = self.store[f"{self.prefix}/A{i}"]
                 bb = self.store[f"{self.prefix}/B{i}"]
                 low = out @ np.swapaxes(a, -1, -2)
-                pre = pre + spec.scale * (low @ np.swapaxes(bb, -1, -2))
-            post = _ACT[self.acts[i]](pre)
-            cache.append((out, pre, post, low))
+                pre += spec.scale * (low @ np.swapaxes(bb, -1, -2))
+            if keep_cache:
+                post = _ACT[self.acts[i]](pre)
+                cache.append((out, pre, post, low))
+            else:
+                post = _ACT[self.acts[i]](pre, out=pre)
             out = post
-        return out, cache
+        return (out, cache) if keep_cache else out
 
     def backward(self, cache: list, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
         d = np.asarray(dout, dtype=np.float64)

@@ -81,6 +81,11 @@ class TestParseConfig:
         ('{"dataset": {"split": [0.8, 0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.3, -0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.1, 0.2]}}', "dataset.split"),
+        ('{"counterfactual": {"lora_rank": 0}}', "counterfactual.lora_rank"),
+        ('{"counterfactual": {"lora_rank": -1}}', "counterfactual.lora_rank"),
+        ('{"counterfactual": {"lora_rank": 100}}', "counterfactual.lora_rank"),
+        ('{"worldmodel": {"expert_hidden": [64, 3]}}', "counterfactual.lora_rank"),
+        ('{"scenario": {"preset": "hex7", "seed": 0, "traffic_step_hours": 8}}', "counterfactual.lora_rank"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
@@ -158,6 +163,14 @@ class TestCliCommands:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "cell_id,t_hours,load_mbps"
         assert len(lines) - 1 == 7 * 12
+
+    def test_simulate_past_horizon_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario={"preset": "hex7", "seed": 0, "horizon_hours": 96})
+        out = tmp_path / "traffic.csv"
+        assert main(["simulate", "--config", cfg, "--days", "6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--days" in err
+        assert not out.exists()
 
     def test_unknown_flag_exits_two(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -283,6 +283,58 @@ class TestSampling:
         assert abs(out.std() - 0.5) < 0.15
 
 
+def reference_sample(model, cond, mask, context, rng, w):
+    """The sampler as one public, raw-input ``denoise`` call per noise estimate.
+
+    Null masks go in per row, so every call lays out its input afresh and shares
+    no kept z template with the sampler.
+    """
+    sched = model.schedule
+    batch, L = mask.shape
+    ctx = np.zeros((batch, L)) if context is None else np.where(mask, 0.0, model.stats.normalize(context))
+    x = rng.standard_normal((batch, L))
+    for t in range(sched.steps, 0, -1):
+        t_arr = np.full(batch, t)
+        eps_hat = model.denoise(x, t_arr, cond, mask, ctx, null_mask=np.zeros(batch, bool))
+        if w > 0:
+            eps_null = model.denoise(x, t_arr, cond, mask, ctx, null_mask=np.ones(batch, bool))
+            eps_hat = (1.0 + w) * eps_hat - w * eps_null
+        beta_t = sched.beta_at(t)
+        mean = (x - beta_t / np.sqrt(1.0 - sched.alpha_bar[t]) * eps_hat) / np.sqrt(1.0 - beta_t)
+        x = mean + np.sqrt(beta_t) * rng.standard_normal((batch, L)) if t > 1 else mean
+        known = forward_noise(ctx, sched.alpha_bar[t - 1], rng.standard_normal((batch, L)))
+        x = np.where(mask, x, known)
+    return model.stats.denormalize(x)
+
+
+class TestSamplerMatchesReference:
+    MEMORY = MemoryConfig(n_pairs=4, top_n=2, prompt_dim=2, key_dim=4)
+
+    @pytest.mark.parametrize("memory, w, lora, revealed", [
+        (MEMORY, 1.0, False, 2),
+        (None, 0.0, False, 0),
+        (MEMORY, 1.0, True, 2),
+    ], ids=["memory_guided_inpainting", "unguided", "lora_attached"])
+    def test_bytes_equal_per_step_denoise(self, memory, w, lora, revealed):
+        model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3)
+        rng = np.random.default_rng(23)
+        if lora:
+            model.lora_attach(rank=2, alpha=4.0)
+            for i in range(model.experts.n_layers):  # nonzero, so the adapters change the output
+                name = f"experts/B{i}"
+                model.store.set(name, rng.normal(0.0, 0.3, size=model.store[name].shape))
+        batch = 5
+        for call in range(2):  # two calls in a row on different inputs: nothing may carry over
+            cond = rng.standard_normal((batch, COND_DIM))
+            mask = np.ones((batch, 6), dtype=bool)
+            mask[:, :revealed] = False
+            mask[0, :] = True  # rows differ in what they reveal
+            context = rng.normal(2.0, 1.5, size=(batch, 6)) if revealed else None
+            got = model.sample(cond, mask, context, np.random.default_rng(call), guidance_w=w)
+            want = reference_sample(model, cond, mask, context, np.random.default_rng(call), w)
+            assert np.array_equal(got, want)
+
+
 class TestLora:
     def test_attach_is_identity(self):
         model = tiny_model()

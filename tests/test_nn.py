@@ -159,6 +159,29 @@ class TestStack:
         assert finite_difference_check(store, loss_fn) < 1e-4
 
 
+class TestCacheFree:
+    @pytest.mark.parametrize("stack, lora, hidden", [
+        (None, False, "relu"), (3, False, "relu"), (3, True, "tanh"),
+    ], ids=["plain", "stack3_shared_input", "stack3_lora"])
+    def test_matches_cached_forward(self, stack, lora, hidden):
+        rng = np.random.default_rng(13)
+        store = ParamStore()
+        net = MLP(store, "net", (6, 9, 7, 4), hidden_activation=hidden,
+                  output_activation="tanh", rng=rng, stack=stack)
+        for name in store.names():  # nonzero biases, so the in-place add is exercised
+            store.set(name, store[name] + rng.normal(0.0, 0.1, size=store[name].shape))
+        if lora:
+            net.attach_lora([0, 1, 2], rank=2, alpha=3.0, rng=rng)
+            for i in range(3):  # nonzero, so the adapters change the output
+                store.set(f"net/B{i}", rng.normal(size=store[f"net/B{i}"].shape))
+        x = rng.normal(size=(33, 6))  # 2-D: shared by every member of a stack
+        cached, cache = net.forward(x)
+        free = net.forward(x, keep_cache=False)
+        assert len(cache) == 3
+        assert free.shape == ((stack, 33, 4) if stack else (33, 4))
+        assert np.array_equal(free, cached)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
