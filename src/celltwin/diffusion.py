@@ -284,7 +284,9 @@ class DiffusionModel:
             raise ShapeError(f"series inputs must be (B, {L})")
         return x_t
 
-    def _lay_out(self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray) -> np.ndarray:
+    def _lay_out(
+        self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray
+    ) -> np.ndarray:
         """The denoiser input z, blocks in ``z_columns`` order; null rows carry the null embedding."""
         blocks = {
             "x_t": x_t,
@@ -307,7 +309,8 @@ class DiffusionModel:
     ) -> tuple[np.ndarray, dict]:
         """Build the shared expert/gate input; cache carries embedding internals."""
         x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-        t_emb, cache_time = self.time_mlp.forward(time_features(_per_row(t, len(x_t)), self.schedule.steps))
+        t_feat = time_features(_per_row(t, len(x_t)), self.schedule.steps)
+        t_emb, cache_time = self.time_mlp.forward(t_feat)
         cnd = self.condition(cond, mask, context)
         null_mask = _per_row(null_mask, cnd.batch).astype(bool)
         z = self._lay_out(cnd, null_mask, self._series(x_t, cnd.batch), t_emb)
@@ -339,7 +342,8 @@ class DiffusionModel:
         x_t = self._series(x_t, cnd.batch)
         t = _per_row(t, cnd.batch)
         if cnd.step is None or not np.array_equal(cnd.step[0], t):
-            cnd.step = (t.copy(), self.time_mlp.forward(time_features(t, self.schedule.steps), keep_cache=False))
+            t_feat = time_features(t, self.schedule.steps)
+            cnd.step = (t.copy(), self.time_mlp.forward(t_feat, keep_cache=False))
         t_emb = cnd.step[1]
         if np.ndim(null_mask):
             z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), x_t, t_emb)
