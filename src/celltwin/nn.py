@@ -5,7 +5,9 @@ exactly what its matching backward pass needs; composites chain these caches
 by hand. The model set is small and fixed, so this stays verifiable against
 the central-difference oracle, which is the module's acceptance gate.
 
-All math is float64.
+All math is float64. A ``ParamStore`` keeps its trainable tensors packed:
+their values and Adam moments live back to back in three contiguous float64
+buffers, so one optimizer step is a few in-place vector ops over them.
 """
 
 from __future__ import annotations
@@ -68,22 +70,81 @@ class Tensor:
     step: int = field(default=0, init=False)
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
+        self.value = np.array(self.value, dtype=np.float64)  # a copy, since ``set`` writes into it
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
 
 
+@dataclass
+class _Segment:
+    name: str
+    tensor: Tensor
+    start: int
+    stop: int
+
+
+class _Packed:
+    """The trainable tensors of a store, back to back in store order.
+
+    ``value``, ``m`` and ``v`` hold the tensors' state; each tensor's
+    attributes of the same names become reshaped views into them. ``grad`` and
+    ``scratch`` are the step's two work vectors, allocated with the layout so
+    that a step allocates no array of the buffers' size.
+    """
+
+    def __init__(self, tensors: dict[str, Tensor]):
+        self.segments: list[_Segment] = []
+        size = 0
+        for name, t in tensors.items():
+            if t.trainable:
+                self.segments.append(_Segment(name, t, size, size + t.value.size))
+                size += t.value.size
+        self.value, self.m, self.v, self.grad, self.scratch = (np.empty(size) for _ in range(5))
+        for seg in self.segments:
+            shape = seg.tensor.value.shape
+            for attr in ("value", "m", "v"):
+                view = getattr(self, attr)[seg.start:seg.stop].reshape(shape)
+                view[...] = getattr(seg.tensor, attr)
+                setattr(seg.tensor, attr, view)
+
+    def runs(self, grads: dict[str, np.ndarray]) -> list[tuple[list[_Segment], int, int]]:
+        """Maximal stretches of adjacent segments that have a gradient and one step count.
+
+        Each run is its segments and its ``start:stop`` in the buffers.
+        """
+        runs: list[list[_Segment]] = []
+        for seg in self.segments:
+            if seg.name not in grads:
+                continue
+            last = runs[-1][-1] if runs else None
+            if last is not None and last.stop == seg.start and last.tensor.step == seg.tensor.step:
+                runs[-1].append(seg)
+            else:
+                runs.append([seg])
+        return [(run, run[0].start, run[-1].stop) for run in runs]
+
+
 class ParamStore:
-    """Named tensors with per-parameter Adam moments and freeze flags."""
+    """Named tensors with per-parameter Adam moments and freeze flags.
+
+    The first ``adam_step`` after an ``add``, ``remove``, ``freeze`` or
+    ``unfreeze`` packs the trainable tensors, in store order, into one
+    contiguous buffer each for value, ``m`` and ``v``; every such tensor's
+    arrays are then views into those buffers, which Adam updates in place.
+    Frozen tensors stay where they are. ``set`` writes into the existing array,
+    so a packed tensor stays packed. An array read through ``store[name]``
+    therefore sees later steps and sets until the next repack moves it.
+    """
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
+        self._packed: _Packed | None = None
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> np.ndarray:
+    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
         if name in self._tensors:
             raise ShapeError(f"parameter {name!r} already exists")
         self._tensors[name] = Tensor(value, trainable)
-        return self._tensors[name].value
+        self._packed = None
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name].value
@@ -98,18 +159,21 @@ class ParamStore:
             raise ShapeError(
                 f"parameter {name!r} has shape {t.value.shape}, got {value.shape}"
             )
-        t.value = value
+        t.value[...] = value
 
     def remove(self, name: str) -> None:
         del self._tensors[name]
+        self._packed = None
 
     def freeze(self, names: Iterable[str]) -> None:
         for name in names:
             self._tensors[name].trainable = False
+        self._packed = None
 
     def unfreeze(self, names: Iterable[str]) -> None:
         for name in names:
             self._tensors[name].trainable = True
+        self._packed = None
 
     def is_trainable(self, name: str) -> bool:
         return self._tensors[name].trainable
@@ -130,22 +194,47 @@ class ParamStore:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        """Standard Adam with bias correction; frozen tensors are never touched."""
+        """Standard Adam with bias correction; frozen tensors are never touched.
+
+        Every gradient's shape and finiteness is checked before any state
+        changes, frozen tensors' too. A trainable tensor without a gradient
+        keeps its value, moments and step count; since each tensor counts its
+        own steps, the update runs once per stretch of adjacent tensors that
+        share a count (usually the whole buffer). The operand order is that of
+        ``m = b1 m + (1-b1) g``, ``v = b2 v + ((1-b2) g) g`` and
+        ``x = x - (lr m_hat) / (sqrt(v_hat) + eps)``, bit for bit.
+        """
         for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient for {name!r}")
-        for name, g in grads.items():
-            t = self._tensors[name]
-            if not t.trainable:
-                continue
-            if g.shape != t.value.shape:
-                raise ShapeError(f"gradient shape {g.shape} != {t.value.shape} for {name!r}")
-            t.step += 1
-            t.m = beta1 * t.m + (1.0 - beta1) * g
-            t.v = beta2 * t.v + (1.0 - beta2) * g * g
-            m_hat = t.m / (1.0 - beta1**t.step)
-            v_hat = t.v / (1.0 - beta2**t.step)
-            t.value = t.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            shape = self._tensors[name].value.shape
+            if g.shape != shape:
+                raise ShapeError(f"gradient shape {g.shape} != {shape} for {name!r}")
+        if self._packed is None:
+            self._packed = _Packed(self._tensors)
+        p = self._packed
+        runs = p.runs(grads)
+        for run, a, b in runs:
+            np.concatenate([grads[seg.name] for seg in run], axis=None, out=p.grad[a:b])
+        checked = [p.grad[a:b] for _, a, b in runs]
+        checked += [g for n, g in grads.items() if not self._tensors[n].trainable]
+        if not all(np.isfinite(x).all() for x in checked):
+            name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+            raise TrainingError(f"non-finite gradient for {name!r}")
+        for run, a, b in runs:
+            step = run[0].tensor.step + 1
+            for seg in run:
+                seg.tensor.step = step
+            g, s = p.grad[a:b], p.scratch[a:b]
+            m, v, x = p.m[a:b], p.v[a:b], p.value[a:b]
+            m *= beta1
+            m += np.multiply(g, 1.0 - beta1, out=s)
+            v *= beta2
+            np.multiply(g, 1.0 - beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            m_hat = np.divide(m, 1.0 - beta1**step, out=g)  # g is spent
+            v_hat = np.divide(v, 1.0 - beta2**step, out=s)
+            denom = np.add(np.sqrt(v_hat, out=s), eps, out=s)
+            m_hat *= lr
+            x -= np.divide(m_hat, denom, out=m_hat)
 
     # -- persistence ------------------------------------------------------------
 

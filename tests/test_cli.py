@@ -4,9 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from celltwin.agent import RewardWeights
-from celltwin.cli import main, parse_config
+from celltwin.cli import DEFAULTS, _merge_strict, main, parse_config
 from celltwin.errors import ConfigError
 from celltwin.harness import (
     AgentTrainConfig,
@@ -33,6 +34,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _section(config: dict, path: tuple) -> dict:
+    for name in path:
+        config = config[name]
+    return config
 
 
 class TestParseConfig:
@@ -104,6 +111,24 @@ class TestParseConfig:
         path.write_text('{"dataset": {"n_day": 4}}')
         with pytest.raises(ConfigError, match="dataset.n_day"):
             parse_config(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_unknown_key_at_any_depth_named(self, data):
+        defaults = {k: v for k, v in DEFAULTS.items() if k != "scenario"}
+        sections = [()]
+        for path in sections:  # grows as nested sections are found
+            level = _section(defaults, path)
+            sections += [(*path, k) for k, v in level.items() if isinstance(v, dict)]
+        path = data.draw(st.sampled_from(sections))
+        known = _section(defaults, path)
+        key = data.draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in known))
+        given = {key: data.draw(st.one_of(st.integers(), st.text(max_size=3), st.none()))}
+        for name in reversed(path):
+            given = {name: given}
+        dotted = ".".join((*path, key))
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {dotted}") + "$"):
+            _merge_strict(defaults, given, "")
 
     def test_hash_stable_under_key_reordering(self, tmp_path):
         a = tmp_path / "a.json"

@@ -1,10 +1,15 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from celltwin.dataset import (
     COND_DIM,
     ConditionLayout,
     NormalizationStats,
+    SampleSet,
     collect_dataset,
     condition_for_rsrp,
     fit_stats,
@@ -148,6 +153,38 @@ class TestPersistence:
         assert np.array_equal(back.layout.std, ds.layout.std)
         for key in ds.split:
             assert np.array_equal(back.split[key], ds.split[key])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_roundtrip_keeps_every_array(self, data):
+        n = data.draw(st.integers(1, 6))
+        length = data.draw(st.integers(1, 8))
+        reals = st.floats(-1e6, 1e6)
+        positive = st.floats(1e-3, 1e3)
+        original = SampleSet(
+            kind=data.draw(st.sampled_from(["traffic", "users", "rsrp"])),
+            series=data.draw(arrays(np.float64, (n, length), elements=reals)),
+            conditions=data.draw(arrays(np.float64, (n, COND_DIM), elements=reals)),
+            masks=data.draw(arrays(bool, (n, length))),
+            stats=NormalizationStats(mean=data.draw(reals), std=data.draw(positive)),
+            layout=ConditionLayout(mean=data.draw(arrays(np.float64, COND_DIM, elements=reals)),
+                                   std=data.draw(arrays(np.float64, COND_DIM, elements=positive))),
+            split=dict(zip(("train", "val", "test"),
+                           np.split(data.draw(st.permutations(range(n))), sorted(
+                               data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))))),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(original, f"{tmp}/set.npz")
+            back = read_dataset(f"{tmp}/set.npz")
+        assert back.kind == original.kind and back.stats == original.stats
+        for field in ("series", "conditions", "masks"):
+            got, want = getattr(back, field), getattr(original, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        assert np.array_equal(back.layout.mean, original.layout.mean)
+        assert np.array_equal(back.layout.std, original.layout.std)
+        assert list(back.split) == list(original.split)
+        for key in original.split:
+            assert np.array_equal(back.split[key], original.split[key]), key
 
     def test_truncated_file_is_format_error(self, datasets, tmp_path):
         ds = datasets["traffic"]

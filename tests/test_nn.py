@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from celltwin.errors import FormatError, ShapeError, TrainingError
 from celltwin.nn import (
@@ -17,6 +21,40 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     loss = float((diff * diff).mean())
     return loss, 2.0 * diff / diff.size
+
+
+def reference_adam_step(store, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam loop the packed step replaced: fresh arrays, one tensor at a time."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient for {name!r}")
+    for name, g in grads.items():
+        t = store._tensors[name]
+        if not t.trainable:
+            continue
+        if g.shape != t.value.shape:
+            raise ShapeError(f"gradient shape {g.shape} != {t.value.shape} for {name!r}")
+        t.step += 1
+        t.m = beta1 * t.m + (1.0 - beta1) * g
+        t.v = beta2 * t.v + (1.0 - beta2) * g * g
+        m_hat = t.m / (1.0 - beta1**t.step)
+        v_hat = t.v / (1.0 - beta2**t.step)
+        t.value = t.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def adam_state(store):
+    """Copies of every tensor's value and moments, with its step count and flag."""
+    return {
+        name: (t.value.copy(), t.m.copy(), t.v.copy(), t.step, t.trainable)
+        for name, t in store._tensors.items()
+    }
+
+
+def assert_same_state(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        for got, want in zip(a[name], b[name]):
+            assert np.array_equal(got, want), name
 
 
 class TestForward:
@@ -209,6 +247,40 @@ class TestSoftmax:
                 assert fd == pytest.approx(analytic[i, j], abs=1e-6)
 
 
+def _adam_run(step_fn, n_steps=12):
+    """A seeded run of steps with store edits between them; the state after each step.
+
+    It covers a trainable tensor without a gradient on some steps
+    (``null_embed``), a frozen tensor with a gradient on every step, a ``set``
+    with no repack before the next step, a tensor added mid-run, and a LoRA
+    attach -> train -> merge cycle (add, freeze, set, remove, unfreeze).
+    """
+    rng = np.random.default_rng(30)
+    store = ParamStore()
+    net = MLP(store, "net", (4, 6, 3), rng=rng)
+    store.add("null_embed", rng.normal(size=5))
+    store.add("frozen", rng.normal(size=(2, 3)), trainable=False)
+    states = []
+    for k in range(n_steps):
+        grads = {name: rng.normal(0.0, 0.5, size=store[name].shape)
+                 for name in store.names() if not (name == "null_embed" and k in (1, 2, 6, 9))}
+        step_fn(store, grads, lr=0.05)
+        states.append(adam_state(store))
+        if k == 3:
+            store.set("net/b0", rng.normal(size=6))
+        elif k == 4:
+            net.attach_lora([0, 1], rank=2, alpha=4.0, rng=rng)
+        elif k == 6:
+            store.add("late", rng.normal(size=(3, 2)))
+        elif k == 7:
+            net.merge_lora()
+        elif k == 9:
+            embed = store["null_embed"]
+            store.set("null_embed", embed / np.linalg.norm(embed))
+    return states
+
+
+@pytest.mark.filterwarnings("error")
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         store = ParamStore()
@@ -239,6 +311,79 @@ class TestAdam:
         store.add("w", np.array([1.0]))
         with pytest.raises(TrainingError):
             store.adam_step({"w": np.array([np.nan])}, lr=0.1)
+
+    def test_nothing_trainable_is_a_noop(self):
+        store = ParamStore()
+        store.adam_step({}, lr=0.1)
+        store.add("w", np.array([1.0, 2.0]), trainable=False)
+        store.add("b", np.array([3.0]), trainable=False)
+        before = adam_state(store)
+        store.adam_step({"w": np.ones(2), "b": np.ones(1)}, lr=0.1)
+        assert_same_state(adam_state(store), before)
+
+    def test_tensor_without_gradient_left_alone(self):
+        store = ParamStore()
+        store.add("a", np.array([1.0, 2.0]))
+        store.add("b", np.array([3.0]))
+        store.add("c", np.array([4.0, 5.0, 6.0]))
+        store.adam_step({"a": np.ones(2), "b": np.ones(1), "c": np.ones(3)}, lr=0.1)
+        before = adam_state(store)["b"]
+        store.adam_step({"a": np.ones(2), "c": np.ones(3)}, lr=0.1)
+        after = adam_state(store)
+        assert all(np.array_equal(x, y) for x, y in zip(after["b"], before))
+        assert after["a"][3] == after["c"][3] == 2 and after["b"][3] == 1
+
+    def test_matches_per_tensor_reference(self):
+        packed = _adam_run(lambda store, grads, lr: store.adam_step(grads, lr=lr))
+        reference = _adam_run(reference_adam_step)
+        assert len(packed) == len(reference) == 12
+        for got, want in zip(packed, reference):
+            assert_same_state(got, want)
+        # The run did what it is meant to: adapters came and went, step counts drifted apart.
+        assert "net/A0" in reference[5] and "net/A0" not in reference[-1] and "late" in reference[-1]
+        assert [reference[-1][n][3] for n in ("null_embed", "net/W0", "late", "frozen")] == [8, 9, 5, 0]
+
+    @pytest.mark.parametrize("bad, value", [
+        ("w", np.nan), ("frozen", np.inf), ("late", -np.inf),
+    ], ids=["trainable_nan", "frozen_inf", "unpacked_inf"])
+    def test_non_finite_gradient_changes_nothing(self, bad, value):
+        store = ParamStore()
+        store.add("w", np.array([1.0, -2.0, 3.0]))
+        store.add("frozen", np.array([0.5]), trainable=False)
+        store.adam_step({"w": np.ones(3), "frozen": np.ones(1)}, lr=0.1)
+        store.add("late", np.array([4.0, 5.0]))
+        before = adam_state(store)
+        grads = {"w": np.full(3, 0.2), "frozen": np.ones(1), "late": np.ones(2)}
+        grads[bad] = grads[bad].copy()
+        grads[bad][0] = value
+        with pytest.raises(TrainingError, match=repr(bad)):
+            store.adam_step(grads, lr=0.1)
+        assert_same_state(adam_state(store), before)
+
+    def test_bad_gradient_shape_changes_nothing(self):
+        store = ParamStore()
+        store.add("w", np.array([1.0, -2.0, 3.0]))
+        store.add("b", np.array([1.0]))
+        store.adam_step({"w": np.ones(3), "b": np.ones(1)}, lr=0.1)
+        before = adam_state(store)
+        with pytest.raises(ShapeError, match="'b'"):
+            store.adam_step({"w": np.ones(3), "b": np.ones(2)}, lr=0.1)
+        assert_same_state(adam_state(store), before)
+
+    def test_set_writes_through_into_packed_buffer(self):
+        store = ParamStore()
+        store.add("w", np.array([1.0, 2.0]))
+        store.adam_step({"w": np.ones(2)}, lr=0.1)
+        view = store["w"]
+        store.set("w", np.array([7.0, 8.0]))
+        assert store["w"] is view and np.array_equal(view, [7.0, 8.0])
+
+    def test_add_copies_its_value(self):
+        value = np.array([1.0, 2.0])
+        store = ParamStore()
+        store.add("w", value, trainable=False)
+        store.set("w", np.zeros(2))
+        assert np.array_equal(value, [1.0, 2.0])
 
     def test_deterministic_trajectory(self):
         def run():
@@ -283,6 +428,29 @@ class TestCheckpoint:
         assert set(back.names()) == set(store.names())
         assert not back.is_trainable("net/W0")
         for name in store.names():
+            assert np.array_equal(back[name], store[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_roundtrip_keeps_names_values_and_flags(self, data):
+        names = data.draw(st.lists(st.from_regex(r"[a-z]{1,5}(/[a-zA-Z]{1,3}[0-9]?)?", fullmatch=True),
+                                   max_size=6, unique=True))
+        store = ParamStore()
+        for name in names:
+            shape = data.draw(st.lists(st.integers(1, 4), max_size=3).map(tuple))
+            store.add(name, data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))),
+                      trainable=data.draw(st.booleans()))
+        # Adam steps leave the trainable tensors as views into the packed buffer.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            store.adam_step({n: rng.normal(size=store[n].shape) for n in store.names()}, lr=0.1)
+        with tempfile.TemporaryDirectory() as tmp:
+            store.save(f"{tmp}/ckpt.npz")
+            back, _ = ParamStore.load(f"{tmp}/ckpt.npz")
+        assert back.names() == store.names()
+        for name in names:
+            assert back.is_trainable(name) == store.is_trainable(name)
+            assert back[name].shape == store[name].shape
             assert np.array_equal(back[name], store[name])
 
     def test_truncated_checkpoint(self, tmp_path):
