@@ -5,8 +5,9 @@ counterfactual`` through ``cli.main`` on a small config (three experts per
 head; evaluation with short-term forecasts for the agent, both sequential and
 with ``--jobs 2``, then once more with long-term forecasts; one counterfactual
 fraction, whose adapted traffic head samples with its adapters attached) and
-compares the sha256 of ``wm_losses.csv``, ``learning_curve.csv``, each
-``evaluation.csv``, ``generation.csv``, a two-day ``traffic.csv``,
+compares the sha256 of every dataset and checkpoint npz file,
+``wm_losses.csv``, ``learning_curve.csv``, each ``evaluation.csv``,
+``generation.csv``, a two-day ``traffic.csv``,
 ``counterfactual.csv`` and ``counterfactual_wm.csv``, plus the config hash of
 ``{}``, against ``tests/golden.json``. Float results depend on the numpy build and its BLAS,
 so the file records both and a mismatch names the recorded and the running
@@ -53,11 +54,15 @@ LONG_TERM = {**CONFIG, "evaluation": {**CONFIG["evaluation"], "predict_mode": "l
 COUNTERFACTUAL = {**CONFIG, "counterfactual": {"fractions": [0.6], "lora_rank": 2,
                                                "adapt_steps": 4, "adapt_days": 2}}
 
+KINDS = ("traffic", "users", "rsrp")
+
 # (command line, config, {digest key: file the command writes under out_dir}), in pipeline order
 STAGES = (
-    (["collect"], CONFIG, {}),
-    (["train-wm"], CONFIG, {"wm_losses.csv": "models/wm_losses.csv"}),
-    (["optimize"], CONFIG, {"learning_curve.csv": "models/learning_curve.csv"}),
+    (["collect"], CONFIG, {f"datasets/{k}.npz": f"datasets/{k}.npz" for k in KINDS}),
+    (["train-wm"], CONFIG, {"wm_losses.csv": "models/wm_losses.csv",
+                            **{f"models/{k}.npz": f"models/{k}.npz" for k in KINDS}}),
+    (["optimize"], CONFIG, {"learning_curve.csv": "models/learning_curve.csv",
+                            "models/policy.npz": "models/policy.npz"}),
     (["evaluate"], CONFIG, {"evaluation.csv": "reports/evaluation.csv"}),
     (["evaluate", "--jobs", "2"], CONFIG, {"evaluation.csv --jobs 2": "reports/evaluation.csv"}),
     (["evaluate"], LONG_TERM, {"evaluation.csv long_term": "reports/evaluation.csv"}),
