@@ -126,10 +126,9 @@ class Trajectory:
     observations: np.ndarray  # (T, obs_dim)
     choices: np.ndarray       # (T, n_cells)
     rewards: np.ndarray       # (T,)
-    log_probs: np.ndarray     # (T,)
 
     def __post_init__(self):
-        if not (len(self.observations) == len(self.choices) == len(self.rewards) == len(self.log_probs)):
+        if not (len(self.observations) == len(self.choices) == len(self.rewards)):
             raise ShapeError("trajectory fields must have equal length")
         if not np.isfinite(self.rewards).all():
             raise TrainingError("non-finite reward in trajectory")
@@ -172,21 +171,12 @@ class Policy:
         probs = softmax(logits.reshape(obs.shape[0], self.n_cells, self.n_choices))
         return probs, cache
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[Action, float, np.ndarray]:
+    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[Action, np.ndarray]:
+        """A drawn joint action and its per-cell choices."""
         probs, _ = self.distribution(obs)
-        p = probs[0]
         u = rng.random(self.n_cells)
-        cum = np.cumsum(p, axis=1)
-        choices = (u[:, None] > cum).sum(axis=1)
-        log_prob = float(np.log(p[np.arange(self.n_cells), choices]).sum())
-        return Action.from_choices(choices, self.bias_levels), log_prob, choices
-
-    def log_prob(self, obs: np.ndarray, choices: np.ndarray) -> np.ndarray:
-        probs, _ = self.distribution(obs)
-        choices = np.atleast_2d(np.asarray(choices, dtype=int))
-        rows = np.arange(probs.shape[0])[:, None]
-        cols = np.arange(self.n_cells)[None, :]
-        return np.log(probs[rows, cols, choices]).sum(axis=1)
+        choices = (u[:, None] > np.cumsum(probs[0], axis=1)).sum(axis=1)
+        return Action.from_choices(choices, self.bias_levels), choices
 
     # -- learning --------------------------------------------------------------
 
@@ -252,11 +242,8 @@ class Policy:
             hidden=tuple(manifest["hidden"]),
             bias_levels=tuple(manifest["bias_levels"]),
         )
-        for name in policy.store.names():
-            if name not in store:
-                raise TrainingError(f"policy checkpoint missing tensor {name!r}")
-            policy.store.set(name, store[name])
-        policy._baseline = manifest.get("baseline")
+        policy.store.assign(store, f"policy checkpoint {path}")
+        policy._baseline = manifest["baseline"]
         return policy
 
 

@@ -41,7 +41,8 @@ from .harness import (
     write_manifest,
     write_rows_csv,
 )
-from .scenario import ScenarioConfig, build_scenario, load_scenario, scenario_from_dict, scenario_to_dict
+from .scenario import (PRESET_DEFAULTS, ScenarioConfig, build_scenario, load_scenario, scenario_from_dict,
+                       scenario_to_dict)
 
 OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 
@@ -191,6 +192,8 @@ def parse_config(path: str) -> RunConfig:
             scenario_path = Path(path).parent / scenario_path
         scenario = load_scenario(str(scenario_path))
     else:
+        if isinstance(scenario_field, dict) and "preset" in scenario_field:
+            _merge_strict(PRESET_DEFAULTS, scenario_field, "scenario")  # key types only
         scenario = scenario_from_dict(scenario_field)
     body = {k: v for k, v in given.items() if k != "scenario"}
     effective = _merge_strict({k: v for k, v in DEFAULTS.items() if k != "scenario"}, body, "")
@@ -238,14 +241,14 @@ def cmd_simulate(run: RunConfig, args) -> int:
     step = run.scenario.traffic_step_hours
     out = Path(args.out) if args.out else run.out_dir / "traffic.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cell_id,t_hours,load_mbps\n")
-        for day in range(args.days):
-            loads = oracle.traffic_day(day).T.tolist()
-            for k, row in enumerate(loads):
-                for cell, load in zip(oracle.cells, row):
-                    fh.write(f"{cell.id},{day * 24 + k * step},{load!r}\n")
-    print(f"wrote {out} ({oracle.n_cells * args.days * (24 // step)} rows)")
+    rows = [
+        {"cell_id": cell.id, "t_hours": day * 24 + k * step, "load_mbps": load}
+        for day in range(args.days)
+        for k, loads in enumerate(oracle.traffic_day(day).T.tolist())
+        for cell, load in zip(oracle.cells, loads)
+    ]
+    write_rows_csv(rows, str(out), ("cell_id", "t_hours", "load_mbps"))
+    print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
+from .nn import load_npz, save_npz
 from .scenario import Oracle, POI_PROFILES
 
 DATASET_VERSION = 1
@@ -346,10 +346,12 @@ def collect_dataset(
 
 # -- persistence ------------------------------------------------------------------
 
+_SPLITS = ("train", "val", "test")
+_ARRAYS = ("series", "conditions", "masks", "cond_mean", "cond_std", *(f"split_{p}" for p in _SPLITS))
+
 
 def write_dataset(sample_set: SampleSet, path: str) -> None:
     header = {
-        "version": DATASET_VERSION,
         "kind": sample_set.kind,
         "series_len": sample_set.series_len,
         "cond_dim": COND_DIM,
@@ -357,50 +359,30 @@ def write_dataset(sample_set: SampleSet, path: str) -> None:
         "series_mean": sample_set.stats.mean,
         "series_std": sample_set.stats.std,
     }
-    np.savez(
-        path,
-        header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-        series=sample_set.series,
-        conditions=sample_set.conditions,
-        masks=sample_set.masks,
-        cond_mean=sample_set.layout.mean,
-        cond_std=sample_set.layout.std,
-        split_train=sample_set.split["train"],
-        split_val=sample_set.split["val"],
-        split_test=sample_set.split["test"],
-    )
+    arrays = {
+        "series": sample_set.series,
+        "conditions": sample_set.conditions,
+        "masks": sample_set.masks,
+        "cond_mean": sample_set.layout.mean,
+        "cond_std": sample_set.layout.std,
+        **{f"split_{part}": sample_set.split[part] for part in _SPLITS},
+    }
+    save_npz(path, header, arrays, DATASET_VERSION)
 
 
 def read_dataset(path: str) -> SampleSet:
-    try:
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
-        raise FormatError(f"unreadable dataset file {path}: {exc}") from None
-    required = {"header", "series", "conditions", "masks", "cond_mean", "cond_std",
-                "split_train", "split_val", "split_test"}
-    missing = required - set(payload)
-    if missing:
-        raise FormatError(f"dataset file {path} missing field {sorted(missing)[0]!r}")
-    try:
-        header = json.loads(bytes(payload["header"]).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"corrupt dataset header in {path}: {exc}") from None
-    if header.get("version") != DATASET_VERSION:
-        raise FormatError(
-            f"dataset version mismatch: expected {DATASET_VERSION}, found {header.get('version')}"
-        )
+    header, arrays = load_npz(path, DATASET_VERSION, "dataset file", required=_ARRAYS)
     if header.get("cond_dim") != COND_DIM or header.get("layout_fingerprint") != ConditionLayout.fingerprint():
         raise FormatError(
-            f"condition layout mismatch: expected {ConditionLayout.fingerprint()} "
+            f"condition layout mismatch in {path}: expected {ConditionLayout.fingerprint()} "
             f"(D_c={COND_DIM}), found {header.get('layout_fingerprint')} (D_c={header.get('cond_dim')})"
         )
     return SampleSet(
         kind=header["kind"],
-        series=payload["series"],
-        conditions=payload["conditions"],
-        masks=payload["masks"].astype(bool),
+        series=arrays["series"],
+        conditions=arrays["conditions"],
+        masks=arrays["masks"].astype(bool),
         stats=NormalizationStats(mean=header["series_mean"], std=header["series_std"]),
-        layout=ConditionLayout(mean=payload["cond_mean"], std=payload["cond_std"]),
-        split={"train": payload["split_train"], "val": payload["split_val"], "test": payload["split_test"]},
+        layout=ConditionLayout(mean=arrays["cond_mean"], std=arrays["cond_std"]),
+        split={part: arrays[f"split_{part}"] for part in _SPLITS},
     )

@@ -32,7 +32,7 @@ learnable key-prompt pairs appended to the denoiser input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -144,6 +144,11 @@ def _per_row(value, batch: int) -> np.ndarray:
 def _mix(gate: np.ndarray, expert_out: np.ndarray) -> np.ndarray:
     """Gate-weighted sum of the (M, B, L) expert outputs."""
     return (gate.T[:, :, None] * expert_out).sum(axis=0)
+
+
+def _from_fields(cls, values: dict):
+    """``cls`` built from the entry of each of its fields in ``values``, a manifest section."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -580,39 +585,32 @@ class DiffusionModel:
         self.store.save(path, manifest=self.manifest())
 
     @classmethod
-    def load(cls, path: str) -> "DiffusionModel":
-        store, manifest = ParamStore.load(path)
-        if manifest.get("layout", {}).get("fingerprint") != ConditionLayout.fingerprint():
-            raise ModelError(
-                f"checkpoint {path} was written under a different condition layout"
-            )
-        arch_d = dict(manifest["arch"])
-        mem = arch_d.pop("memory")
-        arch = DenoiserArch(
-            **{**arch_d, "expert_hidden": tuple(arch_d["expert_hidden"]),
-               "gate_hidden": tuple(arch_d["gate_hidden"])},
-            memory=MemoryConfig(**mem) if mem else None,
+    def from_manifest(cls, manifest: dict) -> "DiffusionModel":
+        """A freshly initialized model of the architecture ``manifest`` records, adapters included."""
+        a, sched, layout = manifest["arch"], manifest["schedule"], manifest["layout"]
+        arch = replace(
+            _from_fields(DenoiserArch, a),
+            expert_hidden=tuple(a["expert_hidden"]), gate_hidden=tuple(a["gate_hidden"]),
+            memory=_from_fields(MemoryConfig, a["memory"]) if a["memory"] else None,
         )
-        sched = manifest["schedule"]
         model = cls(
             kind=manifest["kind"],
             arch=arch,
             schedule=make_schedule(sched["steps"], sched["beta_min"], sched["beta_max"]),
-            stats=NormalizationStats(**manifest["stats"]),
-            layout=ConditionLayout(
-                mean=np.array(manifest["layout"]["mean"]), std=np.array(manifest["layout"]["std"])
-            ),
+            stats=_from_fields(NormalizationStats, manifest["stats"]),
+            layout=ConditionLayout(mean=np.array(layout["mean"]), std=np.array(layout["std"])),
             p_uncond=manifest["p_uncond"],
             guidance_w=manifest["guidance_w"],
         )
-        if manifest.get("lora"):
+        if manifest["lora"]:
             model.lora_attach(manifest["lora"]["rank"], manifest["lora"]["alpha"])
-        for name in model.store.names():
-            if name not in store:
-                raise ModelError(f"checkpoint {path} missing tensor {name!r}")
-            if store[name].shape != model.store[name].shape:
-                raise ModelError(
-                    f"checkpoint tensor {name!r} shape {store[name].shape} != expected {model.store[name].shape}"
-                )
-            model.store.set(name, store[name])
+        return model
+
+    @classmethod
+    def load(cls, path: str) -> "DiffusionModel":
+        store, manifest = ParamStore.load(path)
+        if manifest.get("layout", {}).get("fingerprint") != ConditionLayout.fingerprint():
+            raise ModelError(f"checkpoint {path} was written under a different condition layout")
+        model = cls.from_manifest(manifest)
+        model.store.assign(store, f"checkpoint {path}")
         return model

@@ -32,7 +32,7 @@ from .agent import (
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
 from .errors import ConfigError, EnvelopeError, ModelError
-from .scenario import Oracle, ScenarioConfig, build_scenario, step_physics
+from .scenario import Oracle, ScenarioConfig, associate_users, build_scenario, step_physics
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
@@ -383,7 +383,8 @@ class WorldModelEnv(_DayEnv):
         self._users_day = self.users_pool[rng.integers(0, len(self.users_pool))]
         self._table = self.rsrp_pool[rng.integers(0, len(self.rsrp_pool))]
         self._table_mean = self._table.mean(axis=2)
-        self._natural = np.argmax(self._table_mean, axis=1)
+        n = self.geo.n_cells
+        self._natural, _, _ = associate_users(self._table_mean, np.zeros(n, dtype=bool), np.zeros(n), -np.inf)
         self._step = 0
         return self._observation()
 
@@ -400,25 +401,17 @@ class WorldModelEnv(_DayEnv):
         floor = geo.oracle.config.rsrp_floor_dbm
 
         sleep = action.sleep
-        bias = resolve_bias(action, geo.neighbors)
-        active = ~sleep
-        grid_idx = np.arange(geo.n_grids)
-        if active.any():
-            biased = np.where(active[None, :], self._table_mean + bias[None, :], -np.inf)
-            serving = np.argmax(biased, axis=1)
-            draws = self._table[grid_idx, serving]  # (n_grids, rsrp_draws)
-            above = draws >= floor
-            served_frac = above.mean(axis=1)
-            with np.errstate(invalid="ignore"):
-                grid_rsrp = np.where(
-                    served_frac > 0,
-                    np.where(above, draws, 0.0).sum(axis=1) / np.maximum(above.sum(axis=1), 1),
-                    np.nan,
-                )
-        else:
-            serving = np.full(geo.n_grids, -1)
-            served_frac = np.zeros(geo.n_grids)
-            grid_rsrp = np.full(geo.n_grids, np.nan)
+        # Each grid attaches by its mean RSRP; the floor then applies per draw.
+        serving, _, _ = associate_users(self._table_mean, sleep, resolve_bias(action, geo.neighbors), -np.inf)
+        draws = self._table[np.arange(geo.n_grids), serving]  # (n_grids, rsrp_draws)
+        above = (draws >= floor) & (serving >= 0)[:, None]
+        served_frac = above.mean(axis=1)
+        with np.errstate(invalid="ignore"):
+            grid_rsrp = np.where(
+                served_frac > 0,
+                np.where(above, draws, 0.0).sum(axis=1) / np.maximum(above.sum(axis=1), 1),
+                np.nan,
+            )
 
         # Each grid is one unit of the oracle's step physics.
         _, overload, power, ref_power = step_physics(
@@ -529,17 +522,6 @@ class OracleEnv(_DayEnv):
 # -- actors ------------------------------------------------------------------------
 
 
-def _policy_action(policy: Policy, obs: Observation, rng, stochastic: bool):
-    vec = obs.vector()
-    if stochastic:
-        action, log_prob, choices = policy.sample(vec, rng)
-        return action, log_prob, choices
-    probs, _ = policy.distribution(vec)
-    choices = np.argmax(probs[0], axis=1)
-    log_prob = float(np.log(probs[0, np.arange(policy.n_cells), choices]).sum())
-    return Action.from_choices(choices, policy.bias_levels), log_prob, choices
-
-
 def _rollout(
     env, act, policy_id: str, seed: int, rng: np.random.Generator | None = None
 ) -> EpisodeResult:
@@ -565,25 +547,20 @@ def _rollout(
 
 
 def run_wm_episode(
-    env: WorldModelEnv, policy: Policy, rng: np.random.Generator, stochastic: bool = True
+    env: WorldModelEnv, policy: Policy, rng: np.random.Generator
 ) -> tuple[Trajectory, EpisodeResult]:
-    obs_rows, choice_rows, log_probs = [], [], []
+    """One world-model day with actions drawn from the policy."""
+    obs_rows, choice_rows = [], []
 
     def act(obs: Observation) -> Action:
-        action, log_prob, choices = _policy_action(policy, obs, rng, stochastic)
-        obs_rows.append(obs.vector())
+        vec = obs.vector()
+        action, choices = policy.sample(vec, rng)
+        obs_rows.append(vec)
         choice_rows.append(choices)
-        log_probs.append(log_prob)
         return action
 
     result = _rollout(env, act, "agent", env.config.sample_seed, rng)
-    traj = Trajectory(
-        observations=np.array(obs_rows),
-        choices=np.array(choice_rows),
-        rewards=result.rewards,
-        log_probs=np.array(log_probs),
-    )
-    return traj, result
+    return Trajectory(np.array(obs_rows), np.array(choice_rows), result.rewards), result
 
 
 @dataclass
@@ -617,7 +594,7 @@ def run_training(
         trajectories = []
         for episode in range(config.episodes_per_update):
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, 9, update, episode)))
-            traj, _ = run_wm_episode(env, policy, rng, stochastic=True)
+            traj, _ = run_wm_episode(env, policy, rng)
             trajectories.append(traj)
         diag = policy.update(trajectories, lr=config.lr)
         curve.append(diag["mean_return"])
@@ -659,6 +636,12 @@ def _rule_action(
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
+def _greedy_action(policy: Policy, obs: Observation) -> Action:
+    """The most probable choice of every cell."""
+    probs, _ = policy.distribution(obs.vector())
+    return Action.from_choices(np.argmax(probs[0], axis=1), policy.bias_levels)
+
+
 def run_oracle_episode(
     scheme: str,
     env: OracleEnv,
@@ -670,7 +653,7 @@ def run_oracle_episode(
     if scheme == "agent":
         if policy is None:
             raise ConfigError("agent scheme needs a policy")
-        return _rollout(env, lambda obs: _policy_action(policy, obs, None, False)[0], scheme, seed)
+        return _rollout(env, lambda obs: _greedy_action(policy, obs), scheme, seed)
     history = env.history_load_fractions() if scheme == "custom" else None
     return _rollout(env, lambda obs: _rule_action(scheme, env, obs, history, cfg), scheme, seed)
 
@@ -902,12 +885,8 @@ def adapt_traffic_model(
     The clone keeps the base model's normalization and condition statistics so
     the adapted head stays drop-in compatible with the rest of the bundle.
     """
-    clone = DiffusionModel(
-        kind=base.kind, arch=base.arch, schedule=base.schedule, stats=base.stats,
-        layout=base.layout, p_uncond=base.p_uncond, guidance_w=base.guidance_w,
-    )
-    for name in base.store.names():
-        clone.store.set(name, base.store[name].copy())
+    clone = DiffusionModel.from_manifest(base.manifest())
+    clone.store.assign(base.store, f"{base.kind} head")
     clone.lora_attach(cfg.lora_rank, cfg.lora_alpha, seed=cfg.adapt_seed)
     cf_sets = ds.collect_dataset(oracle_cf, n_days=cfg.adapt_days, kinds=("traffic",))
     cf = cf_sets["traffic"]

@@ -236,42 +236,77 @@ class ParamStore:
             m_hat *= lr
             x -= np.divide(m_hat, denom, out=m_hat)
 
+    def assign(self, source: "ParamStore", where: str) -> None:
+        """Copy every tensor's value from ``source``, which ``where`` names in errors."""
+        for name, t in self._tensors.items():
+            if name not in source:
+                raise FormatError(f"{where} missing tensor {name!r}")
+            if source[name].shape != t.value.shape:
+                raise FormatError(
+                    f"{where} tensor {name!r} has shape {source[name].shape}, expected {t.value.shape}"
+                )
+            t.value[...] = source[name]
+
     # -- persistence ------------------------------------------------------------
 
     def save(self, path: str, manifest: dict | None = None) -> None:
-        header = {
-            "version": CHECKPOINT_VERSION,
-            "trainable": {n: t.trainable for n, t in self._tensors.items()},
-            "manifest": manifest or {},
-        }
+        trainable = {n: t.trainable for n, t in self._tensors.items()}
         arrays = {f"param::{n}": t.value for n, t in self._tensors.items()}
-        np.savez(
-            path,
-            header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-            **arrays,
-        )
+        save_npz(path, {"trainable": trainable, "manifest": manifest or {}}, arrays, CHECKPOINT_VERSION)
 
     @classmethod
     def load(cls, path: str) -> tuple["ParamStore", dict]:
-        try:
-            with np.load(path) as data:
-                payload = {k: data[k] for k in data.files}
-        except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
-            raise FormatError(f"unreadable checkpoint {path}: {exc}") from None
-        if "header" not in payload:
-            raise FormatError(f"checkpoint {path} missing header")
-        header = json.loads(bytes(payload["header"]).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise FormatError(
-                f"checkpoint version mismatch: expected {CHECKPOINT_VERSION}, found {header.get('version')}"
-            )
+        header, arrays = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
         store = cls()
-        for key, value in payload.items():
-            if not key.startswith("param::"):
-                continue
-            name = key[len("param::"):]
-            store.add(name, value, trainable=header["trainable"].get(name, True))
-        return store, header.get("manifest", {})
+        for key, value in arrays.items():
+            if key.startswith("param::"):
+                name = key.removeprefix("param::")
+                store.add(name, value, trainable=header["trainable"].get(name, True))
+        return store, header["manifest"]
+
+
+# -- artifact files: one npz of named arrays plus a versioned JSON header stored as uint8 ----
+
+
+class _Header(dict):
+    """A decoded header object: a missing key is a FormatError naming the file and the key."""
+
+    def __init__(self, fields: dict, where: str):
+        super().__init__(fields)
+        self.where = where
+
+    def __missing__(self, key):
+        raise FormatError(f"{self.where} has no field {key!r}")
+
+
+def save_npz(path: str, header: dict, arrays: dict[str, np.ndarray], version: int) -> None:
+    blob = json.dumps({**header, "version": version}, sort_keys=True).encode()
+    np.savez(path, header=np.frombuffer(blob, dtype=np.uint8), **arrays)
+
+
+def load_npz(
+    path: str, version: int, what: str, required: Iterable[str] = ()
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, arrays) of an artifact file; every defect is a FormatError naming ``what`` and ``path``."""
+    where = f"{what} {path}"
+    try:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
+        raise FormatError(f"unreadable {where}: {exc}") from None
+    missing = sorted({"header", *required} - set(arrays))
+    if missing:
+        raise FormatError(f"{where} missing array {missing[0]!r}")
+    try:
+        header = json.loads(bytes(arrays.pop("header")).decode(),
+                            object_hook=lambda fields: _Header(fields, where))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"corrupt header in {where}: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"header in {where} is not a JSON object")
+    if header.get("version") != version:
+        raise FormatError(f"{where} version mismatch: expected {version}, found {header.get('version')}")
+    return header, arrays
 
 
 def add_grad(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:

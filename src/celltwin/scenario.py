@@ -237,22 +237,16 @@ def associate_users(
     cell's unbiased RSRP is below the floor, or when every cell sleeps.
     Returns (serving_cell with -1 for dropped, per-user rsrp with NaN, dropped).
     """
-    n_users, n_cells = rsrp_matrix.shape
-    serving = np.full(n_users, -1, dtype=np.int64)
-    rsrp_out = np.full(n_users, np.nan)
+    n_users = rsrp_matrix.shape[0]
     active = ~np.asarray(sleep_mask, dtype=bool)
-    if n_users == 0:
-        return serving, rsrp_out, 0
-    if not active.any():
-        return serving, rsrp_out, n_users
+    if n_users == 0 or not active.any():
+        return np.full(n_users, -1, dtype=np.int64), np.full(n_users, np.nan), n_users
     biased = rsrp_matrix + np.asarray(bias_db, dtype=float)[None, :]
     biased = np.where(active[None, :], biased, -np.inf)
     best = np.argmax(biased, axis=1)  # argmax takes the first (lowest id) on ties
     best_rsrp = rsrp_matrix[np.arange(n_users), best]
     ok = best_rsrp >= rsrp_floor_dbm
-    serving[ok] = best[ok]
-    rsrp_out[ok] = best_rsrp[ok]
-    return serving, rsrp_out, int(n_users - ok.sum())
+    return np.where(ok, best, -1), np.where(ok, best_rsrp, np.nan), int(n_users - ok.sum())
 
 
 class Oracle:
@@ -594,11 +588,12 @@ def make_hex_scenario(
 _SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
 _REQUIRED_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig) if f.default is MISSING}
 # A preset takes make_hex_scenario's named parameters plus any defaulted ScenarioConfig field.
-_PRESET_KEYS = (
-    {"preset"}
-    | (set(inspect.signature(make_hex_scenario).parameters) - {"overrides"})
-    | (_SCENARIO_KEYS - _REQUIRED_SCENARIO_KEYS)
-)
+PRESET_DEFAULTS = {
+    "preset": "hex7",
+    **{f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING},
+    **{name: p.default for name, p in inspect.signature(make_hex_scenario).parameters.items()
+       if name != "overrides"},
+}
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -613,7 +608,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
     if "preset" in data:
-        unknown = set(data) - _PRESET_KEYS
+        unknown = set(data) - PRESET_DEFAULTS.keys()
         if unknown:
             raise ConfigError(f"unknown scenario key {sorted(unknown)[0]!r}")
         if data["preset"] != "hex7":

@@ -63,9 +63,10 @@ class TestPolicyDistribution:
         policy = Policy(n_cells=7, obs_dim=Observation.dim(7))
         for name in policy.store.names():
             policy.store.set(name, np.zeros_like(policy.store[name]))
-        obs = np.zeros(policy.obs_dim)
-        _, log_prob, _ = policy.sample(obs, np.random.default_rng(1))
-        assert log_prob == pytest.approx(7 * np.log(1.0 / 4.0))
+        probs, _ = policy.distribution(np.zeros(policy.obs_dim))
+        assert probs.shape == (1, 7, 4)
+        assert np.allclose(probs, 1.0 / 4.0)
+        assert np.log(probs[0, np.arange(7), 0]).sum() == pytest.approx(7 * np.log(1.0 / 4.0))
 
     def test_probabilities_sum_to_one(self):
         policy = Policy(n_cells=5, obs_dim=Observation.dim(5), seed=2)
@@ -75,9 +76,9 @@ class TestPolicyDistribution:
     def test_fixed_seed_same_action(self):
         policy = Policy(n_cells=4, obs_dim=Observation.dim(4), seed=4)
         obs = np.random.default_rng(5).normal(size=policy.obs_dim)
-        a1, lp1, c1 = policy.sample(obs, np.random.default_rng(6))
-        a2, lp2, c2 = policy.sample(obs, np.random.default_rng(6))
-        assert np.array_equal(c1, c2) and lp1 == lp2
+        a1, c1 = policy.sample(obs, np.random.default_rng(6))
+        a2, c2 = policy.sample(obs, np.random.default_rng(6))
+        assert np.array_equal(c1, c2)
         assert np.array_equal(a1.sleep, a2.sleep)
 
     def test_obs_dim_checked(self):
@@ -90,9 +91,7 @@ class TestPolicyUpdate:
     def _trajectory(self, policy, rng, reward):
         obs = rng.normal(size=(3, policy.obs_dim))
         choices = rng.integers(0, policy.n_choices, size=(3, policy.n_cells))
-        rewards = np.full(3, reward)
-        lps = policy.log_prob(obs, choices)
-        return Trajectory(observations=obs, choices=choices, rewards=rewards, log_probs=lps)
+        return Trajectory(observations=obs, choices=choices, rewards=np.full(3, reward))
 
     def test_zero_advantages_leave_parameters_unchanged(self):
         policy = Policy(n_cells=2, obs_dim=Observation.dim(2), seed=7)
@@ -123,11 +122,10 @@ class TestPolicyUpdate:
         for _ in range(300):
             trajs = []
             for _ in range(8):
-                _, lp, choices = policy.sample(obs, rng)
+                _, choices = policy.sample(obs, rng)
                 reward = 1.0 if choices[0] == 0 else 0.0
                 trajs.append(Trajectory(
-                    observations=obs[None, :], choices=choices[None, :],
-                    rewards=np.array([reward]), log_probs=np.array([lp]),
+                    observations=obs[None, :], choices=choices[None, :], rewards=np.array([reward]),
                 ))
             policy.update(trajs, lr=0.05)
         probs, _ = policy.distribution(obs)

@@ -1,21 +1,34 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from celltwin.agent import RewardWeights
+from celltwin.agent import Observation, Policy, RewardWeights
 from celltwin.cli import DEFAULTS, _merge_strict, main, parse_config
-from celltwin.errors import ConfigError
+from celltwin.dataset import (
+    COND_DIM,
+    ConditionLayout,
+    NormalizationStats,
+    collect_dataset,
+    read_dataset,
+    write_dataset,
+)
+from celltwin.diffusion import DenoiserArch, DiffusionModel, make_schedule
+from celltwin.errors import ConfigError, FormatError
 from celltwin.harness import (
     AgentTrainConfig,
     CounterfactualConfig,
     EvalConfig,
     WMTrainConfig,
+    WorldModelBundle,
     WorldModelEnvConfig,
 )
+from celltwin.scenario import build_scenario, make_hex_scenario
 
 
 def write_config(tmp_path, **overrides):
@@ -93,6 +106,10 @@ class TestParseConfig:
         ('{"counterfactual": {"lora_rank": 100}}', "counterfactual.lora_rank"),
         ('{"worldmodel": {"expert_hidden": [64, 3]}}', "counterfactual.lora_rank"),
         ('{"scenario": {"preset": "hex7", "seed": 0, "traffic_step_hours": 8}}', "counterfactual.lora_rank"),
+        ('{"scenario": {"preset": "hex7", "seed": 0.5}}', "scenario.seed"),
+        ('{"scenario": {"preset": "hex7", "grid_dim": "x"}}', "scenario.grid_dim"),
+        ('{"scenario": {"preset": "hex7", "horizon_hours": true}}', "scenario.horizon_hours"),
+        ('{"scenario": {"preset": "hex7", "shadowing_sigma_db": "4"}}', "scenario.shadowing_sigma_db"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
@@ -235,6 +252,93 @@ class TestCliCommands:
         code = "import sys, celltwin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+def _edit_npz(path, header=None, raw_header=None, drop=(), **arrays):
+    """Rewrite an artifact: ``header`` edits the decoded header, ``raw_header`` replaces its bytes."""
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files if k not in drop}
+    if header is not None:
+        decoded = json.loads(bytes(payload["header"]).decode())
+        header(decoded)
+        raw_header = json.dumps(decoded).encode()
+    if raw_header is not None:
+        payload["header"] = np.frombuffer(raw_header, dtype=np.uint8)
+    np.savez(path, **{**payload, **arrays})
+
+
+# case: (file under out_dir, how it is spoiled, what the error names besides the file)
+BAD_ARTIFACTS = {
+    "truncated": ("models/traffic.npz", lambda p: p.write_bytes(p.read_bytes()[:300]), "unreadable checkpoint"),
+    "non_utf8_header": ("models/users.npz", lambda p: _edit_npz(p, raw_header=b"\xff\xfe{"), "corrupt header"),
+    "non_object_header": ("models/rsrp.npz", lambda p: _edit_npz(p, raw_header=b"[2]"), "not a JSON object"),
+    "version_mismatch": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h.update(version=1)),
+                         "version mismatch: expected 2, found 1"),
+    "dataset_version_mismatch": ("datasets/traffic.npz",
+                                 lambda p: _edit_npz(p, header=lambda h: h.update(version=3)),
+                                 "version mismatch: expected 1, found 3"),
+    "missing_array": ("datasets/traffic.npz", lambda p: _edit_npz(p, drop=("masks",)), "missing array 'masks'"),
+    "no_trainable": ("models/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.pop("trainable")),
+                     "has no field 'trainable'"),
+    "manifest_missing_key": ("models/users.npz",
+                             lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].pop("series_len")),
+                             "has no field 'series_len'"),
+    "missing_tensor": ("models/rsrp.npz", lambda p: _edit_npz(p, drop=("param::gate/W0",)),
+                       "missing tensor 'gate/W0'"),
+    "misshapen_tensor": ("models/traffic.npz", lambda p: _edit_npz(p, **{"param::null_embed": np.zeros(3)}),
+                         "tensor 'null_embed' has shape (3,), expected (2,)"),
+    "policy_holds_head": ("models/policy.npz", lambda p: shutil.copy(p.parent / "traffic.npz", p),
+                          "has no field 'n_cells'"),
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A traffic dataset, three untrained heads and a policy, as the stages lay them out."""
+    out = tmp_path_factory.mktemp("artifacts")
+    (out / "datasets").mkdir()
+    (out / "models").mkdir()
+    oracle = build_scenario(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48))
+    traffic = collect_dataset(oracle, n_days=1, kinds=("traffic",))["traffic"]
+    write_dataset(traffic, str(out / "datasets/traffic.npz"))
+    layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
+    for kind in ("traffic", "users", "rsrp"):
+        arch = DenoiserArch(series_len=3, cond_emb_dim=2, time_dim=2, expert_hidden=(4,), gate_hidden=(4,))
+        head = DiffusionModel(kind, arch, make_schedule(2), NormalizationStats(0.0, 1.0), layout)
+        head.save(str(out / "models" / f"{kind}.npz"))
+    Policy(n_cells=7, obs_dim=Observation.dim(7)).save(str(out / "models/policy.npz"))
+    return out
+
+
+def _load(out, target: str) -> None:
+    """What the stage that reads ``target`` loads, through the API."""
+    if target.startswith("datasets/"):
+        read_dataset(str(out / target))
+    else:
+        WorldModelBundle.load({k: str(out / "models" / f"{k}.npz") for k in ("traffic", "users", "rsrp")})
+        Policy.load(str(out / "models/policy.npz"))
+
+
+class TestBadArtifacts:
+    def test_intact_artifacts_load(self, artifacts):
+        _load(artifacts, "datasets/traffic.npz")
+        _load(artifacts, "models/policy.npz")
+
+    @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
+    def test_format_error_and_one_cli_line(self, artifacts, tmp_path, capsys, case):
+        target, spoil, names = BAD_ARTIFACTS[case]
+        cfg = write_config(tmp_path, evaluation={"schemes": ["agent"], "n_gen_samples": 4})
+        out = tmp_path / "out"
+        shutil.copytree(artifacts, out)
+        spoil(out / target)
+        with pytest.raises(FormatError, match=re.escape(names)) as raised:
+            _load(out, target)
+        assert str(out / target) in str(raised.value)
+        command = "train-wm" if target.startswith("datasets/") else "evaluate"
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import re
 import tempfile
 
 import numpy as np
@@ -11,6 +12,8 @@ from celltwin.nn import (
     ParamStore,
     add_grad,
     finite_difference_check,
+    load_npz,
+    save_npz,
     softmax,
     softmax_backward,
 )
@@ -462,6 +465,75 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             ParamStore.load(str(path))
+
+
+def raw_npz(path, header: bytes, **arrays) -> str:
+    """An npz with the given header bytes, written around the format functions."""
+    np.savez(path, header=np.frombuffer(header, dtype=np.uint8), **arrays)
+    return str(path)
+
+
+class TestArtifactFile:
+    def test_roundtrip_adds_version(self, tmp_path):
+        path = str(tmp_path / "a.npz")
+        save_npz(path, {"kind": "x", "nested": {"k": [1, 2]}}, {"w": np.arange(3.0)}, version=5)
+        header, arrays = load_npz(path, 5, "artifact", required=("w",))
+        assert header == {"kind": "x", "nested": {"k": [1, 2]}, "version": 5}
+        assert list(arrays) == ["w"] and np.array_equal(arrays["w"], np.arange(3.0))
+
+    @pytest.mark.parametrize("header, match", [
+        (b"\xff\xfe{", "corrupt header"),
+        (b"{not json", "corrupt header"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"version": 4}', "version mismatch: expected 5, found 4"),
+        (b"{}", "version mismatch: expected 5, found None"),
+    ])
+    def test_bad_header_names_file(self, tmp_path, header, match):
+        path = raw_npz(tmp_path / "a.npz", header, w=np.zeros(2))
+        with pytest.raises(FormatError, match=match) as err:
+            load_npz(path, 5, "artifact")
+        assert path in str(err.value)
+
+    def test_missing_array_named(self, tmp_path):
+        path = raw_npz(tmp_path / "a.npz", b'{"version": 5}', w=np.zeros(2))
+        with pytest.raises(FormatError, match=re.escape(f"artifact {path} missing array 'v'")):
+            load_npz(path, 5, "artifact", required=("w", "v"))
+
+    def test_missing_header_field_names_file_and_field(self, tmp_path):
+        path = raw_npz(tmp_path / "a.npz", b'{"version": 2, "manifest": {}}', **{"param::w": np.zeros(2)})
+        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} has no field 'trainable'")):
+            ParamStore.load(path)
+
+    def test_not_a_zip(self, tmp_path):
+        path = tmp_path / "a.npz"
+        path.write_bytes(b"not an npz file")
+        with pytest.raises(FormatError, match="unreadable artifact"):
+            load_npz(str(path), 5, "artifact")
+
+
+class TestAssign:
+    def test_copies_every_value(self):
+        source, target = ParamStore(), ParamStore()
+        MLP(source, "net", (3, 4, 2), rng=np.random.default_rng(1))
+        MLP(target, "net", (3, 4, 2), rng=np.random.default_rng(2))
+        target.assign(source, "source")
+        for name in source.names():
+            assert np.array_equal(target[name], source[name])
+
+    def test_missing_tensor_named(self):
+        source, target = ParamStore(), ParamStore()
+        source.add("a", np.zeros(2))
+        target.add("a", np.zeros(2))
+        target.add("b", np.zeros(2))
+        with pytest.raises(FormatError, match="src missing tensor 'b'"):
+            target.assign(source, "src")
+
+    def test_misshapen_tensor_named(self):
+        source, target = ParamStore(), ParamStore()
+        source.add("a", np.zeros(3))
+        target.add("a", np.zeros(2))
+        with pytest.raises(FormatError, match=r"src tensor 'a' has shape \(3,\), expected \(2,\)"):
+            target.assign(source, "src")
 
 
 class TestGradAccumulation:

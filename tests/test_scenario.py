@@ -387,6 +387,49 @@ class TestStepPhysicsProperties:
         assert load.sum() + overload.sum() <= native.sum() * (1.0 + 1e-12)
 
 
+@st.composite
+def association_inputs(draw):
+    """Whole-dB RSRP and biases, so that ties between cells are common."""
+    n_users, n_cells = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    db = st.lists(st.integers(-130, -70), min_size=n_users * n_cells, max_size=n_users * n_cells)
+    rsrp = np.array(draw(db), dtype=float).reshape(n_users, n_cells)
+    sleep = np.array(draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells)), dtype=bool)
+    bias = np.array(draw(st.lists(st.sampled_from([0.0, 3.0, 6.0]), min_size=n_cells, max_size=n_cells)))
+    return rsrp, sleep, bias, float(draw(st.integers(-125, -75)))
+
+
+class TestAssociationProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(association_inputs())
+    def test_ties_go_to_lowest_id(self, inputs):
+        rsrp, sleep, bias, _ = inputs
+        serving, _, _ = associate_users(rsrp, sleep, bias, -np.inf)
+        active = np.flatnonzero(~sleep)
+        for u in range(rsrp.shape[0]):
+            scores = [rsrp[u, c] + bias[c] for c in active]
+            best = [c for c, score in zip(active, scores) if score == max(scores)]
+            assert serving[u] == (best[0] if best else -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(association_inputs())
+    def test_no_served_user_below_floor(self, inputs):
+        rsrp, sleep, bias, floor = inputs
+        serving, user_rsrp, dropped = associate_users(rsrp, sleep, bias, floor)
+        served = serving >= 0
+        assert (user_rsrp[served] >= floor).all()
+        assert np.array_equal(user_rsrp[served], rsrp[served, serving[served]])
+        assert not sleep[serving[served]].any()
+        assert np.isnan(user_rsrp[~served]).all() and dropped == int((~served).sum())
+
+    @settings(max_examples=50, deadline=None)
+    @given(association_inputs())
+    def test_all_sleep_drops_everyone(self, inputs):
+        rsrp, sleep, bias, floor = inputs
+        serving, user_rsrp, dropped = associate_users(rsrp, np.ones_like(sleep), bias, floor)
+        assert (serving == -1).all() and np.isnan(user_rsrp).all()
+        assert dropped == rsrp.shape[0]
+
+
 class TestScenarioJson:
     def test_roundtrip(self):
         cfg = make_hex_scenario(seed=4)
