@@ -4,12 +4,14 @@ Runs ``collect -> train-wm -> optimize -> evaluate -> eval-gen -> simulate ->
 counterfactual`` through ``cli.main`` on a small config (three experts per
 head; evaluation with short-term forecasts for the agent, both sequential and
 with ``--jobs 2``, then once more with long-term forecasts; one counterfactual
-fraction, whose adapted traffic head samples with its adapters attached) and
+fraction, whose adapted traffic head samples with its adapters attached, run
+once as is and once with an agent retrained in the counterfactual twin) and
 compares the sha256 of every dataset and checkpoint npz file,
 ``wm_losses.csv``, ``learning_curve.csv``, each ``evaluation.csv``,
-``generation.csv``, a two-day ``traffic.csv``,
-``counterfactual.csv`` and ``counterfactual_wm.csv``, plus the config hash of
-``{}``, against ``tests/golden.json``. Float results depend on the numpy build and its BLAS,
+``generation.csv``, a two-day ``traffic.csv``, ``counterfactual.csv`` and
+``counterfactual_wm.csv``, the retrained run's ``counterfactual.csv`` (with its
+``agent_retrained`` rows), plus the config hash of ``{}``, against
+``tests/golden.json``. Float results depend on the numpy build and its BLAS,
 so the file records both and a mismatch names the recorded and the running
 environment.
 
@@ -54,6 +56,10 @@ LONG_TERM = {**CONFIG, "evaluation": {**CONFIG["evaluation"], "predict_mode": "l
 COUNTERFACTUAL = {**CONFIG, "counterfactual": {"fractions": [0.6], "lora_rank": 2,
                                                "adapt_steps": 4, "adapt_days": 2}}
 
+# The same, plus an agent retrained for one update in each counterfactual twin.
+RETRAIN = {**COUNTERFACTUAL, "counterfactual": {**COUNTERFACTUAL["counterfactual"],
+                                                "retrain_agent": True, "retrain_updates": 1}}
+
 KINDS = ("traffic", "users", "rsrp")
 
 # (command line, config, {digest key: file the command writes under out_dir}), in pipeline order
@@ -70,6 +76,7 @@ STAGES = (
     (["simulate", "--days", "2"], CONFIG, {"traffic.csv --days 2": "traffic.csv"}),
     (["counterfactual"], COUNTERFACTUAL, {"counterfactual.csv": "reports/counterfactual.csv",
                                           "counterfactual_wm.csv": "reports/counterfactual_wm.csv"}),
+    (["counterfactual"], RETRAIN, {"counterfactual.csv retrain_agent": "reports/counterfactual.csv"}),
 )
 
 
