@@ -177,74 +177,77 @@ def split_dataset(
     }
 
 
-# -- raw condition builders ----------------------------------------------------
+# -- raw condition tables ------------------------------------------------------
 
 
-def _poi_onehot(profile: str) -> np.ndarray:
-    v = np.zeros(len(POI_PROFILES))
-    v[POI_PROFILES.index(profile)] = 1.0
-    return v
+def condition_rows(n: int, **fields) -> np.ndarray:
+    """(n, COND_DIM) raw condition rows: each named field in its slice, every other field 0.
+
+    A value broadcasts over the rows: a scalar, one value per row, or for the
+    multi-wide `poi` a (width,) or (n, width) block.
+    """
+    rows = np.zeros((n, COND_DIM))
+    for name, value in fields.items():
+        lo, hi = _OFFSETS[name]
+        value = np.asarray(value, dtype=float)
+        rows[:, lo:hi] = value[:, None] if hi - lo == 1 and value.ndim else value
+    return rows
 
 
-def _clock(hour: float) -> tuple[float, float, float]:
+def _poi_onehot(cells) -> np.ndarray:
+    return np.eye(len(POI_PROFILES))[[POI_PROFILES.index(c.poi_profile) for c in cells]]
+
+
+def _clock(hour: float) -> dict[str, float]:
     h = hour % 24.0
     angle = 2.0 * np.pi * h / 24.0
-    return float(np.sin(angle)), float(np.cos(angle)), h / 24.0
+    return {"hour_sin": float(np.sin(angle)), "hour_cos": float(np.cos(angle)), "day_phase": h / 24.0}
 
 
-def _cell_density(oracle: Oracle, cell_index: int) -> float:
-    mine = [
-        g.poi_weight * g.base_users
-        for i, g in enumerate(oracle.config.grids)
-        if oracle.nearest_cell_of_grid(i) == cell_index
-    ]
-    return float(np.mean(mine)) if mine else 0.0
+def traffic_conditions(oracle: Oracle) -> np.ndarray:
+    """One row per cell, in cell order, for a day starting at hour 0.
 
-
-def condition_for_traffic(oracle: Oracle, cell_id: int, start_hour: int) -> np.ndarray:
-    cell = oracle.cell(cell_id)
-    idx = oracle.cell_pos_index(cell_id)
-    s, c, phase = _clock(start_hour)
-    return np.concatenate([
-        _poi_onehot(cell.poi_profile),
-        [s, c, phase, _cell_density(oracle, idx), cell.capacity_mbps,
-         cell.tx_power_dbm, cell.carrier_freq_mhz, 0.0, 0.0],
-    ])
-
-
-def condition_for_users(oracle: Oracle, grid_index: int, start_hour: int) -> np.ndarray:
-    g = oracle.config.grids[grid_index]
-    near = oracle.nearest_cell_of_grid(grid_index)
-    cell = oracle.cells[near]
-    s, c, phase = _clock(start_hour)
-    return np.concatenate([
-        _poi_onehot(cell.poi_profile),
-        [s, c, phase, g.poi_weight * g.base_users, cell.capacity_mbps,
-         cell.tx_power_dbm, cell.carrier_freq_mhz,
-         oracle.grid_cell_distance_km(grid_index, near), 0.0],
-    ])
-
-
-def condition_for_rsrp(
-    oracle: Oracle,
-    cell_index: int,
-    distance_km: float,
-    hour: int,
-    sleep_frac: float,
-) -> np.ndarray:
-    """Link-level condition: the (tx power, frequency, distance) triple drives it.
-
-    Fields tied to cell identity (POI class, density, demand) are zeroed so the
-    head cannot shortcut around the link parameters and stays queryable on
-    arbitrary off-topology triples.
+    `grid_density` is the mean grid weight over the grids the cell is nearest
+    to (0 for a cell nearest to none); `demand` is the cell's capacity.
     """
-    cell = oracle.cells[cell_index]
-    s, c, phase = _clock(hour)
-    return np.concatenate([
-        np.zeros(len(POI_PROFILES)),
-        [s, c, phase, 0.0, 0.0,
-         cell.tx_power_dbm, cell.carrier_freq_mhz, distance_km, sleep_frac],
-    ])
+    mine = [oracle.grid_weight[oracle.nearest_cell == c] for c in range(oracle.n_cells)]
+    density = [float(np.mean(w)) if w.size else 0.0 for w in mine]
+    a = oracle.arrays
+    return condition_rows(
+        oracle.n_cells, poi=_poi_onehot(oracle.cells), **_clock(0), grid_density=density,
+        demand=a.capacity_mbps, tx_power_dbm=a.tx_power_dbm, carrier_freq_mhz=a.carrier_freq_mhz,
+    )
+
+
+def users_conditions(oracle: Oracle) -> np.ndarray:
+    """One row per grid, in grid order, for a day starting at hour 0.
+
+    The cell fields describe the grid's nearest cell, and `distance_km` is the
+    grid centre's distance to it.
+    """
+    near = oracle.nearest_cell
+    a = oracle.arrays
+    return condition_rows(
+        oracle.n_grids, poi=_poi_onehot(oracle.cells)[near], **_clock(0),
+        grid_density=oracle.grid_weight, demand=a.capacity_mbps[near], tx_power_dbm=a.tx_power_dbm[near],
+        carrier_freq_mhz=a.carrier_freq_mhz[near],
+        distance_km=oracle.grid_cell_km[np.arange(oracle.n_grids), near],
+    )
+
+
+def rsrp_conditions(oracle: Oracle, cells, distance_km, hour: int, sleep_frac: float) -> np.ndarray:
+    """One link row per entry of `cells` (cell indices) at `distance_km` from it.
+
+    The (tx power, frequency, distance) triple drives the link. Fields tied to
+    cell identity (POI class, density, demand) stay 0, so the head cannot
+    shortcut around the link parameters and stays queryable on arbitrary
+    off-topology triples.
+    """
+    a = oracle.arrays
+    return condition_rows(
+        len(cells), **_clock(hour), tx_power_dbm=a.tx_power_dbm[cells],
+        carrier_freq_mhz=a.carrier_freq_mhz[cells], distance_km=distance_km, sleep_frac=sleep_frac,
+    )
 
 
 # -- collection -----------------------------------------------------------------
@@ -258,21 +261,11 @@ def _window_mask(rng: np.random.Generator, length: int) -> np.ndarray:
     return make_mask("short_term_prediction", length, horizon)
 
 
-def _day_windows(days: list[np.ndarray], conds: list[np.ndarray], rng: np.random.Generator):
+def _day_windows(read_day, conds: np.ndarray, n_days: int, rng: np.random.Generator):
     """One window per (day, row) of the daily series, each with its task mask drawn in that order."""
-    series = np.concatenate(days)
+    series = np.concatenate([read_day(day) for day in range(n_days)])
     masks = np.array([_window_mask(rng, series.shape[1]) for _ in series])
-    return series, np.tile(conds, (len(days), 1)), masks
-
-
-def _collect_traffic(oracle: Oracle, n_days: int, rng: np.random.Generator):
-    conds = [condition_for_traffic(oracle, cell.id, 0) for cell in oracle.cells]
-    return _day_windows([oracle.traffic_day(day) for day in range(n_days)], conds, rng)
-
-
-def _collect_users(oracle: Oracle, n_days: int, rng: np.random.Generator):
-    conds = [condition_for_users(oracle, g, 0) for g in range(oracle.n_grids)]
-    return _day_windows([oracle.users_day(day) for day in range(n_days)], conds, rng)
+    return series, np.tile(conds, (n_days, 1)), masks
 
 
 def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
@@ -285,7 +278,7 @@ def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
         if sleep.sum() > n_cells - 2:
             sleep[:] = False
         bias = rng.choice(_BIAS_CHOICES, size=n_cells)
-        _, user_grid, positions, shadowing = oracle._users_and_shadowing(t)
+        _, _, positions, shadowing = oracle.users_and_shadowing(t)
         if positions.shape[0] == 0:
             continue
         rsrp = oracle.rsrp_matrix(positions, shadowing)
@@ -293,14 +286,16 @@ def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
         # the learned conditional keeps its below-floor tail (no survivor bias).
         serving, user_rsrp, _ = associate_users(rsrp, sleep, bias, -np.inf)
         pick = rng.permutation(positions.shape[0])[:_RSRP_USERS_PER_STEP]
-        sleep_frac = float(sleep.mean())
-        for u in pick:
-            c = int(serving[u])
-            dist = float(np.linalg.norm(positions[u] - oracle.cells[c].position))
-            series.append([user_rsrp[u]])
-            conds.append(condition_for_rsrp(oracle, c, dist, t % 24, sleep_frac))
-    masks = np.ones((len(series), 1), dtype=bool)
-    return np.array(series), np.array(conds), masks
+        series.append(user_rsrp[pick, None])
+        # A dot per row: bit-equal to np.linalg.norm of each row, unlike its axis=1 form.
+        d = positions[pick] - oracle.cell_positions[serving[pick]]
+        dist = np.sqrt(np.vecdot(d, d))
+        conds.append(rsrp_conditions(oracle, serving[pick], dist, t % 24, float(sleep.mean())))
+    if not series:
+        raise DomainError(f"rsrp collection found no users in {n_days} days; the scenario needs a grid "
+                          "with base_users > 0 and poi_weight > 0")
+    series = np.concatenate(series)
+    return series, np.concatenate(conds), np.ones(series.shape, dtype=bool)
 
 
 def collect_dataset(
@@ -326,10 +321,14 @@ def collect_dataset(
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}")
     out: dict[str, SampleSet] = {}
-    collectors = {"traffic": _collect_traffic, "users": _collect_users, "rsrp": _collect_rsrp}
     for kind in kinds:
         rng = np.random.default_rng(np.random.SeedSequence((oracle.config.seed, 90, KINDS.index(kind))))
-        series, conds, masks = collectors[kind](oracle, n_days, rng)
+        if kind == "traffic":
+            series, conds, masks = _day_windows(oracle.traffic_day, traffic_conditions(oracle), n_days, rng)
+        elif kind == "users":
+            series, conds, masks = _day_windows(oracle.users_day, users_conditions(oracle), n_days, rng)
+        else:
+            series, conds, masks = _collect_rsrp(oracle, n_days, rng)
         split = split_dataset(len(series), split_fractions, seed=oracle.config.seed)
         train = split["train"]
         out[kind] = SampleSet(

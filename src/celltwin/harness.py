@@ -179,12 +179,11 @@ class _Geometry:
         self.n_cells = oracle.n_cells
         self.n_grids = oracle.n_grids
         self.arrays = oracle.arrays
-        self.neighbors = [tuple(oracle.cell_pos_index(nb) for nb in c.neighbors) for c in oracle.cells]
+        self.neighbors = oracle.neighbors
         self.capacity = oracle.arrays.capacity_mbps
-        self.nearest = np.array([oracle.nearest_cell_of_grid(g) for g in range(oracle.n_grids)])
-        users_weight = [g.base_users * g.poi_weight for g in oracle.config.grids]
+        self.nearest = oracle.nearest_cell
         self.users_scale = np.maximum(
-            np.bincount(self.nearest, weights=users_weight, minlength=self.n_cells), 1.0
+            np.bincount(self.nearest, weights=oracle.grid_weight, minlength=self.n_cells), 1.0
         )
         self.step_hours = oracle.config.traffic_step_hours
         self.steps_per_day = 24 // self.step_hours
@@ -219,13 +218,7 @@ class _Geometry:
 
 
 def _conditions_traffic(oracle: Oracle, layout: ds.ConditionLayout) -> np.ndarray:
-    raw = np.stack([ds.condition_for_traffic(oracle, c.id, 0) for c in oracle.cells])
-    return layout.normalize(raw)
-
-
-def _conditions_users(oracle: Oracle, layout: ds.ConditionLayout) -> np.ndarray:
-    raw = np.stack([ds.condition_for_users(oracle, g, 0) for g in range(oracle.n_grids)])
-    return layout.normalize(raw)
+    return layout.normalize(ds.traffic_conditions(oracle))
 
 
 def _conditions_rsrp_table(
@@ -237,18 +230,15 @@ def _conditions_rsrp_table(
     square, so the draws stand for users spread over the grid rather than a
     single point at its center.
     """
-    geo_positions = np.array([g.position for g in oracle.config.grids])
-    edge = oracle._grid_edge_km
-    rows = []
-    for g in range(oracle.n_grids):
-        for c in range(oracle.n_cells):
-            for _ in range(draws):
-                pos = geo_positions[g]
-                if draws > 1:
-                    pos = pos + rng.uniform(-edge / 2, edge / 2, size=2)
-                dist = float(np.linalg.norm(pos - np.array(oracle.cells[c].position)))
-                rows.append(ds.condition_for_rsrp(oracle, c, dist, hour=12, sleep_frac=0.3))
-    return layout.normalize(np.stack(rows))
+    shape = (oracle.n_grids, oracle.n_cells, draws, 2)
+    pos = np.broadcast_to(oracle.grid_positions[:, None, None, :], shape)
+    if draws > 1:
+        pos = pos + rng.uniform(-oracle.grid_edge_km / 2, oracle.grid_edge_km / 2, size=shape)
+    d = (pos - oracle.cell_positions[None, :, None, :]).reshape(-1, 2)
+    cells = np.tile(np.repeat(np.arange(oracle.n_cells), draws), oracle.n_grids)
+    # A dot per row: bit-equal to np.linalg.norm of each row, unlike its axis=1 form.
+    raw = ds.rsrp_conditions(oracle, cells, np.sqrt(np.vecdot(d, d)), hour=12, sleep_frac=0.3)
+    return layout.normalize(raw)
 
 
 # -- forecasts -------------------------------------------------------------------------
@@ -285,7 +275,7 @@ def _forecast(
         geo.steps_per_day, revealed, context_t, rng,
     )
     users = _sample_days(
-        bundle.users, np.tile(_conditions_users(geo.oracle, bundle.users.layout), (n, 1)),
+        bundle.users, np.tile(bundle.users.layout.normalize(ds.users_conditions(geo.oracle)), (n, 1)),
         geo.user_steps_per_day, min(revealed * geo.users_per_traffic_step, geo.user_steps_per_day),
         context_u, rng,
     )

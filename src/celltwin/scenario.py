@@ -250,7 +250,14 @@ def associate_users(
 
 
 class Oracle:
-    """Immutable query interface over one scenario; safe for concurrent reads."""
+    """Immutable query interface over one scenario; safe for concurrent reads.
+
+    The scenario tables are read-only arrays, cells and grids in config order:
+    `grid_positions` and `cell_positions` (km), `grid_cell_km` (grid centre to
+    cell distance), `nearest_cell` per grid (ties to the lowest index),
+    `grid_weight` (poi_weight * base_users) and `neighbors`, each cell's
+    neighbours as cell indices. `grid_edge_km` is the lattice pitch.
+    """
 
     def __init__(self, config: ScenarioConfig):
         _validate_config(config)
@@ -259,16 +266,19 @@ class Oracle:
         self._cell_index = {c.id: i for i, c in enumerate(self.cells)}
         self.n_cells = config.n_cells
         self.n_grids = len(config.grids)
-        self._grid_pos = np.array([g.position for g in config.grids])
-        self._cell_pos = np.array([c.position for c in self.cells])
         self.arrays = CellArrays.of(self.cells)
-        # Grid square edge, inferred from the lattice pitch.
-        xs = np.unique(self._grid_pos[:, 0])
-        self._grid_edge_km = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
-        # Nearest cell per grid (ties -> lowest cell id via argmin).
-        d = np.linalg.norm(self._grid_pos[:, None, :] - self._cell_pos[None, :, :], axis=2)
-        self._nearest_cell = np.argmin(d, axis=1)
-        self._grid_cell_dist = d
+        self.neighbors = tuple(tuple(self._cell_index[nb] for nb in c.neighbors) for c in self.cells)
+        self.grid_positions = np.array([g.position for g in config.grids])
+        self.cell_positions = np.array([c.position for c in self.cells])
+        xs = np.unique(self.grid_positions[:, 0])
+        self.grid_edge_km = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
+        offsets = self.grid_positions[:, None, :] - self.cell_positions[None, :, :]
+        self.grid_cell_km = np.linalg.norm(offsets, axis=2)
+        self.nearest_cell = np.argmin(self.grid_cell_km, axis=1)
+        self.grid_weight = np.array([g.poi_weight * g.base_users for g in config.grids], dtype=float)
+        for table in (self.grid_positions, self.cell_positions, self.grid_cell_km, self.nearest_cell,
+                      self.grid_weight):
+            table.flags.writeable = False
         # Counterfactual rescale of the deterministic demand, per profile.
         self._peak_scale = {}
         steps = range(0, 24, config.traffic_step_hours)
@@ -287,12 +297,6 @@ class Oracle:
     def cell(self, cell_id: int) -> CellConfig:
         try:
             return self.cells[self._cell_index[cell_id]]
-        except KeyError:
-            raise UnknownIdError(f"unknown cell id {cell_id}") from None
-
-    def cell_pos_index(self, cell_id: int) -> int:
-        try:
-            return self._cell_index[cell_id]
         except KeyError:
             raise UnknownIdError(f"unknown cell id {cell_id}") from None
 
@@ -334,9 +338,8 @@ class Oracle:
         self._check_t(t_hours)
         step = self.config.user_step_hours
         tq = (t_hours // step) * step
-        g = self.config.grids[grid_index]
-        profile = self.cells[self._nearest_cell[grid_index]].poi_profile
-        return g.base_users * g.poi_weight * (0.2 + 0.8 * diurnal(profile, tq % 24))
+        profile = self.cells[self.nearest_cell[grid_index]].poi_profile
+        return float(self.grid_weight[grid_index] * (0.2 + 0.8 * diurnal(profile, tq % 24)))
 
     def users_at(self, grid_index: int, t_hours: int) -> int:
         rate = self.user_rate(grid_index, t_hours)
@@ -365,18 +368,18 @@ class Oracle:
 
     # -- composite step ------------------------------------------------------
 
-    def _users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Seeded users (grid ids, positions) and per-(user, cell) shadowing at t."""
         step = self.config.user_step_hours
         tq = (t_hours // step) * step
         counts = np.array([self.users_at(g, t_hours) for g in range(self.n_grids)])
         grid_ids, positions, shadows = [], [], []
-        half = self._grid_edge_km / 2.0
+        half = self.grid_edge_km / 2.0
         for g, count in enumerate(counts):
             if count == 0:
                 continue
             jitter = self._rng(_S_POS, g, tq).uniform(-half, half, size=(count, 2))
-            positions.append(self._grid_pos[g][None, :] + jitter)
+            positions.append(self.grid_positions[g][None, :] + jitter)
             grid_ids.append(np.full(count, g, dtype=np.int64))
             sigma = self.config.shadowing_sigma_db
             if sigma > 0:
@@ -392,7 +395,7 @@ class Oracle:
         """Per-(user, cell) RSRP in dBm, vectorized free-space + shadowing."""
         if positions.shape[0] == 0:
             return np.zeros((0, self.n_cells))
-        d = np.linalg.norm(positions[:, None, :] - self._cell_pos[None, :, :], axis=2)
+        d = np.linalg.norm(positions[:, None, :] - self.cell_positions[None, :, :], axis=2)
         return self.arrays.tx_power_dbm - path_loss_db(d, self.arrays.carrier_freq_mhz) + shadowing
 
     def step_network(
@@ -414,7 +417,7 @@ class Oracle:
             raise DomainError("sleep_mask and bias_db must have one entry per cell")
 
         native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells])
-        counts, user_grid, positions, shadowing = self._users_and_shadowing(t_hours)
+        counts, user_grid, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
 
         # Natural attachment (everything active, no bias) fixes per-user demand.
@@ -439,14 +442,6 @@ class Oracle:
             dropped_users=dropped,
             reference_power_watts=reference,
         )
-
-    def nearest_cell_of_grid(self, grid_index: int) -> int:
-        if not 0 <= grid_index < self.n_grids:
-            raise UnknownIdError(f"grid index {grid_index} out of range")
-        return int(self._nearest_cell[grid_index])
-
-    def grid_cell_distance_km(self, grid_index: int, cell_index: int) -> float:
-        return float(self._grid_cell_dist[grid_index, cell_index])
 
 
 def _validate_config(config: ScenarioConfig) -> None:

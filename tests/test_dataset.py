@@ -1,3 +1,4 @@
+import math
 import tempfile
 
 import numpy as np
@@ -11,15 +12,17 @@ from celltwin.dataset import (
     NormalizationStats,
     SampleSet,
     collect_dataset,
-    condition_for_rsrp,
     fit_stats,
     make_mask,
     read_dataset,
+    rsrp_conditions,
     split_dataset,
+    traffic_conditions,
+    users_conditions,
     write_dataset,
 )
 from celltwin.errors import ConfigError, DomainError, FormatError
-from celltwin.scenario import build_scenario, make_hex_scenario
+from celltwin.scenario import POI_PROFILES, build_scenario, make_hex_scenario
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +223,29 @@ class TestConditionLayout:
             datasets["rsrp"].layout.normalize_partial({"antenna": 1.0})
 
     def test_positional_stability(self, oracle, datasets):
-        cond = condition_for_rsrp(oracle, 2, 0.7, hour=13, sleep_frac=0.25)
-        assert cond.shape == (COND_DIM,)
-        assert cond[ConditionLayout.field_slice("tx_power_dbm")][0] == oracle.cells[2].tx_power_dbm
-        assert cond[ConditionLayout.field_slice("distance_km")][0] == 0.7
-        assert cond[ConditionLayout.field_slice("sleep_frac")][0] == 0.25
+        def field(rows, name):
+            return rows[:, ConditionLayout.field_slice(name)]
+
+        rsrp = rsrp_conditions(oracle, [2], [0.7], hour=13, sleep_frac=0.25)
+        assert rsrp.shape == (1, COND_DIM)
+        assert field(rsrp, "tx_power_dbm")[0, 0] == oracle.cells[2].tx_power_dbm
+        assert field(rsrp, "distance_km")[0, 0] == 0.7
+        assert field(rsrp, "sleep_frac")[0, 0] == 0.25
+        for name in ("poi", "grid_density", "demand"):
+            assert (field(rsrp, name) == 0.0).all()
+
+        traffic = traffic_conditions(oracle)
+        assert traffic.shape == (oracle.n_cells, COND_DIM)
+        assert field(traffic, "demand")[:, 0].tolist() == [c.capacity_mbps for c in oracle.cells]
+        assert field(traffic, "carrier_freq_mhz")[:, 0].tolist() == [c.carrier_freq_mhz for c in oracle.cells]
+        assert field(traffic, "poi").tolist() == [
+            [float(p == c.poi_profile) for p in POI_PROFILES] for c in oracle.cells
+        ]
+
+        users = users_conditions(oracle)
+        assert users.shape == (oracle.n_grids, COND_DIM)
+        for g, grid in enumerate(oracle.config.grids):
+            near = int(np.argmin([math.dist(grid.position, c.position) for c in oracle.cells]))
+            assert field(users, "distance_km")[g, 0] == oracle.grid_cell_km[g, near]
+            assert field(users, "tx_power_dbm")[g, 0] == oracle.cells[near].tx_power_dbm
+            assert field(users, "grid_density")[g, 0] == grid.poi_weight * grid.base_users

@@ -327,7 +327,7 @@ class TestStepNetwork:
         boosted = build_scenario(
             ScenarioConfig(**{**base_cfg.__dict__, "cell_configs": tuple(cells)})
         )
-        _, _, pos, shadow = oracle._users_and_shadowing(12)
+        _, _, pos, shadow = oracle.users_and_shadowing(12)
         low = oracle.rsrp_matrix(pos, shadow)
         high = boosted.rsrp_matrix(pos, shadow)
         assert (high[:, 3] >= low[:, 3]).all()
