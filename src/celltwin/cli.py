@@ -80,13 +80,18 @@ DEFAULTS: dict = {
 }
 
 
-# Value checks the types cannot express: (section, key, test, what the value must be).
+# Value checks the types cannot express: (dotted key, test, what the value must be).
 _VALUE_CHECKS = (
-    ("evaluation", "schemes", lambda v: set(v) <= set(SCHEMES), f"a list of schemes from {', '.join(SCHEMES)}"),
-    ("evaluation", "predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
-    ("worldmodel", "guidance_w", lambda v: v >= 0, ">= 0"),
-    ("dataset", "split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
+    ("evaluation.schemes", lambda v: set(v) <= set(SCHEMES), f"a list of schemes from {', '.join(SCHEMES)}"),
+    ("evaluation.predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
+    ("worldmodel.guidance_w", lambda v: v >= 0, ">= 0"),
+    ("worldmodel.batch_size", lambda v: v >= 1, ">= 1"),
+    ("worldmodel.diffusion_steps", lambda v: v >= 1, ">= 1"),
+    ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
      "three non-negative fractions summing to 1"),
+    ("seeds", lambda v: v and min(v) >= 0, "a nonempty array of integers >= 0"),
+    *((key, lambda v: v >= 0, ">= 0") for key in (
+        "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
 )
 
 # bool before int: a JSON true is a Python int too.
@@ -199,11 +204,12 @@ def parse_config(path: str) -> RunConfig:
     effective = _merge_strict({k: v for k, v in DEFAULTS.items() if k != "scenario"}, body, "")
     # Inline the fully resolved scenario so the hash covers its content.
     effective = {"scenario": scenario_to_dict(scenario), **effective}
-    if not effective["seeds"]:
-        raise ConfigError("config key seeds must be nonempty")
-    for section, key, valid, want in _VALUE_CHECKS:
-        if not valid(effective[section][key]):
-            raise ConfigError(f"config key {section}.{key} must be {want}")
+    for key, valid, want in _VALUE_CHECKS:
+        value = effective
+        for part in key.split("."):
+            value = value[part]
+        if not valid(value):
+            raise ConfigError(f"config key {key} must be {want}")
     # Adapters go on every expert layer of the traffic head. The smallest layer dim
     # is a hidden width or the series length; the input dim exceeds three series lengths.
     rank = effective["counterfactual"]["lora_rank"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
 from .nn import load_npz, save_npz
-from .scenario import Oracle, POI_PROFILES
+from .scenario import POI_PROFILES, Oracle, associate_users
 
 DATASET_VERSION = 1
 KINDS = ("traffic", "users", "rsrp")
@@ -269,8 +269,6 @@ def _day_windows(read_day, conds: np.ndarray, n_days: int, rng: np.random.Genera
 
 
 def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
-    from .scenario import associate_users  # local import keeps module load cheap
-
     series, conds = [], []
     n_cells = oracle.n_cells
     for t in range(0, n_days * 24, oracle.config.user_step_hours):

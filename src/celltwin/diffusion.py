@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
-from .errors import ConfigError, DomainError, ModelError, ShapeError, TrainingError
+from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError
 from .nn import MLP, ParamStore, add_grad, softmax, softmax_backward
 
 _TIME_FEATURES = 8
@@ -146,9 +146,27 @@ def _mix(gate: np.ndarray, expert_out: np.ndarray) -> np.ndarray:
     return (gate.T[:, :, None] * expert_out).sum(axis=0)
 
 
+# The JSON type a manifest field must have, by its annotation: (test, what the value must be).
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "tuple[int, ...]": (lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v),
+                        "an array of integers"),
+    "MemoryConfig | None": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+}
+
+
+def _field(values: dict, name: str, annotation: str):
+    """``values[name]`` of a manifest section; a value of the wrong JSON type is a FormatError."""
+    test, want = _JSON_TYPES[annotation]
+    if not test(values[name]):
+        raise FormatError(f"{getattr(values, 'where', 'manifest')} field {name!r} must be {want}")
+    return values[name]
+
+
 def _from_fields(cls, values: dict):
     """``cls`` built from the entry of each of its fields in ``values``, a manifest section."""
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
+    return cls(**{f.name: _field(values, f.name, f.type) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -596,11 +614,12 @@ class DiffusionModel:
         model = cls(
             kind=manifest["kind"],
             arch=arch,
-            schedule=make_schedule(sched["steps"], sched["beta_min"], sched["beta_max"]),
+            schedule=make_schedule(_field(sched, "steps", "int"), _field(sched, "beta_min", "float"),
+                                   _field(sched, "beta_max", "float")),
             stats=_from_fields(NormalizationStats, manifest["stats"]),
             layout=ConditionLayout(mean=np.array(layout["mean"]), std=np.array(layout["std"])),
-            p_uncond=manifest["p_uncond"],
-            guidance_w=manifest["guidance_w"],
+            p_uncond=_field(manifest, "p_uncond", "float"),
+            guidance_w=_field(manifest, "guidance_w", "float"),
         )
         if manifest["lora"]:
             model.lora_attach(manifest["lora"]["rank"], manifest["lora"]["alpha"])

@@ -181,9 +181,8 @@ class _Geometry:
         self.arrays = oracle.arrays
         self.neighbors = oracle.neighbors
         self.capacity = oracle.arrays.capacity_mbps
-        self.nearest = oracle.nearest_cell
         self.users_scale = np.maximum(
-            np.bincount(self.nearest, weights=oracle.grid_weight, minlength=self.n_cells), 1.0
+            np.bincount(oracle.nearest_cell, weights=oracle.grid_weight, minlength=self.n_cells), 1.0
         )
         self.step_hours = oracle.config.traffic_step_hours
         self.steps_per_day = 24 // self.step_hours
@@ -209,7 +208,7 @@ class _Geometry:
         return Observation(
             load_frac=load,
             pred_load_frac=pred,
-            pred_users_norm=np.bincount(self.nearest, weights=users, minlength=self.n_cells)
+            pred_users_norm=np.bincount(self.oracle.nearest_cell, weights=users, minlength=self.n_cells)
             / self.users_scale,
             neighbor_pred_load=np.array([pred[list(nbs)].mean() for nbs in self.neighbors]),
             hour_sin=float(np.sin(angle)),

@@ -257,12 +257,17 @@ class ParamStore:
     @classmethod
     def load(cls, path: str) -> tuple["ParamStore", dict]:
         header, arrays = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
+        trainable, manifest = header["trainable"], header["manifest"]
+        if not (isinstance(trainable, dict) and all(type(v) is bool for v in trainable.values())):
+            raise FormatError(f"checkpoint {path} field 'trainable' must be an object of booleans")
+        if not isinstance(manifest, dict):
+            raise FormatError(f"checkpoint {path} field 'manifest' must be an object")
         store = cls()
         for key, value in arrays.items():
             if key.startswith("param::"):
                 name = key.removeprefix("param::")
-                store.add(name, value, trainable=header["trainable"].get(name, True))
-        return store, header["manifest"]
+                store.add(name, value, trainable=trainable.get(name, True))
+        return store, manifest
 
 
 # -- artifact files: one npz of named arrays plus a versioned JSON header stored as uint8 ----

@@ -252,11 +252,9 @@ def associate_users(
 class Oracle:
     """Immutable query interface over one scenario; safe for concurrent reads.
 
-    The scenario tables are read-only arrays, cells and grids in config order:
-    `grid_positions` and `cell_positions` (km), `grid_cell_km` (grid centre to
-    cell distance), `nearest_cell` per grid (ties to the lowest index),
-    `grid_weight` (poi_weight * base_users) and `neighbors`, each cell's
-    neighbours as cell indices. `grid_edge_km` is the lattice pitch.
+    Tables in config order: `grid_positions`, `cell_positions`, `grid_cell_km`, `nearest_cell`
+    (ties to the lowest index), `grid_weight` (poi_weight * base_users) and `neighbors` (cell
+    indices); `grid_edge_km` is the lattice pitch.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -276,9 +274,6 @@ class Oracle:
         self.grid_cell_km = np.linalg.norm(offsets, axis=2)
         self.nearest_cell = np.argmin(self.grid_cell_km, axis=1)
         self.grid_weight = np.array([g.poi_weight * g.base_users for g in config.grids], dtype=float)
-        for table in (self.grid_positions, self.cell_positions, self.grid_cell_km, self.nearest_cell,
-                      self.grid_weight):
-            table.flags.writeable = False
         # Counterfactual rescale of the deterministic demand, per profile.
         self._peak_scale = {}
         steps = range(0, 24, config.traffic_step_hours)
@@ -310,8 +305,7 @@ class Oracle:
         """(cell, traffic-step start, unclipped noise-free demand fraction) at t."""
         cell = self.cell(cell_id)
         self._check_t(t_hours)
-        step = self.config.traffic_step_hours
-        tq = (t_hours // step) * step
+        tq = t_hours - t_hours % self.config.traffic_step_hours
         raw = self.config.traffic_base + self.config.traffic_amp * diurnal(
             cell.poi_profile, tq % 24
         )
@@ -336,8 +330,7 @@ class Oracle:
         if not 0 <= grid_index < self.n_grids:
             raise UnknownIdError(f"grid index {grid_index} out of range")
         self._check_t(t_hours)
-        step = self.config.user_step_hours
-        tq = (t_hours // step) * step
+        tq = t_hours - t_hours % self.config.user_step_hours
         profile = self.cells[self.nearest_cell[grid_index]].poi_profile
         return float(self.grid_weight[grid_index] * (0.2 + 0.8 * diurnal(profile, tq % 24)))
 
@@ -345,8 +338,7 @@ class Oracle:
         rate = self.user_rate(grid_index, t_hours)
         if rate == 0.0:
             return 0
-        step = self.config.user_step_hours
-        tq = (t_hours // step) * step
+        tq = t_hours - t_hours % self.config.user_step_hours
         return int(self._rng(_S_USERS, grid_index, tq).poisson(rate))
 
     # -- day reads -----------------------------------------------------------
@@ -369,27 +361,19 @@ class Oracle:
     # -- composite step ------------------------------------------------------
 
     def users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Seeded users (grid ids, positions) and per-(user, cell) shadowing at t."""
-        step = self.config.user_step_hours
-        tq = (t_hours // step) * step
+        """Seeded user counts per grid, then each user's grid, position and per-cell shadowing at t."""
+        tq = t_hours - t_hours % self.config.user_step_hours
         counts = np.array([self.users_at(g, t_hours) for g in range(self.n_grids)])
-        grid_ids, positions, shadows = [], [], []
-        half = self.grid_edge_km / 2.0
-        for g, count in enumerate(counts):
-            if count == 0:
-                continue
-            jitter = self._rng(_S_POS, g, tq).uniform(-half, half, size=(count, 2))
-            positions.append(self.grid_positions[g][None, :] + jitter)
-            grid_ids.append(np.full(count, g, dtype=np.int64))
-            sigma = self.config.shadowing_sigma_db
+        half, sigma = self.grid_edge_km / 2.0, self.config.shadowing_sigma_db
+        jitter, shadows = [np.zeros((0, 2))], [np.zeros((0, self.n_cells))]
+        for g in np.flatnonzero(counts).tolist():
+            jitter.append(self._rng(_S_POS, g, tq).uniform(-half, half, size=(counts[g], 2)))
             if sigma > 0:
-                shadows.append(self._rng(_S_SHADOW, g, tq).normal(0.0, sigma, size=(count, self.n_cells)))
-            else:
-                shadows.append(np.zeros((count, self.n_cells)))
-        if not grid_ids:
-            empty = np.zeros((0, self.n_cells))
-            return counts, np.zeros(0, dtype=np.int64), np.zeros((0, 2)), empty
-        return counts, np.concatenate(grid_ids), np.vstack(positions), np.vstack(shadows)
+                shadows.append(self._rng(_S_SHADOW, g, tq).normal(0.0, sigma, size=(counts[g], self.n_cells)))
+        grid_ids = np.repeat(np.arange(self.n_grids, dtype=np.int64), counts)
+        positions = np.repeat(self.grid_positions, counts, axis=0) + np.concatenate(jitter)
+        shadowing = np.concatenate(shadows) if sigma > 0 else np.zeros((len(grid_ids), self.n_cells))
+        return counts, grid_ids, positions, shadowing
 
     def rsrp_matrix(self, positions: np.ndarray, shadowing: np.ndarray) -> np.ndarray:
         """Per-(user, cell) RSRP in dBm, vectorized free-space + shadowing."""

@@ -110,6 +110,14 @@ class TestParseConfig:
         ('{"scenario": {"preset": "hex7", "grid_dim": "x"}}', "scenario.grid_dim"),
         ('{"scenario": {"preset": "hex7", "horizon_hours": true}}', "scenario.horizon_hours"),
         ('{"scenario": {"preset": "hex7", "shadowing_sigma_db": "4"}}', "scenario.shadowing_sigma_db"),
+        ('{"scenario": {"preset": "hex7", "seed": -1}}', "scenario.seed"),
+        ('{"seeds": [0, -1]}', "seeds"),
+        ('{"worldmodel": {"seed": -1}}', "worldmodel.seed"),
+        ('{"agent": {"seed": -1}}', "agent.seed"),
+        ('{"agent": {"env": {"sample_seed": -1}}}', "agent.env.sample_seed"),
+        ('{"counterfactual": {"adapt_seed": -1}}', "counterfactual.adapt_seed"),
+        ('{"worldmodel": {"batch_size": 0}}', "worldmodel.batch_size"),
+        ('{"worldmodel": {"diffusion_steps": 0}}', "worldmodel.diffusion_steps"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
@@ -214,6 +222,17 @@ class TestCliCommands:
         assert err.startswith("error:") and "--days" in err
         assert not out.exists()
 
+    def test_collect_without_users_is_one_error_line(self, tmp_path):
+        cfg = write_config(tmp_path, scenario={"preset": "hex7", "seed": 0, "grid_dim": 2,
+                                               "horizon_hours": 96, "base_users": 0})
+        proc = subprocess.run(
+            [sys.executable, "-m", "celltwin.cli", "collect", "--config", cfg],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: rsrp collection") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out" / "datasets").exists()
+
     def test_unknown_flag_exits_two(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = subprocess.run(
@@ -289,6 +308,17 @@ BAD_ARTIFACTS = {
                          "tensor 'null_embed' has shape (3,), expected (2,)"),
     "policy_holds_head": ("models/policy.npz", lambda p: shutil.copy(p.parent / "traffic.npz", p),
                           "has no field 'n_cells'"),
+    "expert_hidden_not_array": ("models/traffic.npz",
+                                lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(expert_hidden=5)),
+                                "field 'expert_hidden' must be an array of integers"),
+    "schedule_steps_string": ("models/users.npz",
+                              lambda p: _edit_npz(p, header=lambda h: h["manifest"]["schedule"].update(steps="x")),
+                              "field 'steps' must be an integer"),
+    "series_len_string": ("models/rsrp.npz",
+                          lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(series_len="3")),
+                          "field 'series_len' must be an integer"),
+    "trainable_not_object": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h.update(trainable=[1])),
+                             "field 'trainable' must be an object of booleans"),
 }
 
 
