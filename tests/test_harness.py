@@ -13,6 +13,7 @@ from celltwin.harness import (
     WorldModelBundle,
     WorldModelEnv,
     WorldModelEnvConfig,
+    _conditions_rsrp_table,
     episode_row,
     evaluate_policy,
     oracle_traffic_draws,
@@ -107,6 +108,26 @@ class TestWorldModelEnv:
         assert result.environment == "worldmodel"
         assert len(traj.rewards) == env.steps_per_episode
         assert np.isfinite(traj.rewards).all()
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_rsrp_table_matches_per_link_loop(self, oracle, draws):
+        # Reference: one row per (grid, cell, draw), every field written at its position.
+        rng = np.random.default_rng(7)
+        edge = oracle.grid_edge_km
+        angle = 2.0 * np.pi * 12 / 24.0
+        rows = []
+        for grid in oracle.config.grids:
+            for cell in oracle.cells:
+                for _ in range(draws):
+                    pos = np.array(grid.position)
+                    if draws > 1:
+                        pos = pos + rng.uniform(-edge / 2, edge / 2, size=2)
+                    dist = float(np.linalg.norm(pos - np.array(cell.position)))
+                    rows.append([0.0, 0.0, 0.0, 0.0, np.sin(angle), np.cos(angle), 0.5, 0.0, 0.0,
+                                 cell.tx_power_dbm, cell.carrier_freq_mhz, dist, 0.3])
+        layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.full(COND_DIM, 1e4))  # no clipping
+        table = _conditions_rsrp_table(oracle, layout, draws, np.random.default_rng(7))
+        assert np.array_equal(table, layout.normalize(np.array(rows)))
 
 
 class TestRunTraining:
