@@ -10,8 +10,9 @@ compares the sha256 of every dataset and checkpoint npz file,
 ``wm_losses.csv``, ``learning_curve.csv``, each ``evaluation.csv``,
 ``generation.csv``, a two-day ``traffic.csv``, ``counterfactual.csv`` and
 ``counterfactual_wm.csv``, the retrained run's ``counterfactual.csv`` (with its
-``agent_retrained`` rows), plus the config hash of ``{}``, against
-``tests/golden.json``. Float results depend on the numpy build and its BLAS,
+``agent_retrained`` rows), plus the config hash of ``{}``, of each pipeline
+config and of one config that reads a full scenario file, gives an integer for
+a float key and a null for a defaulted key, against ``tests/golden.json``. Float results depend on the numpy build and its BLAS,
 so the file records both and a mismatch names the recorded and the running
 environment.
 
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 
 from celltwin.cli import main, parse_config
+from celltwin.scenario import make_hex_scenario, scenario_to_dict
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -59,6 +61,23 @@ COUNTERFACTUAL = {**CONFIG, "counterfactual": {"fractions": [0.6], "lora_rank": 
 # The same, plus an agent retrained for one update in each counterfactual twin.
 RETRAIN = {**COUNTERFACTUAL, "counterfactual": {**COUNTERFACTUAL["counterfactual"],
                                                 "retrain_agent": True, "retrain_updates": 1}}
+
+# A full scenario file (one float key given as an integer) and a config that reads it,
+# with an integer for a float key and a null that stands for the default.
+SCENARIO_FILE = {**scenario_to_dict(make_hex_scenario(seed=5, grid_dim=3, horizon_hours=96)),
+                 "traffic_noise_sigma": 0}
+FULL_SCENARIO = {"scenario": "scenario.json", "seeds": [3],
+                 "worldmodel": {"lr": 1, "guidance_w": None}}
+
+# Configs hashed as written (default out_dir): {digest key: config}
+HASHED = {
+    "config_hash {}": {},
+    "config_hash config": CONFIG,
+    "config_hash long_term": LONG_TERM,
+    "config_hash counterfactual": COUNTERFACTUAL,
+    "config_hash retrain_agent": RETRAIN,
+    "config_hash full scenario file": FULL_SCENARIO,
+}
 
 KINDS = ("traffic", "users", "rsrp")
 
@@ -95,10 +114,18 @@ def run_pipeline(root: Path) -> dict[str, str]:
             raise RuntimeError(f"celltwin {' '.join(command)} failed")
         for key, output in outputs.items():
             digests[key] = hashlib.sha256((root / "out" / output).read_bytes()).hexdigest()
-    empty = root / "empty.json"
-    empty.write_text("{}")
-    digests["config_hash {}"] = parse_config(str(empty)).config_hash
-    return digests
+    return {**digests, **config_hashes(root)}
+
+
+def config_hashes(root: Path) -> dict[str, str]:
+    """The config hash of each config in ``HASHED``, keyed as in ``golden.json``."""
+    (root / "scenario.json").write_text(json.dumps(SCENARIO_FILE))
+    hashes = {}
+    for key, config in HASHED.items():
+        path = root / "hashed.json"
+        path.write_text(json.dumps(config))
+        hashes[key] = parse_config(str(path)).config_hash
+    return hashes
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +138,7 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("key", [key for _, _, outputs in STAGES for key in outputs] + ["config_hash {}"])
+@pytest.mark.parametrize("key", [key for _, _, outputs in STAGES for key in outputs] + list(HASHED))
 def test_digest_matches_golden(digests, golden, key):
     assert digests[key] == golden["digests"][key], (
         f"{key} changed: golden.json was recorded with {golden['environment']}, "
