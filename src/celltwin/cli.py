@@ -353,7 +353,7 @@ def cmd_counterfactual(run: RunConfig, args) -> int:
     policy = Policy.load(str(run.policy_path))
     rows, wm_rows = counterfactual_suite(
         run.scenario, bundle, policy, run.seeds, run.reward,
-        run.counterfactual, run.evaluation, run.agent,
+        run.counterfactual, run.evaluation, run.agent, run.env,
     )
     run.reports_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(rows, str(run.reports_dir / "counterfactual.csv"))

@@ -901,6 +901,7 @@ def counterfactual_suite(
     cfg: CounterfactualConfig = CounterfactualConfig(),
     eval_cfg: EvalConfig = EvalConfig(),
     agent_cfg: AgentTrainConfig = AgentTrainConfig(),
+    env_cfg: WorldModelEnvConfig = WorldModelEnvConfig(),
 ) -> tuple[list[dict], list[dict]]:
     """Re-run every scheme under scaled-peak scenarios with an adapted twin.
 
@@ -935,7 +936,7 @@ def counterfactual_suite(
         if cfg.retrain_agent:
             retrained, _ = run_training(
                 bundle_cf, oracle_cf, weights,
-                config=replace(agent_cfg, updates=cfg.retrain_updates),
+                config=replace(agent_cfg, updates=cfg.retrain_updates), env_config=env_cfg,
             )
             extra = evaluate_policy(
                 scen_cf, ("agent",), seeds, weights, bundle=bundle_cf, policy=retrained, cfg=eval_cfg,

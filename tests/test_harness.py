@@ -3,9 +3,11 @@ import pytest
 
 from celltwin.agent import Action, Policy, Observation, RewardWeights
 from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset
+from celltwin import harness
 from celltwin.errors import ConfigError, EnvelopeError
 from celltwin.harness import (
     AgentTrainConfig,
+    CounterfactualConfig,
     EvalConfig,
     EpisodeResult,
     OracleEnv,
@@ -14,6 +16,7 @@ from celltwin.harness import (
     WorldModelEnv,
     WorldModelEnvConfig,
     _conditions_rsrp_table,
+    counterfactual_suite,
     episode_row,
     evaluate_policy,
     oracle_traffic_draws,
@@ -306,6 +309,20 @@ class TestCounterfactualBehavior:
             return total
 
         assert sleep_count(0.8) <= sleep_count(0.5)
+
+    def test_retrain_uses_the_runs_env_config(self, scenario, monkeypatch):
+        """The agent retrained in a counterfactual twin samples that twin as the run configures."""
+        calls = []
+        monkeypatch.setattr(harness, "adapt_traffic_model", lambda base, oracle_cf, cfg: base)
+        monkeypatch.setattr(harness, "traffic_generation_metrics",
+                            lambda *args: {"mae": 0.0, "mae_frac_of_range": 0.0})
+        monkeypatch.setattr(harness, "evaluate_policy", lambda *args, **kwargs: [])
+        monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: calls.append(kwargs) or (None, []))
+        env = WorldModelEnvConfig(day_pool=2, rsrp_pool=1, rsrp_draws=2)
+        cfg = CounterfactualConfig(fractions=(0.6,), retrain_agent=True, retrain_updates=1)
+        counterfactual_suite(scenario, WorldModelBundle(None, None, None), None, (0,), WEIGHTS, cfg,
+                             EvalConfig(), AgentTrainConfig(), env)
+        assert [(c["config"].updates, c["env_config"]) for c in calls] == [(1, env)]
 
 
 class TestReportIO:
