@@ -10,11 +10,11 @@ finite-difference oracle. The environment interface is agent-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, TrainingError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, TrainingError, read_json
 from .nn import MLP, ParamStore, softmax
 
 DEFAULT_BIAS_LEVELS = (0.0, 3.0, 6.0)
@@ -138,6 +138,17 @@ class Trajectory:
         return float(self.rewards.sum())
 
 
+@dataclass(frozen=True)
+class PolicyManifest:
+    """What a policy checkpoint records to rebuild its policy."""
+
+    n_cells: int
+    obs_dim: int
+    hidden: tuple[int, ...]
+    bias_levels: tuple[float, ...]
+    baseline: float | None = None
+
+
 class Policy:
     """Factorized categorical policy over per-cell sleep/bias choices."""
 
@@ -225,25 +236,17 @@ class Policy:
     # -- persistence --------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        self.store.save(path, manifest={
-            "n_cells": self.n_cells,
-            "obs_dim": self.obs_dim,
-            "hidden": list(self.hidden),
-            "bias_levels": list(self.bias_levels),
-            "baseline": self._baseline,
-        })
+        self.store.save(path, manifest=asdict(PolicyManifest(
+            self.n_cells, self.obs_dim, self.hidden, self.bias_levels, self._baseline)))
 
     @classmethod
     def load(cls, path: str) -> "Policy":
         store, manifest = ParamStore.load(path)
-        policy = cls(
-            n_cells=manifest["n_cells"],
-            obs_dim=manifest["obs_dim"],
-            hidden=tuple(manifest["hidden"]),
-            bias_levels=tuple(manifest["bias_levels"]),
-        )
+        m = read_json(PolicyManifest, manifest, FormatError, lambda key: f"checkpoint {path} field {key!r}",
+                      "manifest")
+        policy = cls(n_cells=m.n_cells, obs_dim=m.obs_dim, hidden=m.hidden, bias_levels=m.bias_levels)
         policy.store.assign(store, f"policy checkpoint {path}")
-        policy._baseline = manifest["baseline"]
+        policy._baseline = m.baseline
         return policy
 
 

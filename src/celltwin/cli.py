@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate, collect, train, optimize, evaluate, report.
 
-Configuration is one strict JSON document; unknown keys fail loudly, defaults
-are filled explicitly, and the canonical content hash of the effective config
-is stamped into every artifact manifest so any result can be traced back to
-exactly one (config, seeds) pair. Stages communicate only through files under
+Configuration is one strict JSON document read into a typed RunConfig; unknown
+keys fail loudly, absent or null keys take their defaults, and the canonical
+content hash of the typed config's JSON form is stamped into every artifact
+manifest so any result can be traced back to exactly one (config, seeds) pair. Stages communicate only through files under
 the output directory.
 """
 
@@ -15,7 +15,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .agent import Policy, RewardWeights
 from .dataset import collect_dataset, read_dataset, write_dataset
-from .errors import CelltwinError, ConfigError, DomainError
+from .errors import CelltwinError, ConfigError, DomainError, read_json
 from .harness import (
     SCHEMES,
     AgentTrainConfig,
@@ -31,7 +32,6 @@ from .harness import (
     EvalConfig,
     WMTrainConfig,
     WorldModelBundle,
-    WorldModelEnvConfig,
     counterfactual_suite,
     episode_row,
     evaluate_policy,
@@ -41,43 +41,78 @@ from .harness import (
     write_manifest,
     write_rows_csv,
 )
-from .scenario import (PRESET_DEFAULTS, ScenarioConfig, build_scenario, load_scenario, scenario_from_dict,
-                       scenario_to_dict)
+from .scenario import (ScenarioConfig, build_scenario, load_scenario, make_hex_scenario, scenario_from_dict,
+                       validate_scenario)
 
 OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 
 
-def _section_defaults(cls, **extra) -> dict:
-    """JSON form of a config dataclass's default instance: tuples become arrays."""
-    defaults = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cls()).items()}
-    return {**defaults, **extra}
+@dataclass(frozen=True)
+class DatasetConfig:
+    n_days: int = 16
+    kinds: tuple[str, ...] = ("traffic", "users", "rsrp")
+    split: tuple[float, ...] = (0.8, 0.1, 0.1)
 
 
-def _build_section(cls, section: dict):
-    """Typed config from an effective JSON section; arrays become tuples, other keys are skipped."""
-    values = {f.name: section[f.name] for f in fields(cls)}
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+def _config_key(key: str) -> str:
+    return f"config key {key}"
 
 
-# Keys no config dataclass owns; every other section's defaults come from its dataclass.
-DEFAULTS: dict = {
-    "scenario": {"preset": "hex7", "seed": 0},
-    "out_dir": "out",
-    "seeds": [0, 1, 2, 3, 4],
-    "jobs": 1,
-    "dataset": {
-        "n_days": 16,
-        "kinds": ["traffic", "users", "rsrp"],
-        "split": [0.8, 0.1, 0.1],
-    },
-    "worldmodel": _section_defaults(WMTrainConfig),
-    "agent": _section_defaults(AgentTrainConfig, env=_section_defaults(WorldModelEnvConfig)),
-    "reward": _section_defaults(RewardWeights),
-    "evaluation": _section_defaults(
-        EvalConfig, schemes=["agent", "empirical", "custom", "greedy"], n_gen_samples=48,
-    ),
-    "counterfactual": _section_defaults(CounterfactualConfig),
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """One run config, typed section by section. Its JSON form, with the scenario resolved
+    to the full form, is what ``config_hash`` covers."""
+
+    scenario: ScenarioConfig = field(default_factory=make_hex_scenario)
+    out_dir: str = "out"
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    jobs: int = 1
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    worldmodel: WMTrainConfig = field(default_factory=WMTrainConfig)
+    agent: AgentTrainConfig = field(default_factory=AgentTrainConfig)
+    reward: RewardWeights = field(default_factory=RewardWeights)
+    evaluation: EvalConfig = field(default_factory=EvalConfig)
+    counterfactual: CounterfactualConfig = field(default_factory=CounterfactualConfig)
+
+    @cached_property
+    def config_hash(self) -> str:
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    # -- artifact layout -------------------------------------------------------
+
+    @property
+    def out_path(self) -> Path:
+        out_root = os.environ.get(OUT_ROOT_ENV, "")
+        return Path(out_root) / self.out_dir if out_root else Path(self.out_dir)
+
+    def dataset_path(self, kind: str) -> Path:
+        return self.out_path / "datasets" / f"{kind}.npz"
+
+    def model_path(self, kind: str) -> Path:
+        return self.out_path / "models" / f"{kind}.npz"
+
+    def model_paths(self) -> dict[str, str]:
+        return {k: str(self.model_path(k)) for k in ("traffic", "users", "rsrp")}
+
+    @property
+    def policy_path(self) -> Path:
+        return self.out_path / "models" / "policy.npz"
+
+    @property
+    def reports_dir(self) -> Path:
+        return self.out_path / "reports"
+
+    def manifest(self, command: str, extra: dict | None = None) -> dict:
+        base = {
+            "command": command,
+            "config_hash": self.config_hash,
+            "seeds": list(self.seeds),
+            "versions": {"celltwin": __version__, "numpy": np.__version__},
+        }
+        if extra:
+            base.update(extra)
+        return base
 
 
 # Value checks the types cannot express: (dotted key, test, what the value must be).
@@ -94,93 +129,9 @@ _VALUE_CHECKS = (
         "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
 )
 
-# bool before int: a JSON true is a Python int too.
-_KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"), (str, "a string"), (list, "an array"))
-
-
-def _kind(value) -> str | None:
-    return next((name for t, name in _KINDS if isinstance(value, t)), None)
-
-
-def _check_type(default, given, path: str) -> None:
-    """Reject a JSON value whose type differs from the default's; an integer passes as a number."""
-    want, got = _kind(default), _kind(given)
-    if want is not None and got != want and (want, got) != ("a number", "an integer"):
-        raise ConfigError(f"config key {path} must be {want}")
-
-
-def _merge_strict(defaults, given, path: str):
-    """Fill defaults, rejecting unknown keys and values (array elements too) of the wrong type."""
-    if isinstance(defaults, dict):
-        if not isinstance(given, dict):
-            raise ConfigError(f"config key {path or '<root>'} must be an object")
-        unknown = set(given) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config key {path + '.' if path else ''}{sorted(unknown)[0]}")
-        return {
-            key: _merge_strict(default, given[key], f"{path}.{key}" if path else key)
-            if key in given else default
-            for key, default in defaults.items()
-        }
-    if given is None:
-        return defaults
-    _check_type(defaults, given, path)
-    if isinstance(defaults, list) and defaults:
-        for k, item in enumerate(given):
-            _check_type(defaults[0], item, f"{path}[{k}]")
-    return given
-
-
-@dataclass
-class RunConfig:
-    effective: dict
-    scenario: ScenarioConfig
-    config_hash: str
-    out_dir: Path
-    worldmodel: WMTrainConfig
-    agent: AgentTrainConfig
-    env: WorldModelEnvConfig
-    reward: RewardWeights
-    evaluation: EvalConfig
-    counterfactual: CounterfactualConfig
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in self.effective["seeds"])
-
-    # -- artifact layout -------------------------------------------------------
-
-    def dataset_path(self, kind: str) -> Path:
-        return self.out_dir / "datasets" / f"{kind}.npz"
-
-    def model_path(self, kind: str) -> Path:
-        return self.out_dir / "models" / f"{kind}.npz"
-
-    def model_paths(self) -> dict[str, str]:
-        return {k: str(self.model_path(k)) for k in ("traffic", "users", "rsrp")}
-
-    @property
-    def policy_path(self) -> Path:
-        return self.out_dir / "models" / "policy.npz"
-
-    @property
-    def reports_dir(self) -> Path:
-        return self.out_dir / "reports"
-
-    def manifest(self, command: str, extra: dict | None = None) -> dict:
-        base = {
-            "command": command,
-            "config_hash": self.config_hash,
-            "seeds": list(self.seeds),
-            "versions": {"celltwin": __version__, "numpy": np.__version__},
-        }
-        if extra:
-            base.update(extra)
-        return base
-
 
 def parse_config(path: str) -> RunConfig:
-    """Load one strict config file and resolve it to its effective form."""
+    """Load one strict config file as a typed RunConfig."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             given = json.load(fh)
@@ -190,49 +141,32 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(given, dict):
         raise ConfigError("config root must be a JSON object")
-    scenario_field = given.get("scenario", DEFAULTS["scenario"])
-    if isinstance(scenario_field, str):
-        scenario_path = Path(scenario_field)
+    scenario = given.pop("scenario", None)
+    run = read_json(RunConfig, given, ConfigError, _config_key)
+    if isinstance(scenario, str):
+        scenario_path = Path(scenario)
         if not scenario_path.is_absolute():
             scenario_path = Path(path).parent / scenario_path
-        scenario = load_scenario(str(scenario_path))
-    else:
-        if isinstance(scenario_field, dict) and "preset" in scenario_field:
-            _merge_strict(PRESET_DEFAULTS, scenario_field, "scenario")  # key types only
-        scenario = scenario_from_dict(scenario_field)
-    body = {k: v for k, v in given.items() if k != "scenario"}
-    effective = _merge_strict({k: v for k, v in DEFAULTS.items() if k != "scenario"}, body, "")
-    # Inline the fully resolved scenario so the hash covers its content.
-    effective = {"scenario": scenario_to_dict(scenario), **effective}
+        run = replace(run, scenario=load_scenario(str(scenario_path)))
+    elif scenario is not None:
+        run = replace(run, scenario=scenario_from_dict(scenario, _config_key, "scenario"))
+    validate_scenario(run.scenario)
     for key, valid, want in _VALUE_CHECKS:
-        value = effective
+        value = run
         for part in key.split("."):
-            value = value[part]
+            value = getattr(value, part)
         if not valid(value):
             raise ConfigError(f"config key {key} must be {want}")
     # Adapters go on every expert layer of the traffic head. The smallest layer dim
     # is a hidden width or the series length; the input dim exceeds three series lengths.
-    rank = effective["counterfactual"]["lora_rank"]
-    max_rank = min([*effective["worldmodel"]["expert_hidden"], 24 // scenario.traffic_step_hours])
-    if not 1 <= rank <= max_rank:
+    max_rank = min([*run.worldmodel.expert_hidden, 24 // run.scenario.traffic_step_hours])
+    if not 1 <= run.counterfactual.lora_rank <= max_rank:
         raise ConfigError(f"config key counterfactual.lora_rank must be in [1, {max_rank}]")
     # The custom baseline, which counterfactual always runs, reads the day before.
-    last_day = scenario.horizon_hours // 24 - 1
-    if not 1 <= effective["evaluation"]["day"] <= last_day:
+    last_day = run.scenario.horizon_hours // 24 - 1
+    if not 1 <= run.evaluation.day <= last_day:
         raise ConfigError(f"config key evaluation.day must be in [1, {last_day}]")
-    canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    out_root = os.environ.get(OUT_ROOT_ENV, "")
-    out_dir = Path(out_root) / effective["out_dir"] if out_root else Path(effective["out_dir"])
-    return RunConfig(
-        effective=effective, scenario=scenario, config_hash=digest, out_dir=out_dir,
-        worldmodel=_build_section(WMTrainConfig, effective["worldmodel"]),
-        agent=_build_section(AgentTrainConfig, effective["agent"]),
-        env=_build_section(WorldModelEnvConfig, effective["agent"]["env"]),
-        reward=_build_section(RewardWeights, effective["reward"]),  # runs the weight range checks
-        evaluation=_build_section(EvalConfig, effective["evaluation"]),
-        counterfactual=_build_section(CounterfactualConfig, effective["counterfactual"]),
-    )
+    return run
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -245,7 +179,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
                           f"scenario horizon, got {args.days}")
     oracle = build_scenario(run.scenario)
     step = run.scenario.traffic_step_hours
-    out = Path(args.out) if args.out else run.out_dir / "traffic.csv"
+    out = Path(args.out) if args.out else run.out_path / "traffic.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
         {"cell_id": cell.id, "t_hours": day * 24 + k * step, "load_mbps": load}
@@ -260,16 +194,14 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 def cmd_collect(run: RunConfig, args) -> int:
     oracle = build_scenario(run.scenario)
-    ds_cfg = run.effective["dataset"]
     datasets = collect_dataset(
-        oracle, n_days=ds_cfg["n_days"], kinds=tuple(ds_cfg["kinds"]),
-        split_fractions=tuple(ds_cfg["split"]),
+        oracle, n_days=run.dataset.n_days, kinds=run.dataset.kinds, split_fractions=run.dataset.split,
     )
-    (run.out_dir / "datasets").mkdir(parents=True, exist_ok=True)
+    (run.out_path / "datasets").mkdir(parents=True, exist_ok=True)
     for kind, sample_set in datasets.items():
         write_dataset(sample_set, str(run.dataset_path(kind)))
         print(f"{kind}: {len(sample_set)} samples -> {run.dataset_path(kind)}")
-    write_manifest(run.manifest("collect"), str(run.out_dir / "datasets" / "manifest.json"))
+    write_manifest(run.manifest("collect"), str(run.out_path / "datasets" / "manifest.json"))
     return 0
 
 
@@ -279,15 +211,15 @@ def cmd_train_wm(run: RunConfig, args) -> int:
         for kind in ("traffic", "users", "rsrp")
     }
     bundle, curves = WorldModelBundle.train_from_datasets(datasets, run.worldmodel)
-    (run.out_dir / "models").mkdir(parents=True, exist_ok=True)
+    (run.out_path / "models").mkdir(parents=True, exist_ok=True)
     bundle.save(run.model_paths())
     rows = [
         {"kind": kind, "step": i, "loss": loss}
         for kind, losses in curves.items()
         for i, loss in enumerate(losses)
     ]
-    write_rows_csv(rows, str(run.out_dir / "models" / "wm_losses.csv"), ("kind", "step", "loss"))
-    write_manifest(run.manifest("train-wm"), str(run.out_dir / "models" / "manifest.json"))
+    write_rows_csv(rows, str(run.out_path / "models" / "wm_losses.csv"), ("kind", "step", "loss"))
+    write_manifest(run.manifest("train-wm"), str(run.out_path / "models" / "manifest.json"))
     for kind, losses in curves.items():
         print(f"{kind}: final loss {np.mean(losses[-50:]):.4f} -> {run.model_path(kind)}")
     return 0
@@ -295,7 +227,7 @@ def cmd_train_wm(run: RunConfig, args) -> int:
 
 def cmd_eval_gen(run: RunConfig, args) -> int:
     bundle = WorldModelBundle.load(run.model_paths())
-    metrics = generation_metrics(bundle, run.scenario, run.effective["evaluation"]["n_gen_samples"])
+    metrics = generation_metrics(bundle, run.scenario, run.evaluation.n_gen_samples)
     run.reports_dir.mkdir(parents=True, exist_ok=True)
     columns = tuple(["metric", "value"])
     rows = [{"metric": k, "value": v} for k, v in sorted(metrics.items())]
@@ -309,12 +241,12 @@ def cmd_eval_gen(run: RunConfig, args) -> int:
 def cmd_optimize(run: RunConfig, args) -> int:
     bundle = WorldModelBundle.load(run.model_paths())
     oracle = build_scenario(run.scenario)
-    policy, curve = run_training(bundle, oracle, run.reward, run.agent, run.env)
+    policy, curve = run_training(bundle, oracle, run.reward, run.agent)
     run.policy_path.parent.mkdir(parents=True, exist_ok=True)
     policy.save(str(run.policy_path))
     rows = [{"update": i, "mean_return": r} for i, r in enumerate(curve)]
-    write_rows_csv(rows, str(run.out_dir / "models" / "learning_curve.csv"), ("update", "mean_return"))
-    write_manifest(run.manifest("optimize"), str(run.out_dir / "models" / "policy_manifest.json"))
+    write_rows_csv(rows, str(run.out_path / "models" / "learning_curve.csv"), ("update", "mean_return"))
+    write_manifest(run.manifest("optimize"), str(run.out_path / "models" / "policy_manifest.json"))
     print(f"trained policy over {len(curve)} updates; "
           f"return {curve[0]:+.3f} -> {np.mean(curve[-max(1, len(curve) // 10):]):+.3f}")
     return 0
@@ -327,14 +259,14 @@ def _evaluate_one_seed(payload) -> list[dict]:
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
-    schemes = tuple(run.effective["evaluation"]["schemes"])
+    schemes = run.evaluation.schemes
     bundle = WorldModelBundle.load(run.model_paths()) if "agent" in schemes else None
     policy = Policy.load(str(run.policy_path)) if "agent" in schemes else None
     payloads = [
         (run.scenario, schemes, seed, run.reward, bundle, policy, run.evaluation)
         for seed in run.seeds
     ]
-    jobs = args.jobs if args.jobs is not None else run.effective["jobs"]
+    jobs = args.jobs if args.jobs is not None else run.jobs
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_evaluate_one_seed, payloads))
@@ -353,7 +285,7 @@ def cmd_counterfactual(run: RunConfig, args) -> int:
     policy = Policy.load(str(run.policy_path))
     rows, wm_rows = counterfactual_suite(
         run.scenario, bundle, policy, run.seeds, run.reward,
-        run.counterfactual, run.evaluation, run.agent, run.env,
+        run.counterfactual, run.evaluation, run.agent,
     )
     run.reports_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(rows, str(run.reports_dir / "counterfactual.csv"))
@@ -440,7 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = parse_config(args.config)
-        run.out_dir.mkdir(parents=True, exist_ok=True)
+        run.out_path.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](run, args)
     except (CelltwinError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,12 +32,12 @@ learnable key-prompt pairs appended to the denoiser input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
-from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError
+from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError, read_json
 from .nn import MLP, ParamStore, add_grad, softmax, softmax_backward
 
 _TIME_FEATURES = 8
@@ -146,29 +146,6 @@ def _mix(gate: np.ndarray, expert_out: np.ndarray) -> np.ndarray:
     return (gate.T[:, :, None] * expert_out).sum(axis=0)
 
 
-# The JSON type a manifest field must have, by its annotation: (test, what the value must be).
-_JSON_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
-    "tuple[int, ...]": (lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v),
-                        "an array of integers"),
-    "MemoryConfig | None": (lambda v: v is None or isinstance(v, dict), "an object or null"),
-}
-
-
-def _field(values: dict, name: str, annotation: str):
-    """``values[name]`` of a manifest section; a value of the wrong JSON type is a FormatError."""
-    test, want = _JSON_TYPES[annotation]
-    if not test(values[name]):
-        raise FormatError(f"{getattr(values, 'where', 'manifest')} field {name!r} must be {want}")
-    return values[name]
-
-
-def _from_fields(cls, values: dict):
-    """``cls`` built from the entry of each of its fields in ``values``, a manifest section."""
-    return cls(**{f.name: _field(values, f.name, f.type) for f in fields(cls)})
-
-
 @dataclass(frozen=True)
 class DenoiserArch:
     series_len: int
@@ -195,6 +172,43 @@ class DenoiserArch:
                   "mask": L, "context": L, "prompts": self.prompt_dim}
         ends = np.cumsum(list(widths.values()))
         return {name: slice(end - width, end) for (name, width), end in zip(widths.items(), ends)}
+
+
+@dataclass(frozen=True)
+class _ScheduleManifest:
+    steps: int
+    beta_min: float
+    beta_max: float
+
+
+_CondVector = tuple[(float,) * COND_DIM]
+
+
+@dataclass(frozen=True)
+class _LayoutManifest:
+    fingerprint: str
+    mean: _CondVector
+    std: _CondVector
+
+
+@dataclass(frozen=True)
+class _LoraManifest:
+    rank: int
+    alpha: float
+
+
+@dataclass(frozen=True)
+class HeadManifest:
+    """What a head checkpoint records to rebuild its model."""
+
+    kind: str
+    arch: DenoiserArch
+    schedule: _ScheduleManifest
+    stats: NormalizationStats
+    layout: _LayoutManifest
+    p_uncond: float
+    guidance_w: float
+    lora: _LoraManifest | None = None
 
 
 @dataclass
@@ -578,58 +592,47 @@ class DiffusionModel:
     # -- persistence -------------------------------------------------------------------
 
     def manifest(self) -> dict:
-        arch = asdict(self.arch)
-        arch["memory"] = asdict(self.arch.memory) if self.arch.memory else None
-        return {
-            "kind": self.kind,
-            "arch": arch,
-            "schedule": {
-                "steps": self.schedule.steps,
-                "beta_min": float(self.schedule.beta[0]),
-                "beta_max": float(self.schedule.beta[-1]),
-            },
-            "stats": {"mean": self.stats.mean, "std": self.stats.std},
-            "layout": {
-                "fingerprint": ConditionLayout.fingerprint(),
-                "mean": self.layout.mean.tolist(),
-                "std": self.layout.std.tolist(),
-            },
-            "p_uncond": self.p_uncond,
-            "guidance_w": self.guidance_w,
-            "lora": self.lora_state,
-        }
+        return asdict(HeadManifest(
+            kind=self.kind,
+            arch=self.arch,
+            schedule=_ScheduleManifest(self.schedule.steps, float(self.schedule.beta[0]),
+                                       float(self.schedule.beta[-1])),
+            stats=self.stats,
+            layout=_LayoutManifest(ConditionLayout.fingerprint(), tuple(self.layout.mean.tolist()),
+                                   tuple(self.layout.std.tolist())),
+            p_uncond=self.p_uncond,
+            guidance_w=self.guidance_w,
+            lora=_LoraManifest(**self.lora_state) if self.lora_state else None,
+        ))
 
     def save(self, path: str) -> None:
         self.store.save(path, manifest=self.manifest())
 
     @classmethod
-    def from_manifest(cls, manifest: dict) -> "DiffusionModel":
-        """A freshly initialized model of the architecture ``manifest`` records, adapters included."""
-        a, sched, layout = manifest["arch"], manifest["schedule"], manifest["layout"]
-        arch = replace(
-            _from_fields(DenoiserArch, a),
-            expert_hidden=tuple(a["expert_hidden"]), gate_hidden=tuple(a["gate_hidden"]),
-            memory=_from_fields(MemoryConfig, a["memory"]) if a["memory"] else None,
-        )
+    def from_manifest(cls, manifest: dict, where: str = "head") -> "DiffusionModel":
+        """A freshly initialized model of the architecture ``manifest`` records, adapters included.
+
+        A manifest field of the wrong type is a FormatError naming ``where`` and the field.
+        """
+        m = read_json(HeadManifest, manifest, FormatError, lambda key: f"{where} field {key!r}", "manifest")
+        if m.layout.fingerprint != ConditionLayout.fingerprint():
+            raise ModelError(f"{where} was written under a different condition layout")
         model = cls(
-            kind=manifest["kind"],
-            arch=arch,
-            schedule=make_schedule(_field(sched, "steps", "int"), _field(sched, "beta_min", "float"),
-                                   _field(sched, "beta_max", "float")),
-            stats=_from_fields(NormalizationStats, manifest["stats"]),
-            layout=ConditionLayout(mean=np.array(layout["mean"]), std=np.array(layout["std"])),
-            p_uncond=_field(manifest, "p_uncond", "float"),
-            guidance_w=_field(manifest, "guidance_w", "float"),
+            kind=m.kind,
+            arch=m.arch,
+            schedule=make_schedule(m.schedule.steps, m.schedule.beta_min, m.schedule.beta_max),
+            stats=m.stats,
+            layout=ConditionLayout(mean=np.array(m.layout.mean), std=np.array(m.layout.std)),
+            p_uncond=m.p_uncond,
+            guidance_w=m.guidance_w,
         )
-        if manifest["lora"]:
-            model.lora_attach(manifest["lora"]["rank"], manifest["lora"]["alpha"])
+        if m.lora:
+            model.lora_attach(m.lora.rank, m.lora.alpha)
         return model
 
     @classmethod
     def load(cls, path: str) -> "DiffusionModel":
         store, manifest = ParamStore.load(path)
-        if manifest.get("layout", {}).get("fingerprint") != ConditionLayout.fingerprint():
-            raise ModelError(f"checkpoint {path} was written under a different condition layout")
-        model = cls.from_manifest(manifest)
+        model = cls.from_manifest(manifest, f"checkpoint {path}")
         model.store.assign(store, f"checkpoint {path}")
         return model

@@ -12,7 +12,7 @@ never be conflated in a report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -560,6 +560,7 @@ class AgentTrainConfig:
     hidden: tuple[int, ...] = (32,)
     bias_levels: tuple[float, ...] = (0.0, 3.0, 6.0)
     seed: int = 3
+    env: WorldModelEnvConfig = field(default_factory=WorldModelEnvConfig)
 
 
 def run_training(
@@ -567,10 +568,9 @@ def run_training(
     oracle: Oracle,
     weights: RewardWeights,
     config: AgentTrainConfig = AgentTrainConfig(),
-    env_config: WorldModelEnvConfig = WorldModelEnvConfig(),
 ) -> tuple[Policy, list[float]]:
-    """REINFORCE inside the world-model environment; returns the learning curve."""
-    env = WorldModelEnv(bundle, oracle, weights, env_config)
+    """REINFORCE inside the world-model environment ``config.env``; returns the learning curve."""
+    env = WorldModelEnv(bundle, oracle, weights, config.env)
     policy = Policy(
         n_cells=oracle.n_cells,
         obs_dim=Observation.dim(oracle.n_cells),
@@ -601,6 +601,8 @@ class EvalConfig:
     baseline_bias_db: float = 3.0
     day: int = 1
     predict_mode: str = "long_term"
+    schemes: tuple[str, ...] = ("agent", "empirical", "custom", "greedy")
+    n_gen_samples: int = 48
 
 
 def _rule_action(
@@ -901,7 +903,6 @@ def counterfactual_suite(
     cfg: CounterfactualConfig = CounterfactualConfig(),
     eval_cfg: EvalConfig = EvalConfig(),
     agent_cfg: AgentTrainConfig = AgentTrainConfig(),
-    env_cfg: WorldModelEnvConfig = WorldModelEnvConfig(),
 ) -> tuple[list[dict], list[dict]]:
     """Re-run every scheme under scaled-peak scenarios with an adapted twin.
 
@@ -936,7 +937,7 @@ def counterfactual_suite(
         if cfg.retrain_agent:
             retrained, _ = run_training(
                 bundle_cf, oracle_cf, weights,
-                config=replace(agent_cfg, updates=cfg.retrain_updates), env_config=env_cfg,
+                config=replace(agent_cfg, updates=cfg.retrain_updates),
             )
             extra = evaluate_policy(
                 scen_cf, ("agent",), seeds, weights, bundle=bundle_cf, policy=retrained, cfg=eval_cfg,

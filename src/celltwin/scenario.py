@@ -17,12 +17,12 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Sequence
+from dataclasses import MISSING, asdict, dataclass, fields, make_dataclass
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnknownIdError
+from .errors import ConfigError, DomainError, UnknownIdError, read_json
 
 POI_PROFILES = ("residential", "office", "mixed", "event")
 
@@ -258,7 +258,7 @@ class Oracle:
     """
 
     def __init__(self, config: ScenarioConfig):
-        _validate_config(config)
+        validate_scenario(config)
         self.config = config
         self.cells = tuple(config.cell_configs)
         self._cell_index = {c.id: i for i, c in enumerate(self.cells)}
@@ -428,7 +428,8 @@ class Oracle:
         )
 
 
-def _validate_config(config: ScenarioConfig) -> None:
+def validate_scenario(config: ScenarioConfig) -> None:
+    """Raise a ConfigError for a scenario the oracle cannot run."""
     if config.n_cells < 2:
         raise ConfigError(f"n_cells must be >= 2, got {config.n_cells}")
     if len(config.cell_configs) != config.n_cells:
@@ -517,6 +518,8 @@ def make_hex_scenario(
     and its two ring-adjacent cells. Grid user weights fall off with distance
     to the nearest cell so downtown grids are denser.
     """
+    if grid_dim < 1:
+        raise ConfigError(f"grid_dim must be positive, got {grid_dim}")
     positions = [(0.0, 0.0)]
     for k in range(6):
         a = math.pi / 3.0 * k
@@ -564,63 +567,42 @@ def make_hex_scenario(
 
 # -- JSON persistence ----------------------------------------------------------
 
-_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
-_REQUIRED_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig) if f.default is MISSING}
-# A preset takes make_hex_scenario's named parameters plus any defaulted ScenarioConfig field.
-PRESET_DEFAULTS = {
-    "preset": "hex7",
-    **{f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING},
-    **{name: p.default for name, p in inspect.signature(make_hex_scenario).parameters.items()
-       if name != "overrides"},
-}
+def _preset_form() -> type:
+    """The preset form as a dataclass: ``preset``, make_hex_scenario's named parameters and
+    every defaulted ScenarioConfig field, each with its type and default."""
+    hints = {**get_type_hints(ScenarioConfig), **get_type_hints(make_hex_scenario)}
+    defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
+    defaults.update((name, p.default) for name, p in inspect.signature(make_hex_scenario).parameters.items()
+                    if name != "overrides")
+    return make_dataclass("HexPreset", [("preset", str, "hex7"), *((k, hints[k], v) for k, v in defaults.items())],
+                          frozen=True)
+
+
+HexPreset = _preset_form()
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    d = asdict(config)
-    d["cell_configs"] = [asdict(c) for c in config.cell_configs]
-    d["grids"] = [asdict(g) for g in config.grids]
-    return d
+    return asdict(config)
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Strict scenario parser; accepts either the full form or a hex preset."""
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be a JSON object")
-    if "preset" in data:
-        unknown = set(data) - PRESET_DEFAULTS.keys()
-        if unknown:
-            raise ConfigError(f"unknown scenario key {sorted(unknown)[0]!r}")
-        if data["preset"] != "hex7":
-            raise ConfigError(f"unknown scenario preset {data['preset']!r}")
-        kwargs = {k: v for k, v in data.items() if k != "preset"}
-        return make_hex_scenario(**kwargs)
-    unknown = set(data) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario key {sorted(unknown)[0]!r}")
-    missing = _REQUIRED_SCENARIO_KEYS - set(data)
-    if missing:
-        raise ConfigError(f"scenario missing key {sorted(missing)[0]!r}")
-    try:
-        cells = tuple(
-            CellConfig(
-                **{**c, "position": tuple(c["position"]), "neighbors": tuple(c["neighbors"])}
-            )
-            for c in data["cell_configs"]
-        )
-        grids = tuple(GridCell(**{**g, "position": tuple(g["position"])}) for g in data["grids"])
-    except TypeError as exc:
-        raise ConfigError(f"bad cell or grid entry: {exc}") from None
-    kwargs = {k: v for k, v in data.items() if k not in ("cell_configs", "grids")}
-    return ScenarioConfig(cell_configs=cells, grids=grids, **kwargs)
+def scenario_from_dict(data, name=lambda key: f"scenario key {key}" if key else "scenario",
+                       key: str = "") -> ScenarioConfig:
+    """Strict scenario reader for the full form or a hex preset; errors name keys by ``name``."""
+    if not (isinstance(data, dict) and "preset" in data):
+        return read_json(ScenarioConfig, data, ConfigError, name, key)
+    preset = read_json(HexPreset, data, ConfigError, name, key)
+    if preset.preset != "hex7":
+        raise ConfigError(f"unknown scenario preset {preset.preset!r}")
+    return make_hex_scenario(**{k: v for k, v in vars(preset).items() if k != "preset"})
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario file {path}: {exc}") from None
-    return scenario_from_dict(data)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"scenario file {path}: {exc}") from None
+    return scenario_from_dict(data, lambda key: f"scenario file {path}" + (f" key {key}" if key else ""))
 
 
 def save_scenario(config: ScenarioConfig, path: str) -> None:

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict, fields
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from celltwin.agent import Observation, Policy, RewardWeights
-from celltwin.cli import DEFAULTS, _merge_strict, main, parse_config
+from celltwin.cli import RunConfig, main, parse_config
 from celltwin.dataset import (
     COND_DIM,
     ConditionLayout,
@@ -28,7 +29,7 @@ from celltwin.harness import (
     WorldModelBundle,
     WorldModelEnvConfig,
 )
-from celltwin.scenario import build_scenario, make_hex_scenario
+from celltwin.scenario import build_scenario, make_hex_scenario, scenario_to_dict
 
 
 def write_config(tmp_path, **overrides):
@@ -49,10 +50,67 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
-def _section(config: dict, path: tuple) -> dict:
-    for name in path:
-        config = config[name]
-    return config
+def _children(node) -> list:
+    return list(node) if isinstance(node, dict) else list(range(len(node))) if isinstance(node, list) else []
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON tree, the root's included."""
+    yield path
+    for key in _children(node):
+        yield from json_paths(node[key], (*path, key))
+
+
+@st.composite
+def walked_paths(draw, node, path=()):
+    """A path drawn by walking down from the root, so each section weighs the same however large."""
+    keys = _children(node)
+    if not keys or (path and draw(st.integers(0, 5)) == 0):
+        return path
+    key = draw(st.sampled_from(keys))
+    return draw(walked_paths(node[key], (*path, key)))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def write_fuzz_config(root, config, form: str = "inline") -> str:
+    """Write ``config``; in the ``file`` form its scenario object goes to a scenario file."""
+    if form == "file" and isinstance(config, dict) and isinstance(config.get("scenario"), dict):
+        (root / "scenario.json").write_text(json.dumps(config["scenario"]))
+        config = {**config, "scenario": "scenario.json"}
+    path = root / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@st.composite
+def base_configs(draw, root):
+    """(config, form, how errors name the key at a path): a valid config with every key written
+    out, its scenario a preset, or the full form inline or in a scenario file."""
+    config = asdict(parse_config(write_config(root)))
+    config["out_dir"] = "out"
+    form = draw(st.sampled_from(["preset", "inline", "file"]))
+    if form == "preset":
+        config["scenario"] = {"preset": "hex7", "grid_dim": 2, "horizon_hours": 96}
+
+    def named(path):
+        if form == "file" and path[:1] == ("scenario",):
+            return f"scenario file {root / 'scenario.json'} key {_dotted(path[1:])}"
+        return f"config key {_dotted(path)}"
+    return config, form, named
 
 
 class TestParseConfig:
@@ -60,12 +118,12 @@ class TestParseConfig:
         path = tmp_path / "c.json"
         path.write_text("{}")
         run = parse_config(str(path))
-        assert run.effective["dataset"]["n_days"] == 16
+        assert run.dataset.n_days == 16
         assert run.seeds == (0, 1, 2, 3, 4)
         assert run.scenario.n_cells == 7
         assert run.worldmodel == WMTrainConfig()
         assert run.agent == AgentTrainConfig()
-        assert run.env == WorldModelEnvConfig()
+        assert run.agent.env == WorldModelEnvConfig()
         assert run.reward == RewardWeights()
         assert run.evaluation == EvalConfig()
         assert run.counterfactual == CounterfactualConfig()
@@ -139,21 +197,39 @@ class TestParseConfig:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_unknown_key_at_any_depth_named(self, data):
-        defaults = {k: v for k, v in DEFAULTS.items() if k != "scenario"}
-        sections = [()]
-        for path in sections:  # grows as nested sections are found
-            level = _section(defaults, path)
-            sections += [(*path, k) for k, v in level.items() if isinstance(v, dict)]
-        path = data.draw(st.sampled_from(sections))
-        known = _section(defaults, path)
+    def test_unknown_key_at_any_depth_named(self, fuzz_dir, data):
+        config, form, named = data.draw(base_configs(fuzz_dir))
+        paths = [p for p in json_paths(config) if isinstance(_at(config, p), dict)]
+        path = data.draw(st.sampled_from(paths))
+        known = _at(config, path)
         key = data.draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in known))
-        given = {key: data.draw(st.one_of(st.integers(), st.text(max_size=3), st.none()))}
-        for name in reversed(path):
-            given = {name: given}
-        dotted = ".".join((*path, key))
-        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {dotted}") + "$"):
-            _merge_strict(defaults, given, "")
+        known[key] = data.draw(st.one_of(st.integers(), st.text(max_size=3), st.none()))
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {named((*path, key))}") + "$"):
+            parse_config(write_fuzz_config(fuzz_dir, config, form))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_config_is_config_error_or_typed(self, fuzz_dir, data):
+        """A wrong type or an out-of-range value anywhere: a ConfigError, or a config that re-reads as itself."""
+        config, form, _ = data.draw(base_configs(fuzz_dir))
+        path = data.draw(walked_paths(config))
+        value = data.draw(st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=3),
+            st.sampled_from([-1, 0, -0.5, 1e-9, -1e6]), st.lists(st.integers(-2, 2), max_size=3),
+            st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+        ))
+        if path:
+            _at(config, path[:-1])[path[-1]] = value
+        else:
+            config = value
+        try:
+            run = parse_config(write_fuzz_config(fuzz_dir, config, form))
+        except ConfigError:
+            return
+        sections = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+        assert all(type(getattr(run, name)) is kind for name, kind in sections.items())
+        again = parse_config(write_fuzz_config(fuzz_dir, asdict(run)))
+        assert again.config_hash == run.config_hash
 
     def test_hash_stable_under_key_reordering(self, tmp_path):
         a = tmp_path / "a.json"
@@ -202,7 +278,48 @@ class TestParseConfig:
         path = tmp_path / "c.json"
         path.write_text('{"out_dir": "runs"}')
         run = parse_config(str(path))
-        assert str(run.out_dir) == str(tmp_path / "root" / "runs")
+        assert str(run.out_path) == str(tmp_path / "root" / "runs")
+
+
+def _full_scenario(edit):
+    data = scenario_to_dict(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=96))
+    edit(data)
+    return data
+
+
+# case: (the config's scenario value, or a scenario file's content, and what the error names)
+BAD_SCENARIOS = {
+    "file_tx_power_string": ("file", _full_scenario(lambda d: d["cell_configs"][0].update(tx_power_dbm="13")),
+                             "key cell_configs[0].tx_power_dbm must be a number"),
+    "file_seed_string": ("file", _full_scenario(lambda d: d.update(seed="0")), "key seed must be an integer"),
+    "file_base_users_fraction": ("file", _full_scenario(lambda d: d["grids"][3].update(base_users=2.5)),
+                                 "key grids[3].base_users must be an integer"),
+    "inline_tx_power_string": ("inline", _full_scenario(lambda d: d["cell_configs"][2].update(tx_power_dbm="13")),
+                               "config key scenario.cell_configs[2].tx_power_dbm must be a number"),
+    "preset_peak_fraction_string": ("inline", {"preset": "hex7", "counterfactual_peak_fraction": "x"},
+                                    "config key scenario.counterfactual_peak_fraction must be a number"),
+    "preset_grid_dim_zero": ("inline", {"preset": "hex7", "grid_dim": 0}, "grid_dim must be positive"),
+    "preset_grid_dim_negative": ("inline", {"preset": "hex7", "grid_dim": -1}, "grid_dim must be positive"),
+    "preset_traffic_step_zero": ("inline", {"preset": "hex7", "traffic_step_hours": 0},
+                                 "traffic_step_hours 0 must divide horizon_hours 1440"),
+    "path_is_a_directory": ("inline", "", "scenario file"),
+    "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
+}
+
+
+class TestBadScenario:
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_config_error_and_one_cli_line(self, tmp_path, capsys, case):
+        form, scenario, names = BAD_SCENARIOS[case]
+        if form == "file":
+            (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+            scenario, names = "scenario.json", f"scenario file {tmp_path / 'scenario.json'} {names}"
+        cfg = write_config(tmp_path, scenario=scenario)
+        with pytest.raises(ConfigError, match=re.escape(names)):
+            parse_config(cfg)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
 
 
 class TestCliCommands:
@@ -301,24 +418,39 @@ BAD_ARTIFACTS = {
                      "has no field 'trainable'"),
     "manifest_missing_key": ("models/users.npz",
                              lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].pop("series_len")),
-                             "has no field 'series_len'"),
+                             "field 'manifest.arch.series_len' is missing"),
     "missing_tensor": ("models/rsrp.npz", lambda p: _edit_npz(p, drop=("param::gate/W0",)),
                        "missing tensor 'gate/W0'"),
     "misshapen_tensor": ("models/traffic.npz", lambda p: _edit_npz(p, **{"param::null_embed": np.zeros(3)}),
                          "tensor 'null_embed' has shape (3,), expected (2,)"),
     "policy_holds_head": ("models/policy.npz", lambda p: shutil.copy(p.parent / "traffic.npz", p),
-                          "has no field 'n_cells'"),
+                          "field 'manifest.n_cells' is missing"),
     "expert_hidden_not_array": ("models/traffic.npz",
                                 lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(expert_hidden=5)),
-                                "field 'expert_hidden' must be an array of integers"),
+                                "field 'manifest.arch.expert_hidden' must be an array of integers"),
     "schedule_steps_string": ("models/users.npz",
                               lambda p: _edit_npz(p, header=lambda h: h["manifest"]["schedule"].update(steps="x")),
-                              "field 'steps' must be an integer"),
+                              "field 'manifest.schedule.steps' must be an integer"),
     "series_len_string": ("models/rsrp.npz",
                           lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(series_len="3")),
-                          "field 'series_len' must be an integer"),
+                          "field 'manifest.arch.series_len' must be an integer"),
     "trainable_not_object": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h.update(trainable=[1])),
                              "field 'trainable' must be an object of booleans"),
+    "policy_hidden_not_array": ("models/policy.npz",
+                                lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(hidden=5)),
+                                "field 'manifest.hidden' must be an array of integers"),
+    "policy_n_cells_string": ("models/policy.npz",
+                              lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(n_cells="7")),
+                              "field 'manifest.n_cells' must be an integer"),
+    "layout_mean_string": ("models/traffic.npz",
+                           lambda p: _edit_npz(p, header=lambda h: h["manifest"]["layout"].update(mean="x")),
+                           f"field 'manifest.layout.mean' must be an array of {COND_DIM} numbers"),
+    "layout_mean_short": ("models/users.npz",
+                          lambda p: _edit_npz(p, header=lambda h: h["manifest"]["layout"].update(mean=[0.0, 0.0])),
+                          f"field 'manifest.layout.mean' must be an array of {COND_DIM} numbers"),
+    "lora_rank_string": ("models/rsrp.npz",
+                         lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(lora={"rank": "4", "alpha": 8.0})),
+                         "field 'manifest.lora.rank' must be an integer"),
 }
 
 

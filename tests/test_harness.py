@@ -135,9 +135,9 @@ class TestWorldModelEnv:
 
 class TestRunTraining:
     def test_curve_length_and_determinism(self, bundle, oracle, env_config):
-        cfg = AgentTrainConfig(updates=5, episodes_per_update=2, seed=4)
-        p1, c1 = run_training(bundle, oracle, WEIGHTS, cfg, env_config)
-        p2, c2 = run_training(bundle, oracle, WEIGHTS, cfg, env_config)
+        cfg = AgentTrainConfig(updates=5, episodes_per_update=2, seed=4, env=env_config)
+        p1, c1 = run_training(bundle, oracle, WEIGHTS, cfg)
+        p2, c2 = run_training(bundle, oracle, WEIGHTS, cfg)
         assert len(c1) == 5
         assert c1 == c2
         for name in p1.store.names():
@@ -321,8 +321,8 @@ class TestCounterfactualBehavior:
         env = WorldModelEnvConfig(day_pool=2, rsrp_pool=1, rsrp_draws=2)
         cfg = CounterfactualConfig(fractions=(0.6,), retrain_agent=True, retrain_updates=1)
         counterfactual_suite(scenario, WorldModelBundle(None, None, None), None, (0,), WEIGHTS, cfg,
-                             EvalConfig(), AgentTrainConfig(), env)
-        assert [(c["config"].updates, c["env_config"]) for c in calls] == [(1, env)]
+                             EvalConfig(), AgentTrainConfig(env=env))
+        assert [(c["config"].updates, c["config"].env) for c in calls] == [(1, env)]
 
 
 class TestReportIO:
