@@ -299,7 +299,7 @@ class _DayEnv:
     def steps_per_episode(self) -> int:
         return self.geo.steps_per_day
 
-    def _finish_step(self, energy, ref_energy, rsrp_avg, dropped, total_users, overload):
+    def _finish_step(self, energy, ref_energy, rsrp_avg, dropped, total_users):
         """Reward the step, advance the clock and observe the next step unless the day is over."""
         reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
         self._step += 1
@@ -310,7 +310,6 @@ class _DayEnv:
             "rsrp_avg_dbm": rsrp_avg,
             "dropped": dropped,
             "total_users": total_users,
-            "overload_mbps": overload,
         }
         return None if done else self._observation(), reward, done, info
 
@@ -403,7 +402,7 @@ class WorldModelEnv(_DayEnv):
             )
 
         # Each grid is one unit of the oracle's step physics.
-        _, overload, power, ref_power = step_physics(
+        _, _, power, ref_power = step_physics(
             geo.arrays, native, sleep, self._natural, serving, users, served_frac
         )
         served_users = users * served_frac
@@ -415,7 +414,7 @@ class WorldModelEnv(_DayEnv):
             rsrp_avg = None
         return self._finish_step(
             float(power.sum() * geo.step_hours), float(ref_power * geo.step_hours), rsrp_avg,
-            float(total_users - n_served), total_users, overload,
+            float(total_users - n_served), total_users,
         )
 
 
@@ -504,7 +503,7 @@ class OracleEnv(_DayEnv):
         state = self.oracle.step_network(t, action.sleep, resolve_bias(action, geo.neighbors))
         return self._finish_step(
             state.energy_wh(geo.step_hours), state.reference_power_watts * geo.step_hours,
-            state.rsrp_avg_dbm, state.dropped_users, state.total_users, state.per_cell_overload_mbps,
+            state.rsrp_avg_dbm, state.dropped_users, state.total_users,
         )
 
 

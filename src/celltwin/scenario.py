@@ -118,12 +118,9 @@ class NetworkState:
     `serving_cell[u]` is -1 for dropped users; `per_user_rsrp_dbm` is NaN there.
     """
 
-    t_hours: int
     per_cell_load_mbps: np.ndarray
     per_cell_overload_mbps: np.ndarray
     per_grid_users: np.ndarray
-    sleep_mask: np.ndarray
-    user_grid: np.ndarray
     serving_cell: np.ndarray
     per_user_rsrp_dbm: np.ndarray
     per_cell_power_watts: np.ndarray
@@ -401,7 +398,7 @@ class Oracle:
             raise DomainError("sleep_mask and bias_db must have one entry per cell")
 
         native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells])
-        counts, user_grid, positions, shadowing = self.users_and_shadowing(t_hours)
+        counts, _, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
 
         # Natural attachment (everything active, no bias) fixes per-user demand.
@@ -414,12 +411,9 @@ class Oracle:
             np.ones(len(serving)), (serving >= 0).astype(float),
         )
         return NetworkState(
-            t_hours=t_hours,
             per_cell_load_mbps=load,
             per_cell_overload_mbps=overload,
             per_grid_users=counts,
-            sleep_mask=sleep,
-            user_grid=user_grid,
             serving_cell=serving,
             per_user_rsrp_dbm=user_rsrp,
             per_cell_power_watts=power,
