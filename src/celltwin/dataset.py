@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError, read_json
 from .nn import load_npz, save_npz
 from .scenario import POI_PROFILES, Oracle, associate_users
 
@@ -367,19 +367,31 @@ def write_dataset(sample_set: SampleSet, path: str) -> None:
     save_npz(path, header, arrays, DATASET_VERSION)
 
 
+@dataclass(frozen=True)
+class _DatasetHeader:
+    version: int
+    kind: str
+    series_len: int
+    cond_dim: int
+    layout_fingerprint: str
+    series_mean: float
+    series_std: float
+
+
 def read_dataset(path: str) -> SampleSet:
-    header, arrays = load_npz(path, DATASET_VERSION, "dataset file", required=_ARRAYS)
-    if header.get("cond_dim") != COND_DIM or header.get("layout_fingerprint") != ConditionLayout.fingerprint():
+    raw, arrays = load_npz(path, DATASET_VERSION, "dataset file", required=_ARRAYS)
+    header = read_json(_DatasetHeader, raw, FormatError, lambda key: f"dataset file {path} field {key!r}")
+    if header.cond_dim != COND_DIM or header.layout_fingerprint != ConditionLayout.fingerprint():
         raise FormatError(
             f"condition layout mismatch in {path}: expected {ConditionLayout.fingerprint()} "
-            f"(D_c={COND_DIM}), found {header.get('layout_fingerprint')} (D_c={header.get('cond_dim')})"
+            f"(D_c={COND_DIM}), found {header.layout_fingerprint} (D_c={header.cond_dim})"
         )
     return SampleSet(
-        kind=header["kind"],
+        kind=header.kind,
         series=arrays["series"],
         conditions=arrays["conditions"],
         masks=arrays["masks"].astype(bool),
-        stats=NormalizationStats(mean=header["series_mean"], std=header["series_std"]),
+        stats=NormalizationStats(mean=header.series_mean, std=header.series_std),
         layout=ConditionLayout(mean=arrays["cond_mean"], std=arrays["cond_std"]),
         split={part: arrays[f"split_{part}"] for part in _SPLITS},
     )

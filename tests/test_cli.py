@@ -414,6 +414,8 @@ BAD_ARTIFACTS = {
                                  lambda p: _edit_npz(p, header=lambda h: h.update(version=3)),
                                  "version mismatch: expected 1, found 3"),
     "missing_array": ("datasets/traffic.npz", lambda p: _edit_npz(p, drop=("masks",)), "missing array 'masks'"),
+    "dataset_mean_string": ("datasets/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(series_mean="x")),
+                            "field 'series_mean' must be a number"),
     "no_trainable": ("models/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.pop("trainable")),
                      "has no field 'trainable'"),
     "manifest_missing_key": ("models/users.npz",
