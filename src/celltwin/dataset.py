@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -347,26 +347,6 @@ _SPLITS = ("train", "val", "test")
 _ARRAYS = ("series", "conditions", "masks", "cond_mean", "cond_std", *(f"split_{p}" for p in _SPLITS))
 
 
-def write_dataset(sample_set: SampleSet, path: str) -> None:
-    header = {
-        "kind": sample_set.kind,
-        "series_len": sample_set.series_len,
-        "cond_dim": COND_DIM,
-        "layout_fingerprint": ConditionLayout.fingerprint(),
-        "series_mean": sample_set.stats.mean,
-        "series_std": sample_set.stats.std,
-    }
-    arrays = {
-        "series": sample_set.series,
-        "conditions": sample_set.conditions,
-        "masks": sample_set.masks,
-        "cond_mean": sample_set.layout.mean,
-        "cond_std": sample_set.layout.std,
-        **{f"split_{part}": sample_set.split[part] for part in _SPLITS},
-    }
-    save_npz(path, header, arrays, DATASET_VERSION)
-
-
 @dataclass(frozen=True)
 class _DatasetHeader:
     version: int
@@ -376,6 +356,20 @@ class _DatasetHeader:
     layout_fingerprint: str
     series_mean: float
     series_std: float
+
+
+def write_dataset(sample_set: SampleSet, path: str) -> None:
+    header = asdict(_DatasetHeader(DATASET_VERSION, sample_set.kind, sample_set.series_len, COND_DIM,
+                                   ConditionLayout.fingerprint(), sample_set.stats.mean, sample_set.stats.std))
+    arrays = {
+        "series": sample_set.series,
+        "conditions": sample_set.conditions,
+        "masks": sample_set.masks,
+        "cond_mean": sample_set.layout.mean,
+        "cond_std": sample_set.layout.std,
+        **{f"split_{part}": sample_set.split[part] for part in _SPLITS},
+    }
+    save_npz(path, header, arrays, DATASET_VERSION)
 
 
 def read_dataset(path: str) -> SampleSet:

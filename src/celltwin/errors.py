@@ -55,7 +55,7 @@ class UnknownIdError(CelltwinError, LookupError):
 # What a JSON value must be for each scalar annotation: (one, many). bool is checked by exact
 # type, so a JSON true is not an integer; an integer passes as a number and stays an integer.
 _SCALARS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
-            float: ("a number", "numbers"), str: ("a string", "strings")}
+            float: ("a number", "numbers"), str: ("a string", "strings"), dict: ("an object", "objects")}
 
 
 @functools.cache

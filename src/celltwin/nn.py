@@ -256,29 +256,24 @@ class ParamStore:
 
     @classmethod
     def load(cls, path: str) -> tuple["ParamStore", dict]:
-        header, arrays = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
-        trainable = read_json(dict[str, bool], header["trainable"], FormatError,
-                              lambda key: f"checkpoint {path} field {key!r}", "trainable")
+        raw, arrays = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
+        header = read_json(_CheckpointHeader, raw, FormatError, lambda key: f"checkpoint {path} field {key!r}")
         store = cls()
         for key, value in arrays.items():
             if key.startswith("param::"):
                 name = key.removeprefix("param::")
-                store.add(name, value, trainable=trainable.get(name, True))
-        return store, header["manifest"]
+                store.add(name, value, trainable=header.trainable.get(name, True))
+        return store, header.manifest
 
 
 # -- artifact files: one npz of named arrays plus a versioned JSON header stored as uint8 ----
 
 
-class _Header(dict):
-    """A decoded header object: a missing key is a FormatError naming the file and the key."""
-
-    def __init__(self, fields: dict, where: str):
-        super().__init__(fields)
-        self.where = where
-
-    def __missing__(self, key):
-        raise FormatError(f"{self.where} has no field {key!r}")
+@dataclass(frozen=True)
+class _CheckpointHeader:
+    version: int
+    trainable: dict[str, bool]
+    manifest: dict
 
 
 def save_npz(path: str, header: dict, arrays: dict[str, np.ndarray], version: int) -> None:
@@ -300,8 +295,7 @@ def load_npz(
     if missing:
         raise FormatError(f"{where} missing array {missing[0]!r}")
     try:
-        header = json.loads(bytes(arrays.pop("header")).decode(),
-                            object_hook=lambda fields: _Header(fields, where))
+        header = json.loads(bytes(arrays.pop("header")).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt header in {where}: {exc}") from None
     if not isinstance(header, dict):

@@ -417,7 +417,7 @@ BAD_ARTIFACTS = {
     "dataset_mean_string": ("datasets/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(series_mean="x")),
                             "field 'series_mean' must be a number"),
     "no_trainable": ("models/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.pop("trainable")),
-                     "has no field 'trainable'"),
+                     "field 'trainable' is missing"),
     "manifest_missing_key": ("models/users.npz",
                              lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].pop("series_len")),
                              "field 'manifest.arch.series_len' is missing"),

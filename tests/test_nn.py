@@ -501,7 +501,7 @@ class TestArtifactFile:
 
     def test_missing_header_field_names_file_and_field(self, tmp_path):
         path = raw_npz(tmp_path / "a.npz", b'{"version": 2, "manifest": {}}', **{"param::w": np.zeros(2)})
-        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} has no field 'trainable'")):
+        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} field 'trainable' is missing")):
             ParamStore.load(path)
 
     def test_not_a_zip(self, tmp_path):
