@@ -80,7 +80,7 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
     """``value``, a decoded JSON value, as annotation ``tp``; ``key`` is its dotted path.
 
     ``tp`` is a dataclass, ``tuple[T, ...]``, a fixed ``tuple[A, B]``, ``dict[str, T]``,
-    ``T | None`` or a scalar. An object builds its dataclass field by field: an absent or
+    ``T | None``, a scalar, or a bare ``dict`` (any object, kept as is). An object builds its dataclass field by field: an absent or
     null key takes the field's default, and an unknown key fails. Arrays become tuples.
     A failure raises ``error`` with ``name(key)`` for the offending key.
     """
@@ -90,7 +90,7 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
         return None if value is None else read_json(inner, value, error, name, key)
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
-            raise error(f"{name(key)} must be an object")
+            raise error(f"{name(key)} must be {_want(tp)}")
         fields = dataclasses.fields(tp)
         built = {}
         for f in fields:
