@@ -51,7 +51,9 @@ def write_config(tmp_path, **overrides):
 
 
 def _children(node) -> list:
-    return list(node) if isinstance(node, dict) else list(range(len(node))) if isinstance(node, list) else []
+    if isinstance(node, dict):
+        return list(node)
+    return list(range(len(node))) if isinstance(node, list) else []
 
 
 def json_paths(node, path=()):
@@ -218,10 +220,7 @@ class TestParseConfig:
             st.sampled_from([-1, 0, -0.5, 1e-9, -1e6]), st.lists(st.integers(-2, 2), max_size=3),
             st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
         ))
-        if path:
-            _at(config, path[:-1])[path[-1]] = value
-        else:
-            config = value
+        _at(config, path[:-1])[path[-1]] = value  # the walk never stops at the root
         try:
             run = parse_config(write_fuzz_config(fuzz_dir, config, form))
         except ConfigError:
