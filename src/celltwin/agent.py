@@ -10,7 +10,7 @@ finite-difference oracle. The environment interface is agent-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
