@@ -187,11 +187,11 @@ class _Geometry:
         self.step_hours = oracle.config.traffic_step_hours
         self.steps_per_day = 24 // self.step_hours
         self.user_steps_per_day = 24 // oracle.config.user_step_hours
-        self.users_per_traffic_step = self.step_hours // oracle.config.user_step_hours
 
     def user_hour(self, step: int) -> int:
-        """Column of a users day that a traffic step reads."""
-        return min(step * self.users_per_traffic_step, self.user_steps_per_day - 1)
+        """Column of a users day holding the hour a traffic step starts at; equally, the
+        number of user windows that end by then."""
+        return step * self.step_hours // self.oracle.config.user_step_hours
 
     def observation(self, step, load, forecast_day, forecast_users) -> Observation:
         """Agent view at `step`: current load fractions plus the forecast's next window.
@@ -275,8 +275,7 @@ def _forecast(
     )
     users = _sample_days(
         bundle.users, np.tile(bundle.users.layout.normalize(ds.users_conditions(geo.oracle)), (n, 1)),
-        geo.user_steps_per_day, min(revealed * geo.users_per_traffic_step, geo.user_steps_per_day),
-        context_u, rng,
+        geo.user_steps_per_day, geo.user_hour(revealed), context_u, rng,
     )
     return (
         np.clip(traffic.reshape(n, geo.n_cells, -1), 0.0, geo.capacity[None, :, None]),

@@ -432,14 +432,12 @@ def validate_scenario(config: ScenarioConfig) -> None:
         )
     if config.horizon_hours <= 0:
         raise ConfigError("horizon_hours must be positive")
-    if config.traffic_step_hours <= 0 or config.horizon_hours % config.traffic_step_hours:
-        raise ConfigError(
-            f"traffic_step_hours {config.traffic_step_hours} must divide horizon_hours {config.horizon_hours}"
-        )
-    if config.user_step_hours <= 0 or config.horizon_hours % config.user_step_hours:
-        raise ConfigError(
-            f"user_step_hours {config.user_step_hours} must divide horizon_hours {config.horizon_hours}"
-        )
+    for key in ("traffic_step_hours", "user_step_hours"):
+        step = getattr(config, key)
+        if step <= 0 or config.horizon_hours % step:
+            raise ConfigError(f"scenario.{key} {step} must divide horizon_hours {config.horizon_hours}")
+        if 24 % step:
+            raise ConfigError(f"scenario.{key} {step} must divide 24")
     if config.grid_dim <= 0:
         raise ConfigError("grid_dim must be positive")
     if len(config.grids) != config.grid_dim**2:

@@ -301,6 +301,13 @@ BAD_SCENARIOS = {
     "preset_grid_dim_negative": ("inline", {"preset": "hex7", "grid_dim": -1}, "grid_dim must be positive"),
     "preset_traffic_step_zero": ("inline", {"preset": "hex7", "traffic_step_hours": 0},
                                  "traffic_step_hours 0 must divide horizon_hours 1440"),
+    # 1440 is a multiple of 5 and 16, but a day of 24 hours is not.
+    "preset_traffic_step_five": ("inline", {"preset": "hex7", "traffic_step_hours": 5},
+                                 "scenario.traffic_step_hours 5 must divide 24"),
+    "preset_traffic_step_sixteen": ("inline", {"preset": "hex7", "traffic_step_hours": 16},
+                                    "scenario.traffic_step_hours 16 must divide 24"),
+    "preset_user_step_five": ("inline", {"preset": "hex7", "user_step_hours": 5},
+                              "scenario.user_step_hours 5 must divide 24"),
     "path_is_a_directory": ("inline", "", "scenario file"),
     "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
 }

@@ -33,6 +33,18 @@ from celltwin.scenario import build_scenario, make_hex_scenario
 WEIGHTS = RewardWeights()
 
 
+class _ZeroHead:
+    """Stands in for a trained head: every generated value is 0."""
+
+    layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
+
+    def sample(self, cond, mask, context, rng, guidance_w=None):
+        return np.zeros(mask.shape)
+
+
+ZERO_BUNDLE = WorldModelBundle(traffic=_ZeroHead(), users=_ZeroHead(), rsrp=_ZeroHead())
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return make_hex_scenario(seed=0, horizon_hours=480)
@@ -103,6 +115,17 @@ class TestWorldModelEnv:
             assert twin["energy_wh"] == truth["energy_wh"]
             assert twin["reference_energy_wh"] == truth["reference_energy_wh"]
             assert twin["total_users"] == truth["total_users"]
+
+    def test_user_column_follows_the_hour(self, env_config):
+        # 2-hour traffic steps over 3-hour user steps: step k reads the user window holding hour 2k.
+        oracle = build_scenario(make_hex_scenario(seed=0, grid_dim=3, horizon_hours=48,
+                                                  traffic_step_hours=2, user_step_hours=3))
+        env = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
+        env.traffic_pool, env.users_pool = oracle.traffic_day(1)[None], oracle.users_day(1)[None]
+        env.reset(np.random.default_rng(0))
+        for k in range(12):
+            _, _, _, info = env.step(Action.all_active(oracle.n_cells))
+            assert info["total_users"] == sum(oracle.users_at(g, 24 + 2 * k) for g in range(oracle.n_grids))
 
     def test_episode_tagged_as_worldmodel(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
