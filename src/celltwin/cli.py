@@ -159,11 +159,11 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"config key {key} must be {want}")
     # Adapters go on every expert layer of the traffic head. The smallest layer dim
     # is a hidden width or the series length; the input dim exceeds three series lengths.
-    max_rank = min([*run.worldmodel.expert_hidden, 24 // run.scenario.traffic_step_hours])
+    max_rank = min([*run.worldmodel.expert_hidden, run.scenario.steps_per_day])
     if not 1 <= run.counterfactual.lora_rank <= max_rank:
         raise ConfigError(f"config key counterfactual.lora_rank must be in [1, {max_rank}]")
     # The custom baseline, which counterfactual always runs, reads the day before.
-    last_day = run.scenario.horizon_hours // 24 - 1
+    last_day = run.scenario.n_days - 1
     if not 1 <= run.evaluation.day <= last_day:
         raise ConfigError(f"config key evaluation.day must be in [1, {last_day}]")
     return run
@@ -173,16 +173,15 @@ def parse_config(path: str) -> RunConfig:
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
-    n_days = run.scenario.horizon_hours // 24
+    n_days = run.scenario.n_days
     if not 1 <= args.days <= n_days:
         raise DomainError(f"--days must be in [1, {n_days}] for a {run.scenario.horizon_hours}-hour "
                           f"scenario horizon, got {args.days}")
     oracle = build_scenario(run.scenario)
-    step = run.scenario.traffic_step_hours
     out = Path(args.out) if args.out else run.out_path / "traffic.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
-        {"cell_id": cell.id, "t_hours": day * 24 + k * step, "load_mbps": load}
+        {"cell_id": cell.id, "t_hours": run.scenario.hour(day, k), "load_mbps": load}
         for day in range(args.days)
         for k, loads in enumerate(oracle.traffic_day(day).T.tolist())
         for cell, load in zip(oracle.cells, loads)

@@ -271,7 +271,7 @@ def _day_windows(read_day, conds: np.ndarray, n_days: int, rng: np.random.Genera
 def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
     series, conds = [], []
     n_cells = oracle.n_cells
-    for t in range(0, n_days * 24, oracle.config.user_step_hours):
+    for t in range(0, oracle.config.hour(n_days), oracle.config.user_step_hours):
         sleep = rng.random(n_cells) < _RSRP_SLEEP_PROB
         if sleep.sum() > n_cells - 2:
             sleep[:] = False
@@ -309,7 +309,7 @@ def collect_dataset(
     """
     if n_days < 1:
         raise ConfigError(f"n_days must be >= 1, got {n_days}")
-    if n_days * 24 > oracle.config.horizon_hours:
+    if n_days > oracle.config.n_days:
         raise ConfigError(
             f"n_days {n_days} exceeds scenario horizon {oracle.config.horizon_hours} hours"
         )

@@ -168,52 +168,7 @@ class WorldModelBundle:
         return cls(**models)
 
 
-# -- shared environment geometry ------------------------------------------------------
-
-
-class _Geometry:
-    """Static scenario facts both environments rely on."""
-
-    def __init__(self, oracle: Oracle):
-        self.oracle = oracle
-        self.n_cells = oracle.n_cells
-        self.n_grids = oracle.n_grids
-        self.arrays = oracle.arrays
-        self.neighbors = oracle.neighbors
-        self.capacity = oracle.arrays.capacity_mbps
-        self.users_scale = np.maximum(
-            np.bincount(oracle.nearest_cell, weights=oracle.grid_weight, minlength=self.n_cells), 1.0
-        )
-        self.step_hours = oracle.config.traffic_step_hours
-        self.steps_per_day = 24 // self.step_hours
-        self.user_steps_per_day = 24 // oracle.config.user_step_hours
-
-    def user_hour(self, step: int) -> int:
-        """Column of a users day holding the hour a traffic step starts at; equally, the
-        number of user windows that end by then."""
-        return step * self.step_hours // self.oracle.config.user_step_hours
-
-    def observation(self, step, load, forecast_day, forecast_users) -> Observation:
-        """Agent view at `step`: current load fractions plus the forecast's next window.
-
-        Without a forecast (``None``) the next window is the current load and no
-        users are predicted.
-        """
-        nxt = min(step + 1, self.steps_per_day - 1)
-        if forecast_day is None:
-            pred, users = load, np.zeros(self.n_grids)
-        else:
-            pred, users = forecast_day[:, nxt] / self.capacity, forecast_users[:, self.user_hour(nxt)]
-        angle = 2.0 * np.pi * (step * self.step_hours % 24) / 24.0
-        return Observation(
-            load_frac=load,
-            pred_load_frac=pred,
-            pred_users_norm=np.bincount(self.oracle.nearest_cell, weights=users, minlength=self.n_cells)
-            / self.users_scale,
-            neighbor_pred_load=np.array([pred[list(nbs)].mean() for nbs in self.neighbors]),
-            hour_sin=float(np.sin(angle)),
-            hour_cos=float(np.cos(angle)),
-        )
+# -- condition tables --------------------------------------------------------------------
 
 
 def _conditions_traffic(oracle: Oracle, layout: ds.ConditionLayout) -> np.ndarray:
@@ -258,28 +213,29 @@ def _sample_days(head, cond, length: int, revealed: int, context, rng) -> np.nda
 
 
 def _forecast(
-    bundle: WorldModelBundle, geo: _Geometry, n: int, rng: np.random.Generator,
+    bundle: WorldModelBundle, oracle: Oracle, n: int, rng: np.random.Generator,
     revealed: int = 0, realised: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """n sampled days of traffic, (n, n_cells, steps), and users, (n, n_grids, user steps).
 
-    The first `revealed` traffic windows, and the user hours they span, come
-    from `realised`, the oracle's (traffic_day, users_day) pair; revealing
+    The first `revealed` traffic windows, and the user windows they cover,
+    come from `realised`, the oracle's (traffic_day, users_day) pair; revealing
     windows needs n = 1. Traffic is clipped to [0, capacity] and users to
     non-negative whole counts.
     """
+    clock = oracle.config
     context_t, context_u = realised if revealed else (None, None)
     traffic = _sample_days(
-        bundle.traffic, np.tile(_conditions_traffic(geo.oracle, bundle.traffic.layout), (n, 1)),
-        geo.steps_per_day, revealed, context_t, rng,
+        bundle.traffic, np.tile(_conditions_traffic(oracle, bundle.traffic.layout), (n, 1)),
+        clock.steps_per_day, revealed, context_t, rng,
     )
     users = _sample_days(
-        bundle.users, np.tile(bundle.users.layout.normalize(ds.users_conditions(geo.oracle)), (n, 1)),
-        geo.user_steps_per_day, geo.user_hour(revealed), context_u, rng,
+        bundle.users, np.tile(bundle.users.layout.normalize(ds.users_conditions(oracle)), (n, 1)),
+        clock.user_steps_per_day, clock.user_column(revealed), context_u, rng,
     )
     return (
-        np.clip(traffic.reshape(n, geo.n_cells, -1), 0.0, geo.capacity[None, :, None]),
-        np.rint(np.clip(users.reshape(n, geo.n_grids, -1), 0.0, None)),
+        np.clip(traffic.reshape(n, oracle.n_cells, -1), 0.0, oracle.arrays.capacity_mbps[None, :, None]),
+        np.rint(np.clip(users.reshape(n, oracle.n_grids, -1), 0.0, None)),
     )
 
 
@@ -290,13 +246,40 @@ class _DayEnv:
     """One day in decision steps; subclasses define `reset`, `step` and `_observation`."""
 
     def __init__(self, oracle: Oracle, weights: RewardWeights):
-        self.geo = _Geometry(oracle)
+        self.oracle = oracle
         self.weights = weights
+        self.users_scale = np.maximum(
+            np.bincount(oracle.nearest_cell, weights=oracle.grid_weight, minlength=oracle.n_cells), 1.0
+        )
         self._step = 0
 
     @property
     def steps_per_episode(self) -> int:
-        return self.geo.steps_per_day
+        return self.oracle.config.steps_per_day
+
+    def _observe(self, step, load, forecast_day, forecast_users) -> Observation:
+        """Agent view at `step`: current load fractions plus the forecast's next window.
+
+        Without a forecast (``None``) the next window is the current load and no
+        users are predicted.
+        """
+        oracle, clock = self.oracle, self.oracle.config
+        nxt = min(step + 1, clock.steps_per_day - 1)
+        if forecast_day is None:
+            pred, users = load, np.zeros(oracle.n_grids)
+        else:
+            pred = forecast_day[:, nxt] / oracle.arrays.capacity_mbps
+            users = forecast_users[:, clock.user_column(nxt)]
+        angle = 2.0 * np.pi * clock.hour(0, step) / 24.0
+        return Observation(
+            load_frac=load,
+            pred_load_frac=pred,
+            pred_users_norm=np.bincount(oracle.nearest_cell, weights=users, minlength=oracle.n_cells)
+            / self.users_scale,
+            neighbor_pred_load=np.array([pred[list(nbs)].mean() for nbs in oracle.neighbors]),
+            hour_sin=float(np.sin(angle)),
+            hour_cos=float(np.cos(angle)),
+        )
 
     def _finish_step(self, energy, ref_energy, rsrp_avg, dropped, total_users):
         """Reward the step, advance the clock and observe the next step unless the day is over."""
@@ -345,8 +328,7 @@ class WorldModelEnv(_DayEnv):
         self.bundle = bundle
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence((config.sample_seed, 3)))
-        geo = self.geo
-        self.traffic_pool, self.users_pool = _forecast(bundle, geo, config.day_pool, rng)
+        self.traffic_pool, self.users_pool = _forecast(bundle, oracle, config.day_pool, rng)
 
         # Guidance-free sampling keeps the conditional spread honest, which is
         # what calibrates the fraction of below-floor draws on far links.
@@ -356,7 +338,7 @@ class WorldModelEnv(_DayEnv):
             tiled, np.ones((tiled.shape[0], 1), dtype=bool), None, rng, guidance_w=0.0
         )
         self.rsrp_pool = flat.reshape(
-            config.rsrp_pool, geo.n_grids, geo.n_cells, config.rsrp_draws
+            config.rsrp_pool, oracle.n_grids, oracle.n_cells, config.rsrp_draws
         )
 
         self._day = None
@@ -370,27 +352,29 @@ class WorldModelEnv(_DayEnv):
         self._users_day = self.users_pool[rng.integers(0, len(self.users_pool))]
         self._table = self.rsrp_pool[rng.integers(0, len(self.rsrp_pool))]
         self._table_mean = self._table.mean(axis=2)
-        n = self.geo.n_cells
+        n = self.oracle.n_cells
         self._natural, _, _ = associate_users(self._table_mean, np.zeros(n, dtype=bool), np.zeros(n), -np.inf)
         self._step = 0
         return self._observation()
 
     def _observation(self) -> Observation:
         d = self._step
-        return self.geo.observation(d, self._day[:, d] / self.geo.capacity, self._day, self._users_day)
+        load = self._day[:, d] / self.oracle.arrays.capacity_mbps
+        return self._observe(d, load, self._day, self._users_day)
 
     def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
-        geo = self.geo
+        oracle, clock = self.oracle, self.oracle.config
         d = self._step
         native = self._day[:, d]
-        users = self._users_day[:, geo.user_hour(d)]
+        users = self._users_day[:, clock.user_column(d)]
         total_users = int(users.sum())
-        floor = geo.oracle.config.rsrp_floor_dbm
+        floor, step_hours = clock.rsrp_floor_dbm, clock.traffic_step_hours
 
         sleep = action.sleep
         # Each grid attaches by its mean RSRP; the floor then applies per draw.
-        serving, _, _ = associate_users(self._table_mean, sleep, resolve_bias(action, geo.neighbors), -np.inf)
-        draws = self._table[np.arange(geo.n_grids), serving]  # (n_grids, rsrp_draws)
+        bias = resolve_bias(action, oracle.neighbors)
+        serving, _, _ = associate_users(self._table_mean, sleep, bias, -np.inf)
+        draws = self._table[np.arange(oracle.n_grids), serving]  # (n_grids, rsrp_draws)
         above = (draws >= floor) & (serving >= 0)[:, None]
         served_frac = above.mean(axis=1)
         with np.errstate(invalid="ignore"):
@@ -402,7 +386,7 @@ class WorldModelEnv(_DayEnv):
 
         # Each grid is one unit of the oracle's step physics.
         _, _, power, ref_power = step_physics(
-            geo.arrays, native, sleep, self._natural, serving, users, served_frac
+            oracle.arrays, native, sleep, self._natural, serving, users, served_frac
         )
         served_users = users * served_frac
         n_served = float(served_users.sum())
@@ -412,7 +396,7 @@ class WorldModelEnv(_DayEnv):
         else:
             rsrp_avg = None
         return self._finish_step(
-            float(power.sum() * geo.step_hours), float(ref_power * geo.step_hours), rsrp_avg,
+            float(power.sum() * step_hours), float(ref_power * step_hours), rsrp_avg,
             float(total_users - n_served), total_users,
         )
 
@@ -441,27 +425,25 @@ class OracleEnv(_DayEnv):
     ):
         if predict_mode not in ("long_term", "short_term"):
             raise ConfigError(f"unknown predict_mode {predict_mode!r}")
-        if (day + 1) * 24 > oracle.config.horizon_hours:
+        if day >= oracle.config.n_days:
             raise ConfigError(f"day {day} exceeds the scenario horizon")
         super().__init__(oracle, weights)
-        self.oracle = oracle
         self.bundle = bundle
         self.day = day
         self.predict_mode = predict_mode
         self.predict_seed = predict_seed
-        self._t0 = day * 24
         self._realised = None       # (traffic_day, users_day or None)
         self._forecast = (None, None)
 
     def history_load_fractions(self) -> np.ndarray:
         """Previous-day native load fractions, (steps, n_cells), for threshold baselines."""
-        return (self.oracle.traffic_day(self.day - 1) / self.geo.capacity[:, None]).T
+        return (self.oracle.traffic_day(self.day - 1) / self.oracle.arrays.capacity_mbps[:, None]).T
 
     def current_load_fraction(self) -> np.ndarray:
-        return np.minimum(self._realised[0][:, self._step] / self.geo.capacity, 1.0)
+        return np.minimum(self._realised[0][:, self._step] / self.oracle.arrays.capacity_mbps, 1.0)
 
     def greedy_evaluator(self):
-        t = self._t0 + self._step * self.geo.step_hours
+        t = self.oracle.config.hour(self.day, self._step)
 
         def evaluate(sleep_mask: np.ndarray, bias_vec: np.ndarray) -> GreedyEvaluation:
             state = self.oracle.step_network(t, sleep_mask, bias_vec)
@@ -485,7 +467,7 @@ class OracleEnv(_DayEnv):
 
     def _predict(self, revealed: int, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(np.random.SeedSequence(key))
-        traffic, users = _forecast(self.bundle, self.geo, 1, rng, revealed, self._realised)
+        traffic, users = _forecast(self.bundle, self.oracle, 1, rng, revealed, self._realised)
         return traffic[0], users[0]
 
     def _observation(self) -> Observation:
@@ -494,14 +476,16 @@ class OracleEnv(_DayEnv):
             self._forecast = self._predict(
                 d + 1, (self.predict_seed, self.oracle.config.seed, self.day, d)
             )
-        return self.geo.observation(d, self.current_load_fraction(), *self._forecast)
+        return self._observe(d, self.current_load_fraction(), *self._forecast)
 
     def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
-        geo = self.geo
-        t = self._t0 + self._step * geo.step_hours
-        state = self.oracle.step_network(t, action.sleep, resolve_bias(action, geo.neighbors))
+        clock = self.oracle.config
+        state = self.oracle.step_network(
+            clock.hour(self.day, self._step), action.sleep, resolve_bias(action, self.oracle.neighbors)
+        )
+        step_hours = clock.traffic_step_hours
         return self._finish_step(
-            state.energy_wh(geo.step_hours), state.reference_power_watts * geo.step_hours,
+            state.energy_wh(step_hours), state.reference_power_watts * step_hours,
             state.rsrp_avg_dbm, state.dropped_users, state.total_users,
         )
 
@@ -607,7 +591,7 @@ def _rule_action(
     scheme: str, env: OracleEnv, obs: Observation, history: np.ndarray, cfg: EvalConfig
 ) -> Action:
     load = obs.load_frac
-    n = env.geo.n_cells
+    n = env.oracle.n_cells
     if scheme == "always_on":
         return Action.all_active(n)
     if scheme == "all_sleep":
@@ -618,7 +602,7 @@ def _rule_action(
         return baseline_custom(load, history, percentile=cfg.percentile, bias_db=cfg.baseline_bias_db)
     if scheme == "greedy":
         return baseline_greedy(
-            load, env.geo.neighbors, env.greedy_evaluator(),
+            load, env.oracle.neighbors, env.greedy_evaluator(),
             rsrp_floor_dbm=env.oracle.config.rsrp_floor_dbm,
             margin_db=cfg.greedy_margin_db, bias_db=cfg.baseline_bias_db,
         )
@@ -701,15 +685,6 @@ def evaluate_policy(
 # -- generation metrics ----------------------------------------------------------------
 
 
-def oracle_mean_traffic(oracle: Oracle) -> np.ndarray:
-    """Noise-free daily load profile, (n_cells, steps_per_day)."""
-    step = oracle.config.traffic_step_hours
-    return np.array([
-        [oracle.deterministic_traffic_at(c.id, k * step) for k in range(24 // step)]
-        for c in oracle.cells
-    ])
-
-
 def oracle_traffic_draws(scenario: ScenarioConfig, n: int) -> np.ndarray:
     """(n, n_cells, steps) day realizations across reseeded scenario copies."""
     return np.array([build_scenario(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n)])
@@ -739,7 +714,10 @@ def traffic_generation_metrics(
     from scipy import stats as sstats  # deferred: slow to import; only the generation metrics use it
 
     oracle = build_scenario(scenario)
-    det_profile = oracle_mean_traffic(oracle)
+    # Noise-free daily load profile, (n_cells, steps_per_day).
+    det_profile = oracle.arrays.capacity_mbps[:, None] * np.clip(
+        oracle.hourly_demand[:, ::scenario.traffic_step_hours], 0.0, 1.0
+    )
     n_cells, steps = det_profile.shape
     value_range = float(det_profile.max() - det_profile.min())
     draws = oracle_traffic_draws(scenario, n_samples)

@@ -110,6 +110,30 @@ class ScenarioConfig:
     traffic_amp: float = 0.55
     traffic_noise_sigma: float = 0.05
 
+    # -- the day clock; validate_scenario makes each step divide 24 hours ----
+
+    @property
+    def steps_per_day(self) -> int:
+        return 24 // self.traffic_step_hours
+
+    @property
+    def user_steps_per_day(self) -> int:
+        return 24 // self.user_step_hours
+
+    @property
+    def n_days(self) -> int:
+        """Whole days in the horizon."""
+        return self.horizon_hours // 24
+
+    def hour(self, day: int, step: int = 0) -> int:
+        """Hour at which traffic step `step` of day `day` starts."""
+        return day * 24 + step * self.traffic_step_hours
+
+    def user_column(self, step: int) -> int:
+        """Column of a users day holding the hour traffic step `step` starts at; equally,
+        the number of user windows that the first `step` traffic windows cover."""
+        return step * self.traffic_step_hours // self.user_step_hours
+
 
 @dataclass
 class NetworkState:
@@ -251,7 +275,9 @@ class Oracle:
 
     Tables in config order: `grid_positions`, `cell_positions`, `grid_cell_km`, `nearest_cell`
     (ties to the lowest index), `grid_weight` (poi_weight * base_users) and `neighbors` (cell
-    indices); `grid_edge_km` is the lattice pitch.
+    indices); `grid_edge_km` is the lattice pitch. Per hour of day: `hourly_demand`, each
+    cell's noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson
+    user rate.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -271,13 +297,19 @@ class Oracle:
         self.grid_cell_km = np.linalg.norm(offsets, axis=2)
         self.nearest_cell = np.argmin(self.grid_cell_km, axis=1)
         self.grid_weight = np.array([g.poi_weight * g.base_users for g in config.grids], dtype=float)
-        # Counterfactual rescale of the deterministic demand, per profile.
-        self._peak_scale = {}
-        steps = range(0, 24, config.traffic_step_hours)
+        # A counterfactual rescales each profile's demand so its peak over the traffic steps is phi.
+        phi = config.counterfactual_peak_fraction
+        demand = {}
         for p in POI_PROFILES:
-            peak = max(config.traffic_base + config.traffic_amp * diurnal(p, h) for h in steps)
-            phi = config.counterfactual_peak_fraction
-            self._peak_scale[p] = 1.0 if phi is None else phi / peak
+            raw = [config.traffic_base + config.traffic_amp * diurnal(p, h) for h in range(24)]
+            scale = 1.0 if phi is None else phi / max(raw[::config.traffic_step_hours])
+            demand[p] = [d * scale for d in raw]
+        self.hourly_demand = np.array([demand[c.poi_profile] for c in self.cells])
+        # The 0.2 floor keeps grids from emptying out.
+        self.hourly_user_rate = np.array([
+            [w * (0.2 + 0.8 * diurnal(self.cells[c].poi_profile, h)) for h in range(24)]
+            for w, c in zip(self.grid_weight, self.nearest_cell)
+        ])
 
     # -- keyed randomness ----------------------------------------------------
 
@@ -286,9 +318,9 @@ class Oracle:
 
     # -- element queries -----------------------------------------------------
 
-    def cell(self, cell_id: int) -> CellConfig:
+    def _cell_row(self, cell_id: int) -> int:
         try:
-            return self.cells[self._cell_index[cell_id]]
+            return self._cell_index[cell_id]
         except KeyError:
             raise UnknownIdError(f"unknown cell id {cell_id}") from None
 
@@ -298,60 +330,44 @@ class Oracle:
                 f"t_hours {t_hours} outside horizon [0, {self.config.horizon_hours})"
             )
 
-    def _demand(self, cell_id: int, t_hours: int) -> tuple[CellConfig, int, float]:
-        """(cell, traffic-step start, unclipped noise-free demand fraction) at t."""
-        cell = self.cell(cell_id)
-        self._check_t(t_hours)
-        tq = t_hours - t_hours % self.config.traffic_step_hours
-        raw = self.config.traffic_base + self.config.traffic_amp * diurnal(
-            cell.poi_profile, tq % 24
-        )
-        return cell, tq, raw * self._peak_scale[cell.poi_profile]
-
-    def deterministic_traffic_at(self, cell_id: int, t_hours: int) -> float:
-        """Noise-free load in Mbps (the expected value of traffic_at)."""
-        cell, _, raw = self._demand(cell_id, t_hours)
-        return cell.capacity_mbps * min(max(raw, 0.0), 1.0)
-
     def traffic_at(self, cell_id: int, t_hours: int) -> float:
         """Load in Mbps at the traffic-step granularity, with seeded noise."""
-        cell, tq, raw = self._demand(cell_id, t_hours)
+        row = self._cell_row(cell_id)
+        self._check_t(t_hours)
+        tq = t_hours - t_hours % self.config.traffic_step_hours
+        raw = float(self.hourly_demand[row, tq % 24])
         sigma = self.config.traffic_noise_sigma
         if sigma > 0:
-            eta = float(self._rng(_S_TRAFFIC, cell.id, tq).normal(0.0, sigma))
+            eta = float(self._rng(_S_TRAFFIC, self.cells[row].id, tq).normal(0.0, sigma))
             raw *= 1.0 + eta
-        return cell.capacity_mbps * min(max(raw, 0.0), 1.0)
+        return self.cells[row].capacity_mbps * min(max(raw, 0.0), 1.0)
 
-    def user_rate(self, grid_index: int, t_hours: int) -> float:
-        """Poisson rate behind users_at; keeps a 0.2 floor so grids never empty out."""
+    def users_at(self, grid_index: int, t_hours: int) -> int:
+        """Users in a grid at the user-step granularity: a seeded Poisson draw at `hourly_user_rate`."""
         if not 0 <= grid_index < self.n_grids:
             raise UnknownIdError(f"grid index {grid_index} out of range")
         self._check_t(t_hours)
         tq = t_hours - t_hours % self.config.user_step_hours
-        profile = self.cells[self.nearest_cell[grid_index]].poi_profile
-        return float(self.grid_weight[grid_index] * (0.2 + 0.8 * diurnal(profile, tq % 24)))
-
-    def users_at(self, grid_index: int, t_hours: int) -> int:
-        rate = self.user_rate(grid_index, t_hours)
+        rate = float(self.hourly_user_rate[grid_index, tq % 24])
         if rate == 0.0:
             return 0
-        tq = t_hours - t_hours % self.config.user_step_hours
         return int(self._rng(_S_USERS, grid_index, tq).poisson(rate))
 
     # -- day reads -----------------------------------------------------------
 
     def traffic_day(self, day: int) -> np.ndarray:
-        """traffic_at over one day, (n_cells, 24 / traffic_step_hours) in Mbps."""
-        step = self.config.traffic_step_hours
+        """traffic_at over one day, (n_cells, steps_per_day) in Mbps."""
+        clock = self.config
         return np.array([
-            [self.traffic_at(c.id, day * 24 + k * step) for k in range(24 // step)] for c in self.cells
+            [self.traffic_at(c.id, clock.hour(day, k)) for k in range(clock.steps_per_day)] for c in self.cells
         ])
 
     def users_day(self, day: int) -> np.ndarray:
-        """users_at over one day as floats, (n_grids, 24 / user_step_hours)."""
-        step = self.config.user_step_hours
+        """users_at over one day as floats, (n_grids, user_steps_per_day)."""
+        clock = self.config
         return np.array([
-            [float(self.users_at(g, day * 24 + k * step)) for k in range(24 // step)]
+            [float(self.users_at(g, clock.hour(day) + k * clock.user_step_hours))
+             for k in range(clock.user_steps_per_day)]
             for g in range(self.n_grids)
         ])
 

@@ -16,6 +16,7 @@ from celltwin.harness import (
     WorldModelEnv,
     WorldModelEnvConfig,
     _conditions_rsrp_table,
+    _forecast,
     counterfactual_suite,
     episode_row,
     evaluate_policy,
@@ -33,16 +34,22 @@ from celltwin.scenario import build_scenario, make_hex_scenario
 WEIGHTS = RewardWeights()
 
 
-class _ZeroHead:
-    """Stands in for a trained head: every generated value is 0."""
+class _FillHead:
+    """Stands in for a trained head: every value it generates is `fill`; context it keeps, as
+    inpainting does."""
 
     layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
 
+    def __init__(self, fill: float):
+        self.fill = fill
+
     def sample(self, cond, mask, context, rng, guidance_w=None):
-        return np.zeros(mask.shape)
+        return np.where(mask, self.fill, 0.0 if context is None else context)
 
 
-ZERO_BUNDLE = WorldModelBundle(traffic=_ZeroHead(), users=_ZeroHead(), rsrp=_ZeroHead())
+ZERO_BUNDLE = WorldModelBundle(traffic=_FillHead(0.0), users=_FillHead(0.0), rsrp=_FillHead(0.0))
+NAN_BUNDLE = WorldModelBundle(traffic=_FillHead(np.nan), users=_FillHead(np.nan), rsrp=_FillHead(np.nan))
+DAY_DIVISORS = (1, 2, 3, 4, 6, 8, 12, 24)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +265,42 @@ class TestOracleEvaluation:
             _check_envelope(self._envelope_results(800.0, -90.0), WEIGHTS)
 
 
+class TestDayClock:
+    """Every reader of the day clock agrees with plain hour arithmetic, for any pair of steps."""
+
+    @pytest.mark.parametrize("traffic_step", DAY_DIVISORS)
+    @pytest.mark.parametrize("user_step", DAY_DIVISORS)
+    def test_day_reads_user_columns_and_revealed_split(self, traffic_step, user_step, env_config):
+        oracle = build_scenario(make_hex_scenario(seed=5, grid_dim=2, horizon_hours=48,
+                                                  traffic_step_hours=traffic_step, user_step_hours=user_step))
+        steps, user_steps = 24 // traffic_step, 24 // user_step
+        traffic, users = oracle.traffic_day(1), oracle.users_day(1)
+        assert traffic.shape == (7, steps) and users.shape == (4, user_steps)
+        for c, cell in enumerate(oracle.cells):
+            assert traffic[c].tolist() == [oracle.traffic_at(cell.id, 24 + k * traffic_step) for k in range(steps)]
+        for g in range(4):
+            assert users[g].tolist() == [oracle.users_at(g, 24 + j * user_step) for j in range(user_steps)]
+
+        # Both environments count, at step k, the users of the hour 24 + k * traffic_step.
+        twin = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
+        twin.traffic_pool, twin.users_pool = traffic[None], users[None]
+        twin.reset(np.random.default_rng(0))
+        truth = OracleEnv(oracle, WEIGHTS, day=1)
+        truth.reset()
+        action = Action.all_active(7)
+        for k in range(steps):
+            want = sum(oracle.users_at(g, 24 + k * traffic_step) for g in range(4))
+            assert twin.step(action)[3]["total_users"] == want
+            assert truth.step(action)[3]["total_users"] == want
+
+        # r revealed traffic windows reveal the user windows that end by hour r * traffic_step.
+        for r in range(steps + 1):
+            got_t, got_u = _forecast(NAN_BUNDLE, oracle, 1, np.random.default_rng(0), r, (traffic, users))
+            shown_u = np.array([(j + 1) * user_step <= r * traffic_step for j in range(user_steps)])
+            assert np.array_equal(got_t[0][:, :r], traffic[:, :r]) and np.isnan(got_t[0][:, r:]).all()
+            assert np.array_equal(got_u[0][:, shown_u], users[:, shown_u]) and np.isnan(got_u[0][:, ~shown_u]).all()
+
+
 class TestGenerationMetrics:
     def test_oracle_against_itself_is_zero(self, scenario, monkeypatch):
         draws = oracle_traffic_draws(scenario, 16)
@@ -325,7 +368,7 @@ class TestCounterfactualBehavior:
             for step in (4, 5, 6):  # busy midday windows
                 env._step = step
                 action = baseline_greedy(
-                    env.current_load_fraction(), env.geo.neighbors, env.greedy_evaluator(),
+                    env.current_load_fraction(), env.oracle.neighbors, env.greedy_evaluator(),
                     rsrp_floor_dbm=oracle.config.rsrp_floor_dbm,
                 )
                 total += int(action.sleep.sum())

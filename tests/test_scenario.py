@@ -138,7 +138,7 @@ class TestUsers:
 
     def test_monte_carlo_mean_matches_rate(self):
         cfg = two_cell_config()
-        rate = build_scenario(cfg).user_rate(1, 20)
+        rate = build_scenario(cfg).hourly_user_rate[1, 20]
         draws = [
             build_scenario(two_cell_config(seed=s)).users_at(1, 20) for s in range(1000)
         ]
