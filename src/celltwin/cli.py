@@ -103,16 +103,13 @@ class RunConfig:
     def reports_dir(self) -> Path:
         return self.out_path / "reports"
 
-    def manifest(self, command: str, extra: dict | None = None) -> dict:
-        base = {
+    def manifest(self, command: str) -> dict:
+        return {
             "command": command,
             "config_hash": self.config_hash,
             "seeds": list(self.seeds),
             "versions": {"celltwin": __version__, "numpy": np.__version__},
         }
-        if extra:
-            base.update(extra)
-        return base
 
 
 # Value checks the types cannot express: (dotted key, test, what the value must be).

@@ -276,7 +276,7 @@ def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
         if sleep.sum() > n_cells - 2:
             sleep[:] = False
         bias = rng.choice(_BIAS_CHOICES, size=n_cells)
-        _, _, positions, shadowing = oracle.users_and_shadowing(t)
+        _, positions, shadowing = oracle.users_and_shadowing(t)
         if positions.shape[0] == 0:
             continue
         rsrp = oracle.rsrp_matrix(positions, shadowing)

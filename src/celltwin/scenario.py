@@ -373,8 +373,8 @@ class Oracle:
 
     # -- composite step ------------------------------------------------------
 
-    def users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Seeded user counts per grid, then each user's grid, position and per-cell shadowing at t."""
+    def users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Seeded user counts per grid, then each user's position and per-cell shadowing at t."""
         tq = t_hours - t_hours % self.config.user_step_hours
         counts = np.array([self.users_at(g, t_hours) for g in range(self.n_grids)])
         half, sigma = self.grid_edge_km / 2.0, self.config.shadowing_sigma_db
@@ -383,10 +383,9 @@ class Oracle:
             jitter.append(self._rng(_S_POS, g, tq).uniform(-half, half, size=(counts[g], 2)))
             if sigma > 0:
                 shadows.append(self._rng(_S_SHADOW, g, tq).normal(0.0, sigma, size=(counts[g], self.n_cells)))
-        grid_ids = np.repeat(np.arange(self.n_grids, dtype=np.int64), counts)
         positions = np.repeat(self.grid_positions, counts, axis=0) + np.concatenate(jitter)
-        shadowing = np.concatenate(shadows) if sigma > 0 else np.zeros((len(grid_ids), self.n_cells))
-        return counts, grid_ids, positions, shadowing
+        shadowing = np.concatenate(shadows) if sigma > 0 else np.zeros((len(positions), self.n_cells))
+        return counts, positions, shadowing
 
     def rsrp_matrix(self, positions: np.ndarray, shadowing: np.ndarray) -> np.ndarray:
         """Per-(user, cell) RSRP in dBm, vectorized free-space + shadowing."""
@@ -414,7 +413,7 @@ class Oracle:
             raise DomainError("sleep_mask and bias_db must have one entry per cell")
 
         native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells])
-        counts, _, positions, shadowing = self.users_and_shadowing(t_hours)
+        counts, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
 
         # Natural attachment (everything active, no bias) fixes per-user demand.
