@@ -117,13 +117,15 @@ _VALUE_CHECKS = (
     ("evaluation.schemes", lambda v: set(v) <= set(SCHEMES), f"a list of schemes from {', '.join(SCHEMES)}"),
     ("evaluation.predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
     ("worldmodel.guidance_w", lambda v: v >= 0, ">= 0"),
-    ("worldmodel.batch_size", lambda v: v >= 1, ">= 1"),
-    ("worldmodel.diffusion_steps", lambda v: v >= 1, ">= 1"),
+    ("counterfactual.fractions", lambda v: all(0 < f <= 1 for f in v), "a list of peak fractions in (0, 1]"),
     ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
      "three non-negative fractions summing to 1"),
     ("seeds", lambda v: v and min(v) >= 0, "a nonempty array of integers >= 0"),
     *((key, lambda v: v >= 0, ">= 0") for key in (
         "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
+    *((key, lambda v: v >= 1, ">= 1") for key in (
+        "worldmodel.batch_size", "worldmodel.diffusion_steps", "agent.updates", "agent.episodes_per_update",
+        "agent.env.day_pool", "agent.env.rsrp_pool", "agent.env.rsrp_draws")),
 )
 
 

@@ -178,6 +178,13 @@ class TestParseConfig:
         ('{"counterfactual": {"adapt_seed": -1}}', "counterfactual.adapt_seed"),
         ('{"worldmodel": {"batch_size": 0}}', "worldmodel.batch_size"),
         ('{"worldmodel": {"diffusion_steps": 0}}', "worldmodel.diffusion_steps"),
+        ('{"agent": {"updates": 0}}', "agent.updates"),
+        ('{"agent": {"episodes_per_update": 0}}', "agent.episodes_per_update"),
+        ('{"agent": {"env": {"day_pool": 0}}}', "agent.env.day_pool"),
+        ('{"agent": {"env": {"rsrp_pool": 0}}}', "agent.env.rsrp_pool"),
+        ('{"agent": {"env": {"rsrp_draws": 0}}}', "agent.env.rsrp_draws"),
+        ('{"counterfactual": {"fractions": [0.5, 5.0]}}', "counterfactual.fractions"),
+        ('{"counterfactual": {"fractions": [0.0]}}', "counterfactual.fractions"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
