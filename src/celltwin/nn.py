@@ -42,12 +42,13 @@ def identity(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 _ACT = {"relu": relu, "tanh": tanh, "linear": identity}
 
 
-def _act_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _act_grad(name: str, out: np.ndarray) -> np.ndarray:
+    """Activation derivative from the activation's output alone."""
     if name == "relu":
-        return (pre > 0.0).astype(float)
+        return (out > 0.0).astype(float)
     if name == "tanh":
         return 1.0 - out * out
-    return np.ones_like(pre)
+    return np.ones_like(out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -376,9 +377,9 @@ class MLP:
     def forward(self, x: np.ndarray, keep_cache: bool = True):
         """Output and the cache ``backward`` needs; with ``keep_cache=False``, the output alone.
 
-        Without a cache nothing needs the pre-activations, so the bias and the
-        activation are applied in place on each matmul output: the same ops in
-        the same order, hence the same bits, without the copies.
+        Backward reads each layer's input, output and adapter projection, never
+        its pre-activation, so the bias and the activation are applied in place
+        on each matmul output on both paths.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.dims[0]:
@@ -399,19 +400,17 @@ class MLP:
                 bb = self.store[f"{self.prefix}/B{i}"]
                 low = out @ np.swapaxes(a, -1, -2)
                 pre += spec.scale * (low @ np.swapaxes(bb, -1, -2))
+            post = _ACT[self.acts[i]](pre, out=pre)
             if keep_cache:
-                post = _ACT[self.acts[i]](pre)
-                cache.append((out, pre, post, low))
-            else:
-                post = _ACT[self.acts[i]](pre, out=pre)
+                cache.append((out, post, low))
             out = post
         return (out, cache) if keep_cache else out
 
     def backward(self, cache: list, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
         d = np.asarray(dout, dtype=np.float64)
         for i in range(self.n_layers - 1, -1, -1):
-            x_in, pre, post, low = cache[i]
-            dpre = d * _act_grad(self.acts[i], pre, post)
+            x_in, post, low = cache[i]
+            dpre = d * _act_grad(self.acts[i], post)
             dpre_t = np.swapaxes(dpre, -1, -2)
             w = self.store[f"{self.prefix}/W{i}"]
             add_grad(grads, f"{self.prefix}/W{i}", dpre_t @ x_in)
