@@ -466,6 +466,11 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("shadowing_sigma_db must be >= 0")
     if config.traffic_noise_sigma < 0:
         raise ConfigError("traffic_noise_sigma must be >= 0")
+    for key in ("traffic_base", "traffic_amp"):
+        if not getattr(config, key) >= 0:
+            raise ConfigError(f"scenario.{key} {getattr(config, key)} must be >= 0")
+    if not config.traffic_base + config.traffic_amp > 0:
+        raise ConfigError("scenario.traffic_base + traffic_amp must be > 0")
     ids = [c.id for c in config.cell_configs]
     if len(set(ids)) != len(ids):
         raise ConfigError("cell ids must be unique")

@@ -315,6 +315,14 @@ BAD_SCENARIOS = {
                                     "scenario.traffic_step_hours 16 must divide 24"),
     "preset_user_step_five": ("inline", {"preset": "hex7", "user_step_hours": 5},
                               "scenario.user_step_hours 5 must divide 24"),
+    "preset_traffic_base_negative": ("inline", {"preset": "hex7", "traffic_base": -1.0, "traffic_amp": 0.2},
+                                     "scenario.traffic_base -1.0 must be >= 0"),
+    "preset_traffic_amp_negative": ("inline", {"preset": "hex7", "traffic_amp": -5},
+                                    "scenario.traffic_amp -5 must be >= 0"),
+    # With no demand at all, the peak rescale divides by a zero peak.
+    "preset_traffic_shape_zero": ("inline", {"preset": "hex7", "traffic_base": 0, "traffic_amp": 0,
+                                             "counterfactual_peak_fraction": 0.5},
+                                  "scenario.traffic_base + traffic_amp must be > 0"),
     "path_is_a_directory": ("inline", "", "scenario file"),
     "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
 }
