@@ -37,6 +37,10 @@ class RewardWeights:
         if self.rsrp_hi_dbm <= self.rsrp_lo_dbm:
             raise ConfigError("reward rsrp_hi_dbm must exceed rsrp_lo_dbm")
 
+    def rsrp_score(self, dbm):
+        """RSRP mapped linearly from [rsrp_lo_dbm, rsrp_hi_dbm] onto [0, 1], clipped; elementwise."""
+        return np.clip((dbm - self.rsrp_lo_dbm) / (self.rsrp_hi_dbm - self.rsrp_lo_dbm), 0.0, 1.0)
+
 
 def compute_reward(
     energy_wh: float,
@@ -58,8 +62,7 @@ def compute_reward(
     elif rsrp_avg_dbm is None:
         rsrp_term = 0.0
     else:
-        span = weights.rsrp_hi_dbm - weights.rsrp_lo_dbm
-        rsrp_term = float(np.clip((rsrp_avg_dbm - weights.rsrp_lo_dbm) / span, 0.0, 1.0))
+        rsrp_term = float(weights.rsrp_score(rsrp_avg_dbm))
     dropped_frac = 0.0 if total_users == 0 else dropped / total_users
     return (
         -weights.lambda_e * (energy_wh / reference_energy_wh)
@@ -278,14 +281,6 @@ def baseline_custom(
     return Action(sleep=sleep, bias_level_db=bias)
 
 
-@dataclass
-class GreedyEvaluation:
-    """What the greedy loop needs to know about a tentative sleep pattern."""
-
-    rsrp_avg_dbm: float | None
-    per_cell_overload_mbps: np.ndarray
-
-
 def baseline_greedy(
     load_frac: np.ndarray,
     neighbors: list[tuple[int, ...]],
@@ -296,9 +291,11 @@ def baseline_greedy(
 ) -> Action:
     """Iteratively sleep cells in ascending-load priority order, with rollback.
 
-    ``evaluate_fn(sleep_mask, bias_vector) -> GreedyEvaluation`` judges each
-    tentative pattern; a tentative sleep is reverted when the average RSRP
-    falls below floor + margin or any compensation neighbor overloads.
+    ``evaluate_fn(sleep_mask, bias_vector)`` judges each tentative pattern
+    with a step outcome (a ``scenario.NetworkState``), of which only
+    ``rsrp_avg_dbm`` and ``per_cell_overload_mbps`` are read; a tentative sleep
+    is reverted when the average RSRP falls below floor + margin or any
+    compensation neighbor overloads.
     """
     load_frac = np.asarray(load_frac, dtype=float)
     n = load_frac.shape[0]

@@ -198,7 +198,8 @@ def _poi_onehot(cells) -> np.ndarray:
     return np.eye(len(POI_PROFILES))[[POI_PROFILES.index(c.poi_profile) for c in cells]]
 
 
-def _clock(hour: float) -> dict[str, float]:
+def hour_features(hour: float) -> dict[str, float]:
+    """Clock condition fields at an hour: its angle on the day as sine and cosine, and the day phase."""
     h = hour % 24.0
     angle = 2.0 * np.pi * h / 24.0
     return {"hour_sin": float(np.sin(angle)), "hour_cos": float(np.cos(angle)), "day_phase": h / 24.0}
@@ -214,7 +215,7 @@ def traffic_conditions(oracle: Oracle) -> np.ndarray:
     density = [float(np.mean(w)) if w.size else 0.0 for w in mine]
     a = oracle.arrays
     return condition_rows(
-        oracle.n_cells, poi=_poi_onehot(oracle.cells), **_clock(0), grid_density=density,
+        oracle.n_cells, poi=_poi_onehot(oracle.cells), **hour_features(0), grid_density=density,
         demand=a.capacity_mbps, tx_power_dbm=a.tx_power_dbm, carrier_freq_mhz=a.carrier_freq_mhz,
     )
 
@@ -228,7 +229,7 @@ def users_conditions(oracle: Oracle) -> np.ndarray:
     near = oracle.nearest_cell
     a = oracle.arrays
     return condition_rows(
-        oracle.n_grids, poi=_poi_onehot(oracle.cells)[near], **_clock(0),
+        oracle.n_grids, poi=_poi_onehot(oracle.cells)[near], **hour_features(0),
         grid_density=oracle.grid_weight, demand=a.capacity_mbps[near], tx_power_dbm=a.tx_power_dbm[near],
         carrier_freq_mhz=a.carrier_freq_mhz[near],
         distance_km=oracle.grid_cell_km[np.arange(oracle.n_grids), near],
@@ -245,7 +246,7 @@ def rsrp_conditions(oracle: Oracle, cells, distance_km, hour: int, sleep_frac: f
     """
     a = oracle.arrays
     return condition_rows(
-        len(cells), **_clock(hour), tx_power_dbm=a.tx_power_dbm[cells],
+        len(cells), **hour_features(hour), tx_power_dbm=a.tx_power_dbm[cells],
         carrier_freq_mhz=a.carrier_freq_mhz[cells], distance_km=distance_km, sleep_frac=sleep_frac,
     )
 
@@ -282,9 +283,9 @@ def _collect_rsrp(oracle: Oracle, n_days: int, rng: np.random.Generator):
         rsrp = oracle.rsrp_matrix(positions, shadowing)
         # Measure the cell each user targets regardless of the drop floor, so
         # the learned conditional keeps its below-floor tail (no survivor bias).
-        serving, user_rsrp, _ = associate_users(rsrp, sleep, bias, -np.inf)
+        serving = associate_users(rsrp, sleep, bias, -np.inf)
         pick = rng.permutation(positions.shape[0])[:_RSRP_USERS_PER_STEP]
-        series.append(user_rsrp[pick, None])
+        series.append(rsrp[pick, serving[pick], None])
         # A dot per row: bit-equal to np.linalg.norm of each row, unlike its axis=1 form.
         d = positions[pick] - oracle.cell_positions[serving[pick]]
         dist = np.sqrt(np.vecdot(d, d))

@@ -19,7 +19,6 @@ import numpy as np
 from . import dataset as ds
 from .agent import (
     Action,
-    GreedyEvaluation,
     Observation,
     Policy,
     RewardWeights,
@@ -32,7 +31,7 @@ from .agent import (
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
 from .errors import ConfigError, EnvelopeError, ModelError
-from .scenario import Oracle, ScenarioConfig, associate_users, build_scenario, step_physics
+from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, build_scenario, serve
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
@@ -270,19 +269,22 @@ class _DayEnv:
         else:
             pred = forecast_day[:, nxt] / oracle.arrays.capacity_mbps
             users = forecast_users[:, clock.user_column(nxt)]
-        angle = 2.0 * np.pi * clock.hour(0, step) / 24.0
+        hour = ds.hour_features(clock.hour(0, step))
         return Observation(
             load_frac=load,
             pred_load_frac=pred,
             pred_users_norm=np.bincount(oracle.nearest_cell, weights=users, minlength=oracle.n_cells)
             / self.users_scale,
             neighbor_pred_load=np.array([pred[list(nbs)].mean() for nbs in oracle.neighbors]),
-            hour_sin=float(np.sin(angle)),
-            hour_cos=float(np.cos(angle)),
+            hour_sin=hour["hour_sin"],
+            hour_cos=hour["hour_cos"],
         )
 
-    def _finish_step(self, energy, ref_energy, rsrp_avg, dropped, total_users):
+    def _finish_step(self, state: NetworkState):
         """Reward the step, advance the clock and observe the next step unless the day is over."""
+        step_hours = self.oracle.config.traffic_step_hours
+        energy, ref_energy = state.energy_wh(step_hours), state.reference_power_watts * step_hours
+        rsrp_avg, dropped, total_users = state.rsrp_avg_dbm, state.dropped_users, state.total_users
         reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
         self._step += 1
         done = self._step >= self.steps_per_episode
@@ -353,7 +355,7 @@ class WorldModelEnv(_DayEnv):
         self._table = self.rsrp_pool[rng.integers(0, len(self.rsrp_pool))]
         self._table_mean = self._table.mean(axis=2)
         n = self.oracle.n_cells
-        self._natural, _, _ = associate_users(self._table_mean, np.zeros(n, dtype=bool), np.zeros(n), -np.inf)
+        self._natural = associate_users(self._table_mean, np.zeros(n, dtype=bool), np.zeros(n), -np.inf)
         self._step = 0
         return self._observation()
 
@@ -363,42 +365,14 @@ class WorldModelEnv(_DayEnv):
         return self._observe(d, load, self._day, self._users_day)
 
     def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
+        """Each grid is one unit of `serve`: it attaches by its mean RSRP and the floor applies per draw."""
         oracle, clock = self.oracle, self.oracle.config
         d = self._step
-        native = self._day[:, d]
-        users = self._users_day[:, clock.user_column(d)]
-        total_users = int(users.sum())
-        floor, step_hours = clock.rsrp_floor_dbm, clock.traffic_step_hours
-
-        sleep = action.sleep
-        # Each grid attaches by its mean RSRP; the floor then applies per draw.
-        bias = resolve_bias(action, oracle.neighbors)
-        serving, _, _ = associate_users(self._table_mean, sleep, bias, -np.inf)
-        draws = self._table[np.arange(oracle.n_grids), serving]  # (n_grids, rsrp_draws)
-        above = (draws >= floor) & (serving >= 0)[:, None]
-        served_frac = above.mean(axis=1)
-        with np.errstate(invalid="ignore"):
-            grid_rsrp = np.where(
-                served_frac > 0,
-                np.where(above, draws, 0.0).sum(axis=1) / np.maximum(above.sum(axis=1), 1),
-                np.nan,
-            )
-
-        # Each grid is one unit of the oracle's step physics.
-        _, _, power, ref_power = step_physics(
-            oracle.arrays, native, sleep, self._natural, serving, users, served_frac
-        )
-        served_users = users * served_frac
-        n_served = float(served_users.sum())
-        if n_served > 0:
-            valid = served_users > 0
-            rsrp_avg = float((served_users[valid] * grid_rsrp[valid]).sum() / n_served)
-        else:
-            rsrp_avg = None
-        return self._finish_step(
-            float(power.sum() * step_hours), float(ref_power * step_hours), rsrp_avg,
-            float(total_users - n_served), total_users,
-        )
+        return self._finish_step(serve(
+            oracle.arrays, self._day[:, d], self._natural, self._table_mean, self._table,
+            self._users_day[:, clock.user_column(d)], clock.rsrp_floor_dbm, action.sleep,
+            resolve_bias(action, oracle.neighbors),
+        ))
 
 
 class OracleEnv(_DayEnv):
@@ -443,16 +417,9 @@ class OracleEnv(_DayEnv):
         return np.minimum(self._realised[0][:, self._step] / self.oracle.arrays.capacity_mbps, 1.0)
 
     def greedy_evaluator(self):
+        """The oracle's step at the current hour, as a function of (sleep mask, bias); the clock does not move."""
         t = self.oracle.config.hour(self.day, self._step)
-
-        def evaluate(sleep_mask: np.ndarray, bias_vec: np.ndarray) -> GreedyEvaluation:
-            state = self.oracle.step_network(t, sleep_mask, bias_vec)
-            return GreedyEvaluation(
-                rsrp_avg_dbm=state.rsrp_avg_dbm,
-                per_cell_overload_mbps=state.per_cell_overload_mbps,
-            )
-
-        return evaluate
+        return lambda sleep_mask, bias_vec: self.oracle.step_network(t, sleep_mask, bias_vec)
 
     def reset(self, rng: np.random.Generator | None = None) -> Observation:
         self._step = 0
@@ -479,15 +446,10 @@ class OracleEnv(_DayEnv):
         return self._observe(d, self.current_load_fraction(), *self._forecast)
 
     def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
-        clock = self.oracle.config
-        state = self.oracle.step_network(
-            clock.hour(self.day, self._step), action.sleep, resolve_bias(action, self.oracle.neighbors)
-        )
-        step_hours = clock.traffic_step_hours
-        return self._finish_step(
-            state.energy_wh(step_hours), state.reference_power_watts * step_hours,
-            state.rsrp_avg_dbm, state.dropped_users, state.total_users,
-        )
+        return self._finish_step(self.oracle.step_network(
+            self.oracle.config.hour(self.day, self._step), action.sleep,
+            resolve_bias(action, self.oracle.neighbors),
+        ))
 
 
 # -- actors ------------------------------------------------------------------------
@@ -637,11 +599,10 @@ def _check_envelope(results: dict[str, EpisodeResult], weights: RewardWeights) -
     ref = results["always_on"]
 
     def rsrp_term(r: EpisodeResult) -> float:
-        span = weights.rsrp_hi_dbm - weights.rsrp_lo_dbm
         vals = r.rsrp_avg_dbm[~np.isnan(r.rsrp_avg_dbm)]
         if vals.size == 0:
             return 0.0
-        return float(np.clip((vals - weights.rsrp_lo_dbm) / span, 0.0, 1.0).mean())
+        return float(weights.rsrp_score(vals).mean())
 
     for name, res in results.items():
         if res.total_energy_wh < sleep_floor - 1e-6:

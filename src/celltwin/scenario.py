@@ -18,6 +18,7 @@ import inspect
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, make_dataclass
+from functools import cached_property
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -137,30 +138,39 @@ class ScenarioConfig:
 
 @dataclass
 class NetworkState:
-    """Ground-truth network condition for one decision step.
+    """Outcome of one decision step over units: users in the oracle, grids in the twin.
 
-    `serving_cell[u]` is -1 for dropped users; `per_user_rsrp_dbm` is NaN there.
+    `serving_cell[u]` is -1 where nothing of unit u is served, and
+    `per_user_rsrp_dbm[u]`, the mean RSRP over its served draws, is NaN there.
+    `served_users[u]` is the unit's weight times its served share; the
+    dropped users are the weight not served, and `rsrp_avg_dbm` weighs each
+    unit's RSRP by its served users.
     """
 
     per_cell_load_mbps: np.ndarray
     per_cell_overload_mbps: np.ndarray
-    per_grid_users: np.ndarray
+    per_cell_power_watts: np.ndarray
+    reference_power_watts: float
     serving_cell: np.ndarray
     per_user_rsrp_dbm: np.ndarray
-    per_cell_power_watts: np.ndarray
-    dropped_users: int
-    reference_power_watts: float
+    served_users: np.ndarray
+    total_users: int
+
+    @cached_property
+    def _served_total(self) -> float:
+        return float(self.served_users.sum())
 
     @property
-    def total_users(self) -> int:
-        return int(self.serving_cell.shape[0])
+    def dropped_users(self) -> float:
+        return float(self.total_users - self._served_total)
 
     @property
     def rsrp_avg_dbm(self) -> float | None:
-        served = self.serving_cell >= 0
-        if not served.any():
+        """Served-weighted mean RSRP; None when nobody is served."""
+        if self._served_total <= 0:
             return None
-        return float(self.per_user_rsrp_dbm[served].mean())
+        valid = self.served_users > 0
+        return float((self.served_users[valid] * self.per_user_rsrp_dbm[valid]).sum() / self._served_total)
 
     def energy_wh(self, step_hours: float) -> float:
         return float(self.per_cell_power_watts.sum() * step_hours)
@@ -251,23 +261,61 @@ def associate_users(
     sleep_mask: np.ndarray,
     bias_db: np.ndarray,
     rsrp_floor_dbm: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Attach each user to the active cell maximizing rsrp + bias.
+) -> np.ndarray:
+    """Each user's serving cell: the active cell maximizing rsrp + bias, -1 when dropped.
 
     Ties break toward the lowest cell id. A user is dropped when the selected
     cell's unbiased RSRP is below the floor, or when every cell sleeps.
-    Returns (serving_cell with -1 for dropped, per-user rsrp with NaN, dropped).
     """
     n_users = rsrp_matrix.shape[0]
     active = ~np.asarray(sleep_mask, dtype=bool)
     if n_users == 0 or not active.any():
-        return np.full(n_users, -1, dtype=np.int64), np.full(n_users, np.nan), n_users
+        return np.full(n_users, -1, dtype=np.int64)
     biased = rsrp_matrix + np.asarray(bias_db, dtype=float)[None, :]
     biased = np.where(active[None, :], biased, -np.inf)
     best = np.argmax(biased, axis=1)  # argmax takes the first (lowest id) on ties
-    best_rsrp = rsrp_matrix[np.arange(n_users), best]
-    ok = best_rsrp >= rsrp_floor_dbm
-    return np.where(ok, best, -1), np.where(ok, best_rsrp, np.nan), int(n_users - ok.sum())
+    return np.where(rsrp_matrix[np.arange(n_users), best] >= rsrp_floor_dbm, best, -1)
+
+
+def serve(
+    cells: CellArrays,
+    native_mbps: np.ndarray,
+    natural: np.ndarray,
+    attach: np.ndarray,
+    draws: np.ndarray,
+    weight: np.ndarray,
+    rsrp_floor_dbm: float,
+    sleep: np.ndarray,
+    bias_db: np.ndarray,
+) -> NetworkState:
+    """One decision step over units, the rule both the oracle and the twin follow.
+
+    Each unit attaches to the active cell maximizing its `attach` RSRP (units,
+    cells) plus bias. The floor then applies per draw of `draws` (units, cells,
+    draws) on that cell: a unit's served share is the fraction of its draws at
+    or above it, and its RSRP the mean of those draws. `natural` is each unit's
+    cell with everything active (-1 for none) and `weight` its size. A unit
+    with nothing served reaches step_physics on its attached cell with share 0,
+    which moves no load.
+    """
+    serving = associate_users(attach, sleep, bias_db, -np.inf)
+    drawn = draws[np.arange(len(serving)), serving]  # (units, draws); -1 rows are masked next
+    above = (drawn >= rsrp_floor_dbm) & (serving >= 0)[:, None]
+    share = above.mean(axis=1)
+    load, overload, power, reference = step_physics(cells, native_mbps, sleep, natural, serving, weight, share)
+    served = share > 0
+    return NetworkState(
+        per_cell_load_mbps=load,
+        per_cell_overload_mbps=overload,
+        per_cell_power_watts=power,
+        reference_power_watts=reference,
+        serving_cell=np.where(served, serving, -1),
+        per_user_rsrp_dbm=np.where(
+            served, np.where(above, drawn, 0.0).sum(axis=1) / np.maximum(above.sum(axis=1), 1), np.nan
+        ),
+        served_users=weight * share,
+        total_users=int(weight.sum()),
+    )
 
 
 class Oracle:
@@ -402,9 +450,9 @@ class Oracle:
     ) -> NetworkState:
         """One decision step: demand, association, offloaded load, power.
 
-        Each user is one unit of `step_physics`, so a sleeping cell's native
-        load travels in equal per-user shares to wherever its natural users
-        re-attach.
+        Each user is one unit of `serve` with one RSRP draw, so a sleeping
+        cell's native load travels in equal per-user shares to wherever its
+        natural users re-attach.
         """
         self._check_t(t_hours)
         sleep = np.zeros(self.n_cells, dtype=bool) if sleep_mask is None else np.asarray(sleep_mask, dtype=bool)
@@ -413,28 +461,12 @@ class Oracle:
             raise DomainError("sleep_mask and bias_db must have one entry per cell")
 
         native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells])
-        counts, positions, shadowing = self.users_and_shadowing(t_hours)
+        _, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
-
+        floor = self.config.rsrp_floor_dbm
         # Natural attachment (everything active, no bias) fixes per-user demand.
-        nat_serving, _, _ = associate_users(
-            rsrp, np.zeros(self.n_cells, dtype=bool), np.zeros(self.n_cells), self.config.rsrp_floor_dbm
-        )
-        serving, user_rsrp, dropped = associate_users(rsrp, sleep, bias, self.config.rsrp_floor_dbm)
-        load, overload, power, reference = step_physics(
-            self.arrays, native, sleep, nat_serving, serving,
-            np.ones(len(serving)), (serving >= 0).astype(float),
-        )
-        return NetworkState(
-            per_cell_load_mbps=load,
-            per_cell_overload_mbps=overload,
-            per_grid_users=counts,
-            serving_cell=serving,
-            per_user_rsrp_dbm=user_rsrp,
-            per_cell_power_watts=power,
-            dropped_users=dropped,
-            reference_power_watts=reference,
-        )
+        natural = associate_users(rsrp, np.zeros(self.n_cells, dtype=bool), np.zeros(self.n_cells), floor)
+        return serve(self.arrays, native, natural, rsrp, rsrp[:, :, None], np.ones(len(rsrp)), floor, sleep, bias)
 
 
 def validate_scenario(config: ScenarioConfig) -> None:

@@ -1,9 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from celltwin.agent import (
     Action,
-    GreedyEvaluation,
     Observation,
     Policy,
     RewardWeights,
@@ -205,7 +206,7 @@ class TestGreedy:
 
     def test_unconstrained_floor_sleeps_everyone(self):
         def evaluate(sleep, bias):
-            return GreedyEvaluation(rsrp_avg_dbm=None, per_cell_overload_mbps=np.zeros(3))
+            return SimpleNamespace(rsrp_avg_dbm=None, per_cell_overload_mbps=np.zeros(3))
 
         action = baseline_greedy(
             np.array([0.3, 0.3, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-np.inf
@@ -214,7 +215,7 @@ class TestGreedy:
 
     def test_unreachable_floor_sleeps_nobody(self):
         def evaluate(sleep, bias):
-            return GreedyEvaluation(rsrp_avg_dbm=-70.0, per_cell_overload_mbps=np.zeros(3))
+            return SimpleNamespace(rsrp_avg_dbm=-70.0, per_cell_overload_mbps=np.zeros(3))
 
         action = baseline_greedy(
             np.array([0.3, 0.3, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-20.0
@@ -232,7 +233,7 @@ class TestGreedy:
             overload = np.zeros(3)
             if sleep[0]:
                 overload[1] = 5.0
-            return GreedyEvaluation(rsrp_avg_dbm=-80.0, per_cell_overload_mbps=overload)
+            return SimpleNamespace(rsrp_avg_dbm=-80.0, per_cell_overload_mbps=overload)
 
         action = baseline_greedy(
             np.array([0.1, 0.5, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-110.0
@@ -249,7 +250,7 @@ class TestGreedy:
 
         def evaluate(sleep, bias):
             seen.append(int(np.flatnonzero(sleep)[-1]) if sleep.any() else -1)
-            return GreedyEvaluation(rsrp_avg_dbm=None, per_cell_overload_mbps=np.zeros(3))
+            return SimpleNamespace(rsrp_avg_dbm=None, per_cell_overload_mbps=np.zeros(3))
 
         baseline_greedy(np.array([0.2, 0.2, 0.1]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-np.inf)
         first_tried = seen[0]

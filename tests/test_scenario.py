@@ -17,6 +17,7 @@ from celltwin.scenario import (
     path_loss_db,
     scenario_from_dict,
     scenario_to_dict,
+    serve,
     step_physics,
 )
 
@@ -290,7 +291,7 @@ class TestStepNetwork:
         for t in (0, 8, 14, 20):
             state = oracle.step_network(t, sleep_mask=[False, True, False, True, False, False, False])
             assert int((state.serving_cell >= 0).sum()) + state.dropped_users == state.total_users
-            assert state.total_users == state.per_grid_users.sum()
+            assert state.total_users == oracle.users_and_shadowing(t)[0].sum()
 
     def test_energy_conservation(self):
         oracle = build_scenario(make_hex_scenario(seed=5))
@@ -334,7 +335,8 @@ class TestStepNetwork:
         assert np.allclose(high[:, :3], low[:, :3])
 
 
-HEX_ARRAYS = CellArrays.of(make_hex_scenario().cell_configs)
+HEX_CELLS = make_hex_scenario().cell_configs
+HEX_ARRAYS = CellArrays.of(HEX_CELLS)
 N_HEX = len(HEX_ARRAYS.capacity_mbps)
 
 
@@ -353,8 +355,8 @@ def step_inputs(draw, sleeping=True):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_units = draw(st.integers(0, 40))
     rsrp = rng.normal(-88.0, 8.0, size=(n_units, N_HEX))
-    natural, _, _ = associate_users(rsrp, np.zeros(N_HEX, dtype=bool), np.zeros(N_HEX), -95.0)
-    serving, _, _ = associate_users(rsrp, sleep, bias, -95.0)
+    natural = associate_users(rsrp, np.zeros(N_HEX, dtype=bool), np.zeros(N_HEX), -95.0)
+    serving = associate_users(rsrp, sleep, bias, -95.0)
     if draw(st.booleans()):
         weight, served = np.ones(n_units), np.ones(n_units)
     else:
@@ -403,7 +405,7 @@ class TestAssociationProperties:
     @given(association_inputs())
     def test_ties_go_to_lowest_id(self, inputs):
         rsrp, sleep, bias, _ = inputs
-        serving, _, _ = associate_users(rsrp, sleep, bias, -np.inf)
+        serving = associate_users(rsrp, sleep, bias, -np.inf)
         active = np.flatnonzero(~sleep)
         for u in range(rsrp.shape[0]):
             scores = [rsrp[u, c] + bias[c] for c in active]
@@ -414,20 +416,58 @@ class TestAssociationProperties:
     @given(association_inputs())
     def test_no_served_user_below_floor(self, inputs):
         rsrp, sleep, bias, floor = inputs
-        serving, user_rsrp, dropped = associate_users(rsrp, sleep, bias, floor)
+        serving = associate_users(rsrp, sleep, bias, floor)
         served = serving >= 0
-        assert (user_rsrp[served] >= floor).all()
-        assert np.array_equal(user_rsrp[served], rsrp[served, serving[served]])
+        assert (rsrp[served, serving[served]] >= floor).all()
         assert not sleep[serving[served]].any()
-        assert np.isnan(user_rsrp[~served]).all() and dropped == int((~served).sum())
 
     @settings(max_examples=50, deadline=None)
     @given(association_inputs())
     def test_all_sleep_drops_everyone(self, inputs):
         rsrp, sleep, bias, floor = inputs
-        serving, user_rsrp, dropped = associate_users(rsrp, np.ones_like(sleep), bias, floor)
-        assert (serving == -1).all() and np.isnan(user_rsrp).all()
-        assert dropped == rsrp.shape[0]
+        serving = associate_users(rsrp, np.ones_like(sleep), bias, floor)
+        assert (serving == -1).all() and len(serving) == rsrp.shape[0]
+
+
+class TestServeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(association_inputs(), st.integers(0, 2**32 - 1))
+    def test_one_draw_is_the_oracle_rule(self, inputs, seed):
+        rsrp, sleep, bias, floor = inputs
+        rng = np.random.default_rng(seed)
+        n_users, n_cells = rsrp.shape
+        cells = CellArrays.of([HEX_CELLS[c % N_HEX] for c in range(n_cells)])
+        native = cells.capacity_mbps * rng.uniform(0.0, 1.5, n_cells)
+        natural = associate_users(rsrp, np.zeros(n_cells, dtype=bool), np.zeros(n_cells), floor)
+        state = serve(cells, native, natural, rsrp, rsrp[:, :, None], np.ones(n_users), floor, sleep, bias)
+        serving = associate_users(rsrp, sleep, bias, floor)
+        served = serving >= 0
+        assert np.array_equal(state.serving_cell, serving)
+        if served.any():
+            assert state.rsrp_avg_dbm == float(rsrp[served, serving[served]].mean())
+        else:
+            assert state.rsrp_avg_dbm is None
+        assert state.dropped_users == int((serving == -1).sum())
+        assert state.total_users == n_users
+
+    @settings(max_examples=150, deadline=None)
+    @given(association_inputs(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_weighted_draws_account_for_every_user(self, inputs, n_draws, seed):
+        attach, sleep, bias, floor = inputs
+        rng = np.random.default_rng(seed)
+        n_units, n_cells = attach.shape
+        draws = attach[:, :, None] + rng.normal(0.0, 6.0, size=(n_units, n_cells, n_draws))
+        weight = rng.integers(0, 9, n_units).astype(float)
+        cells = CellArrays.of([HEX_CELLS[c % N_HEX] for c in range(n_cells)])
+        native = cells.capacity_mbps * rng.uniform(0.0, 1.5, n_cells)
+        natural = associate_users(attach, np.zeros(n_cells, dtype=bool), np.zeros(n_cells), -np.inf)
+        state = serve(cells, native, natural, attach, draws, weight, floor, sleep, bias)
+        assert state.dropped_users + state.served_users.sum() == state.total_users == weight.sum()
+        share = np.divide(state.served_users, weight, out=np.zeros(n_units), where=weight > 0)
+        assert np.allclose(share * n_draws, np.rint(share * n_draws), rtol=0.0, atol=1e-12)
+        served = state.serving_cell >= 0
+        assert (state.per_user_rsrp_dbm[served] >= floor).all()
+        assert np.isnan(state.per_user_rsrp_dbm[~served]).all()
 
 
 class TestScenarioJson:
