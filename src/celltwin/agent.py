@@ -291,11 +291,9 @@ def baseline_greedy(
 ) -> Action:
     """Iteratively sleep cells in ascending-load priority order, with rollback.
 
-    ``evaluate_fn(sleep_mask, bias_vector)`` judges each tentative pattern
-    with a step outcome (a ``scenario.NetworkState``), of which only
-    ``rsrp_avg_dbm`` and ``per_cell_overload_mbps`` are read; a tentative sleep
-    is reverted when the average RSRP falls below floor + margin or any
-    compensation neighbor overloads.
+    ``evaluate_fn(sleep_mask, bias_vector)`` returns each tentative pattern's
+    ``scenario.NetworkState``; the sleep is reverted when its ``rsrp_avg_dbm``
+    falls below floor + margin or any compensation neighbor overloads.
     """
     load_frac = np.asarray(load_frac, dtype=float)
     n = load_frac.shape[0]
