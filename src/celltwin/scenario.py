@@ -319,13 +319,20 @@ def serve(
 
 
 class Oracle:
-    """Immutable query interface over one scenario; safe for concurrent reads.
+    """Query interface over one scenario; every answer is a pure function of (config, seed, query).
 
     Tables in config order: `grid_positions`, `cell_positions`, `grid_cell_km`, `nearest_cell`
     (ties to the lowest index), `grid_weight` (poi_weight * base_users) and `neighbors` (cell
     indices); `grid_edge_km` is the lattice pitch. Per hour of day: `hourly_demand`, each
     cell's noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson
     user rate.
+
+    The one mutable part is a snapshot store behind `step_network`: for each of the last
+    `config.steps_per_day` distinct t it queried, the native traffic vector, the per-user RSRP
+    matrix and the natural attachment, as read-only arrays, the oldest dropped first. Every
+    scheme and greedy candidate stepping a seen t reuses them, so the draw runs once per t; a
+    hit returns the same values a fresh Oracle draws. The store is not locked, so an Oracle
+    is not for sharing between threads; `--jobs` builds one per seed in each worker process.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -358,6 +365,7 @@ class Oracle:
             [w * (0.2 + 0.8 * diurnal(self.cells[c].poi_profile, h)) for h in range(24)]
             for w, c in zip(self.grid_weight, self.nearest_cell)
         ])
+        self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- keyed randomness ----------------------------------------------------
 
@@ -452,7 +460,8 @@ class Oracle:
 
         Each user is one unit of `serve` with one RSRP draw, so a sleeping
         cell's native load travels in equal per-user shares to wherever its
-        natural users re-attach.
+        natural users re-attach. The query is checked before the snapshot
+        store is read, and a t seen before runs `serve` alone.
         """
         self._check_t(t_hours)
         sleep = np.zeros(self.n_cells, dtype=bool) if sleep_mask is None else np.asarray(sleep_mask, dtype=bool)
@@ -460,13 +469,29 @@ class Oracle:
         if sleep.shape != (self.n_cells,) or bias.shape != (self.n_cells,):
             raise DomainError("sleep_mask and bias_db must have one entry per cell")
 
+        native, rsrp, natural = self._snapshot(t_hours)
+        floor = self.config.rsrp_floor_dbm
+        return serve(self.arrays, native, natural, rsrp, rsrp[:, :, None], np.ones(len(rsrp)), floor, sleep, bias)
+
+    def _snapshot(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The action-free draw of step_network at t, held in the snapshot store: native load,
+        user RSRP and natural cell."""
+        snap = self._snapshots.get(t_hours)
+        if snap is not None:
+            return snap
         native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells])
         _, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
-        floor = self.config.rsrp_floor_dbm
         # Natural attachment (everything active, no bias) fixes per-user demand.
-        natural = associate_users(rsrp, np.zeros(self.n_cells, dtype=bool), np.zeros(self.n_cells), floor)
-        return serve(self.arrays, native, natural, rsrp, rsrp[:, :, None], np.ones(len(rsrp)), floor, sleep, bias)
+        natural = associate_users(
+            rsrp, np.zeros(self.n_cells, dtype=bool), np.zeros(self.n_cells), self.config.rsrp_floor_dbm
+        )
+        for a in (native, rsrp, natural):
+            a.flags.writeable = False
+        if len(self._snapshots) >= self.config.steps_per_day:
+            del self._snapshots[next(iter(self._snapshots))]  # dicts keep insertion order
+        snap = self._snapshots[t_hours] = (native, rsrp, natural)
+        return snap
 
 
 def validate_scenario(config: ScenarioConfig) -> None:

@@ -200,9 +200,9 @@ class TestOracleEvaluation:
         assert np.array_equal(ra.rewards, rb.rewards)
         assert np.array_equal(ra.energy_wh, rb.energy_wh)
 
-    @pytest.mark.parametrize("scheme", ["empirical", "custom", "greedy"])
-    def test_rule_scheme_reads_users_only_in_step_network(self, oracle, scheme, monkeypatch):
-        from celltwin.harness import run_oracle_episode
+    @staticmethod
+    def _count_users_at(monkeypatch) -> dict[str, int]:
+        """Count Oracle.users_at calls made inside and outside step_network from now on."""
         from celltwin.scenario import Oracle
 
         depth, calls = [0], {"inside": 0, "outside": 0}
@@ -221,8 +221,28 @@ class TestOracleEvaluation:
 
         monkeypatch.setattr(Oracle, "users_at", counted_users_at)
         monkeypatch.setattr(Oracle, "step_network", nested_step_network)
+        return calls
+
+    @pytest.mark.parametrize("scheme", ["empirical", "custom", "greedy"])
+    def test_rule_scheme_reads_users_only_in_step_network(self, scenario, scheme, monkeypatch):
+        from celltwin.harness import run_oracle_episode
+
+        # A fresh oracle: one that stepped day 1 before holds its draws and reads no users.
+        oracle = build_scenario(scenario)
+        calls = self._count_users_at(monkeypatch)
         run_oracle_episode(scheme, OracleEnv(oracle, WEIGHTS, day=1), 0)
         assert calls["inside"] > 0 and calls["outside"] == 0
+
+    def test_every_scheme_of_a_seed_shares_one_draw_per_step(self, scenario, monkeypatch):
+        from celltwin.harness import SCHEMES
+
+        policy = Policy(scenario.n_cells, Observation.dim(scenario.n_cells), seed=2)
+        calls = self._count_users_at(monkeypatch)
+        results = evaluate_policy(scenario, SCHEMES, (3,), WEIGHTS, bundle=ZERO_BUNDLE, policy=policy,
+                                  cfg=EvalConfig(predict_mode="short_term"))
+        assert sorted(r.policy_id for r in results) == sorted(SCHEMES)
+        # Six schemes and greedy's n_cells candidates per step all reuse the one draw per t.
+        assert calls["inside"] == len(scenario.grids) * scenario.steps_per_day
 
     def test_agent_scheme_requires_policy(self, scenario):
         with pytest.raises(ConfigError, match="policy"):

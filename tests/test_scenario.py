@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from celltwin.scenario import (
     CellArrays,
     CellConfig,
     GridCell,
+    NetworkState,
     ScenarioConfig,
     associate_users,
     build_scenario,
@@ -252,8 +254,9 @@ class TestStepNetwork:
         assert state.dropped_users == 0
         assert (served == 0).all()
 
-    def test_bias_breaks_ties(self):
-        # Users equidistant from two identical cells: +3 dB steers everyone to cell 1.
+    def test_large_bias_moves_every_served_user(self):
+        # Users near the bisector of two identical cells: a 50 dB bias on cell 1
+        # outweighs any RSRP gap the position jitter leaves and steers everyone there.
         cells = (
             CellConfig(id=0, position=(-1.0, 0.0), tx_power_dbm=46.0, carrier_freq_mhz=2100.0,
                        capacity_mbps=100.0, poi_profile="office", neighbors=(1,)),
@@ -268,10 +271,21 @@ class TestStepNetwork:
         )
         cfg = two_cell_config(cell_configs=cells, grids=grids, shadowing_sigma_db=0.0)
         oracle = build_scenario(cfg)
-        # Positions are jittered, so force symmetric RSRP via the matrix directly.
         state = oracle.step_network(12, bias_db=[0.0, 50.0])
         served = state.serving_cell[state.serving_cell >= 0]
-        assert (served == 1).all()
+        assert served.size and (served == 1).all()
+
+    def test_bias_breaks_exact_ties(self):
+        # Every unit sees the same RSRP from both cells: with no bias the tie goes
+        # to cell 0, and 0.5 dB on cell 1 moves every unit to cell 1.
+        cells = CellArrays.of(two_cell_config().cell_configs)
+        rsrp = np.repeat(np.linspace(-100.0, -70.0, 9)[:, None], 2, axis=1)
+        natural = associate_users(rsrp, np.zeros(2, dtype=bool), np.zeros(2), -110.0)
+        awake = np.zeros(2, dtype=bool)
+        for bias, cell in (([0.0, 0.0], 0), ([0.0, 0.5], 1)):
+            state = serve(cells, np.array([40.0, 40.0]), natural, rsrp, rsrp[:, :, None], np.ones(9),
+                          -110.0, awake, np.array(bias))
+            assert (state.serving_cell == cell).all()
 
     def test_all_asleep_drops_everyone(self):
         oracle = build_scenario(two_cell_config())
@@ -468,6 +482,51 @@ class TestServeProperties:
         served = state.serving_cell >= 0
         assert (state.per_user_rsrp_dbm[served] >= floor).all()
         assert np.isnan(state.per_user_rsrp_dbm[~served]).all()
+
+
+SNAPSHOT_CFG = two_cell_config()
+
+
+@st.composite
+def snapshot_queries(draw):
+    """(t, sleep, bias) queries over more distinct in-horizon t than one day has steps, with
+    out-of-horizon t and wrong-length masks mixed in."""
+    horizon, n_cells = SNAPSHOT_CFG.horizon_hours, SNAPSHOT_CFG.n_cells
+    distinct = draw(st.lists(st.integers(0, horizon - 1), min_size=SNAPSHOT_CFG.steps_per_day + 1,
+                             max_size=SNAPSHOT_CFG.steps_per_day + 6, unique=True))
+    bad_t = draw(st.lists(st.sampled_from([-1, horizon, 10**6]), max_size=3))
+    ts = draw(st.permutations(distinct + bad_t + draw(st.lists(st.sampled_from(distinct), max_size=12))))
+    queries = []
+    for t in ts:
+        size = draw(st.sampled_from([n_cells] * 9 + [n_cells + 1]))
+        sleep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        bias = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, -2.0]), min_size=n_cells, max_size=n_cells))
+        queries.append((t, sleep, bias))
+    return queries
+
+
+class TestSnapshotStore:
+    @settings(max_examples=25, deadline=None)
+    @given(snapshot_queries())
+    def test_reused_draws_match_a_fresh_oracle(self, queries):
+        oracle = build_scenario(SNAPSHOT_CFG)
+        store = oracle._snapshots
+        for t, sleep, bias in queries:
+            if not 0 <= t < SNAPSHOT_CFG.horizon_hours or len(sleep) != SNAPSHOT_CFG.n_cells:
+                before = list(store.items())
+                with pytest.raises(DomainError):
+                    oracle.step_network(t, sleep, bias)
+                after = list(store.items())
+                assert [k for k, _ in after] == [k for k, _ in before]
+                assert all(a is b for (_, a), (_, b) in zip(after, before))
+                continue
+            got = oracle.step_network(t, sleep, bias)
+            want = build_scenario(SNAPSHOT_CFG).step_network(t, sleep, bias)
+            for f in fields(NetworkState):
+                g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), f.name
+            assert 0 < len(store) <= SNAPSHOT_CFG.steps_per_day
+            assert not any(a.flags.writeable for snap in store.values() for a in snap)
 
 
 class TestScenarioJson:
