@@ -12,14 +12,20 @@ enable classifier-free guidance at sampling time. Sampling is ancestral DDPM;
 revealed history is enforced by re-noising it to the current step after every
 update (inpainting), so unmasked positions come back exactly.
 
-Everything fixed for a whole ``sample()`` call is computed once per call:
-``condition`` embeds the condition and retrieves the prompts, and each pass
-(conditional, null) gets one z template holding those columns, the null row,
-the mask and the context. Each step writes only the x_t and time-embedding
-columns, and the time embedding is computed once per step for both passes.
-Sampling runs the gate and experts without caches (``keep_cache=False``),
-in place, with the same ops in the same order as training's forward, so the
-bits are those of the cached path.
+A ``sample()`` call's ``Conditioning`` is also its workspace, allocated once
+per call and dropped with it. ``condition`` embeds the condition and retrieves
+the prompts; each pass (conditional, null) gets one z template holding those
+columns, the null row, the mask and the context, plus one eps buffer. Each step
+writes only the x_t and time-embedding columns, and the time embedding is
+computed once per step for both passes. The gate and experts then run one row
+tile at a time (``row_tiles``: 1,024 rows, the remainder merged into the last
+tile) through one set of layer buffers sized for the largest tile, in place
+and without caches (``MLP.forward(..., keep_cache=False, out=...)``), with the
+ops of training's forward in the same order. A batch under 2,048 rows is one
+tile, so small batches keep their GEMM shapes. Smaller tiles would change bits:
+below about 512 rows a GEMM's per-row result depends on its row count, while
+from 1,024 rows up it matches the whole-batch GEMM's, so the samples are those
+of the raw-input ``denoise`` (``tests/test_diffusion.py`` checks this).
 
 The M experts are one stacked ``MLP`` (``stack=M``): each expert layer is one
 (M, out, in) tensor ``experts/W{i}``, and one call runs every expert on the
@@ -38,7 +44,7 @@ import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
 from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError, read_json
-from .nn import MLP, ParamStore, add_grad, softmax, softmax_backward
+from .nn import MLP, ParamStore, add_grad, leading, softmax, softmax_backward
 
 _TIME_FEATURES = 8
 _NORM_EPS = 1e-12
@@ -136,6 +142,19 @@ def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # -- denoiser architecture -----------------------------------------------------------
 
 
+_TILE_ROWS = 1024
+
+
+def row_tiles(batch: int) -> list[slice]:
+    """Consecutive row slices of ``_TILE_ROWS`` covering ``batch`` rows; the last takes the remainder.
+
+    No tile is shorter than ``_TILE_ROWS`` unless the whole batch is, and a
+    batch under twice that is one tile.
+    """
+    bounds = [i * _TILE_ROWS for i in range(max(batch // _TILE_ROWS, 1))] + [batch]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _per_row(value, batch: int) -> np.ndarray:
     """A scalar or per-row value as one entry per row."""
     return np.broadcast_to(np.atleast_1d(value), (batch,))
@@ -213,13 +232,18 @@ class HeadManifest:
 
 @dataclass
 class Conditioning:
-    """A batch's fixed denoiser inputs, embedded once by ``DiffusionModel.condition``.
+    """A ``sample()`` call's fixed denoiser inputs and its workspace.
 
-    ``denoise`` lays them out as one z template per pass (conditional, null)
-    and keeps it here, so each call writes only the x_t and time columns. The
-    time embedding of the last step is kept too: the two passes of a sampler
-    step compute it once. It holds parameter values, so it is valid only while
-    the model's parameters stay unchanged.
+    ``DiffusionModel.condition`` embeds the inputs. The first ``denoise`` of
+    each pass (a scalar ``null_mask``) lays them out as that pass's z template
+    and gives the pass its eps buffer; later calls write only the x_t and time
+    columns and return that buffer, overwritten by the pass's next call. The
+    time embedding of the last step is kept too: the two passes of a step
+    compute it once. The first such call also builds ``workspace``: for each
+    row tile, one output buffer per gate and expert layer and a gate-mix
+    buffer, all views into one set sized for the largest tile. Everything here
+    lives as long as the object, and the embeddings hold parameter values, so
+    it is valid only while the model's parameters stay unchanged.
     """
 
     c_emb: np.ndarray  # (B, cond_emb_dim) condition embedding
@@ -227,7 +251,8 @@ class Conditioning:
     context: np.ndarray  # (B, L) normalized history
     prompts: np.ndarray  # (B, top_n * prompt_dim) retrieved prompts, (B, 0) without memory
     cache: dict  # embedding internals the backward pass reads
-    templates: dict = field(default_factory=dict)  # scalar null_mask -> z template
+    passes: dict = field(default_factory=dict)  # scalar null_mask -> (z template, eps buffer)
+    workspace: list | None = None  # per row tile: (rows, gate buffers, expert buffers, gate-mix buffer)
     step: tuple | None = None  # (t, time embedding) of the last step
 
     @property
@@ -371,28 +396,54 @@ class DiffusionModel:
         """Predicted noise: gate-weighted sum of expert outputs on the shared input.
 
         ``cond`` is either the raw conditions, with ``mask`` and ``context``,
-        or a ``Conditioning`` from ``condition`` that already holds them. Runs
-        cache-free; with a ``Conditioning`` and a scalar ``null_mask`` it writes
-        only x_t and the time embedding into that pass's kept z template.
+        and then ``t`` and ``null_mask`` may be per row; or a ``Conditioning``
+        from ``condition`` that already holds them, for one sampler pass at
+        integer step ``t`` and scalar ``null_mask``. That form runs in row tiles
+        through the ``Conditioning``'s workspace and returns the pass's eps
+        buffer. Both run cache-free.
         """
-        cnd = cond if isinstance(cond, Conditioning) else self.condition(cond, mask, context)
-        x_t = self._series(x_t, cnd.batch)
-        t = _per_row(t, cnd.batch)
-        if cnd.step is None or not np.array_equal(cnd.step[0], t):
-            t_feat = time_features(t, self.schedule.steps)
-            cnd.step = (t.copy(), self.time_mlp.forward(t_feat, keep_cache=False))
-        t_emb = cnd.step[1]
-        if np.ndim(null_mask):
-            z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), x_t, t_emb)
-        else:
-            key = bool(null_mask)
-            if key not in cnd.templates:
-                cnd.templates[key] = self._lay_out(cnd, np.full(cnd.batch, key), x_t, t_emb)
-            z = cnd.templates[key]
-            z[:, self._columns["x_t"]] = x_t
-            z[:, self._columns["time"]] = t_emb
+        if isinstance(cond, Conditioning):
+            return self._denoise_pass(x_t, int(t), cond, bool(null_mask))
+        cnd = self.condition(cond, mask, context)
+        t_feat = time_features(_per_row(t, cnd.batch), self.schedule.steps)
+        t_emb = self.time_mlp.forward(t_feat, keep_cache=False)
+        z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), self._series(x_t, cnd.batch), t_emb)
         gate = softmax(self.gate_mlp.forward(z, keep_cache=False))
         return _mix(gate, self.experts.forward(z, keep_cache=False))
+
+    def _denoise_pass(self, x_t: np.ndarray, t: int, cnd: Conditioning, null: bool) -> np.ndarray:
+        """One sampler pass through ``cnd``'s workspace, tile by tile (see ``Conditioning``)."""
+        batch, cols = cnd.batch, self._columns
+        x_t = self._series(x_t, batch)
+        if cnd.step is None or cnd.step[0] != t:
+            t_feat = time_features(np.full(batch, t), self.schedule.steps)
+            cnd.step = (t, self.time_mlp.forward(t_feat, keep_cache=False))
+        t_emb = cnd.step[1]
+        if null not in cnd.passes:
+            z = self._lay_out(cnd, np.full(batch, null), x_t, t_emb)
+            cnd.passes[null] = (z, np.empty((batch, self.arch.series_len)))
+        z, eps = cnd.passes[null]
+        z[:, cols["x_t"]] = x_t
+        z[:, cols["time"]] = t_emb
+        if cnd.workspace is None:
+            cnd.workspace = self._workspace(cnd.batch)
+        for rows, gate_out, expert_out, mix in cnd.workspace:
+            gate = softmax(self.gate_mlp.forward(z[rows], keep_cache=False, out=gate_out))
+            expert = self.experts.forward(z[rows], keep_cache=False, out=expert_out)
+            np.sum(np.multiply(gate.T[:, :, None], expert, out=mix), axis=0, out=eps[rows])
+        return eps
+
+    def _workspace(self, batch: int) -> list[tuple]:
+        """Per row tile: its rows and its gate, expert and gate-mix buffers, views into the last tile's."""
+        tiles = row_tiles(batch)
+        M, L, most = self.arch.n_experts, self.arch.series_len, tiles[-1].stop - tiles[-1].start
+        gate, experts, mix = self.gate_mlp.scratch(most), self.experts.scratch(most), np.empty((M, most, L))
+        workspace = []
+        for tile in tiles:
+            n = tile.stop - tile.start
+            workspace.append((tile, self.gate_mlp.scratch(n, gate), self.experts.scratch(n, experts),
+                              leading(mix, (M, n, L))))
+        return workspace
 
     def _forward(self, x_t, t, cond, null_mask, mask, context) -> tuple[np.ndarray, dict]:
         z, cache = self.assemble_input(x_t, t, cond, null_mask, mask, context)
@@ -537,8 +588,8 @@ class DiffusionModel:
         conditional and null-condition noise estimates as (1+w) cond - w null.
         """
         w = self.guidance_w if guidance_w is None else guidance_w
-        if w < 0:
-            raise ConfigError(f"guidance_w must be >= 0, got {w}")
+        if not (np.isfinite(w) and w >= 0):
+            raise ConfigError(f"guidance_w must be finite and >= 0, got {w}")
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
         mask = np.atleast_2d(np.asarray(mask, dtype=bool))
         batch, L = mask.shape

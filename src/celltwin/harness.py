@@ -241,6 +241,26 @@ def _forecast(
 # -- environments ----------------------------------------------------------------------
 
 
+def neighbor_groups(neighbors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cells grouped by neighbour count: (cell ids, one row of neighbour ids per cell)."""
+    by_degree: dict[int, list[int]] = {}
+    for cell, nbs in enumerate(neighbors):
+        by_degree.setdefault(len(nbs), []).append(cell)
+    return [(np.array(cells), np.array([neighbors[c] for c in cells])) for cells in by_degree.values()]
+
+
+def neighbor_mean(values: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Each cell's mean of ``values`` over its neighbours, from ``neighbor_groups``.
+
+    One row mean per group of equal width gives the bits of a separate
+    ``values[nbs].mean()`` per cell.
+    """
+    out = np.empty(len(values))
+    for cells, idx in groups:
+        out[cells] = values[idx].mean(axis=1)
+    return out
+
+
 class _DayEnv:
     """One day in decision steps; subclasses define `reset`, `step` and `_observation`."""
 
@@ -250,6 +270,7 @@ class _DayEnv:
         self.users_scale = np.maximum(
             np.bincount(oracle.nearest_cell, weights=oracle.grid_weight, minlength=oracle.n_cells), 1.0
         )
+        self._neighbor_groups = neighbor_groups(oracle.neighbors)
         self._step = 0
 
     @property
@@ -275,7 +296,7 @@ class _DayEnv:
             pred_load_frac=pred,
             pred_users_norm=np.bincount(oracle.nearest_cell, weights=users, minlength=oracle.n_cells)
             / self.users_scale,
-            neighbor_pred_load=np.array([pred[list(nbs)].mean() for nbs in oracle.neighbors]),
+            neighbor_pred_load=neighbor_mean(pred, self._neighbor_groups),
             hour_sin=hour["hour_sin"],
             hour_cos=hour["hour_cos"],
         )

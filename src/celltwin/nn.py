@@ -13,6 +13,7 @@ buffers, so one optimizer step is a few in-place vector ops over them.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -313,6 +314,15 @@ def add_grad(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
         grads[name] = g
 
 
+def leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first elements of contiguous ``buf`` as a C-contiguous view of ``shape``."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    return a @ b if out is None else np.matmul(a, b, out=out)
+
+
 @dataclass
 class LoraSpec:
     rank: int
@@ -374,12 +384,33 @@ class MLP:
     def base_names(self) -> list[str]:
         return [n for i in range(self.n_layers) for n in (f"{self.prefix}/W{i}", f"{self.prefix}/b{i}")]
 
-    def forward(self, x: np.ndarray, keep_cache: bool = True):
+    def scratch(self, rows: int, within: list[tuple] | None = None) -> list[tuple]:
+        """Output buffers for ``forward(x, keep_cache=False, out=...)`` on a 2-D ``x`` of ``rows`` rows.
+
+        One tuple per layer: its output and, for an adapted layer, its two
+        adapter products (``None`` otherwise). With ``within``, the scratch of
+        at least as many rows, they are views into its buffers, not new arrays.
+        """
+        lead = (self.stack,) if self.stack else ()
+        bufs = []
+        for i, d_out in enumerate(self.dims[1:]):
+            out = lead + (rows, d_out)
+            shapes = (out, lead + (rows, self.lora[i].rank), out) if i in self.lora else (out,)
+            parts = within[i] if within is not None else (None,) * 3
+            made = tuple(np.empty(shape) if part is None else leading(part, shape) for shape, part in zip(shapes, parts))
+            bufs.append(made + (None,) * (3 - len(made)))
+        return bufs
+
+    def forward(self, x: np.ndarray, keep_cache: bool = True, out: list[tuple] | None = None):
         """Output and the cache ``backward`` needs; with ``keep_cache=False``, the output alone.
 
         Backward reads each layer's input, output and adapter projection, never
-        its pre-activation, so the bias and the activation are applied in place
-        on each matmul output on both paths.
+        its pre-activation, so the bias, the adapter and the activation are
+        applied in place on each matmul output on both paths.
+
+        ``out`` (cache-free pass only), from ``scratch``, takes every layer's
+        matmul products, so the pass allocates no layer array. The output is
+        then the last layer's buffer, overwritten by the next call with it.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.dims[0]:
@@ -387,24 +418,26 @@ class MLP:
                 f"{self.prefix}: input dim {x.shape[-1]} != expected {self.dims[0]}"
             )
         cache = []
-        out = x
+        h = x
         for i in range(self.n_layers):
+            post_out, low_out, up_out = out[i] if out is not None else (None, None, None)
             w = self.store[f"{self.prefix}/W{i}"]
             b = self.store[f"{self.prefix}/b{i}"]
-            pre = out @ np.swapaxes(w, -1, -2)
+            pre = _matmul(h, np.swapaxes(w, -1, -2), post_out)
             pre += b[..., None, :]
             low = None
             if i in self.lora:
-                spec = self.lora[i]
                 a = self.store[f"{self.prefix}/A{i}"]
                 bb = self.store[f"{self.prefix}/B{i}"]
-                low = out @ np.swapaxes(a, -1, -2)
-                pre += spec.scale * (low @ np.swapaxes(bb, -1, -2))
+                low = _matmul(h, np.swapaxes(a, -1, -2), low_out)
+                up = _matmul(low, np.swapaxes(bb, -1, -2), up_out)
+                up *= self.lora[i].scale
+                pre += up
             post = _ACT[self.acts[i]](pre, out=pre)
             if keep_cache:
-                cache.append((out, post, low))
-            out = post
-        return (out, cache) if keep_cache else out
+                cache.append((h, post, low))
+            h = post
+        return (h, cache) if keep_cache else h
 
     def backward(self, cache: list, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
         d = np.asarray(dout, dtype=np.float64)

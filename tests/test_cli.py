@@ -158,6 +158,8 @@ class TestParseConfig:
         ('{"evaluation": {"schemes": ["agent", "bogus"]}}', "evaluation.schemes"),
         ('{"evaluation": {"predict_mode": "bogus"}}', "evaluation.predict_mode"),
         ('{"worldmodel": {"guidance_w": -1}}', "worldmodel.guidance_w"),
+        ('{"worldmodel": {"guidance_w": Infinity}}', "worldmodel.guidance_w"),
+        ('{"worldmodel": {"guidance_w": NaN}}', "worldmodel.guidance_w"),
         ('{"dataset": {"split": [0.8, 0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.3, -0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.1, 0.2]}}', "dataset.split"),

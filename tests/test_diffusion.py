@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from celltwin.dataset import COND_DIM, ConditionLayout, NormalizationStats
 from celltwin.diffusion import (
@@ -10,6 +11,7 @@ from celltwin.diffusion import (
     make_schedule,
     prompt_retrieve,
     q_sample,
+    row_tiles,
     time_features,
 )
 from celltwin.errors import ConfigError, DomainError, FormatError, ModelError, ShapeError
@@ -20,14 +22,15 @@ def unit_layout() -> ConditionLayout:
     return ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
 
 
-def tiny_model(series_len=6, memory=None, seed=0, n_experts=2, stats=None) -> DiffusionModel:
+def tiny_model(series_len=6, memory=None, seed=0, n_experts=2, stats=None,
+               expert_hidden=(8,), gate_hidden=(8,)) -> DiffusionModel:
     arch = DenoiserArch(
         series_len=series_len,
         cond_emb_dim=4,
         time_dim=4,
         n_experts=n_experts,
-        expert_hidden=(8,),
-        gate_hidden=(8,),
+        expert_hidden=expert_hidden,
+        gate_hidden=gate_hidden,
         memory=memory,
     )
     return DiffusionModel(
@@ -253,6 +256,13 @@ class TestSampling:
         with pytest.raises(ModelError):
             model.sample(np.zeros((1, COND_DIM)), mask, None, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("w", [np.inf, np.nan, -1.0])
+    def test_bad_guidance_refuses_to_sample(self, w):
+        model = tiny_model()
+        with pytest.raises(ConfigError, match="guidance_w"):
+            model.sample(np.zeros((1, COND_DIM)), np.ones((1, 6), bool), None,
+                         np.random.default_rng(0), guidance_w=w)
+
     def test_non_finite_parameters_refuse_to_sample(self):
         model = tiny_model()
         bad = model.store["gate/W0"].copy()
@@ -310,29 +320,61 @@ def reference_sample(model, cond, mask, context, rng, w):
 class TestSamplerMatchesReference:
     MEMORY = MemoryConfig(n_pairs=4, top_n=2, prompt_dim=2, key_dim=4)
 
-    @pytest.mark.parametrize("memory, w, lora, revealed", [
-        (MEMORY, 1.0, False, 2),
-        (None, 0.0, False, 0),
-        (MEMORY, 1.0, True, 2),
-    ], ids=["memory_guided_inpainting", "unguided", "lora_attached"])
-    def test_bytes_equal_per_step_denoise(self, memory, w, lora, revealed):
-        model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3)
-        rng = np.random.default_rng(23)
+    def model(self, memory, lora):
+        # The default layer widths: at these, a GEMM's bits depend on its row count below ~512 rows.
+        model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3,
+                           expert_hidden=(64, 64), gate_hidden=(32,))
         if lora:
+            rng = np.random.default_rng(23)
             model.lora_attach(rank=2, alpha=4.0)
             for i in range(model.experts.n_layers):  # nonzero, so the adapters change the output
                 name = f"experts/B{i}"
                 model.store.set(name, rng.normal(0.0, 0.3, size=model.store[name].shape))
-        batch = 5
-        for call in range(2):  # two calls in a row on different inputs: nothing may carry over
-            cond = rng.standard_normal((batch, COND_DIM))
-            mask = np.ones((batch, 6), dtype=bool)
-            mask[:, :revealed] = False
-            mask[0, :] = True  # rows differ in what they reveal
-            context = rng.normal(2.0, 1.5, size=(batch, 6)) if revealed else None
-            got = model.sample(cond, mask, context, np.random.default_rng(call), guidance_w=w)
-            want = reference_sample(model, cond, mask, context, np.random.default_rng(call), w)
-            assert np.array_equal(got, want)
+        return model
+
+    @staticmethod
+    def inputs(batch, revealed, seed):
+        rng = np.random.default_rng(seed)
+        cond = rng.standard_normal((batch, COND_DIM))
+        mask = np.ones((batch, 6), dtype=bool)
+        mask[:, :revealed] = False
+        mask[0, :] = True  # rows differ in what they reveal
+        context = rng.normal(2.0, 1.5, size=(batch, 6)) if revealed else None
+        return cond, mask, context
+
+    @pytest.mark.parametrize("batch", [1, 7, 36, 1023, 2047, 3000])
+    @pytest.mark.parametrize("w", [0.0, 1.0])
+    @pytest.mark.parametrize("memory", [None, MEMORY], ids=["no_memory", "memory"])
+    @pytest.mark.parametrize("lora", [False, True], ids=["base", "lora"])
+    def test_bytes_equal_per_step_denoise(self, batch, w, memory, lora):
+        model = self.model(memory, lora)
+        cond, mask, context = self.inputs(batch, 2, batch)
+        got = model.sample(cond, mask, context, np.random.default_rng(batch), guidance_w=w)
+        want = reference_sample(model, cond, mask, context, np.random.default_rng(batch), w)
+        assert np.array_equal(got, want)
+
+    def test_calls_of_different_sizes_equal_calls_on_fresh_loads(self, tmp_path):
+        model = self.model(self.MEMORY, lora=True)
+        path = str(tmp_path / "head.npz")
+        model.save(path)
+        attrs = set(vars(model))
+        for batch, revealed in [(3000, 2), (7, 0), (2047, 3)]:
+            cond, mask, context = self.inputs(batch, revealed, batch)
+            got = model.sample(cond, mask, context, np.random.default_rng(batch))
+            fresh = DiffusionModel.load(path).sample(cond, mask, context, np.random.default_rng(batch))
+            assert np.array_equal(got, fresh)
+        assert set(vars(model)) == attrs  # the workspace stays off the model
+
+
+class TestRowTiles:
+    @given(st.integers(0, 20_000))
+    def test_tiles_cover_rows_in_order(self, batch):
+        tiles = row_tiles(batch)
+        assert tiles[0].start == 0 and tiles[-1].stop == batch
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        sizes = [tile.stop - tile.start for tile in tiles]
+        assert min(sizes) >= min(batch, 1024)
+        assert len(tiles) == max(batch // 1024, 1)
 
 
 class TestLora:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from celltwin.agent import Action, Policy, Observation, RewardWeights
 from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset
@@ -20,6 +21,8 @@ from celltwin.harness import (
     counterfactual_suite,
     episode_row,
     evaluate_policy,
+    neighbor_groups,
+    neighbor_mean,
     oracle_traffic_draws,
     read_rows_csv,
     rsrp_controllability,
@@ -161,6 +164,26 @@ class TestWorldModelEnv:
         layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.full(COND_DIM, 1e4))  # no clipping
         table = _conditions_rsrp_table(oracle, layout, draws, np.random.default_rng(7))
         assert np.array_equal(table, layout.normalize(np.array(rows)))
+
+
+@st.composite
+def _neighbor_tables(draw):
+    """Values per cell and, per cell, 1-20 neighbour ids (repeats allowed, as the ids are only read)."""
+    n = draw(st.integers(1, 30))
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    neighbors = tuple(tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20)))
+                      for _ in range(n))
+    return values, neighbors
+
+
+class TestNeighborMean:
+    @settings(max_examples=200, deadline=None)
+    @given(_neighbor_tables())
+    def test_bits_of_one_mean_per_cell(self, table):
+        values, neighbors = table
+        want = np.array([values[list(nbs)].mean() for nbs in neighbors])
+        got = neighbor_mean(values, neighbor_groups(neighbors))
+        assert np.array_equal(got, want)
 
 
 class TestRunTraining:
