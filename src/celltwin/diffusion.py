@@ -44,7 +44,7 @@ import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
 from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError, read_json
-from .nn import MLP, ParamStore, add_grad, leading, softmax, softmax_backward
+from .nn import MLP, ParamStore, add_grad, softmax, softmax_backward
 
 _TIME_FEATURES = 8
 _NORM_EPS = 1e-12
@@ -240,10 +240,11 @@ class Conditioning:
     columns and return that buffer, overwritten by the pass's next call. The
     time embedding of the last step is kept too: the two passes of a step
     compute it once. The first such call also builds ``workspace``: for each
-    row tile, one output buffer per gate and expert layer and a gate-mix
-    buffer, all views into one set sized for the largest tile. Everything here
-    lives as long as the object, and the embeddings hold parameter values, so
-    it is valid only while the model's parameters stay unchanged.
+    row tile, one output buffer per gate and expert layer, all views into one
+    set sized for the largest tile; the gate mix weights the expert outputs in
+    their own buffer before summing them into eps. Everything here lives as
+    long as the object, and the embeddings hold parameter values, so it is
+    valid only while the model's parameters stay unchanged.
     """
 
     c_emb: np.ndarray  # (B, cond_emb_dim) condition embedding
@@ -252,7 +253,7 @@ class Conditioning:
     prompts: np.ndarray  # (B, top_n * prompt_dim) retrieved prompts, (B, 0) without memory
     cache: dict  # embedding internals the backward pass reads
     passes: dict = field(default_factory=dict)  # scalar null_mask -> (z template, eps buffer)
-    workspace: list | None = None  # per row tile: (rows, gate buffers, expert buffers, gate-mix buffer)
+    workspace: list | None = None  # per row tile: (rows, gate buffers, expert buffers)
     step: tuple | None = None  # (t, time embedding) of the last step
 
     @property
@@ -405,9 +406,9 @@ class DiffusionModel:
         if isinstance(cond, Conditioning):
             return self._denoise_pass(x_t, int(t), cond, bool(null_mask))
         cnd = self.condition(cond, mask, context)
-        t_feat = time_features(_per_row(t, cnd.batch), self.schedule.steps)
-        t_emb = self.time_mlp.forward(t_feat, keep_cache=False)
-        z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), self._series(x_t, cnd.batch), t_emb)
+        x_t = self._series(x_t, cnd.batch)
+        t_emb = self.time_mlp.forward(time_features(_per_row(t, cnd.batch), self.schedule.steps), keep_cache=False)
+        z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), x_t, t_emb)
         gate = softmax(self.gate_mlp.forward(z, keep_cache=False))
         return _mix(gate, self.experts.forward(z, keep_cache=False))
 
@@ -427,23 +428,20 @@ class DiffusionModel:
         z[:, cols["time"]] = t_emb
         if cnd.workspace is None:
             cnd.workspace = self._workspace(cnd.batch)
-        for rows, gate_out, expert_out, mix in cnd.workspace:
+        for rows, gate_out, expert_out in cnd.workspace:
             gate = softmax(self.gate_mlp.forward(z[rows], keep_cache=False, out=gate_out))
             expert = self.experts.forward(z[rows], keep_cache=False, out=expert_out)
-            np.sum(np.multiply(gate.T[:, :, None], expert, out=mix), axis=0, out=eps[rows])
+            # The gate mix weights the expert outputs in their own buffer.
+            np.sum(np.multiply(gate.T[:, :, None], expert, out=expert), axis=0, out=eps[rows])
         return eps
 
     def _workspace(self, batch: int) -> list[tuple]:
-        """Per row tile: its rows and its gate, expert and gate-mix buffers, views into the last tile's."""
+        """Per row tile: its rows and its gate and expert buffers, views into the last tile's."""
         tiles = row_tiles(batch)
-        M, L, most = self.arch.n_experts, self.arch.series_len, tiles[-1].stop - tiles[-1].start
-        gate, experts, mix = self.gate_mlp.scratch(most), self.experts.scratch(most), np.empty((M, most, L))
-        workspace = []
-        for tile in tiles:
-            n = tile.stop - tile.start
-            workspace.append((tile, self.gate_mlp.scratch(n, gate), self.experts.scratch(n, experts),
-                              leading(mix, (M, n, L))))
-        return workspace
+        most = tiles[-1].stop - tiles[-1].start
+        gate, experts = self.gate_mlp.scratch(most), self.experts.scratch(most)
+        return [(tile, self.gate_mlp.scratch(tile.stop - tile.start, gate),
+                 self.experts.scratch(tile.stop - tile.start, experts)) for tile in tiles]
 
     def _forward(self, x_t, t, cond, null_mask, mask, context) -> tuple[np.ndarray, dict]:
         z, cache = self.assemble_input(x_t, t, cond, null_mask, mask, context)

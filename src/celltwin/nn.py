@@ -314,11 +314,6 @@ def add_grad(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
         grads[name] = g
 
 
-def leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """The first elements of contiguous ``buf`` as a C-contiguous view of ``shape``."""
-    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return a @ b if out is None else np.matmul(a, b, out=out)
 
@@ -397,7 +392,8 @@ class MLP:
             out = lead + (rows, d_out)
             shapes = (out, lead + (rows, self.lora[i].rank), out) if i in self.lora else (out,)
             parts = within[i] if within is not None else (None,) * 3
-            made = tuple(np.empty(shape) if part is None else leading(part, shape) for shape, part in zip(shapes, parts))
+            made = tuple(np.empty(shape) if part is None else part.reshape(-1)[: math.prod(shape)].reshape(shape)
+                         for shape, part in zip(shapes, parts))
             bufs.append(made + (None,) * (3 - len(made)))
         return bufs
 

@@ -343,9 +343,9 @@ class TestSamplerMatchesReference:
         return cond, mask, context
 
     @pytest.mark.parametrize("batch", [1, 7, 36, 1023, 2047, 3000])
-    @pytest.mark.parametrize("w", [0.0, 1.0])
-    @pytest.mark.parametrize("memory", [None, MEMORY], ids=["no_memory", "memory"])
-    @pytest.mark.parametrize("lora", [False, True], ids=["base", "lora"])
+    @pytest.mark.parametrize("w, memory, lora", [  # every pair of settings appears once
+        (0.0, None, False), (1.0, MEMORY, False), (1.0, None, True), (0.0, MEMORY, True),
+    ], ids=["unguided", "guided_memory", "guided_lora", "unguided_memory_lora"])
     def test_bytes_equal_per_step_denoise(self, batch, w, memory, lora):
         model = self.model(memory, lora)
         cond, mask, context = self.inputs(batch, 2, batch)
