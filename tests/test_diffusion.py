@@ -320,6 +320,30 @@ def reference_sample(model, cond, mask, context, rng, w):
 class TestSamplerMatchesReference:
     MEMORY = MemoryConfig(n_pairs=4, top_n=2, prompt_dim=2, key_dim=4)
 
+    @pytest.mark.parametrize("memory, w, lora, revealed", [
+        (MEMORY, 1.0, False, 2),
+        (None, 0.0, False, 0),
+        (MEMORY, 1.0, True, 2),
+    ], ids=["memory_guided_inpainting", "unguided", "lora_attached"])
+    def test_bytes_equal_per_step_denoise(self, memory, w, lora, revealed):
+        model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3)
+        rng = np.random.default_rng(23)
+        if lora:
+            model.lora_attach(rank=2, alpha=4.0)
+            for i in range(model.experts.n_layers):  # nonzero, so the adapters change the output
+                name = f"experts/B{i}"
+                model.store.set(name, rng.normal(0.0, 0.3, size=model.store[name].shape))
+        batch = 5
+        for call in range(2):  # two calls in a row on different inputs: nothing may carry over
+            cond = rng.standard_normal((batch, COND_DIM))
+            mask = np.ones((batch, 6), dtype=bool)
+            mask[:, :revealed] = False
+            mask[0, :] = True  # rows differ in what they reveal
+            context = rng.normal(2.0, 1.5, size=(batch, 6)) if revealed else None
+            got = model.sample(cond, mask, context, np.random.default_rng(call), guidance_w=w)
+            want = reference_sample(model, cond, mask, context, np.random.default_rng(call), w)
+            assert np.array_equal(got, want)
+
     def model(self, memory, lora):
         # The default layer widths: at these, a GEMM's bits depend on its row count below ~512 rows.
         model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3,
@@ -346,7 +370,7 @@ class TestSamplerMatchesReference:
     @pytest.mark.parametrize("w, memory, lora", [  # every pair of settings appears once
         (0.0, None, False), (1.0, MEMORY, False), (1.0, None, True), (0.0, MEMORY, True),
     ], ids=["unguided", "guided_memory", "guided_lora", "unguided_memory_lora"])
-    def test_bytes_equal_per_step_denoise(self, batch, w, memory, lora):
+    def test_tiled_bytes_equal_per_step_denoise(self, batch, w, memory, lora):
         model = self.model(memory, lora)
         cond, mask, context = self.inputs(batch, 2, batch)
         got = model.sample(cond, mask, context, np.random.default_rng(batch), guidance_w=w)
