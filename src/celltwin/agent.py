@@ -11,6 +11,7 @@ finite-difference oracle. The environment interface is agent-agnostic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,14 +74,16 @@ def compute_reward(
 
 @dataclass(frozen=True)
 class Action:
-    sleep: np.ndarray            # (n_cells,) bool
-    bias_level_db: np.ndarray    # (n_cells,) bias granted by each sleeping cell
+    """One joint action, or with a leading axis one per episode."""
+
+    sleep: np.ndarray            # (..., n_cells) bool
+    bias_level_db: np.ndarray    # (..., n_cells) bias granted by each sleeping cell
 
     @classmethod
     def from_choices(cls, choices: np.ndarray, bias_levels=DEFAULT_BIAS_LEVELS) -> "Action":
         choices = np.asarray(choices)
         sleep = choices > 0
-        bias = np.zeros(len(choices))
+        bias = np.zeros(choices.shape)
         bias[sleep] = np.asarray(bias_levels)[choices[sleep] - 1]
         return cls(sleep=sleep, bias_level_db=bias)
 
@@ -94,17 +97,28 @@ class Action:
 
 
 def resolve_bias(action: Action, neighbors: list[tuple[int, ...]]) -> np.ndarray:
-    """Per-cell association bias: each sleeping cell grants its bias to its neighbors."""
-    bias = np.zeros(len(neighbors))
-    for c in np.flatnonzero(action.sleep):
+    """Per-cell association bias: each sleeping cell grants its bias to its neighbors.
+
+    An action with a leading episode axis gives one bias row per episode. The
+    cells granting a bias in some episode add in ascending order, and an
+    episode in which such a cell grants nothing adds an exact 0.0, so each row
+    has the bits of adding its own sleeping cells' grants alone.
+    """
+    granted = np.where(action.sleep, action.bias_level_db, 0.0)
+    bias = np.zeros(granted.shape)
+    for c in np.flatnonzero(granted.reshape(-1, len(neighbors)).any(axis=0)):
         for nb in neighbors[c]:
-            bias[nb] += action.bias_level_db[c]
+            bias[..., nb] += granted[..., c]
     return bias
 
 
 @dataclass
 class Observation:
-    """Agent input: current state plus world-model-predicted next window."""
+    """Agent input: current state plus world-model-predicted next window.
+
+    The per-cell fields are (episodes, n_cells), one row per episode of an
+    env; the hour is the same for every episode.
+    """
 
     load_frac: np.ndarray
     pred_load_frac: np.ndarray
@@ -114,10 +128,11 @@ class Observation:
     hour_cos: float
 
     def vector(self) -> np.ndarray:
+        """The policy input, one (dim,) row per episode."""
+        hour = np.broadcast_to([self.hour_sin, self.hour_cos], self.load_frac.shape[:-1] + (2,))
         return np.concatenate([
-            self.load_frac, self.pred_load_frac, self.pred_users_norm,
-            self.neighbor_pred_load, [self.hour_sin, self.hour_cos],
-        ])
+            self.load_frac, self.pred_load_frac, self.pred_users_norm, self.neighbor_pred_load, hour,
+        ], axis=-1)
 
     @staticmethod
     def dim(n_cells: int) -> int:
@@ -179,17 +194,28 @@ class Policy:
     def distribution(self, obs: np.ndarray) -> tuple[np.ndarray, list]:
         """Per-cell choice probabilities, shape (B, n_cells, n_choices)."""
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        if obs.shape[1] != self.obs_dim:
-            raise ShapeError(f"observation dim {obs.shape[1]} != expected {self.obs_dim}")
+        if obs.shape[-1] != self.obs_dim:
+            raise ShapeError(f"observation dim {obs.shape[-1]} != expected {self.obs_dim}")
         logits, cache = self.mlp.forward(obs)
         probs = softmax(logits.reshape(obs.shape[0], self.n_cells, self.n_choices))
         return probs, cache
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[Action, np.ndarray]:
-        """A drawn joint action and its per-cell choices."""
-        probs, _ = self.distribution(obs)
-        u = rng.random(self.n_cells)
-        choices = (u[:, None] > np.cumsum(probs[0], axis=1)).sum(axis=1)
+    def sample(self, obs: np.ndarray, rngs: Sequence[np.random.Generator]) -> tuple[Action, np.ndarray]:
+        """Joint actions and their (B, n_cells) choices for B observation rows, (B, obs_dim).
+
+        Row b draws its n_cells uniforms from ``rngs[b]``, so each episode keeps
+        its own stream. The rows go through the network as a (B, 1, obs_dim)
+        stack, whose items each have the bits of a one-row forward; a flat
+        (B, obs_dim) product does not.
+        """
+        obs = np.asarray(obs, dtype=float)
+        if obs.ndim != 2 or len(obs) != len(rngs):
+            raise ShapeError(f"{len(rngs)} generators for observations of shape {obs.shape}")
+        probs, _ = self.distribution(obs[:, None, :])
+        u = np.array([rng.random(self.n_cells) for rng in rngs])
+        # The last cumulative probability can round below 1, so u counts only
+        # against the first n_choices - 1 and the choice stays in range.
+        choices = (u[..., None] > np.cumsum(probs[..., :-1], axis=-1)).sum(axis=-1)
         return Action.from_choices(choices, self.bias_levels), choices
 
     # -- learning --------------------------------------------------------------

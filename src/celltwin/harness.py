@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .agent import (
     resolve_bias,
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
-from .errors import ConfigError, EnvelopeError, ModelError
-from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, build_scenario, serve
+from .errors import ConfigError, DomainError, EnvelopeError, ModelError, ShapeError
+from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, bincount_rows, build_scenario, serve
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
@@ -250,19 +251,24 @@ def neighbor_groups(neighbors) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def neighbor_mean(values: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Each cell's mean of ``values`` over its neighbours, from ``neighbor_groups``.
+    """Each cell's mean of ``values`` (..., n_cells) over its neighbours, from ``neighbor_groups``.
 
     One row mean per group of equal width gives the bits of a separate
     ``values[nbs].mean()`` per cell.
     """
-    out = np.empty(len(values))
+    out = np.empty(values.shape)
     for cells, idx in groups:
-        out[cells] = values[idx].mean(axis=1)
+        out[..., cells] = values[..., idx].mean(axis=-1)
     return out
 
 
 class _DayEnv:
-    """One day in decision steps; subclasses define `reset`, `step` and `_observation`."""
+    """One day in decision steps for `episodes` episodes in lockstep; subclasses define `reset`,
+    `step` and `_observation`.
+
+    Observations, actions, rewards and infos carry a leading episode axis.
+    `step` raises a DomainError before the first `reset` and once the day is over.
+    """
 
     def __init__(self, oracle: Oracle, weights: RewardWeights):
         self.oracle = oracle
@@ -271,51 +277,70 @@ class _DayEnv:
             np.bincount(oracle.nearest_cell, weights=oracle.grid_weight, minlength=oracle.n_cells), 1.0
         )
         self._neighbor_groups = neighbor_groups(oracle.neighbors)
-        self._step = 0
+        self.episodes = 0
+        self._step = None  # no episode before the first reset
 
     @property
     def steps_per_episode(self) -> int:
         return self.oracle.config.steps_per_day
 
+    def _begin_step(self, action: Action) -> int:
+        """The step `action` is for: one (episodes, n_cells) row per episode, inside the day."""
+        if self._step is None:
+            raise DomainError(f"{type(self).__name__}.step before reset: no episode has started")
+        if self._step >= self.steps_per_episode:
+            raise DomainError(
+                f"{type(self).__name__}.step after the day ended at step {self.steps_per_episode}: "
+                "reset to start another episode"
+            )
+        want = (self.episodes, self.oracle.n_cells)
+        if np.shape(action.sleep) != want or np.shape(action.bias_level_db) != want:
+            raise ShapeError(f"action of shape {np.shape(action.sleep)} for {want[0]} episodes of {want[1]} cells")
+        return self._step
+
     def _observe(self, step, load, forecast_day, forecast_users) -> Observation:
         """Agent view at `step`: current load fractions plus the forecast's next window.
 
-        Without a forecast (``None``) the next window is the current load and no
-        users are predicted.
+        `load` is (episodes, n_cells) and the forecast (episodes, n_cells, steps)
+        traffic with (episodes, n_grids, user steps) users. Without a forecast
+        (``None``) the next window is the current load and no users are predicted.
         """
         oracle, clock = self.oracle, self.oracle.config
         nxt = min(step + 1, clock.steps_per_day - 1)
         if forecast_day is None:
-            pred, users = load, np.zeros(oracle.n_grids)
+            pred, users = load, np.zeros((len(load), oracle.n_grids))
         else:
-            pred = forecast_day[:, nxt] / oracle.arrays.capacity_mbps
-            users = forecast_users[:, clock.user_column(nxt)]
+            pred = forecast_day[..., nxt] / oracle.arrays.capacity_mbps
+            users = forecast_users[..., clock.user_column(nxt)]
         hour = ds.hour_features(clock.hour(0, step))
         return Observation(
             load_frac=load,
             pred_load_frac=pred,
-            pred_users_norm=np.bincount(oracle.nearest_cell, weights=users, minlength=oracle.n_cells)
+            pred_users_norm=bincount_rows(np.broadcast_to(oracle.nearest_cell, users.shape), users, oracle.n_cells)
             / self.users_scale,
             neighbor_pred_load=neighbor_mean(pred, self._neighbor_groups),
             hour_sin=hour["hour_sin"],
             hour_cos=hour["hour_cos"],
         )
 
-    def _finish_step(self, state: NetworkState):
-        """Reward the step, advance the clock and observe the next step unless the day is over."""
+    def _finish_step(self, states: list[NetworkState]):
+        """Reward each episode's step, advance the clock and observe the next step unless the day is over.
+
+        Rewards and every info entry are (episodes,) arrays; an RSRP average is
+        NaN on a step with nobody served.
+        """
         step_hours = self.oracle.config.traffic_step_hours
-        energy, ref_energy = state.energy_wh(step_hours), state.reference_power_watts * step_hours
-        rsrp_avg, dropped, total_users = state.rsrp_avg_dbm, state.dropped_users, state.total_users
-        reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
+        rows = []
+        for state in states:
+            energy, ref_energy = state.energy_wh(step_hours), state.reference_power_watts * step_hours
+            rsrp_avg, dropped, total_users = state.rsrp_avg_dbm, state.dropped_users, state.total_users
+            reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
+            rsrp_avg = np.nan if rsrp_avg is None else rsrp_avg
+            rows.append((reward, energy, ref_energy, rsrp_avg, dropped, total_users))
+        reward, *columns = (np.array(column) for column in zip(*rows))
         self._step += 1
         done = self._step >= self.steps_per_episode
-        info = {
-            "energy_wh": energy,
-            "reference_energy_wh": ref_energy,
-            "rsrp_avg_dbm": rsrp_avg,
-            "dropped": dropped,
-            "total_users": total_users,
-        }
+        info = dict(zip(("energy_wh", "reference_energy_wh", "rsrp_avg_dbm", "dropped", "total_users"), columns))
         return None if done else self._observation(), reward, done, info
 
 
@@ -328,7 +353,7 @@ class WorldModelEnvConfig:
 
 
 class WorldModelEnv(_DayEnv):
-    """Virtual day built entirely from world-model samples.
+    """Virtual days built entirely from world-model samples, one per episode, in lockstep.
 
     On construction the environment pre-samples a pool of full synthetic days
     (traffic per cell, users per grid) and per-(grid, cell) RSRP tables; each
@@ -336,6 +361,10 @@ class WorldModelEnv(_DayEnv):
     every quantity the agent sees still comes from the generative model. Each
     table holds several draws per (grid, cell) link so a grid near the drop
     floor loses a fraction of its users rather than all or none.
+
+    `reset` starts one episode per generator, and every `step` then steps all
+    of them with one `serve` call over a leading episode axis. Each episode's
+    numbers have the bits of stepping it alone.
     """
 
     environment_id = "worldmodel"
@@ -364,42 +393,46 @@ class WorldModelEnv(_DayEnv):
             config.rsrp_pool, oracle.n_grids, oracle.n_cells, config.rsrp_draws
         )
 
-        self._day = None
-        self._users_day = None
-        self._table = None          # (n_grids, n_cells, rsrp_draws)
+        self._day = None            # (episodes, n_cells, steps)
+        self._users_day = None      # (episodes, n_grids, user steps)
+        self._table = None          # (episodes, n_grids, n_cells, rsrp_draws)
         self._table_mean = None
         self._natural = None
 
-    def reset(self, rng: np.random.Generator) -> Observation:
-        self._day = self.traffic_pool[rng.integers(0, len(self.traffic_pool))]
-        self._users_day = self.users_pool[rng.integers(0, len(self.users_pool))]
-        self._table = self.rsrp_pool[rng.integers(0, len(self.rsrp_pool))]
-        self._table_mean = self._table.mean(axis=2)
-        n = self.oracle.n_cells
-        self._natural = associate_users(self._table_mean, np.zeros(n, dtype=bool), np.zeros(n), -np.inf)
+    def reset(self, rngs: Sequence[np.random.Generator]) -> Observation:
+        """One episode per generator, which draws its traffic day, users day and RSRP table in that order."""
+        pools = (self.traffic_pool, self.users_pool, self.rsrp_pool)
+        picks = np.array([[rng.integers(0, len(pool)) for pool in pools] for rng in rngs], dtype=int)
+        self._day, self._users_day, self._table = (pool[pick] for pool, pick in zip(pools, picks.reshape(-1, 3).T))
+        self._table_mean = self._table.mean(axis=-1)
+        self.episodes, n = len(picks), self.oracle.n_cells
+        self._natural = associate_users(
+            self._table_mean, np.zeros((self.episodes, n), dtype=bool), np.zeros((self.episodes, n)), -np.inf
+        )
         self._step = 0
         return self._observation()
 
     def _observation(self) -> Observation:
         d = self._step
-        load = self._day[:, d] / self.oracle.arrays.capacity_mbps
+        load = self._day[..., d] / self.oracle.arrays.capacity_mbps
         return self._observe(d, load, self._day, self._users_day)
 
-    def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
+    def step(self, action: Action) -> tuple[Observation | None, np.ndarray, bool, dict]:
         """Each grid is one unit of `serve`: it attaches by its mean RSRP and the floor applies per draw."""
         oracle, clock = self.oracle, self.oracle.config
-        d = self._step
+        d = self._begin_step(action)
         return self._finish_step(serve(
-            oracle.arrays, self._day[:, d], self._natural, self._table_mean, self._table,
-            self._users_day[:, clock.user_column(d)], clock.rsrp_floor_dbm, action.sleep,
+            oracle.arrays, self._day[..., d], self._natural, self._table_mean, self._table,
+            self._users_day[..., clock.user_column(d)], clock.rsrp_floor_dbm, action.sleep,
             resolve_bias(action, oracle.neighbors),
-        ))
+        ).episodes())
 
 
 class OracleEnv(_DayEnv):
     """Ground-truth day; the world model contributes only forecast features.
 
-    The env reads its realised day from the oracle once, at reset. The
+    The env runs one episode, its arrays carrying an episode axis of length 1.
+    It reads its realised day from the oracle once, at reset. The
     forecast is a sampled day whose first ``revealed`` windows are the
     realised ones: ``long_term`` samples it once per episode with
     ``revealed = 0``; ``short_term`` samples it again at every step with the
@@ -442,8 +475,9 @@ class OracleEnv(_DayEnv):
         t = self.oracle.config.hour(self.day, self._step)
         return lambda sleep_mask, bias_vec: self.oracle.step_network(t, sleep_mask, bias_vec)
 
-    def reset(self, rng: np.random.Generator | None = None) -> Observation:
-        self._step = 0
+    def reset(self, rngs=None) -> Observation:
+        """Start the day; the oracle's day is fixed, so `rngs` is not read."""
+        self.episodes, self._step = 1, 0
         # Only short-term forecasts reveal the realised users.
         short_term = self.bundle is not None and self.predict_mode == "short_term"
         self._realised = (
@@ -455,8 +489,7 @@ class OracleEnv(_DayEnv):
 
     def _predict(self, revealed: int, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(np.random.SeedSequence(key))
-        traffic, users = _forecast(self.bundle, self.oracle, 1, rng, revealed, self._realised)
-        return traffic[0], users[0]
+        return _forecast(self.bundle, self.oracle, 1, rng, revealed, self._realised)
 
     def _observation(self) -> Observation:
         d = self._step
@@ -464,57 +497,53 @@ class OracleEnv(_DayEnv):
             self._forecast = self._predict(
                 d + 1, (self.predict_seed, self.oracle.config.seed, self.day, d)
             )
-        return self._observe(d, self.current_load_fraction(), *self._forecast)
+        return self._observe(d, self.current_load_fraction()[None], *self._forecast)
 
-    def step(self, action: Action) -> tuple[Observation | None, float, bool, dict]:
-        return self._finish_step(self.oracle.step_network(
-            self.oracle.config.hour(self.day, self._step), action.sleep,
-            resolve_bias(action, self.oracle.neighbors),
-        ))
+    def step(self, action: Action) -> tuple[Observation | None, np.ndarray, bool, dict]:
+        d = self._begin_step(action)
+        return self._finish_step([self.oracle.step_network(
+            self.oracle.config.hour(self.day, d), action.sleep[0],
+            resolve_bias(action, self.oracle.neighbors)[0],
+        )])
 
 
 # -- actors ------------------------------------------------------------------------
 
 
-def _rollout(
-    env, act, policy_id: str, seed: int, rng: np.random.Generator | None = None
-) -> EpisodeResult:
-    """Run one episode of `env`, taking each action from `act(observation)`."""
-    obs = env.reset(rng)
-    energy, rsrp, dropped, rewards = [], [], [], []
+def _rollout(env, act, policy_id: str, seed: int, rngs=None) -> list[EpisodeResult]:
+    """Run `env`'s episodes in lockstep, taking each step's actions from `act(observation)`;
+    one result per episode."""
+    obs = env.reset(rngs)
+    steps = []
     done = False
     while not done:
         obs, reward, done, info = env.step(act(obs))
-        rewards.append(reward)
-        energy.append(info["energy_wh"])
-        rsrp.append(np.nan if info["rsrp_avg_dbm"] is None else info["rsrp_avg_dbm"])
-        dropped.append(info["dropped"] / max(info["total_users"], 1))
-    return EpisodeResult(
-        policy_id=policy_id,
-        environment=env.environment_id,
-        seed=seed,
-        energy_wh=np.array(energy),
-        rsrp_avg_dbm=np.array(rsrp),
-        dropped_rate=np.array(dropped),
-        rewards=np.array(rewards),
-    )
+        steps.append((
+            info["energy_wh"], info["rsrp_avg_dbm"], info["dropped"] / np.maximum(info["total_users"], 1), reward,
+        ))
+    # (episodes, steps) each, so every episode's row is contiguous.
+    energy, rsrp, dropped, rewards = (np.stack(column, axis=1) for column in zip(*steps))
+    return [
+        EpisodeResult(policy_id, env.environment_id, seed, *row) for row in zip(energy, rsrp, dropped, rewards)
+    ]
 
 
-def run_wm_episode(
-    env: WorldModelEnv, policy: Policy, rng: np.random.Generator
-) -> tuple[Trajectory, EpisodeResult]:
-    """One world-model day with actions drawn from the policy."""
+def run_wm_episodes(
+    env: WorldModelEnv, policy: Policy, rngs: Sequence[np.random.Generator]
+) -> tuple[list[Trajectory], list[EpisodeResult]]:
+    """World-model days in lockstep, one per generator, with actions drawn from the policy."""
     obs_rows, choice_rows = [], []
 
     def act(obs: Observation) -> Action:
         vec = obs.vector()
-        action, choices = policy.sample(vec, rng)
+        action, choices = policy.sample(vec, rngs)
         obs_rows.append(vec)
         choice_rows.append(choices)
         return action
 
-    result = _rollout(env, act, "agent", env.config.sample_seed, rng)
-    return Trajectory(np.array(obs_rows), np.array(choice_rows), result.rewards), result
+    results = _rollout(env, act, "agent", env.config.sample_seed, rngs)
+    observations, choices = np.stack(obs_rows, axis=1), np.stack(choice_rows, axis=1)
+    return [Trajectory(o, c, r.rewards) for o, c, r in zip(observations, choices, results)], results
 
 
 @dataclass
@@ -545,11 +574,11 @@ def run_training(
     )
     curve = []
     for update in range(config.updates):
-        trajectories = []
-        for episode in range(config.episodes_per_update):
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, 9, update, episode)))
-            traj, _ = run_wm_episode(env, policy, rng)
-            trajectories.append(traj)
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence((config.seed, 9, update, episode)))
+            for episode in range(config.episodes_per_update)
+        ]
+        trajectories, _ = run_wm_episodes(env, policy, rngs)
         diag = policy.update(trajectories, lr=config.lr)
         curve.append(diag["mean_return"])
     return policy, curve
@@ -571,9 +600,8 @@ class EvalConfig:
 
 
 def _rule_action(
-    scheme: str, env: OracleEnv, obs: Observation, history: np.ndarray, cfg: EvalConfig
+    scheme: str, env: OracleEnv, load: np.ndarray, history: np.ndarray, cfg: EvalConfig
 ) -> Action:
-    load = obs.load_frac
     n = env.oracle.n_cells
     if scheme == "always_on":
         return Action.all_active(n)
@@ -593,9 +621,9 @@ def _rule_action(
 
 
 def _greedy_action(policy: Policy, obs: Observation) -> Action:
-    """The most probable choice of every cell."""
+    """The most probable choice of every cell, per episode."""
     probs, _ = policy.distribution(obs.vector())
-    return Action.from_choices(np.argmax(probs[0], axis=1), policy.bias_levels)
+    return Action.from_choices(np.argmax(probs, axis=-1), policy.bias_levels)
 
 
 def run_oracle_episode(
@@ -609,9 +637,14 @@ def run_oracle_episode(
     if scheme == "agent":
         if policy is None:
             raise ConfigError("agent scheme needs a policy")
-        return _rollout(env, lambda obs: _greedy_action(policy, obs), scheme, seed)
+        return _rollout(env, lambda obs: _greedy_action(policy, obs), scheme, seed)[0]
     history = env.history_load_fractions() if scheme == "custom" else None
-    return _rollout(env, lambda obs: _rule_action(scheme, env, obs, history, cfg), scheme, seed)
+
+    def act(obs: Observation) -> Action:
+        rule = _rule_action(scheme, env, obs.load_frac[0], history, cfg)
+        return Action(rule.sleep[None], rule.bias_level_db[None])
+
+    return _rollout(env, act, scheme, seed)[0]
 
 
 def _check_envelope(results: dict[str, EpisodeResult], weights: RewardWeights) -> None:

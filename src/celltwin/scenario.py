@@ -144,7 +144,9 @@ class NetworkState:
     `per_user_rsrp_dbm[u]`, the mean RSRP over its served draws, is NaN there.
     `served_users[u]` is the unit's weight times its served share; the
     dropped users are the weight not served, and `rsrp_avg_dbm` weighs each
-    unit's RSRP by its served users.
+    unit's RSRP by its served users. A state `serve` returns for a batch has
+    a leading episode axis on every field; `episodes` splits it into one
+    state per episode, and the properties read those.
     """
 
     per_cell_load_mbps: np.ndarray
@@ -155,6 +157,10 @@ class NetworkState:
     per_user_rsrp_dbm: np.ndarray
     served_users: np.ndarray
     total_users: int
+
+    def episodes(self) -> list["NetworkState"]:
+        """One state per row of the leading episode axis."""
+        return [NetworkState(*row) for row in zip(*(getattr(self, f.name) for f in fields(self)))]
 
     @cached_property
     def _served_total(self) -> float:
@@ -217,6 +223,19 @@ def cell_power_watts(cell: CellConfig | CellArrays, load_fraction, asleep):
     return np.where(asleep, cell.p_sleep_watts, active)
 
 
+def bincount_rows(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(index[b], weights[b], minlength=n)`` for every row b of (rows, units) inputs;
+    an index of -1 counts nowhere.
+
+    One bincount over the offset indices ``b * n + index`` adds each row's
+    weights in the order its own call would, so every row has its bits.
+    """
+    rows = len(index)
+    keep = index >= 0
+    flat = (index + n * np.arange(rows)[:, None])[keep]
+    return np.bincount(flat, weights=weights[keep], minlength=rows * n).reshape(rows, n)
+
+
 def step_physics(
     cells: CellArrays,
     native_mbps: np.ndarray,
@@ -236,24 +255,39 @@ def step_physics(
     each unit's served share moves to its serving cell. Re-routed load is capped
     at capacity and the excess reported as overload. Reference power is the
     all-active draw with every cell carrying its native load.
+
+    Every argument but `cells` may carry one leading episode axis, and each
+    episode's row of the results then has the bits of a call on that row alone.
     """
-    load = np.where(sleep, 0.0, native_mbps)
-    attached = natural >= 0
-    total_weight = np.bincount(natural[attached], weights=weight[attached], minlength=len(native_mbps))
-    # Ascending cell order fixes the order np.add.at accumulates in.
-    for c in np.flatnonzero(sleep):
-        if total_weight[c] <= 0:
-            continue
-        moved = (natural == c) & (serving >= 0)
-        share = native_mbps[c] * weight[moved] * served[moved] / total_weight[c]
-        np.add.at(load, serving[moved], share)
+    n = len(cells.capacity_mbps)
+    lead = native_mbps.shape[:-1]
+    native, sleep = native_mbps.reshape(-1, n), sleep.reshape(-1, n)
+    rows = len(native)
+    natural, serving = natural.reshape(rows, -1), serving.reshape(rows, -1)
+    weight, served = weight.reshape(rows, -1), served.reshape(rows, -1)
+    load = np.where(sleep, 0.0, native)
+    total_weight = bincount_rows(natural, weight, n)
+    # A unit whose natural cell is -1 reads cell n - 1 here and is masked out.
+    moving = (sleep & (total_weight > 0))[np.arange(rows)[:, None], natural]
+    moved = moving & (natural >= 0) & (serving >= 0)
+    # A stable sort by natural cell makes np.add.at add each episode's shares
+    # cell by ascending cell and unit by unit within a cell: the order, and so
+    # the bits, of a loop over the sleeping cells.
+    order = np.argsort(natural[moved], kind="stable")
+    episode = np.nonzero(moved)[0][order]
+    cell = natural[moved][order]
+    share = native[episode, cell] * weight[moved][order] * served[moved][order] / total_weight[episode, cell]
+    np.add.at(load, (episode, serving[moved][order]), share)
     load[sleep] = 0.0
     overload = np.maximum(load - cells.capacity_mbps, 0.0)
     load = np.minimum(load, cells.capacity_mbps)
     power = cell_power_watts(cells, load / cells.capacity_mbps, sleep)
-    reference = cell_power_watts(cells, np.minimum(native_mbps / cells.capacity_mbps, 1.0), False)
-    # Left-to-right, as a per-cell loop adds; numpy's sum associates differently.
-    return load, overload, power, sum(reference.tolist())
+    per_cell = cell_power_watts(cells, np.minimum(native / cells.capacity_mbps, 1.0), False)
+    # Python's sum over each row, as the one-episode code has always added it;
+    # numpy's sum associates differently.
+    reference = np.array([sum(row) for row in per_cell.tolist()]).reshape(lead)[()]
+    shape = lead + (n,)
+    return load.reshape(shape), overload.reshape(shape), power.reshape(shape), reference
 
 
 def associate_users(
@@ -265,16 +299,16 @@ def associate_users(
     """Each user's serving cell: the active cell maximizing rsrp + bias, -1 when dropped.
 
     Ties break toward the lowest cell id. A user is dropped when the selected
-    cell's unbiased RSRP is below the floor, or when every cell sleeps.
+    cell's unbiased RSRP is below the floor, or when every cell sleeps. The
+    (users, cells) RSRP and the (cells,) sleep and bias may share a leading
+    episode axis.
     """
-    n_users = rsrp_matrix.shape[0]
     active = ~np.asarray(sleep_mask, dtype=bool)
-    if n_users == 0 or not active.any():
-        return np.full(n_users, -1, dtype=np.int64)
-    biased = rsrp_matrix + np.asarray(bias_db, dtype=float)[None, :]
-    biased = np.where(active[None, :], biased, -np.inf)
-    best = np.argmax(biased, axis=1)  # argmax takes the first (lowest id) on ties
-    return np.where(rsrp_matrix[np.arange(n_users), best] >= rsrp_floor_dbm, best, -1)
+    biased = rsrp_matrix + np.asarray(bias_db, dtype=float)[..., None, :]
+    biased = np.where(active[..., None, :], biased, -np.inf)
+    best = np.argmax(biased, axis=-1)  # argmax takes the first (lowest id) on ties
+    picked = rsrp_matrix[(*np.indices(best.shape, sparse=True), best)]
+    return np.where((picked >= rsrp_floor_dbm) & active.any(axis=-1)[..., None], best, -1)
 
 
 def serve(
@@ -297,13 +331,19 @@ def serve(
     cell with everything active (-1 for none) and `weight` its size. A unit
     with nothing served reaches step_physics on its attached cell with share 0,
     which moves no load.
+
+    Every argument but `cells` and the floor may carry one leading episode
+    axis, as the world-model env's lockstep episodes do. The state then has
+    it too, and each episode's row has the bits of a call on that row alone.
     """
     serving = associate_users(attach, sleep, bias_db, -np.inf)
-    drawn = draws[np.arange(len(serving)), serving]  # (units, draws); -1 rows are masked next
-    above = (drawn >= rsrp_floor_dbm) & (serving >= 0)[:, None]
-    share = above.mean(axis=1)
+    # (..., units, draws); the rows of -1 units are masked next.
+    drawn = draws[(*np.indices(serving.shape, sparse=True), serving)]
+    above = (drawn >= rsrp_floor_dbm) & (serving >= 0)[..., None]
+    count = above.sum(axis=-1)
+    share = count / above.shape[-1]
     load, overload, power, reference = step_physics(cells, native_mbps, sleep, natural, serving, weight, share)
-    served = share > 0
+    served = count > 0
     return NetworkState(
         per_cell_load_mbps=load,
         per_cell_overload_mbps=overload,
@@ -311,10 +351,10 @@ def serve(
         reference_power_watts=reference,
         serving_cell=np.where(served, serving, -1),
         per_user_rsrp_dbm=np.where(
-            served, np.where(above, drawn, 0.0).sum(axis=1) / np.maximum(above.sum(axis=1), 1), np.nan
+            served, np.where(above, drawn, 0.0).sum(axis=-1) / np.maximum(count, 1), np.nan
         ),
         served_users=weight * share,
-        total_users=int(weight.sum()),
+        total_users=weight.sum(axis=-1).astype(np.int64),
     )
 
 

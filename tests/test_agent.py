@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from celltwin.agent import (
     Action,
@@ -76,11 +77,74 @@ class TestPolicyDistribution:
 
     def test_fixed_seed_same_action(self):
         policy = Policy(n_cells=4, obs_dim=Observation.dim(4), seed=4)
-        obs = np.random.default_rng(5).normal(size=policy.obs_dim)
-        a1, c1 = policy.sample(obs, np.random.default_rng(6))
-        a2, c2 = policy.sample(obs, np.random.default_rng(6))
+        obs = np.random.default_rng(5).normal(size=(1, policy.obs_dim))
+        a1, c1 = policy.sample(obs, [np.random.default_rng(6)])
+        a2, c2 = policy.sample(obs, [np.random.default_rng(6)])
         assert np.array_equal(c1, c2)
         assert np.array_equal(a1.sleep, a2.sleep)
+
+    def test_each_row_draws_from_its_own_generator(self):
+        policy = Policy(n_cells=4, obs_dim=Observation.dim(4), seed=4)
+        obs = np.random.default_rng(5).normal(size=(3, policy.obs_dim))
+        _, together = policy.sample(obs, [np.random.default_rng(s) for s in (6, 7, 8)])
+        for row, s in enumerate((6, 7, 8)):
+            _, alone = policy.sample(obs[row:row + 1], [np.random.default_rng(s)])
+            assert np.array_equal(together[row], alone[0])
+        with pytest.raises(ShapeError, match="2 generators"):
+            policy.sample(obs, [np.random.default_rng(6), np.random.default_rng(7)])
+
+    def test_uniform_above_the_rounded_total_stays_in_range(self):
+        # Logits whose softmax sums, cumulatively, to less than 1 - 2**-53; with u
+        # at that value a count over every cumulative probability reaches n_choices.
+        policy = Policy(n_cells=3, obs_dim=4, hidden=(2,), seed=0)
+        for name in policy.store.names():
+            policy.store.set(name, np.zeros_like(policy.store[name]))
+        u = 1.0 - 2.0**-53
+        rng = np.random.default_rng(17)
+        while True:
+            row = rng.normal(0.0, 3.0, size=policy.n_choices)
+            policy.store.set("policy/b1", np.tile(row, policy.n_cells))
+            probs, _ = policy.distribution(np.zeros((1, 4)))
+            if np.cumsum(probs[0, 0])[-1] < u:
+                break
+
+        class TopUniform:
+            def random(self, n):
+                return np.full(n, u)
+
+        action, choices = policy.sample(np.zeros((1, 4)), [TopUniform()])
+        assert choices.tolist() == [[policy.n_choices - 1] * policy.n_cells]
+        assert action.bias_level_db.tolist() == [[policy.bias_levels[-1]] * policy.n_cells]
+
+    def test_choices_see_the_bits_of_one_row_forwards(self):
+        # Every uniform sits exactly on a cumulative probability of its row's
+        # one-row forward, so a forward one ulp lower there moves the choice.
+        policy = Policy(n_cells=7, obs_dim=Observation.dim(7), seed=3)
+        obs = np.random.default_rng(8).normal(size=(7, policy.obs_dim))
+        edges = [np.cumsum(policy.distribution(row)[0][0], axis=1) for row in obs]
+
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, n):
+                return self.u
+
+        for k in range(policy.n_choices - 1):
+            _, choices = policy.sample(obs, [Fixed(edge[:, k].copy()) for edge in edges])
+            assert (choices == k).all()
+
+    @pytest.mark.parametrize("rows", [1, 6, 7, 36, 64])
+    def test_stacked_rows_forward_with_the_bits_of_single_rows(self, rows):
+        # Policy.sample forwards B observations as a (B, 1, obs_dim) stack on this
+        # premise: a change in how numpy or BLAS dispatches the stack fails here.
+        policy = Policy(n_cells=7, obs_dim=Observation.dim(7), seed=3)
+        x = np.random.default_rng(rows).normal(size=(rows, policy.obs_dim))
+        stacked, _ = policy.mlp.forward(x[:, None, :])
+        assert stacked.shape == (rows, 1, policy.n_cells * policy.n_choices)
+        for b in range(rows):
+            single, _ = policy.mlp.forward(x[b:b + 1])
+            assert stacked[b].tobytes() == single.tobytes()
 
     def test_obs_dim_checked(self):
         policy = Policy(n_cells=3, obs_dim=Observation.dim(3))
@@ -123,10 +187,10 @@ class TestPolicyUpdate:
         for _ in range(300):
             trajs = []
             for _ in range(8):
-                _, choices = policy.sample(obs, rng)
-                reward = 1.0 if choices[0] == 0 else 0.0
+                _, choices = policy.sample(obs[None, :], [rng])
+                reward = 1.0 if choices[0, 0] == 0 else 0.0
                 trajs.append(Trajectory(
-                    observations=obs[None, :], choices=choices[None, :], rewards=np.array([reward]),
+                    observations=obs[None, :], choices=choices, rewards=np.array([reward]),
                 ))
             policy.update(trajs, lr=0.05)
         probs, _ = policy.distribution(obs)
@@ -264,15 +328,39 @@ class TestActionHelpers:
         bias = resolve_bias(action, [(1,), (0, 2), (1,)])
         assert bias.tolist() == [0.0, 9.0, 0.0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batched_resolve_bias_rows_equal_unbatched_calls(self, data):
+        n = data.draw(st.integers(1, 8))
+        episodes = data.draw(st.integers(1, 7))
+        neighbors = [tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+                     for _ in range(n)]
+        levels = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0]))
+        sleep = np.array(data.draw(st.lists(st.booleans(), min_size=episodes * n, max_size=episodes * n)))
+        level = np.array(data.draw(st.lists(levels, min_size=episodes * n, max_size=episodes * n)))
+        action = Action(sleep.reshape(episodes, n), level.reshape(episodes, n))
+        got = resolve_bias(action, neighbors)
+        for b in range(episodes):
+            want = np.zeros(n)  # the sleeping cells' grants alone, in ascending cell order
+            for c in np.flatnonzero(action.sleep[b]):
+                for nb in neighbors[c]:
+                    want[nb] += action.bias_level_db[b, c]
+            assert got[b].tobytes() == want.tobytes()
+            assert got[b].tobytes() == resolve_bias(Action(action.sleep[b], action.bias_level_db[b]),
+                                                    neighbors).tobytes()
+
     def test_from_choices(self):
         action = Action.from_choices(np.array([0, 1, 3]))
         assert action.sleep.tolist() == [False, True, True]
         assert action.bias_level_db.tolist() == [0.0, 0.0, 6.0]
+        batched = Action.from_choices(np.array([[0, 1, 3], [2, 0, 0]]))
+        assert batched.bias_level_db.tolist() == [[0.0, 0.0, 6.0], [3.0, 0.0, 0.0]]
 
     def test_observation_vector_dim(self):
         obs = Observation(
-            load_frac=np.zeros(7), pred_load_frac=np.zeros(7),
-            pred_users_norm=np.zeros(7), neighbor_pred_load=np.zeros(7),
+            load_frac=np.zeros((3, 7)), pred_load_frac=np.zeros((3, 7)),
+            pred_users_norm=np.zeros((3, 7)), neighbor_pred_load=np.zeros((3, 7)),
             hour_sin=0.0, hour_cos=1.0,
         )
-        assert obs.vector().shape == (Observation.dim(7),)
+        assert obs.vector().shape == (3, Observation.dim(7))
+        assert (obs.vector()[:, -2:] == [0.0, 1.0]).all()

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from celltwin.agent import Action, Policy, Observation, RewardWeights
-from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset
+from celltwin.agent import Action, Policy, Observation, RewardWeights, compute_reward
+from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset, hour_features
 from celltwin import harness
-from celltwin.errors import ConfigError, EnvelopeError
+from celltwin.errors import ConfigError, DomainError, EnvelopeError, ShapeError
 from celltwin.harness import (
     AgentTrainConfig,
     CounterfactualConfig,
@@ -27,14 +27,120 @@ from celltwin.harness import (
     read_rows_csv,
     rsrp_controllability,
     run_training,
-    run_wm_episode,
+    run_wm_episodes,
     traffic_generation_metrics,
     write_manifest,
     write_rows_csv,
 )
-from celltwin.scenario import build_scenario, make_hex_scenario
+from celltwin.scenario import NetworkState, build_scenario, cell_power_watts, make_hex_scenario
 
 WEIGHTS = RewardWeights()
+
+
+def batch(action: Action, episodes: int = 1) -> Action:
+    """`action` for each of `episodes` lockstep episodes."""
+    return Action(np.tile(action.sleep, (episodes, 1)), np.tile(action.bias_level_db, (episodes, 1)))
+
+
+# -- the per-episode world-model step that lockstep episodes replaced, kept as the reference --
+
+
+def reference_associate_users(rsrp_matrix, sleep_mask, bias_db, rsrp_floor_dbm):
+    n_users = rsrp_matrix.shape[0]
+    active = ~np.asarray(sleep_mask, dtype=bool)
+    if n_users == 0 or not active.any():
+        return np.full(n_users, -1, dtype=np.int64)
+    biased = rsrp_matrix + np.asarray(bias_db, dtype=float)[None, :]
+    biased = np.where(active[None, :], biased, -np.inf)
+    best = np.argmax(biased, axis=1)
+    return np.where(rsrp_matrix[np.arange(n_users), best] >= rsrp_floor_dbm, best, -1)
+
+
+def reference_step_physics(cells, native_mbps, sleep, natural, serving, weight, served):
+    load = np.where(sleep, 0.0, native_mbps)
+    attached = natural >= 0
+    total_weight = np.bincount(natural[attached], weights=weight[attached], minlength=len(native_mbps))
+    for c in np.flatnonzero(sleep):
+        if total_weight[c] <= 0:
+            continue
+        moved = (natural == c) & (serving >= 0)
+        share = native_mbps[c] * weight[moved] * served[moved] / total_weight[c]
+        np.add.at(load, serving[moved], share)
+    load[sleep] = 0.0
+    overload = np.maximum(load - cells.capacity_mbps, 0.0)
+    load = np.minimum(load, cells.capacity_mbps)
+    power = cell_power_watts(cells, load / cells.capacity_mbps, sleep)
+    reference = cell_power_watts(cells, np.minimum(native_mbps / cells.capacity_mbps, 1.0), False)
+    return load, overload, power, sum(reference.tolist())
+
+
+def reference_serve(cells, native_mbps, natural, attach, draws, weight, rsrp_floor_dbm, sleep, bias_db):
+    serving = reference_associate_users(attach, sleep, bias_db, -np.inf)
+    drawn = draws[np.arange(len(serving)), serving]
+    above = (drawn >= rsrp_floor_dbm) & (serving >= 0)[:, None]
+    share = above.mean(axis=1)
+    load, overload, power, reference = reference_step_physics(
+        cells, native_mbps, sleep, natural, serving, weight, share)
+    served = share > 0
+    return NetworkState(
+        per_cell_load_mbps=load,
+        per_cell_overload_mbps=overload,
+        per_cell_power_watts=power,
+        reference_power_watts=reference,
+        serving_cell=np.where(served, serving, -1),
+        per_user_rsrp_dbm=np.where(
+            served, np.where(above, drawn, 0.0).sum(axis=1) / np.maximum(above.sum(axis=1), 1), np.nan
+        ),
+        served_users=weight * share,
+        total_users=int(weight.sum()),
+    )
+
+
+def reference_wm_episode(env, policy, rng):
+    """One world-model day drawn and stepped alone, as `WorldModelEnv` did one episode at a time:
+    (observations, choices, rewards, energy, RSRP average, dropped rate), one row per step."""
+    oracle, clock = env.oracle, env.oracle.config
+    capacity, n = oracle.arrays.capacity_mbps, oracle.n_cells
+    day = env.traffic_pool[rng.integers(0, len(env.traffic_pool))]
+    users_day = env.users_pool[rng.integers(0, len(env.users_pool))]
+    table = env.rsrp_pool[rng.integers(0, len(env.rsrp_pool))]
+    table_mean = table.mean(axis=2)
+    natural = reference_associate_users(table_mean, np.zeros(n, dtype=bool), np.zeros(n), -np.inf)
+    rows = []
+    for d in range(clock.steps_per_day):
+        nxt = min(d + 1, clock.steps_per_day - 1)
+        pred = day[:, nxt] / capacity
+        users = users_day[:, clock.user_column(nxt)]
+        hour = hour_features(clock.hour(0, d))
+        vec = np.concatenate([
+            day[:, d] / capacity, pred,
+            np.bincount(oracle.nearest_cell, weights=users, minlength=n) / env.users_scale,
+            [pred[list(nbs)].mean() for nbs in oracle.neighbors], [hour["hour_sin"], hour["hour_cos"]],
+        ])
+        probs, _ = policy.distribution(vec)
+        u = rng.random(n)
+        choices = (u[:, None] > np.cumsum(probs[0], axis=1)).sum(axis=1)
+        sleep = choices > 0
+        level = np.zeros(n)
+        level[sleep] = np.asarray(policy.bias_levels)[choices[sleep] - 1]
+        bias = np.zeros(n)
+        for c in np.flatnonzero(sleep):
+            for nb in oracle.neighbors[c]:
+                bias[nb] += level[c]
+        state = reference_serve(oracle.arrays, day[:, d], natural, table_mean, table,
+                                users_day[:, clock.user_column(d)], clock.rsrp_floor_dbm, sleep, bias)
+        hours = clock.traffic_step_hours
+        energy, rsrp = state.energy_wh(hours), state.rsrp_avg_dbm
+        reward = compute_reward(energy, state.reference_power_watts * hours, rsrp, state.dropped_users,
+                                state.total_users, WEIGHTS)
+        rows.append((vec, choices, reward, energy, np.nan if rsrp is None else rsrp,
+                     state.dropped_users / max(state.total_users, 1)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class _FillHead:
@@ -80,31 +186,31 @@ def env_config():
 class TestWorldModelEnv:
     def test_observation_matches_policy_contract(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        obs = env.reset(np.random.default_rng(0))
-        assert obs.vector().shape == (Observation.dim(oracle.n_cells),)
+        obs = env.reset([np.random.default_rng(0), np.random.default_rng(1)])
+        assert obs.vector().shape == (2, Observation.dim(oracle.n_cells))
 
     def test_deterministic_given_seed(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        action = Action.all_active(oracle.n_cells)
+        action = batch(Action.all_active(oracle.n_cells))
 
         def run():
-            obs = env.reset(np.random.default_rng(7))
+            obs = env.reset([np.random.default_rng(7)])
             rewards = []
             done = False
             while not done:
                 _, r, done, _ = env.step(action)
                 rewards.append(r)
-            return rewards
+            return np.array(rewards)
 
-        assert run() == run()
+        assert np.array_equal(run(), run())
 
     def test_sleep_saves_energy(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        env.reset(np.random.default_rng(1))
-        _, _, _, info_active = env.step(Action.all_active(oracle.n_cells))
-        env.reset(np.random.default_rng(1))
-        _, _, _, info_sleep = env.step(Action.all_sleep(oracle.n_cells))
-        assert info_sleep["energy_wh"] < info_active["energy_wh"]
+        env.reset([np.random.default_rng(1)])
+        _, _, _, info_active = env.step(batch(Action.all_active(oracle.n_cells)))
+        env.reset([np.random.default_rng(1)])
+        _, _, _, info_sleep = env.step(batch(Action.all_sleep(oracle.n_cells)))
+        assert info_sleep["energy_wh"][0] < info_active["energy_wh"][0]
 
     @pytest.mark.parametrize("make_action", [Action.all_active, Action.all_sleep])
     def test_mirrors_oracle_on_its_realised_day(self, bundle, oracle, env_config, make_action):
@@ -116,15 +222,14 @@ class TestWorldModelEnv:
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
         env.traffic_pool, env.users_pool = oracle.traffic_day(1)[None], oracle.users_day(1)[None]
         env.rsrp_pool = rsrp[None, :, :, None]
-        env.reset(np.random.default_rng(0))
+        env.reset([np.random.default_rng(0)])
         oracle_env.reset()
-        action = make_action(oracle.n_cells)
+        action = batch(make_action(oracle.n_cells))
         for _ in range(env.steps_per_episode):
             _, _, _, twin = env.step(action)
             _, _, _, truth = oracle_env.step(action)
-            assert twin["energy_wh"] == truth["energy_wh"]
-            assert twin["reference_energy_wh"] == truth["reference_energy_wh"]
-            assert twin["total_users"] == truth["total_users"]
+            for key in ("energy_wh", "reference_energy_wh", "total_users"):
+                assert np.array_equal(twin[key], truth[key])
 
     def test_user_column_follows_the_hour(self, env_config):
         # 2-hour traffic steps over 3-hour user steps: step k reads the user window holding hour 2k.
@@ -132,18 +237,51 @@ class TestWorldModelEnv:
                                                   traffic_step_hours=2, user_step_hours=3))
         env = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
         env.traffic_pool, env.users_pool = oracle.traffic_day(1)[None], oracle.users_day(1)[None]
-        env.reset(np.random.default_rng(0))
+        env.reset([np.random.default_rng(0)])
         for k in range(12):
-            _, _, _, info = env.step(Action.all_active(oracle.n_cells))
-            assert info["total_users"] == sum(oracle.users_at(g, 24 + 2 * k) for g in range(oracle.n_grids))
+            _, _, _, info = env.step(batch(Action.all_active(oracle.n_cells)))
+            assert info["total_users"] == [sum(oracle.users_at(g, 24 + 2 * k) for g in range(oracle.n_grids))]
 
     def test_episode_tagged_as_worldmodel(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
         policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=1)
-        traj, result = run_wm_episode(env, policy, np.random.default_rng(2))
+        (traj,), (result,) = run_wm_episodes(env, policy, [np.random.default_rng(2)])
         assert result.environment == "worldmodel"
         assert len(traj.rewards) == env.steps_per_episode
         assert np.isfinite(traj.rewards).all()
+
+    @pytest.mark.parametrize("episodes", [1, 2, 6, 7])
+    def test_lockstep_episodes_have_the_bits_of_separate_ones(self, bundle, oracle, env_config, episodes):
+        env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
+        policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=5)
+        seeds = [np.random.SeedSequence((3, 9, 1, e)) for e in range(episodes)]
+        trajectories, results = run_wm_episodes(env, policy, [np.random.default_rng(s) for s in seeds])
+        assert len(trajectories) == len(results) == episodes
+        sleeping = dropped = 0
+        for traj, result, seed in zip(trajectories, results, seeds):
+            obs, choices, rewards, energy, rsrp, dropped_rate = reference_wm_episode(
+                env, policy, np.random.default_rng(seed))
+            for got, want in ((traj.observations, obs), (traj.choices, choices), (traj.rewards, rewards),
+                              (result.rewards, rewards), (result.energy_wh, energy),
+                              (result.rsrp_avg_dbm, rsrp), (result.dropped_rate, dropped_rate)):
+                assert_same_bits(got, want)
+            sleeping += int((choices > 0).sum())
+            dropped += int((dropped_rate > 0).sum())
+        # The episodes did what the comparison needs: cells slept and users were dropped.
+        assert sleeping > 0 and dropped > 0
+
+    def test_steps_only_inside_an_episode(self, oracle, env_config):
+        env = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
+        action = batch(Action.all_active(oracle.n_cells), 2)
+        with pytest.raises(DomainError, match="before reset"):
+            env.step(action)
+        env.reset([np.random.default_rng(0), np.random.default_rng(1)])
+        with pytest.raises(ShapeError, match="2 episodes"):
+            env.step(batch(Action.all_active(oracle.n_cells), 3))
+        for _ in range(env.steps_per_episode):
+            env.step(action)
+        with pytest.raises(DomainError, match="after the day ended"):
+            env.step(action)
 
     @pytest.mark.parametrize("draws", [1, 3])
     def test_rsrp_table_matches_per_link_loop(self, oracle, draws):
@@ -205,9 +343,23 @@ class TestOracleEvaluation:
         result = next(r for r in results if r.policy_id == "always_on")
         # Always-on serves native loads, so its energy equals the reference.
         env.reset()
-        _, _, _, info = env.step(Action.all_active(oracle.n_cells))
+        _, _, _, info = env.step(batch(Action.all_active(oracle.n_cells)))
         assert info["energy_wh"] == pytest.approx(info["reference_energy_wh"])
         assert result.environment == "oracle"
+
+    def test_steps_only_inside_the_day(self):
+        # Day 1 of a four-day horizon: a 13th step would read day 2's hours.
+        oracle = build_scenario(make_hex_scenario(seed=0, horizon_hours=96))
+        env = OracleEnv(oracle, WEIGHTS, day=1)
+        action = batch(Action.all_active(oracle.n_cells))
+        with pytest.raises(DomainError, match="before reset"):
+            env.step(action)
+        env.reset()
+        for _ in range(env.steps_per_episode):
+            env.step(action)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="after the day ended"):
+                env.step(action)
 
     def test_all_sleep_degenerate(self, scenario):
         results = evaluate_policy(scenario, ("all_sleep",), (0,), WEIGHTS)
@@ -327,10 +479,10 @@ class TestDayClock:
         # Both environments count, at step k, the users of the hour 24 + k * traffic_step.
         twin = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
         twin.traffic_pool, twin.users_pool = traffic[None], users[None]
-        twin.reset(np.random.default_rng(0))
+        twin.reset([np.random.default_rng(0)])
         truth = OracleEnv(oracle, WEIGHTS, day=1)
         truth.reset()
-        action = Action.all_active(7)
+        action = batch(Action.all_active(7))
         for k in range(steps):
             want = sum(oracle.users_at(g, 24 + k * traffic_step) for g in range(4))
             assert twin.step(action)[3]["total_users"] == want

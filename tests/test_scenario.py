@@ -484,6 +484,69 @@ class TestServeProperties:
         assert np.isnan(state.per_user_rsrp_dbm[~served]).all()
 
 
+@st.composite
+def batched_steps(draw):
+    """Steps of 1-5 episodes over the same cells, each with its own loads, units, action and floor
+    draws: all-sleep rows, units of weight 0, units that attach nowhere and biases that are not
+    whole dB all come up."""
+    n_cells, n_units = draw(st.integers(1, 7)), draw(st.integers(0, 12))
+    episodes, n_draws = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = CellArrays.of([HEX_CELLS[c % N_HEX] for c in range(n_cells)])
+    sleep = rng.random((episodes, n_cells)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    sleep[draw(st.lists(st.integers(0, episodes - 1), max_size=2))] = True
+    bias = rng.choice([0.0, 0.1, 1.0 / 3.0, 2.5, 3.0, 6.0], size=(episodes, n_cells))
+    attach = np.rint(rng.normal(-90.0, 8.0, size=(episodes, n_units, n_cells)))
+    draws = attach[..., None] + rng.normal(0.0, 5.0, size=(episodes, n_units, n_cells, n_draws))
+    weight = rng.integers(0, 4, size=(episodes, n_units)).astype(float)
+    native = cells.capacity_mbps * rng.uniform(0.0, 1.5, size=(episodes, n_cells))
+    floor = float(draw(st.sampled_from([-np.inf, -95.0, -90.0, -85.0])))
+    natural = associate_users(attach, np.zeros((episodes, n_cells), dtype=bool), np.zeros((episodes, n_cells)),
+                              draw(st.sampled_from([-np.inf, -92.0])))
+    return cells, native, natural, attach, draws, weight, floor, sleep, bias
+
+
+def assert_rows_have_the_bits(batched, rows):
+    for b, one in enumerate(rows):
+        got, want = np.asarray(batched[b]), np.asarray(one)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBatchedServing:
+    """Row b of a call with a leading episode axis has the bits of the call on row b alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batched_steps())
+    def test_associate_users(self, step):
+        _, _, _, attach, _, _, floor, sleep, bias = step
+        got = associate_users(attach, sleep, bias, floor)
+        assert_rows_have_the_bits(got, [associate_users(*row, floor) for row in zip(attach, sleep, bias)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(batched_steps(), st.integers(0, 2**32 - 1))
+    def test_step_physics(self, step, seed):
+        cells, native, natural, attach, _, weight, floor, sleep, bias = step
+        serving = associate_users(attach, sleep, bias, floor)
+        served = np.where(serving >= 0, np.random.default_rng(seed).random(serving.shape), 0.0)
+        got = step_physics(cells, native, sleep, natural, serving, weight, served)
+        want = [step_physics(cells, *row) for row in zip(native, sleep, natural, serving, weight, served)]
+        for k in range(4):
+            assert_rows_have_the_bits(got[k], [w[k] for w in want])
+
+    @settings(max_examples=200, deadline=None)
+    @given(batched_steps())
+    def test_serve(self, step):
+        cells, native, natural, attach, draws, weight, floor, sleep, bias = step
+        state = serve(cells, native, natural, attach, draws, weight, floor, sleep, bias)
+        want = [serve(cells, n, nat, a, d, w, floor, s, b)
+                for n, nat, a, d, w, s, b in zip(native, natural, attach, draws, weight, sleep, bias)]
+        for f in fields(NetworkState):
+            assert_rows_have_the_bits(getattr(state, f.name), [getattr(w, f.name) for w in want])
+        for got, one in zip(state.episodes(), want):
+            assert (got.rsrp_avg_dbm, got.dropped_users, got.energy_wh(2.0)) == (
+                one.rsrp_avg_dbm, one.dropped_users, one.energy_wh(2.0))
+
+
 SNAPSHOT_CFG = two_cell_config()
 
 
