@@ -99,17 +99,20 @@ class Action:
 def resolve_bias(action: Action, neighbors: list[tuple[int, ...]]) -> np.ndarray:
     """Per-cell association bias: each sleeping cell grants its bias to its neighbors.
 
-    An action with a leading episode axis gives one bias row per episode. The
-    cells granting a bias in some episode add in ascending order, and an
-    episode in which such a cell grants nothing adds an exact 0.0, so each row
-    has the bits of adding its own sleeping cells' grants alone.
+    An action with a leading episode axis gives one bias row per episode. Each
+    row adds its sleeping cells' grants in ascending cell order, as float
+    scalars; skipping a zero grant skips adding an exact 0.0.
     """
     granted = np.where(action.sleep, action.bias_level_db, 0.0)
-    bias = np.zeros(granted.shape)
-    for c in np.flatnonzero(granted.reshape(-1, len(neighbors)).any(axis=0)):
-        for nb in neighbors[c]:
-            bias[..., nb] += granted[..., c]
-    return bias
+    rows = []
+    for grants in granted.reshape(-1, len(neighbors)).tolist():
+        bias = [0.0] * len(neighbors)
+        for c, grant in enumerate(grants):
+            if grant:
+                for nb in neighbors[c]:
+                    bias[nb] += grant
+        rows.append(bias)
+    return np.array(rows).reshape(granted.shape)
 
 
 @dataclass

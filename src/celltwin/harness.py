@@ -32,7 +32,7 @@ from .agent import (
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
 from .errors import ConfigError, DomainError, EnvelopeError, ModelError, ShapeError
-from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, bincount_rows, build_scenario, serve
+from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, build_scenario, serve
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
@@ -316,8 +316,9 @@ class _DayEnv:
         return Observation(
             load_frac=load,
             pred_load_frac=pred,
-            pred_users_norm=bincount_rows(np.broadcast_to(oracle.nearest_cell, users.shape), users, oracle.n_cells)
-            / self.users_scale,
+            pred_users_norm=np.array([
+                np.bincount(oracle.nearest_cell, weights=row, minlength=oracle.n_cells) for row in users
+            ]) / self.users_scale,
             neighbor_pred_load=neighbor_mean(pred, self._neighbor_groups),
             hour_sin=hour["hour_sin"],
             hour_cos=hour["hour_cos"],

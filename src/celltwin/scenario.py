@@ -223,19 +223,6 @@ def cell_power_watts(cell: CellConfig | CellArrays, load_fraction, asleep):
     return np.where(asleep, cell.p_sleep_watts, active)
 
 
-def bincount_rows(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """``np.bincount(index[b], weights[b], minlength=n)`` for every row b of (rows, units) inputs;
-    an index of -1 counts nowhere.
-
-    One bincount over the offset indices ``b * n + index`` adds each row's
-    weights in the order its own call would, so every row has its bits.
-    """
-    rows = len(index)
-    keep = index >= 0
-    flat = (index + n * np.arange(rows)[:, None])[keep]
-    return np.bincount(flat, weights=weights[keep], minlength=rows * n).reshape(rows, n)
-
-
 def step_physics(
     cells: CellArrays,
     native_mbps: np.ndarray,
@@ -260,34 +247,29 @@ def step_physics(
     episode's row of the results then has the bits of a call on that row alone.
     """
     n = len(cells.capacity_mbps)
-    lead = native_mbps.shape[:-1]
-    native, sleep = native_mbps.reshape(-1, n), sleep.reshape(-1, n)
-    rows = len(native)
-    natural, serving = natural.reshape(rows, -1), serving.reshape(rows, -1)
-    weight, served = weight.reshape(rows, -1), served.reshape(rows, -1)
-    load = np.where(sleep, 0.0, native)
-    total_weight = bincount_rows(natural, weight, n)
-    # A unit whose natural cell is -1 reads cell n - 1 here and is masked out.
-    moving = (sleep & (total_weight > 0))[np.arange(rows)[:, None], natural]
-    moved = moving & (natural >= 0) & (serving >= 0)
-    # A stable sort by natural cell makes np.add.at add each episode's shares
-    # cell by ascending cell and unit by unit within a cell: the order, and so
-    # the bits, of a loop over the sleeping cells.
-    order = np.argsort(natural[moved], kind="stable")
-    episode = np.nonzero(moved)[0][order]
-    cell = natural[moved][order]
-    share = native[episode, cell] * weight[moved][order] * served[moved][order] / total_weight[episode, cell]
-    np.add.at(load, (episode, serving[moved][order]), share)
+    load = np.where(sleep, 0.0, native_mbps)
+    # Units index the flattened (..., n) cell arrays by episode * n + cell, so one
+    # bincount and one np.add.at serve every episode.
+    offset = n * np.arange(load.size // n).reshape(load.shape[:-1] + (1,))
+    source, attached = natural + offset, natural >= 0
+    total_weight = np.bincount(source[attached], weights=weight[attached], minlength=load.size)
+    moved = attached & (serving >= 0) & (sleep.reshape(-1) & (total_weight > 0))[source]
+    # A stable sort by (episode, natural cell) makes np.add.at add each episode's
+    # shares cell by ascending cell and unit by unit within a cell: the order,
+    # and so the bits, of a loop over the sleeping cells.
+    order = np.argsort(source[moved], kind="stable")
+    origin = source[moved][order]
+    share = native_mbps.reshape(-1)[origin] * weight[moved][order] * served[moved][order] / total_weight[origin]
+    np.add.at(load.reshape(-1), (serving + offset)[moved][order], share)
     load[sleep] = 0.0
     overload = np.maximum(load - cells.capacity_mbps, 0.0)
     load = np.minimum(load, cells.capacity_mbps)
     power = cell_power_watts(cells, load / cells.capacity_mbps, sleep)
-    per_cell = cell_power_watts(cells, np.minimum(native / cells.capacity_mbps, 1.0), False)
-    # Python's sum over each row, as the one-episode code has always added it;
-    # numpy's sum associates differently.
-    reference = np.array([sum(row) for row in per_cell.tolist()]).reshape(lead)[()]
-    shape = lead + (n,)
-    return load.reshape(shape), overload.reshape(shape), power.reshape(shape), reference
+    per_cell = cell_power_watts(cells, np.minimum(native_mbps / cells.capacity_mbps, 1.0), False)
+    # Python's sum over each episode's cells, as the one-episode code has always
+    # added them; numpy's sum associates differently.
+    reference = np.array([sum(row) for row in per_cell.reshape(-1, n).tolist()]).reshape(load.shape[:-1])
+    return load, overload, power, reference[()]
 
 
 def associate_users(
