@@ -12,20 +12,31 @@ enable classifier-free guidance at sampling time. Sampling is ancestral DDPM;
 revealed history is enforced by re-noising it to the current step after every
 update (inpainting), so unmasked positions come back exactly.
 
-A ``sample()`` call's ``Conditioning`` is also its workspace, allocated once
-per call and dropped with it. ``condition`` embeds the condition and retrieves
-the prompts; each pass (conditional, null) gets one z template holding those
-columns, the null row, the mask and the context, plus one eps buffer. Each step
-writes only the x_t and time-embedding columns, and the time embedding is
-computed once per step for both passes. The gate and experts then run one row
-tile at a time (``row_tiles``: 1,024 rows, the remainder merged into the last
-tile) through one set of layer buffers sized for the largest tile, in place
-and without caches (``MLP.forward(..., keep_cache=False, out=...)``), with the
-ops of training's forward in the same order. A batch under 2,048 rows is one
-tile, so small batches keep their GEMM shapes. Smaller tiles would change bits:
-below about 512 rows a GEMM's per-row result depends on its row count, while
-from 1,024 rows up it matches the whole-batch GEMM's, so the samples are those
-of the raw-input ``denoise`` (``tests/test_diffusion.py`` checks this).
+``sample()`` takes one problem, B rows of (condition, mask, context) with one
+generator, or K such problems stacked on a leading problem axis with K
+generators. A one-problem call is the K = 1 case of the same loop. Every
+problem gets the bits of sampling it alone, because its GEMMs keep its own B
+rows: below about 512 rows a GEMM's per-row result depends on its row count,
+so the K problems are never flattened into one K * B-row batch.
+
+A call's ``Conditioning`` is also its workspace, allocated once per call and
+dropped with it. ``condition`` embeds the condition and retrieves the prompts,
+(K, B, ...). The first step lays them out, with the mask and context, as one z
+template whose leading pass axis holds the conditional pass and, under
+guidance, the null pass: (passes, K, B, input_dim), plus one eps buffer of the
+same lead. Each step writes only the x_t and time-embedding columns, the time
+embedding computed once on B rows for every pass and problem. The gate and
+experts then run one tile at a time through one set of layer buffers sized for
+the largest tile, in place and without caches (``MLP.forward(...,
+keep_cache=False, out=...)``), with the ops of training's forward in the same
+order. A tile (``problem_tiles``) holds every pass of as many whole problems
+as fit in ``_PROBLEM_TILE_ROWS`` rows per pass; each layer on it is one stacked
+matmul, which numpy runs as one GEMM per (pass, problem) slice. A problem of
+2,048 rows or more, such as a world-model pool, is one problem per tile, split
+into 1,024-row ``row_tiles`` (the remainder merged into the last): from 1,024
+rows up a GEMM's per-row result matches the whole-batch GEMM's, while smaller
+row tiles would change bits. So the samples are those of the raw-input
+``denoise`` (``tests/test_diffusion.py`` checks this).
 
 The M experts are one stacked ``MLP`` (``stack=M``): each expert layer is one
 (M, out, in) tensor ``experts/W{i}``, and one call runs every expert on the
@@ -38,7 +49,8 @@ learnable key-prompt pairs appended to the denoiser input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,23 +130,25 @@ def prompt_retrieve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-n keys by cosine similarity; ties go to the lowest index.
 
-    The selected prompts are concatenated in ascending index order.
+    The selected prompts are concatenated in ascending index order. A query of
+    shape (..., key_dim) gives indices (..., top_n) and prompts (..., top_n *
+    prompt_dim).
     """
     n_pairs = keys.shape[0]
     if top_n > n_pairs:
         raise ConfigError(f"top_n {top_n} exceeds memory size {n_pairs}")
     q = np.atleast_2d(query)
     sims = _cosine_sims(q, keys)
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :top_n]
-    indices = np.sort(order, axis=1)
-    flat = prompts[indices].reshape(q.shape[0], -1)
+    order = np.argsort(-sims, axis=-1, kind="stable")[..., :top_n]
+    indices = np.sort(order, axis=-1)
+    flat = prompts[indices].reshape(q.shape[:-1] + (-1,))
     if np.ndim(query) == 1:
         return indices[0], flat[0]
     return indices, flat
 
 
 def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    qn = np.linalg.norm(q, axis=1, keepdims=True) + _NORM_EPS
+    qn = np.linalg.norm(q, axis=-1, keepdims=True) + _NORM_EPS
     kn = np.linalg.norm(keys, axis=1, keepdims=True) + _NORM_EPS
     return (q / qn) @ (keys / kn).T
 
@@ -143,6 +157,9 @@ def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 _TILE_ROWS = 1024
+# Rows per pass in one tile of small problems, from a sweep on the short-term
+# forecasts (ROADMAP item 6): 4 problems of 36 rows, all 11 of 7 rows.
+_PROBLEM_TILE_ROWS = 160
 
 
 def row_tiles(batch: int) -> list[slice]:
@@ -153,6 +170,17 @@ def row_tiles(batch: int) -> list[slice]:
     """
     bounds = [i * _TILE_ROWS for i in range(max(batch // _TILE_ROWS, 1))] + [batch]
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def problem_tiles(problems: int, batch: int) -> list[tuple[slice, slice]]:
+    """(problems, rows) slices covering ``problems`` problems of ``batch`` rows, in order.
+
+    A tile holds as many whole problems as fit in ``_PROBLEM_TILE_ROWS`` rows,
+    at least one; a problem of more than one ``row_tiles`` tile is split into them.
+    """
+    per = max(_PROBLEM_TILE_ROWS // max(batch, 1), 1)
+    return [(slice(lo, min(lo + per, problems)), rows)
+            for lo in range(0, problems, per) for rows in row_tiles(batch)]
 
 
 def _per_row(value, batch: int) -> np.ndarray:
@@ -232,33 +260,36 @@ class HeadManifest:
 
 @dataclass
 class Conditioning:
-    """A ``sample()`` call's fixed denoiser inputs and its workspace.
+    """The fixed denoiser inputs of B rows, or of K problems of B rows, and a sampler's workspace.
 
-    ``DiffusionModel.condition`` embeds the inputs. The first ``denoise`` of
-    each pass (a scalar ``null_mask``) lays them out as that pass's z template
-    and gives the pass its eps buffer; later calls write only the x_t and time
-    columns and return that buffer, overwritten by the pass's next call. The
-    time embedding of the last step is kept too: the two passes of a step
-    compute it once. The first such call also builds ``workspace``: for each
-    row tile, one output buffer per gate and expert layer, all views into one
-    set sized for the largest tile; the gate mix weights the expert outputs in
-    their own buffer before summing them into eps. Everything here lives as
-    long as the object, and the embeddings hold parameter values, so it is
-    valid only while the model's parameters stay unchanged.
+    ``DiffusionModel.condition`` embeds the inputs, with the leading shape of
+    the mask: (B,) for the raw-input ``denoise`` and training, (K, B) for
+    ``sample()``. The first ``denoise`` with a stacked one lays the inputs out
+    as the z template, (passes, K, B, input_dim): pass 0 holds the condition
+    embedding and, when ``guided``, pass 1 the null embedding. It also builds
+    the eps buffer, (passes, K, B, L), and ``workspace``: for each tile of
+    ``problem_tiles``, one output buffer per gate and expert layer covering
+    every pass of the tile, all views into one set sized for the largest tile.
+    Each step writes only the x_t and time columns of every pass and returns
+    the eps buffer, overwritten by the next step. The gate mix weights the
+    expert outputs in their own buffer before summing them into eps. Everything
+    here lives as long as the object, and the embeddings hold parameter values,
+    so it is valid only while the model's parameters stay unchanged.
     """
 
-    c_emb: np.ndarray  # (B, cond_emb_dim) condition embedding
-    mask: np.ndarray  # (B, L) float, 1 = generate
-    context: np.ndarray  # (B, L) normalized history
-    prompts: np.ndarray  # (B, top_n * prompt_dim) retrieved prompts, (B, 0) without memory
+    c_emb: np.ndarray  # (..., B, cond_emb_dim) condition embedding
+    mask: np.ndarray  # (..., B, L) float, 1 = generate
+    context: np.ndarray  # (..., B, L) normalized history
+    prompts: np.ndarray  # (..., B, top_n * prompt_dim) retrieved prompts, (..., B, 0) without memory
     cache: dict  # embedding internals the backward pass reads
-    passes: dict = field(default_factory=dict)  # scalar null_mask -> (z template, eps buffer)
-    workspace: list | None = None  # per row tile: (rows, gate buffers, expert buffers)
-    step: tuple | None = None  # (t, time embedding) of the last step
+    guided: bool = False  # a null pass beside the conditional one
+    z: np.ndarray | None = None  # (passes, K, B, input_dim) template
+    eps: np.ndarray | None = None  # (passes, K, B, L) noise estimates of the last step
+    workspace: list | None = None  # per tile: (problems, rows, gate buffers, expert buffers)
 
     @property
     def batch(self) -> int:
-        return self.mask.shape[0]
+        return self.mask.shape[-2]
 
 
 class DiffusionModel:
@@ -318,27 +349,33 @@ class DiffusionModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def condition(self, cond: np.ndarray, mask: np.ndarray, context: np.ndarray) -> Conditioning:
-        """Embed what stays fixed across steps: the condition, mask, context and prompts."""
+    def condition(
+        self, cond: np.ndarray, mask: np.ndarray, context: np.ndarray, guided: bool = False
+    ) -> Conditioning:
+        """Embed what stays fixed across steps: the condition, mask, context and prompts.
+
+        Axes before the rows are stacked problems, each embedded with the bits
+        of embedding it alone.
+        """
         L, dc = self.arch.series_len, self.arch.cond_dim
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
         mask_f = np.atleast_2d(np.asarray(mask, dtype=float))
         context = np.atleast_2d(np.asarray(context, dtype=float))
-        if mask_f.shape[1] != L or context.shape != mask_f.shape:
-            raise ShapeError(f"series inputs must be (B, {L})")
-        if cond.shape != (mask_f.shape[0], dc):
-            raise ShapeError(f"condition must be (B, {dc}), got {cond.shape}")
+        if mask_f.shape[-1] != L or context.shape != mask_f.shape:
+            raise ShapeError(f"series inputs must be (..., B, {L})")
+        if cond.shape != mask_f.shape[:-1] + (dc,):
+            raise ShapeError(f"condition must be (..., B, {dc}), got {cond.shape}")
         c_emb, cache_cond = self.cond_mlp.forward(cond)
         cache: dict = {"cache_cond": cache_cond}
         if self.arch.memory:
-            q, cache_q = self.query_mlp.forward(np.concatenate([context, mask_f], axis=1))
+            q, cache_q = self.query_mlp.forward(np.concatenate([context, mask_f], axis=-1))
             indices, prompts = prompt_retrieve(
                 self.store["memory/keys"], self.store["memory/prompts"], q, self.arch.memory.top_n
             )
             cache.update(cache_query=cache_q, query=q, indices=indices)
         else:
-            prompts = np.zeros((mask_f.shape[0], 0))
-        return Conditioning(c_emb, mask_f, context, prompts, cache)
+            prompts = np.zeros(mask_f.shape[:-1] + (0,))
+        return Conditioning(c_emb, mask_f, context, prompts, cache, guided)
 
     def _series(self, x_t: np.ndarray, batch: int) -> np.ndarray:
         L = self.arch.series_len
@@ -350,16 +387,19 @@ class DiffusionModel:
     def _lay_out(
         self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray
     ) -> np.ndarray:
-        """The denoiser input z, blocks in ``z_columns`` order; null rows carry the null embedding."""
+        """The denoiser input z, blocks in ``z_columns`` order; null rows carry the null embedding.
+
+        ``t_emb`` has one row per row of a problem, shared by every problem.
+        """
         blocks = {
             "x_t": x_t,
-            "time": t_emb,
-            "cond": np.where(null_mask[:, None], self.store["null_embed"][None, :], cnd.c_emb),
+            "time": np.broadcast_to(t_emb, cnd.mask.shape[:-1] + t_emb.shape[-1:]),
+            "cond": np.where(null_mask[..., None], self.store["null_embed"], cnd.c_emb),
             "mask": cnd.mask,
             "context": cnd.context,
             "prompts": cnd.prompts,
         }
-        return np.concatenate([blocks[name] for name in self._columns], axis=1)
+        return np.concatenate([blocks[name] for name in self._columns], axis=-1)
 
     def assemble_input(
         self,
@@ -396,15 +436,16 @@ class DiffusionModel:
     ) -> np.ndarray:
         """Predicted noise: gate-weighted sum of expert outputs on the shared input.
 
-        ``cond`` is either the raw conditions, with ``mask`` and ``context``,
-        and then ``t`` and ``null_mask`` may be per row; or a ``Conditioning``
-        from ``condition`` that already holds them, for one sampler pass at
-        integer step ``t`` and scalar ``null_mask``. That form runs in row tiles
-        through the ``Conditioning``'s workspace and returns the pass's eps
-        buffer. Both run cache-free.
+        ``cond`` is either the raw conditions, (B, cond_dim) with (B, L)
+        ``mask`` and ``context``, and then ``t`` and ``null_mask`` may be per
+        row; or a stacked ``Conditioning`` from ``condition`` that already
+        holds them, for one sampler step at integer step ``t``. That form takes
+        ``x_t`` as (K, B, L), runs every pass of every problem in tiles through
+        the ``Conditioning``'s workspace and returns its eps buffer, (passes,
+        K, B, L); ``null_mask`` is not read. Both run cache-free.
         """
         if isinstance(cond, Conditioning):
-            return self._denoise_pass(x_t, int(t), cond, bool(null_mask))
+            return self._denoise_passes(x_t, int(t), cond)
         cnd = self.condition(cond, mask, context)
         x_t = self._series(x_t, cnd.batch)
         t_emb = self.time_mlp.forward(time_features(_per_row(t, cnd.batch), self.schedule.steps), keep_cache=False)
@@ -412,36 +453,39 @@ class DiffusionModel:
         gate = softmax(self.gate_mlp.forward(z, keep_cache=False))
         return _mix(gate, self.experts.forward(z, keep_cache=False))
 
-    def _denoise_pass(self, x_t: np.ndarray, t: int, cnd: Conditioning, null: bool) -> np.ndarray:
-        """One sampler pass through ``cnd``'s workspace, tile by tile (see ``Conditioning``)."""
-        batch, cols = cnd.batch, self._columns
-        x_t = self._series(x_t, batch)
-        if cnd.step is None or cnd.step[0] != t:
-            t_feat = time_features(np.full(batch, t), self.schedule.steps)
-            cnd.step = (t, self.time_mlp.forward(t_feat, keep_cache=False))
-        t_emb = cnd.step[1]
-        if null not in cnd.passes:
-            z = self._lay_out(cnd, np.full(batch, null), x_t, t_emb)
-            cnd.passes[null] = (z, np.empty((batch, self.arch.series_len)))
-        z, eps = cnd.passes[null]
-        z[:, cols["x_t"]] = x_t
-        z[:, cols["time"]] = t_emb
-        if cnd.workspace is None:
-            cnd.workspace = self._workspace(cnd.batch)
-        for rows, gate_out, expert_out in cnd.workspace:
-            gate = softmax(self.gate_mlp.forward(z[rows], keep_cache=False, out=gate_out))
-            expert = self.experts.forward(z[rows], keep_cache=False, out=expert_out)
+    def _denoise_passes(self, x_t: np.ndarray, t: int, cnd: Conditioning) -> np.ndarray:
+        """Every pass of one sampler step through ``cnd``'s workspace, tile by tile (see ``Conditioning``)."""
+        cols = self._columns
+        x_t = np.asarray(x_t, dtype=float)
+        if cnd.mask.ndim != 3 or x_t.shape != cnd.mask.shape:
+            raise ShapeError(f"x_t of shape {x_t.shape} for stacked series inputs of shape {cnd.mask.shape}")
+        t_feat = time_features(np.full(cnd.batch, t), self.schedule.steps)
+        t_emb = self.time_mlp.forward(t_feat, keep_cache=False)
+        if cnd.z is None:
+            nulls = (False, True) if cnd.guided else (False,)
+            cnd.z = np.stack([self._lay_out(cnd, np.full(x_t.shape[:-1], null), x_t, t_emb) for null in nulls])
+            cnd.eps = np.empty(cnd.z.shape[:-1] + (self.arch.series_len,))
+            cnd.workspace = self._workspace(*cnd.z.shape[:-1])
+        z, eps = cnd.z, cnd.eps
+        z[..., cols["x_t"]] = x_t
+        z[..., cols["time"]] = t_emb
+        for problems, rows, gate_out, expert_out in cnd.workspace:
+            tile = z[:, problems, rows]
+            gate = softmax(self.gate_mlp.forward(tile, keep_cache=False, out=gate_out))
+            expert = self.experts.forward(tile, keep_cache=False, out=expert_out)
             # The gate mix weights the expert outputs in their own buffer.
-            np.sum(np.multiply(gate.T[:, :, None], expert, out=expert), axis=0, out=eps[rows])
+            np.sum(np.multiply(np.moveaxis(gate, -1, -2)[..., None], expert, out=expert), axis=-3,
+                   out=eps[:, problems, rows])
         return eps
 
-    def _workspace(self, batch: int) -> list[tuple]:
-        """Per row tile: its rows and its gate and expert buffers, views into the last tile's."""
-        tiles = row_tiles(batch)
-        most = tiles[-1].stop - tiles[-1].start
+    def _workspace(self, passes: int, problems: int, batch: int) -> list[tuple]:
+        """Per tile: its problems, its rows and its gate and expert buffers, views into the largest tile's."""
+        tiles = [(ks, rows, (passes, ks.stop - ks.start, rows.stop - rows.start))
+                 for ks, rows in problem_tiles(problems, batch)]
+        most = max((lead for *_, lead in tiles), key=math.prod, default=(passes, 0, 0))
         gate, experts = self.gate_mlp.scratch(most), self.experts.scratch(most)
-        return [(tile, self.gate_mlp.scratch(tile.stop - tile.start, gate),
-                 self.experts.scratch(tile.stop - tile.start, experts)) for tile in tiles]
+        return [(ks, rows, self.gate_mlp.scratch(lead, gate), self.experts.scratch(lead, experts))
+                for ks, rows, lead in tiles]
 
     def _forward(self, x_t, t, cond, null_mask, mask, context) -> tuple[np.ndarray, dict]:
         z, cache = self.assemble_input(x_t, t, cond, null_mask, mask, context)
@@ -581,6 +625,11 @@ class DiffusionModel:
     ) -> np.ndarray:
         """Ancestral sampling; returns series in raw units, history honored exactly.
 
+        One problem is ``cond`` (B, cond_dim), ``mask`` and ``context`` (B, L)
+        and one generator ``rng``; K stacked problems are (K, B, ...) inputs
+        with a sequence of K generators. The output has the mask's shape.
+        Problem k draws only from ``rng[k]`` and gets the bits of sampling it
+        alone: a one-problem call is the K = 1 case of the same loop.
         ``context`` is raw-unit history (ignored at masked positions); it may be
         omitted only for fully masked generation. ``guidance_w`` mixes the
         conditional and null-condition noise estimates as (1+w) cond - w null.
@@ -588,37 +637,51 @@ class DiffusionModel:
         w = self.guidance_w if guidance_w is None else guidance_w
         if not (np.isfinite(w) and w >= 0):
             raise ConfigError(f"guidance_w must be finite and >= 0, got {w}")
-        cond = np.atleast_2d(np.asarray(cond, dtype=float))
-        mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-        batch, L = mask.shape
-        if L != self.arch.series_len:
-            raise ShapeError(f"mask length {L} != series_len {self.arch.series_len}")
+        cond = np.asarray(cond, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        L, dc = self.arch.series_len, self.arch.cond_dim
+        if mask.ndim not in (2, 3) or mask.shape[-1] != L:
+            raise ShapeError(f"mask must be (B, {L}) or (K, B, {L}), got shape {mask.shape}")
+        if cond.shape != mask.shape[:-1] + (dc,):
+            raise ShapeError(f"condition of shape {cond.shape} for a mask of shape {mask.shape}")
+        if context is not None and np.shape(context) != mask.shape:
+            raise ShapeError(f"context of shape {np.shape(context)} for a mask of shape {mask.shape}")
+        single = mask.ndim == 2
+        if single:
+            cond, mask, context = cond[None], mask[None], None if context is None else np.asarray(context)[None]
+        rngs = [rng] if single else rng
+        if isinstance(rngs, np.random.Generator) or len(rngs) != len(mask):
+            raise ShapeError(f"{len(mask)} stacked problems need a sequence of {len(mask)} generators")
         if context is None:
             if not mask.all():
                 raise ModelError("context required when any position is revealed")
-            ctx = np.zeros((batch, L))
+            ctx = np.zeros(mask.shape)
         else:
-            ctx = np.where(mask, 0.0, self.stats.normalize(np.atleast_2d(context)))
+            ctx = np.where(mask, 0.0, self.stats.normalize(context))
         for name in self.store.names():
             if not np.isfinite(self.store[name]).all():
                 raise ModelError(f"model parameter {name!r} is non-finite")
 
+        def draw(into: np.ndarray) -> np.ndarray:
+            for gen, rows in zip(rngs, into):
+                gen.standard_normal(out=rows)
+            return into
+
         sched = self.schedule
-        cnd = self.condition(cond, mask, ctx)
-        x = rng.standard_normal((batch, L))
+        cnd = self.condition(cond, mask, ctx, guided=w > 0)
+        x, noise = draw(np.empty(mask.shape)), np.empty(mask.shape)
         for t in range(sched.steps, 0, -1):
-            eps_hat = self.denoise(x, t, cnd)
-            if w > 0:
-                eps_null = self.denoise(x, t, cnd, null_mask=True)
-                eps_hat = (1.0 + w) * eps_hat - w * eps_null
+            eps = self.denoise(x, t, cnd)
+            eps_hat = (1.0 + w) * eps[0] - w * eps[1] if w > 0 else eps[0]
             beta_t = sched.beta_at(t)
             a_bar_t = sched.alpha_bar[t]
             mean = (x - beta_t / np.sqrt(1.0 - a_bar_t) * eps_hat) / np.sqrt(1.0 - beta_t)
-            x = mean + np.sqrt(beta_t) * rng.standard_normal((batch, L)) if t > 1 else mean
+            x = mean + np.sqrt(beta_t) * draw(noise) if t > 1 else mean
             # Re-noise the revealed history to step t-1 and overwrite (inpainting).
-            known = forward_noise(ctx, sched.alpha_bar[t - 1], rng.standard_normal((batch, L)))
+            known = forward_noise(ctx, sched.alpha_bar[t - 1], draw(noise))
             x = np.where(mask, x, known)
-        return self.stats.denormalize(x)
+        out = self.stats.denormalize(x)
+        return out[0] if single else out
 
     # -- low-rank adaptation ---------------------------------------------------------
 

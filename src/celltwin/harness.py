@@ -198,44 +198,55 @@ def _conditions_rsrp_table(
 # -- forecasts -------------------------------------------------------------------------
 
 
-def _sample_days(head, cond, length: int, revealed: int, context, rng) -> np.ndarray:
-    """One sampled day per condition row, (rows, length) in raw units.
+def _sample_days(head, cond, length: int, revealed, context, rngs) -> np.ndarray:
+    """One sampled day per condition row for each problem, (problems, rows, length) in raw units.
 
-    The first `revealed` windows are inpainted from `context`, the matching
-    rows of a realised day; with nothing left to generate, `context` is
-    returned as it is and `rng` is not drawn from.
+    Problem k draws from `rngs[k]`, and its first `revealed[k]` windows are
+    inpainted from `context`, the matching rows of a realised day. The
+    problems with something left to generate are one stacked `sample` call;
+    the others are `context` as it is, and their generators are not drawn from.
     """
-    if revealed >= length:
-        return context
-    mask = np.zeros((cond.shape[0], length), dtype=bool)
-    mask[:, revealed:] = True
-    return head.sample(cond, mask, context, rng)
+    revealed = np.asarray(revealed)
+    days = np.empty((len(revealed), len(cond), length))
+    if context is not None:
+        days[:] = context
+    todo = np.flatnonzero(revealed < length)
+    if len(todo):
+        shape = (len(todo), len(cond), length)
+        mask = np.broadcast_to(np.arange(length) >= revealed[todo, None, None], shape)
+        days[todo] = head.sample(
+            np.broadcast_to(cond, shape[:2] + cond.shape[1:]), mask,
+            None if context is None else np.broadcast_to(context, shape), [rngs[k] for k in todo],
+        )
+    return days
 
 
 def _forecast(
-    bundle: WorldModelBundle, oracle: Oracle, n: int, rng: np.random.Generator,
-    revealed: int = 0, realised: tuple[np.ndarray, np.ndarray] | None = None,
+    bundle: WorldModelBundle, oracle: Oracle, n: int, rngs: Sequence[np.random.Generator],
+    revealed=(0,), realised: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n sampled days of traffic, (n, n_cells, steps), and users, (n, n_grids, user steps).
+    """For each generator, n sampled days of traffic, (problems, n, n_cells, steps), and users,
+    (problems, n, n_grids, user steps).
 
-    The first `revealed` traffic windows, and the user windows they cover,
-    come from `realised`, the oracle's (traffic_day, users_day) pair; revealing
-    windows needs n = 1. Traffic is clipped to [0, capacity] and users to
-    non-negative whole counts.
+    Problem k draws its traffic, then its users, from `rngs[k]`. Its first
+    `revealed[k]` traffic windows, and the user windows they cover, come from
+    `realised`, the oracle's (traffic_day, users_day) pair. Traffic is clipped
+    to [0, capacity] and users to non-negative whole counts.
     """
     clock = oracle.config
-    context_t, context_u = realised if revealed else (None, None)
+    context_t, context_u = (None, None) if realised is None else (np.tile(day, (n, 1)) for day in realised)
     traffic = _sample_days(
         bundle.traffic, np.tile(_conditions_traffic(oracle, bundle.traffic.layout), (n, 1)),
-        clock.steps_per_day, revealed, context_t, rng,
+        clock.steps_per_day, revealed, context_t, rngs,
     )
     users = _sample_days(
         bundle.users, np.tile(bundle.users.layout.normalize(ds.users_conditions(oracle)), (n, 1)),
-        clock.user_steps_per_day, clock.user_column(revealed), context_u, rng,
+        clock.user_steps_per_day, [clock.user_column(r) for r in revealed], context_u, rngs,
     )
+    problems = len(rngs)
     return (
-        np.clip(traffic.reshape(n, oracle.n_cells, -1), 0.0, oracle.arrays.capacity_mbps[None, :, None]),
-        np.rint(np.clip(users.reshape(n, oracle.n_grids, -1), 0.0, None)),
+        np.clip(traffic.reshape(problems, n, oracle.n_cells, -1), 0.0, oracle.arrays.capacity_mbps[:, None]),
+        np.rint(np.clip(users.reshape(problems, n, oracle.n_grids, -1), 0.0, None)),
     )
 
 
@@ -381,7 +392,7 @@ class WorldModelEnv(_DayEnv):
         self.bundle = bundle
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence((config.sample_seed, 3)))
-        self.traffic_pool, self.users_pool = _forecast(bundle, oracle, config.day_pool, rng)
+        self.traffic_pool, self.users_pool = (pool[0] for pool in _forecast(bundle, oracle, config.day_pool, [rng]))
 
         # Guidance-free sampling keeps the conditional spread honest, which is
         # what calibrates the fraction of below-floor draws on far links.
@@ -436,9 +447,10 @@ class OracleEnv(_DayEnv):
     It reads its realised day from the oracle once, at reset. The
     forecast is a sampled day whose first ``revealed`` windows are the
     realised ones: ``long_term`` samples it once per episode with
-    ``revealed = 0``; ``short_term`` samples it again at every step with the
-    windows up to and including the current one revealed. Without a bundle
-    the forecast is the current load and no users.
+    ``revealed = 0``; ``short_term`` shows at every step a forecast with the
+    windows up to and including the current one revealed, each drawn from its
+    own keyed generator, and `reset` samples all of them at once. Without a
+    bundle the forecast is the current load and no users.
     """
 
     environment_id = "oracle"
@@ -462,7 +474,7 @@ class OracleEnv(_DayEnv):
         self.predict_mode = predict_mode
         self.predict_seed = predict_seed
         self._realised = None       # (traffic_day, users_day or None)
-        self._forecast = (None, None)
+        self._forecasts = None      # (traffic, users), one forecast per step short-term, one in all long-term
 
     def history_load_fractions(self) -> np.ndarray:
         """Previous-day native load fractions, (steps, n_cells), for threshold baselines."""
@@ -484,21 +496,24 @@ class OracleEnv(_DayEnv):
         self._realised = (
             self.oracle.traffic_day(self.day), self.oracle.users_day(self.day) if short_term else None
         )
-        if self.bundle is not None and self.predict_mode == "long_term":
-            self._forecast = self._predict(0, (self.predict_seed, self.oracle.config.seed, self.day))
+        if self.bundle is not None:
+            key = (self.predict_seed, self.oracle.config.seed, self.day)
+            if short_term:  # step d's forecast reveals d + 1 windows and has its own generator
+                steps = range(self.steps_per_episode)
+                keys, revealed, realised = [key + (d,) for d in steps], [d + 1 for d in steps], self._realised
+            else:
+                keys, revealed, realised = [key], [0], None
+            rngs = [np.random.default_rng(np.random.SeedSequence(k)) for k in keys]
+            self._forecasts = _forecast(self.bundle, self.oracle, 1, rngs, revealed, realised)
         return self._observation()
-
-    def _predict(self, revealed: int, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(np.random.SeedSequence(key))
-        return _forecast(self.bundle, self.oracle, 1, rng, revealed, self._realised)
 
     def _observation(self) -> Observation:
         d = self._step
-        if self.bundle is not None and self.predict_mode == "short_term":
-            self._forecast = self._predict(
-                d + 1, (self.predict_seed, self.oracle.config.seed, self.day, d)
-            )
-        return self._observe(d, self.current_load_fraction()[None], *self._forecast)
+        if self.bundle is None:
+            forecast = (None, None)
+        else:
+            forecast = (f[d if self.predict_mode == "short_term" else 0] for f in self._forecasts)
+        return self._observe(d, self.current_load_fraction()[None], *forecast)
 
     def step(self, action: Action) -> tuple[Observation | None, np.ndarray, bool, dict]:
         d = self._begin_step(action)
@@ -751,7 +766,7 @@ def traffic_generation_metrics(
     rng = np.random.default_rng(np.random.SeedSequence((sample_seed, 31)))
     conds = np.repeat(_conditions_traffic(oracle, model.layout), n_samples, axis=0)
     context = np.repeat(oracle.traffic_day(0), n_samples, axis=0) if revealed else None
-    gen = _sample_days(model, conds, steps, revealed, context, rng)
+    gen = _sample_days(model, conds, steps, [revealed], context, [rng])[0]
     gen = np.clip(gen, 0.0, None).reshape(n_cells, n_samples, steps)
 
     scored = np.arange(steps) >= revealed

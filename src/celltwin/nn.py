@@ -334,9 +334,12 @@ class MLP:
 
     ``stack=M`` holds M independent nets of the same dims as one leading axis
     on every tensor: ``W{i}`` is (M, out, in), ``b{i}`` is (M, out), and the
-    adapters stack the same way. A 2-D input (B, in) is shared by all M and
-    the output is (M, B, out); the gradient of such a broadcast input comes
-    back per member, (M, B, in), for the caller to sum.
+    adapters stack the same way. An input (..., B, in) is shared by all M and
+    the output is (..., M, B, out); the gradient of such a broadcast input
+    comes back per member, (M, B, in) for a 2-D input, for the caller to sum.
+
+    Leading axes of an input are stacked matmuls: numpy runs one GEMM per
+    (B, in) slice, so each slice gets the bits of a separate (B, in) forward.
     """
 
     def __init__(
@@ -379,18 +382,20 @@ class MLP:
     def base_names(self) -> list[str]:
         return [n for i in range(self.n_layers) for n in (f"{self.prefix}/W{i}", f"{self.prefix}/b{i}")]
 
-    def scratch(self, rows: int, within: list[tuple] | None = None) -> list[tuple]:
-        """Output buffers for ``forward(x, keep_cache=False, out=...)`` on a 2-D ``x`` of ``rows`` rows.
+    def scratch(self, lead: tuple[int, ...], within: list[tuple] | None = None) -> list[tuple]:
+        """Output buffers for ``forward(x, keep_cache=False, out=...)`` on an ``x`` of shape ``lead + (in,)``.
 
         One tuple per layer: its output and, for an adapted layer, its two
         adapter products (``None`` otherwise). With ``within``, the scratch of
-        at least as many rows, they are views into its buffers, not new arrays.
+        an input at least as large, they are views into its buffers, not new
+        arrays.
         """
-        lead = (self.stack,) if self.stack else ()
+        *outer, rows = lead
+        lead = (*outer, self.stack, rows) if self.stack else (*outer, rows)
         bufs = []
         for i, d_out in enumerate(self.dims[1:]):
-            out = lead + (rows, d_out)
-            shapes = (out, lead + (rows, self.lora[i].rank), out) if i in self.lora else (out,)
+            out = lead + (d_out,)
+            shapes = (out, lead + (self.lora[i].rank,), out) if i in self.lora else (out,)
             parts = within[i] if within is not None else (None,) * 3
             made = tuple(np.empty(shape) if part is None else part.reshape(-1)[: math.prod(shape)].reshape(shape)
                          for shape, part in zip(shapes, parts))
@@ -414,7 +419,7 @@ class MLP:
                 f"{self.prefix}: input dim {x.shape[-1]} != expected {self.dims[0]}"
             )
         cache = []
-        h = x
+        h = x[..., None, :, :] if self.stack else x  # the member axis, just before the rows
         for i in range(self.n_layers):
             post_out, low_out, up_out = out[i] if out is not None else (None, None, None)
             w = self.store[f"{self.prefix}/W{i}"]

@@ -41,6 +41,8 @@ _S_TRAFFIC = 1
 _S_USERS = 2
 _S_POS = 3
 _S_SHADOW = 4
+# Day reads the Oracle keeps: an evaluation reads its day's traffic and users and the day before's traffic.
+_DAY_STORE = 4
 
 MIN_DISTANCE_KM = 0.01  # 10 m clamp keeps the path-loss log finite
 
@@ -349,12 +351,14 @@ class Oracle:
     cell's noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson
     user rate.
 
-    The one mutable part is a snapshot store behind `step_network`: for each of the last
-    `config.steps_per_day` distinct t it queried, the native traffic vector, the per-user RSRP
-    matrix and the natural attachment, as read-only arrays, the oldest dropped first. Every
-    scheme and greedy candidate stepping a seen t reuses them, so the draw runs once per t; a
-    hit returns the same values a fresh Oracle draws. The store is not locked, so an Oracle
-    is not for sharing between threads; `--jobs` builds one per seed in each worker process.
+    The mutable parts are two stores of read-only arrays, each dropping its oldest entry
+    first. Behind `step_network`, for each of the last `config.steps_per_day` distinct t it
+    queried: the native traffic vector, the per-user RSRP matrix and the natural attachment.
+    Every scheme and greedy candidate stepping a seen t reuses them, so the draw runs once per
+    t. Behind `traffic_day` and `users_day`, the last `_DAY_STORE` day reads, so the oracle
+    envs of one evaluation read their day once. A hit returns the same values a fresh Oracle
+    draws. The stores are not locked, so an Oracle is not for sharing between threads;
+    `--jobs` builds one per seed in each worker process.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -388,6 +392,7 @@ class Oracle:
             for w, c in zip(self.grid_weight, self.nearest_cell)
         ])
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._days: dict[tuple[str, int], np.ndarray] = {}
 
     # -- keyed randomness ----------------------------------------------------
 
@@ -434,20 +439,31 @@ class Oracle:
     # -- day reads -----------------------------------------------------------
 
     def traffic_day(self, day: int) -> np.ndarray:
-        """traffic_at over one day, (n_cells, steps_per_day) in Mbps."""
+        """traffic_at over one day, (n_cells, steps_per_day) in Mbps, read-only."""
         clock = self.config
-        return np.array([
+        return self._day_read("traffic", day, lambda: [
             [self.traffic_at(c.id, clock.hour(day, k)) for k in range(clock.steps_per_day)] for c in self.cells
         ])
 
     def users_day(self, day: int) -> np.ndarray:
-        """users_at over one day as floats, (n_grids, user_steps_per_day)."""
+        """users_at over one day as floats, (n_grids, user_steps_per_day), read-only."""
         clock = self.config
-        return np.array([
+        return self._day_read("users", day, lambda: [
             [float(self.users_at(g, clock.hour(day) + k * clock.user_step_hours))
              for k in range(clock.user_steps_per_day)]
             for g in range(self.n_grids)
         ])
+
+    def _day_read(self, kind: str, day: int, read) -> np.ndarray:
+        """The day store's array of `kind` for `day`, from `read()` on a miss."""
+        values = self._days.get((kind, day))
+        if values is None:
+            values = np.array(read())
+            values.flags.writeable = False
+            if len(self._days) >= _DAY_STORE:
+                del self._days[next(iter(self._days))]  # dicts keep insertion order
+            self._days[kind, day] = values
+        return values
 
     # -- composite step ------------------------------------------------------
 

@@ -9,11 +9,13 @@ from celltwin.diffusion import (
     MemoryConfig,
     forward_noise,
     make_schedule,
+    problem_tiles,
     prompt_retrieve,
     q_sample,
     row_tiles,
     time_features,
 )
+from celltwin import diffusion
 from celltwin.errors import ConfigError, DomainError, FormatError, ModelError, ShapeError
 from celltwin.nn import finite_difference_check
 
@@ -382,12 +384,106 @@ class TestSamplerMatchesReference:
         path = str(tmp_path / "head.npz")
         model.save(path)
         attrs = set(vars(model))
-        for batch, revealed in [(3000, 2), (7, 0), (2047, 3)]:
-            cond, mask, context = self.inputs(batch, revealed, batch)
-            got = model.sample(cond, mask, context, np.random.default_rng(batch))
-            fresh = DiffusionModel.load(path).sample(cond, mask, context, np.random.default_rng(batch))
+        for problems, batch, revealed in [(None, 3000, 2), (11, 36, 2), (None, 7, 0), (3, 7, 0), (None, 2047, 3)]:
+            if problems is None:
+                cond, mask, context = self.inputs(batch, revealed, batch)
+                rngs = np.random.default_rng(batch)
+                fresh_rngs = np.random.default_rng(batch)
+            else:
+                cond, mask, context = self.stacked_inputs(problems, batch, batch)
+                rngs = [np.random.default_rng((batch, k)) for k in range(problems)]
+                fresh_rngs = [np.random.default_rng((batch, k)) for k in range(problems)]
+            got = model.sample(cond, mask, context, rngs)
+            fresh = DiffusionModel.load(path).sample(cond, mask, context, fresh_rngs)
             assert np.array_equal(got, fresh)
         assert set(vars(model)) == attrs  # the workspace stays off the model
+
+    @staticmethod
+    def stacked_inputs(problems, batch, seed):
+        """K problems of `batch` rows; problem k reveals k % 5 windows, and its row 0 reveals none."""
+        rng = np.random.default_rng(seed)
+        cond = rng.standard_normal((problems, batch, COND_DIM))
+        mask = np.arange(6) >= (np.arange(problems) % 5)[:, None, None]
+        mask = np.broadcast_to(mask, (problems, batch, 6)).copy()
+        mask[:, 0, :] = True
+        context = rng.normal(2.0, 1.5, size=(problems, batch, 6))
+        return cond, mask, context
+
+    @pytest.mark.parametrize("batch", [1, 7, 36])
+    @pytest.mark.parametrize("problems", [1, 2, 11, "crossing"])
+    @pytest.mark.parametrize("w, memory, lora", [  # every pair of settings appears once
+        (0.0, None, False), (1.0, MEMORY, False), (1.0, None, True), (0.0, MEMORY, True),
+    ], ids=["unguided", "guided_memory", "guided_lora", "unguided_memory_lora"])
+    def test_stacked_problems_equal_separate_reference_calls(self, batch, problems, w, memory, lora):
+        if problems == "crossing":  # one problem more than a tile holds
+            problems = diffusion._PROBLEM_TILE_ROWS // batch + 1
+            assert len({ks.start for ks, _ in problem_tiles(problems, batch)}) == 2
+        model = self.model(memory, lora)
+        cond, mask, context = self.stacked_inputs(problems, batch, 100 * problems + batch)
+        rngs = [np.random.default_rng((batch, k)) for k in range(problems)]
+        got = model.sample(cond, mask, context, rngs, guidance_w=w)
+        assert got.shape == (problems, batch, 6)
+        for k in range(problems):
+            want = reference_sample(model, cond[k], mask[k], context[k], np.random.default_rng((batch, k)), w)
+            assert got[k].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("w", [0.0, 1.0])
+    def test_two_dimensional_call_is_the_one_problem_stacked_call(self, w):
+        model = self.model(self.MEMORY, lora=True)
+        cond, mask, context = self.inputs(36, 2, 5)
+        flat = model.sample(cond, mask, context, np.random.default_rng(5), guidance_w=w)
+        stacked = model.sample(cond[None], mask[None], context[None], [np.random.default_rng(5)], guidance_w=w)
+        assert stacked.shape == (1,) + flat.shape and stacked[0].tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("batch", [7, 36])
+    def test_stacked_problems_forward_with_the_bits_of_separate_ones(self, batch):
+        # The sampler runs each layer on a (passes, K, B, in) stack on this premise:
+        # a change in how numpy or BLAS dispatches the stack, such as one flat GEMM, fails here.
+        model = self.model(memory=None, lora=True)
+        z = np.random.default_rng(batch).normal(size=(2, 11, batch, model.arch.input_dim))
+        gate = model.gate_mlp.forward(z, keep_cache=False)
+        experts = model.experts.forward(z, keep_cache=False)
+        assert gate.shape == (2, 11, batch, 3) and experts.shape == (2, 11, 3, batch, 6)
+        for p in range(2):
+            for k in range(11):
+                assert gate[p, k].tobytes() == model.gate_mlp.forward(z[p, k], keep_cache=False).tobytes()
+                assert experts[p, k].tobytes() == model.experts.forward(z[p, k], keep_cache=False).tobytes()
+
+
+class TestSampleShapes:
+    """A wrongly shaped input is a ShapeError naming its shape and the mask's, before any sampling."""
+
+    B = 4
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return tiny_model()
+
+    def sample(self, model, cond=None, mask=None, context=None, rng=None):
+        mask = np.ones((self.B, 6), dtype=bool) if mask is None else mask
+        cond = np.zeros(mask.shape[:-1] + (COND_DIM,)) if cond is None else cond
+        return model.sample(cond, mask, context, np.random.default_rng(0) if rng is None else rng)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (B, 1), (6,), (B + 1, 6), (1, B, 6)])
+    def test_context_shape_checked(self, model, shape):
+        with pytest.raises(ShapeError, match=rf"context of shape \({shape[0]},.*\({self.B}, 6\)"):
+            self.sample(model, context=np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(1, COND_DIM), (B, COND_DIM + 1), (COND_DIM,), (B + 1, COND_DIM)])
+    def test_condition_shape_checked(self, model, shape):
+        with pytest.raises(ShapeError, match=rf"condition of shape \({shape[0]},.*\({self.B}, 6\)"):
+            self.sample(model, cond=np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(6,), (B, 5), (2, 2, B, 6)])
+    def test_mask_shape_checked(self, model, shape):
+        with pytest.raises(ShapeError, match="mask must be"):
+            self.sample(model, mask=np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("rngs", [1, 2, 4, "one generator"])
+    def test_one_generator_per_problem(self, model, rngs):
+        rng = np.random.default_rng(0) if rngs == "one generator" else [np.random.default_rng(k) for k in range(rngs)]
+        with pytest.raises(ShapeError, match="3 stacked problems need a sequence of 3 generators"):
+            self.sample(model, mask=np.ones((3, self.B, 6), dtype=bool), rng=rng)
 
 
 class TestRowTiles:
@@ -399,6 +495,15 @@ class TestRowTiles:
         sizes = [tile.stop - tile.start for tile in tiles]
         assert min(sizes) >= min(batch, 1024)
         assert len(tiles) == max(batch // 1024, 1)
+
+    @given(st.integers(0, 200), st.integers(1, 5000))
+    def test_problem_tiles_hold_whole_problems_in_order(self, problems, batch):
+        tiles = problem_tiles(problems, batch)
+        covered = [(k, rows.start, rows.stop) for ks, rows in tiles for k in range(ks.start, ks.stop)]
+        assert covered == [(k, rows.start, rows.stop) for k in range(problems) for rows in row_tiles(batch)]
+        for ks, rows in tiles:
+            if ks.stop - ks.start > 1:  # several problems: whole ones, within the row budget
+                assert rows == slice(0, batch) and (ks.stop - ks.start) * batch <= diffusion._PROBLEM_TILE_ROWS
 
 
 class TestLora:

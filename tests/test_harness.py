@@ -1,9 +1,11 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from celltwin.agent import Action, Policy, Observation, RewardWeights, compute_reward
-from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset, hour_features
+from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset, hour_features, users_conditions
 from celltwin import harness
 from celltwin.errors import ConfigError, DomainError, EnvelopeError, ShapeError
 from celltwin.harness import (
@@ -136,6 +138,29 @@ def reference_wm_episode(env, policy, rng):
         rows.append((vec, choices, reward, energy, np.nan if rsrp is None else rsrp,
                      state.dropped_users / max(state.total_users, 1)))
     return [np.array(column) for column in zip(*rows)]
+
+
+def reference_short_term_forecast(env, d):
+    """Step d's short-term forecast as `OracleEnv` sampled it at each step, (traffic, users): one
+    `sample()` call per head, revealing the windows up to and including step d, traffic first, from
+    the generator keyed (predict_seed, scenario seed, day, d)."""
+    oracle, clock, bundle = env.oracle, env.oracle.config, env.bundle
+    rng = np.random.default_rng(np.random.SeedSequence((env.predict_seed, clock.seed, env.day, d)))
+    heads = (
+        (bundle.traffic, harness._conditions_traffic(oracle, bundle.traffic.layout),
+         oracle.traffic_day(env.day), d + 1),
+        (bundle.users, bundle.users.layout.normalize(users_conditions(oracle)),
+         oracle.users_day(env.day), clock.user_column(d + 1)),
+    )
+    days = []
+    for head, cond, realised, revealed in heads:
+        if revealed >= realised.shape[1]:
+            days.append(realised)
+            continue
+        mask = np.zeros(realised.shape, dtype=bool)
+        mask[:, revealed:] = True
+        days.append(head.sample(cond, mask, realised, rng))
+    return np.clip(days[0], 0.0, oracle.arrays.capacity_mbps[:, None]), np.rint(np.clip(days[1], 0.0, None))
 
 
 def assert_same_bits(got, want):
@@ -423,6 +448,31 @@ class TestOracleEvaluation:
         with pytest.raises(ConfigError, match="policy"):
             evaluate_policy(scenario, ("agent",), (0,), WEIGHTS)
 
+    def test_short_term_forecasts_equal_one_sample_call_per_step(self, oracle, bundle):
+        env = OracleEnv(oracle, WEIGHTS, bundle=bundle, day=2, predict_mode="short_term")
+        obs = env.reset()
+        action = batch(Action.all_active(oracle.n_cells))
+        for d in range(env.steps_per_episode):
+            traffic, users = reference_short_term_forecast(env, d)
+            assert_same_bits(env._forecasts[0][d, 0], traffic)
+            assert_same_bits(env._forecasts[1][d, 0], users)
+            want = env._observe(d, env.current_load_fraction()[None], traffic[None], users[None])
+            assert_same_bits(obs.vector(), want.vector())
+            obs = env.step(action)[0]
+        assert obs is None
+
+    def test_short_term_jobs_equal_a_sequential_run(self, scenario, bundle, tmp_path):
+        from celltwin.cli import _evaluate_one_seed
+
+        policy = Policy(scenario.n_cells, Observation.dim(scenario.n_cells), seed=2)
+        cfg = EvalConfig(schemes=("agent", "empirical"), predict_mode="short_term")
+        payloads = [(scenario, cfg.schemes, seed, WEIGHTS, bundle, policy, cfg) for seed in (0, 1)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            parallel = list(pool.map(_evaluate_one_seed, payloads))
+        for name, per_seed in (("sequential", [_evaluate_one_seed(p) for p in payloads]), ("parallel", parallel)):
+            write_rows_csv([row for rows in per_seed for row in rows], str(tmp_path / f"{name}.csv"))
+        assert (tmp_path / "sequential.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
     def test_short_term_predictions_exercised(self, scenario, oracle, bundle):
         policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=2)
         results = evaluate_policy(
@@ -489,11 +539,13 @@ class TestDayClock:
             assert truth.step(action)[3]["total_users"] == want
 
         # r revealed traffic windows reveal the user windows that end by hour r * traffic_step.
-        for r in range(steps + 1):
-            got_t, got_u = _forecast(NAN_BUNDLE, oracle, 1, np.random.default_rng(0), r, (traffic, users))
+        revealed = range(steps + 1)
+        rngs = [np.random.default_rng(r) for r in revealed]
+        got_t, got_u = _forecast(NAN_BUNDLE, oracle, 1, rngs, revealed, (traffic, users))
+        for r in revealed:
             shown_u = np.array([(j + 1) * user_step <= r * traffic_step for j in range(user_steps)])
-            assert np.array_equal(got_t[0][:, :r], traffic[:, :r]) and np.isnan(got_t[0][:, r:]).all()
-            assert np.array_equal(got_u[0][:, shown_u], users[:, shown_u]) and np.isnan(got_u[0][:, ~shown_u]).all()
+            assert np.array_equal(got_t[r, 0][:, :r], traffic[:, :r]) and np.isnan(got_t[r, 0][:, r:]).all()
+            assert np.array_equal(got_u[r, 0][:, shown_u], users[:, shown_u]) and np.isnan(got_u[r, 0][:, ~shown_u]).all()
 
 
 class TestGenerationMetrics:

@@ -222,9 +222,9 @@ class TestCacheFree:
         assert free.shape == ((stack, 33, 4) if stack else (33, 4))
         assert np.array_equal(free, cached)
         # Into views of buffers sized for more rows, shared by two row counts.
-        big = net.scratch(40)
+        big = net.scratch((40,))
         for rows in (33, 17):
-            into = net.forward(x[:rows], keep_cache=False, out=net.scratch(rows, big))
+            into = net.forward(x[:rows], keep_cache=False, out=net.scratch((rows,), big))
             assert np.shares_memory(into, big[-1][0])
             assert np.array_equal(into, net.forward(x[:rows])[0])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from celltwin.errors import ConfigError, DomainError, UnknownIdError
 from celltwin.scenario import (
+    _DAY_STORE,
     CellArrays,
     CellConfig,
     GridCell,
@@ -590,6 +591,53 @@ class TestSnapshotStore:
                 assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), f.name
             assert 0 < len(store) <= SNAPSHOT_CFG.steps_per_day
             assert not any(a.flags.writeable for snap in store.values() for a in snap)
+
+
+DAY_CFG = two_cell_config(horizon_hours=5 * 24)
+
+
+@st.composite
+def day_reads(draw):
+    """(reader, day) calls over more distinct reads than the store keeps, with repeats and
+    out-of-horizon days mixed in."""
+    reads = st.tuples(st.sampled_from(["traffic_day", "users_day"]), st.integers(-1, DAY_CFG.n_days))
+    distinct = draw(st.lists(reads, min_size=_DAY_STORE + 1, max_size=_DAY_STORE + 4, unique=True))
+    return draw(st.permutations(distinct + draw(st.lists(st.sampled_from(distinct), max_size=8))))
+
+
+class TestDayStore:
+    @settings(max_examples=25, deadline=None)
+    @given(day_reads())
+    def test_day_reads_match_a_fresh_oracle(self, reads):
+        oracle = build_scenario(DAY_CFG)
+        store = oracle._days
+        for name, day in reads:
+            if not 0 <= day < DAY_CFG.n_days:
+                before = list(store.items())
+                with pytest.raises(DomainError):
+                    getattr(oracle, name)(day)
+                after = list(store.items())
+                assert [k for k, _ in after] == [k for k, _ in before]
+                assert all(a is b for (_, a), (_, b) in zip(after, before))
+                continue
+            got = getattr(oracle, name)(day)
+            want = getattr(build_scenario(DAY_CFG), name)(day)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0, 0] = -1.0  # a caller cannot write into the store
+            assert 0 < len(store) <= _DAY_STORE
+
+    def test_a_repeated_day_read_draws_nothing(self):
+        oracle = build_scenario(DAY_CFG)
+        calls = []
+        traffic_at, users_at = oracle.traffic_at, oracle.users_at
+        oracle.traffic_at = lambda *args: calls.append("traffic") or traffic_at(*args)
+        oracle.users_at = lambda *args: calls.append("users") or users_at(*args)
+        first = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
+        drawn = len(calls)
+        again = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
+        assert drawn > 0 and len(calls) == drawn
+        assert all(a is b for a, b in zip(first, again))
 
 
 class TestScenarioJson:
