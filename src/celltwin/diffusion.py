@@ -157,9 +157,10 @@ def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 _TILE_ROWS = 1024
-# Rows per pass in one tile of small problems, from a sweep on the short-term
-# forecasts (ROADMAP item 6): 4 problems of 36 rows, all 11 of 7 rows.
-_PROBLEM_TILE_ROWS = 160
+# Rows per pass in one tile of small problems: 2 problems of 36 rows, 10 of 7.
+# Picked from a sweep on a short-term day's forecasts (ROADMAP item 6): larger
+# tiles were no faster beyond the runs' spread but raised peak memory.
+_PROBLEM_TILE_ROWS = 72
 
 
 def row_tiles(batch: int) -> list[slice]:
@@ -669,17 +670,23 @@ class DiffusionModel:
 
         sched = self.schedule
         cnd = self.condition(cond, mask, ctx, guided=w > 0)
-        x, noise = draw(np.empty(mask.shape)), np.empty(mask.shape)
+        # Each step updates x in place, in the operand order of the expressions in the comments.
+        x, noise, revealed = draw(np.empty(mask.shape)), np.empty(mask.shape), ~mask
         for t in range(sched.steps, 0, -1):
             eps = self.denoise(x, t, cnd)
-            eps_hat = (1.0 + w) * eps[0] - w * eps[1] if w > 0 else eps[0]
+            eps_hat = eps[0]
+            if w > 0:  # (1 + w) * cond - w * null
+                np.subtract(np.multiply(eps_hat, 1.0 + w, out=eps_hat), np.multiply(eps[1], w, out=eps[1]),
+                            out=eps_hat)
             beta_t = sched.beta_at(t)
             a_bar_t = sched.alpha_bar[t]
-            mean = (x - beta_t / np.sqrt(1.0 - a_bar_t) * eps_hat) / np.sqrt(1.0 - beta_t)
-            x = mean + np.sqrt(beta_t) * draw(noise) if t > 1 else mean
+            # The mean: (x - beta_t / sqrt(1 - a_bar_t) * eps_hat) / sqrt(1 - beta_t).
+            np.subtract(x, np.multiply(eps_hat, beta_t / np.sqrt(1.0 - a_bar_t), out=eps_hat), out=x)
+            x /= np.sqrt(1.0 - beta_t)
+            if t > 1:  # mean + sqrt(beta_t) * noise
+                x += np.multiply(draw(noise), np.sqrt(beta_t), out=noise)
             # Re-noise the revealed history to step t-1 and overwrite (inpainting).
-            known = forward_noise(ctx, sched.alpha_bar[t - 1], draw(noise))
-            x = np.where(mask, x, known)
+            np.copyto(x, forward_noise(ctx, sched.alpha_bar[t - 1], draw(noise)), where=revealed)
         out = self.stats.denormalize(x)
         return out[0] if single else out
 
