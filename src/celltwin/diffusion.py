@@ -158,7 +158,7 @@ def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 _TILE_ROWS = 1024
 # Rows per pass in one tile of small problems: 2 problems of 36 rows, 10 of 7.
-# Picked from a sweep on a short-term day's forecasts (ROADMAP item 6): larger
+# Picked from a sweep of tile sizes on a short-term day's forecasts: larger
 # tiles were no faster beyond the runs' spread but raised peak memory.
 _PROBLEM_TILE_ROWS = 72
 
