@@ -19,24 +19,37 @@ problem gets the bits of sampling it alone, because its GEMMs keep its own B
 rows: below about 512 rows a GEMM's per-row result depends on its row count,
 so the K problems are never flattened into one K * B-row batch.
 
+Precision. Training (forward, backward, Adam), checkpoints and the raw-input
+``denoise``, ``gate_weights`` and ``expert_output`` are float64. The sampler
+runs its gate and expert forwards in float32, on one float32 copy of their
+tensors (adapters included) made per call, because that is where sampling
+spends its time and an eps estimate needs no more precision than single
+(standard for DDPM inference). Everything else in a sampler step stays
+float64: the time and condition embeddings, the guided mix of the two passes,
+the sampler state x, every generator draw, the mean update, and the re-noising
+of revealed history, so that history comes back exactly.
+
 A call's ``Conditioning`` is also its workspace, allocated once per call and
 dropped with it. ``condition`` embeds the condition and retrieves the prompts,
-(K, B, ...). The first step lays them out, with the mask and context, as one z
-template whose leading pass axis holds the conditional pass and, under
-guidance, the null pass: (passes, K, B, input_dim), plus one eps buffer of the
-same lead. Each step writes only the x_t and time-embedding columns, the time
-embedding computed once on B rows for every pass and problem. The gate and
-experts then run one tile at a time through one set of layer buffers sized for
-the largest tile, in place and without caches (``MLP.forward(...,
-keep_cache=False, out=...)``), with the ops of training's forward in the same
-order. A tile (``problem_tiles``) holds every pass of as many whole problems
-as fit in ``_PROBLEM_TILE_ROWS`` rows per pass; each layer on it is one stacked
-matmul, which numpy runs as one GEMM per (pass, problem) slice. A problem of
-2,048 rows or more, such as a world-model pool, is one problem per tile, split
-into 1,024-row ``row_tiles`` (the remainder merged into the last): from 1,024
-rows up a GEMM's per-row result matches the whole-batch GEMM's, while smaller
-row tiles would change bits. So the samples are those of the raw-input
-``denoise`` (``tests/test_diffusion.py`` checks this).
+(K, B, ...), without the caches only training's backward reads. The first step
+lays them out, with the mask and context, as one float32 z template whose
+leading pass axis holds the conditional pass and, under guidance, the null
+pass: (passes, K, B, input_dim), plus one float32 eps buffer of the same lead.
+Each step writes only the x_t and time-embedding columns; ``t`` is one scalar
+per step, so the time embedding is computed on one row and broadcast to every
+row of every pass and problem. The gate and experts then run one tile at a
+time through one set of float32 layer buffers sized for the largest tile, in
+place and without caches (``MLP.forward(..., keep_cache=False, out=...,
+params=...)``), with the ops of training's forward in the same order. A tile
+(``problem_tiles``) holds every pass of as many whole problems as fit in
+``_PROBLEM_TILE_ROWS`` rows per pass; each layer on it is one stacked matmul,
+which numpy runs as one GEMM per (pass, problem) slice. A problem of 2,048 rows
+or more, such as a world-model pool, is one problem per tile, split into
+1,024-row ``row_tiles`` (the remainder merged into the last): from 1,024 rows
+up a GEMM's per-row result matches the whole-batch GEMM's, in float32 as in
+float64, while smaller row tiles would change bits. So the samples are those
+of a plain per-step loop of whole-batch float32 forwards on inputs laid out
+afresh from the raw ones (``tests/test_diffusion.py`` checks this).
 
 The M experts are one stacked ``MLP`` (``stack=M``): each expert layer is one
 (M, out, in) tensor ``experts/W{i}``, and one call runs every expert on the
@@ -266,26 +279,29 @@ class Conditioning:
     ``DiffusionModel.condition`` embeds the inputs, with the leading shape of
     the mask: (B,) for the raw-input ``denoise`` and training, (K, B) for
     ``sample()``. The first ``denoise`` with a stacked one lays the inputs out
-    as the z template, (passes, K, B, input_dim): pass 0 holds the condition
-    embedding and, when ``guided``, pass 1 the null embedding. It also builds
-    the eps buffer, (passes, K, B, L), and ``workspace``: for each tile of
-    ``problem_tiles``, one output buffer per gate and expert layer covering
-    every pass of the tile, all views into one set sized for the largest tile.
-    Each step writes only the x_t and time columns of every pass and returns
-    the eps buffer, overwritten by the next step. The gate mix weights the
-    expert outputs in their own buffer before summing them into eps. Everything
-    here lives as long as the object, and the embeddings hold parameter values,
-    so it is valid only while the model's parameters stay unchanged.
+    as the float32 z template, (passes, K, B, input_dim): pass 0 holds the
+    condition embedding and, when ``guided``, pass 1 the null embedding. It
+    also builds the float32 eps buffer, (passes, K, B, L), ``params``, the
+    float32 copies of the gate and expert tensors, and ``workspace``: for each
+    tile of ``problem_tiles``, one float32 output buffer per gate and expert
+    layer covering every pass of the tile, all views into one set sized for
+    the largest tile. Each step writes only the x_t and time columns of every
+    pass and returns the eps buffer, overwritten by the next step. The gate mix
+    weights the expert outputs in their own buffer before summing them into
+    eps. Everything here lives as long as the object, and the embeddings and
+    ``params`` hold parameter values, so it is valid only while the model's
+    parameters stay unchanged.
     """
 
     c_emb: np.ndarray  # (..., B, cond_emb_dim) condition embedding
     mask: np.ndarray  # (..., B, L) float, 1 = generate
     context: np.ndarray  # (..., B, L) normalized history
     prompts: np.ndarray  # (..., B, top_n * prompt_dim) retrieved prompts, (..., B, 0) without memory
-    cache: dict  # embedding internals the backward pass reads
+    cache: dict  # embedding internals the backward pass reads, {} when not kept
     guided: bool = False  # a null pass beside the conditional one
-    z: np.ndarray | None = None  # (passes, K, B, input_dim) template
-    eps: np.ndarray | None = None  # (passes, K, B, L) noise estimates of the last step
+    z: np.ndarray | None = None  # (passes, K, B, input_dim) float32 template
+    eps: np.ndarray | None = None  # (passes, K, B, L) float32 noise estimates of the last step
+    params: dict | None = None  # float32 copies of the gate and expert tensors
     workspace: list | None = None  # per tile: (problems, rows, gate buffers, expert buffers)
 
     @property
@@ -351,12 +367,14 @@ class DiffusionModel:
     # -- forward ---------------------------------------------------------------
 
     def condition(
-        self, cond: np.ndarray, mask: np.ndarray, context: np.ndarray, guided: bool = False
+        self, cond: np.ndarray, mask: np.ndarray, context: np.ndarray, guided: bool = False,
+        keep_cache: bool = True,
     ) -> Conditioning:
         """Embed what stays fixed across steps: the condition, mask, context and prompts.
 
         Axes before the rows are stacked problems, each embedded with the bits
-        of embedding it alone.
+        of embedding it alone. ``keep_cache=False`` keeps none of the
+        internals that only training's backward reads; the embeddings are the same.
         """
         L, dc = self.arch.series_len, self.arch.cond_dim
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
@@ -366,14 +384,22 @@ class DiffusionModel:
             raise ShapeError(f"series inputs must be (..., B, {L})")
         if cond.shape != mask_f.shape[:-1] + (dc,):
             raise ShapeError(f"condition must be (..., B, {dc}), got {cond.shape}")
-        c_emb, cache_cond = self.cond_mlp.forward(cond)
-        cache: dict = {"cache_cond": cache_cond}
+        cache: dict = {}
+
+        def embed(mlp: MLP, x: np.ndarray, key: str) -> np.ndarray:
+            if not keep_cache:
+                return mlp.forward(x, keep_cache=False)
+            h, cache[key] = mlp.forward(x)
+            return h
+
+        c_emb = embed(self.cond_mlp, cond, "cache_cond")
         if self.arch.memory:
-            q, cache_q = self.query_mlp.forward(np.concatenate([context, mask_f], axis=-1))
+            q = embed(self.query_mlp, np.concatenate([context, mask_f], axis=-1), "cache_query")
             indices, prompts = prompt_retrieve(
                 self.store["memory/keys"], self.store["memory/prompts"], q, self.arch.memory.top_n
             )
-            cache.update(cache_query=cache_q, query=q, indices=indices)
+            if keep_cache:
+                cache.update(query=q, indices=indices)
         else:
             prompts = np.zeros(mask_f.shape[:-1] + (0,))
         return Conditioning(c_emb, mask_f, context, prompts, cache, guided)
@@ -386,11 +412,12 @@ class DiffusionModel:
         return x_t
 
     def _lay_out(
-        self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray
+        self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray, dtype=None
     ) -> np.ndarray:
         """The denoiser input z, blocks in ``z_columns`` order; null rows carry the null embedding.
 
-        ``t_emb`` has one row per row of a problem, shared by every problem.
+        ``t_emb`` has one row per row of a problem, or one row for all, shared
+        by every problem. z is made as ``dtype`` (default float64).
         """
         blocks = {
             "x_t": x_t,
@@ -400,7 +427,7 @@ class DiffusionModel:
             "context": cnd.context,
             "prompts": cnd.prompts,
         }
-        return np.concatenate([blocks[name] for name in self._columns], axis=-1)
+        return np.concatenate([blocks[name] for name in self._columns], axis=-1, dtype=dtype)
 
     def assemble_input(
         self,
@@ -442,12 +469,13 @@ class DiffusionModel:
         row; or a stacked ``Conditioning`` from ``condition`` that already
         holds them, for one sampler step at integer step ``t``. That form takes
         ``x_t`` as (K, B, L), runs every pass of every problem in tiles through
-        the ``Conditioning``'s workspace and returns its eps buffer, (passes,
-        K, B, L); ``null_mask`` is not read. Both run cache-free.
+        the ``Conditioning``'s workspace in float32 and returns its float32 eps
+        buffer, (passes, K, B, L); ``null_mask`` is not read. Both run
+        cache-free; the raw-input form is float64.
         """
         if isinstance(cond, Conditioning):
             return self._denoise_passes(x_t, int(t), cond)
-        cnd = self.condition(cond, mask, context)
+        cnd = self.condition(cond, mask, context, keep_cache=False)
         x_t = self._series(x_t, cnd.batch)
         t_emb = self.time_mlp.forward(time_features(_per_row(t, cnd.batch), self.schedule.steps), keep_cache=False)
         z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), x_t, t_emb)
@@ -460,31 +488,32 @@ class DiffusionModel:
         x_t = np.asarray(x_t, dtype=float)
         if cnd.mask.ndim != 3 or x_t.shape != cnd.mask.shape:
             raise ShapeError(f"x_t of shape {x_t.shape} for stacked series inputs of shape {cnd.mask.shape}")
-        t_feat = time_features(np.full(cnd.batch, t), self.schedule.steps)
-        t_emb = self.time_mlp.forward(t_feat, keep_cache=False)
+        t_emb = self.time_mlp.forward(time_features(t, self.schedule.steps), keep_cache=False)  # one row
         if cnd.z is None:
             nulls = (False, True) if cnd.guided else (False,)
-            cnd.z = np.stack([self._lay_out(cnd, np.full(x_t.shape[:-1], null), x_t, t_emb) for null in nulls])
-            cnd.eps = np.empty(cnd.z.shape[:-1] + (self.arch.series_len,))
+            cnd.z = np.stack([self._lay_out(cnd, np.full(x_t.shape[:-1], null), x_t, t_emb, np.float32)
+                              for null in nulls])
+            cnd.eps = np.empty(cnd.z.shape[:-1] + (self.arch.series_len,), np.float32)
+            cnd.params = {**self.gate_mlp.tensors(np.float32), **self.experts.tensors(np.float32)}
             cnd.workspace = self._workspace(*cnd.z.shape[:-1])
-        z, eps = cnd.z, cnd.eps
+        z, eps, params = cnd.z, cnd.eps, cnd.params
         z[..., cols["x_t"]] = x_t
         z[..., cols["time"]] = t_emb
         for problems, rows, gate_out, expert_out in cnd.workspace:
             tile = z[:, problems, rows]
-            gate = softmax(self.gate_mlp.forward(tile, keep_cache=False, out=gate_out))
-            expert = self.experts.forward(tile, keep_cache=False, out=expert_out)
+            gate = softmax(self.gate_mlp.forward(tile, keep_cache=False, out=gate_out, params=params))
+            expert = self.experts.forward(tile, keep_cache=False, out=expert_out, params=params)
             # The gate mix weights the expert outputs in their own buffer.
             np.sum(np.multiply(np.moveaxis(gate, -1, -2)[..., None], expert, out=expert), axis=-3,
                    out=eps[:, problems, rows])
         return eps
 
     def _workspace(self, passes: int, problems: int, batch: int) -> list[tuple]:
-        """Per tile: its problems, its rows and its gate and expert buffers, views into the largest tile's."""
+        """Per tile: its problems, its rows and its float32 gate and expert buffers, views into the largest tile's."""
         tiles = [(ks, rows, (passes, ks.stop - ks.start, rows.stop - rows.start))
                  for ks, rows in problem_tiles(problems, batch)]
         most = max((lead for *_, lead in tiles), key=math.prod, default=(passes, 0, 0))
-        gate, experts = self.gate_mlp.scratch(most), self.experts.scratch(most)
+        gate, experts = (mlp.scratch(most, dtype=np.float32) for mlp in (self.gate_mlp, self.experts))
         return [(ks, rows, self.gate_mlp.scratch(lead, gate), self.experts.scratch(lead, experts))
                 for ks, rows, lead in tiles]
 
@@ -634,6 +663,8 @@ class DiffusionModel:
         ``context`` is raw-unit history (ignored at masked positions); it may be
         omitted only for fully masked generation. ``guidance_w`` mixes the
         conditional and null-condition noise estimates as (1+w) cond - w null.
+        The denoiser forwards run in float32 (see the module docstring); the
+        output, like the sampler state, is float64.
         """
         w = self.guidance_w if guidance_w is None else guidance_w
         if not (np.isfinite(w) and w >= 0):
@@ -669,15 +700,16 @@ class DiffusionModel:
             return into
 
         sched = self.schedule
-        cnd = self.condition(cond, mask, ctx, guided=w > 0)
-        # Each step updates x in place, in the operand order of the expressions in the comments.
-        x, noise, revealed = draw(np.empty(mask.shape)), np.empty(mask.shape), ~mask
+        cnd = self.condition(cond, mask, ctx, guided=w > 0, keep_cache=False)
+        # Each step updates x in place, in float64 and in the operand order of the expressions in the comments.
+        x, revealed = draw(np.empty(mask.shape)), ~mask
+        noise, eps_hat = np.empty(mask.shape), np.empty(mask.shape)
         for t in range(sched.steps, 0, -1):
             eps = self.denoise(x, t, cnd)
-            eps_hat = eps[0]
-            if w > 0:  # (1 + w) * cond - w * null
-                np.subtract(np.multiply(eps_hat, 1.0 + w, out=eps_hat), np.multiply(eps[1], w, out=eps[1]),
-                            out=eps_hat)
+            # (1 + w) * cond - w * null, of the float32 estimates; a factor of 1.0 is exact.
+            np.multiply(eps[0], 1.0 + w, out=eps_hat, dtype=np.float64)
+            if w > 0:
+                eps_hat -= np.multiply(eps[1], w, out=noise, dtype=np.float64)
             beta_t = sched.beta_at(t)
             a_bar_t = sched.alpha_bar[t]
             # The mean: (x - beta_t / sqrt(1 - a_bar_t) * eps_hat) / sqrt(1 - beta_t).

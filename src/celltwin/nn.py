@@ -5,9 +5,12 @@ exactly what its matching backward pass needs; composites chain these caches
 by hand. The model set is small and fixed, so this stays verifiable against
 the central-difference oracle, which is the module's acceptance gate.
 
-All math is float64. A ``ParamStore`` keeps its trainable tensors packed:
-their values and Adam moments live back to back in three contiguous float64
-buffers, so one optimizer step is a few in-place vector ops over them.
+The store, every gradient and every optimizer step are float64. A
+``ParamStore`` keeps its trainable tensors packed: their values and Adam
+moments live back to back in three contiguous float64 buffers, so one optimizer
+step is a few in-place vector ops over them. A cache-free ``MLP.forward`` can
+instead run on copies of a net's tensors in another dtype (``MLP.tensors``);
+the diffusion sampler runs its denoiser forwards that way in float32.
 """
 
 from __future__ import annotations
@@ -382,13 +385,20 @@ class MLP:
     def base_names(self) -> list[str]:
         return [n for i in range(self.n_layers) for n in (f"{self.prefix}/W{i}", f"{self.prefix}/b{i}")]
 
-    def scratch(self, lead: tuple[int, ...], within: list[tuple] | None = None) -> list[tuple]:
+    def tensors(self, dtype) -> dict[str, np.ndarray]:
+        """Copies of this net's tensors, adapters included, as ``dtype``, keyed by store name."""
+        names = self.base_names() + [f"{self.prefix}/{m}{i}" for i in self.lora for m in ("A", "B")]
+        return {name: self.store[name].astype(dtype) for name in names}
+
+    def scratch(
+        self, lead: tuple[int, ...], within: list[tuple] | None = None, dtype=np.float64
+    ) -> list[tuple]:
         """Output buffers for ``forward(x, keep_cache=False, out=...)`` on an ``x`` of shape ``lead + (in,)``.
 
         One tuple per layer: its output and, for an adapted layer, its two
-        adapter products (``None`` otherwise). With ``within``, the scratch of
-        an input at least as large, they are views into its buffers, not new
-        arrays.
+        adapter products (``None`` otherwise), as ``dtype``. With ``within``,
+        the scratch of an input at least as large, they are views into its
+        buffers, not new arrays.
         """
         *outer, rows = lead
         lead = (*outer, self.stack, rows) if self.stack else (*outer, rows)
@@ -397,12 +407,20 @@ class MLP:
             out = lead + (d_out,)
             shapes = (out, lead + (self.lora[i].rank,), out) if i in self.lora else (out,)
             parts = within[i] if within is not None else (None,) * 3
-            made = tuple(np.empty(shape) if part is None else part.reshape(-1)[: math.prod(shape)].reshape(shape)
-                         for shape, part in zip(shapes, parts))
+            made = tuple(
+                np.empty(shape, dtype) if part is None else part.reshape(-1)[: math.prod(shape)].reshape(shape)
+                for shape, part in zip(shapes, parts)
+            )
             bufs.append(made + (None,) * (3 - len(made)))
         return bufs
 
-    def forward(self, x: np.ndarray, keep_cache: bool = True, out: list[tuple] | None = None):
+    def forward(
+        self,
+        x: np.ndarray,
+        keep_cache: bool = True,
+        out: list[tuple] | None = None,
+        params: dict[str, np.ndarray] | None = None,
+    ):
         """Output and the cache ``backward`` needs; with ``keep_cache=False``, the output alone.
 
         Backward reads each layer's input, output and adapter projection, never
@@ -412,8 +430,12 @@ class MLP:
         ``out`` (cache-free pass only), from ``scratch``, takes every layer's
         matmul products, so the pass allocates no layer array. The output is
         then the last layer's buffer, overwritten by the next call with it.
+
+        ``params`` (cache-free pass only), from ``tensors``, replaces the
+        store's tensors; ``x`` is cast to their dtype, and so is every layer.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        p = self.store if params is None else params
+        x = np.atleast_2d(np.asarray(x, dtype=p[f"{self.prefix}/W0"].dtype))
         if x.shape[-1] != self.dims[0]:
             raise ShapeError(
                 f"{self.prefix}: input dim {x.shape[-1]} != expected {self.dims[0]}"
@@ -422,14 +444,14 @@ class MLP:
         h = x[..., None, :, :] if self.stack else x  # the member axis, just before the rows
         for i in range(self.n_layers):
             post_out, low_out, up_out = out[i] if out is not None else (None, None, None)
-            w = self.store[f"{self.prefix}/W{i}"]
-            b = self.store[f"{self.prefix}/b{i}"]
+            w = p[f"{self.prefix}/W{i}"]
+            b = p[f"{self.prefix}/b{i}"]
             pre = _matmul(h, np.swapaxes(w, -1, -2), post_out)
             pre += b[..., None, :]
             low = None
             if i in self.lora:
-                a = self.store[f"{self.prefix}/A{i}"]
-                bb = self.store[f"{self.prefix}/B{i}"]
+                a = p[f"{self.prefix}/A{i}"]
+                bb = p[f"{self.prefix}/B{i}"]
                 low = _matmul(h, np.swapaxes(a, -1, -2), low_out)
                 up = _matmul(low, np.swapaxes(bb, -1, -2), up_out)
                 up *= self.lora[i].scale

@@ -356,9 +356,10 @@ class Oracle:
     queried: the native traffic vector, the per-user RSRP matrix and the natural attachment.
     Every scheme and greedy candidate stepping a seen t reuses them, so the draw runs once per
     t. Behind `traffic_day` and `users_day`, the last `_DAY_STORE` day reads, so the oracle
-    envs of one evaluation read their day once. A hit returns the same values a fresh Oracle
-    draws. The stores are not locked, so an Oracle is not for sharing between threads;
-    `--jobs` builds one per seed in each worker process.
+    envs of one evaluation read their day once; a snapshot or `users_and_shadowing` at a t
+    whose day the store holds takes its traffic or user counts from there. A hit returns the
+    same values a fresh Oracle draws. The stores are not locked, so an Oracle is not for
+    sharing between threads; `--jobs` builds one per seed in each worker process.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -465,12 +466,21 @@ class Oracle:
             self._days[kind, day] = values
         return values
 
+    def _stored_column(self, kind: str, t_hours: int, step_hours: int) -> np.ndarray | None:
+        """The day store's `kind` values at t, one per cell or grid (a read-only view), or None
+        when the store lacks t's day."""
+        day, hour = divmod(t_hours, 24)
+        values = self._days.get((kind, day))
+        return None if values is None else values[:, hour // step_hours]
+
     # -- composite step ------------------------------------------------------
 
     def users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Seeded user counts per grid, then each user's position and per-cell shadowing at t."""
         tq = t_hours - t_hours % self.config.user_step_hours
-        counts = np.array([self.users_at(g, t_hours) for g in range(self.n_grids)])
+        stored = self._stored_column("users", t_hours, self.config.user_step_hours)
+        counts = (np.array([self.users_at(g, t_hours) for g in range(self.n_grids)]) if stored is None
+                  else stored.astype(np.int64))
         half, sigma = self.grid_edge_km / 2.0, self.config.shadowing_sigma_db
         jitter, shadows = [np.zeros((0, 2))], [np.zeros((0, self.n_cells))]
         for g in np.flatnonzero(counts).tolist():
@@ -517,7 +527,8 @@ class Oracle:
         snap = self._snapshots.get(t_hours)
         if snap is not None:
             return snap
-        native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells])
+        stored = self._stored_column("traffic", t_hours, self.config.traffic_step_hours)
+        native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells]) if stored is None else stored.copy()
         _, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
         # Natural attachment (everything active, no bias) fixes per-user demand.

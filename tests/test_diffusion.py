@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +20,10 @@ from celltwin.diffusion import (
     row_tiles,
     time_features,
 )
+import celltwin
 from celltwin import diffusion
 from celltwin.errors import ConfigError, DomainError, FormatError, ModelError, ShapeError
-from celltwin.nn import finite_difference_check
+from celltwin.nn import finite_difference_check, softmax
 
 
 def unit_layout() -> ConditionLayout:
@@ -295,21 +301,34 @@ class TestSampling:
         assert abs(out.std() - 0.5) < 0.15
 
 
-def reference_sample(model, cond, mask, context, rng, w):
-    """The sampler as one public, raw-input ``denoise`` call per noise estimate.
+def reference_denoise(model, params, x, t, cond, null, mask, ctx):
+    """One float32 noise estimate over a whole batch, on an input laid out afresh from raw inputs.
 
-    Null masks go in per row, so every call lays out its input afresh and shares
-    no kept z template with the sampler.
+    ``assemble_input`` lays out z with per-row null masks, so nothing is shared
+    with the sampler's kept z template. Its time columns then take the step's
+    one-row time embedding, and z goes through whole-batch gate and expert
+    forwards on the float32 ``params``. The estimate comes back as float64.
     """
+    batch = len(x)
+    z, _ = model.assemble_input(x, np.full(batch, t), cond, np.full(batch, null), mask, ctx)
+    z[:, model.arch.z_columns()["time"]] = model.time_mlp.forward(
+        time_features(t, model.schedule.steps), keep_cache=False)
+    z = z.astype(np.float32)
+    gate = softmax(model.gate_mlp.forward(z, keep_cache=False, params=params))
+    return (gate.T[:, :, None] * model.experts.forward(z, keep_cache=False, params=params)).sum(axis=0).astype(float)
+
+
+def reference_sample(model, cond, mask, context, rng, w):
+    """The sampler as a plain per-step loop of ``reference_denoise`` calls, float64 outside them."""
     sched = model.schedule
     batch, L = mask.shape
+    params = {**model.gate_mlp.tensors(np.float32), **model.experts.tensors(np.float32)}
     ctx = np.zeros((batch, L)) if context is None else np.where(mask, 0.0, model.stats.normalize(context))
     x = rng.standard_normal((batch, L))
     for t in range(sched.steps, 0, -1):
-        t_arr = np.full(batch, t)
-        eps_hat = model.denoise(x, t_arr, cond, mask, ctx, null_mask=np.zeros(batch, bool))
+        eps_hat = reference_denoise(model, params, x, t, cond, False, mask, ctx)
         if w > 0:
-            eps_null = model.denoise(x, t_arr, cond, mask, ctx, null_mask=np.ones(batch, bool))
+            eps_null = reference_denoise(model, params, x, t, cond, True, mask, ctx)
             eps_hat = (1.0 + w) * eps_hat - w * eps_null
         beta_t = sched.beta_at(t)
         mean = (x - beta_t / np.sqrt(1.0 - sched.alpha_bar[t]) * eps_hat) / np.sqrt(1.0 - beta_t)
@@ -326,7 +345,8 @@ class TestSamplerMatchesReference:
         (MEMORY, 1.0, False, 2),
         (None, 0.0, False, 0),
         (MEMORY, 1.0, True, 2),
-    ], ids=["memory_guided_inpainting", "unguided", "lora_attached"])
+        (None, 1.5, False, 2),  # a weight whose products round, in float64 as in the sampler
+    ], ids=["memory_guided_inpainting", "unguided", "lora_attached", "guided_weight_1.5"])
     def test_bytes_equal_per_step_denoise(self, memory, w, lora, revealed):
         model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3)
         rng = np.random.default_rng(23)
@@ -435,19 +455,77 @@ class TestSamplerMatchesReference:
         stacked = model.sample(cond[None], mask[None], context[None], [np.random.default_rng(5)], guidance_w=w)
         assert stacked.shape == (1,) + flat.shape and stacked[0].tobytes() == flat.tobytes()
 
-    @pytest.mark.parametrize("batch", [7, 36])
-    def test_stacked_problems_forward_with_the_bits_of_separate_ones(self, batch):
+    def check_stacked_forward(self, batch, dtype):
         # The sampler runs each layer on a (passes, K, B, in) stack on this premise:
         # a change in how numpy or BLAS dispatches the stack, such as one flat GEMM, fails here.
         model = self.model(memory=None, lora=True)
-        z = np.random.default_rng(batch).normal(size=(2, 11, batch, model.arch.input_dim))
-        gate = model.gate_mlp.forward(z, keep_cache=False)
-        experts = model.experts.forward(z, keep_cache=False)
+        params = None if dtype == np.float64 else {**model.gate_mlp.tensors(dtype), **model.experts.tensors(dtype)}
+        z = np.random.default_rng(batch).normal(size=(2, 11, batch, model.arch.input_dim)).astype(dtype)
+        gate = model.gate_mlp.forward(z, keep_cache=False, params=params)
+        experts = model.experts.forward(z, keep_cache=False, params=params)
         assert gate.shape == (2, 11, batch, 3) and experts.shape == (2, 11, 3, batch, 6)
+        assert gate.dtype == experts.dtype == dtype
         for p in range(2):
             for k in range(11):
-                assert gate[p, k].tobytes() == model.gate_mlp.forward(z[p, k], keep_cache=False).tobytes()
-                assert experts[p, k].tobytes() == model.experts.forward(z[p, k], keep_cache=False).tobytes()
+                one_gate = model.gate_mlp.forward(z[p, k], keep_cache=False, params=params)
+                one_experts = model.experts.forward(z[p, k], keep_cache=False, params=params)
+                assert gate[p, k].tobytes() == one_gate.tobytes()
+                assert experts[p, k].tobytes() == one_experts.tobytes()
+
+    @pytest.mark.parametrize("batch", [7, 36])
+    def test_stacked_problems_forward_with_the_bits_of_separate_ones(self, batch):
+        self.check_stacked_forward(batch, np.float64)
+
+    @pytest.mark.parametrize("batch", [7, 36])
+    def test_stacked_float32_problems_forward_with_the_bits_of_separate_ones(self, batch):
+        self.check_stacked_forward(batch, np.float32)
+
+    @pytest.mark.parametrize("w", [0.0, 1.0])
+    def test_float64_out_history_exact_and_parameters_untouched(self, w):
+        model = self.model(self.MEMORY, lora=True)
+        before = {name: model.store[name].copy() for name in model.store.names()}
+        cond, mask, context = self.stacked_inputs(3, 36, 7)
+        got = model.sample(cond, mask, context, [np.random.default_rng(k) for k in range(3)], guidance_w=w)
+        assert got.dtype == np.float64 and not mask.all()
+        # Revealed positions are the history itself, round-tripped through the normalization.
+        history = model.stats.denormalize(model.stats.normalize(context))
+        assert got[~mask].tobytes() == history[~mask].tobytes()
+        assert model.store.names() == list(before)
+        for name, value in before.items():
+            assert model.store[name].dtype == np.float64 and model.store[name].tobytes() == value.tobytes(), name
+
+    def test_sampling_keeps_no_backward_caches(self, monkeypatch):
+        model = self.model(self.MEMORY, lora=False)
+        cond, mask, context = self.inputs(36, 2, 9)
+        ctx = np.where(mask, 0.0, model.stats.normalize(context))
+        kept, free = model.condition(cond, mask, ctx), model.condition(cond, mask, ctx, keep_cache=False)
+        assert set(kept.cache) == {"cache_cond", "cache_query", "query", "indices"} and free.cache == {}
+        assert kept.c_emb.tobytes() == free.c_emb.tobytes() and kept.prompts.tobytes() == free.prompts.tobytes()
+        seen, condition = [], model.condition
+
+        def spy(*args, **kwargs):
+            seen.append(condition(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(model, "condition", spy)
+        model.sample(cond, mask, context, np.random.default_rng(0))
+        assert len(seen) == 1 and seen[0].cache == {}
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # 2,048 rows at the default widths: enough for BLAS to split each float32 GEMM across threads.
+        code = (
+            "import sys, numpy as np\n"
+            "from test_diffusion import TestSamplerMatchesReference as T\n"
+            "model = T().model(T.MEMORY, lora=True)\n"
+            "cond, mask, context = T.inputs(2048, 2, 3)\n"
+            "out = model.sample(cond, mask, context, np.random.default_rng(3), guidance_w=1.0)\n"
+            "sys.stdout.buffer.write(out.tobytes())\n"
+        )
+        path = os.pathsep.join([str(Path(celltwin.__file__).parents[1]), str(Path(__file__).parent)])
+        runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert len(runs[0]) == 2048 * 6 * 8 and runs[0] == runs[1]
 
 
 class TestSampleShapes:

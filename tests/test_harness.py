@@ -433,16 +433,26 @@ class TestOracleEvaluation:
         run_oracle_episode(scheme, OracleEnv(oracle, WEIGHTS, day=1), 0)
         assert calls["inside"] > 0 and calls["outside"] == 0
 
-    def test_every_scheme_of_a_seed_shares_one_draw_per_step(self, scenario, monkeypatch):
+    def _evaluate_counting_users_at(self, scenario, monkeypatch, mode) -> dict[str, int]:
         from celltwin.harness import SCHEMES
 
         policy = Policy(scenario.n_cells, Observation.dim(scenario.n_cells), seed=2)
         calls = self._count_users_at(monkeypatch)
         results = evaluate_policy(scenario, SCHEMES, (3,), WEIGHTS, bundle=ZERO_BUNDLE, policy=policy,
-                                  cfg=EvalConfig(predict_mode="short_term"))
+                                  cfg=EvalConfig(predict_mode=mode))
         assert sorted(r.policy_id for r in results) == sorted(SCHEMES)
-        # Six schemes and greedy's n_cells candidates per step all reuse the one draw per t.
-        assert calls["inside"] == len(scenario.grids) * scenario.steps_per_day
+        return calls
+
+    def test_every_scheme_of_a_seed_shares_one_draw_per_step(self, scenario, monkeypatch):
+        calls = self._evaluate_counting_users_at(scenario, monkeypatch, "short_term")
+        # Short-term resets read the users day once, and every step of six schemes and
+        # greedy's n_cells candidates per step takes its counts from that read.
+        assert calls == {"inside": 0, "outside": len(scenario.grids) * scenario.user_steps_per_day}
+
+    def test_every_scheme_of_a_long_term_seed_shares_one_draw_per_step(self, scenario, monkeypatch):
+        calls = self._evaluate_counting_users_at(scenario, monkeypatch, "long_term")
+        # No users day is read: six schemes and greedy's n_cells candidates per step reuse one draw per t.
+        assert calls == {"inside": len(scenario.grids) * scenario.steps_per_day, "outside": 0}
 
     def test_agent_scheme_requires_policy(self, scenario):
         with pytest.raises(ConfigError, match="policy"):

@@ -200,22 +200,30 @@ class TestStack:
         assert finite_difference_check(store, loss_fn) < 1e-4
 
 
+NETS = pytest.mark.parametrize("stack, lora, hidden", [
+    (None, False, "relu"), (3, False, "relu"), (3, True, "tanh"),
+], ids=["plain", "stack3_shared_input", "stack3_lora"])
+
+
+def cache_free_net(stack, lora, hidden) -> tuple[MLP, np.ndarray]:
+    """A net with nonzero biases and adapters, and a 2-D input shared by every member of a stack."""
+    rng = np.random.default_rng(13)
+    store = ParamStore()
+    net = MLP(store, "net", (6, 9, 7, 4), hidden_activation=hidden,
+              output_activation="tanh", rng=rng, stack=stack)
+    for name in store.names():  # nonzero biases, so the in-place add is exercised
+        store.set(name, store[name] + rng.normal(0.0, 0.1, size=store[name].shape))
+    if lora:
+        net.attach_lora([0, 1, 2], rank=2, alpha=3.0, rng=rng)
+        for i in range(3):  # nonzero, so the adapters change the output
+            store.set(f"net/B{i}", rng.normal(size=store[f"net/B{i}"].shape))
+    return net, rng.normal(size=(33, 6))
+
+
 class TestCacheFree:
-    @pytest.mark.parametrize("stack, lora, hidden", [
-        (None, False, "relu"), (3, False, "relu"), (3, True, "tanh"),
-    ], ids=["plain", "stack3_shared_input", "stack3_lora"])
+    @NETS
     def test_matches_cached_forward(self, stack, lora, hidden):
-        rng = np.random.default_rng(13)
-        store = ParamStore()
-        net = MLP(store, "net", (6, 9, 7, 4), hidden_activation=hidden,
-                  output_activation="tanh", rng=rng, stack=stack)
-        for name in store.names():  # nonzero biases, so the in-place add is exercised
-            store.set(name, store[name] + rng.normal(0.0, 0.1, size=store[name].shape))
-        if lora:
-            net.attach_lora([0, 1, 2], rank=2, alpha=3.0, rng=rng)
-            for i in range(3):  # nonzero, so the adapters change the output
-                store.set(f"net/B{i}", rng.normal(size=store[f"net/B{i}"].shape))
-        x = rng.normal(size=(33, 6))  # 2-D: shared by every member of a stack
+        net, x = cache_free_net(stack, lora, hidden)
         cached, cache = net.forward(x)
         free = net.forward(x, keep_cache=False)
         assert len(cache) == 3
@@ -227,6 +235,22 @@ class TestCacheFree:
             into = net.forward(x[:rows], keep_cache=False, out=net.scratch((rows,), big))
             assert np.shares_memory(into, big[-1][0])
             assert np.array_equal(into, net.forward(x[:rows])[0])
+
+    @NETS
+    def test_runs_on_tensor_copies_in_their_dtype(self, stack, lora, hidden):
+        net, x = cache_free_net(stack, lora, hidden)
+        before = {name: net.store[name].copy() for name in net.store.names()}
+        want = net.forward(x, keep_cache=False)
+        assert net.tensors(np.float64).keys() == set(before)  # adapters included
+        assert np.array_equal(net.forward(x, keep_cache=False, params=net.tensors(np.float64)), want)
+        params = net.tensors(np.float32)
+        assert all(p.dtype == np.float32 for p in params.values())
+        got = net.forward(x, keep_cache=False, params=params)
+        assert got.dtype == np.float32 and np.allclose(got, want, rtol=1e-4, atol=1e-5)
+        into = net.forward(x, keep_cache=False, out=net.scratch((33,), dtype=np.float32), params=params)
+        assert into.dtype == np.float32 and into.tobytes() == got.tobytes()
+        for name, value in before.items():  # the store keeps its float64 values
+            assert net.store[name].dtype == np.float64 and net.store[name].tobytes() == value.tobytes()
 
 
 class TestSoftmax:

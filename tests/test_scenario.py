@@ -639,6 +639,35 @@ class TestDayStore:
         assert drawn > 0 and len(calls) == drawn
         assert all(a is b for a, b in zip(first, again))
 
+    @settings(max_examples=25, deadline=None)
+    @given(day_reads(), st.lists(st.integers(0, DAY_CFG.horizon_hours - 1), min_size=1, max_size=12))
+    def test_steps_after_day_reads_match_a_fresh_oracle(self, reads, ts):
+        oracle = build_scenario(DAY_CFG)
+        for name, day in reads:
+            if 0 <= day < DAY_CFG.n_days:
+                getattr(oracle, name)(day)
+        for t in ts:  # any hour, not only a step's first
+            got, want = oracle.step_network(t), build_scenario(DAY_CFG).step_network(t)
+            pairs = [(getattr(got, f.name), getattr(want, f.name)) for f in fields(NetworkState)]
+            pairs += zip(oracle.users_and_shadowing(t), build_scenario(DAY_CFG).users_and_shadowing(t))
+            for g, w in pairs:
+                g, w = np.asarray(g), np.asarray(w)
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_steps_of_a_read_day_draw_no_traffic_or_users(self):
+        oracle = build_scenario(DAY_CFG)
+        calls = []
+        traffic_at, users_at = oracle.traffic_at, oracle.users_at
+        oracle.traffic_at = lambda *args: calls.append("traffic") or traffic_at(*args)
+        oracle.users_at = lambda *args: calls.append("users") or users_at(*args)
+        oracle.traffic_day(1), oracle.users_day(1)
+        drawn = len(calls)
+        for t in range(24, 48):
+            oracle.step_network(t)
+        assert drawn > 0 and len(calls) == drawn
+        oracle.step_network(48)  # a day the store lacks draws as before
+        assert sorted(calls[drawn:]) == ["traffic"] * DAY_CFG.n_cells + ["users"] * len(DAY_CFG.grids)
+
 
 class TestScenarioJson:
     def test_roundtrip(self):
