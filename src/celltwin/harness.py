@@ -721,6 +721,38 @@ def oracle_traffic_draws(scenario: ScenarioConfig, n: int) -> np.ndarray:
     return np.array([build_scenario(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n)])
 
 
+def _wasserstein_1d(u: np.ndarray, v: np.ndarray) -> float:
+    """W1 of two 1-D samples: the integral of |F_u - F_v| over their merged sorted values.
+
+    Each CDF is read at the left end of every gap between merged values, and the
+    gaps are summed in one ``np.vecdot``; the tests hold this order to a reference
+    implementation's bits.
+    """
+    u, v = np.sort(u), np.sort(v)
+    merged = np.sort(np.concatenate((u, v)), kind="mergesort")
+    u_cdf = u.searchsorted(merged[:-1], "right") / u.size
+    v_cdf = v.searchsorted(merged[:-1], "right") / v.size
+    return float(np.vecdot(np.abs(u_cdf - v_cdf), np.diff(merged)))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: Pearson's r of the average ranks; NaN if an input is constant or holds NaN."""
+    if not (np.ptp(x) > 0 and np.ptp(y) > 0):  # a NaN spread fails the test too
+        return float("nan")
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
 def _lag1_autocorr(series: np.ndarray) -> float:
     a, b = series[:-1], series[1:]
     if a.std() < 1e-12 or b.std() < 1e-12:
@@ -742,8 +774,6 @@ def traffic_generation_metrics(
     ``short_term_prediction`` (the day's first ``history_steps`` windows are
     revealed from a held-out oracle realization and only the tail is scored).
     """
-    from scipy import stats as sstats  # deferred: slow to import; only the generation metrics use it
-
     oracle = build_scenario(scenario)
     # Noise-free daily load profile, (n_cells, steps_per_day).
     det_profile = oracle.arrays.capacity_mbps[:, None] * np.clip(
@@ -773,7 +803,7 @@ def traffic_generation_metrics(
     gen_mean = gen.mean(axis=1)
     mae = float(np.abs(gen_mean[:, scored] - mean_profile[:, scored]).mean())
     w1_vals = [
-        sstats.wasserstein_distance(gen[c, :, s], draws[:, c, s])
+        _wasserstein_1d(gen[c, :, s], draws[:, c, s])
         for c in range(n_cells)
         for s in np.flatnonzero(scored)
     ]
@@ -811,8 +841,6 @@ def rsrp_controllability(
     generated RSRP is averaged over every (freq, distance, replicate) cell
     before ranking, and likewise per distance level.
     """
-    from scipy import stats as sstats  # deferred: slow to import; only the generation metrics use it
-
     tx = np.linspace(*tx_range, grid_points)
     freq = np.linspace(*freq_range, grid_points)
     dist = np.linspace(*dist_range, grid_points)
@@ -829,8 +857,8 @@ def rsrp_controllability(
     cube = gen.reshape(grid_points, grid_points, grid_points, replicates)
     tx_means = cube.mean(axis=(1, 2, 3))
     dist_means = cube.mean(axis=(0, 1, 3))
-    rho_tx = float(sstats.spearmanr(tx, tx_means).statistic)
-    rho_dist = float(sstats.spearmanr(dist, dist_means).statistic)
+    rho_tx = _spearman(tx, tx_means)
+    rho_dist = _spearman(dist, dist_means)
     return {"spearman_tx": rho_tx, "spearman_distance": rho_dist}
 
 
@@ -839,12 +867,19 @@ def generation_metrics(
     scenario: ScenarioConfig,
     n_samples: int = 48,
 ) -> dict[str, float]:
-    """Combined fidelity + controllability report for one bundle and scenario."""
+    """Combined fidelity + controllability report for one bundle and scenario.
+
+    Short-term prediction reveals the day's first 6 windows, or all but the last
+    on a day of 7 windows or fewer.
+    """
     oracle = build_scenario(scenario)
     tx_vals = [c.tx_power_dbm for c in oracle.cells]
     freq_vals = [c.carrier_freq_mhz for c in oracle.cells]
     long = traffic_generation_metrics(bundle.traffic, scenario, "long_term_generation", n_samples)
-    short = traffic_generation_metrics(bundle.traffic, scenario, "short_term_prediction", n_samples)
+    short = traffic_generation_metrics(
+        bundle.traffic, scenario, "short_term_prediction", n_samples,
+        history_steps=min(6, scenario.steps_per_day - 1),
+    )
     ctrl = rsrp_controllability(
         bundle.rsrp,
         tx_range=(min(tx_vals), max(tx_vals)),

@@ -113,7 +113,7 @@ class ScenarioConfig:
     traffic_amp: float = 0.55
     traffic_noise_sigma: float = 0.05
 
-    # -- the day clock; validate_scenario makes each step divide 24 hours ----
+    # -- the day clock; validate_scenario makes each step split 24 hours into 2+ windows --
 
     @property
     def steps_per_day(self) -> int:
@@ -559,6 +559,8 @@ def validate_scenario(config: ScenarioConfig) -> None:
             raise ConfigError(f"scenario.{key} {step} must divide horizon_hours {config.horizon_hours}")
         if 24 % step:
             raise ConfigError(f"scenario.{key} {step} must divide 24")
+        if 24 // step < 2:
+            raise ConfigError(f"scenario.{key} {step} must leave at least two windows a day")
     if config.grid_dim <= 0:
         raise ConfigError("grid_dim must be positive")
     if len(config.grids) != config.grid_dim**2:

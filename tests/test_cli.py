@@ -317,6 +317,11 @@ BAD_SCENARIOS = {
                                     "scenario.traffic_step_hours 16 must divide 24"),
     "preset_user_step_five": ("inline", {"preset": "hex7", "user_step_hours": 5},
                               "scenario.user_step_hours 5 must divide 24"),
+    # A day of one window leaves no short-term horizon to draw for the task mix.
+    "preset_traffic_step_day": ("inline", {"preset": "hex7", "traffic_step_hours": 24},
+                                "scenario.traffic_step_hours 24 must leave at least two windows a day"),
+    "preset_user_step_day": ("inline", {"preset": "hex7", "user_step_hours": 24},
+                             "scenario.user_step_hours 24 must leave at least two windows a day"),
     "preset_traffic_base_negative": ("inline", {"preset": "hex7", "traffic_base": -1.0, "traffic_amp": 0.2},
                                      "scenario.traffic_base -1.0 must be >= 0"),
     "preset_traffic_amp_negative": ("inline", {"preset": "hex7", "traffic_amp": -5},
@@ -406,6 +411,20 @@ class TestCliCommands:
         cfg = write_config(tmp_path)
         assert main(["eval-gen", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_eval_gen_on_a_three_window_day(self, tmp_path):
+        # Short-term prediction reveals all but the last of the three windows.
+        cfg = write_config(
+            tmp_path,
+            scenario={"preset": "hex7", "seed": 0, "grid_dim": 2, "horizon_hours": 96, "traffic_step_hours": 8},
+            worldmodel={"train_steps": 20, "expert_hidden": [8], "gate_hidden": [4]},
+            counterfactual={"lora_rank": 2},
+        )
+        for command in ("collect", "train-wm", "eval-gen"):
+            assert main([command, "--config", cfg]) == 0, command
+        rows = (tmp_path / "out" / "reports" / "generation.csv").read_text().strip().split("\n")
+        short = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:] if r.startswith("short_")}
+        assert len(short) == 5 and all(np.isfinite(v) for v in short.values())
 
     def test_import_does_not_load_scipy(self):
         code = "import sys, celltwin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -1,4 +1,8 @@
 import concurrent.futures
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from celltwin.harness import (
     WorldModelEnvConfig,
     _conditions_rsrp_table,
     _forecast,
+    _spearman,
+    _wasserstein_1d,
     counterfactual_suite,
     episode_row,
     evaluate_policy,
@@ -183,7 +189,8 @@ class _FillHead:
 
 ZERO_BUNDLE = WorldModelBundle(traffic=_FillHead(0.0), users=_FillHead(0.0), rsrp=_FillHead(0.0))
 NAN_BUNDLE = WorldModelBundle(traffic=_FillHead(np.nan), users=_FillHead(np.nan), rsrp=_FillHead(np.nan))
-DAY_DIVISORS = (1, 2, 3, 4, 6, 8, 12, 24)
+# A 24-hour step leaves one window a day, which validate_scenario rejects.
+DAY_DIVISORS = (1, 2, 3, 4, 6, 8, 12)
 
 
 @pytest.fixture(scope="module")
@@ -610,6 +617,95 @@ class TestGenerationMetrics:
     def test_unknown_task_rejected(self, scenario, bundle):
         with pytest.raises(ConfigError):
             traffic_generation_metrics(bundle.traffic, scenario, "imputation", 4)
+
+
+    def test_metrics_load_no_scipy(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from celltwin.dataset import COND_DIM, ConditionLayout, NormalizationStats
+            from celltwin.diffusion import DenoiserArch, DiffusionModel, make_schedule
+            from celltwin.harness import rsrp_controllability, traffic_generation_metrics
+            from celltwin.scenario import make_hex_scenario
+
+            scenario = make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48)
+            layout = ConditionLayout(np.zeros(COND_DIM), np.ones(COND_DIM))
+            heads = {
+                kind: DiffusionModel(kind, DenoiserArch(series_len=n, cond_emb_dim=2, time_dim=2,
+                                                        expert_hidden=(4,), gate_hidden=(4,)),
+                                     make_schedule(2), NormalizationStats(0.0, 1.0), layout)
+                for kind, n in (("traffic", scenario.steps_per_day), ("rsrp", 1))
+            }
+            for task in ("long_term_generation", "short_term_prediction"):
+                traffic_generation_metrics(heads["traffic"], scenario, task, 4)
+            rsrp_controllability(heads["rsrp"], (10, 13), (700, 3500), (0.2, 2.4), grid_points=3, replicates=2)
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+
+# name: (u, v), each case one path of the rank and CDF code; Spearman pairs only equal sizes.
+STATISTIC_CASES = {
+    "ties": ([1.0, 2.0, 2.0, 3.0, 2.0], [2.0, 2.0, 1.0, 1.0, 5.0]),
+    "negative": ([-3.5, -0.25, -7.0, 1.5], [-1.0, -9.0, 2.25, -0.5]),
+    "size_one": ([4.0], [-1.5]),
+    "constant": ([2.0, 2.0, 2.0, 2.0], [0.5, 1.0, 3.0, -2.0]),
+    "unequal_sizes": ([0.1, 0.7, 0.3], [1.2, -0.4, 0.3, 0.9, 2.5, 0.0, 0.3]),
+}
+_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _samples(draw, size=None):
+    n = draw(st.integers(1, 40)) if size is None else size
+    return np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
+
+
+@st.composite
+def _paired_samples(draw):
+    n = draw(st.integers(1, 40))
+    return draw(_samples(n)), draw(_samples(n))
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+def assert_bits_or_both_nan(got, want):
+    got, want = np.float64(got), np.float64(want)
+    assert (np.isnan(got) and np.isnan(want)) or got.tobytes() == want.tobytes()
+
+
+class TestStatisticsMatchScipy:
+    """The numpy W1 and Spearman give scipy.stats' bits; scipy is a test-only reference."""
+
+    @staticmethod
+    def _spearman_reference(stats, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant input, then returns NaN
+            return stats.spearmanr(x, y).statistic
+
+    @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
+    def test_w1_cases(self, scipy_stats, case):
+        u, v = map(np.array, STATISTIC_CASES[case])
+        assert_bits_or_both_nan(_wasserstein_1d(u, v), scipy_stats.wasserstein_distance(u, v))
+
+    @pytest.mark.parametrize("case", sorted(set(STATISTIC_CASES) - {"unequal_sizes"}))
+    def test_spearman_cases(self, scipy_stats, case):
+        x, y = map(np.array, STATISTIC_CASES[case])
+        assert_bits_or_both_nan(_spearman(x, y), self._spearman_reference(scipy_stats, x, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_samples(), _samples())
+    def test_w1_property(self, scipy_stats, u, v):
+        assert_bits_or_both_nan(_wasserstein_1d(u, v), scipy_stats.wasserstein_distance(u, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_paired_samples())
+    def test_spearman_property(self, scipy_stats, pair):
+        assert_bits_or_both_nan(_spearman(*pair), self._spearman_reference(scipy_stats, *pair))
 
 
 class TestCounterfactualBehavior:
