@@ -618,7 +618,6 @@ class TestGenerationMetrics:
         with pytest.raises(ConfigError):
             traffic_generation_metrics(bundle.traffic, scenario, "imputation", 4)
 
-
     def test_metrics_load_no_scipy(self):
         code = textwrap.dedent("""
             import sys
@@ -651,6 +650,7 @@ STATISTIC_CASES = {
     "negative": ([-3.5, -0.25, -7.0, 1.5], [-1.0, -9.0, 2.25, -0.5]),
     "size_one": ([4.0], [-1.5]),
     "constant": ([2.0, 2.0, 2.0, 2.0], [0.5, 1.0, 3.0, -2.0]),
+    "holds_nan": ([1.0, np.nan, 3.0], [2.0, 1.0, 0.5]),
     "unequal_sizes": ([0.1, 0.7, 0.3], [1.2, -0.4, 0.3, 0.9, 2.5, 0.0, 0.3]),
 }
 _VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False))
