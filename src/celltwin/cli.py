@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .agent import Policy, RewardWeights
-from .dataset import collect_dataset, read_dataset, write_dataset
+from .dataset import KINDS, collect_dataset, read_dataset, write_dataset
 from .errors import CelltwinError, ConfigError, DomainError, read_json
 from .harness import (
     SCHEMES,
@@ -51,7 +51,7 @@ OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 @dataclass(frozen=True)
 class DatasetConfig:
     n_days: int = 16
-    kinds: tuple[str, ...] = ("traffic", "users", "rsrp")
+    kinds: tuple[str, ...] = KINDS
     split: tuple[float, ...] = (0.8, 0.1, 0.1)
 
 
@@ -94,7 +94,7 @@ class RunConfig:
         return self.out_path / "models" / f"{kind}.npz"
 
     def model_paths(self) -> dict[str, str]:
-        return {k: str(self.model_path(k)) for k in ("traffic", "users", "rsrp")}
+        return {k: str(self.model_path(k)) for k in KINDS}
 
     @property
     def policy_path(self) -> Path:
@@ -125,8 +125,9 @@ _VALUE_CHECKS = (
     *((key, lambda v: v >= 0, ">= 0") for key in (
         "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
-        "worldmodel.batch_size", "worldmodel.diffusion_steps", "agent.updates", "agent.episodes_per_update",
-        "agent.env.day_pool", "agent.env.rsrp_pool", "agent.env.rsrp_draws")),
+        "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
+        "agent.updates", "agent.episodes_per_update", "agent.env.day_pool", "agent.env.rsrp_pool",
+        "agent.env.rsrp_draws")),
 )
 
 
@@ -205,10 +206,7 @@ def cmd_collect(run: RunConfig, args) -> int:
 
 
 def cmd_train_wm(run: RunConfig, args) -> int:
-    datasets = {
-        kind: read_dataset(str(run.dataset_path(kind)))
-        for kind in ("traffic", "users", "rsrp")
-    }
+    datasets = {kind: read_dataset(str(run.dataset_path(kind))) for kind in KINDS}
     bundle, curves = WorldModelBundle.train_from_datasets(datasets, run.worldmodel)
     (run.out_path / "models").mkdir(parents=True, exist_ok=True)
     bundle.save(run.model_paths())
@@ -258,6 +256,9 @@ def _evaluate_one_seed(payload) -> list[dict]:
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
+    jobs = args.jobs if args.jobs is not None else run.jobs
+    if jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {jobs}")
     schemes = run.evaluation.schemes
     bundle = WorldModelBundle.load(run.model_paths()) if "agent" in schemes else None
     policy = Policy.load(str(run.policy_path)) if "agent" in schemes else None
@@ -265,9 +266,10 @@ def cmd_evaluate(run: RunConfig, args) -> int:
         (run.scenario, schemes, seed, run.reward, bundle, policy, run.evaluation)
         for seed in run.seeds
     ]
-    jobs = args.jobs if args.jobs is not None else run.jobs
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A forking pool starts every worker at its first submit, so it gets no more workers than seeds.
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_evaluate_one_seed, payloads))
     else:
         per_seed = [_evaluate_one_seed(p) for p in payloads]

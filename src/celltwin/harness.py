@@ -116,11 +116,11 @@ class WorldModelBundle:
         datasets: dict[str, ds.SampleSet],
         config: WMTrainConfig = WMTrainConfig(),
     ) -> tuple["WorldModelBundle", dict[str, list[float]]]:
-        missing = {"traffic", "users", "rsrp"} - set(datasets)
+        missing = set(ds.KINDS) - set(datasets)
         if missing:
             raise ConfigError(f"datasets missing kind {sorted(missing)[0]!r}")
         heads, curves = {}, {}
-        for kind in ("traffic", "users", "rsrp"):
+        for kind in ds.KINDS:
             sample_set = datasets[kind]
             arch = DenoiserArch(
                 series_len=sample_set.series_len,
@@ -156,12 +156,12 @@ class WorldModelBundle:
         return cls(**heads), curves
 
     def save(self, paths: dict[str, str]) -> None:
-        for kind in ("traffic", "users", "rsrp"):
+        for kind in ds.KINDS:
             self.head(kind).save(paths[kind])
 
     @classmethod
     def load(cls, paths: dict[str, str]) -> "WorldModelBundle":
-        models = {kind: DiffusionModel.load(paths[kind]) for kind in ("traffic", "users", "rsrp")}
+        models = {kind: DiffusionModel.load(paths[kind]) for kind in ds.KINDS}
         for kind, model in models.items():
             if model.kind != kind:
                 raise ModelError(f"checkpoint at {paths[kind]} holds kind {model.kind!r}, expected {kind!r}")
@@ -872,9 +872,8 @@ def generation_metrics(
     Short-term prediction reveals the day's first 6 windows, or all but the last
     on a day of 7 windows or fewer.
     """
-    oracle = build_scenario(scenario)
-    tx_vals = [c.tx_power_dbm for c in oracle.cells]
-    freq_vals = [c.carrier_freq_mhz for c in oracle.cells]
+    tx_vals = [c.tx_power_dbm for c in scenario.cell_configs]
+    freq_vals = [c.carrier_freq_mhz for c in scenario.cell_configs]
     long = traffic_generation_metrics(bundle.traffic, scenario, "long_term_generation", n_samples)
     short = traffic_generation_metrics(
         bundle.traffic, scenario, "short_term_prediction", n_samples,

@@ -41,8 +41,6 @@ _S_TRAFFIC = 1
 _S_USERS = 2
 _S_POS = 3
 _S_SHADOW = 4
-# Day reads the Oracle keeps: an evaluation reads its day's traffic and users and the day before's traffic.
-_DAY_STORE = 4
 
 MIN_DISTANCE_KM = 0.01  # 10 m clamp keeps the path-loss log finite
 
@@ -66,12 +64,8 @@ _TEMPLATE_PEAK = {
     p: max(_raw_diurnal(p, h) for h in np.arange(0.0, 24.0, 0.05)) for p in POI_PROFILES
 }
 
-
-def diurnal(profile: str, hour: float) -> float:
-    """Daily demand shape in [0, 1] for a POI profile at an hour of day."""
-    if profile not in _BUMPS:
-        raise ConfigError(f"unknown poi_profile {profile!r}")
-    return _raw_diurnal(profile, hour) / _TEMPLATE_PEAK[profile]
+# Daily demand shape in [0, 1], (profile in POI_PROFILES order, hour of day).
+DIURNAL = np.array([[_raw_diurnal(p, h) / _TEMPLATE_PEAK[p] for h in range(24)] for p in POI_PROFILES])
 
 
 @dataclass(frozen=True)
@@ -347,19 +341,21 @@ class Oracle:
 
     Tables in config order: `grid_positions`, `cell_positions`, `grid_cell_km`, `nearest_cell`
     (ties to the lowest index), `grid_weight` (poi_weight * base_users) and `neighbors` (cell
-    indices); `grid_edge_km` is the lattice pitch. Per hour of day: `hourly_demand`, each
-    cell's noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson
-    user rate.
+    indices); `grid_edge_km` is the lattice pitch. Per hour of day, as array expressions over
+    the module's `DIURNAL` table, built once at import: `hourly_demand`, each cell's
+    noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson user
+    rate.
 
-    The mutable parts are two stores of read-only arrays, each dropping its oldest entry
-    first. Behind `step_network`, for each of the last `config.steps_per_day` distinct t it
-    queried: the native traffic vector, the per-user RSRP matrix and the natural attachment.
-    Every scheme and greedy candidate stepping a seen t reuses them, so the draw runs once per
-    t. Behind `traffic_day` and `users_day`, the last `_DAY_STORE` day reads, so the oracle
-    envs of one evaluation read their day once; a snapshot or `users_and_shadowing` at a t
-    whose day the store holds takes its traffic or user counts from there. A hit returns the
-    same values a fresh Oracle draws. The stores are not locked, so an Oracle is not for
-    sharing between threads; `--jobs` builds one per seed in each worker process.
+    The mutable parts are two stores of read-only arrays. Behind `step_network`, for each of
+    the last `config.steps_per_day` distinct t it queried, dropping the oldest first: the
+    native traffic vector, the per-user RSRP matrix and the natural attachment. Every scheme
+    and greedy candidate stepping a seen t reuses them, so the draw runs once per t. Behind
+    `traffic_day` and `users_day`, every day read for the oracle's lifetime (at most the
+    horizon's days of (n_cells, steps) and (n_grids, user steps) floats), so each day is
+    drawn once; a snapshot or `users_and_shadowing` at a t whose day the store holds takes
+    its traffic or user counts from there. A hit returns the same values a fresh Oracle
+    draws. The stores are not locked, so an Oracle is not for sharing between threads;
+    `--jobs` builds one per seed in each worker process.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -379,19 +375,15 @@ class Oracle:
         self.grid_cell_km = np.linalg.norm(offsets, axis=2)
         self.nearest_cell = np.argmin(self.grid_cell_km, axis=1)
         self.grid_weight = np.array([g.poi_weight * g.base_users for g in config.grids], dtype=float)
-        # A counterfactual rescales each profile's demand so its peak over the traffic steps is phi.
+        shape = DIURNAL[[POI_PROFILES.index(c.poi_profile) for c in self.cells]]
+        demand = config.traffic_base + config.traffic_amp * shape
+        # A counterfactual rescales each cell's demand so its peak over the traffic steps is phi.
         phi = config.counterfactual_peak_fraction
-        demand = {}
-        for p in POI_PROFILES:
-            raw = [config.traffic_base + config.traffic_amp * diurnal(p, h) for h in range(24)]
-            scale = 1.0 if phi is None else phi / max(raw[::config.traffic_step_hours])
-            demand[p] = [d * scale for d in raw]
-        self.hourly_demand = np.array([demand[c.poi_profile] for c in self.cells])
+        if phi is not None:
+            demand *= phi / demand[:, ::config.traffic_step_hours].max(axis=1, keepdims=True)
+        self.hourly_demand = demand
         # The 0.2 floor keeps grids from emptying out.
-        self.hourly_user_rate = np.array([
-            [w * (0.2 + 0.8 * diurnal(self.cells[c].poi_profile, h)) for h in range(24)]
-            for w, c in zip(self.grid_weight, self.nearest_cell)
-        ])
+        self.hourly_user_rate = self.grid_weight[:, None] * (0.2 + 0.8 * shape[self.nearest_cell])
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._days: dict[tuple[str, int], np.ndarray] = {}
 
@@ -459,11 +451,8 @@ class Oracle:
         """The day store's array of `kind` for `day`, from `read()` on a miss."""
         values = self._days.get((kind, day))
         if values is None:
-            values = np.array(read())
+            values = self._days[kind, day] = np.array(read())
             values.flags.writeable = False
-            if len(self._days) >= _DAY_STORE:
-                del self._days[next(iter(self._days))]  # dicts keep insertion order
-            self._days[kind, day] = values
         return values
 
     def _stored_column(self, kind: str, t_hours: int, step_hours: int) -> np.ndarray | None:

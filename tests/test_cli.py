@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from celltwin import cli
 from celltwin.agent import Observation, Policy, RewardWeights
 from celltwin.cli import RunConfig, main, parse_config
 from celltwin.dataset import (
@@ -187,6 +188,10 @@ class TestParseConfig:
         ('{"agent": {"env": {"rsrp_draws": 0}}}', "agent.env.rsrp_draws"),
         ('{"counterfactual": {"fractions": [0.5, 5.0]}}', "counterfactual.fractions"),
         ('{"counterfactual": {"fractions": [0.0]}}', "counterfactual.fractions"),
+        ('{"evaluation": {"n_gen_samples": 0}}', "evaluation.n_gen_samples"),
+        ('{"evaluation": {"n_gen_samples": -2}}', "evaluation.n_gen_samples"),
+        ('{"jobs": 0}', "jobs"),
+        ('{"jobs": -4}', "jobs"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
@@ -406,6 +411,37 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lambda_e" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_evaluate_jobs_below_one_is_one_error_line(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, evaluation={"schemes": ["empirical"]})
+        assert main(["evaluate", "--config", cfg, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--jobs" in err
+        assert not (tmp_path / "out" / "reports").exists()
+
+    def test_evaluate_asks_for_no_more_workers_than_seeds(self, tmp_path, monkeypatch):
+        requested = []
+
+        class InlinePool:
+            """Records the pool size asked for and runs the work in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path, evaluation={"schemes": ["empirical"]})
+        assert main(["evaluate", "--config", cfg, "--jobs", "64"]) == 0
+        assert requested == [len(parse_config(cfg).seeds)] == [2]
 
     def test_missing_models_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

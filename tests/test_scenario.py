@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from celltwin.dataset import collect_dataset
 from celltwin.errors import ConfigError, DomainError, UnknownIdError
 from celltwin.scenario import (
-    _DAY_STORE,
+    _TEMPLATE_PEAK,
+    POI_PROFILES,
     CellArrays,
     CellConfig,
     GridCell,
@@ -18,6 +21,7 @@ from celltwin.scenario import (
     cell_power_watts,
     make_hex_scenario,
     path_loss_db,
+    _raw_diurnal,
     scenario_from_dict,
     scenario_to_dict,
     serve,
@@ -122,6 +126,36 @@ class TestTraffic:
         oracle = build_scenario(two_cell_config())
         with pytest.raises(UnknownIdError):
             oracle.traffic_at(99, 0)
+
+
+def scalar_tables(oracle) -> tuple[np.ndarray, np.ndarray]:
+    """The reference: `hourly_demand` and `hourly_user_rate` built one scalar diurnal value at a time."""
+    cfg = oracle.config
+
+    def diurnal(profile, hour):
+        return _raw_diurnal(profile, hour) / _TEMPLATE_PEAK[profile]
+
+    phi = cfg.counterfactual_peak_fraction
+    demand = {}
+    for p in POI_PROFILES:
+        raw = [cfg.traffic_base + cfg.traffic_amp * diurnal(p, h) for h in range(24)]
+        scale = 1.0 if phi is None else phi / max(raw[::cfg.traffic_step_hours])
+        demand[p] = [d * scale for d in raw]
+    rate = [[w * (0.2 + 0.8 * diurnal(oracle.cells[c].poi_profile, h)) for h in range(24)]
+            for w, c in zip(oracle.grid_weight, oracle.nearest_cell)]
+    return np.array([demand[c.poi_profile] for c in oracle.cells]), np.array(rate)
+
+
+class TestDemandTables:
+    @pytest.mark.parametrize("phi", [None, 0.5, 0.6, 0.8, 1.0])
+    def test_tables_have_the_scalar_formulas_bits(self, phi):
+        for traffic_step, user_step, seed in itertools.product((1, 2, 3, 4, 6, 8, 12), (1, 2, 3), (0, 7)):
+            oracle = build_scenario(make_hex_scenario(
+                seed=seed, counterfactual_peak_fraction=phi,
+                traffic_step_hours=traffic_step, user_step_hours=user_step,
+            ))
+            for got, want in zip((oracle.hourly_demand, oracle.hourly_user_rate), scalar_tables(oracle)):
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_time_out_of_horizon(self):
         oracle = build_scenario(two_cell_config())
@@ -598,10 +632,9 @@ DAY_CFG = two_cell_config(horizon_hours=5 * 24)
 
 @st.composite
 def day_reads(draw):
-    """(reader, day) calls over more distinct reads than the store keeps, with repeats and
-    out-of-horizon days mixed in."""
+    """(reader, day) calls over up to every valid and out-of-horizon read, with repeats mixed in."""
     reads = st.tuples(st.sampled_from(["traffic_day", "users_day"]), st.integers(-1, DAY_CFG.n_days))
-    distinct = draw(st.lists(reads, min_size=_DAY_STORE + 1, max_size=_DAY_STORE + 4, unique=True))
+    distinct = draw(st.lists(reads, min_size=5, max_size=2 * (DAY_CFG.n_days + 2), unique=True))
     return draw(st.permutations(distinct + draw(st.lists(st.sampled_from(distinct), max_size=8))))
 
 
@@ -610,22 +643,32 @@ class TestDayStore:
     @given(day_reads())
     def test_day_reads_match_a_fresh_oracle(self, reads):
         oracle = build_scenario(DAY_CFG)
-        store = oracle._days
+        store, held = oracle._days, {}
         for name, day in reads:
             if not 0 <= day < DAY_CFG.n_days:
-                before = list(store.items())
                 with pytest.raises(DomainError):
                     getattr(oracle, name)(day)
-                after = list(store.items())
-                assert [k for k, _ in after] == [k for k, _ in before]
-                assert all(a is b for (_, a), (_, b) in zip(after, before))
-                continue
-            got = getattr(oracle, name)(day)
-            want = getattr(build_scenario(DAY_CFG), name)(day)
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-            with pytest.raises(ValueError):
-                got[0, 0] = -1.0  # a caller cannot write into the store
-            assert 0 < len(store) <= _DAY_STORE
+            else:
+                got = getattr(oracle, name)(day)
+                key = (name.removesuffix("_day"), day)
+                if key in held:
+                    assert got is held[key]  # a repeat returns the array read first
+                else:
+                    want = getattr(build_scenario(DAY_CFG), name)(day)
+                    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+                    held[key] = got
+                with pytest.raises(ValueError):
+                    got[0, 0] = -1.0  # a caller cannot write into the store
+            # Every distinct valid read is held once, and a bad day leaves the store as it was.
+            assert store.keys() == held.keys() and all(store[k] is a for k, a in held.items())
+
+    def test_collect_draws_each_user_count_once(self):
+        oracle = build_scenario(DAY_CFG)
+        calls = []
+        users_at = oracle.users_at
+        oracle.users_at = lambda *args: calls.append(args) or users_at(*args)
+        collect_dataset(oracle, n_days=DAY_CFG.n_days)
+        assert len(calls) == DAY_CFG.n_days * len(DAY_CFG.grids) * DAY_CFG.user_steps_per_day
 
     def test_a_repeated_day_read_draws_nothing(self):
         oracle = build_scenario(DAY_CFG)
