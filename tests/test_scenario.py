@@ -127,6 +127,11 @@ class TestTraffic:
         with pytest.raises(UnknownIdError):
             oracle.traffic_at(99, 0)
 
+    def test_time_out_of_horizon(self):
+        oracle = build_scenario(two_cell_config())
+        with pytest.raises(DomainError):
+            oracle.traffic_at(0, 48)
+
 
 def scalar_tables(oracle) -> tuple[np.ndarray, np.ndarray]:
     """The reference: `hourly_demand` and `hourly_user_rate` built one scalar diurnal value at a time."""
@@ -156,11 +161,6 @@ class TestDemandTables:
             ))
             for got, want in zip((oracle.hourly_demand, oracle.hourly_user_rate), scalar_tables(oracle)):
                 assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_time_out_of_horizon(self):
-        oracle = build_scenario(two_cell_config())
-        with pytest.raises(DomainError):
-            oracle.traffic_at(0, 48)
 
 
 class TestUsers:
