@@ -122,13 +122,30 @@ _VALUE_CHECKS = (
     ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
      "three non-negative fractions summing to 1"),
     ("seeds", lambda v: v and min(v) >= 0, "a nonempty array of integers >= 0"),
+    ("dataset.kinds", lambda v: sorted(v) == sorted(KINDS), f"a list naming each of {', '.join(KINDS)} once"),
+    ("worldmodel.memory_kinds", lambda v: set(v) <= set(KINDS), f"a list of kinds from {', '.join(KINDS)}"),
+    ("worldmodel.p_uncond", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("worldmodel.beta_min", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("evaluation.percentile", lambda v: 0 <= v <= 100, "in [0, 100]"),
     *((key, lambda v: v >= 0, ">= 0") for key in (
         "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
-        "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
+        "jobs", "dataset.n_days", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
+        "worldmodel.train_steps", "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim",
         "agent.updates", "agent.episodes_per_update", "agent.env.day_pool", "agent.env.rsrp_pool",
         "agent.env.rsrp_draws")),
+    *((key, lambda v: all(width >= 1 for width in v), "a list of layer widths >= 1") for key in (
+        "worldmodel.expert_hidden", "worldmodel.gate_hidden", "agent.hidden")),
+    *((key, lambda v: math.isfinite(v) and v > 0, "a finite number > 0") for key in (
+        "worldmodel.lr", "agent.lr", "counterfactual.adapt_lr")),
 )
+
+
+def _value_at(run: RunConfig, key: str):
+    """The value at a dotted config key."""
+    for part in key.split("."):
+        run = getattr(run, part)
+    return run
 
 
 def parse_config(path: str) -> RunConfig:
@@ -153,20 +170,19 @@ def parse_config(path: str) -> RunConfig:
         run = replace(run, scenario=scenario_from_dict(scenario, _config_key, "scenario"))
     validate_scenario(run.scenario)
     for key, valid, want in _VALUE_CHECKS:
-        value = run
-        for part in key.split("."):
-            value = getattr(value, part)
-        if not valid(value):
+        if not valid(_value_at(run, key)):
             raise ConfigError(f"config key {key} must be {want}")
+    if not run.worldmodel.beta_min <= run.worldmodel.beta_max < 1:
+        raise ConfigError("config key worldmodel.beta_max must be in [worldmodel.beta_min, 1)")
     # Adapters go on every expert layer of the traffic head. The smallest layer dim
     # is a hidden width or the series length; the input dim exceeds three series lengths.
     max_rank = min([*run.worldmodel.expert_hidden, run.scenario.steps_per_day])
-    if not 1 <= run.counterfactual.lora_rank <= max_rank:
-        raise ConfigError(f"config key counterfactual.lora_rank must be in [1, {max_rank}]")
-    # The custom baseline, which counterfactual always runs, reads the day before.
-    last_day = run.scenario.n_days - 1
-    if not 1 <= run.evaluation.day <= last_day:
-        raise ConfigError(f"config key evaluation.day must be in [1, {last_day}]")
+    days = run.scenario.n_days
+    # The custom baseline, which counterfactual always runs, reads the day before evaluation.day.
+    for key, last in (("counterfactual.lora_rank", max_rank), ("evaluation.day", days - 1),
+                      ("counterfactual.adapt_days", days)):
+        if not 1 <= _value_at(run, key) <= last:
+            raise ConfigError(f"config key {key} must be in [1, {last}]")
     return run
 
 
@@ -193,6 +209,9 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 
 def cmd_collect(run: RunConfig, args) -> int:
+    # Checked here, not at parse time: a config whose scenario is shorter still parses for the other stages.
+    if run.dataset.n_days > run.scenario.n_days:
+        raise ConfigError(f"config key dataset.n_days must be in [1, {run.scenario.n_days}]")
     oracle = build_scenario(run.scenario)
     datasets = collect_dataset(
         oracle, n_days=run.dataset.n_days, kinds=run.dataset.kinds, split_fractions=run.dataset.split,

@@ -20,7 +20,8 @@ rows: below about 512 rows a GEMM's per-row result depends on its row count,
 so the K problems are never flattened into one K * B-row batch.
 
 Precision. Training (forward, backward, Adam), checkpoints and the raw-input
-``denoise``, ``gate_weights`` and ``expert_output`` are float64. The sampler
+``denoise``, ``gate_weights`` and ``expert_output`` are float64; the raw-input
+``denoise`` is training's forward without its caches. The sampler
 runs its gate and expert forwards in float32, on one float32 copy of their
 tensors (adapters included) made per call, because that is where sampling
 spends its time and an eps estimate needs no more precision than single
@@ -200,11 +201,6 @@ def problem_tiles(problems: int, batch: int) -> list[tuple[slice, slice]]:
 def _per_row(value, batch: int) -> np.ndarray:
     """A scalar or per-row value as one entry per row."""
     return np.broadcast_to(np.atleast_1d(value), (batch,))
-
-
-def _mix(gate: np.ndarray, expert_out: np.ndarray) -> np.ndarray:
-    """Gate-weighted sum of the (M, B, L) expert outputs."""
-    return (gate.T[:, :, None] * expert_out).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -404,13 +400,6 @@ class DiffusionModel:
             prompts = np.zeros(mask_f.shape[:-1] + (0,))
         return Conditioning(c_emb, mask_f, context, prompts, cache, guided)
 
-    def _series(self, x_t: np.ndarray, batch: int) -> np.ndarray:
-        L = self.arch.series_len
-        x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-        if x_t.shape != (batch, L):
-            raise ShapeError(f"series inputs must be (B, {L})")
-        return x_t
-
     def _lay_out(
         self, cnd: Conditioning, null_mask: np.ndarray, x_t: np.ndarray, t_emb: np.ndarray, dtype=None
     ) -> np.ndarray:
@@ -440,11 +429,12 @@ class DiffusionModel:
     ) -> tuple[np.ndarray, dict]:
         """Build the shared expert/gate input; cache carries embedding internals."""
         x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-        t_feat = time_features(_per_row(t, len(x_t)), self.schedule.steps)
-        t_emb, cache_time = self.time_mlp.forward(t_feat)
+        t_emb, cache_time = self.time_mlp.forward(time_features(_per_row(t, len(x_t)), self.schedule.steps))
         cnd = self.condition(cond, mask, context)
+        if x_t.shape != (cnd.batch, self.arch.series_len):
+            raise ShapeError(f"series inputs must be (B, {self.arch.series_len})")
         null_mask = _per_row(null_mask, cnd.batch).astype(bool)
-        z = self._lay_out(cnd, null_mask, self._series(x_t, cnd.batch), t_emb)
+        z = self._lay_out(cnd, null_mask, x_t, t_emb)
         return z, {"null_mask": null_mask, "cache_time": cache_time, **cnd.cache}
 
     def gate_weights(self, z: np.ndarray) -> np.ndarray:
@@ -470,17 +460,13 @@ class DiffusionModel:
         holds them, for one sampler step at integer step ``t``. That form takes
         ``x_t`` as (K, B, L), runs every pass of every problem in tiles through
         the ``Conditioning``'s workspace in float32 and returns its float32 eps
-        buffer, (passes, K, B, L); ``null_mask`` is not read. Both run
-        cache-free; the raw-input form is float64.
+        buffer, (passes, K, B, L); ``null_mask`` is not read. The raw-input
+        form is training's float64 forward, ``_forward``, with its caches dropped
+        on return.
         """
         if isinstance(cond, Conditioning):
             return self._denoise_passes(x_t, int(t), cond)
-        cnd = self.condition(cond, mask, context, keep_cache=False)
-        x_t = self._series(x_t, cnd.batch)
-        t_emb = self.time_mlp.forward(time_features(_per_row(t, cnd.batch), self.schedule.steps), keep_cache=False)
-        z = self._lay_out(cnd, _per_row(null_mask, cnd.batch).astype(bool), x_t, t_emb)
-        gate = softmax(self.gate_mlp.forward(z, keep_cache=False))
-        return _mix(gate, self.experts.forward(z, keep_cache=False))
+        return self._forward(x_t, t, cond, null_mask, mask, context)[0]
 
     def _denoise_passes(self, x_t: np.ndarray, t: int, cnd: Conditioning) -> np.ndarray:
         """Every pass of one sampler step through ``cnd``'s workspace, tile by tile (see ``Conditioning``)."""
@@ -523,7 +509,7 @@ class DiffusionModel:
         gate = softmax(logits)
         expert_out, cache_e = self.experts.forward(z)  # (M, B, L)
         cache.update(gate=gate, expert_out=expert_out, cache_gate=cache_gate, cache_e=cache_e)
-        return _mix(gate, expert_out), cache
+        return (gate.T[:, :, None] * expert_out).sum(axis=0), cache  # the gate-weighted sum over experts
 
     def _backward(self, cache: dict, d_eps: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         gate, expert_out = cache["gate"], cache["expert_out"]

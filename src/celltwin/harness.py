@@ -774,14 +774,25 @@ def traffic_generation_metrics(
     ``short_term_prediction`` (the day's first ``history_steps`` windows are
     revealed from a held-out oracle realization and only the tail is scored).
     """
+    return _score_traffic(model, _traffic_reference(scenario, n_samples), task, history_steps, sample_seed)
+
+
+def _traffic_reference(scenario: ScenarioConfig, n_samples: int = 48) -> tuple[Oracle, np.ndarray, float]:
+    """What generated traffic is scored against: the scenario's oracle, ``n_samples``
+    reseeded day draws and the range of the noise-free daily load profile."""
     oracle = build_scenario(scenario)
     # Noise-free daily load profile, (n_cells, steps_per_day).
     det_profile = oracle.arrays.capacity_mbps[:, None] * np.clip(
         oracle.hourly_demand[:, ::scenario.traffic_step_hours], 0.0, 1.0
     )
-    n_cells, steps = det_profile.shape
-    value_range = float(det_profile.max() - det_profile.min())
-    draws = oracle_traffic_draws(scenario, n_samples)
+    return oracle, oracle_traffic_draws(scenario, n_samples), float(det_profile.max() - det_profile.min())
+
+
+def _score_traffic(model: DiffusionModel, reference: tuple[Oracle, np.ndarray, float], task: str,
+                   history_steps: int = 6, sample_seed: int = 23) -> dict[str, float]:
+    """``traffic_generation_metrics`` against a ``_traffic_reference``, with as many samples as it has draws."""
+    oracle, draws, value_range = reference
+    n_samples, n_cells, steps = draws.shape
     mean_profile = draws.mean(axis=0)  # empirical, same estimator as the generated side
 
     if task == "long_term_generation":
@@ -874,10 +885,10 @@ def generation_metrics(
     """
     tx_vals = [c.tx_power_dbm for c in scenario.cell_configs]
     freq_vals = [c.carrier_freq_mhz for c in scenario.cell_configs]
-    long = traffic_generation_metrics(bundle.traffic, scenario, "long_term_generation", n_samples)
-    short = traffic_generation_metrics(
-        bundle.traffic, scenario, "short_term_prediction", n_samples,
-        history_steps=min(6, scenario.steps_per_day - 1),
+    reference = _traffic_reference(scenario, n_samples)
+    long = _score_traffic(bundle.traffic, reference, "long_term_generation")
+    short = _score_traffic(
+        bundle.traffic, reference, "short_term_prediction", history_steps=min(6, scenario.steps_per_day - 1),
     )
     ctrl = rsrp_controllability(
         bundle.rsrp,
@@ -958,8 +969,9 @@ def counterfactual_suite(
         scen_cf = replace(scenario, counterfactual_peak_fraction=float(phi))
         oracle_cf = build_scenario(scen_cf)
         adapted = adapt_traffic_model(bundle.traffic, oracle_cf, cfg)
-        frozen_m = traffic_generation_metrics(bundle.traffic, scen_cf, "long_term_generation")
-        adapted_m = traffic_generation_metrics(adapted, scen_cf, "long_term_generation")
+        reference = _traffic_reference(scen_cf)
+        frozen_m = _score_traffic(bundle.traffic, reference, "long_term_generation")
+        adapted_m = _score_traffic(adapted, reference, "long_term_generation")
         wm_rows.append({
             "peak_fraction": float(phi),
             "mae_frozen": frozen_m["mae"],

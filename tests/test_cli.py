@@ -192,12 +192,51 @@ class TestParseConfig:
         ('{"evaluation": {"n_gen_samples": -2}}', "evaluation.n_gen_samples"),
         ('{"jobs": 0}', "jobs"),
         ('{"jobs": -4}', "jobs"),
+        ('{"worldmodel": {"n_experts": 0}}', "worldmodel.n_experts"),
+        ('{"worldmodel": {"time_dim": 0}}', "worldmodel.time_dim"),
+        ('{"worldmodel": {"cond_emb_dim": 0}}', "worldmodel.cond_emb_dim"),
+        ('{"worldmodel": {"expert_hidden": [0]}}', "worldmodel.expert_hidden"),
+        ('{"worldmodel": {"expert_hidden": [16, -2]}}', "worldmodel.expert_hidden"),
+        ('{"worldmodel": {"gate_hidden": [0]}}', "worldmodel.gate_hidden"),
+        ('{"agent": {"hidden": [32, 0]}}', "agent.hidden"),
+        ('{"evaluation": {"percentile": -1}}', "evaluation.percentile"),
+        ('{"evaluation": {"percentile": 100.5}}', "evaluation.percentile"),
+        ('{"evaluation": {"percentile": NaN}}', "evaluation.percentile"),
+        ('{"worldmodel": {"p_uncond": 1}}', "worldmodel.p_uncond"),
+        ('{"worldmodel": {"p_uncond": -0.1}}', "worldmodel.p_uncond"),
+        ('{"worldmodel": {"beta_min": 0}}', "worldmodel.beta_min"),
+        ('{"worldmodel": {"beta_min": 1.5, "beta_max": 2}}', "worldmodel.beta_min"),
+        ('{"worldmodel": {"beta_min": 0.05, "beta_max": 0.02}}', "worldmodel.beta_max"),
+        ('{"worldmodel": {"beta_max": 1}}', "worldmodel.beta_max"),
+        ('{"dataset": {"n_days": 0}}', "dataset.n_days"),
+        ('{"counterfactual": {"adapt_days": 0}}', "counterfactual.adapt_days"),
+        ('{"scenario": {"preset": "hex7", "horizon_hours": 96}, "dataset": {"n_days": 4}, '
+         '"counterfactual": {"adapt_days": 5}}', "counterfactual.adapt_days"),
+        ('{"worldmodel": {"lr": 0}}', "worldmodel.lr"),
+        ('{"worldmodel": {"lr": NaN}}', "worldmodel.lr"),
+        ('{"agent": {"lr": -1}}', "agent.lr"),
+        ('{"counterfactual": {"adapt_lr": Infinity}}', "counterfactual.adapt_lr"),
+        ('{"worldmodel": {"train_steps": 0}}', "worldmodel.train_steps"),
+        ('{"worldmodel": {"memory_kinds": ["traffic", "bogus"]}}', "worldmodel.memory_kinds"),
+        ('{"dataset": {"kinds": ["traffic", "users"]}}', "dataset.kinds"),
+        ('{"dataset": {"kinds": ["traffic", "users", "rsrp", "rsrp"]}}', "dataset.kinds"),
+        ('{"dataset": {"kinds": ["traffic", "users", "bogus"]}}', "dataset.kinds"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"config key {key} must be")):
             parse_config(str(path))
+
+    @pytest.mark.parametrize("text", [
+        '{"worldmodel": {"expert_hidden": [], "gate_hidden": []}, "agent": {"hidden": []}}',
+        '{"dataset": {"kinds": ["rsrp", "traffic", "users"]}, "worldmodel": {"memory_kinds": []}}',
+        '{"worldmodel": {"p_uncond": 0, "beta_min": 0.01, "beta_max": 0.01}}',
+    ])
+    def test_boundary_values_parse(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        parse_config(str(path))
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -442,6 +481,58 @@ class TestCliCommands:
         cfg = write_config(tmp_path, evaluation={"schemes": ["empirical"]})
         assert main(["evaluate", "--config", cfg, "--jobs", "64"]) == 0
         assert requested == [len(parse_config(cfg).seeds)] == [2]
+
+    @pytest.mark.parametrize("stage, section, values, key", [
+        ("train-wm", "worldmodel", {"n_experts": 0}, "worldmodel.n_experts"),
+        ("train-wm", "worldmodel", {"gate_hidden": [0]}, "worldmodel.gate_hidden"),
+        ("train-wm", "worldmodel", {"lr": -1}, "worldmodel.lr"),
+        ("train-wm", "worldmodel", {"train_steps": 0}, "worldmodel.train_steps"),
+        ("optimize", "agent", {"hidden": [0]}, "agent.hidden"),
+        ("evaluate", "evaluation", {"percentile": 101}, "evaluation.percentile"),
+        ("counterfactual", "evaluation", {"percentile": -1}, "evaluation.percentile"),
+        ("collect", "dataset", {"n_days": 0}, "dataset.n_days"),
+        ("collect", "dataset", {"kinds": ["traffic"]}, "dataset.kinds"),
+    ])
+    def test_bad_value_is_one_error_line_before_the_stage(self, tmp_path, capsys, stage, section, values, key):
+        cfg = write_config(tmp_path, **{section: values})
+        assert main([stage, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key} must be") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stages, section, values", [
+        (("collect", "train-wm"), "worldmodel", {"n_experts": 1}),
+        (("collect", "train-wm"), "worldmodel", {"gate_hidden": [1]}),
+        (("collect", "train-wm", "optimize"), "agent", {"hidden": [1]}),
+        (("evaluate",), "evaluation", {"percentile": 0}),
+        (("evaluate",), "evaluation", {"percentile": 100}),
+    ])
+    def test_boundary_value_runs_the_stage_it_crashed(self, tmp_path, stages, section, values):
+        tiny = {
+            "scenario": {"preset": "hex7", "seed": 0, "grid_dim": 2, "horizon_hours": 96},
+            "seeds": [0],
+            "dataset": {"n_days": 2},
+            "worldmodel": {"diffusion_steps": 4, "train_steps": 4, "batch_size": 8,
+                           "expert_hidden": [8], "gate_hidden": [4]},
+            "agent": {"updates": 1, "episodes_per_update": 1,
+                      "env": {"day_pool": 1, "rsrp_pool": 1, "rsrp_draws": 1}},
+            "evaluation": {"schemes": ["custom"]},
+        }
+        tiny[section] = {**tiny[section], **values}
+        cfg = write_config(tmp_path, **tiny)
+        for stage in stages:
+            assert main([stage, "--config", cfg]) == 0, stage
+
+    def test_collect_past_the_horizon_is_one_error_line(self, tmp_path, capsys):
+        # The config parses, as it does for the stages that do not collect.
+        cfg = write_config(tmp_path, scenario={"preset": "hex7", "grid_dim": 2, "horizon_hours": 96},
+                           dataset={"n_days": 5})
+        parse_config(cfg)
+        assert main(["collect", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key dataset.n_days must be in [1, 4]\n"
+        assert not (tmp_path / "out" / "datasets").exists()
 
     def test_missing_models_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -29,6 +29,7 @@ from celltwin.harness import (
     counterfactual_suite,
     episode_row,
     evaluate_policy,
+    generation_metrics,
     neighbor_groups,
     neighbor_mean,
     oracle_traffic_draws,
@@ -618,6 +619,32 @@ class TestGenerationMetrics:
         with pytest.raises(ConfigError):
             traffic_generation_metrics(bundle.traffic, scenario, "imputation", 4)
 
+    @staticmethod
+    def reseeded_builds(monkeypatch) -> list:
+        """Records the seed of every reseeded scenario the harness builds: reference draws use seeds from 1_000_003."""
+        seeds, build = [], harness.build_scenario
+
+        def recording(scen):
+            if scen.seed >= 1_000_003:
+                seeds.append(scen.seed)
+            return build(scen)
+
+        monkeypatch.setattr(harness, "build_scenario", recording)
+        return seeds
+
+    def test_generation_metrics_draws_its_reference_once(self, monkeypatch):
+        built = self.reseeded_builds(monkeypatch)
+        generation_metrics(ZERO_BUNDLE, make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48), 5)
+        assert len(built) == 5
+
+    def test_counterfactual_fraction_draws_its_reference_once(self, monkeypatch):
+        monkeypatch.setattr(harness, "adapt_traffic_model", lambda base, oracle_cf, cfg: base)
+        monkeypatch.setattr(harness, "evaluate_policy", lambda *args, **kwargs: [])
+        built = self.reseeded_builds(monkeypatch)
+        counterfactual_suite(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48), ZERO_BUNDLE, None, (0,),
+                             WEIGHTS, CounterfactualConfig(fractions=(0.6,)))
+        assert len(built) == 48
+
     def test_metrics_load_no_scipy(self):
         code = textwrap.dedent("""
             import sys
@@ -733,8 +760,8 @@ class TestCounterfactualBehavior:
         """The agent retrained in a counterfactual twin samples that twin as the run configures."""
         calls = []
         monkeypatch.setattr(harness, "adapt_traffic_model", lambda base, oracle_cf, cfg: base)
-        monkeypatch.setattr(harness, "traffic_generation_metrics",
-                            lambda *args: {"mae": 0.0, "mae_frac_of_range": 0.0})
+        monkeypatch.setattr(harness, "_traffic_reference", lambda scenario: None)
+        monkeypatch.setattr(harness, "_score_traffic", lambda *args: {"mae": 0.0, "mae_frac_of_range": 0.0})
         monkeypatch.setattr(harness, "evaluate_policy", lambda *args, **kwargs: [])
         monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: calls.append(kwargs) or (None, []))
         env = WorldModelEnvConfig(day_pool=2, rsrp_pool=1, rsrp_draws=2)
