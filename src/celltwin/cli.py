@@ -13,7 +13,6 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -117,7 +116,7 @@ class RunConfig:
 _VALUE_CHECKS = (
     ("evaluation.schemes", lambda v: set(v) <= set(SCHEMES), f"a list of schemes from {', '.join(SCHEMES)}"),
     ("evaluation.predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
-    ("worldmodel.guidance_w", lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    ("worldmodel.guidance_w", lambda v: v >= 0, ">= 0"),
     ("counterfactual.fractions", lambda v: all(0 < f <= 1 for f in v), "a list of peak fractions in (0, 1]"),
     ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
      "three non-negative fractions summing to 1"),
@@ -136,7 +135,7 @@ _VALUE_CHECKS = (
         "agent.env.rsrp_draws")),
     *((key, lambda v: all(width >= 1 for width in v), "a list of layer widths >= 1") for key in (
         "worldmodel.expert_hidden", "worldmodel.gate_hidden", "agent.hidden")),
-    *((key, lambda v: math.isfinite(v) and v > 0, "a finite number > 0") for key in (
+    *((key, lambda v: v > 0, "> 0") for key in (
         "worldmodel.lr", "agent.lr", "counterfactual.adapt_lr")),
 )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from typing import Callable
@@ -81,7 +82,8 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
 
     ``tp`` is a dataclass, ``tuple[T, ...]``, a fixed ``tuple[A, B]``, ``dict[str, T]``,
     ``T | None``, a scalar, or a bare ``dict`` (any object, kept as is). An object builds its dataclass field by field: an absent or
-    null key takes the field's default, and an unknown key fails. Arrays become tuples.
+    null key takes the field's default, and an unknown key fails. Arrays become tuples, and a
+    number must be finite.
     A failure raises ``error`` with ``name(key)`` for the offending key.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -115,4 +117,6 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
         return tuple(read_json(t, v, error, name, f"{key}[{k}]") for k, (t, v) in enumerate(zip(items, value)))
     if not (type(value) is tp or (tp is float and type(value) is int)):
         raise error(f"{name(key)} must be {_want(tp)}")
+    if type(value) is float and not math.isfinite(value):  # json.load reads NaN and Infinity
+        raise error(f"{name(key)} must be a finite number")
     return value

@@ -346,16 +346,16 @@ class Oracle:
     noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson user
     rate.
 
-    The mutable parts are two stores of read-only arrays. Behind `step_network`, for each of
-    the last `config.steps_per_day` distinct t it queried, dropping the oldest first: the
-    native traffic vector, the per-user RSRP matrix and the natural attachment. Every scheme
-    and greedy candidate stepping a seen t reuses them, so the draw runs once per t. Behind
-    `traffic_day` and `users_day`, every day read for the oracle's lifetime (at most the
-    horizon's days of (n_cells, steps) and (n_grids, user steps) floats), so each day is
-    drawn once; a snapshot or `users_and_shadowing` at a t whose day the store holds takes
-    its traffic or user counts from there. A hit returns the same values a fresh Oracle
-    draws. The stores are not locked, so an Oracle is not for sharing between threads;
-    `--jobs` builds one per seed in each worker process.
+    The mutable parts are two stores of read-only arrays. The column store keeps, for the
+    oracle's lifetime, each step's traffic vector (per cell, in Mbps) and user-count vector
+    (per grid) under (kind, the step's first hour); it holds at most one column per traffic
+    and per user step of the horizon. Day reads stack a day's columns into a fresh array and
+    steps read t's column, so each value is drawn once however the oracle is queried. The
+    snapshot store keeps, for the last `config.steps_per_day` distinct t that `step_network`
+    queried, dropping the oldest first: t's traffic column, the per-user RSRP matrix and the
+    natural attachment, so a scheme or greedy candidate stepping a seen t runs `serve` alone.
+    Every answer has the bits a fresh Oracle gives. The stores are not locked, so an Oracle
+    is not for sharing between threads; `--jobs` builds one per seed in each worker process.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -385,7 +385,7 @@ class Oracle:
         # The 0.2 floor keeps grids from emptying out.
         self.hourly_user_rate = self.grid_weight[:, None] * (0.2 + 0.8 * shape[self.nearest_cell])
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._days: dict[tuple[str, int], np.ndarray] = {}
+        self._columns: dict[tuple[str, int], np.ndarray] = {}
 
     # -- keyed randomness ----------------------------------------------------
 
@@ -429,47 +429,40 @@ class Oracle:
             return 0
         return int(self._rng(_S_USERS, grid_index, tq).poisson(rate))
 
-    # -- day reads -----------------------------------------------------------
+    # -- per-step columns and day reads --------------------------------------
+
+    def _column(self, kind: str, t_hours: int) -> np.ndarray:
+        """t's step of `kind`, read-only: "traffic" per cell in Mbps or "users" per grid. Drawn
+        once, through traffic_at or users_at, and kept under (kind, the step's first hour)."""
+        traffic = kind == "traffic"
+        step = self.config.traffic_step_hours if traffic else self.config.user_step_hours
+        key = (kind, t_hours - t_hours % step)
+        column = self._columns.get(key)
+        if column is None:
+            column = np.array([self.traffic_at(c.id, t_hours) for c in self.cells] if traffic
+                              else [self.users_at(g, t_hours) for g in range(self.n_grids)])
+            column.flags.writeable = False
+            self._columns[key] = column
+        return column
 
     def traffic_day(self, day: int) -> np.ndarray:
-        """traffic_at over one day, (n_cells, steps_per_day) in Mbps, read-only."""
+        """traffic_at over one day, (n_cells, steps_per_day) in Mbps; a fresh array on every call."""
         clock = self.config
-        return self._day_read("traffic", day, lambda: [
-            [self.traffic_at(c.id, clock.hour(day, k)) for k in range(clock.steps_per_day)] for c in self.cells
-        ])
+        return np.stack([self._column("traffic", clock.hour(day, k)) for k in range(clock.steps_per_day)], axis=1)
 
     def users_day(self, day: int) -> np.ndarray:
-        """users_at over one day as floats, (n_grids, user_steps_per_day), read-only."""
+        """users_at over one day as floats, (n_grids, user_steps_per_day); a fresh array on every call."""
         clock = self.config
-        return self._day_read("users", day, lambda: [
-            [float(self.users_at(g, clock.hour(day) + k * clock.user_step_hours))
-             for k in range(clock.user_steps_per_day)]
-            for g in range(self.n_grids)
-        ])
-
-    def _day_read(self, kind: str, day: int, read) -> np.ndarray:
-        """The day store's array of `kind` for `day`, from `read()` on a miss."""
-        values = self._days.get((kind, day))
-        if values is None:
-            values = self._days[kind, day] = np.array(read())
-            values.flags.writeable = False
-        return values
-
-    def _stored_column(self, kind: str, t_hours: int, step_hours: int) -> np.ndarray | None:
-        """The day store's `kind` values at t, one per cell or grid (a read-only view), or None
-        when the store lacks t's day."""
-        day, hour = divmod(t_hours, 24)
-        values = self._days.get((kind, day))
-        return None if values is None else values[:, hour // step_hours]
+        return np.stack([self._column("users", clock.hour(day) + k * clock.user_step_hours)
+                         for k in range(clock.user_steps_per_day)], axis=1, dtype=float)
 
     # -- composite step ------------------------------------------------------
 
     def users_and_shadowing(self, t_hours: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Seeded user counts per grid, then each user's position and per-cell shadowing at t."""
+        """Seeded user counts per grid (t's read-only column), then each user's position and
+        per-cell shadowing at t."""
         tq = t_hours - t_hours % self.config.user_step_hours
-        stored = self._stored_column("users", t_hours, self.config.user_step_hours)
-        counts = (np.array([self.users_at(g, t_hours) for g in range(self.n_grids)]) if stored is None
-                  else stored.astype(np.int64))
+        counts = self._column("users", t_hours)
         half, sigma = self.grid_edge_km / 2.0, self.config.shadowing_sigma_db
         jitter, shadows = [np.zeros((0, 2))], [np.zeros((0, self.n_cells))]
         for g in np.flatnonzero(counts).tolist():
@@ -482,8 +475,6 @@ class Oracle:
 
     def rsrp_matrix(self, positions: np.ndarray, shadowing: np.ndarray) -> np.ndarray:
         """Per-(user, cell) RSRP in dBm, vectorized free-space + shadowing."""
-        if positions.shape[0] == 0:
-            return np.zeros((0, self.n_cells))
         d = np.linalg.norm(positions[:, None, :] - self.cell_positions[None, :, :], axis=2)
         return self.arrays.tx_power_dbm - path_loss_db(d, self.arrays.carrier_freq_mhz) + shadowing
 
@@ -516,15 +507,14 @@ class Oracle:
         snap = self._snapshots.get(t_hours)
         if snap is not None:
             return snap
-        stored = self._stored_column("traffic", t_hours, self.config.traffic_step_hours)
-        native = np.array([self.traffic_at(c.id, t_hours) for c in self.cells]) if stored is None else stored.copy()
+        native = self._column("traffic", t_hours)
         _, positions, shadowing = self.users_and_shadowing(t_hours)
         rsrp = self.rsrp_matrix(positions, shadowing)
         # Natural attachment (everything active, no bias) fixes per-user demand.
         natural = associate_users(
             rsrp, np.zeros(self.n_cells, dtype=bool), np.zeros(self.n_cells), self.config.rsrp_floor_dbm
         )
-        for a in (native, rsrp, natural):
+        for a in (rsrp, natural):
             a.flags.writeable = False
         if len(self._snapshots) >= self.config.steps_per_day:
             del self._snapshots[next(iter(self._snapshots))]  # dicts keep insertion order

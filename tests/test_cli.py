@@ -411,30 +411,30 @@ class TestCliCommands:
         assert err.startswith("error:") and "--days" in err
         assert not out.exists()
 
-    def test_collect_without_users_is_one_error_line(self, tmp_path):
+    def test_collect_without_users_is_one_error_line(self, tmp_path, child_env):
         cfg = write_config(tmp_path, scenario={"preset": "hex7", "seed": 0, "grid_dim": 2,
                                                "horizon_hours": 96, "base_users": 0})
         proc = subprocess.run(
             [sys.executable, "-m", "celltwin.cli", "collect", "--config", cfg],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: rsrp collection") and proc.stderr.count("\n") == 1
         assert not (tmp_path / "out" / "datasets").exists()
 
-    def test_unknown_flag_exits_two(self, tmp_path):
+    def test_unknown_flag_exits_two(self, tmp_path, child_env):
         cfg = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "celltwin.cli", "simulate", "--config", cfg, "--bogus"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
-    def test_unknown_command_exits_two(self, tmp_path):
+    def test_unknown_command_exits_two(self, tmp_path, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "celltwin.cli", "frobnicate", "--config", "x"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 2
 
@@ -492,6 +492,18 @@ class TestCliCommands:
         ("counterfactual", "evaluation", {"percentile": -1}, "evaluation.percentile"),
         ("collect", "dataset", {"n_days": 0}, "dataset.n_days"),
         ("collect", "dataset", {"kinds": ["traffic"]}, "dataset.kinds"),
+        # json.load reads NaN and Infinity; each non-finite number is refused by its own key.
+        *(("collect", "reward", {name: float("nan")}, f"reward.{name}")
+          for name in ("lambda_e", "lambda_r", "lambda_d", "rsrp_lo_dbm", "rsrp_hi_dbm")),
+        *(("collect", "evaluation", {name: float("inf")}, f"evaluation.{name}")
+          for name in ("tau", "greedy_margin_db", "baseline_bias_db")),
+        ("collect", "agent", {"bias_levels": [0.0, float("nan"), 6.0]}, "agent.bias_levels[1]"),
+        ("collect", "counterfactual", {"lora_alpha": float("-inf")}, "counterfactual.lora_alpha"),
+        *(("collect", "scenario", {"preset": "hex7", "grid_dim": 3, name: float("nan")}, f"scenario.{name}")
+          for name in ("shadowing_sigma_db", "traffic_noise_sigma", "rsrp_floor_dbm", "traffic_amp",
+                       "ring_radius_km")),
+        ("collect", "worldmodel", {"guidance_w": float("inf")}, "worldmodel.guidance_w"),
+        ("collect", "worldmodel", {"lr": float("nan")}, "worldmodel.lr"),
     ])
     def test_bad_value_is_one_error_line_before_the_stage(self, tmp_path, capsys, stage, section, values, key):
         cfg = write_config(tmp_path, **{section: values})
@@ -553,9 +565,9 @@ class TestCliCommands:
         short = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:] if r.startswith("short_")}
         assert len(short) == 5 and all(np.isfinite(v) for v in short.values())
 
-    def test_import_does_not_load_scipy(self):
+    def test_import_does_not_load_scipy(self, child_env):
         code = "import sys, celltwin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env)
         assert proc.stdout.strip() == "[]"
 
 

@@ -1,7 +1,5 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from celltwin.diffusion import (
     row_tiles,
     time_features,
 )
-import celltwin
 from celltwin import diffusion
 from celltwin.errors import ConfigError, DomainError, FormatError, ModelError, ShapeError
 from celltwin.nn import finite_difference_check, softmax
@@ -511,7 +508,7 @@ class TestSamplerMatchesReference:
         model.sample(cond, mask, context, np.random.default_rng(0))
         assert len(seen) == 1 and seen[0].cache == {}
 
-    def test_bits_do_not_depend_on_blas_threads(self):
+    def test_bits_do_not_depend_on_blas_threads(self, child_env):
         # 2,048 rows at the default widths: enough for BLAS to split each float32 GEMM across threads.
         code = (
             "import sys, numpy as np\n"
@@ -521,9 +518,8 @@ class TestSamplerMatchesReference:
             "out = model.sample(cond, mask, context, np.random.default_rng(3), guidance_w=1.0)\n"
             "sys.stdout.buffer.write(out.tobytes())\n"
         )
-        path = os.pathsep.join([str(Path(celltwin.__file__).parents[1]), str(Path(__file__).parent)])
         runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=120,
-                               env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
+                               env={**child_env, "OPENBLAS_NUM_THREADS": threads}).stdout
                 for threads in ("1", "2")]
         assert len(runs[0]) == 2048 * 6 * 8 and runs[0] == runs[1]
 

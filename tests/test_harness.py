@@ -645,7 +645,7 @@ class TestGenerationMetrics:
                              WEIGHTS, CounterfactualConfig(fractions=(0.6,)))
         assert len(built) == 48
 
-    def test_metrics_load_no_scipy(self):
+    def test_metrics_load_no_scipy(self, child_env):
         code = textwrap.dedent("""
             import sys
             import numpy as np
@@ -667,7 +667,7 @@ class TestGenerationMetrics:
             rsrp_controllability(heads["rsrp"], (10, 13), (700, 3500), (0.2, 2.4), grid_points=3, replicates=2)
             print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env)
         assert proc.stdout.strip() == "[]"
 
 

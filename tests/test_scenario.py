@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -169,6 +171,8 @@ class TestUsers:
                       for g in two_cell_config().grids)
         oracle = build_scenario(two_cell_config(grids=grids))
         assert all(oracle.users_at(g, t) == 0 for g in range(4) for t in range(0, 24))
+        state = oracle.step_network(12)
+        assert state.total_users == 0 and state.serving_cell.shape == (0,)
 
     def test_repeat_query_is_identical(self):
         oracle = build_scenario(two_cell_config())
@@ -262,6 +266,10 @@ class TestRsrp:
     def test_distance_doubling(self):
         near, far = self.cell0_rsrp([(1.0, 0.0), (2.0, 0.0)])
         assert near - far == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
+
+    def test_no_users(self):
+        rsrp = build_scenario(two_cell_config()).rsrp_matrix(np.zeros((0, 2)), np.zeros((0, 2)))
+        assert rsrp.shape == (0, 2) and rsrp.dtype == np.float64
 
 
 class TestPower:
@@ -627,6 +635,77 @@ class TestSnapshotStore:
             assert not any(a.flags.writeable for snap in store.values() for a in snap)
 
 
+def count_draws(oracle) -> list[tuple[str, int]]:
+    """From now on, log (kind, step start) for each value traffic_at or users_at returns."""
+    calls = []
+
+    def counted(kind, draw, step):
+        def wrapper(i, t):
+            value = draw(i, t)
+            calls.append((kind, t - t % step))
+            return value
+        return wrapper
+
+    clock = oracle.config
+    oracle.traffic_at = counted("traffic", oracle.traffic_at, clock.traffic_step_hours)
+    oracle.users_at = counted("users", oracle.users_at, clock.user_step_hours)
+    return calls
+
+
+def columns_read(clock: ScenarioConfig, name: str, arg: int) -> set[tuple[str, int]]:
+    """The (kind, step start) columns a valid day read or step of `name` at `arg` needs."""
+    if name.endswith("_day"):
+        kinds, hours = (name.removesuffix("_day"),), range(clock.hour(arg), clock.hour(arg + 1))
+    else:
+        kinds, hours = ("traffic", "users") if name == "step_network" else ("users",), (arg,)
+    step = {"traffic": clock.traffic_step_hours, "users": clock.user_step_hours}
+    return {(kind, h - h % step[kind]) for kind in kinds for h in hours}
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@st.composite
+def oracle_queries(draw):
+    """A day clock, then day reads (valid and out-of-horizon) and steps at any hour, interleaved
+    and with repeats mixed in."""
+    steps = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
+    clock = two_cell_config(horizon_hours=5 * 24, traffic_step_hours=draw(steps), user_step_hours=draw(steps))
+    days = st.tuples(st.sampled_from(["traffic_day", "users_day"]), st.integers(-1, clock.n_days))
+    hours = st.tuples(st.sampled_from(["step_network", "users_and_shadowing"]),
+                      st.integers(0, clock.horizon_hours - 1))
+    queries = draw(st.lists(st.one_of(days, hours), min_size=1, max_size=12))
+    return clock, draw(st.permutations(queries + draw(st.lists(st.sampled_from(queries), max_size=6))))
+
+
+class TestColumnStore:
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_queries())
+    def test_any_interleaving_matches_a_fresh_oracle_and_draws_each_column_once(self, case):
+        clock, queries = case
+        oracle = build_scenario(clock)
+        calls, columns = count_draws(oracle), set()
+        width = {"traffic": clock.n_cells, "users": len(clock.grids)}
+        for name, arg in queries:
+            if name.endswith("_day") and not 0 <= arg < clock.n_days:
+                with pytest.raises(DomainError):
+                    getattr(oracle, name)(arg)
+            else:
+                got, want = getattr(oracle, name)(arg), getattr(build_scenario(clock), name)(arg)
+                if name == "step_network":
+                    got, want = ([getattr(s, f.name) for f in fields(NetworkState)] for s in (got, want))
+                elif name.endswith("_day"):
+                    got, want = [got], [want]
+                assert_same_bits(got, want)
+                columns |= columns_read(clock, name, arg)
+            # Each column read so far is held and was drawn once, one value per cell or grid.
+            assert oracle._columns.keys() == columns
+            assert Counter(calls) == {col: width[col[0]] for col in columns}
+
+
 DAY_CFG = two_cell_config(horizon_hours=5 * 24)
 
 
@@ -642,25 +721,18 @@ class TestDayStore:
     @settings(max_examples=25, deadline=None)
     @given(day_reads())
     def test_day_reads_match_a_fresh_oracle(self, reads):
-        oracle = build_scenario(DAY_CFG)
-        store, held = oracle._days, {}
+        oracle, columns = build_scenario(DAY_CFG), set()
         for name, day in reads:
             if not 0 <= day < DAY_CFG.n_days:
                 with pytest.raises(DomainError):
                     getattr(oracle, name)(day)
             else:
                 got = getattr(oracle, name)(day)
-                key = (name.removesuffix("_day"), day)
-                if key in held:
-                    assert got is held[key]  # a repeat returns the array read first
-                else:
-                    want = getattr(build_scenario(DAY_CFG), name)(day)
-                    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-                    held[key] = got
-                with pytest.raises(ValueError):
-                    got[0, 0] = -1.0  # a caller cannot write into the store
-            # Every distinct valid read is held once, and a bad day leaves the store as it was.
-            assert store.keys() == held.keys() and all(store[k] is a for k, a in held.items())
+                assert_same_bits([got], [getattr(build_scenario(DAY_CFG), name)(day)])
+                got[...] = -1.0  # the caller owns what it is given; a repeat read is unchanged
+                columns |= columns_read(DAY_CFG, name, day)
+            # The store holds each column of every valid day read, and a bad day adds none.
+            assert oracle._columns.keys() == columns
 
     def test_collect_draws_each_user_count_once(self):
         oracle = build_scenario(DAY_CFG)
@@ -672,15 +744,16 @@ class TestDayStore:
 
     def test_a_repeated_day_read_draws_nothing(self):
         oracle = build_scenario(DAY_CFG)
-        calls = []
-        traffic_at, users_at = oracle.traffic_at, oracle.users_at
-        oracle.traffic_at = lambda *args: calls.append("traffic") or traffic_at(*args)
-        oracle.users_at = lambda *args: calls.append("users") or users_at(*args)
+        calls = count_draws(oracle)
         first = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
         drawn = len(calls)
+        for day in first:
+            day[...] = -1.0  # writing into a returned day leaves the next read unchanged
         again = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
-        assert drawn > 0 and len(calls) == drawn
-        assert all(a is b for a, b in zip(first, again))
+        assert drawn == 2 * DAY_CFG.n_cells * DAY_CFG.steps_per_day + len(DAY_CFG.grids) * DAY_CFG.user_steps_per_day
+        assert len(calls) == drawn
+        fresh = build_scenario(DAY_CFG)
+        assert_same_bits(again, (fresh.traffic_day(1), fresh.users_day(1), fresh.traffic_day(0)))
 
     @settings(max_examples=25, deadline=None)
     @given(day_reads(), st.lists(st.integers(0, DAY_CFG.horizon_hours - 1), min_size=1, max_size=12))
@@ -722,6 +795,17 @@ class TestScenarioJson:
         data = scenario_to_dict(make_hex_scenario())
         data["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda data: data.update(traffic_amp=math.inf), "traffic_amp"),
+        (lambda data: data.update(shadowing_sigma_db=math.nan), "shadowing_sigma_db"),
+        (lambda data: data["cell_configs"][0].update(tx_power_dbm=-math.inf), "cell_configs[0].tx_power_dbm"),
+    ])
+    def test_non_finite_number_rejected(self, edit, key):
+        data = scenario_to_dict(make_hex_scenario())
+        edit(data)
+        with pytest.raises(ConfigError, match=re.escape(f"scenario key {key} must be a finite number")):
             scenario_from_dict(data)
 
     def test_preset_form(self):
