@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import sys
 import types
 import typing
 from typing import Callable
@@ -117,6 +117,7 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
         return tuple(read_json(t, v, error, name, f"{key}[{k}]") for k, (t, v) in enumerate(zip(items, value)))
     if not (type(value) is tp or (tp is float and type(value) is int)):
         raise error(f"{name(key)} must be {_want(tp)}")
-    if type(value) is float and not math.isfinite(value):  # json.load reads NaN and Infinity
+    # json.load reads NaN, Infinity and integers past the float range, where math.isfinite overflows.
+    if tp is float and not abs(value) <= sys.float_info.max:
         raise error(f"{name(key)} must be a finite number")
     return value

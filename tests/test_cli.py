@@ -504,6 +504,7 @@ class TestCliCommands:
                        "ring_radius_km")),
         ("collect", "worldmodel", {"guidance_w": float("inf")}, "worldmodel.guidance_w"),
         ("collect", "worldmodel", {"lr": float("nan")}, "worldmodel.lr"),
+        ("collect", "reward", {"lambda_d": 10**400}, "reward.lambda_d"),
     ])
     def test_bad_value_is_one_error_line_before_the_stage(self, tmp_path, capsys, stage, section, values, key):
         cfg = write_config(tmp_path, **{section: values})
@@ -597,6 +598,8 @@ BAD_ARTIFACTS = {
     "missing_array": ("datasets/traffic.npz", lambda p: _edit_npz(p, drop=("masks",)), "missing array 'masks'"),
     "dataset_mean_string": ("datasets/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(series_mean="x")),
                             "field 'series_mean' must be a number"),
+    "dataset_std_nan": ("datasets/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(series_std=float("nan"))),
+                        "field 'series_std' must be a finite number"),
     "no_trainable": ("models/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.pop("trainable")),
                      "field 'trainable' is missing"),
     "manifest_missing_key": ("models/users.npz",
