@@ -236,8 +236,10 @@ def step_physics(
     fraction of it that is attached. Active cells keep their native load. A
     sleeping cell's native load is split over its natural units by weight, and
     each unit's served share moves to its serving cell. Re-routed load is capped
-    at capacity and the excess reported as overload. Reference power is the
-    all-active draw with every cell carrying its native load.
+    at capacity and the excess reported as overload. A sleeping cell whose native
+    load is below the smallest normal float moves nothing: subnormal shares round
+    to whole steps of about 5e-324, and their sum could exceed the load they split.
+    Reference power is the all-active draw with every cell carrying its native load.
 
     Every argument but `cells` may carry one leading episode axis, and each
     episode's row of the results then has the bits of a call on that row alone.
@@ -249,7 +251,8 @@ def step_physics(
     offset = n * np.arange(load.size // n).reshape(load.shape[:-1] + (1,))
     source, attached = natural + offset, natural >= 0
     total_weight = np.bincount(source[attached], weights=weight[attached], minlength=load.size)
-    moved = attached & (serving >= 0) & (sleep.reshape(-1) & (total_weight > 0))[source]
+    splits = sleep.reshape(-1) & (total_weight > 0) & (native_mbps.reshape(-1) >= np.finfo(float).tiny)
+    moved = attached & (serving >= 0) & splits[source]
     # A stable sort by (episode, natural cell) makes np.add.at add each episode's
     # shares cell by ascending cell and unit by unit within a cell: the order,
     # and so the bits, of a loop over the sleeping cells.

@@ -70,7 +70,7 @@ def reference_step_physics(cells, native_mbps, sleep, natural, serving, weight, 
     attached = natural >= 0
     total_weight = np.bincount(natural[attached], weights=weight[attached], minlength=len(native_mbps))
     for c in np.flatnonzero(sleep):
-        if total_weight[c] <= 0:
+        if total_weight[c] <= 0 or native_mbps[c] < np.finfo(float).tiny:
             continue
         moved = (natural == c) & (serving >= 0)
         share = native_mbps[c] * weight[moved] * served[moved] / total_weight[c]
