@@ -142,23 +142,6 @@ class Observation:
         return 4 * n_cells + 2
 
 
-@dataclass
-class Trajectory:
-    observations: np.ndarray  # (T, obs_dim)
-    choices: np.ndarray       # (T, n_cells)
-    rewards: np.ndarray       # (T,)
-
-    def __post_init__(self):
-        if not (len(self.observations) == len(self.choices) == len(self.rewards)):
-            raise ShapeError("trajectory fields must have equal length")
-        if not np.isfinite(self.rewards).all():
-            raise TrainingError("non-finite reward in trajectory")
-
-    @property
-    def episode_return(self) -> float:
-        return float(self.rewards.sum())
-
-
 @dataclass(frozen=True)
 class PolicyManifest:
     """What a policy checkpoint records to rebuild its policy."""
@@ -240,19 +223,22 @@ class Policy:
         self.mlp.backward(cache, dlogits.reshape(k, -1), grads)
         return loss, grads
 
-    def update(self, trajectories: list[Trajectory], lr: float) -> dict:
-        """One REINFORCE step with a running-mean return baseline."""
-        if not trajectories:
-            raise TrainingError("need at least one trajectory")
-        returns = np.array([t.episode_return for t in trajectories])
+    def update(self, observations: np.ndarray, choices: np.ndarray, rewards: np.ndarray, lr: float) -> dict:
+        """One REINFORCE step with a running-mean return baseline, on the lockstep batch:
+        observations (episodes, steps, obs_dim), choices (episodes, steps, n_cells), rewards (episodes, steps)."""
+        if rewards.ndim != 2 or not observations.shape[:2] == choices.shape[:2] == rewards.shape:
+            raise ShapeError(f"batch axes differ: {observations.shape}, {choices.shape}, {rewards.shape}")
+        if not rewards.size:
+            raise TrainingError("need at least one episode of at least one step")
+        if not np.isfinite(rewards).all():
+            raise TrainingError("non-finite reward in batch")
+        episodes, steps = rewards.shape
+        returns = rewards.sum(axis=1)
         baseline = returns.mean() if self._baseline is None else self._baseline
         advantages = returns - baseline
-        obs = np.vstack([t.observations for t in trajectories])
-        choices = np.vstack([t.choices for t in trajectories]).astype(int)
-        weights = np.concatenate([
-            np.full(len(t.rewards), adv / len(trajectories))
-            for t, adv in zip(trajectories, advantages)
-        ])
+        obs = np.reshape(observations, (episodes * steps, -1))
+        choices = np.reshape(choices, (episodes * steps, -1)).astype(int)
+        weights = np.repeat(advantages / episodes, steps)
         loss, grads = self.surrogate_loss_and_grads(obs, choices, weights)
         self.store.adam_step(grads, lr=lr)
         self._baseline = float(baseline * 0.9 + returns.mean() * 0.1)

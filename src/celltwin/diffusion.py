@@ -70,7 +70,7 @@ import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
 from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError, read_json
-from .nn import MLP, ParamStore, add_grad, softmax, softmax_backward
+from .nn import MLP, ParamStore, softmax, softmax_backward
 
 _TIME_FEATURES = 8
 _NORM_EPS = 1e-12
@@ -527,7 +527,7 @@ class DiffusionModel:
         self.time_mlp.backward(cache["cache_time"], d_temb, grads)
         null = cache["null_mask"]
         if null.any():
-            add_grad(grads, "null_embed", d_cemb[null].sum(axis=0))
+            grads["null_embed"] = d_cemb[null].sum(axis=0)
         self.cond_mlp.backward(cache["cache_cond"], np.where(null[:, None], 0.0, d_cemb), grads)
         if self.arch.memory and d_prompt.size:
             m = self.arch.memory
@@ -535,7 +535,7 @@ class DiffusionModel:
             idx = cache["indices"]
             for j in range(m.top_n):
                 np.add.at(g_prompts, idx[:, j], d_prompt[:, j * m.prompt_dim : (j + 1) * m.prompt_dim])
-            add_grad(grads, "memory/prompts", g_prompts)
+            grads["memory/prompts"] = g_prompts
 
     def _pull_loss(self, cache: dict, grads: dict[str, np.ndarray]) -> float:
         """Retrieval alignment: pull each query toward its retrieved keys."""
@@ -559,7 +559,7 @@ class DiffusionModel:
             dq += -w * dcos_dq
             np.add.at(dk, idx[:, j], -w * dcos_dk)
         self.query_mlp.backward(cache["cache_query"], dq, grads)
-        add_grad(grads, "memory/keys", dk)
+        grads["memory/keys"] = dk
         return loss
 
     # -- training ----------------------------------------------------------------

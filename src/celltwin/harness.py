@@ -23,7 +23,6 @@ from .agent import (
     Observation,
     Policy,
     RewardWeights,
-    Trajectory,
     baseline_custom,
     baseline_empirical,
     baseline_greedy,
@@ -546,8 +545,9 @@ def _rollout(env, act, policy_id: str, seed: int, rngs=None) -> list[EpisodeResu
 
 def run_wm_episodes(
     env: WorldModelEnv, policy: Policy, rngs: Sequence[np.random.Generator]
-) -> tuple[list[Trajectory], list[EpisodeResult]]:
-    """World-model days in lockstep, one per generator, with actions drawn from the policy."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[EpisodeResult]]:
+    """World-model days in lockstep, one per generator, with actions drawn from the policy: the
+    (episodes, steps, ...) observations, choices and rewards `Policy.update` takes, and the results."""
     obs_rows, choice_rows = [], []
 
     def act(obs: Observation) -> Action:
@@ -558,8 +558,7 @@ def run_wm_episodes(
         return action
 
     results = _rollout(env, act, "agent", env.config.sample_seed, rngs)
-    observations, choices = np.stack(obs_rows, axis=1), np.stack(choice_rows, axis=1)
-    return [Trajectory(o, c, r.rewards) for o, c, r in zip(observations, choices, results)], results
+    return np.stack(obs_rows, axis=1), np.stack(choice_rows, axis=1), np.stack([r.rewards for r in results]), results
 
 
 @dataclass
@@ -594,8 +593,8 @@ def run_training(
             np.random.default_rng(np.random.SeedSequence((config.seed, 9, update, episode)))
             for episode in range(config.episodes_per_update)
         ]
-        trajectories, _ = run_wm_episodes(env, policy, rngs)
-        diag = policy.update(trajectories, lr=config.lr)
+        observations, choices, rewards, _ = run_wm_episodes(env, policy, rngs)
+        diag = policy.update(observations, choices, rewards, lr=config.lr)
         curve.append(diag["mean_return"])
     return policy, curve
 

@@ -310,13 +310,6 @@ def load_npz(
     return header, arrays
 
 
-def add_grad(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
-    if name in grads:
-        grads[name] = grads[name] + g
-    else:
-        grads[name] = g
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return a @ b if out is None else np.matmul(a, b, out=out)
 
@@ -469,16 +462,16 @@ class MLP:
             dpre = d * _act_grad(self.acts[i], post)
             dpre_t = np.swapaxes(dpre, -1, -2)
             w = self.store[f"{self.prefix}/W{i}"]
-            add_grad(grads, f"{self.prefix}/W{i}", dpre_t @ x_in)
-            add_grad(grads, f"{self.prefix}/b{i}", dpre.sum(axis=-2))
+            grads[f"{self.prefix}/W{i}"] = dpre_t @ x_in
+            grads[f"{self.prefix}/b{i}"] = dpre.sum(axis=-2)
             d = dpre @ w
             if i in self.lora:
                 spec = self.lora[i]
                 a = self.store[f"{self.prefix}/A{i}"]
                 bb = self.store[f"{self.prefix}/B{i}"]
-                add_grad(grads, f"{self.prefix}/B{i}", spec.scale * (dpre_t @ low))
+                grads[f"{self.prefix}/B{i}"] = spec.scale * (dpre_t @ low)
                 dlow = spec.scale * (dpre @ bb)
-                add_grad(grads, f"{self.prefix}/A{i}", np.swapaxes(dlow, -1, -2) @ x_in)
+                grads[f"{self.prefix}/A{i}"] = np.swapaxes(dlow, -1, -2) @ x_in
                 d = d + dlow @ a
         return d
 

@@ -43,6 +43,8 @@ _S_POS = 3
 _S_SHADOW = 4
 
 MIN_DISTANCE_KM = 0.01  # 10 m clamp keeps the path-loss log finite
+# Bound on the expected users per step, sum(poi_weight * base_users), each with its own rows in a step.
+MAX_USERS_PER_STEP = 10**6
 
 
 def _circular_hour_distance(hour: float, peak: float) -> float:
@@ -584,6 +586,13 @@ def validate_scenario(config: ScenarioConfig) -> None:
             raise ConfigError(f"grid {i}: poi_weight must be finite and >= 0")
         if g.base_users < 0:
             raise ConfigError(f"grid {i}: base_users must be >= 0")
+    try:
+        users = sum(g.poi_weight * g.base_users for g in config.grids)
+    except OverflowError:  # an integer past the float range
+        users = math.inf
+    if not users <= MAX_USERS_PER_STEP:
+        raise ConfigError(f"scenario base_users give {users:.6g} expected users per step "
+                          f"(sum of poi_weight * base_users); at most {MAX_USERS_PER_STEP} are allowed")
 
 
 def build_scenario(config: ScenarioConfig) -> Oracle:

@@ -9,7 +9,6 @@ from celltwin.agent import (
     Observation,
     Policy,
     RewardWeights,
-    Trajectory,
     baseline_custom,
     baseline_empirical,
     baseline_greedy,
@@ -152,18 +151,39 @@ class TestPolicyDistribution:
             policy.distribution(np.zeros(5))
 
 
+def reference_update(policy, observations, choices, rewards, lr):
+    """Policy.update by the per-episode path: one return per episode row, the rows'
+    observations and choices stacked, and one constant weight block per episode."""
+    returns = np.array([float(row.sum()) for row in rewards])
+    baseline = returns.mean() if policy._baseline is None else policy._baseline
+    advantages = returns - baseline
+    obs = np.vstack(list(observations))
+    stacked = np.vstack(list(choices)).astype(int)
+    weights = np.concatenate([np.full(len(row), adv / len(rewards)) for row, adv in zip(rewards, advantages)])
+    loss, grads = policy.surrogate_loss_and_grads(obs, stacked, weights)
+    policy.store.adam_step(grads, lr=lr)
+    policy._baseline = float(baseline * 0.9 + returns.mean() * 0.1)
+    probs, _ = policy.distribution(obs)
+    entropy = float(-(probs * np.log(probs + 1e-12)).sum(axis=2).mean())
+    return {"mean_return": float(returns.mean()), "baseline": policy._baseline, "entropy": entropy, "loss": loss}
+
+
 class TestPolicyUpdate:
-    def _trajectory(self, policy, rng, reward):
-        obs = rng.normal(size=(3, policy.obs_dim))
-        choices = rng.integers(0, policy.n_choices, size=(3, policy.n_cells))
-        return Trajectory(observations=obs, choices=choices, rewards=np.full(3, reward))
+    def _batch(self, policy, rng, rewards):
+        """Observations and choices drawn episode by episode for a (episodes, steps) reward array."""
+        rewards = np.asarray(rewards, dtype=float)
+        obs, choices = [], []
+        for row in rewards:
+            obs.append(rng.normal(size=(len(row), policy.obs_dim)))
+            choices.append(rng.integers(0, policy.n_choices, size=(len(row), policy.n_cells)))
+        return np.stack(obs), np.stack(choices), rewards
 
     def test_zero_advantages_leave_parameters_unchanged(self):
         policy = Policy(n_cells=2, obs_dim=Observation.dim(2), seed=7)
         rng = np.random.default_rng(8)
-        trajs = [self._trajectory(policy, rng, reward=1.0) for _ in range(4)]
+        batch = self._batch(policy, rng, np.full((4, 3), 1.0))
         before = {n: policy.store[n].copy() for n in policy.store.names()}
-        policy.update(trajs, lr=0.1)  # equal returns -> advantage exactly zero
+        policy.update(*batch, lr=0.1)  # equal returns -> advantage exactly zero
         for name in before:
             assert np.array_equal(policy.store[name], before[name])
 
@@ -185,27 +205,65 @@ class TestPolicyUpdate:
         rng = np.random.default_rng(12)
         obs = np.zeros(3)
         for _ in range(300):
-            trajs = []
+            choices, rewards = [], []
             for _ in range(8):
-                _, choices = policy.sample(obs[None, :], [rng])
-                reward = 1.0 if choices[0, 0] == 0 else 0.0
-                trajs.append(Trajectory(
-                    observations=obs[None, :], choices=choices, rewards=np.array([reward]),
-                ))
-            policy.update(trajs, lr=0.05)
+                _, c = policy.sample(obs[None, :], [rng])
+                choices.append(c)
+                rewards.append([1.0 if c[0, 0] == 0 else 0.0])
+            policy.update(np.tile(obs, (8, 1, 1)), np.stack(choices), np.array(rewards), lr=0.05)
         probs, _ = policy.distribution(obs)
         assert probs[0, 0, 0] > 0.95
 
     def test_empty_update_rejected(self):
         policy = Policy(n_cells=2, obs_dim=Observation.dim(2))
         with pytest.raises(TrainingError):
-            policy.update([], lr=0.1)
+            policy.update(np.zeros((0, 3, policy.obs_dim)), np.zeros((0, 3, 2), dtype=int), np.zeros((0, 3)), lr=0.1)
+
+    @pytest.mark.parametrize("episodes, steps", [(6, 12), (8, 1)])
+    def test_matches_the_per_episode_reference_bit_for_bit(self, episodes, steps):
+        policy, reference = (Policy(n_cells=3, obs_dim=Observation.dim(3), hidden=(8,), seed=15) for _ in range(2))
+        rng = np.random.default_rng(16)
+        for _ in range(3):  # the first update sets the baseline, the later ones read it
+            obs, choices, rewards = self._batch(policy, rng, rng.normal(size=(episodes, steps)))
+            got = policy.update(obs, choices, rewards, lr=0.05)
+            want = reference_update(reference, obs, choices, rewards, lr=0.05)
+            assert got == want
+            for name in policy.store.names():
+                assert policy.store[name].tobytes() == reference.store[name].tobytes()
+
+    @pytest.mark.parametrize("case, error", [
+        ("zero_episodes", TrainingError),
+        ("one_dim_rewards", ShapeError),
+        ("observation_episodes", ShapeError),
+        ("choice_steps", ShapeError),
+        ("nan_reward", TrainingError),
+    ])
+    def test_bad_batch_rejected_with_parameters_unchanged(self, case, error):
+        policy = Policy(n_cells=2, obs_dim=Observation.dim(2), seed=17)
+        rng = np.random.default_rng(18)
+        obs, choices, rewards = self._batch(policy, rng, rng.normal(size=(4, 3)))
+        if case == "zero_episodes":
+            obs, choices, rewards = obs[:0], choices[:0], rewards[:0]
+        elif case == "one_dim_rewards":
+            rewards = rewards.sum(axis=1)
+        elif case == "observation_episodes":
+            obs = obs[:3]
+        elif case == "choice_steps":
+            choices = choices[:, :2]
+        else:
+            rewards[2, 1] = np.nan
+        before = {n: policy.store[n].copy() for n in policy.store.names()}
+        with pytest.raises(error):
+            policy.update(obs, choices, rewards, lr=0.1)
+        for name in before:
+            assert policy.store[name].tobytes() == before[name].tobytes()
+        assert policy._baseline is None
 
     def test_checkpoint_roundtrip(self, tmp_path):
         policy = Policy(n_cells=3, obs_dim=Observation.dim(3), seed=13)
         rng = np.random.default_rng(14)
-        trajs = [self._trajectory(policy, rng, reward=float(i)) for i in range(3)]
-        policy.update(trajs, lr=0.05)
+        batch = self._batch(policy, rng, np.repeat(np.arange(3.0)[:, None], 3, axis=1))
+        policy.update(*batch, lr=0.05)
         path = str(tmp_path / "policy.npz")
         policy.save(path)
         back = Policy.load(path)

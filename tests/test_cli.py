@@ -374,6 +374,13 @@ BAD_SCENARIOS = {
     "preset_traffic_shape_zero": ("inline", {"preset": "hex7", "traffic_base": 0, "traffic_amp": 0,
                                              "counterfactual_peak_fraction": 0.5},
                                   "scenario.traffic_base + traffic_amp must be > 0"),
+    # A step's Poisson draws would ask for more users than a step can hold.
+    "preset_base_users_huge": ("inline", {"preset": "hex7", "base_users": 10**30},
+                               "scenario base_users give 4.6284e+31 expected users per step"),
+    "preset_base_users_past_float": ("inline", {"preset": "hex7", "base_users": 10**400},
+                                     "scenario base_users give inf expected users per step"),
+    "inline_grid_base_users_huge": ("inline", _full_scenario(lambda d: d["grids"][1].update(base_users=10**7)),
+                                    "scenario base_users give"),
     "path_is_a_directory": ("inline", "", "scenario file"),
     "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
 }

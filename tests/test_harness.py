@@ -278,23 +278,25 @@ class TestWorldModelEnv:
     def test_episode_tagged_as_worldmodel(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
         policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=1)
-        (traj,), (result,) = run_wm_episodes(env, policy, [np.random.default_rng(2)])
+        _, _, (rewards,), (result,) = run_wm_episodes(env, policy, [np.random.default_rng(2)])
         assert result.environment == "worldmodel"
-        assert len(traj.rewards) == env.steps_per_episode
-        assert np.isfinite(traj.rewards).all()
+        assert len(rewards) == env.steps_per_episode
+        assert np.isfinite(rewards).all()
 
     @pytest.mark.parametrize("episodes", [1, 2, 6, 7])
     def test_lockstep_episodes_have_the_bits_of_separate_ones(self, bundle, oracle, env_config, episodes):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
         policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=5)
         seeds = [np.random.SeedSequence((3, 9, 1, e)) for e in range(episodes)]
-        trajectories, results = run_wm_episodes(env, policy, [np.random.default_rng(s) for s in seeds])
-        assert len(trajectories) == len(results) == episodes
+        observations, choice_rows, reward_rows, results = run_wm_episodes(
+            env, policy, [np.random.default_rng(s) for s in seeds])
+        assert len(observations) == len(choice_rows) == len(reward_rows) == len(results) == episodes
         sleeping = dropped = 0
-        for traj, result, seed in zip(trajectories, results, seeds):
+        for got_obs, got_choices, got_rewards, result, seed in zip(
+                observations, choice_rows, reward_rows, results, seeds):
             obs, choices, rewards, energy, rsrp, dropped_rate = reference_wm_episode(
                 env, policy, np.random.default_rng(seed))
-            for got, want in ((traj.observations, obs), (traj.choices, choices), (traj.rewards, rewards),
+            for got, want in ((got_obs, obs), (got_choices, choices), (got_rewards, rewards),
                               (result.rewards, rewards), (result.energy_wh, energy),
                               (result.rsrp_avg_dbm, rsrp), (result.dropped_rate, dropped_rate)):
                 assert_same_bits(got, want)

@@ -10,7 +10,6 @@ from celltwin.errors import FormatError, ShapeError, TrainingError
 from celltwin.nn import (
     MLP,
     ParamStore,
-    add_grad,
     finite_difference_check,
     load_npz,
     save_npz,
@@ -564,11 +563,3 @@ class TestAssign:
         target.add("a", np.zeros(2))
         with pytest.raises(FormatError, match=r"src tensor 'a' has shape \(3,\), expected \(2,\)"):
             target.assign(source, "src")
-
-
-class TestGradAccumulation:
-    def test_add_grad_accumulates(self):
-        grads = {}
-        add_grad(grads, "w", np.ones(3))
-        add_grad(grads, "w", np.ones(3))
-        assert np.array_equal(grads["w"], 2 * np.ones(3))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from celltwin.dataset import collect_dataset
 from celltwin.errors import ConfigError, DomainError, UnknownIdError
 from celltwin.scenario import (
+    MAX_USERS_PER_STEP,
     _TEMPLATE_PEAK,
     POI_PROFILES,
     CellArrays,
@@ -83,6 +84,21 @@ class TestValidation:
     def test_counterfactual_fraction_bounds(self):
         with pytest.raises(ConfigError, match="counterfactual"):
             build_scenario(two_cell_config(counterfactual_peak_fraction=1.5))
+
+    @pytest.mark.parametrize("weight, base_users, ok", [
+        (1.0, MAX_USERS_PER_STEP // 4, True),  # four grids at exactly the bound
+        (1.0, MAX_USERS_PER_STEP // 4 + 1, False),
+        (0.0, 10**30, True),  # a zero weight expects no users however large the base
+        (0.0, 10**400, False),  # past the float range, so the oracle cannot weigh it
+    ])
+    def test_expected_users_per_step_bounded(self, weight, base_users, ok):
+        grids = tuple(GridCell(position=g.position, poi_weight=weight, base_users=base_users)
+                      for g in two_cell_config().grids)
+        if ok:
+            assert build_scenario(two_cell_config(grids=grids)).grid_weight.sum() <= MAX_USERS_PER_STEP
+        else:
+            with pytest.raises(ConfigError, match="base_users"):
+                build_scenario(two_cell_config(grids=grids))
 
     def test_hex_layout_has_seven_cells_with_neighbors(self):
         oracle = build_scenario(make_hex_scenario(seed=3))
