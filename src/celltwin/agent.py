@@ -10,6 +10,7 @@ finite-difference oracle. The environment interface is agent-agnostic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -100,19 +101,16 @@ def resolve_bias(action: Action, neighbors: list[tuple[int, ...]]) -> np.ndarray
     """Per-cell association bias: each sleeping cell grants its bias to its neighbors.
 
     An action with a leading episode axis gives one bias row per episode. Each
-    row adds its sleeping cells' grants in ascending cell order, as float
-    scalars; skipping a zero grant skips adding an exact 0.0.
+    row is one ``np.add.at`` over the (cell, neighbor) pairs in ascending cell
+    order, so grants add in that order; an awake cell grants 0.0, and adding
+    a zero to a sum that starts at +0.0 leaves its bits alone.
     """
     granted = np.where(action.sleep, action.bias_level_db, 0.0)
-    rows = []
-    for grants in granted.reshape(-1, len(neighbors)).tolist():
-        bias = [0.0] * len(neighbors)
-        for c, grant in enumerate(grants):
-            if grant:
-                for nb in neighbors[c]:
-                    bias[nb] += grant
-        rows.append(bias)
-    return np.array(rows).reshape(granted.shape)
+    cells = np.repeat(np.arange(len(neighbors)), list(map(len, neighbors)))
+    targets = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.intp, count=len(cells))
+    bias = np.zeros(granted.shape)
+    np.add.at(bias, (..., targets), granted[..., cells])
+    return bias
 
 
 @dataclass

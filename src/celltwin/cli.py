@@ -129,7 +129,7 @@ _VALUE_CHECKS = (
     *((key, lambda v: v >= 0, ">= 0") for key in (
         "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
-        "jobs", "dataset.n_days", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
+        "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
         "worldmodel.train_steps", "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim",
         "agent.updates", "agent.episodes_per_update", "agent.env.day_pool", "agent.env.rsrp_pool",
         "agent.env.rsrp_draws")),
@@ -179,7 +179,7 @@ def parse_config(path: str) -> RunConfig:
     days = run.scenario.n_days
     # The custom baseline, which counterfactual always runs, reads the day before evaluation.day.
     for key, last in (("counterfactual.lora_rank", max_rank), ("evaluation.day", days - 1),
-                      ("counterfactual.adapt_days", days)):
+                      ("counterfactual.adapt_days", days), ("dataset.n_days", days)):
         if not 1 <= _value_at(run, key) <= last:
             raise ConfigError(f"config key {key} must be in [1, {last}]")
     return run
@@ -208,9 +208,6 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 
 def cmd_collect(run: RunConfig, args) -> int:
-    # Checked here, not at parse time: a config whose scenario is shorter still parses for the other stages.
-    if run.dataset.n_days > run.scenario.n_days:
-        raise ConfigError(f"config key dataset.n_days must be in [1, {run.scenario.n_days}]")
     oracle = build_scenario(run.scenario)
     datasets = collect_dataset(
         oracle, n_days=run.dataset.n_days, kinds=run.dataset.kinds, split_fractions=run.dataset.split,

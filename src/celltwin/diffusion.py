@@ -65,12 +65,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
 from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError, read_json
-from .nn import MLP, ParamStore, softmax, softmax_backward
+from .nn import MLP, LoraSpec, ParamStore, softmax, softmax_backward
 
 _TIME_FEATURES = 8
 _NORM_EPS = 1e-12
@@ -81,27 +82,32 @@ _NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Linear beta schedule; alpha_bar[t] is the survival product with alpha_bar[0] = 1."""
+    """Linear beta schedule; alpha_bar[t] is the survival product with alpha_bar[0] = 1. Both derive once."""
 
-    beta: np.ndarray
-    alpha_bar: np.ndarray
+    steps: int
+    beta_min: float
+    beta_max: float
 
-    @property
-    def steps(self) -> int:
-        return len(self.beta)
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
+            raise ConfigError(f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})")
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return np.linspace(self.beta_min, self.beta_max, self.steps)
+
+    @cached_property
+    def alpha_bar(self) -> np.ndarray:
+        return np.concatenate([[1.0], np.cumprod(1.0 - self.beta)])
 
     def beta_at(self, t: int) -> float:
         return float(self.beta[t - 1])
 
 
 def make_schedule(steps: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if not 0.0 < beta_min <= beta_max < 1.0:
-        raise ConfigError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    beta = np.linspace(beta_min, beta_max, steps)
-    alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    return NoiseSchedule(beta=beta, alpha_bar=alpha_bar)
+    return NoiseSchedule(steps, beta_min, beta_max)
 
 
 def forward_noise(x0: np.ndarray, alpha_bar, eps: np.ndarray) -> np.ndarray:
@@ -231,13 +237,6 @@ class DenoiserArch:
         return {name: slice(end - width, end) for (name, width), end in zip(widths.items(), ends)}
 
 
-@dataclass(frozen=True)
-class _ScheduleManifest:
-    steps: int
-    beta_min: float
-    beta_max: float
-
-
 _CondVector = tuple[(float,) * COND_DIM]
 
 
@@ -249,23 +248,17 @@ class _LayoutManifest:
 
 
 @dataclass(frozen=True)
-class _LoraManifest:
-    rank: int
-    alpha: float
-
-
-@dataclass(frozen=True)
 class HeadManifest:
     """What a head checkpoint records to rebuild its model."""
 
     kind: str
     arch: DenoiserArch
-    schedule: _ScheduleManifest
+    schedule: NoiseSchedule
     stats: NormalizationStats
     layout: _LayoutManifest
     p_uncond: float
     guidance_w: float
-    lora: _LoraManifest | None = None
+    lora: LoraSpec | None = None
 
 
 @dataclass
@@ -332,7 +325,6 @@ class DiffusionModel:
         self.layout = layout
         self.p_uncond = p_uncond
         self.guidance_w = guidance_w
-        self.lora_state: dict | None = None
         self.store = ParamStore()
         self._columns = arch.z_columns()
         self._build(seed)
@@ -710,21 +702,24 @@ class DiffusionModel:
 
     # -- low-rank adaptation ---------------------------------------------------------
 
+    @property
+    def lora(self) -> LoraSpec | None:
+        """The adapter setting of every expert layer; None without adapters."""
+        return self.experts.lora.get(0)
+
     def lora_attach(self, rank: int, alpha: float, seed: int = 0) -> None:
         """Adapter pair on every expert layer; everything else freezes."""
-        if self.lora_state is not None:
+        if self.lora is not None:
             raise ConfigError("adapters already attached")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
         self.store.freeze(self.store.names())
         self.experts.attach_lora(range(self.experts.n_layers), rank, alpha, rng=rng)
-        self.lora_state = {"rank": rank, "alpha": alpha}
 
     def lora_merge(self) -> None:
-        if self.lora_state is None:
+        if self.lora is None:
             raise ConfigError("no adapters attached")
         self.experts.merge_lora()
         self.store.unfreeze(self.store.names())
-        self.lora_state = None
 
     # -- persistence -------------------------------------------------------------------
 
@@ -732,14 +727,13 @@ class DiffusionModel:
         return asdict(HeadManifest(
             kind=self.kind,
             arch=self.arch,
-            schedule=_ScheduleManifest(self.schedule.steps, float(self.schedule.beta[0]),
-                                       float(self.schedule.beta[-1])),
+            schedule=self.schedule,
             stats=self.stats,
             layout=_LayoutManifest(ConditionLayout.fingerprint(), tuple(self.layout.mean.tolist()),
                                    tuple(self.layout.std.tolist())),
             p_uncond=self.p_uncond,
             guidance_w=self.guidance_w,
-            lora=_LoraManifest(**self.lora_state) if self.lora_state else None,
+            lora=self.lora,
         ))
 
     def save(self, path: str) -> None:
@@ -749,15 +743,20 @@ class DiffusionModel:
     def from_manifest(cls, manifest: dict, where: str = "head") -> "DiffusionModel":
         """A freshly initialized model of the architecture ``manifest`` records, adapters included.
 
-        A manifest field of the wrong type is a FormatError naming ``where`` and the field.
+        A manifest field of the wrong type, or a schedule or adapter record
+        that fails its own check, is a FormatError naming ``where`` and the field.
         """
-        m = read_json(HeadManifest, manifest, FormatError, lambda key: f"{where} field {key!r}", "manifest")
+        try:
+            m = read_json(HeadManifest, manifest, FormatError, lambda key: f"{where} field {key!r}", "manifest")
+        except (ConfigError, ShapeError) as exc:  # raised here only by a NoiseSchedule's or a LoraSpec's own check
+            key = "manifest.schedule" if isinstance(exc, ConfigError) else "manifest.lora.rank"
+            raise FormatError(f"{where} field {key!r}: {exc}") from None
         if m.layout.fingerprint != ConditionLayout.fingerprint():
             raise ModelError(f"{where} was written under a different condition layout")
         model = cls(
             kind=m.kind,
             arch=m.arch,
-            schedule=make_schedule(m.schedule.steps, m.schedule.beta_min, m.schedule.beta_max),
+            schedule=m.schedule,
             stats=m.stats,
             layout=ConditionLayout(mean=np.array(m.layout.mean), std=np.array(m.layout.std)),
             p_uncond=m.p_uncond,

@@ -106,9 +106,6 @@ class WorldModelBundle:
     users: DiffusionModel
     rsrp: DiffusionModel
 
-    def head(self, kind: str) -> DiffusionModel:
-        return {"traffic": self.traffic, "users": self.users, "rsrp": self.rsrp}[kind]
-
     @classmethod
     def train_from_datasets(
         cls,
@@ -156,7 +153,7 @@ class WorldModelBundle:
 
     def save(self, paths: dict[str, str]) -> None:
         for kind in ds.KINDS:
-            self.head(kind).save(paths[kind])
+            getattr(self, kind).save(paths[kind])
 
     @classmethod
     def load(cls, paths: dict[str, str]) -> "WorldModelBundle":
@@ -715,11 +712,6 @@ def evaluate_policy(
 # -- generation metrics ----------------------------------------------------------------
 
 
-def oracle_traffic_draws(scenario: ScenarioConfig, n: int) -> np.ndarray:
-    """(n, n_cells, steps) day realizations across reseeded scenario copies."""
-    return np.array([build_scenario(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n)])
-
-
 def _wasserstein_1d(u: np.ndarray, v: np.ndarray) -> float:
     """W1 of two 1-D samples: the integral of |F_u - F_v| over their merged sorted values.
 
@@ -778,13 +770,14 @@ def traffic_generation_metrics(
 
 def _traffic_reference(scenario: ScenarioConfig, n_samples: int = 48) -> tuple[Oracle, np.ndarray, float]:
     """What generated traffic is scored against: the scenario's oracle, ``n_samples``
-    reseeded day draws and the range of the noise-free daily load profile."""
+    reseeded day draws, (n_samples, n_cells, steps), and the range of the noise-free daily load profile."""
     oracle = build_scenario(scenario)
     # Noise-free daily load profile, (n_cells, steps_per_day).
     det_profile = oracle.arrays.capacity_mbps[:, None] * np.clip(
         oracle.hourly_demand[:, ::scenario.traffic_step_hours], 0.0, 1.0
     )
-    return oracle, oracle_traffic_draws(scenario, n_samples), float(det_profile.max() - det_profile.min())
+    draws = np.array([build_scenario(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n_samples)])
+    return oracle, draws, float(det_profile.max() - det_profile.min())
 
 
 def _score_traffic(model: DiffusionModel, reference: tuple[Oracle, np.ndarray, float], task: str,

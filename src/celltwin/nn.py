@@ -310,14 +310,18 @@ def load_npz(
     return header, arrays
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    return a @ b if out is None else np.matmul(a, b, out=out)
-
-
-@dataclass
+@dataclass(frozen=True)
 class LoraSpec:
     rank: int
-    scale: float  # alpha / rank
+    alpha: float  # the adapted layer adds (alpha / rank) B (A x)
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ShapeError(f"lora rank must be >= 1, got {self.rank}")
+
+    @property
+    def scale(self) -> float:
+        return self.alpha / self.rank
 
 
 class MLP:
@@ -439,14 +443,14 @@ class MLP:
             post_out, low_out, up_out = out[i] if out is not None else (None, None, None)
             w = p[f"{self.prefix}/W{i}"]
             b = p[f"{self.prefix}/b{i}"]
-            pre = _matmul(h, np.swapaxes(w, -1, -2), post_out)
+            pre = np.matmul(h, np.swapaxes(w, -1, -2), out=post_out)
             pre += b[..., None, :]
             low = None
             if i in self.lora:
                 a = p[f"{self.prefix}/A{i}"]
                 bb = p[f"{self.prefix}/B{i}"]
-                low = _matmul(h, np.swapaxes(a, -1, -2), low_out)
-                up = _matmul(low, np.swapaxes(bb, -1, -2), up_out)
+                low = np.matmul(h, np.swapaxes(a, -1, -2), out=low_out)
+                up = np.matmul(low, np.swapaxes(bb, -1, -2), out=up_out)
                 up *= self.lora[i].scale
                 pre += up
             post = _ACT[self.acts[i]](pre, out=pre)
@@ -485,6 +489,7 @@ class MLP:
         rng: np.random.Generator | None = None,
     ) -> None:
         """Add zero-initialized adapters and freeze the base weights."""
+        spec = LoraSpec(rank, alpha)
         rng = rng or np.random.default_rng(0)
         for i in layers:
             d_in, d_out = self.dims[i], self.dims[i + 1]
@@ -498,7 +503,7 @@ class MLP:
         for i, a in zip(layers, downs):
             self.store.add(f"{self.prefix}/A{i}", a)
             self.store.add(f"{self.prefix}/B{i}", np.zeros(a.shape[:-2] + (self.dims[i + 1], rank)))
-            self.lora[i] = LoraSpec(rank=rank, scale=alpha / rank)
+            self.lora[i] = spec
         self.store.freeze(self.base_names())
 
     def merge_lora(self) -> None:

@@ -544,15 +544,17 @@ class TestCliCommands:
         for stage in stages:
             assert main([stage, "--config", cfg]) == 0, stage
 
-    def test_collect_past_the_horizon_is_one_error_line(self, tmp_path, capsys):
-        # The config parses, as it does for the stages that do not collect.
+    @pytest.mark.parametrize("stage", ["collect", "evaluate"])
+    def test_collect_past_the_horizon_is_one_error_line(self, tmp_path, capsys, stage):
+        # Refused at parse time, so a stage that does not collect refuses it too.
         cfg = write_config(tmp_path, scenario={"preset": "hex7", "grid_dim": 2, "horizon_hours": 96},
                            dataset={"n_days": 5})
-        parse_config(cfg)
-        assert main(["collect", "--config", cfg]) == 1
+        with pytest.raises(ConfigError, match=re.escape("config key dataset.n_days must be in [1, 4]")):
+            parse_config(cfg)
+        assert main([stage, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err == "error: config key dataset.n_days must be in [1, 4]\n"
-        assert not (tmp_path / "out" / "datasets").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_missing_models_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -644,6 +646,20 @@ BAD_ARTIFACTS = {
     "lora_rank_string": ("models/rsrp.npz",
                          lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(lora={"rank": "4", "alpha": 8.0})),
                          "field 'manifest.lora.rank' must be an integer"),
+    "lora_rank_zero": ("models/traffic.npz",
+                       lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(lora={"rank": 0, "alpha": 8.0})),
+                       "field 'manifest.lora.rank': lora rank must be >= 1, got 0"),
+    "lora_rank_negative": ("models/traffic.npz",
+                           lambda p: _edit_npz(
+                               p, header=lambda h: h["manifest"].update(lora={"rank": -1, "alpha": 8.0})),
+                           "field 'manifest.lora.rank': lora rank must be >= 1, got -1"),
+    "schedule_beta_max_past_one": ("models/users.npz",
+                                   lambda p: _edit_npz(
+                                       p, header=lambda h: h["manifest"]["schedule"].update(beta_max=1.5)),
+                                   "field 'manifest.schedule': need 0 < beta_min <= beta_max < 1, got (0.0001, 1.5)"),
+    "schedule_no_steps": ("models/rsrp.npz",
+                          lambda p: _edit_npz(p, header=lambda h: h["manifest"]["schedule"].update(steps=0)),
+                          "field 'manifest.schedule': steps must be >= 1, got 0"),
 }
 
 

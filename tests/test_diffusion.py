@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ from celltwin.diffusion import (
     DenoiserArch,
     DiffusionModel,
     MemoryConfig,
+    NoiseSchedule,
     forward_noise,
     make_schedule,
     problem_tiles,
@@ -20,7 +23,7 @@ from celltwin.diffusion import (
 )
 from celltwin import diffusion
 from celltwin.errors import ConfigError, DomainError, FormatError, ModelError, ShapeError
-from celltwin.nn import finite_difference_check, softmax
+from celltwin.nn import LoraSpec, finite_difference_check, softmax
 
 
 def unit_layout() -> ConditionLayout:
@@ -75,6 +78,25 @@ class TestSchedule:
             make_schedule(10, 0.5, 0.1)
         with pytest.raises(ConfigError):
             make_schedule(0)
+
+    def test_record_derives_its_arrays_once(self):
+        sched = make_schedule(5, 1e-3, 0.1)
+        assert sched == NoiseSchedule(5, 1e-3, 0.1)
+        assert sched.beta is sched.beta and sched.alpha_bar is sched.alpha_bar
+        assert sched.beta.tobytes() == np.linspace(1e-3, 0.1, 5).tobytes()
+        assert sched.alpha_bar.tobytes() == np.concatenate([[1.0], np.cumprod(1.0 - sched.beta)]).tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.steps = 6
+
+    def test_one_step_head_records_its_beta_max(self, tmp_path):
+        model = DiffusionModel("traffic", tiny_model().arch, make_schedule(1, 1e-4, 0.02),
+                               NormalizationStats(0.0, 1.0), unit_layout())
+        assert model.manifest()["schedule"] == {"steps": 1, "beta_min": 1e-4, "beta_max": 0.02}
+        path = str(tmp_path / "model.npz")
+        model.save(path)
+        back = DiffusionModel.load(path)
+        assert back.schedule == NoiseSchedule(1, 1e-4, 0.02)
+        assert back.schedule.beta.tolist() == [1e-4]
 
 
 class TestForwardProcess:
@@ -703,14 +725,36 @@ class TestPersistence:
         assert back.kind == model.kind
         assert back.stats == model.stats
 
-    def test_lora_state_survives_roundtrip(self, tmp_path):
+    def test_lora_spec_survives_roundtrip(self, tmp_path):
         model = tiny_model(seed=7)
         model.lora_attach(rank=2, alpha=4.0)
         path = str(tmp_path / "model.npz")
         model.save(path)
         back = DiffusionModel.load(path)
-        assert back.lora_state == {"rank": 2, "alpha": 4.0}
+        assert back.lora == LoraSpec(rank=2, alpha=4.0)
+        assert back.experts.lora == {0: back.lora, 1: back.lora}
         assert not back.store.is_trainable("gate/W0")
+        back.lora_merge()
+        assert back.lora is None and back.manifest()["lora"] is None
+
+    def test_manifest_of_an_adapted_head_keeps_its_bytes(self):
+        model = tiny_model(seed=7)
+        model.lora_attach(rank=2, alpha=4.0)
+        want = {
+            "kind": "traffic",
+            "arch": {"series_len": 6, "cond_dim": COND_DIM, "cond_emb_dim": 4, "time_dim": 4, "n_experts": 2,
+                     "expert_hidden": (8,), "gate_hidden": (8,), "memory": None},
+            "schedule": {"steps": 10, "beta_min": 1e-4, "beta_max": 0.02},
+            "stats": {"mean": 0.0, "std": 1.0},
+            "layout": {"fingerprint": ConditionLayout.fingerprint(), "mean": (0.0,) * COND_DIM,
+                       "std": (1.0,) * COND_DIM},
+            "p_uncond": 0.1,
+            "guidance_w": 1.0,
+            "lora": {"rank": 2, "alpha": 4.0},
+        }
+        got = model.manifest()
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_version_1_checkpoint_rejected(self, tmp_path, monkeypatch):
         from celltwin import nn

@@ -66,7 +66,7 @@ RETRAIN = {**COUNTERFACTUAL, "counterfactual": {**COUNTERFACTUAL["counterfactual
 # with an integer for a float key and a null that stands for the default.
 SCENARIO_FILE = {**scenario_to_dict(make_hex_scenario(seed=5, grid_dim=3, horizon_hours=96)),
                  "traffic_noise_sigma": 0}
-FULL_SCENARIO = {"scenario": "scenario.json", "seeds": [3],
+FULL_SCENARIO = {"scenario": "scenario.json", "seeds": [3], "dataset": {"n_days": 4},
                  "worldmodel": {"lr": 1, "guidance_w": None}}
 
 # Configs hashed as written (default out_dir): {digest key: config}

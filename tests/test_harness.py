@@ -25,6 +25,7 @@ from celltwin.harness import (
     _conditions_rsrp_table,
     _forecast,
     _spearman,
+    _traffic_reference,
     _wasserstein_1d,
     counterfactual_suite,
     episode_row,
@@ -32,7 +33,6 @@ from celltwin.harness import (
     generation_metrics,
     neighbor_groups,
     neighbor_mean,
-    oracle_traffic_draws,
     read_rows_csv,
     rsrp_controllability,
     run_training,
@@ -570,7 +570,8 @@ class TestDayClock:
 
 class TestGenerationMetrics:
     def test_oracle_against_itself_is_zero(self, scenario, monkeypatch):
-        draws = oracle_traffic_draws(scenario, 16)
+        draws = _traffic_reference(scenario, 16)[1]
+        assert draws.shape == (16, 7, scenario.steps_per_day)
 
         class EchoModel:
             layout = None

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from celltwin.errors import FormatError, ShapeError, TrainingError
 from celltwin.nn import (
     MLP,
+    LoraSpec,
     ParamStore,
     finite_difference_check,
     load_npz,
@@ -197,6 +198,25 @@ class TestStack:
 
         assert store["net/A1"].shape == (3, 2, 5) and store["net/B1"].shape == (3, 3, 2)
         assert finite_difference_check(store, loss_fn) < 1e-4
+
+
+class TestLoraSpec:
+    def test_every_adapted_layer_holds_the_one_record(self):
+        net = MLP(ParamStore(), "net", (4, 5, 3), rng=np.random.default_rng(13))
+        net.attach_lora([0, 1], rank=2, alpha=3.0)
+        assert net.lora == {0: LoraSpec(2, 3.0), 1: LoraSpec(2, 3.0)}
+        assert net.lora[0].scale == 3.0 / 2
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_is_a_shape_error_that_adds_nothing(self, rank):
+        with pytest.raises(ShapeError, match=f"lora rank must be >= 1, got {rank}"):
+            LoraSpec(rank, 4.0)
+        store = ParamStore()
+        net = MLP(store, "net", (4, 3), rng=np.random.default_rng(14))
+        with pytest.raises(ShapeError, match="lora rank must be >= 1"):
+            net.attach_lora([0], rank=rank, alpha=4.0)
+        assert store.names() == ["net/W0", "net/b0"] and net.lora == {}
+        assert store.trainable_names() == ["net/W0", "net/b0"]
 
 
 NETS = pytest.mark.parametrize("stack, lora, hidden", [
