@@ -44,28 +44,17 @@ class RewardWeights:
         return np.clip((dbm - self.rsrp_lo_dbm) / (self.rsrp_hi_dbm - self.rsrp_lo_dbm), 0.0, 1.0)
 
 
-def compute_reward(
-    energy_wh: float,
-    reference_energy_wh: float,
-    rsrp_avg_dbm: float | None,
-    dropped: float,
-    total_users: int,
-    weights: RewardWeights,
-) -> float:
-    """Energy-normalized, coverage-weighted step reward.
+def compute_reward(energy_wh, reference_energy_wh, rsrp_avg_dbm, dropped, total_users, weights: RewardWeights):
+    """Energy-normalized, coverage-weighted step reward, elementwise over its array arguments.
 
     The RSRP term is vacuously 1 when the step has no users at all, and 0 when
-    users exist but none is served.
+    users exist but none is served (a NaN RSRP average).
     """
-    if reference_energy_wh <= 0:
+    if np.any(reference_energy_wh <= 0):
         raise DomainError("reference_energy_wh must be positive")
-    if total_users == 0:
-        rsrp_term = 1.0
-    elif rsrp_avg_dbm is None:
-        rsrp_term = 0.0
-    else:
-        rsrp_term = float(weights.rsrp_score(rsrp_avg_dbm))
-    dropped_frac = 0.0 if total_users == 0 else dropped / total_users
+    nobody = total_users == 0
+    rsrp_term = np.where(nobody, 1.0, np.where(np.isnan(rsrp_avg_dbm), 0.0, weights.rsrp_score(rsrp_avg_dbm)))
+    dropped_frac = np.where(nobody, 0.0, dropped / np.maximum(total_users, 1))
     return (
         -weights.lambda_e * (energy_wh / reference_energy_wh)
         + weights.lambda_r * rsrp_term
@@ -306,7 +295,8 @@ def baseline_greedy(
 
     ``evaluate_fn(sleep_mask, bias_vector)`` returns each tentative pattern's
     ``scenario.NetworkState``; the sleep is reverted when its ``rsrp_avg_dbm``
-    falls below floor + margin or any compensation neighbor overloads.
+    is not at least floor + margin (NaN, nobody served, is not) or any
+    compensation neighbor overloads.
     """
     load_frac = np.asarray(load_frac, dtype=float)
     n = load_frac.shape[0]
@@ -318,7 +308,7 @@ def baseline_greedy(
         tentative[c] = True
         action = Action(sleep=tentative, bias_level_db=np.where(tentative, bias_db, 0.0))
         ev = evaluate_fn(tentative, resolve_bias(action, neighbors))
-        if np.isfinite(threshold) and (ev.rsrp_avg_dbm is None or ev.rsrp_avg_dbm < threshold):
+        if np.isfinite(threshold) and not ev.rsrp_avg_dbm >= threshold:
             continue
         if any(ev.per_cell_overload_mbps[list(neighbors[c])] > 1e-9):
             continue

@@ -118,8 +118,8 @@ _VALUE_CHECKS = (
     ("evaluation.predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
     ("worldmodel.guidance_w", lambda v: v >= 0, ">= 0"),
     ("counterfactual.fractions", lambda v: all(0 < f <= 1 for f in v), "a list of peak fractions in (0, 1]"),
-    ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
-     "three non-negative fractions summing to 1"),
+    ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and v[0] > 0 and abs(sum(v) - 1.0) <= 1e-9,
+     "three non-negative fractions summing to 1, the first (train) positive"),
     ("seeds", lambda v: v and min(v) >= 0, "a nonempty array of integers >= 0"),
     ("dataset.kinds", lambda v: sorted(v) == sorted(KINDS), f"a list naming each of {', '.join(KINDS)} once"),
     ("worldmodel.memory_kinds", lambda v: set(v) <= set(KINDS), f"a list of kinds from {', '.join(KINDS)}"),

@@ -306,7 +306,7 @@ def collect_dataset(
     """Roll the oracle forward and package one SampleSet per requested kind.
 
     Normalization statistics (series channel and every condition dimension)
-    come from the training split only.
+    come from the training split only; an empty one is a ConfigError.
     """
     if n_days < 1:
         raise ConfigError(f"n_days must be >= 1, got {n_days}")
@@ -330,6 +330,9 @@ def collect_dataset(
             series, conds, masks = _collect_rsrp(oracle, n_days, rng)
         split = split_dataset(len(series), split_fractions, seed=oracle.config.seed)
         train = split["train"]
+        if not len(train):
+            raise ConfigError(f"config key dataset.split gives the {kind} training split none of its "
+                              f"{len(series)} samples")
         out[kind] = SampleSet(
             kind=kind,
             series=series,

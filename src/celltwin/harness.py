@@ -331,24 +331,22 @@ class _DayEnv:
             hour_cos=hour["hour_cos"],
         )
 
-    def _finish_step(self, states: list[NetworkState]):
+    def _finish_step(self, state: NetworkState):
         """Reward each episode's step, advance the clock and observe the next step unless the day is over.
 
-        Rewards and every info entry are (episodes,) arrays; an RSRP average is
-        NaN on a step with nobody served.
+        `state` is the step of every episode, batched as `serve` returns it or,
+        for one episode, as `Oracle.step_network` does. Rewards and every info
+        entry are (episodes,) arrays; an RSRP average is NaN on a step with
+        nobody served.
         """
-        step_hours = self.oracle.config.traffic_step_hours
-        rows = []
-        for state in states:
-            energy, ref_energy = state.energy_wh(step_hours), state.reference_power_watts * step_hours
-            rsrp_avg, dropped, total_users = state.rsrp_avg_dbm, state.dropped_users, state.total_users
-            reward = compute_reward(energy, ref_energy, rsrp_avg, dropped, total_users, self.weights)
-            rsrp_avg = np.nan if rsrp_avg is None else rsrp_avg
-            rows.append((reward, energy, ref_energy, rsrp_avg, dropped, total_users))
-        reward, *columns = (np.array(column) for column in zip(*rows))
+        hours = self.oracle.config.traffic_step_hours
+        info = {name: np.atleast_1d(value) for name, value in (
+            ("energy_wh", state.energy_wh(hours)), ("reference_energy_wh", state.reference_power_watts * hours),
+            ("rsrp_avg_dbm", state.rsrp_avg_dbm), ("dropped", state.dropped_users), ("total_users", state.total_users),
+        )}
+        reward = compute_reward(**info, weights=self.weights)
         self._step += 1
         done = self._step >= self.steps_per_episode
-        info = dict(zip(("energy_wh", "reference_energy_wh", "rsrp_avg_dbm", "dropped", "total_users"), columns))
         return None if done else self._observation(), reward, done, info
 
 
@@ -433,7 +431,7 @@ class WorldModelEnv(_DayEnv):
             oracle.arrays, self._day[..., d], self._natural, self._table_mean, self._table,
             self._users_day[..., clock.user_column(d)], clock.rsrp_floor_dbm, action.sleep,
             resolve_bias(action, oracle.neighbors),
-        ).episodes())
+        ))
 
 
 class OracleEnv(_DayEnv):
@@ -513,10 +511,10 @@ class OracleEnv(_DayEnv):
 
     def step(self, action: Action) -> tuple[Observation | None, np.ndarray, bool, dict]:
         d = self._begin_step(action)
-        return self._finish_step([self.oracle.step_network(
+        return self._finish_step(self.oracle.step_network(
             self.oracle.config.hour(self.day, d), action.sleep[0],
             resolve_bias(action, self.oracle.neighbors)[0],
-        )])
+        ))
 
 
 # -- actors ------------------------------------------------------------------------

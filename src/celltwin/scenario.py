@@ -18,7 +18,6 @@ import inspect
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, make_dataclass
-from functools import cached_property
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -143,41 +142,42 @@ class NetworkState:
     `served_users[u]` is the unit's weight times its served share; the
     dropped users are the weight not served, and `rsrp_avg_dbm` weighs each
     unit's RSRP by its served users. A state `serve` returns for a batch has
-    a leading episode axis on every field; `episodes` splits it into one
-    state per episode, and the properties read those.
+    a leading episode axis on every field. The properties reduce along the
+    last (unit or cell) axis, so they give one value per episode, and a
+    scalar for a state of one episode.
     """
 
     per_cell_load_mbps: np.ndarray
     per_cell_overload_mbps: np.ndarray
     per_cell_power_watts: np.ndarray
-    reference_power_watts: float
+    reference_power_watts: np.ndarray | float
     serving_cell: np.ndarray
     per_user_rsrp_dbm: np.ndarray
     served_users: np.ndarray
-    total_users: int
-
-    def episodes(self) -> list["NetworkState"]:
-        """One state per row of the leading episode axis."""
-        return [NetworkState(*row) for row in zip(*(getattr(self, f.name) for f in fields(self)))]
-
-    @cached_property
-    def _served_total(self) -> float:
-        return float(self.served_users.sum())
+    total_users: np.ndarray | int
 
     @property
-    def dropped_users(self) -> float:
-        return float(self.total_users - self._served_total)
+    def dropped_users(self):
+        return self.total_users - self.served_users.sum(axis=-1)
 
     @property
-    def rsrp_avg_dbm(self) -> float | None:
-        """Served-weighted mean RSRP; None when nobody is served."""
-        if self._served_total <= 0:
-            return None
-        valid = self.served_users > 0
-        return float((self.served_users[valid] * self.per_user_rsrp_dbm[valid]).sum() / self._served_total)
+    def rsrp_avg_dbm(self):
+        """Served-weighted mean RSRP; NaN where nobody is served.
 
-    def energy_wh(self, step_hours: float) -> float:
-        return float(self.per_cell_power_watts.sum() * step_hours)
+        Each episode's weighted sum is a 1-D sum over its served units alone,
+        hence the loop over episodes: a masked, zero-padded or `np.add.reduceat`
+        sum over the batch groups the additions differently and changes bits.
+        """
+        served = self.served_users.sum(axis=-1)
+        mean = np.full(np.shape(served), np.nan)
+        for i in np.ndindex(mean.shape):
+            if served[i] > 0:
+                weight, rsrp = self.served_users[i], self.per_user_rsrp_dbm[i]
+                mean[i] = (weight[weight > 0] * rsrp[weight > 0]).sum() / served[i]
+        return mean[()]
+
+    def energy_wh(self, step_hours: float):
+        return self.per_cell_power_watts.sum(axis=-1) * step_hours
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,9 @@ def step_physics(
     load = np.minimum(load, cells.capacity_mbps)
     power = cell_power_watts(cells, load / cells.capacity_mbps, sleep)
     per_cell = cell_power_watts(cells, np.minimum(native_mbps / cells.capacity_mbps, 1.0), False)
-    # Python's sum over each episode's cells, as the one-episode code has always
-    # added them; numpy's sum associates differently.
-    reference = np.array([sum(row) for row in per_cell.reshape(-1, n).tolist()]).reshape(load.shape[:-1])
+    # A running sum adds each episode's cells left to right, as the one-episode
+    # code has always added them; np.sum pairs them differently.
+    reference = np.cumsum(per_cell, axis=-1)[..., -1]
     return load, overload, power, reference[()]
 
 

@@ -15,7 +15,7 @@ from celltwin.agent import (
     compute_reward,
     resolve_bias,
 )
-from celltwin.errors import ShapeError, TrainingError
+from celltwin.errors import DomainError, ShapeError, TrainingError
 from celltwin.nn import finite_difference_check
 from celltwin.scenario import build_scenario, make_hex_scenario
 
@@ -47,12 +47,17 @@ class TestReward:
         assert r == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_users_vacuous_coverage(self):
-        r = compute_reward(50.0, 100.0, None, 0, 0, W)
+        r = compute_reward(50.0, 100.0, np.nan, 0, 0, W)
         assert r == pytest.approx(-0.5 + 1.0)
 
     def test_served_nobody_zero_coverage_term(self):
-        r = compute_reward(50.0, 100.0, None, 10, 10, W)
+        r = compute_reward(50.0, 100.0, np.nan, 10, 10, W)
         assert r == pytest.approx(-0.5 + 0.0 - 2.0)
+
+    @pytest.mark.parametrize("reference", [0.0, -1.0, np.array([100.0, 0.0, 50.0])])
+    def test_non_positive_reference_is_a_domain_error(self, reference):
+        with pytest.raises(DomainError, match="reference_energy_wh must be positive"):
+            compute_reward(np.full(3, 50.0), reference, np.full(3, -90.0), np.zeros(3), np.full(3, 10), W)
 
     def test_halving_energy_raises_reward_by_half_lambda(self):
         lo = compute_reward(100.0, 100.0, -90.0, 0, 10, W)
@@ -344,7 +349,7 @@ class TestGreedy:
 
     def test_unconstrained_floor_sleeps_everyone(self):
         def evaluate(sleep, bias):
-            return SimpleNamespace(rsrp_avg_dbm=None, per_cell_overload_mbps=np.zeros(3))
+            return SimpleNamespace(rsrp_avg_dbm=np.nan, per_cell_overload_mbps=np.zeros(3))
 
         action = baseline_greedy(
             np.array([0.3, 0.3, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-np.inf
@@ -359,6 +364,21 @@ class TestGreedy:
             np.array([0.3, 0.3, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-20.0
         )
         assert not action.sleep.any()
+
+    def test_nobody_served_under_a_finite_floor_reverts_every_sleep(self):
+        calls = []
+
+        def evaluate(sleep, bias):
+            calls.append(sleep.copy())
+            return SimpleNamespace(rsrp_avg_dbm=np.nan, per_cell_overload_mbps=np.zeros(3))
+
+        action = baseline_greedy(
+            np.array([0.3, 0.1, 0.2]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-110.0
+        )
+        assert not action.sleep.any()
+        assert [c.tolist() for c in calls] == [
+            [False, True, False], [False, False, True], [True, False, False],
+        ]
 
     def test_overloaded_neighbor_reverts_one_sleep(self):
         # Line topology 0-1-2. Cell 0 has the lowest load so it is tried first;
@@ -388,7 +408,7 @@ class TestGreedy:
 
         def evaluate(sleep, bias):
             seen.append(int(np.flatnonzero(sleep)[-1]) if sleep.any() else -1)
-            return SimpleNamespace(rsrp_avg_dbm=None, per_cell_overload_mbps=np.zeros(3))
+            return SimpleNamespace(rsrp_avg_dbm=np.nan, per_cell_overload_mbps=np.zeros(3))
 
         baseline_greedy(np.array([0.2, 0.2, 0.1]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-np.inf)
         first_tried = seen[0]

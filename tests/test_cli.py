@@ -556,6 +556,21 @@ class TestCliCommands:
         assert err == "error: config key dataset.n_days must be in [1, 4]\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dataset, message", [
+        # Refused at parse time.
+        ({"n_days": 2, "split": [0, 0, 1]}, "config key dataset.split must be"),
+        # Largest-remainder rounding leaves 7 traffic windows no training row.
+        ({"n_days": 1, "split": [0.01, 0.5, 0.49]},
+         "config key dataset.split gives the traffic training split none of its 7 samples"),
+    ])
+    def test_empty_training_split_is_one_error_line(self, tmp_path, capsys, dataset, message):
+        cfg = write_config(tmp_path, dataset=dataset)
+        assert main(["collect", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "datasets").exists()
+
     def test_missing_models_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["eval-gen", "--config", cfg]) == 1

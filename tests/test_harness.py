@@ -142,8 +142,7 @@ def reference_wm_episode(env, policy, rng):
         energy, rsrp = state.energy_wh(hours), state.rsrp_avg_dbm
         reward = compute_reward(energy, state.reference_power_watts * hours, rsrp, state.dropped_users,
                                 state.total_users, WEIGHTS)
-        rows.append((vec, choices, reward, energy, np.nan if rsrp is None else rsrp,
-                     state.dropped_users / max(state.total_users, 1)))
+        rows.append((vec, choices, reward, energy, rsrp, state.dropped_users / max(state.total_users, 1)))
     return [np.array(column) for column in zip(*rows)]
 
 

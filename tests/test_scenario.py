@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from celltwin.agent import RewardWeights, compute_reward
 from celltwin.dataset import collect_dataset
 from celltwin.errors import ConfigError, DomainError, UnknownIdError
 from celltwin.scenario import (
@@ -350,7 +351,7 @@ class TestStepNetwork:
         oracle = build_scenario(two_cell_config())
         state = oracle.step_network(12, sleep_mask=[True, True])
         assert state.dropped_users == state.total_users > 0
-        assert state.rsrp_avg_dbm is None
+        assert np.isnan(state.rsrp_avg_dbm)
 
     def test_sleeping_cell_serves_nothing_at_sleep_power(self):
         oracle = build_scenario(two_cell_config())
@@ -519,7 +520,7 @@ class TestServeProperties:
         if served.any():
             assert state.rsrp_avg_dbm == float(rsrp[served, serving[served]].mean())
         else:
-            assert state.rsrp_avg_dbm is None
+            assert np.isnan(state.rsrp_avg_dbm)
         assert state.dropped_users == int((serving == -1).sum())
         assert state.total_users == n_users
 
@@ -544,12 +545,12 @@ class TestServeProperties:
 
 
 @st.composite
-def batched_steps(draw):
-    """Steps of 1-5 episodes over the same cells, each with its own loads, units, action and floor
-    draws: all-sleep rows, units of weight 0, units that attach nowhere and biases that are not
-    whole dB all come up."""
-    n_cells, n_units = draw(st.integers(1, 7)), draw(st.integers(0, 12))
-    episodes, n_draws = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+def batched_steps(draw, max_episodes=5):
+    """Steps of 1-`max_episodes` episodes over the same cells, each with its own loads, units, action
+    and floor draws: all-sleep rows, units of weight 0, units that attach nowhere and biases that are
+    not whole dB all come up. Eight or more cells make numpy's sum over them pair its terms."""
+    n_cells, n_units = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    episodes, n_draws = draw(st.integers(1, max_episodes)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = CellArrays.of([HEX_CELLS[c % N_HEX] for c in range(n_cells)])
     sleep = rng.random((episodes, n_cells)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
@@ -569,6 +570,36 @@ def assert_rows_have_the_bits(batched, rows):
     for b, one in enumerate(rows):
         got, want = np.asarray(batched[b]), np.asarray(one)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_step_tail(state: NetworkState, step_hours: float, weights: RewardWeights):
+    """The one-episode step tail the batched `NetworkState` properties and `compute_reward` replaced:
+    Python floats, None for the RSRP average when nobody is served. (RSRP average or None, dropped
+    users, energy, reward) of one episode's state."""
+    served_total = float(state.served_users.sum())
+    dropped = float(state.total_users - served_total)
+    if served_total <= 0:
+        rsrp_avg = None
+    else:
+        valid = state.served_users > 0
+        rsrp_avg = float((state.served_users[valid] * state.per_user_rsrp_dbm[valid]).sum() / served_total)
+    energy = float(state.per_cell_power_watts.sum() * step_hours)
+    reference_energy, total_users = state.reference_power_watts * step_hours, state.total_users
+    if reference_energy <= 0:
+        raise DomainError("reference_energy_wh must be positive")
+    if total_users == 0:
+        rsrp_term = 1.0
+    elif rsrp_avg is None:
+        rsrp_term = 0.0
+    else:
+        rsrp_term = float(weights.rsrp_score(rsrp_avg))
+    dropped_frac = 0.0 if total_users == 0 else dropped / total_users
+    reward = (
+        -weights.lambda_e * (energy / reference_energy)
+        + weights.lambda_r * rsrp_term
+        - weights.lambda_d * dropped_frac
+    )
+    return rsrp_avg, dropped, energy, reward
 
 
 class TestBatchedServing:
@@ -591,6 +622,11 @@ class TestBatchedServing:
         want = [step_physics(cells, *row) for row in zip(native, sleep, natural, serving, weight, served)]
         for k in range(4):
             assert_rows_have_the_bits(got[k], [w[k] for w in want])
+        # Reference power is Python's sum over each episode's all-active cells.
+        assert_rows_have_the_bits(got[3], [
+            np.float64(sum(cell_power_watts(cells, np.minimum(row / cells.capacity_mbps, 1.0), False).tolist()))
+            for row in native
+        ])
 
     @settings(max_examples=200, deadline=None)
     @given(batched_steps())
@@ -601,9 +637,27 @@ class TestBatchedServing:
                 for n, nat, a, d, w, s, b in zip(native, natural, attach, draws, weight, sleep, bias)]
         for f in fields(NetworkState):
             assert_rows_have_the_bits(getattr(state, f.name), [getattr(w, f.name) for w in want])
-        for got, one in zip(state.episodes(), want):
-            assert (got.rsrp_avg_dbm, got.dropped_users, got.energy_wh(2.0)) == (
-                one.rsrp_avg_dbm, one.dropped_users, one.energy_wh(2.0))
+        for name in ("rsrp_avg_dbm", "dropped_users"):
+            assert_rows_have_the_bits(getattr(state, name), [getattr(w, name) for w in want])
+        assert_rows_have_the_bits(state.energy_wh(2.0), [w.energy_wh(2.0) for w in want])
+
+    @settings(max_examples=300, deadline=None)
+    @given(batched_steps(max_episodes=8), st.data())
+    def test_outcome_and_reward_equal_the_one_episode_tail(self, step, data):
+        """Rows with no users and rows where nobody is served come up in every example."""
+        cells, native, natural, attach, draws, weight, floor, sleep, bias = step
+        weight[data.draw(st.lists(st.integers(0, len(weight) - 1), max_size=2))] = 0.0
+        sleep[data.draw(st.lists(st.integers(0, len(sleep) - 1), max_size=2))] = True
+        weights = data.draw(st.sampled_from([RewardWeights(), RewardWeights(0.5, 2.0, 0.0, -110.0, -95.0)]))
+        hours = data.draw(st.sampled_from([1, 2, 0.5]))
+        state = serve(cells, native, natural, attach, draws, weight, floor, sleep, bias)
+        got = (state.rsrp_avg_dbm, state.dropped_users, state.energy_wh(hours))
+        got += (compute_reward(got[2], state.reference_power_watts * hours, got[0], got[1], state.total_users,
+                               weights),)
+        for b, row in enumerate(zip(*(getattr(state, f.name) for f in fields(NetworkState)))):
+            want = reference_step_tail(NetworkState(*row), hours, weights)
+            want = (np.nan if want[0] is None else want[0],) + want[1:]
+            assert [np.float64(g[b]).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
 
 
 SNAPSHOT_CFG = two_cell_config()
