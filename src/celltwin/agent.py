@@ -10,7 +10,6 @@ finite-difference oracle. The environment interface is agent-agnostic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError, TrainingError, read_json
 from .nn import MLP, ParamStore, softmax
+from .scenario import neighbor_pairs
 
 DEFAULT_BIAS_LEVELS = (0.0, 3.0, 6.0)
 
@@ -86,17 +86,18 @@ class Action:
         return cls(sleep=np.ones(n_cells, dtype=bool), bias_level_db=np.full(n_cells, bias_db))
 
 
-def resolve_bias(action: Action, neighbors: list[tuple[int, ...]]) -> np.ndarray:
+def resolve_bias(action: Action, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-cell association bias: each sleeping cell grants its bias to its neighbors.
 
-    An action with a leading episode axis gives one bias row per episode. Each
-    row is one ``np.add.at`` over the (cell, neighbor) pairs in ascending cell
-    order, so grants add in that order; an awake cell grants 0.0, and adding
-    a zero to a sum that starts at +0.0 leaves its bits alone.
+    ``pairs`` are the (cell, neighbor) index arrays of ``scenario.neighbor_pairs``,
+    built once per oracle as ``Oracle.neighbor_pairs``. An action with a leading
+    episode axis gives one bias row per episode. Each row is one ``np.add.at``
+    over the pairs in ascending cell order, so grants add in that order; an
+    awake cell grants 0.0, and adding a zero to a sum that starts at +0.0
+    leaves its bits alone.
     """
     granted = np.where(action.sleep, action.bias_level_db, 0.0)
-    cells = np.repeat(np.arange(len(neighbors)), list(map(len, neighbors)))
-    targets = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.intp, count=len(cells))
+    cells, targets = pairs
     bias = np.zeros(granted.shape)
     np.add.at(bias, (..., targets), granted[..., cells])
     return bias
@@ -303,11 +304,12 @@ def baseline_greedy(
     order = np.lexsort((np.arange(n), load_frac))
     sleep = np.zeros(n, dtype=bool)
     threshold = rsrp_floor_dbm + margin_db
+    pairs = neighbor_pairs(neighbors)
     for c in order:
         tentative = sleep.copy()
         tentative[c] = True
         action = Action(sleep=tentative, bias_level_db=np.where(tentative, bias_db, 0.0))
-        ev = evaluate_fn(tentative, resolve_bias(action, neighbors))
+        ev = evaluate_fn(tentative, resolve_bias(action, pairs))
         if np.isfinite(threshold) and not ev.rsrp_avg_dbm >= threshold:
             continue
         if any(ev.per_cell_overload_mbps[list(neighbors[c])] > 1e-9):

@@ -10,7 +10,6 @@ the output directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -284,6 +283,8 @@ def cmd_evaluate(run: RunConfig, args) -> int:
     # A forking pool starts every worker at its first submit, so it gets no more workers than seeds.
     workers = min(jobs, len(payloads))
     if workers > 1:
+        import concurrent.futures  # here, since with logging it costs about 9 ms that only a pool needs
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_evaluate_one_seed, payloads))
     else:

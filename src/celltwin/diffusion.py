@@ -173,6 +173,12 @@ def _cosine_sims(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return (q / qn) @ (keys / kn).T
 
 
+def _add_by_slot(grad: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """grad[idx[b, j]] += values[b, j] for every (b, j), slot j by slot j and row by row within
+    a slot: the order, and so the bits, of one ``np.add.at`` per slot."""
+    np.add.at(grad, np.ascontiguousarray(idx.T), np.ascontiguousarray(values.swapaxes(0, 1)))
+
+
 # -- denoiser architecture -----------------------------------------------------------
 
 
@@ -519,40 +525,48 @@ class DiffusionModel:
         self.time_mlp.backward(cache["cache_time"], d_temb, grads)
         null = cache["null_mask"]
         if null.any():
-            grads["null_embed"] = d_cemb[null].sum(axis=0)
+            grads["null_embed"] = np.add.reduce(d_cemb[null], axis=0, out=self.store.grad_out("null_embed"))
         self.cond_mlp.backward(cache["cache_cond"], np.where(null[:, None], 0.0, d_cemb), grads)
         if self.arch.memory and d_prompt.size:
-            m = self.arch.memory
-            g_prompts = np.zeros_like(self.store["memory/prompts"])
             idx = cache["indices"]
-            for j in range(m.top_n):
-                np.add.at(g_prompts, idx[:, j], d_prompt[:, j * m.prompt_dim : (j + 1) * m.prompt_dim])
-            grads["memory/prompts"] = g_prompts
+            g_prompts = grads["memory/prompts"] = self._zeroed_grad("memory/prompts")
+            slots = d_prompt.reshape(idx.shape + (self.arch.memory.prompt_dim,))
+            _add_by_slot(g_prompts, idx, slots)
 
     def _pull_loss(self, cache: dict, grads: dict[str, np.ndarray]) -> float:
-        """Retrieval alignment: pull each query toward its retrieved keys."""
+        """Retrieval alignment: pull each query toward its retrieved keys.
+
+        All top_n slots run in one pass over (batch, top_n, key_dim) arrays.
+        The loss, the query gradient and the key gradient add the slots in
+        ascending order onto sums that start at zero, as a loop over the slots
+        does, so the bits are that loop's.
+        """
         m = self.arch.memory
         q, idx = cache["query"], cache["indices"]
         keys = self.store["memory/keys"]
         batch, top_n = idx.shape
         w = m.pull_weight / (batch * top_n)
-        qn = np.linalg.norm(q, axis=1, keepdims=True) + _NORM_EPS
-        loss = 0.0
-        dq = np.zeros_like(q)
-        dk = np.zeros_like(keys)
-        for j in range(top_n):
-            k = keys[idx[:, j]]
-            kn = np.linalg.norm(k, axis=1, keepdims=True) + _NORM_EPS
-            dot = (q * k).sum(axis=1, keepdims=True)
-            cos = dot / (qn * kn)
-            loss += float(w * (1.0 - cos).sum())
-            dcos_dq = k / (qn * kn) - cos * q / (qn * qn)
-            dcos_dk = q / (qn * kn) - cos * k / (kn * kn)
-            dq += -w * dcos_dq
-            np.add.at(dk, idx[:, j], -w * dcos_dk)
+        qn = (np.linalg.norm(q, axis=1, keepdims=True) + _NORM_EPS)[:, None]
+        q = q[:, None]
+        k = keys[idx]
+        kn = np.linalg.norm(k, axis=2, keepdims=True) + _NORM_EPS
+        cos = (q * k).sum(axis=2, keepdims=True) / (qn * kn)
+        # A slot's loss sums its batch as one contiguous row, as the loop's 1-D sum did.
+        per_slot = np.ascontiguousarray((1.0 - cos)[..., 0].T).sum(axis=1)
+        loss = sum((w * per_slot).tolist(), 0.0)
+        dq = np.add.reduce(-w * (k / (qn * kn) - cos * q / (qn * qn)), axis=1, initial=0.0)
         self.query_mlp.backward(cache["cache_query"], dq, grads)
-        grads["memory/keys"] = dk
+        dk = grads["memory/keys"] = self._zeroed_grad("memory/keys")
+        _add_by_slot(dk, idx, -w * (q / (qn * kn) - cos * k / (kn * kn)))
         return loss
+
+    def _zeroed_grad(self, name: str) -> np.ndarray:
+        """A zero gradient for ``name`` where ``ParamStore.grad_out`` says, for a sum to add into."""
+        out = self.store.grad_out(name)
+        if out is None:
+            return np.zeros_like(self.store[name])
+        out.fill(0.0)
+        return out
 
     # -- training ----------------------------------------------------------------
 
@@ -565,7 +579,11 @@ class DiffusionModel:
         eps: np.ndarray,
         null_mask: np.ndarray,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mask-restricted noise-regression loss; deterministic given its inputs."""
+        """Mask-restricted noise-regression loss and its gradients; deterministic given its inputs.
+
+        A trainable tensor's gradient is its view of the store's packed gradient
+        buffer (``ParamStore.grad_out``), valid until the next backward or Adam step.
+        """
         mask = np.asarray(mask, dtype=bool)
         counts = mask.sum(axis=1)
         if (counts == 0).any():

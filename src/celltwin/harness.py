@@ -430,7 +430,7 @@ class WorldModelEnv(_DayEnv):
         return self._finish_step(serve(
             oracle.arrays, self._day[..., d], self._natural, self._table_mean, self._table,
             self._users_day[..., clock.user_column(d)], clock.rsrp_floor_dbm, action.sleep,
-            resolve_bias(action, oracle.neighbors),
+            resolve_bias(action, oracle.neighbor_pairs),
         ))
 
 
@@ -513,7 +513,7 @@ class OracleEnv(_DayEnv):
         d = self._begin_step(action)
         return self._finish_step(self.oracle.step_network(
             self.oracle.config.hour(self.day, d), action.sleep[0],
-            resolve_bias(action, self.oracle.neighbors)[0],
+            resolve_bias(action, self.oracle.neighbor_pairs)[0],
         ))
 
 

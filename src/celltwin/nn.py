@@ -6,11 +6,13 @@ by hand. The model set is small and fixed, so this stays verifiable against
 the central-difference oracle, which is the module's acceptance gate.
 
 The store, every gradient and every optimizer step are float64. A
-``ParamStore`` keeps its trainable tensors packed: their values and Adam
-moments live back to back in three contiguous float64 buffers, so one optimizer
-step is a few in-place vector ops over them. A cache-free ``MLP.forward`` can
-instead run on copies of a net's tensors in another dtype (``MLP.tensors``);
-the diffusion sampler runs its denoiser forwards that way in float32.
+``ParamStore`` keeps its trainable tensors packed: their values, Adam moments
+and gradients live back to back in contiguous float64 buffers, so one optimizer
+step is a few in-place vector ops over them. A backward pass writes each
+trainable tensor's gradient straight into its view of the gradient buffer. A
+cache-free ``MLP.forward`` can instead run on copies of a net's tensors in
+another dtype (``MLP.tensors``); the diffusion sampler runs its denoiser
+forwards that way in float32.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ _ACT = {"relu": relu, "tanh": tanh, "linear": identity}
 
 
 def _act_grad(name: str, out: np.ndarray) -> np.ndarray:
-    """Activation derivative from the activation's output alone."""
+    """Activation derivative from the activation's output alone; relu's as a boolean mask,
+    which a float product reads as 1.0 and 0.0."""
     if name == "relu":
-        return (out > 0.0).astype(float)
+        return out > 0.0
     if name == "tanh":
         return 1.0 - out * out
     return np.ones_like(out)
@@ -92,9 +95,10 @@ class _Packed:
     """The trainable tensors of a store, back to back in store order.
 
     ``value``, ``m`` and ``v`` hold the tensors' state; each tensor's
-    attributes of the same names become reshaped views into them. ``grad`` and
-    ``scratch`` are the step's two work vectors, allocated with the layout so
-    that a step allocates no array of the buffers' size.
+    attributes of the same names become reshaped views into them. ``grad``
+    holds the gradients, ``grad_views`` each tensor's reshaped view into it,
+    and ``scratch`` is the step's work vector; all are allocated with the
+    layout, so that a step allocates no array of the buffers' size.
     """
 
     def __init__(self, tensors: dict[str, Tensor]):
@@ -105,12 +109,14 @@ class _Packed:
                 self.segments.append(_Segment(name, t, size, size + t.value.size))
                 size += t.value.size
         self.value, self.m, self.v, self.grad, self.scratch = (np.empty(size) for _ in range(5))
+        self.grad_views: dict[str, np.ndarray] = {}
         for seg in self.segments:
             shape = seg.tensor.value.shape
             for attr in ("value", "m", "v"):
                 view = getattr(self, attr)[seg.start:seg.stop].reshape(shape)
                 view[...] = getattr(seg.tensor, attr)
                 setattr(seg.tensor, attr, view)
+            self.grad_views[seg.name] = self.grad[seg.start:seg.stop].reshape(shape)
 
     def runs(self, grads: dict[str, np.ndarray]) -> list[tuple[list[_Segment], int, int]]:
         """Maximal stretches of adjacent segments that have a gradient and one step count.
@@ -132,13 +138,14 @@ class _Packed:
 class ParamStore:
     """Named tensors with per-parameter Adam moments and freeze flags.
 
-    The first ``adam_step`` after an ``add``, ``remove``, ``freeze`` or
-    ``unfreeze`` packs the trainable tensors, in store order, into one
-    contiguous buffer each for value, ``m`` and ``v``; every such tensor's
-    arrays are then views into those buffers, which Adam updates in place.
-    Frozen tensors stay where they are. ``set`` writes into the existing array,
-    so a packed tensor stays packed. An array read through ``store[name]``
-    therefore sees later steps and sets until the next repack moves it.
+    The first ``grad_out`` or ``adam_step`` after an ``add``, ``remove``,
+    ``freeze`` or ``unfreeze`` packs the trainable tensors, in store order, into
+    one contiguous buffer each for value, ``m``, ``v`` and the gradient; every
+    such tensor's arrays are then views into those buffers, which Adam updates
+    in place. Frozen tensors stay where they are. ``set`` writes into the
+    existing array, so a packed tensor stays packed. An array read through
+    ``store[name]`` therefore sees later steps and sets until the next repack
+    moves it.
     """
 
     def __init__(self):
@@ -189,6 +196,19 @@ class ParamStore:
     def trainable_names(self) -> list[str]:
         return [n for n, t in self._tensors.items() if t.trainable]
 
+    def grad_out(self, name: str) -> np.ndarray | None:
+        """Where a backward writes ``name``'s gradient: the tensor's view of the packed
+        gradient buffer, or None for a frozen tensor, whose gradient is a new array.
+
+        The view is overwritten by the next backward, and ``adam_step`` spends it
+        as work space.
+        """
+        if not self._tensors[name].trainable:
+            return None
+        if self._packed is None:
+            self._packed = _Packed(self._tensors)
+        return self._packed.grad_views[name]
+
     # -- optimization ---------------------------------------------------------
 
     def adam_step(
@@ -202,10 +222,13 @@ class ParamStore:
         """Standard Adam with bias correction; frozen tensors are never touched.
 
         Every gradient's shape and finiteness is checked before any state
-        changes, frozen tensors' too. A trainable tensor without a gradient
-        keeps its value, moments and step count; since each tensor counts its
-        own steps, the update runs once per stretch of adjacent tensors that
-        share a count (usually the whole buffer). The operand order is that of
+        changes, frozen tensors' too. A trainable tensor's gradient is read
+        where ``grad_out`` put it, so a backward's gradients are not copied; any
+        other array is copied there first. A trainable tensor without a
+        gradient keeps its value, moments and step count; since each tensor
+        counts its own steps, the update runs once per stretch of adjacent
+        tensors that share a count (usually the whole buffer), and finiteness
+        is checked once per stretch. The operand order is that of
         ``m = b1 m + (1-b1) g``, ``v = b2 v + ((1-b2) g) g`` and
         ``x = x - (lr m_hat) / (sqrt(v_hat) + eps)``, bit for bit.
         """
@@ -217,8 +240,11 @@ class ParamStore:
             self._packed = _Packed(self._tensors)
         p = self._packed
         runs = p.runs(grads)
-        for run, a, b in runs:
-            np.concatenate([grads[seg.name] for seg in run], axis=None, out=p.grad[a:b])
+        for run, _, _ in runs:
+            for seg in run:
+                view = p.grad_views[seg.name]
+                if grads[seg.name] is not view:
+                    view[...] = grads[seg.name]
         checked = [p.grad[a:b] for _, a, b in runs]
         checked += [g for n, g in grads.items() if not self._tensors[n].trainable]
         if not all(np.isfinite(x).all() for x in checked):
@@ -363,12 +389,14 @@ class MLP:
             if a not in _ACT:
                 raise ShapeError(f"{prefix}: unknown activation {a!r}")
         self.lora: dict[int, LoraSpec] = {}
+        # Per layer: the store names of its weight, bias and adapter pair.
+        self._names = [tuple(f"{prefix}/{t}{i}" for t in ("W", "b", "A", "B")) for i in range(len(dims) - 1)]
         rng = rng or np.random.default_rng(0)
         inits = [(np.sqrt((2.0 if act == "relu" else 1.0) / d_in), (d_out, d_in))
                  for d_in, d_out, act in zip(self.dims[:-1], self.dims[1:], self.acts)]
-        for i, w in enumerate(self._normal(rng, inits)):
-            store.add(f"{prefix}/W{i}", w)
-            store.add(f"{prefix}/b{i}", np.zeros(w.shape[:-1]))
+        for (w_name, b_name, _, _), w in zip(self._names, self._normal(rng, inits)):
+            store.add(w_name, w)
+            store.add(b_name, np.zeros(w.shape[:-1]))
 
     @property
     def n_layers(self) -> int:
@@ -380,11 +408,11 @@ class MLP:
         return [np.stack(d) if self.stack else d[0] for d in zip(*draws)]
 
     def base_names(self) -> list[str]:
-        return [n for i in range(self.n_layers) for n in (f"{self.prefix}/W{i}", f"{self.prefix}/b{i}")]
+        return [n for names in self._names for n in names[:2]]
 
     def tensors(self, dtype) -> dict[str, np.ndarray]:
         """Copies of this net's tensors, adapters included, as ``dtype``, keyed by store name."""
-        names = self.base_names() + [f"{self.prefix}/{m}{i}" for i in self.lora for m in ("A", "B")]
+        names = self.base_names() + [n for i in self.lora for n in self._names[i][2:]]
         return {name: self.store[name].astype(dtype) for name in names}
 
     def scratch(
@@ -432,7 +460,7 @@ class MLP:
         store's tensors; ``x`` is cast to their dtype, and so is every layer.
         """
         p = self.store if params is None else params
-        x = np.atleast_2d(np.asarray(x, dtype=p[f"{self.prefix}/W0"].dtype))
+        x = np.atleast_2d(np.asarray(x, dtype=p[self._names[0][0]].dtype))
         if x.shape[-1] != self.dims[0]:
             raise ShapeError(
                 f"{self.prefix}: input dim {x.shape[-1]} != expected {self.dims[0]}"
@@ -441,16 +469,13 @@ class MLP:
         h = x[..., None, :, :] if self.stack else x  # the member axis, just before the rows
         for i in range(self.n_layers):
             post_out, low_out, up_out = out[i] if out is not None else (None, None, None)
-            w = p[f"{self.prefix}/W{i}"]
-            b = p[f"{self.prefix}/b{i}"]
-            pre = np.matmul(h, np.swapaxes(w, -1, -2), out=post_out)
-            pre += b[..., None, :]
+            w_name, b_name, a_name, bb_name = self._names[i]
+            pre = np.matmul(h, p[w_name].mT, out=post_out)
+            pre += p[b_name][..., None, :]
             low = None
             if i in self.lora:
-                a = p[f"{self.prefix}/A{i}"]
-                bb = p[f"{self.prefix}/B{i}"]
-                low = np.matmul(h, np.swapaxes(a, -1, -2), out=low_out)
-                up = np.matmul(low, np.swapaxes(bb, -1, -2), out=up_out)
+                low = np.matmul(h, p[a_name].mT, out=low_out)
+                up = np.matmul(low, p[bb_name].mT, out=up_out)
                 up *= self.lora[i].scale
                 pre += up
             post = _ACT[self.acts[i]](pre, out=pre)
@@ -460,23 +485,28 @@ class MLP:
         return (h, cache) if keep_cache else h
 
     def backward(self, cache: list, dout: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Input gradient; sets ``grads[name]`` for every tensor of the net, adapters included.
+
+        Each gradient is written where ``ParamStore.grad_out`` says: a trainable
+        tensor's lands in the packed gradient buffer, a frozen one's in a new
+        array. ``out=`` gives the bits of the allocating products and sums.
+        """
+        store = self.store
         d = np.asarray(dout, dtype=np.float64)
         for i in range(self.n_layers - 1, -1, -1):
             x_in, post, low = cache[i]
+            w_name, b_name, a_name, bb_name = self._names[i]
             dpre = d * _act_grad(self.acts[i], post)
-            dpre_t = np.swapaxes(dpre, -1, -2)
-            w = self.store[f"{self.prefix}/W{i}"]
-            grads[f"{self.prefix}/W{i}"] = dpre_t @ x_in
-            grads[f"{self.prefix}/b{i}"] = dpre.sum(axis=-2)
-            d = dpre @ w
+            grads[w_name] = np.matmul(dpre.mT, x_in, out=store.grad_out(w_name))
+            grads[b_name] = np.add.reduce(dpre, axis=-2, out=store.grad_out(b_name))
+            d = dpre @ store[w_name]
             if i in self.lora:
-                spec = self.lora[i]
-                a = self.store[f"{self.prefix}/A{i}"]
-                bb = self.store[f"{self.prefix}/B{i}"]
-                grads[f"{self.prefix}/B{i}"] = spec.scale * (dpre_t @ low)
-                dlow = spec.scale * (dpre @ bb)
-                grads[f"{self.prefix}/A{i}"] = np.swapaxes(dlow, -1, -2) @ x_in
-                d = d + dlow @ a
+                scale = self.lora[i].scale
+                g_up = grads[bb_name] = np.matmul(dpre.mT, low, out=store.grad_out(bb_name))
+                g_up *= scale
+                dlow = scale * (dpre @ store[bb_name])
+                grads[a_name] = np.matmul(dlow.mT, x_in, out=store.grad_out(a_name))
+                d = d + dlow @ store[a_name]
         return d
 
     # -- low-rank adaptation -------------------------------------------------
@@ -501,20 +531,19 @@ class MLP:
                 raise ShapeError(f"{self.prefix}: layer {i} already adapted")
         downs = self._normal(rng, [(1.0 / rank, (rank, self.dims[i])) for i in layers])
         for i, a in zip(layers, downs):
-            self.store.add(f"{self.prefix}/A{i}", a)
-            self.store.add(f"{self.prefix}/B{i}", np.zeros(a.shape[:-2] + (self.dims[i + 1], rank)))
+            _, _, a_name, bb_name = self._names[i]
+            self.store.add(a_name, a)
+            self.store.add(bb_name, np.zeros(a.shape[:-2] + (self.dims[i + 1], rank)))
             self.lora[i] = spec
         self.store.freeze(self.base_names())
 
     def merge_lora(self) -> None:
         """Fold scale * B A into W, drop the adapters, unfreeze the base."""
         for i, spec in sorted(self.lora.items()):
-            a = self.store[f"{self.prefix}/A{i}"]
-            bb = self.store[f"{self.prefix}/B{i}"]
-            w = self.store[f"{self.prefix}/W{i}"]
-            self.store.set(f"{self.prefix}/W{i}", w + spec.scale * (bb @ a))
-            self.store.remove(f"{self.prefix}/A{i}")
-            self.store.remove(f"{self.prefix}/B{i}")
+            w_name, _, a_name, bb_name = self._names[i]
+            self.store.set(w_name, self.store[w_name] + spec.scale * (self.store[bb_name] @ self.store[a_name]))
+            self.store.remove(a_name)
+            self.store.remove(bb_name)
         self.lora.clear()
         self.store.unfreeze(self.base_names())
 
@@ -528,9 +557,11 @@ def finite_difference_check(
     """Max relative error between analytic gradients and central differences.
 
     ``loss_fn`` must be deterministic and must return the loss along with
-    gradients for every checked tensor (missing entries count as zero).
+    gradients for every checked tensor (missing entries count as zero). The
+    gradients are copied, since a backward's land in the store's buffer, which
+    the perturbed calls overwrite.
     """
-    _, grads = loss_fn()
+    grads = {name: np.array(g) for name, g in loss_fn()[1].items()}
     checked = names if names is not None else store.trainable_names()
     max_rel = 0.0
     for name in checked:

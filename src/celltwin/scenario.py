@@ -14,6 +14,7 @@ Modelling choices (stand-ins; the real quantities these mimic are unspecified):
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -41,6 +42,11 @@ _S_USERS = 2
 _S_POS = 3
 _S_SHADOW = 4
 
+# np.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx), for `key_states`.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
 MIN_DISTANCE_KM = 0.01  # 10 m clamp keeps the path-loss log finite
 # Bound on the expected users per step, sum(poi_weight * base_users), each with its own rows in a step.
 MAX_USERS_PER_STEP = 10**6
@@ -57,6 +63,111 @@ def _raw_diurnal(profile: str, hour: float) -> float:
         d = _circular_hour_distance(hour, peak)
         total += weight * math.exp(-0.5 * (d / width) ** 2)
     return total
+
+
+# -- keyed seeding in bulk ---------------------------------------------------------
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n's little-endian 32-bit words, as SeedSequence splits an integer of its entropy."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _word_table(values) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's words as a zero-padded (values, widest) uint32 table, and each one's word count."""
+    words = [_uint32_words(v) for v in values]
+    width = max(map(len, words))
+    return np.array([w + [0] * (width - len(w)) for w in words], np.uint32), np.array(list(map(len, words)))
+
+
+def seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for many keys at once.
+
+    Row k of ``entropy`` (keys, words), uint32, is key k's entropy words, zero
+    past its ``lengths[k]``. The result is (keys, 4) uint64. This is numpy's
+    hash step for step, vectorised over the keys: the first four words fill
+    the pool (a shorter key reads zeros there, as SeedSequence does), every
+    pool word is mixed into every other, and each word past the pool is mixed
+    into all four. The hash constants depend only on the call count, so every
+    key uses the same ones.
+    """
+    def constants(init, mult):
+        while True:
+            after = init * mult & _MASK32
+            yield init, after
+            init = after
+
+    hash_a = constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        before, after = next(hash_a)
+        value = (value ^ before) * after
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ (result >> 16)
+
+    n, width = entropy.shape
+    words = [entropy[:, i] if i < width else np.zeros(n, np.uint32) for i in range(max(width, 4))]
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for i, word in enumerate(words[4:], 4):
+        live = lengths > i
+        for dst in range(4):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(word)), pool[dst])
+    state = np.empty((n, 8), np.uint32)
+    for i, (before, after) in zip(range(8), constants(_INIT_B, _MULT_B)):
+        value = (pool[i % 4] ^ before) * after
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # word pairs read little-endian, as numpy does
+
+
+def key_states(prefix: Sequence[int], ids: Sequence[int], hours: Sequence[int]) -> np.ndarray:
+    """(ids, hours, 4): `seed_states` of every key ``(*prefix, id, hour)``.
+
+    Each integer is its own run of words, so a key's hour words start right
+    after its id's; a word past a key's length is zero and masked.
+    """
+    head = [w for v in prefix for w in _uint32_words(v)]
+    id_words, id_len = _word_table(ids)
+    hour_words, hour_len = _word_table(hours)
+    rows, cols = np.arange(len(ids))[:, None], np.arange(len(hours))
+    entropy = np.zeros((len(ids), len(hours), len(head) + id_words.shape[1] + hour_words.shape[1]), np.uint32)
+    entropy[..., :len(head)] = head
+    entropy[..., len(head):len(head) + id_words.shape[1]] = id_words[:, None]
+    for j in range(hour_words.shape[1]):
+        entropy[rows, cols, (len(head) + id_len + j)[:, None]] = hour_words[:, j]
+    lengths = len(head) + id_len[:, None] + hour_len
+    return seed_states(entropy.reshape(-1, entropy.shape[-1]), lengths.reshape(-1)).reshape(len(ids), len(hours), 4)
+
+
+@functools.cache
+def _key_state_type() -> type:
+    """The class that gives PCG64 one key's precomputed state through numpy's seeding
+    interface. It is made on first use: importing numpy.random costs about 10 ms, which a
+    process that draws nothing need not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a key state holds the four uint64 words PCG64 asks for")
+            return self.state
+
+    return KeyState
 
 
 # Normalize each template to peak 1.0 on a fine grid, so `amp` is the peak
@@ -221,6 +332,13 @@ def cell_power_watts(cell: CellConfig | CellArrays, load_fraction, asleep):
     return np.where(asleep, cell.p_sleep_watts, active)
 
 
+def neighbor_pairs(neighbors: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell neighbour lists of cell indices as (cell, neighbour) index arrays: cell by
+    ascending cell, each cell's neighbours in list order."""
+    cells = np.repeat(np.arange(len(neighbors)), [len(nbs) for nbs in neighbors])
+    return cells, np.array([nb for nbs in neighbors for nb in nbs], dtype=np.intp)
+
+
 def step_physics(
     cells: CellArrays,
     native_mbps: np.ndarray,
@@ -345,13 +463,18 @@ class Oracle:
     """Query interface over one scenario; every answer is a pure function of (config, seed, query).
 
     Tables in config order: `grid_positions`, `cell_positions`, `grid_cell_km`, `nearest_cell`
-    (ties to the lowest index), `grid_weight` (poi_weight * base_users) and `neighbors` (cell
-    indices); `grid_edge_km` is the lattice pitch. Per hour of day, as array expressions over
+    (ties to the lowest index), `grid_weight` (poi_weight * base_users), `neighbors` (cell
+    indices) and `neighbor_pairs`, the same lists as the (cell, neighbour) index arrays
+    `agent.resolve_bias` takes; `grid_edge_km` is the lattice pitch. Per hour of day, as array expressions over
     the module's `DIURNAL` table, built once at import: `hourly_demand`, each cell's
     noise-free demand fraction of capacity, and `hourly_user_rate`, each grid's Poisson user
     rate.
 
-    The mutable parts are two stores of read-only arrays. The column store keeps, for the
+    Every random draw is keyed (see `_rng`). A key store keeps, for the oracle's lifetime, the
+    hashed seed state of every key of each (tag, day) block that has been drawn from, 32
+    bytes per key.
+
+    The other mutable parts are two stores of read-only arrays. The column store keeps, for the
     oracle's lifetime, each step's traffic vector (per cell, in Mbps) and user-count vector
     (per grid) under (kind, the step's first hour); it holds at most one column per traffic
     and per user step of the horizon. Day reads stack a day's columns into a fresh array and
@@ -372,10 +495,11 @@ class Oracle:
         self.n_grids = len(config.grids)
         self.arrays = CellArrays.of(self.cells)
         self.neighbors = tuple(tuple(self._cell_index[nb] for nb in c.neighbors) for c in self.cells)
+        self.neighbor_pairs = neighbor_pairs(self.neighbors)
         self.grid_positions = np.array([g.position for g in config.grids])
         self.cell_positions = np.array([c.position for c in self.cells])
-        xs = np.unique(self.grid_positions[:, 0])
-        self.grid_edge_km = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
+        xs = sorted(set(self.grid_positions[:, 0].tolist()))
+        self.grid_edge_km = xs[1] - xs[0] if len(xs) > 1 else 1.0
         offsets = self.grid_positions[:, None, :] - self.cell_positions[None, :, :]
         self.grid_cell_km = np.linalg.norm(offsets, axis=2)
         self.nearest_cell = np.argmin(self.grid_cell_km, axis=1)
@@ -391,11 +515,27 @@ class Oracle:
         self.hourly_user_rate = self.grid_weight[:, None] * (0.2 + 0.8 * shape[self.nearest_cell])
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._columns: dict[tuple[str, int], np.ndarray] = {}
+        self._key_states: dict[tuple[int, int], np.ndarray] = {}
 
     # -- keyed randomness ----------------------------------------------------
 
-    def _rng(self, *key: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.config.seed,) + key))
+    def _rng(self, tag: int, index: int, t_hours: int) -> np.random.Generator:
+        """The generator of key (seed, tag, id, t_hours), which draws what
+        ``np.random.default_rng(np.random.SeedSequence(key))`` draws.
+
+        The id is the cell id of cell row `index` for traffic and the grid index
+        `index` otherwise; `t_hours` is a step's first hour. The key's state is
+        read from its (tag, day) block, hashed on first use by `key_states`.
+        """
+        traffic = tag == _S_TRAFFIC
+        step = self.config.traffic_step_hours if traffic else self.config.user_step_hours
+        day, hour = divmod(t_hours, 24)
+        states = self._key_states.get((tag, day))
+        if states is None:
+            ids = [c.id for c in self.cells] if traffic else range(self.n_grids)
+            states = key_states((self.config.seed, tag), ids, range(day * 24, day * 24 + 24, step))
+            self._key_states[tag, day] = states
+        return np.random.Generator(np.random.PCG64(_key_state_type()(states[index, hour // step])))
 
     # -- element queries -----------------------------------------------------
 
@@ -419,7 +559,7 @@ class Oracle:
         raw = float(self.hourly_demand[row, tq % 24])
         sigma = self.config.traffic_noise_sigma
         if sigma > 0:
-            eta = float(self._rng(_S_TRAFFIC, self.cells[row].id, tq).normal(0.0, sigma))
+            eta = float(self._rng(_S_TRAFFIC, row, tq).normal(0.0, sigma))
             raw *= 1.0 + eta
         return self.cells[row].capacity_mbps * min(max(raw, 0.0), 1.0)
 
@@ -568,6 +708,8 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("cell ids must be unique")
     known = set(ids)
     for cell in config.cell_configs:
+        if cell.id < 0:  # a key of the cell's traffic draws, which SeedSequence takes only non-negative
+            raise ConfigError(f"cell {cell.id}: id must be >= 0")
         if cell.tx_power_dbm <= 0 or cell.carrier_freq_mhz <= 0 or cell.capacity_mbps <= 0:
             raise ConfigError(f"cell {cell.id}: tx_power_dbm, carrier_freq_mhz, capacity_mbps must be > 0")
         if cell.p_sleep_watts >= cell.p0_watts:

@@ -17,10 +17,11 @@ from celltwin.agent import (
 )
 from celltwin.errors import DomainError, ShapeError, TrainingError
 from celltwin.nn import finite_difference_check
-from celltwin.scenario import build_scenario, make_hex_scenario
+from celltwin.scenario import build_scenario, make_hex_scenario, neighbor_pairs
 
 W = RewardWeights()
-HEX7_NEIGHBORS = build_scenario(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48)).neighbors
+HEX7 = build_scenario(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48))
+HEX7_NEIGHBORS = HEX7.neighbors
 
 
 def reference_resolve_bias(action: Action, neighbors: list[tuple[int, ...]]) -> np.ndarray:
@@ -419,7 +420,7 @@ class TestActionHelpers:
     def test_resolve_bias_accumulates_from_sleepers(self):
         action = Action(sleep=np.array([True, False, True]),
                         bias_level_db=np.array([3.0, 0.0, 6.0]))
-        bias = resolve_bias(action, [(1,), (0, 2), (1,)])
+        bias = resolve_bias(action, neighbor_pairs([(1,), (0, 2), (1,)]))
         assert bias.tolist() == [0.0, 9.0, 0.0]
 
     @settings(max_examples=300, deadline=None)
@@ -438,8 +439,9 @@ class TestActionHelpers:
         level = data.draw(st.lists(levels, min_size=episodes * n, max_size=episodes * n))
         action = Action(np.array(sleep).reshape(episodes, n), np.array(level).reshape(episodes, n))
         with np.errstate(over="ignore", invalid="ignore"):  # huge grants may sum past the float range
-            got = resolve_bias(action, neighbors)
-            rows = [resolve_bias(Action(action.sleep[b], action.bias_level_db[b]), neighbors) for b in range(episodes)]
+            pairs = HEX7.neighbor_pairs if neighbors is HEX7_NEIGHBORS else neighbor_pairs(neighbors)
+            got = resolve_bias(action, pairs)
+            rows = [resolve_bias(Action(action.sleep[b], action.bias_level_db[b]), pairs) for b in range(episodes)]
         assert got.dtype == np.float64 and got.shape == (episodes, n)
         assert got.tobytes() == reference_resolve_bias(action, neighbors).tobytes()
         assert got.tobytes() == np.stack(rows).tobytes()

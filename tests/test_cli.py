@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 from dataclasses import asdict, fields
@@ -381,6 +382,9 @@ BAD_SCENARIOS = {
                                      "scenario base_users give inf expected users per step"),
     "inline_grid_base_users_huge": ("inline", _full_scenario(lambda d: d["grids"][1].update(base_users=10**7)),
                                     "scenario base_users give"),
+    # Cell ids key the traffic draws, and a negative one used to fail mid-collect with numpy's ValueError.
+    "inline_cell_id_negative": ("inline", _full_scenario(lambda d: d["cell_configs"][0].update(id=-1)),
+                                "cell -1: id must be >= 0"),
     "path_is_a_directory": ("inline", "", "scenario file"),
     "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
 }
@@ -484,7 +488,7 @@ class TestCliCommands:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # cli imports it when it pools
         cfg = write_config(tmp_path, evaluation={"schemes": ["empirical"]})
         assert main(["evaluate", "--config", cfg, "--jobs", "64"]) == 0
         assert requested == [len(parse_config(cfg).seeds)] == [2]
@@ -591,7 +595,11 @@ class TestCliCommands:
         assert len(short) == 5 and all(np.isfinite(v) for v in short.values())
 
     def test_import_does_not_load_scipy(self, child_env):
-        code = "import sys, celltwin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        # Nor numpy.ma (np.unique's first call imports it) or concurrent.futures (only a --jobs pool needs it).
+        code = ("import sys, celltwin.cli; from celltwin.scenario import build_scenario, make_hex_scenario; "
+                "build_scenario(make_hex_scenario()); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m == 'numpy.ma' or m.startswith(('numpy.ma.', 'concurrent.futures'))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env)
         assert proc.stdout.strip() == "[]"
 

@@ -180,6 +180,96 @@ class TestMoEStructure:
         assert np.allclose(eps_hat, 2.0, atol=1e-12)
 
 
+def reference_mlp_backward(mlp, cache, dout, grads):
+    """``MLP.backward`` before gradients went into the packed buffer: every gradient a new array."""
+    d = np.asarray(dout, dtype=np.float64)
+    store, p = mlp.store, mlp.prefix
+    for i in range(mlp.n_layers - 1, -1, -1):
+        x_in, post, low = cache[i]
+        act = mlp.acts[i]
+        deriv = ((post > 0.0).astype(float) if act == "relu" else 1.0 - post * post if act == "tanh"
+                 else np.ones_like(post))
+        dpre = d * deriv
+        dpre_t = np.swapaxes(dpre, -1, -2)
+        grads[f"{p}/W{i}"] = dpre_t @ x_in
+        grads[f"{p}/b{i}"] = dpre.sum(axis=-2)
+        d = dpre @ store[f"{p}/W{i}"]
+        if i in mlp.lora:
+            scale = mlp.lora[i].scale
+            grads[f"{p}/B{i}"] = scale * (dpre_t @ low)
+            dlow = scale * (dpre @ store[f"{p}/B{i}"])
+            grads[f"{p}/A{i}"] = np.swapaxes(dlow, -1, -2) @ x_in
+            d = d + dlow @ store[f"{p}/A{i}"]
+    return d
+
+
+def reference_loss_and_grads(model, x0, cond, mask, t, eps, null_mask):
+    """``loss_and_grads`` with the dict path it replaced: new arrays, and a loop over the top_n slots."""
+    mask = np.asarray(mask, dtype=bool)
+    counts = mask.sum(axis=1)
+    x_t = q_sample(x0, t, eps, model.schedule)
+    eps_hat, cache = model._forward(x_t, t, cond, null_mask, mask, np.where(mask, 0.0, x0))
+    diff = np.where(mask, eps_hat - eps, 0.0)
+    loss = float((np.square(diff).sum(axis=1) / counts).mean())
+    grads = {}
+    d_eps = 2.0 * diff / counts[:, None] / x0.shape[0]
+    gate, expert_out = cache["gate"], cache["expert_out"]
+    d_logits = diffusion.softmax_backward(gate, (d_eps[None] * expert_out).sum(axis=2).T)
+    dz = reference_mlp_backward(model.gate_mlp, cache["cache_gate"], d_logits, grads)
+    dz_e = reference_mlp_backward(model.experts, cache["cache_e"], gate.T[:, :, None] * d_eps, grads)
+    dz = np.concatenate([dz[None], dz_e]).sum(axis=0)
+    cols = model.arch.z_columns()
+    d_temb, d_cemb, d_prompt = dz[:, cols["time"]], dz[:, cols["cond"]], dz[:, cols["prompts"]]
+    reference_mlp_backward(model.time_mlp, cache["cache_time"], d_temb, grads)
+    null = cache["null_mask"]
+    if null.any():
+        grads["null_embed"] = d_cemb[null].sum(axis=0)
+    reference_mlp_backward(model.cond_mlp, cache["cache_cond"], np.where(null[:, None], 0.0, d_cemb), grads)
+    m = model.arch.memory
+    if m is None:
+        return loss, grads
+    idx = cache["indices"]
+    g_prompts = np.zeros_like(model.store["memory/prompts"])
+    for j in range(m.top_n):
+        np.add.at(g_prompts, idx[:, j], d_prompt[:, j * m.prompt_dim:(j + 1) * m.prompt_dim])
+    grads["memory/prompts"] = g_prompts
+    q, keys = cache["query"], model.store["memory/keys"]
+    w = m.pull_weight / (idx.size)
+    qn = np.linalg.norm(q, axis=1, keepdims=True) + diffusion._NORM_EPS
+    pull, dq, dk = 0.0, np.zeros_like(q), np.zeros_like(keys)
+    for j in range(m.top_n):
+        k = keys[idx[:, j]]
+        kn = np.linalg.norm(k, axis=1, keepdims=True) + diffusion._NORM_EPS
+        cos = (q * k).sum(axis=1, keepdims=True) / (qn * kn)
+        pull += float(w * (1.0 - cos).sum())
+        dq += -w * (k / (qn * kn) - cos * q / (qn * qn))
+        np.add.at(dk, idx[:, j], -w * (q / (qn * kn) - cos * k / (kn * kn)))
+    reference_mlp_backward(model.query_mlp, cache["cache_query"], dq, grads)
+    grads["memory/keys"] = dk
+    return loss + pull, grads
+
+
+def reference_train_step(model, x0, cond, mask, rng, lr):
+    """``train_step`` on the reference gradients, each a new array that Adam copies into its buffer."""
+    t = rng.integers(1, model.schedule.steps + 1, size=len(x0))
+    eps = rng.standard_normal(x0.shape)
+    null_mask = rng.random(len(x0)) < model.p_uncond
+    loss, grads = reference_loss_and_grads(model, x0, cond, mask, t, eps, null_mask)
+    assert not any(np.shares_memory(g, model.store._packed.grad) for g in grads.values()
+                   if model.store._packed is not None)
+    model.store.adam_step(grads, lr=lr)
+    if model.arch.memory and model.store.is_trainable("memory/keys"):
+        keys = model.store["memory/keys"]
+        model.store.set("memory/keys", keys / (np.linalg.norm(keys, axis=1, keepdims=True) + diffusion._NORM_EPS))
+    return loss
+
+
+def adam_state(store):
+    """Every tensor's value, moments, step count and flag, as bytes."""
+    return {name: (t.value.tobytes(), t.m.tobytes(), t.v.tobytes(), t.step, t.trainable)
+            for name, t in store._tensors.items()}
+
+
 class TestTraining:
     def test_loss_nonnegative(self):
         model = tiny_model()
@@ -215,6 +305,48 @@ class TestTraining:
         masks = np.ones((256, 4), dtype=bool)
         losses = model.train(data, cond, masks, steps=500, batch_size=32, rng=rng, lr=2e-3)
         assert np.mean(losses[-50:]) < np.mean(losses[:50])
+
+    @pytest.mark.parametrize("head", ["memory", "plain", "lora"])
+    def test_steps_match_the_dict_path_bit_for_bit(self, head):
+        mem = MemoryConfig(n_pairs=12, top_n=3, prompt_dim=3, key_dim=10) if head == "memory" else None
+        # One-value series, as the rsrp head's, where the experts' output gradient is not C-ordered.
+        L = 1 if head == "plain" else 12
+
+        def build():
+            model = tiny_model(series_len=L, memory=mem, seed=3, n_experts=3, expert_hidden=(16, 12),
+                               gate_hidden=(10,))
+            model.p_uncond = 0.2
+            if head == "lora":
+                model.lora_attach(rank=2, alpha=4.0, seed=5)
+                for name in model.store.trainable_names():  # nonzero adapters, so every one gets a gradient
+                    model.store.set(name, np.random.default_rng(6).normal(0.0, 0.3, size=model.store[name].shape))
+            return model
+
+        data = np.random.default_rng(7)
+        x0 = data.standard_normal((64, L))
+        cond = data.standard_normal((64, COND_DIM))
+        mask = data.random((64, L)) < 0.7
+        mask[:, -1] = True
+        # Batches of 64 rows and of 3: the small ones often hold no null row.
+        batches = [slice(0, 64), slice(5, 8), slice(0, 64), slice(10, 13), slice(20, 23), slice(0, 64)]
+        got, want = build(), build()
+        rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+        for rows in batches:
+            loss_got = got.train_step(x0[rows], cond[rows], mask[rows], rng_got, lr=0.01)
+            loss_want = reference_train_step(want, x0[rows], cond[rows], mask[rows], rng_want, lr=0.01)
+            assert loss_got == loss_want
+            assert adam_state(got.store) == adam_state(want.store)
+        null_steps = got.store._tensors["null_embed"].step
+        if head == "lora":
+            assert null_steps == 0 and not got.store.is_trainable("experts/W0")
+        else:
+            assert 0 < null_steps < len(batches)  # some batches had no null row and left null_embed alone
+        # A backward writes a trainable tensor's gradient into the buffer and a frozen one's elsewhere.
+        _, grads = got.loss_and_grads(x0, cond, mask, np.full(64, 3), np.ones((64, L)), np.arange(64) % 5 == 0)
+        assert set(grads) == set(got.store.names())
+        for name, g in grads.items():
+            assert (g is got.store.grad_out(name)) == got.store.is_trainable(name)
+            assert np.shares_memory(g, got.store._packed.grad) == got.store.is_trainable(name)
 
     def test_gradients_match_finite_differences(self):
         model = tiny_model(series_len=4, n_experts=2)

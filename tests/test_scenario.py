@@ -2,7 +2,7 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,11 +19,13 @@ from celltwin.scenario import (
     CellConfig,
     GridCell,
     NetworkState,
+    Oracle,
     ScenarioConfig,
     associate_users,
     build_scenario,
     cell_power_watts,
     make_hex_scenario,
+    key_states,
     path_loss_db,
     _raw_diurnal,
     scenario_from_dict,
@@ -774,6 +776,49 @@ class TestColumnStore:
             # Each column read so far is held and was drawn once, one value per cell or grid.
             assert oracle._columns.keys() == columns
             assert Counter(calls) == {col: width[col[0]] for col in columns}
+
+
+class ReferenceOracle(Oracle):
+    """The per-value seeding the bulk path replaced: one SeedSequence and one Generator per value."""
+
+    def _rng(self, tag, index, t_hours):
+        ident = self.cells[index].id if tag == 1 else index  # tag 1 is traffic, keyed by cell id
+        return np.random.default_rng(np.random.SeedSequence((self.config.seed, tag, ident, t_hours)))
+
+
+# Integers of one 32-bit word and of several: a key of more than four words runs
+# SeedSequence's extra mixing loop.
+KEY_INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70),
+                     st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]))
+
+
+class TestKeyedDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(KEY_INTS, st.integers(1, 4), st.lists(KEY_INTS, min_size=1, max_size=4),
+           st.lists(KEY_INTS, min_size=1, max_size=4))
+    def test_bulk_hash_is_the_seed_sequence_state(self, seed, tag, ids, hours):
+        got = key_states((seed, tag), ids, hours)
+        assert got.dtype == np.uint64 and got.shape == (len(ids), len(hours), 4)
+        for i, ident in enumerate(ids):
+            for j, hour in enumerate(hours):
+                want = np.random.SeedSequence((seed, tag, ident, hour)).generate_state(4, np.uint64)
+                assert got[i, j].tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(KEY_INTS, st.lists(KEY_INTS, min_size=7, max_size=7, unique=True), st.integers(0, 47))
+    def test_every_draw_is_the_per_value_draw(self, seed, ids, t):
+        config = make_hex_scenario(seed=seed, grid_dim=2, horizon_hours=48)
+        new_id = {c.id: i for c, i in zip(config.cell_configs, ids)}
+        config = replace(config, cell_configs=tuple(
+            replace(c, id=new_id[c.id], neighbors=tuple(new_id[nb] for nb in c.neighbors))
+            for c in config.cell_configs))
+        oracle, reference = build_scenario(config), ReferenceOracle(config)
+        # Normal draws (traffic), Poisson draws (user counts), then uniform positions and normal shadowing.
+        for name in ("traffic_day", "users_day"):
+            assert_same_bits([getattr(oracle, name)(t // 24)], [getattr(reference, name)(t // 24)])
+        counts, positions, shadowing = oracle.users_and_shadowing(t)
+        assert counts.any() and shadowing.shape == (counts.sum(), 7)
+        assert_same_bits((counts, positions, shadowing), reference.users_and_shadowing(t))
 
 
 DAY_CFG = two_cell_config(horizon_hours=5 * 24)
