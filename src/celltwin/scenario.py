@@ -86,7 +86,7 @@ def _word_table(values) -> tuple[np.ndarray, np.ndarray]:
     return np.array([w + [0] * (width - len(w)) for w in words], np.uint32), np.array(list(map(len, words)))
 
 
-def seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for many keys at once.
 
     Row k of ``entropy`` (keys, words), uint32, is key k's entropy words, zero
@@ -133,7 +133,7 @@ def seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def key_states(prefix: Sequence[int], ids: Sequence[int], hours: Sequence[int]) -> np.ndarray:
-    """(ids, hours, 4): `seed_states` of every key ``(*prefix, id, hour)``.
+    """(ids, hours, 4): `_seed_states` of every key ``(*prefix, id, hour)``.
 
     Each integer is its own run of words, so a key's hour words start right
     after its id's; a word past a key's length is zero and masked.
@@ -148,7 +148,7 @@ def key_states(prefix: Sequence[int], ids: Sequence[int], hours: Sequence[int]) 
     for j in range(hour_words.shape[1]):
         entropy[rows, cols, (len(head) + id_len + j)[:, None]] = hour_words[:, j]
     lengths = len(head) + id_len[:, None] + hour_len
-    return seed_states(entropy.reshape(-1, entropy.shape[-1]), lengths.reshape(-1)).reshape(len(ids), len(hours), 4)
+    return _seed_states(entropy.reshape(-1, entropy.shape[-1]), lengths.reshape(-1)).reshape(len(ids), len(hours), 4)
 
 
 @functools.cache
