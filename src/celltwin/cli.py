@@ -151,9 +151,7 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             given = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(given, dict):
         raise ConfigError("config root must be a JSON object")
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
         run = parse_config(args.config)
         run.out_path.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](run, args)
-    except (CelltwinError, FileNotFoundError) as exc:
+    except (CelltwinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,34 +68,14 @@ def _raw_diurnal(profile: str, hour: float) -> float:
 # -- keyed seeding in bulk ---------------------------------------------------------
 
 
-def _uint32_words(n: int) -> list[int]:
-    """n's little-endian 32-bit words, as SeedSequence splits an integer of its entropy."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for many four-word keys at once.
 
-
-def _word_table(values) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's words as a zero-padded (values, widest) uint32 table, and each one's word count."""
-    words = [_uint32_words(v) for v in values]
-    width = max(map(len, words))
-    return np.array([w + [0] * (width - len(w)) for w in words], np.uint32), np.array(list(map(len, words)))
-
-
-def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for many keys at once.
-
-    Row k of ``entropy`` (keys, words), uint32, is key k's entropy words, zero
-    past its ``lengths[k]``. The result is (keys, 4) uint64. This is numpy's
-    hash step for step, vectorised over the keys: the first four words fill
-    the pool (a shorter key reads zeros there, as SeedSequence does), every
-    pool word is mixed into every other, and each word past the pool is mixed
-    into all four. The hash constants depend only on the call count, so every
-    key uses the same ones.
+    Row k of ``entropy`` (keys, 4), uint32, is key k's four entropy words,
+    which fill SeedSequence's pool exactly. The result is (keys, 4) uint64.
+    This is numpy's hash step for step, vectorised over the keys: every pool
+    word is mixed into every other. The hash constants depend only on the
+    call count, so every key uses the same ones.
     """
     def constants(init, mult):
         while True:
@@ -114,18 +94,12 @@ def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         result = _MIX_L * x - _MIX_R * y
         return result ^ (result >> 16)
 
-    n, width = entropy.shape
-    words = [entropy[:, i] if i < width else np.zeros(n, np.uint32) for i in range(max(width, 4))]
-    pool = [hashmix(word) for word in words[:4]]
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for i, word in enumerate(words[4:], 4):
-        live = lengths > i
-        for dst in range(4):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(word)), pool[dst])
-    state = np.empty((n, 8), np.uint32)
+    state = np.empty((len(entropy), 8), np.uint32)
     for i, (before, after) in zip(range(8), constants(_INIT_B, _MULT_B)):
         value = (pool[i % 4] ^ before) * after
         state[:, i] = value ^ (value >> 16)
@@ -133,22 +107,23 @@ def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def key_states(prefix: Sequence[int], ids: Sequence[int], hours: Sequence[int]) -> np.ndarray:
-    """(ids, hours, 4): `_seed_states` of every key ``(*prefix, id, hour)``.
+    """(ids, hours, 4): ``np.random.SeedSequence((seed, tag, id, hour)).generate_state(4, np.uint64)``
+    of every key of ``prefix = (seed, tag)``.
 
-    Each integer is its own run of words, so a key's hour words start right
-    after its id's; a word past a key's length is zero and masked.
+    When every integer is in [0, 2**32), each is one 32-bit word and the keys
+    are hashed at once by `_seed_states`. Otherwise numpy hashes each key
+    itself: a wider integer keeps its bits, and a negative one raises
+    numpy's ValueError.
     """
-    head = [w for v in prefix for w in _uint32_words(v)]
-    id_words, id_len = _word_table(ids)
-    hour_words, hour_len = _word_table(hours)
-    rows, cols = np.arange(len(ids))[:, None], np.arange(len(hours))
-    entropy = np.zeros((len(ids), len(hours), len(head) + id_words.shape[1] + hour_words.shape[1]), np.uint32)
-    entropy[..., :len(head)] = head
-    entropy[..., len(head):len(head) + id_words.shape[1]] = id_words[:, None]
-    for j in range(hour_words.shape[1]):
-        entropy[rows, cols, (len(head) + id_len + j)[:, None]] = hour_words[:, j]
-    lengths = len(head) + id_len[:, None] + hour_len
-    return _seed_states(entropy.reshape(-1, entropy.shape[-1]), lengths.reshape(-1)).reshape(len(ids), len(hours), 4)
+    seed, tag = prefix
+    if not all(0 <= v <= _MASK32 for v in (seed, tag, *ids, *hours)):
+        return np.array([[np.random.SeedSequence((seed, tag, i, h)).generate_state(4, np.uint64) for h in hours]
+                         for i in ids]).reshape(len(ids), len(hours), 4)
+    entropy = np.empty((len(ids), len(hours), 4), np.uint32)
+    entropy[..., 0], entropy[..., 1] = seed, tag
+    entropy[..., 2] = np.array(ids)[:, None]
+    entropy[..., 3] = hours
+    return _seed_states(entropy.reshape(-1, 4)).reshape(len(ids), len(hours), 4)
 
 
 @functools.cache

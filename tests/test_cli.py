@@ -455,6 +455,20 @@ class TestCliCommands:
         assert main(["collect", "--config", str(path)]) == 1
         assert "foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_is_not_utf8", "out_dir_is_a_file"])
+    def test_unreadable_config_or_out_dir_is_one_error_line(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, out_dir=str(tmp_path / "taken"))
+        if case == "config_is_a_directory":
+            cfg = str(tmp_path)
+        elif case == "config_is_not_utf8":
+            (tmp_path / "config.json").write_bytes(b'{"seeds": [0], "out_dir": "caf\xe9"}')
+        else:
+            (tmp_path / "taken").write_text("")
+        assert main(["collect", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_negative_reward_weight_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, reward={"lambda_e": -1})
         assert main(["simulate", "--config", cfg]) == 1

@@ -786,8 +786,8 @@ class ReferenceOracle(Oracle):
         return np.random.default_rng(np.random.SeedSequence((self.config.seed, tag, ident, t_hours)))
 
 
-# Integers of one 32-bit word and of several: a key of more than four words runs
-# SeedSequence's extra mixing loop.
+# Integers of one 32-bit word and of several: key_states hashes a key of four
+# one-word integers itself and hands a key with a wider one to numpy's SeedSequence.
 KEY_INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70),
                      st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]))
 
@@ -803,6 +803,29 @@ class TestKeyedDraws:
             for j, hour in enumerate(hours):
                 want = np.random.SeedSequence((seed, tag, ident, hour)).generate_state(4, np.uint64)
                 assert got[i, j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("position", ["seed", "id", "hour"])
+    @pytest.mark.parametrize("value", [2**32 - 1, 2**32])  # the widest one-word integer, then two words
+    def test_each_key_position_at_the_word_edge(self, position, value):
+        key = {"seed": 7, "id": 3, "hour": 30, position: value}
+        ids, hours = [key["id"], 4], [key["hour"], 31]
+        got = key_states((key["seed"], 2), ids, hours)
+        for (i, ident), (j, hour) in itertools.product(enumerate(ids), enumerate(hours)):
+            want = np.random.SeedSequence((key["seed"], 2, ident, hour)).generate_state(4, np.uint64)
+            assert got[i, j].tobytes() == want.tobytes()
+
+    def test_a_negative_id_raises_numpys_error(self):
+        with pytest.raises(ValueError):
+            key_states((0, 1), [0, -1], range(24))
+
+    def test_a_day_of_four_word_keys_never_builds_a_seed_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a four-word key was handed to np.random.SeedSequence")
+
+        oracle = build_scenario(make_hex_scenario(seed=2**32 - 1))
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        oracle.traffic_day(1), oracle.users_day(1), oracle.users_and_shadowing(30)
+        assert set(oracle._key_states) == {(tag, 1) for tag in (1, 2, 3, 4)}
 
     @settings(max_examples=40, deadline=None)
     @given(KEY_INTS, st.lists(KEY_INTS, min_size=7, max_size=7, unique=True), st.integers(0, 47))
