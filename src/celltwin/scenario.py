@@ -69,13 +69,14 @@ def _raw_diurnal(profile: str, hour: float) -> float:
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for many four-word keys at once.
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for many keys of one width at once.
 
-    Row k of ``entropy`` (keys, 4), uint32, is key k's four entropy words,
-    which fill SeedSequence's pool exactly. The result is (keys, 4) uint64.
-    This is numpy's hash step for step, vectorised over the keys: every pool
-    word is mixed into every other. The hash constants depend only on the
-    call count, so every key uses the same ones.
+    Row k of ``entropy`` (keys, words), uint32 with words >= 4, is key k's
+    entropy words. The result is (keys, 4) uint64. This is numpy's hash step
+    for step, vectorised over the keys: the first four words fill the pool,
+    every pool word is mixed into every other, and each word past the pool
+    is mixed into all four. The hash constants depend only on the call
+    count, so every key uses the same ones.
     """
     def constants(init, mult):
         while True:
@@ -99,6 +100,9 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy.T[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
     state = np.empty((len(entropy), 8), np.uint32)
     for i, (before, after) in zip(range(8), constants(_INIT_B, _MULT_B)):
         value = (pool[i % 4] ^ before) * after
@@ -110,20 +114,21 @@ def key_states(prefix: Sequence[int], ids: Sequence[int], hours: Sequence[int]) 
     """(ids, hours, 4): ``np.random.SeedSequence((seed, tag, id, hour)).generate_state(4, np.uint64)``
     of every key of ``prefix = (seed, tag)``.
 
-    When every integer is in [0, 2**32), each is one 32-bit word and the keys
-    are hashed at once by `_seed_states`. Otherwise numpy hashes each key
-    itself: a wider integer keeps its bits, and a negative one raises
-    numpy's ValueError.
+    With a non-negative prefix and every id and hour in [0, 2**32), each key is
+    the prefix's 32-bit words plus one word each for id and hour, so all have
+    one width and `_seed_states` hashes them at once, a wide seed included.
+    Otherwise numpy hashes each key: a wider id or hour keeps its bits, and a
+    negative integer raises numpy's ValueError.
     """
-    seed, tag = prefix
-    if not all(0 <= v <= _MASK32 for v in (seed, tag, *ids, *hours)):
-        return np.array([[np.random.SeedSequence((seed, tag, i, h)).generate_state(4, np.uint64) for h in hours]
+    if min(prefix) < 0 or not all(0 <= v <= _MASK32 for v in (*ids, *hours)):
+        return np.array([[np.random.SeedSequence((*prefix, i, h)).generate_state(4, np.uint64) for h in hours]
                          for i in ids]).reshape(len(ids), len(hours), 4)
-    entropy = np.empty((len(ids), len(hours), 4), np.uint32)
-    entropy[..., 0], entropy[..., 1] = seed, tag
-    entropy[..., 2] = np.array(ids)[:, None]
-    entropy[..., 3] = hours
-    return _seed_states(entropy.reshape(-1, 4)).reshape(len(ids), len(hours), 4)
+    head = [v >> shift & _MASK32 for v in map(int, prefix) for shift in range(0, max(v.bit_length(), 1), 32)]
+    entropy = np.empty((len(ids), len(hours), len(head) + 2), np.uint32)
+    entropy[..., :-2] = head
+    entropy[..., -2] = np.array(ids)[:, None]
+    entropy[..., -1] = hours
+    return _seed_states(entropy.reshape(-1, len(head) + 2)).reshape(len(ids), len(hours), 4)
 
 
 @functools.cache

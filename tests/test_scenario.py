@@ -786,8 +786,9 @@ class ReferenceOracle(Oracle):
         return np.random.default_rng(np.random.SeedSequence((self.config.seed, tag, ident, t_hours)))
 
 
-# Integers of one 32-bit word and of several: key_states hashes a key of four
-# one-word integers itself and hands a key with a wider one to numpy's SeedSequence.
+# Integers of one 32-bit word and of several: key_states hashes keys whose id and
+# hour are one word each itself, at any seed, and hands a key with a wider id or
+# hour to numpy's SeedSequence.
 KEY_INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70),
                      st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]))
 
@@ -826,6 +827,19 @@ class TestKeyedDraws:
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         oracle.traffic_day(1), oracle.users_day(1), oracle.users_and_shadowing(30)
         assert set(oracle._key_states) == {(tag, 1) for tag in (1, 2, 3, 4)}
+
+    def test_a_day_at_a_wide_seed_never_builds_a_seed_sequence(self, monkeypatch):
+        # A seed of 2**32 or more widens every key of a block alike, so the block stays on
+        # the bulk path: per-key hashing there made a 16-day hex7 collect about 3x slower.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a key with a wide seed was handed to np.random.SeedSequence")
+
+        config = make_hex_scenario(seed=10**12 + 7)
+        reference = ReferenceOracle(config)
+        want = (reference.traffic_day(1), reference.users_day(1), *reference.users_and_shadowing(30))
+        oracle = build_scenario(config)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert_same_bits((oracle.traffic_day(1), oracle.users_day(1), *oracle.users_and_shadowing(30)), want)
 
     @settings(max_examples=40, deadline=None)
     @given(KEY_INTS, st.lists(KEY_INTS, min_size=7, max_size=7, unique=True), st.integers(0, 47))
