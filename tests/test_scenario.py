@@ -819,27 +819,21 @@ class TestKeyedDraws:
         with pytest.raises(ValueError):
             key_states((0, 1), [0, -1], range(24))
 
-    def test_a_day_of_four_word_keys_never_builds_a_seed_sequence(self, monkeypatch):
+    # 2**32 - 1 keeps every key at four words. A seed of 2**32 or more widens every key of a
+    # block alike, so the block stays on the bulk path too: per-key hashing there made a
+    # 16-day hex7 collect about 3x slower.
+    @pytest.mark.parametrize("seed", [2**32 - 1, 10**12 + 7])
+    def test_a_day_of_keys_never_builds_a_seed_sequence(self, monkeypatch, seed):
         def refuse(*args, **kwargs):
-            raise AssertionError("a four-word key was handed to np.random.SeedSequence")
+            raise AssertionError("a key of a day block was handed to np.random.SeedSequence")
 
-        oracle = build_scenario(make_hex_scenario(seed=2**32 - 1))
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        oracle.traffic_day(1), oracle.users_day(1), oracle.users_and_shadowing(30)
-        assert set(oracle._key_states) == {(tag, 1) for tag in (1, 2, 3, 4)}
-
-    def test_a_day_at_a_wide_seed_never_builds_a_seed_sequence(self, monkeypatch):
-        # A seed of 2**32 or more widens every key of a block alike, so the block stays on
-        # the bulk path: per-key hashing there made a 16-day hex7 collect about 3x slower.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a key with a wide seed was handed to np.random.SeedSequence")
-
-        config = make_hex_scenario(seed=10**12 + 7)
+        config = make_hex_scenario(seed=seed)
         reference = ReferenceOracle(config)
         want = (reference.traffic_day(1), reference.users_day(1), *reference.users_and_shadowing(30))
         oracle = build_scenario(config)
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert_same_bits((oracle.traffic_day(1), oracle.users_day(1), *oracle.users_and_shadowing(30)), want)
+        assert set(oracle._key_states) == {(tag, 1) for tag in (1, 2, 3, 4)}
 
     @settings(max_examples=40, deadline=None)
     @given(KEY_INTS, st.lists(KEY_INTS, min_size=7, max_size=7, unique=True), st.integers(0, 47))
