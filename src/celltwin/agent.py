@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError, TrainingError, read_json
 from .nn import MLP, ParamStore, softmax
-from .scenario import neighbor_pairs
 
 DEFAULT_BIAS_LEVELS = (0.0, 3.0, 6.0)
 
@@ -286,7 +285,7 @@ def baseline_custom(
 
 def baseline_greedy(
     load_frac: np.ndarray,
-    neighbors: list[tuple[int, ...]],
+    pairs: tuple[np.ndarray, np.ndarray],
     evaluate_fn,
     rsrp_floor_dbm: float,
     margin_db: float = 8.0,
@@ -294,6 +293,7 @@ def baseline_greedy(
 ) -> Action:
     """Iteratively sleep cells in ascending-load priority order, with rollback.
 
+    ``pairs`` are the (cell, neighbor) index arrays of ``Oracle.neighbor_pairs``.
     ``evaluate_fn(sleep_mask, bias_vector)`` returns each tentative pattern's
     ``scenario.NetworkState``; the sleep is reverted when its ``rsrp_avg_dbm``
     is not at least floor + margin (NaN, nobody served, is not) or any
@@ -304,7 +304,6 @@ def baseline_greedy(
     order = np.lexsort((np.arange(n), load_frac))
     sleep = np.zeros(n, dtype=bool)
     threshold = rsrp_floor_dbm + margin_db
-    pairs = neighbor_pairs(neighbors)
     for c in order:
         tentative = sleep.copy()
         tentative[c] = True
@@ -312,7 +311,7 @@ def baseline_greedy(
         ev = evaluate_fn(tentative, resolve_bias(action, pairs))
         if np.isfinite(threshold) and not ev.rsrp_avg_dbm >= threshold:
             continue
-        if any(ev.per_cell_overload_mbps[list(neighbors[c])] > 1e-9):
+        if (ev.per_cell_overload_mbps[pairs[1][pairs[0] == c]] > 1e-9).any():
             continue
         sleep = tentative
     return Action(sleep=sleep, bias_level_db=np.where(sleep, bias_db, 0.0))

@@ -126,7 +126,7 @@ _VALUE_CHECKS = (
     ("worldmodel.beta_min", lambda v: 0 < v < 1, "in (0, 1)"),
     ("evaluation.percentile", lambda v: 0 <= v <= 100, "in [0, 100]"),
     *((key, lambda v: v >= 0, ">= 0") for key in (
-        "scenario.seed", "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
+        "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
         "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
         "worldmodel.train_steps", "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim",

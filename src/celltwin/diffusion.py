@@ -448,23 +448,21 @@ class DiffusionModel:
         cond: np.ndarray | Conditioning,
         mask: np.ndarray | None = None,
         context: np.ndarray | None = None,
-        null_mask=False,
     ) -> np.ndarray:
         """Predicted noise: gate-weighted sum of expert outputs on the shared input.
 
         ``cond`` is either the raw conditions, (B, cond_dim) with (B, L)
-        ``mask`` and ``context``, and then ``t`` and ``null_mask`` may be per
-        row; or a stacked ``Conditioning`` from ``condition`` that already
-        holds them, for one sampler step at integer step ``t``. That form takes
-        ``x_t`` as (K, B, L), runs every pass of every problem in tiles through
-        the ``Conditioning``'s workspace in float32 and returns its float32 eps
-        buffer, (passes, K, B, L); ``null_mask`` is not read. The raw-input
-        form is training's float64 forward, ``_forward``, with its caches dropped
-        on return.
+        ``mask`` and ``context``, and then ``t`` may be per row; or a stacked
+        ``Conditioning`` from ``condition`` that already holds them, for one
+        sampler step at integer step ``t``. That form takes ``x_t`` as
+        (K, B, L), runs every pass of every problem in tiles through the
+        ``Conditioning``'s workspace in float32 and returns its float32 eps
+        buffer, (passes, K, B, L). The raw-input form is training's float64
+        forward, ``_forward``, with no row null and its caches dropped on return.
         """
         if isinstance(cond, Conditioning):
             return self._denoise_passes(x_t, int(t), cond)
-        return self._forward(x_t, t, cond, null_mask, mask, context)[0]
+        return self._forward(x_t, t, cond, False, mask, context)[0]
 
     def _denoise_passes(self, x_t: np.ndarray, t: int, cnd: Conditioning) -> np.ndarray:
         """Every pass of one sampler step through ``cnd``'s workspace, tile by tile (see ``Conditioning``)."""

@@ -35,6 +35,11 @@ from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, bui
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
+# First key words of the oracle env's forecasts and of the traffic and RSRP samples the metrics score.
+PREDICT_SEED = 5
+_TRAFFIC_SAMPLE_SEED = 23
+_RSRP_SAMPLE_SEED = 29
+
 REPORT_COLUMNS = (
     "scheme", "scenario", "peak_fraction", "seed", "environment", "utility",
     "energy_wh", "energy_saved_pct", "rsrp_avg_dbm", "rsrp_delta_db", "dropped_rate",
@@ -456,7 +461,6 @@ class OracleEnv(_DayEnv):
         bundle: WorldModelBundle | None = None,
         day: int = 1,
         predict_mode: str = "long_term",
-        predict_seed: int = 5,
     ):
         if predict_mode not in ("long_term", "short_term"):
             raise ConfigError(f"unknown predict_mode {predict_mode!r}")
@@ -466,7 +470,6 @@ class OracleEnv(_DayEnv):
         self.bundle = bundle
         self.day = day
         self.predict_mode = predict_mode
-        self.predict_seed = predict_seed
         self._realised = None       # (traffic_day, users_day or None)
         self._forecasts = None      # (traffic, users), one forecast per step short-term, one in all long-term
 
@@ -491,7 +494,7 @@ class OracleEnv(_DayEnv):
             self.oracle.traffic_day(self.day), self.oracle.users_day(self.day) if short_term else None
         )
         if self.bundle is not None:
-            key = (self.predict_seed, self.oracle.config.seed, self.day)
+            key = (PREDICT_SEED, self.oracle.config.seed, self.day)
             if short_term:  # step d's forecast reveals d + 1 windows and has its own generator
                 steps = range(self.steps_per_episode)
                 keys, revealed, realised = [key + (d,) for d in steps], [d + 1 for d in steps], self._realised
@@ -623,7 +626,7 @@ def _rule_action(
         return baseline_custom(load, history, percentile=cfg.percentile, bias_db=cfg.baseline_bias_db)
     if scheme == "greedy":
         return baseline_greedy(
-            load, env.oracle.neighbors, env.greedy_evaluator(),
+            load, env.oracle.neighbor_pairs, env.greedy_evaluator(),
             rsrp_floor_dbm=env.oracle.config.rsrp_floor_dbm,
             margin_db=cfg.greedy_margin_db, bias_db=cfg.baseline_bias_db,
         )
@@ -755,7 +758,6 @@ def traffic_generation_metrics(
     task: str,
     n_samples: int = 48,
     history_steps: int = 6,
-    sample_seed: int = 23,
 ) -> dict[str, float]:
     """Fidelity of generated traffic against the oracle, normalized by its range.
 
@@ -763,7 +765,7 @@ def traffic_generation_metrics(
     ``short_term_prediction`` (the day's first ``history_steps`` windows are
     revealed from a held-out oracle realization and only the tail is scored).
     """
-    return _score_traffic(model, _traffic_reference(scenario, n_samples), task, history_steps, sample_seed)
+    return _score_traffic(model, _traffic_reference(scenario, n_samples), task, history_steps)
 
 
 def _traffic_reference(scenario: ScenarioConfig, n_samples: int = 48) -> tuple[Oracle, np.ndarray, float]:
@@ -779,7 +781,7 @@ def _traffic_reference(scenario: ScenarioConfig, n_samples: int = 48) -> tuple[O
 
 
 def _score_traffic(model: DiffusionModel, reference: tuple[Oracle, np.ndarray, float], task: str,
-                   history_steps: int = 6, sample_seed: int = 23) -> dict[str, float]:
+                   history_steps: int = 6) -> dict[str, float]:
     """``traffic_generation_metrics`` against a ``_traffic_reference``, with as many samples as it has draws."""
     oracle, draws, value_range = reference
     n_samples, n_cells, steps = draws.shape
@@ -794,7 +796,7 @@ def _score_traffic(model: DiffusionModel, reference: tuple[Oracle, np.ndarray, f
     else:
         raise ConfigError(f"unknown task {task!r}")
 
-    rng = np.random.default_rng(np.random.SeedSequence((sample_seed, 31)))
+    rng = np.random.default_rng(np.random.SeedSequence((_TRAFFIC_SAMPLE_SEED, 31)))
     conds = np.repeat(_conditions_traffic(oracle, model.layout), n_samples, axis=0)
     context = np.repeat(oracle.traffic_day(0), n_samples, axis=0) if revealed else None
     gen = _sample_days(model, conds, steps, [revealed], context, [rng])[0]
@@ -834,7 +836,6 @@ def rsrp_controllability(
     dist_range: tuple[float, float],
     grid_points: int = 5,
     replicates: int = 16,
-    sample_seed: int = 29,
 ) -> dict[str, float]:
     """Spearman rank checks over a (tx, freq, distance) condition lattice.
 
@@ -853,7 +854,7 @@ def rsrp_controllability(
                     {"tx_power_dbm": a, "carrier_freq_mhz": f, "distance_km": d}
                 ))
     conds = np.repeat(np.stack(conds), replicates, axis=0)
-    rng = np.random.default_rng(np.random.SeedSequence((sample_seed, 37)))
+    rng = np.random.default_rng(np.random.SeedSequence((_RSRP_SAMPLE_SEED, 37)))
     gen = model.sample(conds, np.ones((conds.shape[0], 1), dtype=bool), None, rng)
     cube = gen.reshape(grid_points, grid_points, grid_points, replicates)
     tx_means = cube.mean(axis=(1, 2, 3))

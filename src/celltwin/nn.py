@@ -29,6 +29,10 @@ from .errors import FormatError, ShapeError, TrainingError, read_json
 
 CHECKPOINT_VERSION = 2
 
+# Adam's b1, b2 and eps (Kingma & Ba's defaults), and finite_difference_check's step.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_FD_STEP = 1e-5
+
 
 # Activations write into ``out`` when given (``out=x`` works in place).
 
@@ -211,14 +215,7 @@ class ParamStore:
 
     # -- optimization ---------------------------------------------------------
 
-    def adam_step(
-        self,
-        grads: dict[str, np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def adam_step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         """Standard Adam with bias correction; frozen tensors are never touched.
 
         Every gradient's shape and finiteness is checked before any state
@@ -256,14 +253,14 @@ class ParamStore:
                 seg.tensor.step = step
             g, s = p.grad[a:b], p.scratch[a:b]
             m, v, x = p.m[a:b], p.v[a:b], p.value[a:b]
-            m *= beta1
-            m += np.multiply(g, 1.0 - beta1, out=s)
-            v *= beta2
-            np.multiply(g, 1.0 - beta2, out=s)
+            m *= _ADAM_BETA1
+            m += np.multiply(g, 1.0 - _ADAM_BETA1, out=s)
+            v *= _ADAM_BETA2
+            np.multiply(g, 1.0 - _ADAM_BETA2, out=s)
             v += np.multiply(s, g, out=s)
-            m_hat = np.divide(m, 1.0 - beta1**step, out=g)  # g is spent
-            v_hat = np.divide(v, 1.0 - beta2**step, out=s)
-            denom = np.add(np.sqrt(v_hat, out=s), eps, out=s)
+            m_hat = np.divide(m, 1.0 - _ADAM_BETA1**step, out=g)  # g is spent
+            v_hat = np.divide(v, 1.0 - _ADAM_BETA2**step, out=s)
+            denom = np.add(np.sqrt(v_hat, out=s), _ADAM_EPS, out=s)
             m_hat *= lr
             x -= np.divide(m_hat, denom, out=m_hat)
 
@@ -551,7 +548,6 @@ class MLP:
 def finite_difference_check(
     store: ParamStore,
     loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
-    eps: float = 1e-5,
     names: Sequence[str] | None = None,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
@@ -571,12 +567,12 @@ def finite_difference_check(
         fd = np.zeros_like(flat)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + eps
+            flat[j] = orig + _FD_STEP
             up, _ = loss_fn()
-            flat[j] = orig - eps
+            flat[j] = orig - _FD_STEP
             down, _ = loss_fn()
             flat[j] = orig
-            fd[j] = (up - down) / (2.0 * eps)
+            fd[j] = (up - down) / (2.0 * _FD_STEP)
         a = analytic.reshape(-1)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(a)), 1e-6)
         max_rel = max(max_rel, float((np.abs(fd - a) / denom).max()))

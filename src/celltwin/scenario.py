@@ -185,9 +185,7 @@ class GridCell:
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
-    n_cells: int
     cell_configs: tuple[CellConfig, ...]
-    grid_dim: int
     grids: tuple[GridCell, ...]
     horizon_hours: int
     traffic_step_hours: int = 2
@@ -471,7 +469,7 @@ class Oracle:
         self.config = config
         self.cells = tuple(config.cell_configs)
         self._cell_index = {c.id: i for i, c in enumerate(self.cells)}
-        self.n_cells = config.n_cells
+        self.n_cells = len(self.cells)
         self.n_grids = len(config.grids)
         self.arrays = CellArrays.of(self.cells)
         self.neighbors = tuple(tuple(self._cell_index[nb] for nb in c.neighbors) for c in self.cells)
@@ -649,12 +647,12 @@ class Oracle:
 
 def validate_scenario(config: ScenarioConfig) -> None:
     """Raise a ConfigError for a scenario the oracle cannot run."""
-    if config.n_cells < 2:
-        raise ConfigError(f"n_cells must be >= 2, got {config.n_cells}")
-    if len(config.cell_configs) != config.n_cells:
-        raise ConfigError(
-            f"cell_configs has {len(config.cell_configs)} entries, n_cells is {config.n_cells}"
-        )
+    if len(config.cell_configs) < 2:
+        raise ConfigError(f"cell_configs must hold at least 2 cells, got {len(config.cell_configs)}")
+    if not config.grids:
+        raise ConfigError("grids must be nonempty")
+    if config.seed < 0:  # the first word of every draw's key, which SeedSequence takes only non-negative
+        raise ConfigError(f"config key scenario.seed must be >= 0, got {config.seed}")
     if config.horizon_hours <= 0:
         raise ConfigError("horizon_hours must be positive")
     for key in ("traffic_step_hours", "user_step_hours"):
@@ -665,12 +663,6 @@ def validate_scenario(config: ScenarioConfig) -> None:
             raise ConfigError(f"scenario.{key} {step} must divide 24")
         if 24 // step < 2:
             raise ConfigError(f"scenario.{key} {step} must leave at least two windows a day")
-    if config.grid_dim <= 0:
-        raise ConfigError("grid_dim must be positive")
-    if len(config.grids) != config.grid_dim**2:
-        raise ConfigError(
-            f"grids has {len(config.grids)} entries, expected grid_dim^2 = {config.grid_dim ** 2}"
-        )
     phi = config.counterfactual_peak_fraction
     if phi is not None and not 0.0 < phi <= 1.0:
         raise ConfigError(f"counterfactual_peak_fraction must be in (0, 1], got {phi}")
@@ -787,9 +779,7 @@ def make_hex_scenario(
             grids.append(GridCell(position=(float(x), float(y)), poi_weight=weight, base_users=base_users))
     return ScenarioConfig(
         seed=seed,
-        n_cells=7,
         cell_configs=tuple(cells),
-        grid_dim=grid_dim,
         grids=tuple(grids),
         horizon_hours=horizon_hours,
         counterfactual_peak_fraction=counterfactual_peak_fraction,

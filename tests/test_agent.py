@@ -346,14 +346,14 @@ class TestBaselines:
 
 
 class TestGreedy:
-    NEIGHBORS = [(1,), (0, 2), (1,)]
+    PAIRS = neighbor_pairs([(1,), (0, 2), (1,)])
 
     def test_unconstrained_floor_sleeps_everyone(self):
         def evaluate(sleep, bias):
             return SimpleNamespace(rsrp_avg_dbm=np.nan, per_cell_overload_mbps=np.zeros(3))
 
         action = baseline_greedy(
-            np.array([0.3, 0.3, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-np.inf
+            np.array([0.3, 0.3, 0.3]), self.PAIRS, evaluate, rsrp_floor_dbm=-np.inf
         )
         assert action.sleep.all()
 
@@ -362,7 +362,7 @@ class TestGreedy:
             return SimpleNamespace(rsrp_avg_dbm=-70.0, per_cell_overload_mbps=np.zeros(3))
 
         action = baseline_greedy(
-            np.array([0.3, 0.3, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-20.0
+            np.array([0.3, 0.3, 0.3]), self.PAIRS, evaluate, rsrp_floor_dbm=-20.0
         )
         assert not action.sleep.any()
 
@@ -374,7 +374,7 @@ class TestGreedy:
             return SimpleNamespace(rsrp_avg_dbm=np.nan, per_cell_overload_mbps=np.zeros(3))
 
         action = baseline_greedy(
-            np.array([0.3, 0.1, 0.2]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-110.0
+            np.array([0.3, 0.1, 0.2]), self.PAIRS, evaluate, rsrp_floor_dbm=-110.0
         )
         assert not action.sleep.any()
         assert [c.tolist() for c in calls] == [
@@ -395,7 +395,7 @@ class TestGreedy:
             return SimpleNamespace(rsrp_avg_dbm=-80.0, per_cell_overload_mbps=overload)
 
         action = baseline_greedy(
-            np.array([0.1, 0.5, 0.3]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-110.0
+            np.array([0.1, 0.5, 0.3]), self.PAIRS, evaluate, rsrp_floor_dbm=-110.0
         )
         assert action.sleep.tolist() == [False, True, True]
         assert [c.tolist() for c in calls] == [
@@ -411,7 +411,7 @@ class TestGreedy:
             seen.append(int(np.flatnonzero(sleep)[-1]) if sleep.any() else -1)
             return SimpleNamespace(rsrp_avg_dbm=np.nan, per_cell_overload_mbps=np.zeros(3))
 
-        baseline_greedy(np.array([0.2, 0.2, 0.1]), self.NEIGHBORS, evaluate, rsrp_floor_dbm=-np.inf)
+        baseline_greedy(np.array([0.2, 0.2, 0.1]), self.PAIRS, evaluate, rsrp_floor_dbm=-np.inf)
         first_tried = seen[0]
         assert first_tried == 2
 

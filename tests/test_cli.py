@@ -124,7 +124,7 @@ class TestParseConfig:
         run = parse_config(str(path))
         assert run.dataset.n_days == 16
         assert run.seeds == (0, 1, 2, 3, 4)
-        assert run.scenario.n_cells == 7
+        assert len(run.scenario.cell_configs) == 7
         assert run.worldmodel == WMTrainConfig()
         assert run.agent == AgentTrainConfig()
         assert run.agent.env == WorldModelEnvConfig()
@@ -385,6 +385,15 @@ BAD_SCENARIOS = {
     # Cell ids key the traffic draws, and a negative one used to fail mid-collect with numpy's ValueError.
     "inline_cell_id_negative": ("inline", _full_scenario(lambda d: d["cell_configs"][0].update(id=-1)),
                                 "cell -1: id must be >= 0"),
+    # The counts come from the lists, so a full form that states one has an unknown key.
+    "file_n_cells_key": ("file", _full_scenario(lambda d: d.update(n_cells=7)), "key n_cells"),
+    "inline_grid_dim_key": ("inline", _full_scenario(lambda d: d.update(grid_dim=2)),
+                            "unknown config key scenario.grid_dim"),
+    "inline_one_cell": ("inline", _full_scenario(lambda d: d.update(cell_configs=d["cell_configs"][:1])),
+                        "cell_configs must hold at least 2 cells, got 1"),
+    "inline_no_grids": ("inline", _full_scenario(lambda d: d.update(grids=[])), "grids must be nonempty"),
+    # The seed keys every draw, and a negative one used to fail at the first draw with numpy's ValueError.
+    "preset_seed_negative": ("inline", {"preset": "hex7", "seed": -1}, "scenario.seed must be >= 0, got -1"),
     "path_is_a_directory": ("inline", "", "scenario file"),
     "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
 }
@@ -403,6 +412,7 @@ class TestBadScenario:
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+        assert "Traceback" not in err
 
 
 class TestCliCommands:

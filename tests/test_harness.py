@@ -149,9 +149,9 @@ def reference_wm_episode(env, policy, rng):
 def reference_short_term_forecast(env, d):
     """Step d's short-term forecast as `OracleEnv` sampled it at each step, (traffic, users): one
     `sample()` call per head, revealing the windows up to and including step d, traffic first, from
-    the generator keyed (predict_seed, scenario seed, day, d)."""
+    the generator keyed (PREDICT_SEED, scenario seed, day, d)."""
     oracle, clock, bundle = env.oracle, env.oracle.config, env.bundle
-    rng = np.random.default_rng(np.random.SeedSequence((env.predict_seed, clock.seed, env.day, d)))
+    rng = np.random.default_rng(np.random.SeedSequence((harness.PREDICT_SEED, clock.seed, env.day, d)))
     heads = (
         (bundle.traffic, harness._conditions_traffic(oracle, bundle.traffic.layout),
          oracle.traffic_day(env.day), d + 1),
@@ -445,7 +445,7 @@ class TestOracleEvaluation:
     def _evaluate_counting_users_at(self, scenario, monkeypatch, mode) -> dict[str, int]:
         from celltwin.harness import SCHEMES
 
-        policy = Policy(scenario.n_cells, Observation.dim(scenario.n_cells), seed=2)
+        policy = Policy(len(scenario.cell_configs), Observation.dim(len(scenario.cell_configs)), seed=2)
         calls = self._count_users_at(monkeypatch)
         results = evaluate_policy(scenario, SCHEMES, (3,), WEIGHTS, bundle=ZERO_BUNDLE, policy=policy,
                                   cfg=EvalConfig(predict_mode=mode))
@@ -483,7 +483,7 @@ class TestOracleEvaluation:
     def test_short_term_jobs_equal_a_sequential_run(self, scenario, bundle, tmp_path):
         from celltwin.cli import _evaluate_one_seed
 
-        policy = Policy(scenario.n_cells, Observation.dim(scenario.n_cells), seed=2)
+        policy = Policy(len(scenario.cell_configs), Observation.dim(len(scenario.cell_configs)), seed=2)
         cfg = EvalConfig(schemes=("agent", "empirical"), predict_mode="short_term")
         payloads = [(scenario, cfg.schemes, seed, WEIGHTS, bundle, policy, cfg) for seed in (0, 1)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
@@ -750,7 +750,7 @@ class TestCounterfactualBehavior:
             for step in (4, 5, 6):  # busy midday windows
                 env._step = step
                 action = baseline_greedy(
-                    env.current_load_fraction(), env.oracle.neighbors, env.greedy_evaluator(),
+                    env.current_load_fraction(), env.oracle.neighbor_pairs, env.greedy_evaluator(),
                     rsrp_floor_dbm=oracle.config.rsrp_floor_dbm,
                 )
                 total += int(action.sleep.sum())

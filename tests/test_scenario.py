@@ -28,6 +28,8 @@ from celltwin.scenario import (
     key_states,
     path_loss_db,
     _raw_diurnal,
+    _S_POS,
+    _S_SHADOW,
     scenario_from_dict,
     scenario_to_dict,
     serve,
@@ -46,7 +48,7 @@ def two_cell_config(**overrides) -> ScenarioConfig:
         GridCell(position=(float(x), float(y)), poi_weight=1.0, base_users=5)
         for y in (0.0, 1.0) for x in (0.0, 1.0)
     )
-    base = dict(seed=0, n_cells=2, cell_configs=cells, grid_dim=2, grids=grids, horizon_hours=48)
+    base = dict(seed=0, cell_configs=cells, grids=grids, horizon_hours=48)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -83,6 +85,10 @@ class TestValidation:
                               p_sleep_watts=200.0)
         with pytest.raises(ConfigError, match="p_sleep"):
             build_scenario(two_cell_config(cell_configs=tuple(cells)))
+
+    def test_negative_seed_rejected_before_any_draw(self):
+        with pytest.raises(ConfigError, match=re.escape("scenario.seed must be >= 0, got -1")):
+            Oracle(make_hex_scenario(seed=-1))
 
     def test_counterfactual_fraction_bounds(self):
         with pytest.raises(ConfigError, match="counterfactual"):
@@ -669,7 +675,7 @@ SNAPSHOT_CFG = two_cell_config()
 def snapshot_queries(draw):
     """(t, sleep, bias) queries over more distinct in-horizon t than one day has steps, with
     out-of-horizon t and wrong-length masks mixed in."""
-    horizon, n_cells = SNAPSHOT_CFG.horizon_hours, SNAPSHOT_CFG.n_cells
+    horizon, n_cells = SNAPSHOT_CFG.horizon_hours, len(SNAPSHOT_CFG.cell_configs)
     distinct = draw(st.lists(st.integers(0, horizon - 1), min_size=SNAPSHOT_CFG.steps_per_day + 1,
                              max_size=SNAPSHOT_CFG.steps_per_day + 6, unique=True))
     bad_t = draw(st.lists(st.sampled_from([-1, horizon, 10**6]), max_size=3))
@@ -690,7 +696,7 @@ class TestSnapshotStore:
         oracle = build_scenario(SNAPSHOT_CFG)
         store = oracle._snapshots
         for t, sleep, bias in queries:
-            if not 0 <= t < SNAPSHOT_CFG.horizon_hours or len(sleep) != SNAPSHOT_CFG.n_cells:
+            if not 0 <= t < SNAPSHOT_CFG.horizon_hours or len(sleep) != len(SNAPSHOT_CFG.cell_configs):
                 before = list(store.items())
                 with pytest.raises(DomainError):
                     oracle.step_network(t, sleep, bias)
@@ -760,7 +766,7 @@ class TestColumnStore:
         clock, queries = case
         oracle = build_scenario(clock)
         calls, columns = count_draws(oracle), set()
-        width = {"traffic": clock.n_cells, "users": len(clock.grids)}
+        width = {"traffic": len(clock.cell_configs), "users": len(clock.grids)}
         for name, arg in queries:
             if name.endswith("_day") and not 0 <= arg < clock.n_days:
                 with pytest.raises(DomainError):
@@ -852,6 +858,28 @@ class TestKeyedDraws:
         assert_same_bits((counts, positions, shadowing), reference.users_and_shadowing(t))
 
 
+class TestPrefixDraws:
+    """numpy's Generator fills a uniform or normal array in row-major order, so the first m
+    rows of a grid's draw are what a draw of m rows from the same key gives. Drawing only the
+    users a caller keeps would leave each kept user's bits alone. Pinned per numpy build: CI
+    runs it on the oldest numpy allowed as well."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**40), st.integers(0, 47), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_a_grids_first_users_are_a_shorter_draw_of_its_key(self, seed, t, shares):
+        oracle = build_scenario(make_hex_scenario(seed=seed, grid_dim=2, horizon_hours=48))
+        counts, positions, shadowing = oracle.users_and_shadowing(t)
+        half, sigma = oracle.grid_edge_km / 2.0, oracle.config.shadowing_sigma_db
+        starts = np.cumsum(counts) - counts
+        for g, share in enumerate(shares):
+            m = int(share * counts[g])
+            pos, shadow = (np.random.default_rng(np.random.SeedSequence((seed, tag, g, t)))
+                           for tag in (_S_POS, _S_SHADOW))
+            rows = slice(starts[g], starts[g] + m)
+            assert np.array_equal(positions[rows], oracle.grid_positions[g] + pos.uniform(-half, half, size=(m, 2)))
+            assert np.array_equal(shadowing[rows], shadow.normal(0.0, sigma, size=(m, oracle.n_cells)))
+
+
 DAY_CFG = two_cell_config(horizon_hours=5 * 24)
 
 
@@ -896,7 +924,7 @@ class TestDayStore:
         for day in first:
             day[...] = -1.0  # writing into a returned day leaves the next read unchanged
         again = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
-        assert drawn == 2 * DAY_CFG.n_cells * DAY_CFG.steps_per_day + len(DAY_CFG.grids) * DAY_CFG.user_steps_per_day
+        assert drawn == 2 * len(DAY_CFG.cell_configs) * DAY_CFG.steps_per_day + len(DAY_CFG.grids) * DAY_CFG.user_steps_per_day
         assert len(calls) == drawn
         fresh = build_scenario(DAY_CFG)
         assert_same_bits(again, (fresh.traffic_day(1), fresh.users_day(1), fresh.traffic_day(0)))
@@ -928,7 +956,7 @@ class TestDayStore:
             oracle.step_network(t)
         assert drawn > 0 and len(calls) == drawn
         oracle.step_network(48)  # a day the store lacks draws as before
-        assert sorted(calls[drawn:]) == ["traffic"] * DAY_CFG.n_cells + ["users"] * len(DAY_CFG.grids)
+        assert sorted(calls[drawn:]) == ["traffic"] * len(DAY_CFG.cell_configs) + ["users"] * len(DAY_CFG.grids)
 
 
 class TestScenarioJson:
@@ -956,4 +984,4 @@ class TestScenarioJson:
 
     def test_preset_form(self):
         cfg = scenario_from_dict({"preset": "hex7", "seed": 12, "grid_dim": 4})
-        assert cfg.seed == 12 and cfg.grid_dim == 4 and cfg.n_cells == 7
+        assert cfg.seed == 12 and len(cfg.grids) == 16 and len(cfg.cell_configs) == 7
