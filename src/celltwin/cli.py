@@ -49,7 +49,6 @@ OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 @dataclass(frozen=True)
 class DatasetConfig:
     n_days: int = 16
-    kinds: tuple[str, ...] = KINDS
     split: tuple[float, ...] = (0.8, 0.1, 0.1)
 
 
@@ -120,18 +119,15 @@ _VALUE_CHECKS = (
     ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and v[0] > 0 and abs(sum(v) - 1.0) <= 1e-9,
      "three non-negative fractions summing to 1, the first (train) positive"),
     ("seeds", lambda v: v and min(v) >= 0, "a nonempty array of integers >= 0"),
-    ("dataset.kinds", lambda v: sorted(v) == sorted(KINDS), f"a list naming each of {', '.join(KINDS)} once"),
     ("worldmodel.memory_kinds", lambda v: set(v) <= set(KINDS), f"a list of kinds from {', '.join(KINDS)}"),
     ("worldmodel.p_uncond", lambda v: 0 <= v < 1, "in [0, 1)"),
-    ("worldmodel.beta_min", lambda v: 0 < v < 1, "in (0, 1)"),
     ("evaluation.percentile", lambda v: 0 <= v <= 100, "in [0, 100]"),
     *((key, lambda v: v >= 0, ">= 0") for key in (
         "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
-        "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.diffusion_steps",
-        "worldmodel.train_steps", "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim",
-        "agent.updates", "agent.episodes_per_update", "agent.env.day_pool", "agent.env.rsrp_pool",
-        "agent.env.rsrp_draws")),
+        "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.train_steps",
+        "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim", "agent.updates",
+        "agent.episodes_per_update", "agent.env.day_pool", "agent.env.rsrp_pool", "agent.env.rsrp_draws")),
     *((key, lambda v: all(width >= 1 for width in v), "a list of layer widths >= 1") for key in (
         "worldmodel.expert_hidden", "worldmodel.gate_hidden", "agent.hidden")),
     *((key, lambda v: v > 0, "> 0") for key in (
@@ -168,14 +164,12 @@ def parse_config(path: str) -> RunConfig:
     for key, valid, want in _VALUE_CHECKS:
         if not valid(_value_at(run, key)):
             raise ConfigError(f"config key {key} must be {want}")
-    if not run.worldmodel.beta_min <= run.worldmodel.beta_max < 1:
-        raise ConfigError("config key worldmodel.beta_max must be in [worldmodel.beta_min, 1)")
     # Adapters go on every expert layer of the traffic head. The smallest layer dim
     # is a hidden width or the series length; the input dim exceeds three series lengths.
     max_rank = min([*run.worldmodel.expert_hidden, run.scenario.steps_per_day])
     days = run.scenario.n_days
     # The custom baseline, which counterfactual always runs, reads the day before evaluation.day.
-    for key, last in (("counterfactual.lora_rank", max_rank), ("evaluation.day", days - 1),
+    for key, last in (("counterfactual.lora.rank", max_rank), ("evaluation.day", days - 1),
                       ("counterfactual.adapt_days", days), ("dataset.n_days", days)):
         if not 1 <= _value_at(run, key) <= last:
             raise ConfigError(f"config key {key} must be in [1, {last}]")
@@ -206,9 +200,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 def cmd_collect(run: RunConfig, args) -> int:
     oracle = build_scenario(run.scenario)
-    datasets = collect_dataset(
-        oracle, n_days=run.dataset.n_days, kinds=run.dataset.kinds, split_fractions=run.dataset.split,
-    )
+    datasets = collect_dataset(oracle, n_days=run.dataset.n_days, split_fractions=run.dataset.split)
     (run.out_path / "datasets").mkdir(parents=True, exist_ok=True)
     for kind, sample_set in datasets.items():
         write_dataset(sample_set, str(run.dataset_path(kind)))

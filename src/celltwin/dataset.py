@@ -306,7 +306,8 @@ def collect_dataset(
     """Roll the oracle forward and package one SampleSet per requested kind.
 
     Normalization statistics (series channel and every condition dimension)
-    come from the training split only; an empty one is a ConfigError.
+    come from the training split only; an empty one, or one whose statistics
+    are not finite, is a ConfigError.
     """
     if n_days < 1:
         raise ConfigError(f"n_days must be >= 1, got {n_days}")
@@ -333,13 +334,16 @@ def collect_dataset(
         if not len(train):
             raise ConfigError(f"config key dataset.split gives the {kind} training split none of its "
                               f"{len(series)} samples")
+        stats, layout = fit_stats(series[train]), ConditionLayout.fit(conds[train])
+        if not np.isfinite([stats.mean, stats.std, *layout.mean, *layout.std]).all():
+            raise ConfigError(f"the scenario gives the {kind} training split a non-finite mean or spread")
         out[kind] = SampleSet(
             kind=kind,
             series=series,
             conditions=conds,
             masks=masks,
-            stats=fit_stats(series[train]),
-            layout=ConditionLayout.fit(conds[train]),
+            stats=stats,
+            layout=layout,
             split=split,
         )
     return out

@@ -106,10 +106,6 @@ class NoiseSchedule:
         return float(self.beta[t - 1])
 
 
-def make_schedule(steps: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
-    return NoiseSchedule(steps, beta_min, beta_max)
-
-
 def forward_noise(x0: np.ndarray, alpha_bar, eps: np.ndarray) -> np.ndarray:
     """Closed-form noising: sqrt(a) x0 + sqrt(1 - a) eps. Exact at a = 1 and a = 0."""
     a = np.asarray(alpha_bar, dtype=float)
@@ -714,6 +710,8 @@ class DiffusionModel:
             # Re-noise the revealed history to step t-1 and overwrite (inpainting).
             np.copyto(x, forward_noise(ctx, sched.alpha_bar[t - 1], draw(noise)), where=revealed)
         out = self.stats.denormalize(x)
+        if not np.isfinite(out).all():
+            raise ModelError(f"{self.kind} head sampled non-finite values")
         return out[0] if single else out
 
     # -- low-rank adaptation ---------------------------------------------------------
@@ -723,13 +721,13 @@ class DiffusionModel:
         """The adapter setting of every expert layer; None without adapters."""
         return self.experts.lora.get(0)
 
-    def lora_attach(self, rank: int, alpha: float, seed: int = 0) -> None:
-        """Adapter pair on every expert layer; everything else freezes."""
+    def lora_attach(self, spec: LoraSpec, seed: int = 0) -> None:
+        """Adapter pair of setting ``spec`` on every expert layer; everything else freezes."""
         if self.lora is not None:
             raise ConfigError("adapters already attached")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
         self.store.freeze(self.store.names())
-        self.experts.attach_lora(range(self.experts.n_layers), rank, alpha, rng=rng)
+        self.experts.attach_lora(range(self.experts.n_layers), spec, rng=rng)
 
     def lora_merge(self) -> None:
         if self.lora is None:
@@ -762,11 +760,7 @@ class DiffusionModel:
         A manifest field of the wrong type, or a schedule or adapter record
         that fails its own check, is a FormatError naming ``where`` and the field.
         """
-        try:
-            m = read_json(HeadManifest, manifest, FormatError, lambda key: f"{where} field {key!r}", "manifest")
-        except (ConfigError, ShapeError) as exc:  # raised here only by a NoiseSchedule's or a LoraSpec's own check
-            key = "manifest.schedule" if isinstance(exc, ConfigError) else "manifest.lora.rank"
-            raise FormatError(f"{where} field {key!r}: {exc}") from None
+        m = read_json(HeadManifest, manifest, FormatError, lambda key: f"{where} field {key!r}", "manifest")
         if m.layout.fingerprint != ConditionLayout.fingerprint():
             raise ModelError(f"{where} was written under a different condition layout")
         model = cls(
@@ -779,7 +773,7 @@ class DiffusionModel:
             guidance_w=m.guidance_w,
         )
         if m.lora:
-            model.lora_attach(m.lora.rank, m.lora.alpha)
+            model.lora_attach(m.lora)
         return model
 
     @classmethod

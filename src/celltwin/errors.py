@@ -84,7 +84,8 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
     ``T | None``, a scalar, or a bare ``dict`` (any object, kept as is). An object builds its dataclass field by field: an absent or
     null key takes the field's default, and an unknown key fails. Arrays become tuples, and a
     number must be finite.
-    A failure raises ``error`` with ``name(key)`` for the offending key.
+    A failure raises ``error`` with ``name(key)`` for the offending key. A record whose own
+    check (a CelltwinError from its ``__post_init__``) fails is ``error`` naming the record's key.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
@@ -104,7 +105,10 @@ def read_json(tp, value, error: type[CelltwinError], name: Callable[[str], str],
         unknown = sorted(set(value) - {f.name for f in fields})
         if unknown:
             raise error(f"unknown {name(f'{key}.{unknown[0]}' if key else unknown[0])}")
-        return tp(**built)
+        try:
+            return tp(**built)
+        except CelltwinError as exc:
+            raise error(f"{name(key)}: {exc}") from None
     if origin is dict:
         if not isinstance(value, dict):
             raise error(f"{name(key)} must be {_want(tp)}")

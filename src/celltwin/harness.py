@@ -29,8 +29,9 @@ from .agent import (
     compute_reward,
     resolve_bias,
 )
-from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, make_schedule
+from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, NoiseSchedule
 from .errors import ConfigError, DomainError, EnvelopeError, ModelError, ShapeError
+from .nn import LoraSpec
 from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, build_scenario, serve
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
@@ -86,9 +87,7 @@ class EpisodeResult:
 
 @dataclass
 class WMTrainConfig:
-    diffusion_steps: int = 100
-    beta_min: float = 1e-4
-    beta_max: float = 0.02
+    schedule: NoiseSchedule = field(default_factory=lambda: NoiseSchedule(100, 1e-4, 0.02))
     n_experts: int = 3
     expert_hidden: tuple[int, ...] = (64, 64)
     gate_hidden: tuple[int, ...] = (32,)
@@ -135,7 +134,7 @@ class WorldModelBundle:
             model = DiffusionModel(
                 kind=kind,
                 arch=arch,
-                schedule=make_schedule(config.diffusion_steps, config.beta_min, config.beta_max),
+                schedule=config.schedule,
                 stats=sample_set.stats,
                 layout=sample_set.layout,
                 seed=config.seed,
@@ -901,8 +900,7 @@ def generation_metrics(
 @dataclass
 class CounterfactualConfig:
     fractions: tuple[float, ...] = (0.5, 0.6, 0.8)
-    lora_rank: int = 4
-    lora_alpha: float = 8.0
+    lora: LoraSpec = field(default_factory=lambda: LoraSpec(4, 8.0))
     adapt_steps: int = 200
     adapt_days: int = 4
     adapt_lr: float = 2e-3
@@ -921,7 +919,7 @@ def adapt_traffic_model(
     """
     clone = DiffusionModel.from_manifest(base.manifest())
     clone.store.assign(base.store, f"{base.kind} head")
-    clone.lora_attach(cfg.lora_rank, cfg.lora_alpha, seed=cfg.adapt_seed)
+    clone.lora_attach(cfg.lora, seed=cfg.adapt_seed)
     cf_sets = ds.collect_dataset(oracle_cf, n_days=cfg.adapt_days, kinds=("traffic",))
     cf = cf_sets["traffic"]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.adapt_seed, 47)))

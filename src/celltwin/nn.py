@@ -511,26 +511,24 @@ class MLP:
     def attach_lora(
         self,
         layers: Sequence[int],
-        rank: int,
-        alpha: float,
+        spec: LoraSpec,
         rng: np.random.Generator | None = None,
     ) -> None:
-        """Add zero-initialized adapters and freeze the base weights."""
-        spec = LoraSpec(rank, alpha)
+        """Add zero-initialized adapters of setting ``spec`` and freeze the base weights."""
         rng = rng or np.random.default_rng(0)
         for i in layers:
             d_in, d_out = self.dims[i], self.dims[i + 1]
-            if rank > min(d_in, d_out):
+            if spec.rank > min(d_in, d_out):
                 raise ShapeError(
-                    f"{self.prefix}: lora rank {rank} exceeds min dim {min(d_in, d_out)} of layer {i}"
+                    f"{self.prefix}: lora rank {spec.rank} exceeds min dim {min(d_in, d_out)} of layer {i}"
                 )
             if i in self.lora:
                 raise ShapeError(f"{self.prefix}: layer {i} already adapted")
-        downs = self._normal(rng, [(1.0 / rank, (rank, self.dims[i])) for i in layers])
+        downs = self._normal(rng, [(1.0 / spec.rank, (spec.rank, self.dims[i])) for i in layers])
         for i, a in zip(layers, downs):
             _, _, a_name, bb_name = self._names[i]
             self.store.add(a_name, a)
-            self.store.add(bb_name, np.zeros(a.shape[:-2] + (self.dims[i + 1], rank)))
+            self.store.add(bb_name, np.zeros(a.shape[:-2] + (self.dims[i + 1], spec.rank)))
             self.lora[i] = spec
         self.store.freeze(self.base_names())
 

@@ -18,8 +18,8 @@ from celltwin.diffusion import (
     DenoiserArch,
     DiffusionModel,
     MemoryConfig,
+    NoiseSchedule,
     forward_noise,
-    make_schedule,
     prompt_retrieve,
 )
 from celltwin.harness import (
@@ -35,7 +35,7 @@ from celltwin.harness import (
     run_training,
     traffic_generation_metrics,
 )
-from celltwin.nn import finite_difference_check
+from celltwin.nn import LoraSpec, finite_difference_check
 from celltwin.scenario import build_scenario, make_hex_scenario
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -98,7 +98,7 @@ def _tiny_denoiser(memory=None) -> DiffusionModel:
     arch = DenoiserArch(series_len=6, cond_emb_dim=4, time_dim=4, n_experts=2,
                         expert_hidden=(8,), gate_hidden=(8,), memory=memory)
     return DiffusionModel(
-        kind="traffic", arch=arch, schedule=make_schedule(10),
+        kind="traffic", arch=arch, schedule=NoiseSchedule(10, 1e-4, 0.02),
         stats=NormalizationStats(0.0, 1.0),
         layout=ConditionLayout(np.zeros(COND_DIM), np.ones(COND_DIM)),
         seed=0,
@@ -169,7 +169,7 @@ def test_03_forward_process_endpoints():
     eps = rng.standard_normal((4, 12))
     identity = np.array_equal(forward_noise(x0, 1.0, eps), x0)
     pure_noise = np.array_equal(forward_noise(x0, 0.0, eps), eps)
-    sched = make_schedule(100)
+    sched = NoiseSchedule(100, 1e-4, 0.02)
     monotone = bool((np.diff(sched.alpha_bar) < 0).all())
     ok = identity and pure_noise and monotone
     report(3, "forward-process endpoints", ok,
@@ -245,7 +245,7 @@ def test_07_lora_contracts(bundle, tmp_path):
     context = np.zeros((4, L))
 
     before = model.denoise(x_t, t, cond, mask, context)
-    model.lora_attach(rank=4, alpha=8.0, seed=7)
+    model.lora_attach(LoraSpec(4, 8.0), seed=7)
     at_attach = model.denoise(x_t, t, cond, mask, context)
     zero_init_ok = np.array_equal(before, at_attach)
 

@@ -1,14 +1,18 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import re
 from dataclasses import asdict, fields
+from pathlib import Path
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from celltwin import cli
 from celltwin.agent import Observation, Policy, RewardWeights
@@ -21,7 +25,7 @@ from celltwin.dataset import (
     read_dataset,
     write_dataset,
 )
-from celltwin.diffusion import DenoiserArch, DiffusionModel, make_schedule
+from celltwin.diffusion import DenoiserArch, DiffusionModel, NoiseSchedule
 from celltwin.errors import ConfigError, FormatError
 from celltwin.harness import (
     AgentTrainConfig,
@@ -165,11 +169,9 @@ class TestParseConfig:
         ('{"dataset": {"split": [0.8, 0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.3, -0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.1, 0.2]}}', "dataset.split"),
-        ('{"counterfactual": {"lora_rank": 0}}', "counterfactual.lora_rank"),
-        ('{"counterfactual": {"lora_rank": -1}}', "counterfactual.lora_rank"),
-        ('{"counterfactual": {"lora_rank": 100}}', "counterfactual.lora_rank"),
-        ('{"worldmodel": {"expert_hidden": [64, 3]}}', "counterfactual.lora_rank"),
-        ('{"scenario": {"preset": "hex7", "seed": 0, "traffic_step_hours": 8}}', "counterfactual.lora_rank"),
+        ('{"counterfactual": {"lora": {"rank": 100, "alpha": 8.0}}}', "counterfactual.lora.rank"),
+        ('{"worldmodel": {"expert_hidden": [64, 3]}}', "counterfactual.lora.rank"),
+        ('{"scenario": {"preset": "hex7", "seed": 0, "traffic_step_hours": 8}}', "counterfactual.lora.rank"),
         ('{"scenario": {"preset": "hex7", "seed": 0.5}}', "scenario.seed"),
         ('{"scenario": {"preset": "hex7", "grid_dim": "x"}}', "scenario.grid_dim"),
         ('{"scenario": {"preset": "hex7", "horizon_hours": true}}', "scenario.horizon_hours"),
@@ -181,7 +183,6 @@ class TestParseConfig:
         ('{"agent": {"env": {"sample_seed": -1}}}', "agent.env.sample_seed"),
         ('{"counterfactual": {"adapt_seed": -1}}', "counterfactual.adapt_seed"),
         ('{"worldmodel": {"batch_size": 0}}', "worldmodel.batch_size"),
-        ('{"worldmodel": {"diffusion_steps": 0}}', "worldmodel.diffusion_steps"),
         ('{"agent": {"updates": 0}}', "agent.updates"),
         ('{"agent": {"episodes_per_update": 0}}', "agent.episodes_per_update"),
         ('{"agent": {"env": {"day_pool": 0}}}', "agent.env.day_pool"),
@@ -205,10 +206,6 @@ class TestParseConfig:
         ('{"evaluation": {"percentile": NaN}}', "evaluation.percentile"),
         ('{"worldmodel": {"p_uncond": 1}}', "worldmodel.p_uncond"),
         ('{"worldmodel": {"p_uncond": -0.1}}', "worldmodel.p_uncond"),
-        ('{"worldmodel": {"beta_min": 0}}', "worldmodel.beta_min"),
-        ('{"worldmodel": {"beta_min": 1.5, "beta_max": 2}}', "worldmodel.beta_min"),
-        ('{"worldmodel": {"beta_min": 0.05, "beta_max": 0.02}}', "worldmodel.beta_max"),
-        ('{"worldmodel": {"beta_max": 1}}', "worldmodel.beta_max"),
         ('{"dataset": {"n_days": 0}}', "dataset.n_days"),
         ('{"counterfactual": {"adapt_days": 0}}', "counterfactual.adapt_days"),
         ('{"scenario": {"preset": "hex7", "horizon_hours": 96}, "dataset": {"n_days": 4}, '
@@ -219,9 +216,6 @@ class TestParseConfig:
         ('{"counterfactual": {"adapt_lr": Infinity}}', "counterfactual.adapt_lr"),
         ('{"worldmodel": {"train_steps": 0}}', "worldmodel.train_steps"),
         ('{"worldmodel": {"memory_kinds": ["traffic", "bogus"]}}', "worldmodel.memory_kinds"),
-        ('{"dataset": {"kinds": ["traffic", "users"]}}', "dataset.kinds"),
-        ('{"dataset": {"kinds": ["traffic", "users", "rsrp", "rsrp"]}}', "dataset.kinds"),
-        ('{"dataset": {"kinds": ["traffic", "users", "bogus"]}}', "dataset.kinds"),
     ])
     def test_bad_value_rejected_at_parse(self, tmp_path, text, key):
         path = tmp_path / "c.json"
@@ -229,10 +223,39 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(f"config key {key} must be")):
             parse_config(str(path))
 
+    # A record's own check, named under the record's key.
+    @pytest.mark.parametrize("text, key, message", [
+        ('{"worldmodel": {"schedule": {"steps": 0, "beta_min": 1e-4, "beta_max": 0.02}}}',
+         "worldmodel.schedule", "steps must be >= 1, got 0"),
+        ('{"worldmodel": {"schedule": {"steps": 100, "beta_min": 0, "beta_max": 0.02}}}',
+         "worldmodel.schedule", "need 0 < beta_min <= beta_max < 1, got (0, 0.02)"),
+        ('{"worldmodel": {"schedule": {"steps": 100, "beta_min": 1.5, "beta_max": 2}}}',
+         "worldmodel.schedule", "need 0 < beta_min <= beta_max < 1, got (1.5, 2)"),
+        ('{"worldmodel": {"schedule": {"steps": 100, "beta_min": 0.05, "beta_max": 0.02}}}',
+         "worldmodel.schedule", "need 0 < beta_min <= beta_max < 1, got (0.05, 0.02)"),
+        ('{"worldmodel": {"schedule": {"steps": 100, "beta_min": 1e-4, "beta_max": 1}}}',
+         "worldmodel.schedule", "need 0 < beta_min <= beta_max < 1, got (0.0001, 1)"),
+        ('{"counterfactual": {"lora": {"rank": 0, "alpha": 8.0}}}', "counterfactual.lora", "lora rank must be >= 1, got 0"),
+        ('{"counterfactual": {"lora": {"rank": -1, "alpha": 8.0}}}', "counterfactual.lora",
+         "lora rank must be >= 1, got -1"),
+        ('{"reward": {"lambda_d": -0.5}}', "reward", "reward weight lambda_d must be nonnegative"),
+    ])
+    def test_record_check_named_by_its_key(self, tmp_path, text, key, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key}: {message}") + "$"):
+            parse_config(str(path))
+
+    def test_a_set_record_names_every_field(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"worldmodel": {"schedule": {"steps": 50}}}')
+        with pytest.raises(ConfigError, match=re.escape("config key worldmodel.schedule.beta_min is missing")):
+            parse_config(str(path))
+
     @pytest.mark.parametrize("text", [
         '{"worldmodel": {"expert_hidden": [], "gate_hidden": []}, "agent": {"hidden": []}}',
-        '{"dataset": {"kinds": ["rsrp", "traffic", "users"]}, "worldmodel": {"memory_kinds": []}}',
-        '{"worldmodel": {"p_uncond": 0, "beta_min": 0.01, "beta_max": 0.01}}',
+        '{"worldmodel": {"memory_kinds": []}}',
+        '{"worldmodel": {"p_uncond": 0, "schedule": {"steps": 1, "beta_min": 0.01, "beta_max": 0.01}}}',
     ])
     def test_boundary_values_parse(self, tmp_path, text):
         path = tmp_path / "c.json"
@@ -525,14 +548,13 @@ class TestCliCommands:
         ("evaluate", "evaluation", {"percentile": 101}, "evaluation.percentile"),
         ("counterfactual", "evaluation", {"percentile": -1}, "evaluation.percentile"),
         ("collect", "dataset", {"n_days": 0}, "dataset.n_days"),
-        ("collect", "dataset", {"kinds": ["traffic"]}, "dataset.kinds"),
         # json.load reads NaN and Infinity; each non-finite number is refused by its own key.
         *(("collect", "reward", {name: float("nan")}, f"reward.{name}")
           for name in ("lambda_e", "lambda_r", "lambda_d", "rsrp_lo_dbm", "rsrp_hi_dbm")),
         *(("collect", "evaluation", {name: float("inf")}, f"evaluation.{name}")
           for name in ("tau", "greedy_margin_db", "baseline_bias_db")),
         ("collect", "agent", {"bias_levels": [0.0, float("nan"), 6.0]}, "agent.bias_levels[1]"),
-        ("collect", "counterfactual", {"lora_alpha": float("-inf")}, "counterfactual.lora_alpha"),
+        ("collect", "counterfactual", {"lora": {"rank": 4, "alpha": float("-inf")}}, "counterfactual.lora.alpha"),
         *(("collect", "scenario", {"preset": "hex7", "grid_dim": 3, name: float("nan")}, f"scenario.{name}")
           for name in ("shadowing_sigma_db", "traffic_noise_sigma", "rsrp_floor_dbm", "traffic_amp",
                        "ring_radius_km")),
@@ -548,6 +570,21 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    # Keys the schedule and adapter records replaced, and the dropped dataset.kinds.
+    @pytest.mark.parametrize("section, values, key", [
+        ("worldmodel", {"diffusion_steps": 50}, "worldmodel.diffusion_steps"),
+        ("worldmodel", {"beta_min": 1e-4}, "worldmodel.beta_min"),
+        ("worldmodel", {"beta_max": 0.02}, "worldmodel.beta_max"),
+        ("counterfactual", {"lora_rank": 2}, "counterfactual.lora_rank"),
+        ("counterfactual", {"lora_alpha": 8.0}, "counterfactual.lora_alpha"),
+        ("dataset", {"kinds": ["traffic", "users", "rsrp"]}, "dataset.kinds"),
+    ])
+    def test_removed_key_is_one_error_line(self, tmp_path, capsys, section, values, key):
+        cfg = write_config(tmp_path, **{section: values})
+        assert main(["collect", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("stages, section, values", [
         (("collect", "train-wm"), "worldmodel", {"n_experts": 1}),
         (("collect", "train-wm"), "worldmodel", {"gate_hidden": [1]}),
@@ -560,8 +597,8 @@ class TestCliCommands:
             "scenario": {"preset": "hex7", "seed": 0, "grid_dim": 2, "horizon_hours": 96},
             "seeds": [0],
             "dataset": {"n_days": 2},
-            "worldmodel": {"diffusion_steps": 4, "train_steps": 4, "batch_size": 8,
-                           "expert_hidden": [8], "gate_hidden": [4]},
+            "worldmodel": {"schedule": {"steps": 4, "beta_min": 1e-4, "beta_max": 0.02}, "train_steps": 4,
+                           "batch_size": 8, "expert_hidden": [8], "gate_hidden": [4]},
             "agent": {"updates": 1, "episodes_per_update": 1,
                       "env": {"day_pool": 1, "rsrp_pool": 1, "rsrp_draws": 1}},
             "evaluation": {"schemes": ["custom"]},
@@ -609,7 +646,7 @@ class TestCliCommands:
             tmp_path,
             scenario={"preset": "hex7", "seed": 0, "grid_dim": 2, "horizon_hours": 96, "traffic_step_hours": 8},
             worldmodel={"train_steps": 20, "expert_hidden": [8], "gate_hidden": [4]},
-            counterfactual={"lora_rank": 2},
+            counterfactual={"lora": {"rank": 2, "alpha": 8.0}},
         )
         for command in ("collect", "train-wm", "eval-gen"):
             assert main([command, "--config", cfg]) == 0, command
@@ -625,6 +662,82 @@ class TestCliCommands:
                 "or m == 'numpy.ma' or m.startswith(('numpy.ma.', 'concurrent.futures'))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env)
         assert proc.stdout.strip() == "[]"
+
+
+# A tiny config that parses; collect, train-wm and eval-gen each take well under a second on it.
+RUN_TINY = {
+    "scenario": {"preset": "hex7", "seed": 0, "grid_dim": 2, "horizon_hours": 48},
+    "seeds": [0],
+    "dataset": {"n_days": 2},
+    "worldmodel": {"schedule": {"steps": 2, "beta_min": 1e-4, "beta_max": 0.02}, "train_steps": 2,
+                   "batch_size": 8, "expert_hidden": [8], "gate_hidden": [4]},
+    "evaluation": {"n_gen_samples": 2},
+    "counterfactual": {"adapt_days": 2},
+}
+
+
+def _floats(lo, hi, *edges):
+    """Floats in [lo, hi], the ``edges`` drawn as often as all the rest."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+_BETAS = st.lists(_floats(1e-300, 0.999999, 1e-300, 0.999999), min_size=2, max_size=2).map(sorted)
+
+# (section, key): values inside the key's parse-valid range, finite extremes included
+RUN_VALUES = {
+    ("scenario", "shadowing_sigma_db"): _floats(0, 1e300, 0.0, 1e300),
+    ("scenario", "traffic_noise_sigma"): _floats(0, 1e300, 0.0, 1e300),
+    ("scenario", "traffic_base"): _floats(0, 1e300, 0.0, 1e300),
+    ("scenario", "traffic_amp"): _floats(0, 1e300, 0.0, 1e300),
+    ("scenario", "rsrp_floor_dbm"): _floats(-1e300, 1e300, -1e300, 1e300),
+    ("scenario", "ring_radius_km"): _floats(-1e300, 1e300, 0.0, 1e-300, 1e300),
+    ("scenario", "counterfactual_peak_fraction"): _floats(1e-300, 1.0, 1e-300),
+    ("scenario", "base_users"): st.integers(0, 1000),
+    ("worldmodel", "schedule"): st.builds(lambda steps, b: {"steps": steps, "beta_min": b[0], "beta_max": b[1]},
+                                          st.integers(1, 4), _BETAS),
+    ("worldmodel", "lr"): _floats(1e-300, 1e6, 1e-300, 1e6),
+    ("worldmodel", "guidance_w"): _floats(0, 1e6, 0.0, 1e6),
+    ("worldmodel", "p_uncond"): _floats(0, 0.999, 0.0),
+    ("worldmodel", "expert_hidden"): st.sampled_from([[4], [64, 64]]),
+    ("worldmodel", "batch_size"): st.integers(1, 64),
+    ("dataset", "split"): st.sampled_from([[1.0, 0.0, 0.0], [0.34, 0.33, 0.33]]),
+}
+
+
+@st.composite
+def run_edits(draw):
+    """One or two leaves of ``RUN_VALUES``, each with a value from its range."""
+    keys = draw(st.lists(st.sampled_from(sorted(RUN_VALUES)), min_size=1, max_size=2, unique=True))
+    return {key: draw(RUN_VALUES[key]) for key in keys}
+
+
+class TestRunSide:
+    @settings(max_examples=10, deadline=None)
+    # Used to write an rsrp.npz with an infinite series_std, which train-wm then refused.
+    @example({("scenario", "shadowing_sigma_db"): 1e300})
+    # A diverged head whose float32 forward overflows: eval-gen used to write nan for every metric.
+    @example({("worldmodel", "lr"): 1e6, ("worldmodel", "expert_hidden"): [64, 64]})
+    @given(run_edits())
+    def test_each_stage_runs_or_fails_with_one_error_line(self, fuzz_dir, edits):
+        config = json.loads(json.dumps(RUN_TINY))
+        for (section, key), value in edits.items():
+            config[section][key] = value
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as root:
+            config["out_dir"] = str(Path(root) / "out")
+            path = Path(root) / "config.json"
+            path.write_text(json.dumps(config))
+            for stage in ("collect", "train-wm", "eval-gen"):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main([stage, "--config", str(path)])
+                if code:
+                    err = err.getvalue()
+                    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+                    # collect refuses what train-wm would refuse, so train-wm reads every dataset it writes.
+                    assert not (stage == "train-wm" and "dataset file" in err), err
+                    return
+            rows = (Path(root) / "out" / "reports" / "generation.csv").read_text().split()[1:]
+            scores = {k: float(v) for k, v in (row.split(",") for row in rows) if k.endswith(("_mae", "_w1"))}
+            assert len(scores) == 4 and all(np.isfinite(v) for v in scores.values()), scores
 
 
 def _edit_npz(path, header=None, raw_header=None, drop=(), **arrays):
@@ -694,11 +807,11 @@ BAD_ARTIFACTS = {
                          "field 'manifest.lora.rank' must be an integer"),
     "lora_rank_zero": ("models/traffic.npz",
                        lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(lora={"rank": 0, "alpha": 8.0})),
-                       "field 'manifest.lora.rank': lora rank must be >= 1, got 0"),
+                       "field 'manifest.lora': lora rank must be >= 1, got 0"),
     "lora_rank_negative": ("models/traffic.npz",
                            lambda p: _edit_npz(
                                p, header=lambda h: h["manifest"].update(lora={"rank": -1, "alpha": 8.0})),
-                           "field 'manifest.lora.rank': lora rank must be >= 1, got -1"),
+                           "field 'manifest.lora': lora rank must be >= 1, got -1"),
     "schedule_beta_max_past_one": ("models/users.npz",
                                    lambda p: _edit_npz(
                                        p, header=lambda h: h["manifest"]["schedule"].update(beta_max=1.5)),
@@ -721,7 +834,7 @@ def artifacts(tmp_path_factory):
     layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
     for kind in ("traffic", "users", "rsrp"):
         arch = DenoiserArch(series_len=3, cond_emb_dim=2, time_dim=2, expert_hidden=(4,), gate_hidden=(4,))
-        head = DiffusionModel(kind, arch, make_schedule(2), NormalizationStats(0.0, 1.0), layout)
+        head = DiffusionModel(kind, arch, NoiseSchedule(2, 1e-4, 0.02), NormalizationStats(0.0, 1.0), layout)
         head.save(str(out / "models" / f"{kind}.npz"))
     Policy(n_cells=7, obs_dim=Observation.dim(7)).save(str(out / "models/policy.npz"))
     return out

@@ -14,7 +14,6 @@ from celltwin.diffusion import (
     MemoryConfig,
     NoiseSchedule,
     forward_noise,
-    make_schedule,
     problem_tiles,
     prompt_retrieve,
     q_sample,
@@ -44,7 +43,7 @@ def tiny_model(series_len=6, memory=None, seed=0, n_experts=2, stats=None,
     return DiffusionModel(
         kind="traffic",
         arch=arch,
-        schedule=make_schedule(10),
+        schedule=NoiseSchedule(10, 1e-4, 0.02),
         stats=stats or NormalizationStats(mean=0.0, std=1.0),
         layout=unit_layout(),
         seed=seed,
@@ -64,24 +63,23 @@ def random_inputs(model, batch, rng):
 
 class TestSchedule:
     def test_single_step(self):
-        sched = make_schedule(1, 1e-4, 1e-4)
+        sched = NoiseSchedule(1, 1e-4, 1e-4)
         assert sched.alpha_bar[1] == pytest.approx(0.9999, abs=1e-12)
 
     def test_default_schedule_monotone_and_small_tail(self):
-        sched = make_schedule(100)
+        sched = NoiseSchedule(100, 1e-4, 0.02)
         assert (np.diff(sched.alpha_bar) < 0).all()
         assert sched.alpha_bar[0] == 1.0
         assert sched.alpha_bar[-1] < 0.4
 
     def test_bounds_validation(self):
         with pytest.raises(ConfigError):
-            make_schedule(10, 0.5, 0.1)
+            NoiseSchedule(10, 0.5, 0.1)
         with pytest.raises(ConfigError):
-            make_schedule(0)
+            NoiseSchedule(0, 1e-4, 0.02)
 
     def test_record_derives_its_arrays_once(self):
-        sched = make_schedule(5, 1e-3, 0.1)
-        assert sched == NoiseSchedule(5, 1e-3, 0.1)
+        sched = NoiseSchedule(5, 1e-3, 0.1)
         assert sched.beta is sched.beta and sched.alpha_bar is sched.alpha_bar
         assert sched.beta.tobytes() == np.linspace(1e-3, 0.1, 5).tobytes()
         assert sched.alpha_bar.tobytes() == np.concatenate([[1.0], np.cumprod(1.0 - sched.beta)]).tobytes()
@@ -89,7 +87,7 @@ class TestSchedule:
             sched.steps = 6
 
     def test_one_step_head_records_its_beta_max(self, tmp_path):
-        model = DiffusionModel("traffic", tiny_model().arch, make_schedule(1, 1e-4, 0.02),
+        model = DiffusionModel("traffic", tiny_model().arch, NoiseSchedule(1, 1e-4, 0.02),
                                NormalizationStats(0.0, 1.0), unit_layout())
         assert model.manifest()["schedule"] == {"steps": 1, "beta_min": 1e-4, "beta_max": 0.02}
         path = str(tmp_path / "model.npz")
@@ -113,7 +111,7 @@ class TestForwardProcess:
         assert np.array_equal(forward_noise(x0, 0.0, eps), eps)
 
     def test_first_step_plug_in(self):
-        sched = make_schedule(10, 1e-4, 1e-4)
+        sched = NoiseSchedule(10, 1e-4, 1e-4)
         x0 = np.array([[1.0, -1.0]])
         eps = np.array([[0.5, 0.5]])
         got = q_sample(x0, 1, eps, sched)
@@ -121,7 +119,7 @@ class TestForwardProcess:
         assert np.allclose(got, want, atol=1e-15)
 
     def test_domain_check(self):
-        sched = make_schedule(10)
+        sched = NoiseSchedule(10, 1e-4, 0.02)
         with pytest.raises(DomainError):
             q_sample(np.zeros((1, 2)), 11, np.zeros((1, 2)), sched)
         with pytest.raises(DomainError):
@@ -317,7 +315,7 @@ class TestTraining:
                                gate_hidden=(10,))
             model.p_uncond = 0.2
             if head == "lora":
-                model.lora_attach(rank=2, alpha=4.0, seed=5)
+                model.lora_attach(LoraSpec(2, 4.0), seed=5)
                 for name in model.store.trainable_names():  # nonzero adapters, so every one gets a gradient
                     model.store.set(name, np.random.default_rng(6).normal(0.0, 0.3, size=model.store[name].shape))
             return model
@@ -439,7 +437,7 @@ class TestSampling:
         arch = DenoiserArch(series_len=1, cond_emb_dim=4, time_dim=4, n_experts=2,
                             expert_hidden=(16,), gate_hidden=(8,))
         model = DiffusionModel(
-            kind="rsrp", arch=arch, schedule=make_schedule(50), stats=stats,
+            kind="rsrp", arch=arch, schedule=NoiseSchedule(50, 1e-4, 0.02), stats=stats,
             layout=unit_layout(), seed=1,
         )
         cond = np.zeros((512, COND_DIM))
@@ -502,7 +500,7 @@ class TestSamplerMatchesReference:
         model = tiny_model(memory=memory, stats=NormalizationStats(mean=2.0, std=1.5), n_experts=3)
         rng = np.random.default_rng(23)
         if lora:
-            model.lora_attach(rank=2, alpha=4.0)
+            model.lora_attach(LoraSpec(2, 4.0))
             for i in range(model.experts.n_layers):  # nonzero, so the adapters change the output
                 name = f"experts/B{i}"
                 model.store.set(name, rng.normal(0.0, 0.3, size=model.store[name].shape))
@@ -523,7 +521,7 @@ class TestSamplerMatchesReference:
                            expert_hidden=(64, 64), gate_hidden=(32,))
         if lora:
             rng = np.random.default_rng(23)
-            model.lora_attach(rank=2, alpha=4.0)
+            model.lora_attach(LoraSpec(2, 4.0))
             for i in range(model.experts.n_layers):  # nonzero, so the adapters change the output
                 name = f"experts/B{i}"
                 model.store.set(name, rng.normal(0.0, 0.3, size=model.store[name].shape))
@@ -740,7 +738,7 @@ class TestLora:
         rng = np.random.default_rng(21)
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
         before = model.denoise(x_t, t, cond, mask, context)
-        model.lora_attach(rank=2, alpha=4.0)
+        model.lora_attach(LoraSpec(2, 4.0))
         after = model.denoise(x_t, t, cond, mask, context)
         assert np.array_equal(before, after)
 
@@ -754,7 +752,7 @@ class TestLora:
             store = ParamStore()
             net = MLP(store, "lin", (4, 3), output_activation="linear",
                       rng=np.random.default_rng(1))
-            net.attach_lora([0], rank=2, alpha=alpha, rng=np.random.default_rng(2))
+            net.attach_lora([0], LoraSpec(2, alpha), rng=np.random.default_rng(2))
             store.set("lin/B0", np.random.default_rng(3).normal(size=(3, 2)))
             out, _ = net.forward(x)
             return out
@@ -766,7 +764,7 @@ class TestLora:
 
     def test_merge_matches_adapted_forward(self):
         model = tiny_model(seed=4)
-        model.lora_attach(rank=2, alpha=4.0, seed=6)
+        model.lora_attach(LoraSpec(2, 4.0), seed=6)
         rng = np.random.default_rng(23)
         for expert in range(model.arch.n_experts):
             for i in range(model.experts.n_layers):
@@ -781,7 +779,7 @@ class TestLora:
 
     def test_base_frozen_while_adapted(self):
         model = tiny_model(seed=5)
-        model.lora_attach(rank=2, alpha=4.0)
+        model.lora_attach(LoraSpec(2, 4.0))
         base_names = [n for n in model.store.names() if "/A" not in n and "/B" not in n]
         before = {n: model.store[n].copy() for n in base_names}
         rng = np.random.default_rng(24)
@@ -796,7 +794,7 @@ class TestLora:
     def test_rank_too_large(self):
         model = tiny_model()
         with pytest.raises(ShapeError):
-            model.lora_attach(rank=64, alpha=1.0)
+            model.lora_attach(LoraSpec(64, 1.0))
 
 
 class TestPromptMemory:
@@ -859,7 +857,7 @@ class TestPersistence:
 
     def test_lora_spec_survives_roundtrip(self, tmp_path):
         model = tiny_model(seed=7)
-        model.lora_attach(rank=2, alpha=4.0)
+        model.lora_attach(LoraSpec(2, 4.0))
         path = str(tmp_path / "model.npz")
         model.save(path)
         back = DiffusionModel.load(path)
@@ -871,7 +869,7 @@ class TestPersistence:
 
     def test_manifest_of_an_adapted_head_keeps_its_bytes(self):
         model = tiny_model(seed=7)
-        model.lora_attach(rank=2, alpha=4.0)
+        model.lora_attach(LoraSpec(2, 4.0))
         want = {
             "kind": "traffic",
             "arch": {"series_len": 6, "cond_dim": COND_DIM, "cond_emb_dim": 4, "time_dim": 4, "n_experts": 2,

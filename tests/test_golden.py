@@ -43,8 +43,8 @@ CONFIG = {
     "scenario": {"preset": "hex7", "seed": 0, "grid_dim": 4, "horizon_hours": 96},
     "seeds": [0, 1],
     "dataset": {"n_days": 3},
-    "worldmodel": {"diffusion_steps": 20, "train_steps": 40, "batch_size": 16,
-                   "n_experts": 3, "expert_hidden": [16], "gate_hidden": [8]},
+    "worldmodel": {"schedule": {"steps": 20, "beta_min": 1e-4, "beta_max": 0.02}, "train_steps": 40,
+                   "batch_size": 16, "n_experts": 3, "expert_hidden": [16], "gate_hidden": [8]},
     "agent": {"updates": 2, "episodes_per_update": 2,
               "env": {"day_pool": 2, "rsrp_pool": 1, "rsrp_draws": 2}},
     "evaluation": {"schemes": ["agent", "empirical", "custom", "greedy"],
@@ -55,7 +55,7 @@ CONFIG = {
 LONG_TERM = {**CONFIG, "evaluation": {**CONFIG["evaluation"], "predict_mode": "long_term"}}
 
 # One peak fraction and a few adapter steps on two days of the 96-hour horizon.
-COUNTERFACTUAL = {**CONFIG, "counterfactual": {"fractions": [0.6], "lora_rank": 2,
+COUNTERFACTUAL = {**CONFIG, "counterfactual": {"fractions": [0.6], "lora": {"rank": 2, "alpha": 8.0},
                                                "adapt_steps": 4, "adapt_days": 2}}
 
 # The same, plus an agent retrained for one update in each counterfactual twin.

@@ -652,7 +652,7 @@ class TestGenerationMetrics:
             import sys
             import numpy as np
             from celltwin.dataset import COND_DIM, ConditionLayout, NormalizationStats
-            from celltwin.diffusion import DenoiserArch, DiffusionModel, make_schedule
+            from celltwin.diffusion import DenoiserArch, DiffusionModel, NoiseSchedule
             from celltwin.harness import rsrp_controllability, traffic_generation_metrics
             from celltwin.scenario import make_hex_scenario
 
@@ -661,7 +661,7 @@ class TestGenerationMetrics:
             heads = {
                 kind: DiffusionModel(kind, DenoiserArch(series_len=n, cond_emb_dim=2, time_dim=2,
                                                         expert_hidden=(4,), gate_hidden=(4,)),
-                                     make_schedule(2), NormalizationStats(0.0, 1.0), layout)
+                                     NoiseSchedule(2, 1e-4, 0.02), NormalizationStats(0.0, 1.0), layout)
                 for kind, n in (("traffic", scenario.steps_per_day), ("rsrp", 1))
             }
             for task in ("long_term_generation", "short_term_prediction"):

@@ -182,7 +182,7 @@ class TestStack:
         rng = np.random.default_rng(12)
         store = ParamStore()
         net = MLP(store, "net", (4, 5, 3), hidden_activation="tanh", rng=rng, stack=3)
-        net.attach_lora([0, 1], rank=2, alpha=4.0, rng=rng)
+        net.attach_lora([0, 1], LoraSpec(2, 4.0), rng=rng)
         store.unfreeze(store.names())
         for name in ("net/B0", "net/B1"):  # nonzero, so the A adapters get a gradient
             store.set(name, rng.normal(size=store[name].shape))
@@ -203,18 +203,20 @@ class TestStack:
 class TestLoraSpec:
     def test_every_adapted_layer_holds_the_one_record(self):
         net = MLP(ParamStore(), "net", (4, 5, 3), rng=np.random.default_rng(13))
-        net.attach_lora([0, 1], rank=2, alpha=3.0)
+        net.attach_lora([0, 1], LoraSpec(2, 3.0))
         assert net.lora == {0: LoraSpec(2, 3.0), 1: LoraSpec(2, 3.0)}
         assert net.lora[0].scale == 3.0 / 2
 
     @pytest.mark.parametrize("rank", [0, -1])
-    def test_rank_below_one_is_a_shape_error_that_adds_nothing(self, rank):
+    def test_rank_below_one_is_a_shape_error(self, rank):
         with pytest.raises(ShapeError, match=f"lora rank must be >= 1, got {rank}"):
             LoraSpec(rank, 4.0)
+
+    def test_rank_past_a_layer_dim_is_a_shape_error_that_adds_nothing(self):
         store = ParamStore()
         net = MLP(store, "net", (4, 3), rng=np.random.default_rng(14))
-        with pytest.raises(ShapeError, match="lora rank must be >= 1"):
-            net.attach_lora([0], rank=rank, alpha=4.0)
+        with pytest.raises(ShapeError, match="lora rank 4 exceeds min dim 3 of layer 0"):
+            net.attach_lora([0], LoraSpec(4, 4.0))
         assert store.names() == ["net/W0", "net/b0"] and net.lora == {}
         assert store.trainable_names() == ["net/W0", "net/b0"]
 
@@ -233,7 +235,7 @@ def cache_free_net(stack, lora, hidden) -> tuple[MLP, np.ndarray]:
     for name in store.names():  # nonzero biases, so the in-place add is exercised
         store.set(name, store[name] + rng.normal(0.0, 0.1, size=store[name].shape))
     if lora:
-        net.attach_lora([0, 1, 2], rank=2, alpha=3.0, rng=rng)
+        net.attach_lora([0, 1, 2], LoraSpec(2, 3.0), rng=rng)
         for i in range(3):  # nonzero, so the adapters change the output
             store.set(f"net/B{i}", rng.normal(size=store[f"net/B{i}"].shape))
     return net, rng.normal(size=(33, 6))
@@ -321,7 +323,7 @@ def _adam_run(step_fn, n_steps=12):
         if k == 3:
             store.set("net/b0", rng.normal(size=6))
         elif k == 4:
-            net.attach_lora([0, 1], rank=2, alpha=4.0, rng=rng)
+            net.attach_lora([0, 1], LoraSpec(2, 4.0), rng=rng)
         elif k == 6:
             store.add("late", rng.normal(size=(3, 2)))
         elif k == 7:
