@@ -235,7 +235,8 @@ class TestParseConfig:
          "worldmodel.schedule", "need 0 < beta_min <= beta_max < 1, got (0.05, 0.02)"),
         ('{"worldmodel": {"schedule": {"steps": 100, "beta_min": 1e-4, "beta_max": 1}}}',
          "worldmodel.schedule", "need 0 < beta_min <= beta_max < 1, got (0.0001, 1)"),
-        ('{"counterfactual": {"lora": {"rank": 0, "alpha": 8.0}}}', "counterfactual.lora", "lora rank must be >= 1, got 0"),
+        ('{"counterfactual": {"lora": {"rank": 0, "alpha": 8.0}}}', "counterfactual.lora",
+         "lora rank must be >= 1, got 0"),
         ('{"counterfactual": {"lora": {"rank": -1, "alpha": 8.0}}}', "counterfactual.lora",
          "lora rank must be >= 1, got -1"),
         ('{"reward": {"lambda_d": -0.5}}', "reward", "reward weight lambda_d must be nonnegative"),
