@@ -146,19 +146,18 @@ class Policy:
     def __init__(
         self,
         n_cells: int,
-        obs_dim: int,
         hidden: tuple[int, ...] = (32,),
         bias_levels: tuple[float, ...] = DEFAULT_BIAS_LEVELS,
         seed: int = 0,
     ):
         self.n_cells = n_cells
-        self.obs_dim = obs_dim
+        self.obs_dim = Observation.dim(n_cells)
         self.bias_levels = tuple(bias_levels)
         self.n_choices = 1 + len(bias_levels)
         self.hidden = tuple(hidden)
         self.store = ParamStore()
         rng = np.random.default_rng(np.random.SeedSequence((seed, 52)))
-        self.mlp = MLP(self.store, "policy", (obs_dim, *hidden, n_cells * self.n_choices),
+        self.mlp = MLP(self.store, "policy", (self.obs_dim, *hidden, n_cells * self.n_choices),
                        hidden_activation="tanh", rng=rng)
         self._baseline: float | None = None
 
@@ -249,7 +248,10 @@ class Policy:
         store, manifest = ParamStore.load(path)
         m = read_json(PolicyManifest, manifest, FormatError, lambda key: f"checkpoint {path} field {key!r}",
                       "manifest")
-        policy = cls(n_cells=m.n_cells, obs_dim=m.obs_dim, hidden=m.hidden, bias_levels=m.bias_levels)
+        policy = cls(n_cells=m.n_cells, hidden=m.hidden, bias_levels=m.bias_levels)
+        if m.obs_dim != policy.obs_dim:
+            raise FormatError(f"checkpoint {path} field 'manifest.obs_dim' is {m.obs_dim}, "
+                              f"expected {policy.obs_dim} for {m.n_cells} cells")
         policy.store.assign(store, f"policy checkpoint {path}")
         policy._baseline = m.baseline
         return policy

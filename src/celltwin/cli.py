@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -40,8 +41,7 @@ from .harness import (
     write_manifest,
     write_rows_csv,
 )
-from .scenario import (ScenarioConfig, build_scenario, load_scenario, make_hex_scenario, scenario_from_dict,
-                       validate_scenario)
+from .scenario import Oracle, ScenarioConfig, load_scenario, make_hex_scenario, scenario_from_dict, validate_scenario
 
 OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 
@@ -184,7 +184,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
     if not 1 <= args.days <= n_days:
         raise DomainError(f"--days must be in [1, {n_days}] for a {run.scenario.horizon_hours}-hour "
                           f"scenario horizon, got {args.days}")
-    oracle = build_scenario(run.scenario)
+    oracle = Oracle(run.scenario)
     out = Path(args.out) if args.out else run.out_path / "traffic.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -199,7 +199,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 
 def cmd_collect(run: RunConfig, args) -> int:
-    oracle = build_scenario(run.scenario)
+    oracle = Oracle(run.scenario)
     datasets = collect_dataset(oracle, n_days=run.dataset.n_days, split_fractions=run.dataset.split)
     (run.out_path / "datasets").mkdir(parents=True, exist_ok=True)
     for kind, sample_set in datasets.items():
@@ -241,7 +241,7 @@ def cmd_eval_gen(run: RunConfig, args) -> int:
 
 def cmd_optimize(run: RunConfig, args) -> int:
     bundle = WorldModelBundle.load(run.model_paths())
-    oracle = build_scenario(run.scenario)
+    oracle = Oracle(run.scenario)
     policy, curve = run_training(bundle, oracle, run.reward, run.agent)
     run.policy_path.parent.mkdir(parents=True, exist_ok=True)
     policy.save(str(run.policy_path))
@@ -376,14 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one stage. The warnings it raises are held: shown if it returns, dropped if it fails,
+    so a failure prints one `error:` line and nothing else on stderr."""
     args = build_parser().parse_args(argv)
-    try:
-        run = parse_config(args.config)
-        run.out_path.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](run, args)
-    except (CelltwinError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            run = parse_config(args.config)
+            run.out_path.mkdir(parents=True, exist_ok=True)
+            code = COMMANDS[args.command](run, args)
+        except (CelltwinError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

@@ -82,10 +82,6 @@ class ConditionLayout:
         self.mean = mean
         self.std = std
 
-    @property
-    def dim(self) -> int:
-        return COND_DIM
-
     @staticmethod
     def fingerprint() -> str:
         blob = json.dumps([[n, s] for n, s in CONDITION_FIELDS]).encode()

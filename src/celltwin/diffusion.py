@@ -19,13 +19,12 @@ problem gets the bits of sampling it alone, because its GEMMs keep its own B
 rows: below about 512 rows a GEMM's per-row result depends on its row count,
 so the K problems are never flattened into one K * B-row batch.
 
-Precision. Training (forward, backward, Adam), checkpoints and the raw-input
-``denoise``, ``gate_weights`` and ``expert_output`` are float64; the raw-input
-``denoise`` is training's forward without its caches. The sampler
-runs its gate and expert forwards in float32, on one float32 copy of their
-tensors (adapters included) made per call, because that is where sampling
-spends its time and an eps estimate needs no more precision than single
-(standard for DDPM inference). Everything else in a sampler step stays
+Precision. Training (``forward``, backward, Adam), checkpoints,
+``gate_weights`` and ``expert_output`` are float64. ``denoise``, the sampler
+step, runs its gate and expert forwards in float32, on one float32 copy of
+their tensors (adapters included) made per call, because that is where
+sampling spends its time and an eps estimate needs no more precision than
+single (standard for DDPM inference). Everything else in a sampler step stays
 float64: the time and condition embeddings, the guided mix of the two passes,
 the sampler state x, every generator draw, the mean update, and the re-noising
 of revealed history, so that history comes back exactly.
@@ -93,6 +92,8 @@ class NoiseSchedule:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:
             raise ConfigError(f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})")
+        if not 1.0 - self.beta_min < 1.0:
+            raise ConfigError(f"beta_min {self.beta_min} is below float64 resolution: 1 - beta_min rounds to 1")
 
     @cached_property
     def beta(self) -> np.ndarray:
@@ -268,11 +269,10 @@ class Conditioning:
     """The fixed denoiser inputs of B rows, or of K problems of B rows, and a sampler's workspace.
 
     ``DiffusionModel.condition`` embeds the inputs, with the leading shape of
-    the mask: (B,) for the raw-input ``denoise`` and training, (K, B) for
-    ``sample()``. The first ``denoise`` with a stacked one lays the inputs out
-    as the float32 z template, (passes, K, B, input_dim): pass 0 holds the
-    condition embedding and, when ``guided``, pass 1 the null embedding. It
-    also builds the float32 eps buffer, (passes, K, B, L), ``params``, the
+    the mask: (B,) for training's ``forward``, (K, B) for ``sample()``. The
+    first ``denoise`` on it lays the inputs out as the float32 z template,
+    (passes, K, B, input_dim): pass 0 holds the condition embedding and, when
+    ``guided``, pass 1 the null embedding. It also builds the float32 eps buffer, (passes, K, B, L), ``params``, the
     float32 copies of the gate and expert tensors, and ``workspace``: for each
     tile of ``problem_tiles``, one float32 output buffer per gate and expert
     layer covering every pass of the tile, all views into one set sized for
@@ -314,10 +314,8 @@ class DiffusionModel:
         p_uncond: float = 0.1,
         guidance_w: float = 1.0,
     ):
-        if arch.cond_dim != layout.dim:
-            raise ModelError(
-                f"arch cond_dim {arch.cond_dim} != condition layout dim {layout.dim}"
-            )
+        if arch.cond_dim != COND_DIM:
+            raise ModelError(f"arch cond_dim {arch.cond_dim} != condition layout dim {COND_DIM}")
         if not 0.0 <= p_uncond < 1.0:
             raise ConfigError(f"p_uncond must be in [0, 1), got {p_uncond}")
         self.kind = kind
@@ -437,31 +435,13 @@ class DiffusionModel:
     def expert_output(self, i: int, z: np.ndarray) -> np.ndarray:
         return self.experts.forward(z, keep_cache=False)[i]
 
-    def denoise(
-        self,
-        x_t: np.ndarray,
-        t,
-        cond: np.ndarray | Conditioning,
-        mask: np.ndarray | None = None,
-        context: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Predicted noise: gate-weighted sum of expert outputs on the shared input.
+    def denoise(self, x_t: np.ndarray, t: int, cnd: Conditioning) -> np.ndarray:
+        """One sampler step's predicted noise for every pass of every problem in ``cnd``.
 
-        ``cond`` is either the raw conditions, (B, cond_dim) with (B, L)
-        ``mask`` and ``context``, and then ``t`` may be per row; or a stacked
-        ``Conditioning`` from ``condition`` that already holds them, for one
-        sampler step at integer step ``t``. That form takes ``x_t`` as
-        (K, B, L), runs every pass of every problem in tiles through the
-        ``Conditioning``'s workspace in float32 and returns its float32 eps
-        buffer, (passes, K, B, L). The raw-input form is training's float64
-        forward, ``_forward``, with no row null and its caches dropped on return.
+        ``x_t`` is (K, B, L) and ``t`` one integer step. The passes run in tiles
+        through ``cnd``'s workspace in float32 (see ``Conditioning``), and the
+        return is its float32 eps buffer, (passes, K, B, L).
         """
-        if isinstance(cond, Conditioning):
-            return self._denoise_passes(x_t, int(t), cond)
-        return self._forward(x_t, t, cond, False, mask, context)[0]
-
-    def _denoise_passes(self, x_t: np.ndarray, t: int, cnd: Conditioning) -> np.ndarray:
-        """Every pass of one sampler step through ``cnd``'s workspace, tile by tile (see ``Conditioning``)."""
         cols = self._columns
         x_t = np.asarray(x_t, dtype=float)
         if cnd.mask.ndim != 3 or x_t.shape != cnd.mask.shape:
@@ -495,7 +475,9 @@ class DiffusionModel:
         return [(ks, rows, self.gate_mlp.scratch(lead, gate), self.experts.scratch(lead, experts))
                 for ks, rows, lead in tiles]
 
-    def _forward(self, x_t, t, cond, null_mask, mask, context) -> tuple[np.ndarray, dict]:
+    def forward(self, x_t, t, cond, null_mask, mask, context) -> tuple[np.ndarray, dict]:
+        """Training's float64 predicted noise on raw (B, ...) inputs, ``t`` and ``null_mask`` scalar or
+        per row, and the cache its backward reads."""
         z, cache = self.assemble_input(x_t, t, cond, null_mask, mask, context)
         logits, cache_gate = self.gate_mlp.forward(z)
         gate = softmax(logits)
@@ -584,7 +566,7 @@ class DiffusionModel:
             raise DomainError("every sample needs at least one masked position")
         x_t = q_sample(x0, t, eps, self.schedule)
         context = np.where(mask, 0.0, x0)
-        eps_hat, cache = self._forward(x_t, t, cond, null_mask, mask, context)
+        eps_hat, cache = self.forward(x_t, t, cond, null_mask, mask, context)
         diff = np.where(mask, eps_hat - eps, 0.0)
         batch = x0.shape[0]
         loss = float((np.square(diff).sum(axis=1) / counts).mean())

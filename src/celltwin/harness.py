@@ -32,7 +32,7 @@ from .agent import (
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, NoiseSchedule
 from .errors import ConfigError, DomainError, EnvelopeError, ModelError, ShapeError
 from .nn import LoraSpec
-from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, build_scenario, serve
+from .scenario import NetworkState, Oracle, ScenarioConfig, associate_users, serve
 
 SCHEMES = ("agent", "empirical", "custom", "greedy", "always_on", "all_sleep")
 
@@ -579,7 +579,6 @@ def run_training(
     env = WorldModelEnv(bundle, oracle, weights, config.env)
     policy = Policy(
         n_cells=oracle.n_cells,
-        obs_dim=Observation.dim(oracle.n_cells),
         hidden=config.hidden,
         bias_levels=config.bias_levels,
         seed=config.seed,
@@ -695,7 +694,7 @@ def evaluate_policy(
     out: list[EpisodeResult] = []
     run = tuple(dict.fromkeys(tuple(schemes) + ("always_on", "all_sleep")))
     for seed in seeds:
-        oracle = build_scenario(replace(scenario, seed=int(seed)))
+        oracle = Oracle(replace(scenario, seed=int(seed)))
         per_seed: dict[str, EpisodeResult] = {}
         for scheme in run:
             env = OracleEnv(
@@ -770,12 +769,12 @@ def traffic_generation_metrics(
 def _traffic_reference(scenario: ScenarioConfig, n_samples: int = 48) -> tuple[Oracle, np.ndarray, float]:
     """What generated traffic is scored against: the scenario's oracle, ``n_samples``
     reseeded day draws, (n_samples, n_cells, steps), and the range of the noise-free daily load profile."""
-    oracle = build_scenario(scenario)
+    oracle = Oracle(scenario)
     # Noise-free daily load profile, (n_cells, steps_per_day).
     det_profile = oracle.arrays.capacity_mbps[:, None] * np.clip(
         oracle.hourly_demand[:, ::scenario.traffic_step_hours], 0.0, 1.0
     )
-    draws = np.array([build_scenario(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n_samples)])
+    draws = np.array([Oracle(replace(scenario, seed=1_000_003 + k)).traffic_day(0) for k in range(n_samples)])
     return oracle, draws, float(det_profile.max() - det_profile.min())
 
 
@@ -956,7 +955,7 @@ def counterfactual_suite(
     wm_rows: list[dict] = []
     for phi in cfg.fractions:
         scen_cf = replace(scenario, counterfactual_peak_fraction=float(phi))
-        oracle_cf = build_scenario(scen_cf)
+        oracle_cf = Oracle(scen_cf)
         adapted = adapt_traffic_model(bundle.traffic, oracle_cf, cfg)
         reference = _traffic_reference(scen_cf)
         frozen_m = _score_traffic(bundle.traffic, reference, "long_term_generation")

@@ -535,10 +535,8 @@ class Oracle:
         self._check_t(t_hours)
         tq = t_hours - t_hours % self.config.traffic_step_hours
         raw = float(self.hourly_demand[row, tq % 24])
-        sigma = self.config.traffic_noise_sigma
-        if sigma > 0:
-            eta = float(self._rng(_S_TRAFFIC, row, tq).normal(0.0, sigma))
-            raw *= 1.0 + eta
+        # A sigma of 0 draws +0.0, so the factor is exactly 1.
+        raw *= 1.0 + float(self._rng(_S_TRAFFIC, row, tq).normal(0.0, self.config.traffic_noise_sigma))
         return self.cells[row].capacity_mbps * min(max(raw, 0.0), 1.0)
 
     def users_at(self, grid_index: int, t_hours: int) -> int:
@@ -547,10 +545,7 @@ class Oracle:
             raise UnknownIdError(f"grid index {grid_index} out of range")
         self._check_t(t_hours)
         tq = t_hours - t_hours % self.config.user_step_hours
-        rate = float(self.hourly_user_rate[grid_index, tq % 24])
-        if rate == 0.0:
-            return 0
-        return int(self._rng(_S_USERS, grid_index, tq).poisson(rate))
+        return int(self._rng(_S_USERS, grid_index, tq).poisson(self.hourly_user_rate[grid_index, tq % 24]))
 
     # -- per-step columns and day reads --------------------------------------
 
@@ -590,11 +585,9 @@ class Oracle:
         jitter, shadows = [np.zeros((0, 2))], [np.zeros((0, self.n_cells))]
         for g in np.flatnonzero(counts).tolist():
             jitter.append(self._rng(_S_POS, g, tq).uniform(-half, half, size=(counts[g], 2)))
-            if sigma > 0:
-                shadows.append(self._rng(_S_SHADOW, g, tq).normal(0.0, sigma, size=(counts[g], self.n_cells)))
+            shadows.append(self._rng(_S_SHADOW, g, tq).normal(0.0, sigma, size=(counts[g], self.n_cells)))
         positions = np.repeat(self.grid_positions, counts, axis=0) + np.concatenate(jitter)
-        shadowing = np.concatenate(shadows) if sigma > 0 else np.zeros((len(positions), self.n_cells))
-        return counts, positions, shadowing
+        return counts, positions, np.concatenate(shadows)
 
     def rsrp_matrix(self, positions: np.ndarray, shadowing: np.ndarray) -> np.ndarray:
         """Per-(user, cell) RSRP in dBm, vectorized free-space + shadowing."""
@@ -709,11 +702,6 @@ def validate_scenario(config: ScenarioConfig) -> None:
                           f"(sum of poi_weight * base_users); at most {MAX_USERS_PER_STEP} are allowed")
 
 
-def build_scenario(config: ScenarioConfig) -> Oracle:
-    """Validate a config and return the immutable oracle over it."""
-    return Oracle(config)
-
-
 # -- canned topology ----------------------------------------------------------
 
 _HEX_PROFILES = ("office", "residential", "office", "mixed", "event", "residential", "mixed")
@@ -804,10 +792,6 @@ def _preset_form() -> type:
 HexPreset = _preset_form()
 
 
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return asdict(config)
-
-
 def scenario_from_dict(data, name=lambda key: f"scenario key {key}" if key else "scenario",
                        key: str = "") -> ScenarioConfig:
     """Strict scenario reader for the full form or a hex preset; errors name keys by ``name``."""
@@ -830,5 +814,5 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def save_scenario(config: ScenarioConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from celltwin.agent import Observation, Policy, RewardWeights
+from celltwin.agent import Policy, RewardWeights
 from celltwin.dataset import COND_DIM, collect_dataset
 from celltwin.diffusion import (
     DenoiserArch,
@@ -36,7 +36,7 @@ from celltwin.harness import (
     traffic_generation_metrics,
 )
 from celltwin.nn import LoraSpec, finite_difference_check
-from celltwin.scenario import build_scenario, make_hex_scenario
+from celltwin.scenario import Oracle, make_hex_scenario
 
 SEEDS = (0, 1, 2, 3, 4)
 WEIGHTS = RewardWeights(lambda_e=1.0, lambda_r=1.0, lambda_d=2.0)
@@ -55,7 +55,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def oracle(scenario):
-    return build_scenario(scenario)
+    return Oracle(scenario)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_01_gradient_correctness():
         model.store, lambda: model.loss_and_grads(x0, cond, mask, t, eps, null)
     )
 
-    agent = Policy(n_cells=2, obs_dim=Observation.dim(2), hidden=(8,), seed=1)
+    agent = Policy(n_cells=2, hidden=(8,), seed=1)
     obs = rng.normal(size=(5, agent.obs_dim))
     choices = rng.integers(0, agent.n_choices, size=(5, agent.n_cells))
     weights = rng.normal(size=5)
@@ -147,7 +147,7 @@ def test_02_mixture_structure(bundle):
         mask = rng.random((1, L)) < 0.7
         mask[:, 0] = True
         context = np.where(mask, 0.0, rng.standard_normal((1, L)))
-        eps_hat = model.denoise(x_t, t, cond, mask, context)
+        eps_hat = model.forward(x_t, t, cond, False, mask, context)[0]
         z, _ = model.assemble_input(x_t, t, cond, np.zeros(1, bool), mask, context)
         gate = model.gate_weights(z)
         recomputed = sum(
@@ -244,9 +244,9 @@ def test_07_lora_contracts(bundle, tmp_path):
     mask = np.ones((4, L), dtype=bool)
     context = np.zeros((4, L))
 
-    before = model.denoise(x_t, t, cond, mask, context)
+    before = model.forward(x_t, t, cond, False, mask, context)[0]
     model.lora_attach(LoraSpec(4, 8.0), seed=7)
-    at_attach = model.denoise(x_t, t, cond, mask, context)
+    at_attach = model.forward(x_t, t, cond, False, mask, context)[0]
     zero_init_ok = np.array_equal(before, at_attach)
 
     base_names = [n for n in model.store.names() if "/A" not in n and "/B" not in n]
@@ -258,9 +258,9 @@ def test_07_lora_contracts(bundle, tmp_path):
         model.train_step(x0, cond_b, np.ones((16, L), dtype=bool), train_rng, lr=5e-3)
     frozen_ok = all(np.array_equal(model.store[n], frozen_before[n]) for n in base_names)
 
-    adapted = model.denoise(x_t, t, cond, mask, context)
+    adapted = model.forward(x_t, t, cond, False, mask, context)[0]
     model.lora_merge()
-    merged = model.denoise(x_t, t, cond, mask, context)
+    merged = model.forward(x_t, t, cond, False, mask, context)[0]
     merge_err = float(np.abs(adapted - merged).max())
 
     ok = zero_init_ok and frozen_ok and merge_err < 1e-10
@@ -350,7 +350,7 @@ def test_10b_adapted_model_lowers_generation_error(scenario, bundle):
     from celltwin.harness import adapt_traffic_model
 
     scen = replace(scenario, counterfactual_peak_fraction=0.5)
-    adapted = adapt_traffic_model(bundle.traffic, build_scenario(scen), CounterfactualConfig())
+    adapted = adapt_traffic_model(bundle.traffic, Oracle(scen), CounterfactualConfig())
     frozen = traffic_generation_metrics(bundle.traffic, scen, "long_term_generation", 24)
     tuned = traffic_generation_metrics(adapted, scen, "long_term_generation", 24)
     assert tuned["mae"] < frozen["mae"]

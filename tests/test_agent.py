@@ -17,10 +17,10 @@ from celltwin.agent import (
 )
 from celltwin.errors import DomainError, ShapeError, TrainingError
 from celltwin.nn import finite_difference_check
-from celltwin.scenario import build_scenario, make_hex_scenario, neighbor_pairs
+from celltwin.scenario import Oracle, make_hex_scenario, neighbor_pairs
 
 W = RewardWeights()
-HEX7 = build_scenario(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48))
+HEX7 = Oracle(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48))
 HEX7_NEIGHBORS = HEX7.neighbors
 
 
@@ -83,7 +83,7 @@ class TestReward:
 
 class TestPolicyDistribution:
     def test_uniform_logits_joint_log_prob(self):
-        policy = Policy(n_cells=7, obs_dim=Observation.dim(7))
+        policy = Policy(n_cells=7)
         for name in policy.store.names():
             policy.store.set(name, np.zeros_like(policy.store[name]))
         probs, _ = policy.distribution(np.zeros(policy.obs_dim))
@@ -92,12 +92,12 @@ class TestPolicyDistribution:
         assert np.log(probs[0, np.arange(7), 0]).sum() == pytest.approx(7 * np.log(1.0 / 4.0))
 
     def test_probabilities_sum_to_one(self):
-        policy = Policy(n_cells=5, obs_dim=Observation.dim(5), seed=2)
+        policy = Policy(n_cells=5, seed=2)
         probs, _ = policy.distribution(np.random.default_rng(3).normal(size=(9, policy.obs_dim)))
         assert np.abs(probs.sum(axis=2) - 1.0).max() < 1e-12
 
     def test_fixed_seed_same_action(self):
-        policy = Policy(n_cells=4, obs_dim=Observation.dim(4), seed=4)
+        policy = Policy(n_cells=4, seed=4)
         obs = np.random.default_rng(5).normal(size=(1, policy.obs_dim))
         a1, c1 = policy.sample(obs, [np.random.default_rng(6)])
         a2, c2 = policy.sample(obs, [np.random.default_rng(6)])
@@ -105,7 +105,7 @@ class TestPolicyDistribution:
         assert np.array_equal(a1.sleep, a2.sleep)
 
     def test_each_row_draws_from_its_own_generator(self):
-        policy = Policy(n_cells=4, obs_dim=Observation.dim(4), seed=4)
+        policy = Policy(n_cells=4, seed=4)
         obs = np.random.default_rng(5).normal(size=(3, policy.obs_dim))
         _, together = policy.sample(obs, [np.random.default_rng(s) for s in (6, 7, 8)])
         for row, s in enumerate((6, 7, 8)):
@@ -117,7 +117,7 @@ class TestPolicyDistribution:
     def test_uniform_above_the_rounded_total_stays_in_range(self):
         # Logits whose softmax sums, cumulatively, to less than 1 - 2**-53; with u
         # at that value a count over every cumulative probability reaches n_choices.
-        policy = Policy(n_cells=3, obs_dim=4, hidden=(2,), seed=0)
+        policy = Policy(n_cells=3, hidden=(2,), seed=0)
         for name in policy.store.names():
             policy.store.set(name, np.zeros_like(policy.store[name]))
         u = 1.0 - 2.0**-53
@@ -125,7 +125,7 @@ class TestPolicyDistribution:
         while True:
             row = rng.normal(0.0, 3.0, size=policy.n_choices)
             policy.store.set("policy/b1", np.tile(row, policy.n_cells))
-            probs, _ = policy.distribution(np.zeros((1, 4)))
+            probs, _ = policy.distribution(np.zeros((1, policy.obs_dim)))
             if np.cumsum(probs[0, 0])[-1] < u:
                 break
 
@@ -133,14 +133,14 @@ class TestPolicyDistribution:
             def random(self, n):
                 return np.full(n, u)
 
-        action, choices = policy.sample(np.zeros((1, 4)), [TopUniform()])
+        action, choices = policy.sample(np.zeros((1, policy.obs_dim)), [TopUniform()])
         assert choices.tolist() == [[policy.n_choices - 1] * policy.n_cells]
         assert action.bias_level_db.tolist() == [[policy.bias_levels[-1]] * policy.n_cells]
 
     def test_choices_see_the_bits_of_one_row_forwards(self):
         # Every uniform sits exactly on a cumulative probability of its row's
         # one-row forward, so a forward one ulp lower there moves the choice.
-        policy = Policy(n_cells=7, obs_dim=Observation.dim(7), seed=3)
+        policy = Policy(n_cells=7, seed=3)
         obs = np.random.default_rng(8).normal(size=(7, policy.obs_dim))
         edges = [np.cumsum(policy.distribution(row)[0][0], axis=1) for row in obs]
 
@@ -159,7 +159,7 @@ class TestPolicyDistribution:
     def test_stacked_rows_forward_with_the_bits_of_single_rows(self, rows):
         # Policy.sample forwards B observations as a (B, 1, obs_dim) stack on this
         # premise: a change in how numpy or BLAS dispatches the stack fails here.
-        policy = Policy(n_cells=7, obs_dim=Observation.dim(7), seed=3)
+        policy = Policy(n_cells=7, seed=3)
         x = np.random.default_rng(rows).normal(size=(rows, policy.obs_dim))
         stacked, _ = policy.mlp.forward(x[:, None, :])
         assert stacked.shape == (rows, 1, policy.n_cells * policy.n_choices)
@@ -168,7 +168,7 @@ class TestPolicyDistribution:
             assert stacked[b].tobytes() == single.tobytes()
 
     def test_obs_dim_checked(self):
-        policy = Policy(n_cells=3, obs_dim=Observation.dim(3))
+        policy = Policy(n_cells=3)
         with pytest.raises(ShapeError):
             policy.distribution(np.zeros(5))
 
@@ -201,7 +201,7 @@ class TestPolicyUpdate:
         return np.stack(obs), np.stack(choices), rewards
 
     def test_zero_advantages_leave_parameters_unchanged(self):
-        policy = Policy(n_cells=2, obs_dim=Observation.dim(2), seed=7)
+        policy = Policy(n_cells=2, seed=7)
         rng = np.random.default_rng(8)
         batch = self._batch(policy, rng, np.full((4, 3), 1.0))
         before = {n: policy.store[n].copy() for n in policy.store.names()}
@@ -210,7 +210,7 @@ class TestPolicyUpdate:
             assert np.array_equal(policy.store[name], before[name])
 
     def test_surrogate_gradient_matches_finite_differences(self):
-        policy = Policy(n_cells=2, obs_dim=Observation.dim(2), hidden=(8,), seed=9)
+        policy = Policy(n_cells=2, hidden=(8,), seed=9)
         rng = np.random.default_rng(10)
         obs = rng.normal(size=(5, policy.obs_dim))
         choices = rng.integers(0, policy.n_choices, size=(5, policy.n_cells))
@@ -223,9 +223,9 @@ class TestPolicyUpdate:
 
     def test_bandit_convergence(self):
         # One cell, two choices; choice 0 pays +1, anything else pays 0.
-        policy = Policy(n_cells=1, obs_dim=3, hidden=(8,), bias_levels=(0.0,), seed=11)
+        policy = Policy(n_cells=1, hidden=(8,), bias_levels=(0.0,), seed=11)
         rng = np.random.default_rng(12)
-        obs = np.zeros(3)
+        obs = np.zeros(policy.obs_dim)
         for _ in range(300):
             choices, rewards = [], []
             for _ in range(8):
@@ -237,13 +237,13 @@ class TestPolicyUpdate:
         assert probs[0, 0, 0] > 0.95
 
     def test_empty_update_rejected(self):
-        policy = Policy(n_cells=2, obs_dim=Observation.dim(2))
+        policy = Policy(n_cells=2)
         with pytest.raises(TrainingError):
             policy.update(np.zeros((0, 3, policy.obs_dim)), np.zeros((0, 3, 2), dtype=int), np.zeros((0, 3)), lr=0.1)
 
     @pytest.mark.parametrize("episodes, steps", [(6, 12), (8, 1)])
     def test_matches_the_per_episode_reference_bit_for_bit(self, episodes, steps):
-        policy, reference = (Policy(n_cells=3, obs_dim=Observation.dim(3), hidden=(8,), seed=15) for _ in range(2))
+        policy, reference = (Policy(n_cells=3, hidden=(8,), seed=15) for _ in range(2))
         rng = np.random.default_rng(16)
         for _ in range(3):  # the first update sets the baseline, the later ones read it
             obs, choices, rewards = self._batch(policy, rng, rng.normal(size=(episodes, steps)))
@@ -261,7 +261,7 @@ class TestPolicyUpdate:
         ("nan_reward", TrainingError),
     ])
     def test_bad_batch_rejected_with_parameters_unchanged(self, case, error):
-        policy = Policy(n_cells=2, obs_dim=Observation.dim(2), seed=17)
+        policy = Policy(n_cells=2, seed=17)
         rng = np.random.default_rng(18)
         obs, choices, rewards = self._batch(policy, rng, rng.normal(size=(4, 3)))
         if case == "zero_episodes":
@@ -282,7 +282,7 @@ class TestPolicyUpdate:
         assert policy._baseline is None
 
     def test_checkpoint_roundtrip(self, tmp_path):
-        policy = Policy(n_cells=3, obs_dim=Observation.dim(3), seed=13)
+        policy = Policy(n_cells=3, seed=13)
         rng = np.random.default_rng(14)
         batch = self._batch(policy, rng, np.repeat(np.arange(3.0)[:, None], 3, axis=1))
         policy.update(*batch, lr=0.05)

@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from celltwin import cli
-from celltwin.agent import Observation, Policy, RewardWeights
+from celltwin.agent import Policy, RewardWeights
 from celltwin.cli import RunConfig, main, parse_config
 from celltwin.dataset import (
     COND_DIM,
@@ -35,7 +36,7 @@ from celltwin.harness import (
     WorldModelBundle,
     WorldModelEnvConfig,
 )
-from celltwin.scenario import build_scenario, make_hex_scenario, scenario_to_dict
+from celltwin.scenario import Oracle, make_hex_scenario
 
 
 def write_config(tmp_path, **overrides):
@@ -240,6 +241,8 @@ class TestParseConfig:
         ('{"counterfactual": {"lora": {"rank": -1, "alpha": 8.0}}}', "counterfactual.lora",
          "lora rank must be >= 1, got -1"),
         ('{"reward": {"lambda_d": -0.5}}', "reward", "reward weight lambda_d must be nonnegative"),
+        ('{"worldmodel": {"schedule": {"steps": 1, "beta_min": 1e-300, "beta_max": 1e-300}}}', "worldmodel.schedule",
+         "beta_min 1e-300 is below float64 resolution: 1 - beta_min rounds to 1"),
     ])
     def test_record_check_named_by_its_key(self, tmp_path, text, key, message):
         path = tmp_path / "c.json"
@@ -359,7 +362,7 @@ class TestParseConfig:
 
 
 def _full_scenario(edit):
-    data = scenario_to_dict(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=96))
+    data = asdict(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=96))
     edit(data)
     return data
 
@@ -455,16 +458,31 @@ class TestCliCommands:
         assert err.startswith("error:") and "--days" in err
         assert not out.exists()
 
-    def test_collect_without_users_is_one_error_line(self, tmp_path, child_env):
-        cfg = write_config(tmp_path, scenario={"preset": "hex7", "seed": 0, "grid_dim": 2,
-                                               "horizon_hours": 96, "base_users": 0})
+    @pytest.mark.parametrize("scenario, dataset, error", [
+        ({"horizon_hours": 96, "base_users": 0}, {"n_days": 3}, "error: rsrp collection"),
+        # Shadowing this wide overflows numpy's spread of the rsrp split, which warns before the error.
+        ({"horizon_hours": 48, "shadowing_sigma_db": 1e300}, {"n_days": 2},
+         "error: the scenario gives the rsrp training split a non-finite mean or spread"),
+    ], ids=["no_users", "shadowing_overflow"])
+    def test_collect_without_users_is_one_error_line(self, tmp_path, child_env, scenario, dataset, error):
+        cfg = write_config(tmp_path, scenario={"preset": "hex7", "seed": 0, "grid_dim": 2, **scenario},
+                           dataset=dataset)
         proc = subprocess.run(
             [sys.executable, "-m", "celltwin.cli", "collect", "--config", cfg],
             capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: rsrp collection") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1
         assert not (tmp_path / "out" / "datasets").exists()
+
+    def test_a_stage_that_returns_shows_its_warnings(self, tmp_path, monkeypatch, capsys):
+        def warns(run, args):
+            warnings.warn("overflow in a stage", RuntimeWarning)
+            return 0
+
+        monkeypatch.setitem(cli.COMMANDS, "report", warns)
+        with pytest.warns(RuntimeWarning, match="overflow in a stage"):
+            assert main(["report", "--config", write_config(tmp_path)]) == 0
 
     def test_unknown_flag_exits_two(self, tmp_path, child_env):
         cfg = write_config(tmp_path)
@@ -657,8 +675,8 @@ class TestCliCommands:
 
     def test_import_does_not_load_scipy(self, child_env):
         # Nor numpy.ma (np.unique's first call imports it) or concurrent.futures (only a --jobs pool needs it).
-        code = ("import sys, celltwin.cli; from celltwin.scenario import build_scenario, make_hex_scenario; "
-                "build_scenario(make_hex_scenario()); "
+        code = ("import sys, celltwin.cli; from celltwin.scenario import Oracle, make_hex_scenario; "
+                "Oracle(make_hex_scenario()); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
                 "or m == 'numpy.ma' or m.startswith(('numpy.ma.', 'concurrent.futures'))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env)
@@ -817,6 +835,13 @@ BAD_ARTIFACTS = {
                                    lambda p: _edit_npz(
                                        p, header=lambda h: h["manifest"]["schedule"].update(beta_max=1.5)),
                                    "field 'manifest.schedule': need 0 < beta_min <= beta_max < 1, got (0.0001, 1.5)"),
+    "schedule_beta_min_unresolved": ("models/traffic.npz",
+                                     lambda p: _edit_npz(
+                                         p, header=lambda h: h["manifest"]["schedule"].update(beta_min=1e-300)),
+                                     "field 'manifest.schedule': beta_min 1e-300 is below float64 resolution: "
+                                     "1 - beta_min rounds to 1"),
+    "policy_obs_dim_wrong": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(obs_dim=3)),
+                             "field 'manifest.obs_dim'"),
     "schedule_no_steps": ("models/rsrp.npz",
                           lambda p: _edit_npz(p, header=lambda h: h["manifest"]["schedule"].update(steps=0)),
                           "field 'manifest.schedule': steps must be >= 1, got 0"),
@@ -829,7 +854,7 @@ def artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
     (out / "datasets").mkdir()
     (out / "models").mkdir()
-    oracle = build_scenario(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48))
+    oracle = Oracle(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48))
     traffic = collect_dataset(oracle, n_days=1, kinds=("traffic",))["traffic"]
     write_dataset(traffic, str(out / "datasets/traffic.npz"))
     layout = ConditionLayout(mean=np.zeros(COND_DIM), std=np.ones(COND_DIM))
@@ -837,7 +862,7 @@ def artifacts(tmp_path_factory):
         arch = DenoiserArch(series_len=3, cond_emb_dim=2, time_dim=2, expert_hidden=(4,), gate_hidden=(4,))
         head = DiffusionModel(kind, arch, NoiseSchedule(2, 1e-4, 0.02), NormalizationStats(0.0, 1.0), layout)
         head.save(str(out / "models" / f"{kind}.npz"))
-    Policy(n_cells=7, obs_dim=Observation.dim(7)).save(str(out / "models/policy.npz"))
+    Policy(n_cells=7).save(str(out / "models/policy.npz"))
     return out
 
 

@@ -22,12 +22,12 @@ from celltwin.dataset import (
     write_dataset,
 )
 from celltwin.errors import ConfigError, DomainError, FormatError
-from celltwin.scenario import POI_PROFILES, build_scenario, make_hex_scenario
+from celltwin.scenario import POI_PROFILES, Oracle, make_hex_scenario
 
 
 @pytest.fixture(scope="module")
 def oracle():
-    return build_scenario(make_hex_scenario(seed=7, grid_dim=4, horizon_hours=240))
+    return Oracle(make_hex_scenario(seed=7, grid_dim=4, horizon_hours=240))
 
 
 @pytest.fixture(scope="module")

@@ -139,7 +139,7 @@ class TestMoEStructure:
         model = tiny_model(n_experts=3)
         rng = np.random.default_rng(3)
         x_t, t, cond, mask, context = random_inputs(model, 8, rng)
-        eps_hat = model.denoise(x_t, t, cond, mask, context)
+        eps_hat = model.forward(x_t, t, cond, False, mask, context)[0]
         z, _ = model.assemble_input(x_t, t, cond, np.zeros(8, bool), mask, context)
         gate = model.gate_weights(z)
         recomputed = sum(
@@ -157,7 +157,7 @@ class TestMoEStructure:
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
         z, _ = model.assemble_input(x_t, t, cond, np.zeros(4, bool), mask, context)
         assert np.allclose(model.gate_weights(z)[:, 1], 1.0)
-        eps_hat = model.denoise(x_t, t, cond, mask, context)
+        eps_hat = model.forward(x_t, t, cond, False, mask, context)[0]
         assert np.allclose(eps_hat, model.expert_output(1, z), atol=1e-12)
 
     def test_constant_experts_average(self):
@@ -174,7 +174,7 @@ class TestMoEStructure:
             model.store.set(f"gate/b{layer}", np.zeros_like(model.store[f"gate/b{layer}"]))
         rng = np.random.default_rng(5)
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
-        eps_hat = model.denoise(x_t, t, cond, mask, context)
+        eps_hat = model.forward(x_t, t, cond, False, mask, context)[0]
         assert np.allclose(eps_hat, 2.0, atol=1e-12)
 
 
@@ -206,7 +206,7 @@ def reference_loss_and_grads(model, x0, cond, mask, t, eps, null_mask):
     mask = np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=1)
     x_t = q_sample(x0, t, eps, model.schedule)
-    eps_hat, cache = model._forward(x_t, t, cond, null_mask, mask, np.where(mask, 0.0, x0))
+    eps_hat, cache = model.forward(x_t, t, cond, null_mask, mask, np.where(mask, 0.0, x0))
     diff = np.where(mask, eps_hat - eps, 0.0)
     loss = float((np.square(diff).sum(axis=1) / counts).mean())
     grads = {}
@@ -737,9 +737,9 @@ class TestLora:
         model = tiny_model()
         rng = np.random.default_rng(21)
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
-        before = model.denoise(x_t, t, cond, mask, context)
+        before = model.forward(x_t, t, cond, False, mask, context)[0]
         model.lora_attach(LoraSpec(2, 4.0))
-        after = model.denoise(x_t, t, cond, mask, context)
+        after = model.forward(x_t, t, cond, False, mask, context)[0]
         assert np.array_equal(before, after)
 
     def test_alpha_scales_adapted_layer_delta_linearly(self):
@@ -772,9 +772,9 @@ class TestLora:
                     name = f"experts/{mat}{i}"
                     model.store[name][expert] = rng.normal(size=model.store[name].shape[1:]) * 0.1
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
-        adapted = model.denoise(x_t, t, cond, mask, context)
+        adapted = model.forward(x_t, t, cond, False, mask, context)[0]
         model.lora_merge()
-        merged = model.denoise(x_t, t, cond, mask, context)
+        merged = model.forward(x_t, t, cond, False, mask, context)[0]
         assert np.abs(adapted - merged).max() < 1e-10
 
     def test_base_frozen_while_adapted(self):
@@ -846,11 +846,11 @@ class TestPersistence:
         model = tiny_model(memory=mem, seed=6)
         rng = np.random.default_rng(29)
         x_t, t, cond, mask, context = random_inputs(model, 4, rng)
-        want = model.denoise(x_t, t, cond, mask, context)
+        want = model.forward(x_t, t, cond, False, mask, context)[0]
         path = str(tmp_path / "model.npz")
         model.save(path)
         back = DiffusionModel.load(path)
-        got = back.denoise(x_t, t, cond, mask, context)
+        got = back.forward(x_t, t, cond, False, mask, context)[0]
         assert np.array_equal(want, got)
         assert back.kind == model.kind
         assert back.stats == model.stats

@@ -29,13 +29,14 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from celltwin.cli import main, parse_config
-from celltwin.scenario import make_hex_scenario, scenario_to_dict
+from celltwin.scenario import make_hex_scenario
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -64,7 +65,7 @@ RETRAIN = {**COUNTERFACTUAL, "counterfactual": {**COUNTERFACTUAL["counterfactual
 
 # A full scenario file (one float key given as an integer) and a config that reads it,
 # with an integer for a float key and a null that stands for the default.
-SCENARIO_FILE = {**scenario_to_dict(make_hex_scenario(seed=5, grid_dim=3, horizon_hours=96)),
+SCENARIO_FILE = {**asdict(make_hex_scenario(seed=5, grid_dim=3, horizon_hours=96)),
                  "traffic_noise_sigma": 0}
 FULL_SCENARIO = {"scenario": "scenario.json", "seeds": [3], "dataset": {"n_days": 4},
                  "worldmodel": {"lr": 1, "guidance_w": None}}

@@ -41,7 +41,7 @@ from celltwin.harness import (
     write_manifest,
     write_rows_csv,
 )
-from celltwin.scenario import NetworkState, build_scenario, cell_power_watts, make_hex_scenario
+from celltwin.scenario import NetworkState, Oracle, cell_power_watts, make_hex_scenario
 
 WEIGHTS = RewardWeights()
 
@@ -200,7 +200,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def oracle(scenario):
-    return build_scenario(scenario)
+    return Oracle(scenario)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +265,7 @@ class TestWorldModelEnv:
 
     def test_user_column_follows_the_hour(self, env_config):
         # 2-hour traffic steps over 3-hour user steps: step k reads the user window holding hour 2k.
-        oracle = build_scenario(make_hex_scenario(seed=0, grid_dim=3, horizon_hours=48,
+        oracle = Oracle(make_hex_scenario(seed=0, grid_dim=3, horizon_hours=48,
                                                   traffic_step_hours=2, user_step_hours=3))
         env = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
         env.traffic_pool, env.users_pool = oracle.traffic_day(1)[None], oracle.users_day(1)[None]
@@ -276,7 +276,7 @@ class TestWorldModelEnv:
 
     def test_episode_tagged_as_worldmodel(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=1)
+        policy = Policy(oracle.n_cells, seed=1)
         _, _, (rewards,), (result,) = run_wm_episodes(env, policy, [np.random.default_rng(2)])
         assert result.environment == "worldmodel"
         assert len(rewards) == env.steps_per_episode
@@ -285,7 +285,7 @@ class TestWorldModelEnv:
     @pytest.mark.parametrize("episodes", [1, 2, 6, 7])
     def test_lockstep_episodes_have_the_bits_of_separate_ones(self, bundle, oracle, env_config, episodes):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=5)
+        policy = Policy(oracle.n_cells, seed=5)
         seeds = [np.random.SeedSequence((3, 9, 1, e)) for e in range(episodes)]
         observations, choice_rows, reward_rows, results = run_wm_episodes(
             env, policy, [np.random.default_rng(s) for s in seeds])
@@ -383,7 +383,7 @@ class TestOracleEvaluation:
 
     def test_steps_only_inside_the_day(self):
         # Day 1 of a four-day horizon: a 13th step would read day 2's hours.
-        oracle = build_scenario(make_hex_scenario(seed=0, horizon_hours=96))
+        oracle = Oracle(make_hex_scenario(seed=0, horizon_hours=96))
         env = OracleEnv(oracle, WEIGHTS, day=1)
         action = batch(Action.all_active(oracle.n_cells))
         with pytest.raises(DomainError, match="before reset"):
@@ -437,7 +437,7 @@ class TestOracleEvaluation:
         from celltwin.harness import run_oracle_episode
 
         # A fresh oracle: one that stepped day 1 before holds its draws and reads no users.
-        oracle = build_scenario(scenario)
+        oracle = Oracle(scenario)
         calls = self._count_users_at(monkeypatch)
         run_oracle_episode(scheme, OracleEnv(oracle, WEIGHTS, day=1), 0)
         assert calls["inside"] > 0 and calls["outside"] == 0
@@ -445,7 +445,7 @@ class TestOracleEvaluation:
     def _evaluate_counting_users_at(self, scenario, monkeypatch, mode) -> dict[str, int]:
         from celltwin.harness import SCHEMES
 
-        policy = Policy(len(scenario.cell_configs), Observation.dim(len(scenario.cell_configs)), seed=2)
+        policy = Policy(len(scenario.cell_configs), seed=2)
         calls = self._count_users_at(monkeypatch)
         results = evaluate_policy(scenario, SCHEMES, (3,), WEIGHTS, bundle=ZERO_BUNDLE, policy=policy,
                                   cfg=EvalConfig(predict_mode=mode))
@@ -483,7 +483,7 @@ class TestOracleEvaluation:
     def test_short_term_jobs_equal_a_sequential_run(self, scenario, bundle, tmp_path):
         from celltwin.cli import _evaluate_one_seed
 
-        policy = Policy(len(scenario.cell_configs), Observation.dim(len(scenario.cell_configs)), seed=2)
+        policy = Policy(len(scenario.cell_configs), seed=2)
         cfg = EvalConfig(schemes=("agent", "empirical"), predict_mode="short_term")
         payloads = [(scenario, cfg.schemes, seed, WEIGHTS, bundle, policy, cfg) for seed in (0, 1)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
@@ -493,7 +493,7 @@ class TestOracleEvaluation:
         assert (tmp_path / "sequential.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
 
     def test_short_term_predictions_exercised(self, scenario, oracle, bundle):
-        policy = Policy(oracle.n_cells, Observation.dim(oracle.n_cells), seed=2)
+        policy = Policy(oracle.n_cells, seed=2)
         results = evaluate_policy(
             scenario, ("agent",), (0,), WEIGHTS, bundle=bundle, policy=policy,
             cfg=EvalConfig(predict_mode="short_term"),
@@ -535,7 +535,7 @@ class TestDayClock:
     @pytest.mark.parametrize("traffic_step", DAY_DIVISORS)
     @pytest.mark.parametrize("user_step", DAY_DIVISORS)
     def test_day_reads_user_columns_and_revealed_split(self, traffic_step, user_step, env_config):
-        oracle = build_scenario(make_hex_scenario(seed=5, grid_dim=2, horizon_hours=48,
+        oracle = Oracle(make_hex_scenario(seed=5, grid_dim=2, horizon_hours=48,
                                                   traffic_step_hours=traffic_step, user_step_hours=user_step))
         steps, user_steps = 24 // traffic_step, 24 // user_step
         traffic, users = oracle.traffic_day(1), oracle.users_day(1)
@@ -624,14 +624,14 @@ class TestGenerationMetrics:
     @staticmethod
     def reseeded_builds(monkeypatch) -> list:
         """Records the seed of every reseeded scenario the harness builds: reference draws use seeds from 1_000_003."""
-        seeds, build = [], harness.build_scenario
+        seeds, build = [], harness.Oracle
 
         def recording(scen):
             if scen.seed >= 1_000_003:
                 seeds.append(scen.seed)
             return build(scen)
 
-        monkeypatch.setattr(harness, "build_scenario", recording)
+        monkeypatch.setattr(harness, "Oracle", recording)
         return seeds
 
     def test_generation_metrics_draws_its_reference_once(self, monkeypatch):
@@ -743,7 +743,7 @@ class TestCounterfactualBehavior:
         from dataclasses import replace
 
         def sleep_count(phi):
-            oracle = build_scenario(replace(scenario, counterfactual_peak_fraction=phi))
+            oracle = Oracle(replace(scenario, counterfactual_peak_fraction=phi))
             env = OracleEnv(oracle, WEIGHTS, day=1)
             env.reset()
             total = 0

@@ -2,7 +2,7 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from celltwin.scenario import (
     Oracle,
     ScenarioConfig,
     associate_users,
-    build_scenario,
     cell_power_watts,
     make_hex_scenario,
     key_states,
@@ -31,7 +30,6 @@ from celltwin.scenario import (
     _S_POS,
     _S_SHADOW,
     scenario_from_dict,
-    scenario_to_dict,
     serve,
     step_physics,
 )
@@ -62,7 +60,7 @@ class TestValidation:
                        capacity_mbps=100.0, poi_profile="office", neighbors=(0,)),
         )
         with pytest.raises(ConfigError, match="neighbor id 99"):
-            build_scenario(two_cell_config(cell_configs=cells))
+            Oracle(two_cell_config(cell_configs=cells))
 
     def test_self_neighbor_rejected(self):
         cells = (
@@ -72,11 +70,11 @@ class TestValidation:
                        capacity_mbps=100.0, poi_profile="office", neighbors=(0,)),
         )
         with pytest.raises(ConfigError, match="exclude self"):
-            build_scenario(two_cell_config(cell_configs=cells))
+            Oracle(two_cell_config(cell_configs=cells))
 
     def test_step_must_divide_horizon(self):
         with pytest.raises(ConfigError, match="traffic_step_hours"):
-            build_scenario(two_cell_config(horizon_hours=23))
+            Oracle(two_cell_config(horizon_hours=23))
 
     def test_sleep_power_below_idle_power(self):
         cells = list(two_cell_config().cell_configs)
@@ -84,7 +82,7 @@ class TestValidation:
                               capacity_mbps=100.0, poi_profile="office", neighbors=(1,),
                               p_sleep_watts=200.0)
         with pytest.raises(ConfigError, match="p_sleep"):
-            build_scenario(two_cell_config(cell_configs=tuple(cells)))
+            Oracle(two_cell_config(cell_configs=tuple(cells)))
 
     def test_negative_seed_rejected_before_any_draw(self):
         with pytest.raises(ConfigError, match=re.escape("scenario.seed must be >= 0, got -1")):
@@ -92,7 +90,7 @@ class TestValidation:
 
     def test_counterfactual_fraction_bounds(self):
         with pytest.raises(ConfigError, match="counterfactual"):
-            build_scenario(two_cell_config(counterfactual_peak_fraction=1.5))
+            Oracle(two_cell_config(counterfactual_peak_fraction=1.5))
 
     @pytest.mark.parametrize("weight, base_users, ok", [
         (1.0, MAX_USERS_PER_STEP // 4, True),  # four grids at exactly the bound
@@ -104,13 +102,13 @@ class TestValidation:
         grids = tuple(GridCell(position=g.position, poi_weight=weight, base_users=base_users)
                       for g in two_cell_config().grids)
         if ok:
-            assert build_scenario(two_cell_config(grids=grids)).grid_weight.sum() <= MAX_USERS_PER_STEP
+            assert Oracle(two_cell_config(grids=grids)).grid_weight.sum() <= MAX_USERS_PER_STEP
         else:
             with pytest.raises(ConfigError, match="base_users"):
-                build_scenario(two_cell_config(grids=grids))
+                Oracle(two_cell_config(grids=grids))
 
     def test_hex_layout_has_seven_cells_with_neighbors(self):
-        oracle = build_scenario(make_hex_scenario(seed=3))
+        oracle = Oracle(make_hex_scenario(seed=3))
         assert oracle.n_cells == 7
         for cell in oracle.cells:
             assert len(cell.neighbors) >= 2
@@ -119,43 +117,55 @@ class TestValidation:
 class TestTraffic:
     def test_constant_profile(self):
         cfg = two_cell_config(traffic_base=0.1, traffic_amp=0.0, traffic_noise_sigma=0.0)
-        oracle = build_scenario(cfg)
+        oracle = Oracle(cfg)
         for t in range(0, 48, 2):
             assert oracle.traffic_at(0, t) == pytest.approx(10.0, abs=1e-12)
 
+    def test_zero_sigmas_give_the_noise_free_bits(self):
+        # A sigma of 0 is a parameter of the same draw: normal(0, 0) is +0.0, so traffic is
+        # capacity * clip(hourly_demand) exactly and every shadowing value is +0.0.
+        oracle = Oracle(make_hex_scenario(seed=4, grid_dim=2, horizon_hours=48,
+                                          traffic_noise_sigma=0.0, shadowing_sigma_db=0.0))
+        for t in range(0, 48, oracle.config.traffic_step_hours):
+            want = oracle.arrays.capacity_mbps * np.clip(oracle.hourly_demand[:, t % 24], 0.0, 1.0)
+            assert np.array([oracle.traffic_at(c.id, t) for c in oracle.cells]).tobytes() == want.tobytes()
+        for t in range(0, 48, oracle.config.user_step_hours):
+            shadowing = oracle.users_and_shadowing(t)[2]
+            assert shadowing.size and shadowing.tobytes() == np.zeros(shadowing.shape).tobytes()
+
     def test_counterfactual_peak_hits_fraction_of_capacity(self):
         cfg = two_cell_config(traffic_noise_sigma=0.0, counterfactual_peak_fraction=0.8)
-        oracle = build_scenario(cfg)
+        oracle = Oracle(cfg)
         peak = max(oracle.traffic_at(0, t) for t in range(0, 24))
         assert peak == pytest.approx(80.0, rel=1e-9)
 
     @pytest.mark.parametrize("phi", [0.5, 0.6, 0.8])
     def test_counterfactual_scaling_invariant(self, phi):
         cfg = make_hex_scenario(seed=1, counterfactual_peak_fraction=phi, traffic_noise_sigma=0.0)
-        oracle = build_scenario(cfg)
+        oracle = Oracle(cfg)
         for cell in oracle.cells:
             peak = max(oracle.traffic_at(cell.id, t) for t in range(0, 24))
             assert abs(peak - phi * cell.capacity_mbps) <= 1e-9 * phi * cell.capacity_mbps
 
     def test_office_beats_residential_at_midday(self):
         cfg = two_cell_config(traffic_noise_sigma=0.0)
-        oracle = build_scenario(cfg)
+        oracle = Oracle(cfg)
         assert oracle.traffic_at(0, 14) > oracle.traffic_at(1, 14)
 
     def test_determinism_across_constructions(self):
         cfg = make_hex_scenario(seed=11)
-        a, b = build_scenario(cfg), build_scenario(cfg)
+        a, b = Oracle(cfg), Oracle(cfg)
         for t in range(0, 48, 2):
             for cell in a.cells:
                 assert a.traffic_at(cell.id, t) == b.traffic_at(cell.id, t)
 
     def test_unknown_cell(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         with pytest.raises(UnknownIdError):
             oracle.traffic_at(99, 0)
 
     def test_time_out_of_horizon(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         with pytest.raises(DomainError):
             oracle.traffic_at(0, 48)
 
@@ -182,7 +192,7 @@ class TestDemandTables:
     @pytest.mark.parametrize("phi", [None, 0.5, 0.6, 0.8, 1.0])
     def test_tables_have_the_scalar_formulas_bits(self, phi):
         for traffic_step, user_step, seed in itertools.product((1, 2, 3, 4, 6, 8, 12), (1, 2, 3), (0, 7)):
-            oracle = build_scenario(make_hex_scenario(
+            oracle = Oracle(make_hex_scenario(
                 seed=seed, counterfactual_peak_fraction=phi,
                 traffic_step_hours=traffic_step, user_step_hours=user_step,
             ))
@@ -194,26 +204,26 @@ class TestUsers:
     def test_zero_base_users(self):
         grids = tuple(GridCell(position=g.position, poi_weight=g.poi_weight, base_users=0)
                       for g in two_cell_config().grids)
-        oracle = build_scenario(two_cell_config(grids=grids))
+        oracle = Oracle(two_cell_config(grids=grids))
         assert all(oracle.users_at(g, t) == 0 for g in range(4) for t in range(0, 24))
         state = oracle.step_network(12)
         assert state.total_users == 0 and state.serving_cell.shape == (0,)
 
     def test_repeat_query_is_identical(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         assert oracle.users_at(2, 19) == oracle.users_at(2, 19)
 
     def test_monte_carlo_mean_matches_rate(self):
         cfg = two_cell_config()
-        rate = build_scenario(cfg).hourly_user_rate[1, 20]
+        rate = Oracle(cfg).hourly_user_rate[1, 20]
         draws = [
-            build_scenario(two_cell_config(seed=s)).users_at(1, 20) for s in range(1000)
+            Oracle(two_cell_config(seed=s)).users_at(1, 20) for s in range(1000)
         ]
         assert rate > 1.0
         assert abs(np.mean(draws) - rate) <= 0.05 * rate
 
     def test_bad_grid_index(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         with pytest.raises(UnknownIdError):
             oracle.users_at(4, 0)
 
@@ -221,7 +231,7 @@ class TestUsers:
 class TestDayReads:
     @pytest.mark.parametrize("traffic_step, user_step", [(2, 1), (3, 2)])
     def test_days_equal_scalar_queries(self, traffic_step, user_step):
-        oracle = build_scenario(make_hex_scenario(
+        oracle = Oracle(make_hex_scenario(
             seed=3, grid_dim=3, horizon_hours=72,
             traffic_step_hours=traffic_step, user_step_hours=user_step,
         ))
@@ -236,7 +246,7 @@ class TestDayReads:
                 assert users[g, k] == oracle.users_at(g, 48 + k * user_step)
 
     def test_day_past_horizon_rejected(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         with pytest.raises(DomainError):
             oracle.traffic_day(2)
         with pytest.raises(DomainError):
@@ -277,7 +287,7 @@ class TestRsrp:
         """Cell 0's RSRP without shadowing, from the array formula the oracle steps with."""
         cell0 = CellConfig(**{**self.CELL.__dict__, "tx_power_dbm": tx_power_dbm})
         cell1 = two_cell_config().cell_configs[1]
-        oracle = build_scenario(two_cell_config(cell_configs=(cell0, cell1)))
+        oracle = Oracle(two_cell_config(cell_configs=(cell0, cell1)))
         positions = np.array(positions, dtype=float)
         return oracle.rsrp_matrix(positions, np.zeros((len(positions), 2)))[:, 0]
 
@@ -293,7 +303,7 @@ class TestRsrp:
         assert near - far == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
     def test_no_users(self):
-        rsrp = build_scenario(two_cell_config()).rsrp_matrix(np.zeros((0, 2)), np.zeros((0, 2)))
+        rsrp = Oracle(two_cell_config()).rsrp_matrix(np.zeros((0, 2)), np.zeros((0, 2)))
         assert rsrp.shape == (0, 2) and rsrp.dtype == np.float64
 
 
@@ -316,7 +326,7 @@ class TestPower:
 
 class TestStepNetwork:
     def test_single_active_cell_takes_everyone(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         state = oracle.step_network(8, sleep_mask=[False, True])
         served = state.serving_cell[state.serving_cell >= 0]
         assert state.dropped_users == 0
@@ -338,7 +348,7 @@ class TestStepNetwork:
             GridCell(position=(0.0, 2.5), poi_weight=0.0, base_users=0),
         )
         cfg = two_cell_config(cell_configs=cells, grids=grids, shadowing_sigma_db=0.0)
-        oracle = build_scenario(cfg)
+        oracle = Oracle(cfg)
         state = oracle.step_network(12, bias_db=[0.0, 50.0])
         served = state.serving_cell[state.serving_cell >= 0]
         assert served.size and (served == 1).all()
@@ -356,34 +366,34 @@ class TestStepNetwork:
             assert (state.serving_cell == cell).all()
 
     def test_all_asleep_drops_everyone(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         state = oracle.step_network(12, sleep_mask=[True, True])
         assert state.dropped_users == state.total_users > 0
         assert np.isnan(state.rsrp_avg_dbm)
 
     def test_sleeping_cell_serves_nothing_at_sleep_power(self):
-        oracle = build_scenario(two_cell_config())
+        oracle = Oracle(two_cell_config())
         state = oracle.step_network(12, sleep_mask=[True, False])
         assert (state.serving_cell != 0).all()
         assert state.per_cell_load_mbps[0] == 0.0
         assert state.per_cell_power_watts[0] == 75.0
 
     def test_accounting(self):
-        oracle = build_scenario(make_hex_scenario(seed=5))
+        oracle = Oracle(make_hex_scenario(seed=5))
         for t in (0, 8, 14, 20):
             state = oracle.step_network(t, sleep_mask=[False, True, False, True, False, False, False])
             assert int((state.serving_cell >= 0).sum()) + state.dropped_users == state.total_users
             assert state.total_users == oracle.users_and_shadowing(t)[0].sum()
 
     def test_energy_conservation(self):
-        oracle = build_scenario(make_hex_scenario(seed=5))
+        oracle = Oracle(make_hex_scenario(seed=5))
         state = oracle.step_network(10)
         total = state.energy_wh(2.0)
         assert total == pytest.approx(sum(state.per_cell_power_watts) * 2.0, rel=1e-12)
 
     def test_all_active_keeps_native_load(self):
         cfg = make_hex_scenario(seed=5)
-        oracle = build_scenario(cfg)
+        oracle = Oracle(cfg)
         state = oracle.step_network(14)
         native = np.array([oracle.traffic_at(c.id, 14) for c in oracle.cells])
         capped = np.minimum(native, np.array([c.capacity_mbps for c in oracle.cells]))
@@ -391,7 +401,7 @@ class TestStepNetwork:
 
     def test_bit_exact_determinism(self):
         cfg = make_hex_scenario(seed=9)
-        a, b = build_scenario(cfg), build_scenario(cfg)
+        a, b = Oracle(cfg), Oracle(cfg)
         sa = a.step_network(16, sleep_mask=[False, True, False, False, True, False, False],
                             bias_db=[0, 0, 3, 0, 0, 3, 0])
         sb = b.step_network(16, sleep_mask=[False, True, False, False, True, False, False],
@@ -404,10 +414,10 @@ class TestStepNetwork:
     def test_tx_power_monotonicity(self):
         # Raising one cell's tx power never lowers any user's RSRP from it.
         base_cfg = make_hex_scenario(seed=2, shadowing_sigma_db=0.0)
-        oracle = build_scenario(base_cfg)
+        oracle = Oracle(base_cfg)
         cells = list(base_cfg.cell_configs)
         cells[3] = CellConfig(**{**cells[3].__dict__, "tx_power_dbm": cells[3].tx_power_dbm + 2.0})
-        boosted = build_scenario(
+        boosted = Oracle(
             ScenarioConfig(**{**base_cfg.__dict__, "cell_configs": tuple(cells)})
         )
         _, pos, shadow = oracle.users_and_shadowing(12)
@@ -693,7 +703,7 @@ class TestSnapshotStore:
     @settings(max_examples=25, deadline=None)
     @given(snapshot_queries())
     def test_reused_draws_match_a_fresh_oracle(self, queries):
-        oracle = build_scenario(SNAPSHOT_CFG)
+        oracle = Oracle(SNAPSHOT_CFG)
         store = oracle._snapshots
         for t, sleep, bias in queries:
             if not 0 <= t < SNAPSHOT_CFG.horizon_hours or len(sleep) != len(SNAPSHOT_CFG.cell_configs):
@@ -705,7 +715,7 @@ class TestSnapshotStore:
                 assert all(a is b for (_, a), (_, b) in zip(after, before))
                 continue
             got = oracle.step_network(t, sleep, bias)
-            want = build_scenario(SNAPSHOT_CFG).step_network(t, sleep, bias)
+            want = Oracle(SNAPSHOT_CFG).step_network(t, sleep, bias)
             for f in fields(NetworkState):
                 g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
                 assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), f.name
@@ -764,7 +774,7 @@ class TestColumnStore:
     @given(oracle_queries())
     def test_any_interleaving_matches_a_fresh_oracle_and_draws_each_column_once(self, case):
         clock, queries = case
-        oracle = build_scenario(clock)
+        oracle = Oracle(clock)
         calls, columns = count_draws(oracle), set()
         width = {"traffic": len(clock.cell_configs), "users": len(clock.grids)}
         for name, arg in queries:
@@ -772,7 +782,7 @@ class TestColumnStore:
                 with pytest.raises(DomainError):
                     getattr(oracle, name)(arg)
             else:
-                got, want = getattr(oracle, name)(arg), getattr(build_scenario(clock), name)(arg)
+                got, want = getattr(oracle, name)(arg), getattr(Oracle(clock), name)(arg)
                 if name == "step_network":
                     got, want = ([getattr(s, f.name) for f in fields(NetworkState)] for s in (got, want))
                 elif name.endswith("_day"):
@@ -836,7 +846,7 @@ class TestKeyedDraws:
         config = make_hex_scenario(seed=seed)
         reference = ReferenceOracle(config)
         want = (reference.traffic_day(1), reference.users_day(1), *reference.users_and_shadowing(30))
-        oracle = build_scenario(config)
+        oracle = Oracle(config)
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert_same_bits((oracle.traffic_day(1), oracle.users_day(1), *oracle.users_and_shadowing(30)), want)
         assert set(oracle._key_states) == {(tag, 1) for tag in (1, 2, 3, 4)}
@@ -849,7 +859,7 @@ class TestKeyedDraws:
         config = replace(config, cell_configs=tuple(
             replace(c, id=new_id[c.id], neighbors=tuple(new_id[nb] for nb in c.neighbors))
             for c in config.cell_configs))
-        oracle, reference = build_scenario(config), ReferenceOracle(config)
+        oracle, reference = Oracle(config), ReferenceOracle(config)
         # Normal draws (traffic), Poisson draws (user counts), then uniform positions and normal shadowing.
         for name in ("traffic_day", "users_day"):
             assert_same_bits([getattr(oracle, name)(t // 24)], [getattr(reference, name)(t // 24)])
@@ -867,7 +877,7 @@ class TestPrefixDraws:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**40), st.integers(0, 47), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     def test_a_grids_first_users_are_a_shorter_draw_of_its_key(self, seed, t, shares):
-        oracle = build_scenario(make_hex_scenario(seed=seed, grid_dim=2, horizon_hours=48))
+        oracle = Oracle(make_hex_scenario(seed=seed, grid_dim=2, horizon_hours=48))
         counts, positions, shadowing = oracle.users_and_shadowing(t)
         half, sigma = oracle.grid_edge_km / 2.0, oracle.config.shadowing_sigma_db
         starts = np.cumsum(counts) - counts
@@ -895,21 +905,21 @@ class TestDayStore:
     @settings(max_examples=25, deadline=None)
     @given(day_reads())
     def test_day_reads_match_a_fresh_oracle(self, reads):
-        oracle, columns = build_scenario(DAY_CFG), set()
+        oracle, columns = Oracle(DAY_CFG), set()
         for name, day in reads:
             if not 0 <= day < DAY_CFG.n_days:
                 with pytest.raises(DomainError):
                     getattr(oracle, name)(day)
             else:
                 got = getattr(oracle, name)(day)
-                assert_same_bits([got], [getattr(build_scenario(DAY_CFG), name)(day)])
+                assert_same_bits([got], [getattr(Oracle(DAY_CFG), name)(day)])
                 got[...] = -1.0  # the caller owns what it is given; a repeat read is unchanged
                 columns |= columns_read(DAY_CFG, name, day)
             # The store holds each column of every valid day read, and a bad day adds none.
             assert oracle._columns.keys() == columns
 
     def test_collect_draws_each_user_count_once(self):
-        oracle = build_scenario(DAY_CFG)
+        oracle = Oracle(DAY_CFG)
         calls = []
         users_at = oracle.users_at
         oracle.users_at = lambda *args: calls.append(args) or users_at(*args)
@@ -917,7 +927,7 @@ class TestDayStore:
         assert len(calls) == DAY_CFG.n_days * len(DAY_CFG.grids) * DAY_CFG.user_steps_per_day
 
     def test_a_repeated_day_read_draws_nothing(self):
-        oracle = build_scenario(DAY_CFG)
+        oracle = Oracle(DAY_CFG)
         calls = count_draws(oracle)
         first = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
         drawn = len(calls)
@@ -926,26 +936,26 @@ class TestDayStore:
         again = (oracle.traffic_day(1), oracle.users_day(1), oracle.traffic_day(0))
         assert drawn == 2 * len(DAY_CFG.cell_configs) * DAY_CFG.steps_per_day + len(DAY_CFG.grids) * DAY_CFG.user_steps_per_day
         assert len(calls) == drawn
-        fresh = build_scenario(DAY_CFG)
+        fresh = Oracle(DAY_CFG)
         assert_same_bits(again, (fresh.traffic_day(1), fresh.users_day(1), fresh.traffic_day(0)))
 
     @settings(max_examples=25, deadline=None)
     @given(day_reads(), st.lists(st.integers(0, DAY_CFG.horizon_hours - 1), min_size=1, max_size=12))
     def test_steps_after_day_reads_match_a_fresh_oracle(self, reads, ts):
-        oracle = build_scenario(DAY_CFG)
+        oracle = Oracle(DAY_CFG)
         for name, day in reads:
             if 0 <= day < DAY_CFG.n_days:
                 getattr(oracle, name)(day)
         for t in ts:  # any hour, not only a step's first
-            got, want = oracle.step_network(t), build_scenario(DAY_CFG).step_network(t)
+            got, want = oracle.step_network(t), Oracle(DAY_CFG).step_network(t)
             pairs = [(getattr(got, f.name), getattr(want, f.name)) for f in fields(NetworkState)]
-            pairs += zip(oracle.users_and_shadowing(t), build_scenario(DAY_CFG).users_and_shadowing(t))
+            pairs += zip(oracle.users_and_shadowing(t), Oracle(DAY_CFG).users_and_shadowing(t))
             for g, w in pairs:
                 g, w = np.asarray(g), np.asarray(w)
                 assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_steps_of_a_read_day_draw_no_traffic_or_users(self):
-        oracle = build_scenario(DAY_CFG)
+        oracle = Oracle(DAY_CFG)
         calls = []
         traffic_at, users_at = oracle.traffic_at, oracle.users_at
         oracle.traffic_at = lambda *args: calls.append("traffic") or traffic_at(*args)
@@ -962,11 +972,11 @@ class TestDayStore:
 class TestScenarioJson:
     def test_roundtrip(self):
         cfg = make_hex_scenario(seed=4)
-        again = scenario_from_dict(scenario_to_dict(cfg))
+        again = scenario_from_dict(asdict(cfg))
         assert again == cfg
 
     def test_unknown_key_rejected(self):
-        data = scenario_to_dict(make_hex_scenario())
+        data = asdict(make_hex_scenario())
         data["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
             scenario_from_dict(data)
@@ -977,7 +987,7 @@ class TestScenarioJson:
         (lambda data: data["cell_configs"][0].update(tx_power_dbm=-math.inf), "cell_configs[0].tx_power_dbm"),
     ])
     def test_non_finite_number_rejected(self, edit, key):
-        data = scenario_to_dict(make_hex_scenario())
+        data = asdict(make_hex_scenario())
         edit(data)
         with pytest.raises(ConfigError, match=re.escape(f"scenario key {key} must be a finite number")):
             scenario_from_dict(data)
