@@ -272,16 +272,16 @@ class Conditioning:
     the mask: (B,) for training's ``forward``, (K, B) for ``sample()``. The
     first ``denoise`` on it lays the inputs out as the float32 z template,
     (passes, K, B, input_dim): pass 0 holds the condition embedding and, when
-    ``guided``, pass 1 the null embedding. It also builds the float32 eps buffer, (passes, K, B, L), ``params``, the
-    float32 copies of the gate and expert tensors, and ``workspace``: for each
-    tile of ``problem_tiles``, one float32 output buffer per gate and expert
-    layer covering every pass of the tile, all views into one set sized for
-    the largest tile. Each step writes only the x_t and time columns of every
-    pass and returns the eps buffer, overwritten by the next step. The gate mix
-    weights the expert outputs in their own buffer before summing them into
-    eps. Everything here lives as long as the object, and the embeddings and
-    ``params`` hold parameter values, so it is valid only while the model's
-    parameters stay unchanged.
+    ``guided``, pass 1 the null embedding. It also builds the float32 eps
+    buffer, (passes, K, B, L), ``params``, the float32 copies of the gate and
+    expert tensors, and ``workspace``: for each tile of ``problem_tiles``, one
+    float32 output buffer per gate and expert layer covering every pass of the
+    tile, all views into one set sized for the largest tile. Each step writes
+    only the x_t and time columns of every pass and returns the eps buffer,
+    overwritten by the next step. The gate mix weights the expert outputs in
+    their own buffer before summing them into eps. Everything here lives as
+    long as the object, and the embeddings and ``params`` hold parameter
+    values, so it is valid only while the model's parameters stay unchanged.
     """
 
     c_emb: np.ndarray  # (..., B, cond_emb_dim) condition embedding

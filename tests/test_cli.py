@@ -475,7 +475,7 @@ class TestCliCommands:
         assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1
         assert not (tmp_path / "out" / "datasets").exists()
 
-    def test_a_stage_that_returns_shows_its_warnings(self, tmp_path, monkeypatch, capsys):
+    def test_a_stage_that_returns_shows_its_warnings(self, tmp_path, monkeypatch):
         def warns(run, args):
             warnings.warn("overflow in a stage", RuntimeWarning)
             return 0
@@ -840,7 +840,8 @@ BAD_ARTIFACTS = {
                                          p, header=lambda h: h["manifest"]["schedule"].update(beta_min=1e-300)),
                                      "field 'manifest.schedule': beta_min 1e-300 is below float64 resolution: "
                                      "1 - beta_min rounds to 1"),
-    "policy_obs_dim_wrong": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(obs_dim=3)),
+    "policy_obs_dim_wrong": ("models/policy.npz",
+                             lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(obs_dim=3)),
                              "field 'manifest.obs_dim'"),
     "schedule_no_steps": ("models/rsrp.npz",
                           lambda p: _edit_npz(p, header=lambda h: h["manifest"]["schedule"].update(steps=0)),
