@@ -76,14 +76,6 @@ class Action:
         bias[sleep] = np.asarray(bias_levels)[choices[sleep] - 1]
         return cls(sleep=sleep, bias_level_db=bias)
 
-    @classmethod
-    def all_active(cls, n_cells: int) -> "Action":
-        return cls(sleep=np.zeros(n_cells, dtype=bool), bias_level_db=np.zeros(n_cells))
-
-    @classmethod
-    def all_sleep(cls, n_cells: int, bias_db: float = 3.0) -> "Action":
-        return cls(sleep=np.ones(n_cells, dtype=bool), bias_level_db=np.full(n_cells, bias_db))
-
 
 def resolve_bias(action: Action, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-cell association bias: each sleeping cell grants its bias to its neighbors.
@@ -260,29 +252,14 @@ class Policy:
 # -- rule-based baselines ------------------------------------------------------------
 
 
-def baseline_empirical(load_frac: np.ndarray, tau: float = 0.2, bias_db: float = 3.0) -> Action:
-    """Sleep every cell whose current load fraction is strictly below a global threshold."""
-    load_frac = np.asarray(load_frac, dtype=float)
-    sleep = load_frac < tau
-    bias = np.where(sleep, bias_db, 0.0)
-    return Action(sleep=sleep, bias_level_db=bias)
+def sleep_below(load_frac: np.ndarray, tau, bias_db: float) -> Action:
+    """Sleep every cell whose load fraction is strictly below its threshold, elementwise.
 
-
-def baseline_custom(
-    load_frac: np.ndarray,
-    history: np.ndarray,
-    percentile: float = 25.0,
-    bias_db: float = 3.0,
-) -> Action:
-    """Per-cell threshold at a percentile of that cell's own load history."""
-    load_frac = np.asarray(load_frac, dtype=float)
-    history = np.atleast_2d(np.asarray(history, dtype=float))
-    if history.shape[1] != load_frac.shape[0]:
-        raise ShapeError("history must have one column per cell")
-    thresholds = np.percentile(history, percentile, axis=0)
-    sleep = load_frac < thresholds
-    bias = np.where(sleep, bias_db, 0.0)
-    return Action(sleep=sleep, bias_level_db=bias)
+    ``tau`` is one threshold for every cell or one per cell; -inf sleeps no
+    cell and +inf every cell. A sleeping cell grants ``bias_db``.
+    """
+    sleep = np.asarray(load_frac, dtype=float) < tau
+    return Action(sleep=sleep, bias_level_db=np.where(sleep, bias_db, 0.0))
 
 
 def baseline_greedy(

@@ -41,7 +41,7 @@ from .harness import (
     write_manifest,
     write_rows_csv,
 )
-from .scenario import Oracle, ScenarioConfig, load_scenario, make_hex_scenario, scenario_from_dict, validate_scenario
+from .scenario import Oracle, ScenarioConfig, load_scenario, make_hex_scenario, scenario_from_dict
 
 OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 
@@ -160,7 +160,6 @@ def parse_config(path: str) -> RunConfig:
         run = replace(run, scenario=load_scenario(str(scenario_path)))
     elif scenario is not None:
         run = replace(run, scenario=scenario_from_dict(scenario, _config_key, "scenario"))
-    validate_scenario(run.scenario)
     for key, valid, want in _VALUE_CHECKS:
         if not valid(_value_at(run, key)):
             raise ConfigError(f"config key {key} must be {want}")

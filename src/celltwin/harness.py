@@ -23,11 +23,10 @@ from .agent import (
     Observation,
     Policy,
     RewardWeights,
-    baseline_custom,
-    baseline_empirical,
     baseline_greedy,
     compute_reward,
     resolve_bias,
+    sleep_below,
 )
 from .diffusion import DenoiserArch, DiffusionModel, MemoryConfig, NoiseSchedule
 from .errors import ConfigError, DomainError, EnvelopeError, ModelError, ShapeError
@@ -610,31 +609,40 @@ class EvalConfig:
     n_gen_samples: int = 48
 
 
-def _rule_action(
-    scheme: str, env: OracleEnv, load: np.ndarray, history: np.ndarray, cfg: EvalConfig
-) -> Action:
-    n = env.oracle.n_cells
-    if scheme == "always_on":
-        return Action.all_active(n)
-    if scheme == "all_sleep":
-        return Action.all_sleep(n, cfg.baseline_bias_db)
-    if scheme == "empirical":
-        return baseline_empirical(load, tau=cfg.tau, bias_db=cfg.baseline_bias_db)
-    if scheme == "custom":
-        return baseline_custom(load, history, percentile=cfg.percentile, bias_db=cfg.baseline_bias_db)
+def _actor(scheme: str, env: _DayEnv, policy: Policy | None, cfg: EvalConfig):
+    """`act(observation) -> Action` for `scheme`, one action row per episode of `env`.
+
+    The agent takes each cell's most probable choice, one stacked row per
+    episode as `Policy.sample` does. always_on, all_sleep, empirical and custom
+    are one rule, `sleep_below`, at a threshold of -inf, +inf, `cfg.tau`, or
+    each cell's `cfg.percentile` of the oracle's previous-day load. greedy
+    searches the oracle env's one episode with `baseline_greedy`, looked up
+    at every step.
+    """
+    if scheme == "agent":
+        if policy is None:
+            raise ConfigError("agent scheme needs a policy")
+
+        def agent(obs: Observation) -> Action:
+            probs, _ = policy.distribution(obs.vector()[:, None, :])
+            return Action.from_choices(np.argmax(probs, axis=-1), policy.bias_levels)
+        return agent
     if scheme == "greedy":
-        return baseline_greedy(
-            load, env.oracle.neighbor_pairs, env.greedy_evaluator(),
-            rsrp_floor_dbm=env.oracle.config.rsrp_floor_dbm,
-            margin_db=cfg.greedy_margin_db, bias_db=cfg.baseline_bias_db,
-        )
-    raise ConfigError(f"unknown scheme {scheme!r}")
-
-
-def _greedy_action(policy: Policy, obs: Observation) -> Action:
-    """The most probable choice of every cell, per episode."""
-    probs, _ = policy.distribution(obs.vector())
-    return Action.from_choices(np.argmax(probs, axis=-1), policy.bias_levels)
+        def greedy(obs: Observation) -> Action:
+            rule = baseline_greedy(
+                obs.load_frac[0], env.oracle.neighbor_pairs, env.greedy_evaluator(),
+                rsrp_floor_dbm=env.oracle.config.rsrp_floor_dbm,
+                margin_db=cfg.greedy_margin_db, bias_db=cfg.baseline_bias_db,
+            )
+            return Action(rule.sleep[None], rule.bias_level_db[None])
+        return greedy
+    if scheme == "custom":
+        tau = np.percentile(env.history_load_fractions(), cfg.percentile, axis=0)
+    elif scheme in ("always_on", "all_sleep", "empirical"):
+        tau = {"always_on": -np.inf, "all_sleep": np.inf, "empirical": cfg.tau}[scheme]
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    return lambda obs: sleep_below(obs.load_frac, tau, cfg.baseline_bias_db)
 
 
 def run_oracle_episode(
@@ -645,17 +653,7 @@ def run_oracle_episode(
     cfg: EvalConfig = EvalConfig(),
 ) -> EpisodeResult:
     """One evaluated day on the oracle for one scheme; deterministic per inputs."""
-    if scheme == "agent":
-        if policy is None:
-            raise ConfigError("agent scheme needs a policy")
-        return _rollout(env, lambda obs: _greedy_action(policy, obs), scheme, seed)[0]
-    history = env.history_load_fractions() if scheme == "custom" else None
-
-    def act(obs: Observation) -> Action:
-        rule = _rule_action(scheme, env, obs.load_frac[0], history, cfg)
-        return Action(rule.sleep[None], rule.bias_level_db[None])
-
-    return _rollout(env, act, scheme, seed)[0]
+    return _rollout(env, _actor(scheme, env, policy, cfg), scheme, seed)[0]
 
 
 def _check_envelope(results: dict[str, EpisodeResult], weights: RewardWeights) -> None:
@@ -754,7 +752,7 @@ def traffic_generation_metrics(
     model: DiffusionModel,
     scenario: ScenarioConfig,
     task: str,
-    n_samples: int = 48,
+    n_samples: int,
     history_steps: int = 6,
 ) -> dict[str, float]:
     """Fidelity of generated traffic against the oracle, normalized by its range.
@@ -766,7 +764,7 @@ def traffic_generation_metrics(
     return _score_traffic(model, _traffic_reference(scenario, n_samples), task, history_steps)
 
 
-def _traffic_reference(scenario: ScenarioConfig, n_samples: int = 48) -> tuple[Oracle, np.ndarray, float]:
+def _traffic_reference(scenario: ScenarioConfig, n_samples: int) -> tuple[Oracle, np.ndarray, float]:
     """What generated traffic is scored against: the scenario's oracle, ``n_samples``
     reseeded day draws, (n_samples, n_cells, steps), and the range of the noise-free daily load profile."""
     oracle = Oracle(scenario)
@@ -865,7 +863,7 @@ def rsrp_controllability(
 def generation_metrics(
     bundle: WorldModelBundle,
     scenario: ScenarioConfig,
-    n_samples: int = 48,
+    n_samples: int,
 ) -> dict[str, float]:
     """Combined fidelity + controllability report for one bundle and scenario.
 
@@ -957,7 +955,7 @@ def counterfactual_suite(
         scen_cf = replace(scenario, counterfactual_peak_fraction=float(phi))
         oracle_cf = Oracle(scen_cf)
         adapted = adapt_traffic_model(bundle.traffic, oracle_cf, cfg)
-        reference = _traffic_reference(scen_cf)
+        reference = _traffic_reference(scen_cf, eval_cfg.n_gen_samples)
         frozen_m = _score_traffic(bundle.traffic, reference, "long_term_generation")
         adapted_m = _score_traffic(adapted, reference, "long_term_generation")
         wm_rows.append({

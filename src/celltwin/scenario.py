@@ -645,17 +645,17 @@ def validate_scenario(config: ScenarioConfig) -> None:
     if not config.grids:
         raise ConfigError("grids must be nonempty")
     if config.seed < 0:  # the first word of every draw's key, which SeedSequence takes only non-negative
-        raise ConfigError(f"config key scenario.seed must be >= 0, got {config.seed}")
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.horizon_hours <= 0:
         raise ConfigError("horizon_hours must be positive")
     for key in ("traffic_step_hours", "user_step_hours"):
         step = getattr(config, key)
         if step <= 0 or config.horizon_hours % step:
-            raise ConfigError(f"scenario.{key} {step} must divide horizon_hours {config.horizon_hours}")
+            raise ConfigError(f"{key} {step} must divide horizon_hours {config.horizon_hours}")
         if 24 % step:
-            raise ConfigError(f"scenario.{key} {step} must divide 24")
+            raise ConfigError(f"{key} {step} must divide 24")
         if 24 // step < 2:
-            raise ConfigError(f"scenario.{key} {step} must leave at least two windows a day")
+            raise ConfigError(f"{key} {step} must leave at least two windows a day")
     phi = config.counterfactual_peak_fraction
     if phi is not None and not 0.0 < phi <= 1.0:
         raise ConfigError(f"counterfactual_peak_fraction must be in (0, 1], got {phi}")
@@ -665,9 +665,14 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("traffic_noise_sigma must be >= 0")
     for key in ("traffic_base", "traffic_amp"):
         if not getattr(config, key) >= 0:
-            raise ConfigError(f"scenario.{key} {getattr(config, key)} must be >= 0")
+            raise ConfigError(f"{key} {getattr(config, key)} must be >= 0")
     if not config.traffic_base + config.traffic_amp > 0:
-        raise ConfigError("scenario.traffic_base + traffic_amp must be > 0")
+        raise ConfigError("traffic_base + traffic_amp must be > 0")
+    # Every cell's peak demand is at most traffic_base + traffic_amp, so its rescale factor is at least this.
+    if phi is not None and not phi / (config.traffic_base + config.traffic_amp) > 0:
+        raise ConfigError(f"counterfactual_peak_fraction {phi} over a peak demand of up to "
+                          f"traffic_base + traffic_amp = {config.traffic_base + config.traffic_amp:.6g} "
+                          "rescales every demand to 0")
     ids = [c.id for c in config.cell_configs]
     if len(set(ids)) != len(ids):
         raise ConfigError("cell ids must be unique")
@@ -698,7 +703,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
     except OverflowError:  # an integer past the float range
         users = math.inf
     if not users <= MAX_USERS_PER_STEP:
-        raise ConfigError(f"scenario base_users give {users:.6g} expected users per step "
+        raise ConfigError(f"base_users give {users:.6g} expected users per step "
                           f"(sum of poi_weight * base_users); at most {MAX_USERS_PER_STEP} are allowed")
 
 
@@ -794,13 +799,22 @@ HexPreset = _preset_form()
 
 def scenario_from_dict(data, name=lambda key: f"scenario key {key}" if key else "scenario",
                        key: str = "") -> ScenarioConfig:
-    """Strict scenario reader for the full form or a hex preset; errors name keys by ``name``."""
-    if not (isinstance(data, dict) and "preset" in data):
-        return read_json(ScenarioConfig, data, ConfigError, name, key)
-    preset = read_json(HexPreset, data, ConfigError, name, key)
-    if preset.preset != "hex7":
-        raise ConfigError(f"unknown scenario preset {preset.preset!r}")
-    return make_hex_scenario(**{k: v for k, v in vars(preset).items() if k != "preset"})
+    """Strict scenario reader for the full form or a hex preset; errors name keys by ``name``,
+    and a scenario that fails its own checks by ``name(key)``, as a record's own check is named."""
+    preset = None
+    if isinstance(data, dict) and "preset" in data:
+        preset = read_json(HexPreset, data, ConfigError, name, key)
+        if preset.preset != "hex7":
+            raise ConfigError(f"unknown scenario preset {preset.preset!r}")
+    else:
+        config = read_json(ScenarioConfig, data, ConfigError, name, key)
+    try:
+        if preset is not None:
+            config = make_hex_scenario(**{k: v for k, v in vars(preset).items() if k != "preset"})
+        validate_scenario(config)
+    except ConfigError as exc:
+        raise ConfigError(f"{name(key)}: {exc}") from None
+    return config
 
 
 def load_scenario(path: str) -> ScenarioConfig:

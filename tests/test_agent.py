@@ -9,11 +9,10 @@ from celltwin.agent import (
     Observation,
     Policy,
     RewardWeights,
-    baseline_custom,
-    baseline_empirical,
     baseline_greedy,
     compute_reward,
     resolve_bias,
+    sleep_below,
 )
 from celltwin.errors import DomainError, ShapeError, TrainingError
 from celltwin.nn import finite_difference_check
@@ -296,51 +295,62 @@ class TestPolicyUpdate:
         assert back._baseline == policy._baseline
 
 
-class TestBaselines:
-    def test_empirical_threshold(self):
-        action = baseline_empirical(np.array([0.1, 0.5]), tau=0.2)
+def custom_thresholds(history: np.ndarray, percentile: float = 25.0) -> np.ndarray:
+    """The custom scheme's per-cell thresholds: each column's percentile of a (steps, n_cells) history."""
+    return np.percentile(history, percentile, axis=0)
+
+
+class TestSleepBelow:
+    def test_global_threshold(self):
+        action = sleep_below(np.array([0.1, 0.5]), 0.2, 3.0)
         assert action.sleep.tolist() == [True, False]
         assert action.bias_level_db.tolist() == [3.0, 0.0]
 
-    def test_empirical_tau_zero_nobody_sleeps(self):
-        action = baseline_empirical(np.array([0.0, 0.3, 0.9]), tau=0.0)
+    def test_tau_zero_nobody_sleeps(self):
+        action = sleep_below(np.array([0.0, 0.3, 0.9]), 0.0, 3.0)
         assert not action.sleep.any()
 
-    def test_empirical_tau_one_everyone_sleeps(self):
-        action = baseline_empirical(np.array([0.1, 0.5, 0.99]), tau=1.0)
+    def test_tau_one_everyone_sleeps(self):
+        action = sleep_below(np.array([0.1, 0.5, 0.99]), 1.0, 3.0)
         assert action.sleep.all()
 
-    def test_custom_identical_histories_identical_thresholds(self):
+    @pytest.mark.parametrize("tau, sleeps", [(-np.inf, False), (np.inf, True)])
+    def test_infinite_thresholds_are_always_on_and_all_sleep(self, tau, sleeps):
+        # One row per episode: the thresholds act elementwise on an (episodes, n_cells) batch.
+        load = np.array([[0.0, 0.5, 1.0], [1e-300, 0.2, 0.99]])
+        action = sleep_below(load, tau, 4.5)
+        assert action.sleep.shape == load.shape and (action.sleep == sleeps).all()
+        assert (action.bias_level_db == (4.5 if sleeps else 0.0)).all()
+        assert action.bias_level_db.dtype == np.float64
+
+    def test_per_cell_thresholds_from_identical_histories_are_identical(self):
         history = np.tile(np.linspace(0.1, 0.9, 9)[:, None], (1, 3))
-        a = baseline_custom(np.array([0.2, 0.2, 0.2]), history)
+        a = sleep_below(np.array([0.2, 0.2, 0.2]), custom_thresholds(history), 3.0)
         assert a.sleep[0] == a.sleep[1] == a.sleep[2]
 
-    def test_custom_constant_history_never_sleeps(self):
+    def test_a_tie_with_the_threshold_stays_awake(self):
         history = np.full((10, 2), 0.4)
-        action = baseline_custom(np.array([0.4, 0.4]), history)
+        action = sleep_below(np.array([0.4, 0.4]), custom_thresholds(history), 3.0)
         assert not action.sleep.any()
 
-    def test_custom_thresholds_adapt_to_each_cells_history(self):
+    def test_per_cell_thresholds_adapt_to_each_cells_history(self):
         # Shared realized day: the cell with the richer load history carries the
         # higher percentile threshold, so it sleeps on more of the shared steps.
         t = np.linspace(0, 2 * np.pi, 24)
         history = np.stack([0.1 + 0.05 * np.sin(t), 0.6 + 0.05 * np.sin(t)], axis=1)
+        tau = custom_thresholds(history)
         shared_day = 0.3 + 0.25 * np.sin(t + 1.0)
-        sleeps = np.array([
-            baseline_custom(np.array([v, v]), history).sleep for v in shared_day
-        ])
+        sleeps = sleep_below(np.stack([shared_day, shared_day], axis=1), tau, 3.0).sleep
         assert sleeps[:, 1].sum() > sleeps[:, 0].sum()
         # Against its own history each cell sleeps around the percentile fraction.
-        own = np.array([
-            baseline_custom(history[i], history).sleep for i in range(len(t))
-        ])
+        own = sleep_below(history, tau, 3.0).sleep
         assert 0 < own[:, 0].sum() <= len(t) // 2
 
-    def test_baselines_are_deterministic(self):
+    def test_deterministic(self):
         load = np.array([0.15, 0.4, 0.05])
         history = np.random.default_rng(16).random((20, 3))
-        a1 = baseline_custom(load, history)
-        a2 = baseline_custom(load, history)
+        a1 = sleep_below(load, custom_thresholds(history), 3.0)
+        a2 = sleep_below(load, custom_thresholds(history), 3.0)
         assert np.array_equal(a1.sleep, a2.sleep)
         assert np.array_equal(a1.bias_level_db, a2.bias_level_db)
 

@@ -177,7 +177,6 @@ class TestParseConfig:
         ('{"scenario": {"preset": "hex7", "grid_dim": "x"}}', "scenario.grid_dim"),
         ('{"scenario": {"preset": "hex7", "horizon_hours": true}}', "scenario.horizon_hours"),
         ('{"scenario": {"preset": "hex7", "shadowing_sigma_db": "4"}}', "scenario.shadowing_sigma_db"),
-        ('{"scenario": {"preset": "hex7", "seed": -1}}', "scenario.seed"),
         ('{"seeds": [0, -1]}', "seeds"),
         ('{"worldmodel": {"seed": -1}}', "worldmodel.seed"),
         ('{"agent": {"seed": -1}}', "agent.seed"),
@@ -241,6 +240,9 @@ class TestParseConfig:
         ('{"counterfactual": {"lora": {"rank": -1, "alpha": 8.0}}}', "counterfactual.lora",
          "lora rank must be >= 1, got -1"),
         ('{"reward": {"lambda_d": -0.5}}', "reward", "reward weight lambda_d must be nonnegative"),
+        # A scenario's own checks name the scenario, not a key under it.
+        ('{"scenario": {"preset": "hex7", "seed": -1}}', "scenario", "seed must be >= 0, got -1"),
+        ('{"scenario": {"preset": "hex7", "shadowing_sigma_db": -1}}', "scenario", "shadowing_sigma_db must be >= 0"),
         ('{"worldmodel": {"schedule": {"steps": 1, "beta_min": 1e-300, "beta_max": 1e-300}}}', "worldmodel.schedule",
          "beta_min 1e-300 is below float64 resolution: 1 - beta_min rounds to 1"),
     ])
@@ -367,60 +369,79 @@ def _full_scenario(edit):
     return data
 
 
-# case: (the config's scenario value, or a scenario file's content, and what the error names)
+# case: (the config's scenario value, or a scenario file's content, and what the error names). A file's
+# row is what follows "scenario file <path>": " key ..." for a key, ": ..." for the scenario's own check.
+SOURCE = "config key scenario: "
 BAD_SCENARIOS = {
     "file_tx_power_string": ("file", _full_scenario(lambda d: d["cell_configs"][0].update(tx_power_dbm="13")),
-                             "key cell_configs[0].tx_power_dbm must be a number"),
-    "file_seed_string": ("file", _full_scenario(lambda d: d.update(seed="0")), "key seed must be an integer"),
+                             " key cell_configs[0].tx_power_dbm must be a number"),
+    "file_seed_string": ("file", _full_scenario(lambda d: d.update(seed="0")), " key seed must be an integer"),
     "file_base_users_fraction": ("file", _full_scenario(lambda d: d["grids"][3].update(base_users=2.5)),
-                                 "key grids[3].base_users must be an integer"),
+                                 " key grids[3].base_users must be an integer"),
+    "file_shadowing_negative": ("file", _full_scenario(lambda d: d.update(shadowing_sigma_db=-1)),
+                                ": shadowing_sigma_db must be >= 0"),
+    "file_seed_negative": ("file", _full_scenario(lambda d: d.update(seed=-1)), ": seed must be >= 0, got -1"),
+    "file_traffic_step_five": ("file", _full_scenario(lambda d: d.update(traffic_step_hours=5)),
+                               ": traffic_step_hours 5 must divide horizon_hours 96"),
+    "file_one_cell": ("file", _full_scenario(lambda d: d.update(cell_configs=d["cell_configs"][:1])),
+                      ": cell_configs must hold at least 2 cells, got 1"),
+    "file_preset_grid_dim_zero": ("file", {"preset": "hex7", "grid_dim": 0}, ": grid_dim must be positive, got 0"),
     "inline_tx_power_string": ("inline", _full_scenario(lambda d: d["cell_configs"][2].update(tx_power_dbm="13")),
                                "config key scenario.cell_configs[2].tx_power_dbm must be a number"),
+    "inline_shadowing_negative": ("inline", _full_scenario(lambda d: d.update(shadowing_sigma_db=-1)),
+                                  SOURCE + "shadowing_sigma_db must be >= 0"),
+    "inline_traffic_step_five": ("inline", _full_scenario(lambda d: d.update(traffic_step_hours=5)),
+                                 SOURCE + "traffic_step_hours 5 must divide horizon_hours 96"),
     "preset_peak_fraction_string": ("inline", {"preset": "hex7", "counterfactual_peak_fraction": "x"},
                                     "config key scenario.counterfactual_peak_fraction must be a number"),
-    "preset_grid_dim_zero": ("inline", {"preset": "hex7", "grid_dim": 0}, "grid_dim must be positive"),
-    "preset_grid_dim_negative": ("inline", {"preset": "hex7", "grid_dim": -1}, "grid_dim must be positive"),
+    "preset_grid_dim_zero": ("inline", {"preset": "hex7", "grid_dim": 0}, SOURCE + "grid_dim must be positive"),
+    "preset_grid_dim_negative": ("inline", {"preset": "hex7", "grid_dim": -1}, SOURCE + "grid_dim must be positive"),
     "preset_traffic_step_zero": ("inline", {"preset": "hex7", "traffic_step_hours": 0},
-                                 "traffic_step_hours 0 must divide horizon_hours 1440"),
+                                 SOURCE + "traffic_step_hours 0 must divide horizon_hours 1440"),
     # 1440 is a multiple of 5 and 16, but a day of 24 hours is not.
     "preset_traffic_step_five": ("inline", {"preset": "hex7", "traffic_step_hours": 5},
-                                 "scenario.traffic_step_hours 5 must divide 24"),
+                                 SOURCE + "traffic_step_hours 5 must divide 24"),
     "preset_traffic_step_sixteen": ("inline", {"preset": "hex7", "traffic_step_hours": 16},
-                                    "scenario.traffic_step_hours 16 must divide 24"),
+                                    SOURCE + "traffic_step_hours 16 must divide 24"),
     "preset_user_step_five": ("inline", {"preset": "hex7", "user_step_hours": 5},
-                              "scenario.user_step_hours 5 must divide 24"),
+                              SOURCE + "user_step_hours 5 must divide 24"),
     # A day of one window leaves no short-term horizon to draw for the task mix.
     "preset_traffic_step_day": ("inline", {"preset": "hex7", "traffic_step_hours": 24},
-                                "scenario.traffic_step_hours 24 must leave at least two windows a day"),
+                                SOURCE + "traffic_step_hours 24 must leave at least two windows a day"),
     "preset_user_step_day": ("inline", {"preset": "hex7", "user_step_hours": 24},
-                             "scenario.user_step_hours 24 must leave at least two windows a day"),
+                             SOURCE + "user_step_hours 24 must leave at least two windows a day"),
     "preset_traffic_base_negative": ("inline", {"preset": "hex7", "traffic_base": -1.0, "traffic_amp": 0.2},
-                                     "scenario.traffic_base -1.0 must be >= 0"),
+                                     SOURCE + "traffic_base -1.0 must be >= 0"),
     "preset_traffic_amp_negative": ("inline", {"preset": "hex7", "traffic_amp": -5},
-                                    "scenario.traffic_amp -5 must be >= 0"),
+                                    SOURCE + "traffic_amp -5 must be >= 0"),
     # With no demand at all, the peak rescale divides by a zero peak.
     "preset_traffic_shape_zero": ("inline", {"preset": "hex7", "traffic_base": 0, "traffic_amp": 0,
                                              "counterfactual_peak_fraction": 0.5},
-                                  "scenario.traffic_base + traffic_amp must be > 0"),
+                                  SOURCE + "traffic_base + traffic_amp must be > 0"),
+    # A peak fraction this small over a peak this large rescales every demand to exactly 0.
+    "preset_peak_rescale_underflow": ("inline", {"preset": "hex7", "traffic_amp": 1e300,
+                                                 "counterfactual_peak_fraction": 1e-300},
+                                      SOURCE + "counterfactual_peak_fraction 1e-300 over a peak demand of up to "
+                                      "traffic_base + traffic_amp = 1e+300 rescales every demand to 0"),
     # A step's Poisson draws would ask for more users than a step can hold.
     "preset_base_users_huge": ("inline", {"preset": "hex7", "base_users": 10**30},
-                               "scenario base_users give 4.6284e+31 expected users per step"),
+                               SOURCE + "base_users give 4.6284e+31 expected users per step"),
     "preset_base_users_past_float": ("inline", {"preset": "hex7", "base_users": 10**400},
-                                     "scenario base_users give inf expected users per step"),
+                                     SOURCE + "base_users give inf expected users per step"),
     "inline_grid_base_users_huge": ("inline", _full_scenario(lambda d: d["grids"][1].update(base_users=10**7)),
-                                    "scenario base_users give"),
+                                    SOURCE + "base_users give"),
     # Cell ids key the traffic draws, and a negative one used to fail mid-collect with numpy's ValueError.
     "inline_cell_id_negative": ("inline", _full_scenario(lambda d: d["cell_configs"][0].update(id=-1)),
-                                "cell -1: id must be >= 0"),
+                                SOURCE + "cell -1: id must be >= 0"),
     # The counts come from the lists, so a full form that states one has an unknown key.
-    "file_n_cells_key": ("file", _full_scenario(lambda d: d.update(n_cells=7)), "key n_cells"),
+    "file_n_cells_key": ("file", _full_scenario(lambda d: d.update(n_cells=7)), " key n_cells"),
     "inline_grid_dim_key": ("inline", _full_scenario(lambda d: d.update(grid_dim=2)),
                             "unknown config key scenario.grid_dim"),
     "inline_one_cell": ("inline", _full_scenario(lambda d: d.update(cell_configs=d["cell_configs"][:1])),
-                        "cell_configs must hold at least 2 cells, got 1"),
-    "inline_no_grids": ("inline", _full_scenario(lambda d: d.update(grids=[])), "grids must be nonempty"),
+                        SOURCE + "cell_configs must hold at least 2 cells, got 1"),
+    "inline_no_grids": ("inline", _full_scenario(lambda d: d.update(grids=[])), SOURCE + "grids must be nonempty"),
     # The seed keys every draw, and a negative one used to fail at the first draw with numpy's ValueError.
-    "preset_seed_negative": ("inline", {"preset": "hex7", "seed": -1}, "scenario.seed must be >= 0, got -1"),
+    "preset_seed_negative": ("inline", {"preset": "hex7", "seed": -1}, SOURCE + "seed must be >= 0, got -1"),
     "path_is_a_directory": ("inline", "", "scenario file"),
     "path_does_not_exist": ("inline", "nowhere.json", "scenario file"),
 }
@@ -432,7 +453,7 @@ class TestBadScenario:
         form, scenario, names = BAD_SCENARIOS[case]
         if form == "file":
             (tmp_path / "scenario.json").write_text(json.dumps(scenario))
-            scenario, names = "scenario.json", f"scenario file {tmp_path / 'scenario.json'} {names}"
+            scenario, names = "scenario.json", f"scenario file {tmp_path / 'scenario.json'}{names}"
         cfg = write_config(tmp_path, scenario=scenario)
         with pytest.raises(ConfigError, match=re.escape(names)):
             parse_config(cfg)
@@ -734,6 +755,8 @@ class TestRunSide:
     @settings(max_examples=10, deadline=None)
     # Used to write an rsrp.npz with an infinite series_std, which train-wm then refused.
     @example({("scenario", "shadowing_sigma_db"): 1e300})
+    # A peak rescale that underflowed to all-zero demand: eval-gen used to divide by its zero range.
+    @example({("scenario", "counterfactual_peak_fraction"): 1e-300, ("scenario", "traffic_amp"): 1e300})
     # A diverged head whose float32 forward overflows: eval-gen used to write nan for every metric.
     @example({("worldmodel", "lr"): 1e6, ("worldmodel", "expert_hidden"): [64, 64]})
     @given(run_edits())

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from celltwin.agent import Action, Policy, Observation, RewardWeights, compute_reward
+from celltwin.agent import Action, Policy, Observation, RewardWeights, compute_reward, sleep_below
 from celltwin.dataset import COND_DIM, ConditionLayout, collect_dataset, hour_features, users_conditions
 from celltwin import harness
 from celltwin.errors import ConfigError, DomainError, EnvelopeError, ShapeError
@@ -46,9 +47,14 @@ from celltwin.scenario import NetworkState, Oracle, cell_power_watts, make_hex_s
 WEIGHTS = RewardWeights()
 
 
-def batch(action: Action, episodes: int = 1) -> Action:
-    """`action` for each of `episodes` lockstep episodes."""
-    return Action(np.tile(action.sleep, (episodes, 1)), np.tile(action.bias_level_db, (episodes, 1)))
+def always_on(n_cells: int, episodes: int = 1) -> Action:
+    """Every cell awake, in each of `episodes` lockstep episodes."""
+    return sleep_below(np.zeros((episodes, n_cells)), -np.inf, 3.0)
+
+
+def all_sleep(n_cells: int, episodes: int = 1) -> Action:
+    """Every cell asleep granting 3 dB, in each of `episodes` lockstep episodes."""
+    return sleep_below(np.zeros((episodes, n_cells)), np.inf, 3.0)
 
 
 # -- the per-episode world-model step that lockstep episodes replaced, kept as the reference --
@@ -223,7 +229,7 @@ class TestWorldModelEnv:
 
     def test_deterministic_given_seed(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
-        action = batch(Action.all_active(oracle.n_cells))
+        action = always_on(oracle.n_cells)
 
         def run():
             obs = env.reset([np.random.default_rng(7)])
@@ -239,12 +245,12 @@ class TestWorldModelEnv:
     def test_sleep_saves_energy(self, bundle, oracle, env_config):
         env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
         env.reset([np.random.default_rng(1)])
-        _, _, _, info_active = env.step(batch(Action.all_active(oracle.n_cells)))
+        _, _, _, info_active = env.step(always_on(oracle.n_cells))
         env.reset([np.random.default_rng(1)])
-        _, _, _, info_sleep = env.step(batch(Action.all_sleep(oracle.n_cells)))
+        _, _, _, info_sleep = env.step(all_sleep(oracle.n_cells))
         assert info_sleep["energy_wh"][0] < info_active["energy_wh"][0]
 
-    @pytest.mark.parametrize("make_action", [Action.all_active, Action.all_sleep])
+    @pytest.mark.parametrize("make_action", [always_on, all_sleep])
     def test_mirrors_oracle_on_its_realised_day(self, bundle, oracle, env_config, make_action):
         # Feed the twin the oracle's day 1: native traffic, users per grid and
         # one RSRP draw per (grid, cell) at the grid centre.
@@ -256,7 +262,7 @@ class TestWorldModelEnv:
         env.rsrp_pool = rsrp[None, :, :, None]
         env.reset([np.random.default_rng(0)])
         oracle_env.reset()
-        action = batch(make_action(oracle.n_cells))
+        action = make_action(oracle.n_cells)
         for _ in range(env.steps_per_episode):
             _, _, _, twin = env.step(action)
             _, _, _, truth = oracle_env.step(action)
@@ -271,7 +277,7 @@ class TestWorldModelEnv:
         env.traffic_pool, env.users_pool = oracle.traffic_day(1)[None], oracle.users_day(1)[None]
         env.reset([np.random.default_rng(0)])
         for k in range(12):
-            _, _, _, info = env.step(batch(Action.all_active(oracle.n_cells)))
+            _, _, _, info = env.step(always_on(oracle.n_cells))
             assert info["total_users"] == [sum(oracle.users_at(g, 24 + 2 * k) for g in range(oracle.n_grids))]
 
     def test_episode_tagged_as_worldmodel(self, bundle, oracle, env_config):
@@ -304,14 +310,43 @@ class TestWorldModelEnv:
         # The episodes did what the comparison needs: cells slept and users were dropped.
         assert sleeping > 0 and dropped > 0
 
+    @pytest.mark.parametrize("scheme", ["always_on", "all_sleep", "empirical", "agent"])
+    def test_actors_run_lockstep_episodes_with_the_bits_of_separate_ones(self, bundle, oracle, env_config, scheme):
+        env = WorldModelEnv(bundle, oracle, WEIGHTS, env_config)
+        policy = Policy(oracle.n_cells, seed=5)
+        cfg = EvalConfig(tau=0.4)
+        seeds = [np.random.SeedSequence((4, e)) for e in range(3)]
+        sleeps = []
+
+        def act(obs):
+            action = actor(obs)
+            sleeps.append(action.sleep)
+            return action
+
+        actor = harness._actor(scheme, env, policy, cfg)
+        together = harness._rollout(env, act, scheme, 7, [np.random.default_rng(s) for s in seeds])
+        assert len(together) == 3 and len({r.rewards.tobytes() for r in together}) == 3
+        for got, seed in zip(together, seeds):
+            (alone,) = harness._rollout(env, harness._actor(scheme, env, policy, cfg), scheme, 7,
+                                        [np.random.default_rng(seed)])
+            assert (got.policy_id, got.environment, got.seed) == (scheme, "worldmodel", 7)
+            for name in ("energy_wh", "rsrp_avg_dbm", "dropped_rate", "rewards"):
+                assert_same_bits(getattr(got, name), getattr(alone, name))
+        sleeps = np.array(sleeps)
+        assert sleeps.shape == (env.steps_per_episode, 3, oracle.n_cells)
+        if scheme in ("always_on", "all_sleep"):
+            assert (sleeps == (scheme == "all_sleep")).all()
+        if scheme == "empirical":
+            assert sleeps.any() and not sleeps.all()
+
     def test_steps_only_inside_an_episode(self, oracle, env_config):
         env = WorldModelEnv(ZERO_BUNDLE, oracle, WEIGHTS, env_config)
-        action = batch(Action.all_active(oracle.n_cells), 2)
+        action = always_on(oracle.n_cells, 2)
         with pytest.raises(DomainError, match="before reset"):
             env.step(action)
         env.reset([np.random.default_rng(0), np.random.default_rng(1)])
         with pytest.raises(ShapeError, match="2 episodes"):
-            env.step(batch(Action.all_active(oracle.n_cells), 3))
+            env.step(always_on(oracle.n_cells, 3))
         for _ in range(env.steps_per_episode):
             env.step(action)
         with pytest.raises(DomainError, match="after the day ended"):
@@ -377,7 +412,7 @@ class TestOracleEvaluation:
         result = next(r for r in results if r.policy_id == "always_on")
         # Always-on serves native loads, so its energy equals the reference.
         env.reset()
-        _, _, _, info = env.step(batch(Action.all_active(oracle.n_cells)))
+        _, _, _, info = env.step(always_on(oracle.n_cells))
         assert info["energy_wh"] == pytest.approx(info["reference_energy_wh"])
         assert result.environment == "oracle"
 
@@ -385,7 +420,7 @@ class TestOracleEvaluation:
         # Day 1 of a four-day horizon: a 13th step would read day 2's hours.
         oracle = Oracle(make_hex_scenario(seed=0, horizon_hours=96))
         env = OracleEnv(oracle, WEIGHTS, day=1)
-        action = batch(Action.all_active(oracle.n_cells))
+        action = always_on(oracle.n_cells)
         with pytest.raises(DomainError, match="before reset"):
             env.step(action)
         env.reset()
@@ -442,6 +477,42 @@ class TestOracleEvaluation:
         run_oracle_episode(scheme, OracleEnv(oracle, WEIGHTS, day=1), 0)
         assert calls["inside"] > 0 and calls["outside"] == 0
 
+    def test_custom_actor_sleeps_below_each_cells_previous_day_percentile(self, oracle):
+        env = OracleEnv(oracle, WEIGHTS, day=2)
+        act = harness._actor("custom", env, None, EvalConfig(percentile=40.0))
+        previous = oracle.traffic_day(1) / oracle.arrays.capacity_mbps[:, None]
+        tau = [np.percentile(previous[c], 40.0) for c in range(oracle.n_cells)]
+        obs, slept = env.reset(), []
+        while obs is not None:
+            action = act(obs)
+            assert action.sleep.tolist() == [[load < t for load, t in zip(obs.load_frac[0], tau)]]
+            slept.append(action.sleep[0])
+            obs = env.step(action)[0]
+        assert np.any(slept) and not np.all(slept)
+
+    def test_greedy_looks_up_the_module_baseline_greedy_at_every_step(self, oracle, monkeypatch):
+        # A benchmark times greedy by patching harness.baseline_greedy.
+        calls, greedy = [], harness.baseline_greedy
+        monkeypatch.setattr(harness, "baseline_greedy",
+                            lambda *args, **kwargs: calls.append(1) or greedy(*args, **kwargs))
+        env = OracleEnv(oracle, WEIGHTS, day=1)
+        harness.run_oracle_episode("greedy", env, 0)
+        assert len(calls) == env.steps_per_episode
+
+    def test_evaluate_policy_runs_one_episode_per_seed_and_scheme(self, scenario, monkeypatch):
+        # A benchmark times each scheme by patching harness.run_oracle_episode and reading its first argument.
+        calls, run = [], harness.run_oracle_episode
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(run).bind(*args, **kwargs).arguments
+            calls.append((args[:1], bound["seed"]))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_oracle_episode", recording)
+        evaluate_policy(scenario, ("custom", "empirical"), (0, 1), WEIGHTS)
+        schemes = ("custom", "empirical", "always_on", "all_sleep")
+        assert calls == [((scheme,), seed) for seed in (0, 1) for scheme in schemes]
+
     def _evaluate_counting_users_at(self, scenario, monkeypatch, mode) -> dict[str, int]:
         from celltwin.harness import SCHEMES
 
@@ -470,7 +541,7 @@ class TestOracleEvaluation:
     def test_short_term_forecasts_equal_one_sample_call_per_step(self, oracle, bundle):
         env = OracleEnv(oracle, WEIGHTS, bundle=bundle, day=2, predict_mode="short_term")
         obs = env.reset()
-        action = batch(Action.all_active(oracle.n_cells))
+        action = always_on(oracle.n_cells)
         for d in range(env.steps_per_episode):
             traffic, users = reference_short_term_forecast(env, d)
             assert_same_bits(env._forecasts[0][d, 0], traffic)
@@ -551,7 +622,7 @@ class TestDayClock:
         twin.reset([np.random.default_rng(0)])
         truth = OracleEnv(oracle, WEIGHTS, day=1)
         truth.reset()
-        action = batch(Action.all_active(7))
+        action = always_on(7)
         for k in range(steps):
             want = sum(oracle.users_at(g, 24 + k * traffic_step) for g in range(4))
             assert twin.step(action)[3]["total_users"] == want
@@ -639,13 +710,15 @@ class TestGenerationMetrics:
         generation_metrics(ZERO_BUNDLE, make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48), 5)
         assert len(built) == 5
 
-    def test_counterfactual_fraction_draws_its_reference_once(self, monkeypatch):
+    @pytest.mark.parametrize("eval_cfg, draws", [(EvalConfig(), 48), (EvalConfig(n_gen_samples=5), 5)])
+    def test_counterfactual_fraction_draws_its_reference_once(self, monkeypatch, eval_cfg, draws):
+        # The reference holds evaluation.n_gen_samples draws, as generation_metrics' does.
         monkeypatch.setattr(harness, "adapt_traffic_model", lambda base, oracle_cf, cfg: base)
         monkeypatch.setattr(harness, "evaluate_policy", lambda *args, **kwargs: [])
         built = self.reseeded_builds(monkeypatch)
         counterfactual_suite(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48), ZERO_BUNDLE, None, (0,),
-                             WEIGHTS, CounterfactualConfig(fractions=(0.6,)))
-        assert len(built) == 48
+                             WEIGHTS, CounterfactualConfig(fractions=(0.6,)), eval_cfg)
+        assert len(built) == draws
 
     def test_metrics_load_no_scipy(self, child_env):
         code = textwrap.dedent("""
@@ -762,7 +835,7 @@ class TestCounterfactualBehavior:
         """The agent retrained in a counterfactual twin samples that twin as the run configures."""
         calls = []
         monkeypatch.setattr(harness, "adapt_traffic_model", lambda base, oracle_cf, cfg: base)
-        monkeypatch.setattr(harness, "_traffic_reference", lambda scenario: None)
+        monkeypatch.setattr(harness, "_traffic_reference", lambda scenario, n_samples: None)
         monkeypatch.setattr(harness, "_score_traffic", lambda *args: {"mae": 0.0, "mae_frac_of_range": 0.0})
         monkeypatch.setattr(harness, "evaluate_policy", lambda *args, **kwargs: [])
         monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: calls.append(kwargs) or (None, []))

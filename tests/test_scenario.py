@@ -73,7 +73,8 @@ class TestValidation:
             Oracle(two_cell_config(cell_configs=cells))
 
     def test_step_must_divide_horizon(self):
-        with pytest.raises(ConfigError, match="traffic_step_hours"):
+        # The message names the field alone; the reader that found the scenario adds its source.
+        with pytest.raises(ConfigError, match=r"^traffic_step_hours 2 must divide horizon_hours 23$"):
             Oracle(two_cell_config(horizon_hours=23))
 
     def test_sleep_power_below_idle_power(self):
@@ -85,7 +86,7 @@ class TestValidation:
             Oracle(two_cell_config(cell_configs=tuple(cells)))
 
     def test_negative_seed_rejected_before_any_draw(self):
-        with pytest.raises(ConfigError, match=re.escape("scenario.seed must be >= 0, got -1")):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
             Oracle(make_hex_scenario(seed=-1))
 
     def test_counterfactual_fraction_bounds(self):
@@ -990,6 +991,15 @@ class TestScenarioJson:
         data = asdict(make_hex_scenario())
         edit(data)
         with pytest.raises(ConfigError, match=re.escape(f"scenario key {key} must be a finite number")):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({**asdict(two_cell_config()), "traffic_noise_sigma": -0.5}, "scenario: traffic_noise_sigma must be >= 0"),
+        ({"preset": "hex7", "seed": -2}, "scenario: seed must be >= 0, got -2"),
+        ({"preset": "hex7", "grid_dim": 0}, "scenario: grid_dim must be positive, got 0"),
+    ])
+    def test_own_check_named_by_the_reader(self, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             scenario_from_dict(data)
 
     def test_preset_form(self):
