@@ -801,16 +801,14 @@ def scenario_from_dict(data, name=lambda key: f"scenario key {key}" if key else 
                        key: str = "") -> ScenarioConfig:
     """Strict scenario reader for the full form or a hex preset; errors name keys by ``name``,
     and a scenario that fails its own checks by ``name(key)``, as a record's own check is named."""
-    preset = None
-    if isinstance(data, dict) and "preset" in data:
-        preset = read_json(HexPreset, data, ConfigError, name, key)
-        if preset.preset != "hex7":
-            raise ConfigError(f"unknown scenario preset {preset.preset!r}")
-    else:
-        config = read_json(ScenarioConfig, data, ConfigError, name, key)
+    is_preset = isinstance(data, dict) and "preset" in data
+    record = read_json(HexPreset if is_preset else ScenarioConfig, data, ConfigError, name, key)
+    if is_preset and record.preset != "hex7":
+        raise ConfigError(f"unknown scenario preset {record.preset!r}")
     try:
-        if preset is not None:
-            config = make_hex_scenario(**{k: v for k, v in vars(preset).items() if k != "preset"})
+        config = record
+        if is_preset:
+            config = make_hex_scenario(**{k: v for k, v in vars(record).items() if k != "preset"})
         validate_scenario(config)
     except ConfigError as exc:
         raise ConfigError(f"{name(key)}: {exc}") from None
