@@ -172,6 +172,10 @@ def parse_config(path: str) -> RunConfig:
                       ("counterfactual.adapt_days", days), ("dataset.n_days", days)):
         if not 1 <= _value_at(run, key) <= last:
             raise ConfigError(f"config key {key} must be in [1, {last}]")
+    # An absolute path would not move under the root: Path(root) / "/abs" is "/abs".
+    if os.environ.get(OUT_ROOT_ENV, "") and Path(run.out_dir).is_absolute():
+        raise ConfigError(f"config key out_dir must be a relative path while {OUT_ROOT_ENV} is set, "
+                          f"got {run.out_dir}")
     return run
 
 

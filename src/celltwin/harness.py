@@ -273,9 +273,13 @@ def neighbor_mean(values: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]
 
 
 class _DayEnv:
-    """One day in decision steps for `episodes` episodes in lockstep; subclasses define `reset`,
-    `step` and `_observation`.
+    """One day in decision steps for `episodes` episodes in lockstep; subclasses define `reset`
+    and `step`.
 
+    `reset` sets `_day`, the traffic the episodes carry, (episodes, n_cells, steps)
+    in Mbps, and `_forecast`, None or the (traffic, users) pair the agent is shown:
+    (k, episodes, n_cells, steps) and (k, episodes, n_grids, user steps), with k = 1
+    for one forecast of the whole day or one forecast per step.
     Observations, actions, rewards and infos carry a leading episode axis.
     `step` raises a DomainError before the first `reset` and once the day is over.
     """
@@ -289,6 +293,8 @@ class _DayEnv:
         self._neighbor_groups = neighbor_groups(oracle.neighbors)
         self.episodes = 0
         self._step = None  # no episode before the first reset
+        self._day = None
+        self._forecast = None
 
     @property
     def steps_per_episode(self) -> int:
@@ -308,21 +314,22 @@ class _DayEnv:
             raise ShapeError(f"action of shape {np.shape(action.sleep)} for {want[0]} episodes of {want[1]} cells")
         return self._step
 
-    def _observe(self, step, load, forecast_day, forecast_users) -> Observation:
-        """Agent view at `step`: current load fractions plus the forecast's next window.
+    def _observation(self) -> Observation:
+        """Agent view at the current step: each episode's load fractions plus the forecast's next window.
 
-        `load` is (episodes, n_cells) and the forecast (episodes, n_cells, steps)
-        traffic with (episodes, n_grids, user steps) users. Without a forecast
-        (``None``) the next window is the current load and no users are predicted.
+        Step d reads the forecast at d, or the last one there is. Without a
+        forecast the next window is the current load and no users are predicted.
         """
-        oracle, clock = self.oracle, self.oracle.config
-        nxt = min(step + 1, clock.steps_per_day - 1)
-        if forecast_day is None:
-            pred, users = load, np.zeros((len(load), oracle.n_grids))
+        oracle, clock, d = self.oracle, self.oracle.config, self._step
+        load = self._day[..., d] / oracle.arrays.capacity_mbps
+        if self._forecast is None:
+            pred, users = load, np.zeros((self.episodes, oracle.n_grids))
         else:
-            pred = forecast_day[..., nxt] / oracle.arrays.capacity_mbps
-            users = forecast_users[..., clock.user_column(nxt)]
-        hour = ds.hour_features(clock.hour(0, step))
+            nxt = min(d + 1, clock.steps_per_day - 1)
+            traffic, users = (f[min(d, len(f) - 1)] for f in self._forecast)
+            pred = traffic[..., nxt] / oracle.arrays.capacity_mbps
+            users = users[..., clock.user_column(nxt)]
+        hour = ds.hour_features(clock.hour(0, d))
         return Observation(
             load_frac=load,
             pred_load_frac=pred,
@@ -402,7 +409,6 @@ class WorldModelEnv(_DayEnv):
             config.rsrp_pool, oracle.n_grids, oracle.n_cells, config.rsrp_draws
         )
 
-        self._day = None            # (episodes, n_cells, steps)
         self._users_day = None      # (episodes, n_grids, user steps)
         self._table = None          # (episodes, n_grids, n_cells, rsrp_draws)
         self._table_mean = None
@@ -413,6 +419,7 @@ class WorldModelEnv(_DayEnv):
         pools = (self.traffic_pool, self.users_pool, self.rsrp_pool)
         picks = np.array([[rng.integers(0, len(pool)) for pool in pools] for rng in rngs], dtype=int)
         self._day, self._users_day, self._table = (pool[pick] for pool, pick in zip(pools, picks.reshape(-1, 3).T))
+        self._forecast = (self._day[None], self._users_day[None])
         self._table_mean = self._table.mean(axis=-1)
         self.episodes, n = len(picks), self.oracle.n_cells
         self._natural = associate_users(
@@ -420,11 +427,6 @@ class WorldModelEnv(_DayEnv):
         )
         self._step = 0
         return self._observation()
-
-    def _observation(self) -> Observation:
-        d = self._step
-        load = self._day[..., d] / self.oracle.arrays.capacity_mbps
-        return self._observe(d, load, self._day, self._users_day)
 
     def step(self, action: Action) -> tuple[Observation | None, np.ndarray, bool, dict]:
         """Each grid is one unit of `serve`: it attaches by its mean RSRP and the floor applies per draw."""
@@ -468,15 +470,6 @@ class OracleEnv(_DayEnv):
         self.bundle = bundle
         self.day = day
         self.predict_mode = predict_mode
-        self._realised = None       # (traffic_day, users_day or None)
-        self._forecasts = None      # (traffic, users), one forecast per step short-term, one in all long-term
-
-    def history_load_fractions(self) -> np.ndarray:
-        """Previous-day native load fractions, (steps, n_cells), for threshold baselines."""
-        return (self.oracle.traffic_day(self.day - 1) / self.oracle.arrays.capacity_mbps[:, None]).T
-
-    def current_load_fraction(self) -> np.ndarray:
-        return np.minimum(self._realised[0][:, self._step] / self.oracle.arrays.capacity_mbps, 1.0)
 
     def greedy_evaluator(self):
         """The oracle's step at the current hour, as a function of (sleep mask, bias); the clock does not move."""
@@ -486,29 +479,19 @@ class OracleEnv(_DayEnv):
     def reset(self, rngs=None) -> Observation:
         """Start the day; the oracle's day is fixed, so `rngs` is not read."""
         self.episodes, self._step = 1, 0
-        # Only short-term forecasts reveal the realised users.
-        short_term = self.bundle is not None and self.predict_mode == "short_term"
-        self._realised = (
-            self.oracle.traffic_day(self.day), self.oracle.users_day(self.day) if short_term else None
-        )
+        self._day = self.oracle.traffic_day(self.day)[None]
         if self.bundle is not None:
             key = (PREDICT_SEED, self.oracle.config.seed, self.day)
-            if short_term:  # step d's forecast reveals d + 1 windows and has its own generator
+            if self.predict_mode == "short_term":  # step d's forecast reveals d + 1 windows and has its own generator
                 steps = range(self.steps_per_episode)
-                keys, revealed, realised = [key + (d,) for d in steps], [d + 1 for d in steps], self._realised
+                keys, revealed = [key + (d,) for d in steps], [d + 1 for d in steps]
+                # Only short-term forecasts reveal the realised users.
+                realised = (self._day[0], self.oracle.users_day(self.day))
             else:
                 keys, revealed, realised = [key], [0], None
             rngs = [np.random.default_rng(np.random.SeedSequence(k)) for k in keys]
-            self._forecasts = _forecast(self.bundle, self.oracle, 1, rngs, revealed, realised)
+            self._forecast = _forecast(self.bundle, self.oracle, 1, rngs, revealed, realised)
         return self._observation()
-
-    def _observation(self) -> Observation:
-        d = self._step
-        if self.bundle is None:
-            forecast = (None, None)
-        else:
-            forecast = (f[d if self.predict_mode == "short_term" else 0] for f in self._forecasts)
-        return self._observe(d, self.current_load_fraction()[None], *forecast)
 
     def step(self, action: Action) -> tuple[Observation | None, np.ndarray, bool, dict]:
         d = self._begin_step(action)
@@ -615,9 +598,9 @@ def _actor(scheme: str, env: _DayEnv, policy: Policy | None, cfg: EvalConfig):
     The agent takes each cell's most probable choice, one stacked row per
     episode as `Policy.sample` does. always_on, all_sleep, empirical and custom
     are one rule, `sleep_below`, at a threshold of -inf, +inf, `cfg.tau`, or
-    each cell's `cfg.percentile` of the oracle's previous-day load. greedy
-    searches the oracle env's one episode with `baseline_greedy`, looked up
-    at every step.
+    each cell's `cfg.percentile` of its load on the oracle's day before
+    `env.day`. greedy searches the oracle env's one episode with
+    `baseline_greedy`, looked up at every step.
     """
     if scheme == "agent":
         if policy is None:
@@ -637,7 +620,8 @@ def _actor(scheme: str, env: _DayEnv, policy: Policy | None, cfg: EvalConfig):
             return Action(rule.sleep[None], rule.bias_level_db[None])
         return greedy
     if scheme == "custom":
-        tau = np.percentile(env.history_load_fractions(), cfg.percentile, axis=0)
+        tau = np.percentile(env.oracle.traffic_day(env.day - 1) / env.oracle.arrays.capacity_mbps[:, None],
+                            cfg.percentile, axis=1)
     elif scheme in ("always_on", "all_sleep", "empirical"):
         tau = {"always_on": -np.inf, "all_sleep": np.inf, "empirical": cfg.tau}[scheme]
     else:
@@ -1025,8 +1009,8 @@ def episode_row(
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):  # repr of a NumPy float is "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 

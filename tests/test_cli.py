@@ -362,6 +362,16 @@ class TestParseConfig:
         run = parse_config(str(path))
         assert str(run.out_path) == str(tmp_path / "root" / "runs")
 
+    def test_out_root_refuses_an_absolute_out_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CELLTWIN_OUT_ROOT", str(tmp_path / "root"))
+        cfg = write_config(tmp_path, out_dir=str(tmp_path / "elsewhere"))
+        with pytest.raises(ConfigError, match="out_dir"):
+            parse_config(cfg)
+        assert main(["collect", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key out_dir must be") and err.count("\n") == 1
+        assert not (tmp_path / "elsewhere").exists() and not (tmp_path / "root").exists()
+
 
 def _full_scenario(edit):
     data = asdict(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=96))

@@ -111,6 +111,17 @@ def reference_serve(cells, native_mbps, natural, attach, draws, weight, rsrp_flo
     )
 
 
+def reference_observation_vector(env, d, load, pred, users):
+    """One episode's observation vector at step d from its load fractions and the predicted next
+    window's load fractions and users per grid, with one neighbour mean per cell."""
+    oracle = env.oracle
+    hour = hour_features(oracle.config.hour(0, d))
+    return np.concatenate([
+        load, pred, np.bincount(oracle.nearest_cell, weights=users, minlength=oracle.n_cells) / env.users_scale,
+        [pred[list(nbs)].mean() for nbs in oracle.neighbors], [hour["hour_sin"], hour["hour_cos"]],
+    ])
+
+
 def reference_wm_episode(env, policy, rng):
     """One world-model day drawn and stepped alone, as `WorldModelEnv` did one episode at a time:
     (observations, choices, rewards, energy, RSRP average, dropped rate), one row per step."""
@@ -124,14 +135,8 @@ def reference_wm_episode(env, policy, rng):
     rows = []
     for d in range(clock.steps_per_day):
         nxt = min(d + 1, clock.steps_per_day - 1)
-        pred = day[:, nxt] / capacity
-        users = users_day[:, clock.user_column(nxt)]
-        hour = hour_features(clock.hour(0, d))
-        vec = np.concatenate([
-            day[:, d] / capacity, pred,
-            np.bincount(oracle.nearest_cell, weights=users, minlength=n) / env.users_scale,
-            [pred[list(nbs)].mean() for nbs in oracle.neighbors], [hour["hour_sin"], hour["hour_cos"]],
-        ])
+        vec = reference_observation_vector(
+            env, d, day[:, d] / capacity, day[:, nxt] / capacity, users_day[:, clock.user_column(nxt)])
         probs, _ = policy.distribution(vec)
         u = rng.random(n)
         choices = (u[:, None] > np.cumsum(probs[0], axis=1)).sum(axis=1)
@@ -541,15 +546,35 @@ class TestOracleEvaluation:
     def test_short_term_forecasts_equal_one_sample_call_per_step(self, oracle, bundle):
         env = OracleEnv(oracle, WEIGHTS, bundle=bundle, day=2, predict_mode="short_term")
         obs = env.reset()
+        clock, capacity = oracle.config, oracle.arrays.capacity_mbps
+        realised = oracle.traffic_day(env.day)
         action = always_on(oracle.n_cells)
         for d in range(env.steps_per_episode):
             traffic, users = reference_short_term_forecast(env, d)
-            assert_same_bits(env._forecasts[0][d, 0], traffic)
-            assert_same_bits(env._forecasts[1][d, 0], users)
-            want = env._observe(d, env.current_load_fraction()[None], traffic[None], users[None])
-            assert_same_bits(obs.vector(), want.vector())
+            assert_same_bits(env._forecast[0][d, 0], traffic)
+            assert_same_bits(env._forecast[1][d, 0], users)
+            nxt = min(d + 1, clock.steps_per_day - 1)
+            want = reference_observation_vector(
+                env, d, realised[:, d] / capacity, traffic[:, nxt] / capacity, users[:, clock.user_column(nxt)])
+            assert_same_bits(obs.vector(), want[None])
             obs = env.step(action)[0]
         assert obs is None
+
+    def test_bundle_less_env_forecasts_its_current_load(self, oracle):
+        env = OracleEnv(oracle, WEIGHTS, day=1)
+        realised = oracle.traffic_day(env.day) / oracle.arrays.capacity_mbps[:, None]
+        obs, hidden = env.reset(), 0
+        for d in range(env.steps_per_episode):
+            assert_same_bits(obs.load_frac, realised[None, :, d])
+            assert_same_bits(obs.pred_load_frac, obs.load_frac)
+            assert_same_bits(obs.pred_users_norm, np.zeros((1, oracle.n_cells)))
+            assert_same_bits(obs.neighbor_pred_load,
+                             np.array([[realised[list(nbs), d].mean() for nbs in oracle.neighbors]]))
+            hidden += not np.array_equal(obs.pred_load_frac[0], realised[:, min(d + 1, env.steps_per_episode - 1)])
+            obs = env.step(always_on(oracle.n_cells))[0]
+        assert obs is None
+        # At most steps the realised next window is not the current load, so showing it would fail above.
+        assert hidden > env.steps_per_episode // 2
 
     def test_short_term_jobs_equal_a_sequential_run(self, scenario, bundle, tmp_path):
         from celltwin.cli import _evaluate_one_seed
@@ -823,7 +848,7 @@ class TestCounterfactualBehavior:
             for step in (4, 5, 6):  # busy midday windows
                 env._step = step
                 action = baseline_greedy(
-                    env.current_load_fraction(), env.oracle.neighbor_pairs, env.greedy_evaluator(),
+                    env._observation().load_frac[0], env.oracle.neighbor_pairs, env.greedy_evaluator(),
                     rsrp_floor_dbm=oracle.config.rsrp_floor_dbm,
                 )
                 total += int(action.sleep.sum())
@@ -870,6 +895,14 @@ class TestReportIO:
         for a, b in zip(back, rows):
             assert a["scheme"] == b["scheme"]
             assert float(a["utility"]) == pytest.approx(b["utility"], rel=1e-12)
+
+    def test_numpy_floats_read_back_as_floats(self, tmp_path):
+        path = str(tmp_path / "np.csv")
+        write_rows_csv([{"scheme": "x", "utility": np.float64(0.5), "energy_wh": np.float32(0.1)}], path,
+                       ("scheme", "utility", "energy_wh"))
+        (row,) = read_rows_csv(path)
+        assert row == {"scheme": "x", "utility": 0.5, "energy_wh": float(np.float32(0.1))}
+        assert type(row["utility"]) is float and type(row["energy_wh"]) is float
 
     def test_manifest_written_sorted(self, tmp_path):
         path = str(tmp_path / "m.json")
