@@ -49,7 +49,7 @@ OUT_ROOT_ENV = "CELLTWIN_OUT_ROOT"
 @dataclass(frozen=True)
 class DatasetConfig:
     n_days: int = 16
-    split: tuple[float, ...] = (0.8, 0.1, 0.1)
+    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
 
 def _config_key(key: str) -> str:
@@ -116,14 +116,13 @@ _VALUE_CHECKS = (
     ("evaluation.predict_mode", lambda v: v in ("long_term", "short_term"), "long_term or short_term"),
     ("worldmodel.guidance_w", lambda v: v >= 0, ">= 0"),
     ("counterfactual.fractions", lambda v: all(0 < f <= 1 for f in v), "a list of peak fractions in (0, 1]"),
-    ("dataset.split", lambda v: len(v) == 3 and min(v) >= 0 and v[0] > 0 and abs(sum(v) - 1.0) <= 1e-9,
+    ("dataset.split", lambda v: min(v) >= 0 and v[0] > 0 and abs(sum(v) - 1.0) <= 1e-9,
      "three non-negative fractions summing to 1, the first (train) positive"),
     ("seeds", lambda v: v and min(v) >= 0, "a nonempty array of integers >= 0"),
     ("worldmodel.memory_kinds", lambda v: set(v) <= set(KINDS), f"a list of kinds from {', '.join(KINDS)}"),
     ("worldmodel.p_uncond", lambda v: 0 <= v < 1, "in [0, 1)"),
     ("evaluation.percentile", lambda v: 0 <= v <= 100, "in [0, 100]"),
-    *((key, lambda v: v >= 0, ">= 0") for key in (
-        "worldmodel.seed", "agent.seed", "agent.env.sample_seed", "counterfactual.adapt_seed")),
+    *((key, lambda v: v >= 0, ">= 0") for key in ("worldmodel.seed", "agent.seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
         "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.train_steps",
         "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim", "agent.updates",

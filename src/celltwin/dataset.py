@@ -140,19 +140,6 @@ class SampleSet:
         return self.layout.normalize(sel)
 
 
-def make_mask(task: str, length: int, horizon_h: int = 0) -> np.ndarray:
-    """Generation mask: full for long_term_generation, suffix for short_term_prediction."""
-    if task == "long_term_generation":
-        return np.ones(length, dtype=bool)
-    if task == "short_term_prediction":
-        if not 0 < horizon_h <= length:
-            raise DomainError(f"horizon_h must be in (0, {length}], got {horizon_h}")
-        mask = np.zeros(length, dtype=bool)
-        mask[length - horizon_h:] = True
-        return mask
-    raise ConfigError(f"unknown task {task!r}")
-
-
 def split_dataset(
     n: int, fractions: tuple[float, float, float], seed: int
 ) -> dict[str, np.ndarray]:
@@ -251,11 +238,10 @@ def rsrp_conditions(oracle: Oracle, cells, distance_km, hour: int, sleep_frac: f
 
 
 def _window_mask(rng: np.random.Generator, length: int) -> np.ndarray:
-    """Task mix for one window: half long-term, half short-term with random horizon."""
-    if rng.random() < 0.5:
-        return make_mask("long_term_generation", length)
-    horizon = int(rng.integers(1, length))
-    return make_mask("short_term_prediction", length, horizon)
+    """One window's task, as the count of its first steps that are revealed: none for half
+    the windows (long-term generation), 1 to length - 1 for the rest (short-term prediction)."""
+    revealed = 0 if rng.random() < 0.5 else length - int(rng.integers(1, length))
+    return np.arange(length) >= revealed
 
 
 def _day_windows(read_day, conds: np.ndarray, n_days: int, rng: np.random.Generator):

@@ -167,7 +167,6 @@ class TestParseConfig:
         ('{"worldmodel": {"guidance_w": -1}}', "worldmodel.guidance_w"),
         ('{"worldmodel": {"guidance_w": Infinity}}', "worldmodel.guidance_w"),
         ('{"worldmodel": {"guidance_w": NaN}}', "worldmodel.guidance_w"),
-        ('{"dataset": {"split": [0.8, 0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.3, -0.1]}}', "dataset.split"),
         ('{"dataset": {"split": [0.8, 0.1, 0.2]}}', "dataset.split"),
         ('{"counterfactual": {"lora": {"rank": 100, "alpha": 8.0}}}', "counterfactual.lora.rank"),
@@ -180,8 +179,6 @@ class TestParseConfig:
         ('{"seeds": [0, -1]}', "seeds"),
         ('{"worldmodel": {"seed": -1}}', "worldmodel.seed"),
         ('{"agent": {"seed": -1}}', "agent.seed"),
-        ('{"agent": {"env": {"sample_seed": -1}}}', "agent.env.sample_seed"),
-        ('{"counterfactual": {"adapt_seed": -1}}', "counterfactual.adapt_seed"),
         ('{"worldmodel": {"batch_size": 0}}', "worldmodel.batch_size"),
         ('{"agent": {"updates": 0}}', "agent.updates"),
         ('{"agent": {"episodes_per_update": 0}}', "agent.episodes_per_update"),
@@ -221,6 +218,13 @@ class TestParseConfig:
         path = tmp_path / "c.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"config key {key} must be")):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("split", ["[0.8, 0.2]", "[0.7, 0.1, 0.1, 0.1]"])
+    def test_split_of_another_length_rejected_by_its_type(self, tmp_path, split):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"dataset": {{"split": {split}}}}}')
+        with pytest.raises(ConfigError, match=re.escape("config key dataset.split must be an array of 3 numbers") + "$"):
             parse_config(str(path))
 
     # A record's own check, named under the record's key.
@@ -689,6 +693,21 @@ class TestCliCommands:
         cfg = write_config(tmp_path)
         assert main(["eval-gen", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_eval_gen_on_a_flat_load_profile(self, tmp_path):
+        # Equal capacities and no diurnal swing: the noise-free profile has no range, so its fractions are NaN.
+        scenario = asdict(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=96))
+        scenario["traffic_amp"] = 0.0
+        for cell in scenario["cell_configs"]:
+            cell["capacity_mbps"] = 120.0
+        cfg = write_config(tmp_path, scenario=scenario, worldmodel={"train_steps": 20, "expert_hidden": [8],
+                                                                     "gate_hidden": [4]})
+        for command in ("collect", "train-wm", "eval-gen"):
+            assert main([command, "--config", cfg]) == 0, command
+        rows = (tmp_path / "out" / "reports" / "generation.csv").read_text().strip().split("\n")
+        scores = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:]}
+        assert all(np.isnan(v) == key.endswith("_frac_of_range") for key, v in scores.items()), scores
+        assert sum(key.endswith("_frac_of_range") for key in scores) == 4
 
     def test_eval_gen_on_a_three_window_day(self, tmp_path):
         # Short-term prediction reveals all but the last of the three windows.

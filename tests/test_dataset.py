@@ -13,7 +13,6 @@ from celltwin.dataset import (
     SampleSet,
     collect_dataset,
     fit_stats,
-    make_mask,
     read_dataset,
     rsrp_conditions,
     split_dataset,
@@ -21,7 +20,7 @@ from celltwin.dataset import (
     users_conditions,
     write_dataset,
 )
-from celltwin.errors import ConfigError, DomainError, FormatError
+from celltwin.errors import ConfigError, FormatError
 from celltwin.scenario import POI_PROFILES, Oracle, make_hex_scenario
 
 
@@ -102,20 +101,15 @@ class TestNormalization:
 
 
 class TestMasks:
-    def test_short_term_suffix(self):
-        mask = make_mask("short_term_prediction", 12, 3)
-        assert mask.tolist() == [False] * 9 + [True] * 3
-
-    def test_long_term_full(self):
-        assert make_mask("long_term_generation", 12).all()
-
-    def test_horizon_too_long(self):
-        with pytest.raises(DomainError):
-            make_mask("short_term_prediction", 12, 13)
-
-    def test_unknown_task(self):
-        with pytest.raises(ConfigError):
-            make_mask("inpainting", 12, 1)
+    @pytest.mark.parametrize("kind", ["traffic", "users"])
+    def test_each_window_reveals_a_prefix(self, datasets, kind):
+        # A window of length L reveals its first r steps: none (long-term generation) or 1 to L - 1 (short-term).
+        masks = datasets[kind].masks
+        length = masks.shape[1]
+        revealed = length - masks.sum(axis=1)
+        assert np.array_equal(masks, np.arange(length) >= revealed[:, None])
+        assert (revealed < length).all()
+        assert (revealed == 0).any() and (revealed > 0).any()
 
 
 class TestSplit:

@@ -1,9 +1,11 @@
 import concurrent.futures
 import inspect
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from celltwin.harness import (
     WorldModelEnvConfig,
     _conditions_rsrp_table,
     _forecast,
+    _score_traffic,
     _spearman,
     _traffic_reference,
     _wasserstein_1d,
@@ -706,12 +709,28 @@ class TestGenerationMetrics:
         untrained = traffic_generation_metrics(fresh.traffic, scenario, "long_term_generation", 16)
         assert trained["mae"] < untrained["mae"]
 
-    def test_short_term_scores_only_masked_tail(self, scenario, bundle):
-        metrics = traffic_generation_metrics(
-            bundle.traffic, scenario, "short_term_prediction", 8, history_steps=6
-        )
-        assert metrics["task"] == "short_term_prediction"
-        assert np.isfinite(metrics["mae"])
+    def test_short_term_scores_only_masked_tail(self, scenario):
+        # Heads that differ only on the 6 revealed windows get the same tail scores; a head that differs
+        # on one generated window does not. (The autocorrelation gap is a whole-day statistic.)
+        reference = _traffic_reference(scenario, 8)
+        base = np.linspace(10.0, 60.0, scenario.steps_per_day)
+
+        class ProfileHead(_FillHead):
+            def __init__(self, profile):
+                self.profile = profile
+
+            def sample(self, cond, mask, context, rng, guidance_w=None):
+                return np.broadcast_to(self.profile, mask.shape)
+
+        def tail_scores(profile):
+            scores = _score_traffic(ProfileHead(profile), reference, 6)
+            return [scores[key] for key in ("mae", "mae_frac_of_range", "w1", "w1_frac_of_range")]
+
+        revealed_differs, generated_differs = base.copy(), base.copy()
+        revealed_differs[:6] += 50.0
+        generated_differs[6] += 50.0
+        assert tail_scores(revealed_differs) == tail_scores(base)
+        assert all(a != b for a, b in zip(tail_scores(generated_differs), tail_scores(base)))
 
     def test_unknown_task_rejected(self, scenario, bundle):
         with pytest.raises(ConfigError):
@@ -730,6 +749,13 @@ class TestGenerationMetrics:
         monkeypatch.setattr(harness, "Oracle", recording)
         return seeds
 
+    @pytest.mark.parametrize("history_steps", [0, 12])
+    def test_history_outside_the_day_rejected_before_the_reference(self, scenario, monkeypatch, history_steps):
+        built = self.reseeded_builds(monkeypatch)
+        with pytest.raises(ConfigError, match=re.escape("history_steps must be in (0, 12)")):
+            traffic_generation_metrics(ZERO_BUNDLE.traffic, scenario, "short_term_prediction", 4, history_steps)
+        assert built == []
+
     def test_generation_metrics_draws_its_reference_once(self, monkeypatch):
         built = self.reseeded_builds(monkeypatch)
         generation_metrics(ZERO_BUNDLE, make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48), 5)
@@ -744,6 +770,19 @@ class TestGenerationMetrics:
         counterfactual_suite(make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48), ZERO_BUNDLE, None, (0,),
                              WEIGHTS, CounterfactualConfig(fractions=(0.6,)), eval_cfg)
         assert len(built) == draws
+
+    def test_flat_profile_fractions_are_nan(self, monkeypatch):
+        # Equal capacities and no diurnal swing leave the noise-free profile no range to scale by.
+        scen = make_hex_scenario(seed=0, grid_dim=2, horizon_hours=48)
+        flat = replace(scen, traffic_amp=0.0,
+                       cell_configs=tuple(replace(c, capacity_mbps=120.0) for c in scen.cell_configs))
+        assert _traffic_reference(flat, 2)[2] == 0.0
+        monkeypatch.setattr(harness, "adapt_traffic_model", lambda base, oracle_cf, cfg: base)
+        monkeypatch.setattr(harness, "evaluate_policy", lambda *args, **kwargs: [])
+        _, wm_rows = counterfactual_suite(flat, ZERO_BUNDLE, None, (0,), WEIGHTS,
+                                          CounterfactualConfig(fractions=(0.6,)), EvalConfig(n_gen_samples=2))
+        assert np.isnan(wm_rows[0]["mae_frac_frozen"]) and np.isnan(wm_rows[0]["mae_frac_adapted"])
+        assert np.isfinite(wm_rows[0]["mae_frozen"])
 
     def test_metrics_load_no_scipy(self, child_env):
         code = textwrap.dedent("""
