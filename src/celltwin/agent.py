@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError, TrainingError, read_json
-from .nn import MLP, ParamStore, softmax
+from .nn import MLP, ParamStore, load_checkpoint, softmax
 
 DEFAULT_BIAS_LEVELS = (0.0, 3.0, 6.0)
 
@@ -126,7 +126,6 @@ class PolicyManifest:
     """What a policy checkpoint records to rebuild its policy."""
 
     n_cells: int
-    obs_dim: int
     hidden: tuple[int, ...]
     bias_levels: tuple[float, ...]
     baseline: float | None = None
@@ -233,18 +232,15 @@ class Policy:
 
     def save(self, path: str) -> None:
         self.store.save(path, manifest=asdict(PolicyManifest(
-            self.n_cells, self.obs_dim, self.hidden, self.bias_levels, self._baseline)))
+            self.n_cells, self.hidden, self.bias_levels, self._baseline)))
 
     @classmethod
     def load(cls, path: str) -> "Policy":
-        store, manifest = ParamStore.load(path)
+        tensors, manifest = load_checkpoint(path)
         m = read_json(PolicyManifest, manifest, FormatError, lambda key: f"checkpoint {path} field {key!r}",
                       "manifest")
         policy = cls(n_cells=m.n_cells, hidden=m.hidden, bias_levels=m.bias_levels)
-        if m.obs_dim != policy.obs_dim:
-            raise FormatError(f"checkpoint {path} field 'manifest.obs_dim' is {m.obs_dim}, "
-                              f"expected {policy.obs_dim} for {m.n_cells} cells")
-        policy.store.assign(store, f"policy checkpoint {path}")
+        policy.store.assign(tensors, f"policy checkpoint {path}")
         policy._baseline = m.baseline
         return policy
 

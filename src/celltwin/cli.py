@@ -64,7 +64,6 @@ class RunConfig:
     scenario: ScenarioConfig = field(default_factory=make_hex_scenario)
     out_dir: str = "out"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    jobs: int = 1
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     worldmodel: WMTrainConfig = field(default_factory=WMTrainConfig)
     agent: AgentTrainConfig = field(default_factory=AgentTrainConfig)
@@ -124,7 +123,7 @@ _VALUE_CHECKS = (
     ("evaluation.percentile", lambda v: 0 <= v <= 100, "in [0, 100]"),
     *((key, lambda v: v >= 0, ">= 0") for key in ("worldmodel.seed", "agent.seed")),
     *((key, lambda v: v >= 1, ">= 1") for key in (
-        "jobs", "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.train_steps",
+        "evaluation.n_gen_samples", "worldmodel.batch_size", "worldmodel.train_steps",
         "worldmodel.n_experts", "worldmodel.time_dim", "worldmodel.cond_emb_dim", "agent.updates",
         "agent.episodes_per_update", "agent.env.day_pool", "agent.env.rsrp_pool", "agent.env.rsrp_draws")),
     *((key, lambda v: all(width >= 1 for width in v), "a list of layer widths >= 1") for key in (
@@ -212,7 +211,7 @@ def cmd_collect(run: RunConfig, args) -> int:
 
 
 def cmd_train_wm(run: RunConfig, args) -> int:
-    datasets = {kind: read_dataset(str(run.dataset_path(kind))) for kind in KINDS}
+    datasets = {kind: read_dataset(str(run.dataset_path(kind)), kind) for kind in KINDS}
     bundle, curves = WorldModelBundle.train_from_datasets(datasets, run.worldmodel)
     (run.out_path / "models").mkdir(parents=True, exist_ok=True)
     bundle.save(run.model_paths())
@@ -262,9 +261,8 @@ def _evaluate_one_seed(payload) -> list[dict]:
 
 
 def cmd_evaluate(run: RunConfig, args) -> int:
-    jobs = args.jobs if args.jobs is not None else run.jobs
-    if jobs < 1:
-        raise DomainError(f"--jobs must be >= 1, got {jobs}")
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     schemes = run.evaluation.schemes
     bundle = WorldModelBundle.load(run.model_paths()) if "agent" in schemes else None
     policy = Policy.load(str(run.policy_path)) if "agent" in schemes else None
@@ -273,7 +271,7 @@ def cmd_evaluate(run: RunConfig, args) -> int:
         for seed in run.seeds
     ]
     # A forking pool starts every worker at its first submit, so it gets no more workers than seeds.
-    workers = min(jobs, len(payloads))
+    workers = min(args.jobs, len(payloads))
     if workers > 1:
         import concurrent.futures  # here, since with logging it costs about 9 ms that only a pool needs
 
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--days", type=int, default=1, help="number of days to simulate")
             p.add_argument("--out", default=None, help="output CSV path")
         if name == "evaluate":
-            p.add_argument("--jobs", type=int, default=None, help="per-seed parallelism")
+            p.add_argument("--jobs", type=int, default=1, help="per-seed parallelism")
     return parser
 
 

@@ -20,7 +20,7 @@ from .errors import ConfigError, DomainError, FormatError, read_json
 from .nn import load_npz, save_npz
 from .scenario import POI_PROFILES, Oracle, associate_users
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 KINDS = ("traffic", "users", "rsrp")
 
 CONDITION_FIELDS = (
@@ -75,12 +75,9 @@ class ConditionLayout:
     """Frozen field order plus per-dimension train-split statistics."""
 
     def __init__(self, mean: np.ndarray, std: np.ndarray):
-        mean = np.asarray(mean, dtype=float)
-        std = np.maximum(np.asarray(std, dtype=float), STD_FLOOR)
-        if mean.shape != (COND_DIM,) or std.shape != (COND_DIM,):
-            raise ConfigError(f"condition stats must have dimension {COND_DIM}")
-        self.mean = mean
-        self.std = std
+        # (COND_DIM,) each: the dataset and checkpoint readers check the shapes of what they read.
+        self.mean = np.asarray(mean, dtype=float)
+        self.std = np.maximum(np.asarray(std, dtype=float), STD_FLOOR)
 
     @staticmethod
     def fingerprint() -> str:
@@ -341,16 +338,14 @@ _ARRAYS = ("series", "conditions", "masks", "cond_mean", "cond_std", *(f"split_{
 class _DatasetHeader:
     version: int
     kind: str
-    series_len: int
-    cond_dim: int
     layout_fingerprint: str
     series_mean: float
     series_std: float
 
 
 def write_dataset(sample_set: SampleSet, path: str) -> None:
-    header = asdict(_DatasetHeader(DATASET_VERSION, sample_set.kind, sample_set.series_len, COND_DIM,
-                                   ConditionLayout.fingerprint(), sample_set.stats.mean, sample_set.stats.std))
+    header = asdict(_DatasetHeader(DATASET_VERSION, sample_set.kind, ConditionLayout.fingerprint(),
+                                   sample_set.stats.mean, sample_set.stats.std))
     arrays = {
         "series": sample_set.series,
         "conditions": sample_set.conditions,
@@ -362,20 +357,32 @@ def write_dataset(sample_set: SampleSet, path: str) -> None:
     save_npz(path, header, arrays, DATASET_VERSION)
 
 
-def read_dataset(path: str) -> SampleSet:
+def read_dataset(path: str, kind: str) -> SampleSet:
+    """The ``kind`` dataset of a ``write_dataset`` file, its arrays checked against each other; every
+    defect, another kind included, is a FormatError naming the file and the field or array."""
+    where = f"dataset file {path}"
     raw, arrays = load_npz(path, DATASET_VERSION, "dataset file", required=_ARRAYS)
-    header = read_json(_DatasetHeader, raw, FormatError, lambda key: f"dataset file {path} field {key!r}")
-    if header.cond_dim != COND_DIM or header.layout_fingerprint != ConditionLayout.fingerprint():
-        raise FormatError(
-            f"condition layout mismatch in {path}: expected {ConditionLayout.fingerprint()} "
-            f"(D_c={COND_DIM}), found {header.layout_fingerprint} (D_c={header.cond_dim})"
-        )
+    header = read_json(_DatasetHeader, raw, FormatError, lambda key: f"{where} field {key!r}")
+    for key, want in (("kind", kind), ("layout_fingerprint", ConditionLayout.fingerprint())):
+        if getattr(header, key) != want:
+            raise FormatError(f"{where} field {key!r} is {getattr(header, key)!r}, expected {want!r}")
+    series, split = arrays["series"], {part: arrays[f"split_{part}"] for part in _SPLITS}
+    if series.ndim != 2:
+        raise FormatError(f"{where} array 'series' must be 2-D, got shape {series.shape}")
+    for name, shape in (("conditions", (len(series), COND_DIM)), ("masks", series.shape),
+                        ("cond_mean", (COND_DIM,)), ("cond_std", (COND_DIM,))):
+        if arrays[name].shape != shape:
+            raise FormatError(f"{where} array {name!r} has shape {arrays[name].shape}, expected {shape}")
+    if not (all(a.ndim == 1 and a.dtype.kind in "iu" for a in split.values())
+            and np.array_equal(np.sort(np.concatenate(list(split.values()))), np.arange(len(series)))):
+        raise FormatError(f"{where} arrays 'split_train', 'split_val' and 'split_test' are not together "
+                          f"a permutation of range({len(series)})")
     return SampleSet(
         kind=header.kind,
-        series=arrays["series"],
+        series=series,
         conditions=arrays["conditions"],
         masks=arrays["masks"].astype(bool),
         stats=NormalizationStats(mean=header.series_mean, std=header.series_std),
         layout=ConditionLayout(mean=arrays["cond_mean"], std=arrays["cond_std"]),
-        split={part: arrays[f"split_{part}"] for part in _SPLITS},
+        split=split,
     )

@@ -70,7 +70,7 @@ import numpy as np
 
 from .dataset import COND_DIM, ConditionLayout, NormalizationStats
 from .errors import ConfigError, DomainError, FormatError, ModelError, ShapeError, TrainingError, read_json
-from .nn import MLP, LoraSpec, ParamStore, softmax, softmax_backward
+from .nn import MLP, LoraSpec, ParamStore, load_checkpoint, softmax, softmax_backward
 
 _TIME_FEATURES = 8
 _NORM_EPS = 1e-12
@@ -215,13 +215,18 @@ def _per_row(value, batch: int) -> np.ndarray:
 @dataclass(frozen=True)
 class DenoiserArch:
     series_len: int
-    cond_dim: int = COND_DIM
     cond_emb_dim: int = 8
     time_dim: int = 8
     n_experts: int = 3
     expert_hidden: tuple[int, ...] = (64, 64)
     gate_hidden: tuple[int, ...] = (32,)
     memory: MemoryConfig | None = None
+
+    def __post_init__(self):
+        for name in ("series_len", "cond_emb_dim", "time_dim", "n_experts", "expert_hidden", "gate_hidden"):
+            value = getattr(self, name)  # a size, or a tuple of layer widths
+            if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     @property
     def prompt_dim(self) -> int:
@@ -314,8 +319,6 @@ class DiffusionModel:
         p_uncond: float = 0.1,
         guidance_w: float = 1.0,
     ):
-        if arch.cond_dim != COND_DIM:
-            raise ModelError(f"arch cond_dim {arch.cond_dim} != condition layout dim {COND_DIM}")
         if not 0.0 <= p_uncond < 1.0:
             raise ConfigError(f"p_uncond must be in [0, 1), got {p_uncond}")
         self.kind = kind
@@ -332,7 +335,7 @@ class DiffusionModel:
     def _build(self, seed: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 41)))
         a = self.arch
-        self.cond_mlp = MLP(self.store, "cond", (a.cond_dim, 16, a.cond_emb_dim),
+        self.cond_mlp = MLP(self.store, "cond", (COND_DIM, 16, a.cond_emb_dim),
                             hidden_activation="tanh", output_activation="tanh", rng=rng)
         self.time_mlp = MLP(self.store, "time", (_TIME_FEATURES, a.time_dim),
                             output_activation="tanh", rng=rng)
@@ -364,7 +367,7 @@ class DiffusionModel:
         of embedding it alone. ``keep_cache=False`` keeps none of the
         internals that only training's backward reads; the embeddings are the same.
         """
-        L, dc = self.arch.series_len, self.arch.cond_dim
+        L, dc = self.arch.series_len, COND_DIM
         cond = np.atleast_2d(np.asarray(cond, dtype=float))
         mask_f = np.atleast_2d(np.asarray(mask, dtype=float))
         context = np.atleast_2d(np.asarray(context, dtype=float))
@@ -627,7 +630,7 @@ class DiffusionModel:
     ) -> np.ndarray:
         """Ancestral sampling; returns series in raw units, history honored exactly.
 
-        One problem is ``cond`` (B, cond_dim), ``mask`` and ``context`` (B, L)
+        One problem is ``cond`` (B, COND_DIM), ``mask`` and ``context`` (B, L)
         and one generator ``rng``; K stacked problems are (K, B, ...) inputs
         with a sequence of K generators. The output has the mask's shape.
         Problem k draws only from ``rng[k]`` and gets the bits of sampling it
@@ -643,7 +646,7 @@ class DiffusionModel:
             raise ConfigError(f"guidance_w must be finite and >= 0, got {w}")
         cond = np.asarray(cond, dtype=float)
         mask = np.asarray(mask, dtype=bool)
-        L, dc = self.arch.series_len, self.arch.cond_dim
+        L, dc = self.arch.series_len, COND_DIM
         if mask.ndim not in (2, 3) or mask.shape[-1] != L:
             raise ShapeError(f"mask must be (B, {L}) or (K, B, {L}), got shape {mask.shape}")
         if cond.shape != mask.shape[:-1] + (dc,):
@@ -760,7 +763,7 @@ class DiffusionModel:
 
     @classmethod
     def load(cls, path: str) -> "DiffusionModel":
-        store, manifest = ParamStore.load(path)
+        tensors, manifest = load_checkpoint(path)
         model = cls.from_manifest(manifest, f"checkpoint {path}")
-        model.store.assign(store, f"checkpoint {path}")
+        model.store.assign(tensors, f"checkpoint {path}")
         return model

@@ -793,10 +793,11 @@ def _score_traffic(model: DiffusionModel, reference: tuple[Oracle, np.ndarray, f
         for s in np.flatnonzero(scored)
     ]
     w1 = float(np.mean(w1_vals))
-    acf_gap = float(np.mean([
+    # A lag-1 autocorrelation of the scored windows needs at least two pairs of them.
+    acf_gap = np.nan if steps - revealed < 3 else float(np.mean([
         abs(
-            np.mean([_lag1_autocorr(gen[c, i]) for i in range(n_samples)])
-            - np.mean([_lag1_autocorr(draws[i, c]) for i in range(n_samples)])
+            np.mean([_lag1_autocorr(gen[c, i, revealed:]) for i in range(n_samples)])
+            - np.mean([_lag1_autocorr(draws[i, c, revealed:]) for i in range(n_samples)])
         )
         for c in range(n_cells)
     ]))
@@ -896,7 +897,7 @@ def adapt_traffic_model(
     the adapted head stays drop-in compatible with the rest of the bundle.
     """
     clone = DiffusionModel.from_manifest(base.manifest())
-    clone.store.assign(base.store, f"{base.kind} head")
+    clone.store.assign({name: base.store[name] for name in base.store.names()}, f"{base.kind} head")
     clone.lora_attach(cfg.lora, seed=_ADAPT_SEED)
     cf_sets = ds.collect_dataset(oracle_cf, n_days=cfg.adapt_days, kinds=("traffic",))
     cf = cf_sets["traffic"]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, TrainingError, read_json
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Adam's b1, b2 and eps (Kingma & Ba's defaults), and finite_difference_check's step.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -156,17 +156,14 @@ class ParamStore:
         self._tensors: dict[str, Tensor] = {}
         self._packed: _Packed | None = None
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
+    def add(self, name: str, value: np.ndarray) -> None:
         if name in self._tensors:
             raise ShapeError(f"parameter {name!r} already exists")
-        self._tensors[name] = Tensor(value, trainable)
+        self._tensors[name] = Tensor(value)
         self._packed = None
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name].value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
 
     def set(self, name: str, value: np.ndarray) -> None:
         t = self._tensors[name]
@@ -264,8 +261,8 @@ class ParamStore:
             m_hat *= lr
             x -= np.divide(m_hat, denom, out=m_hat)
 
-    def assign(self, source: "ParamStore", where: str) -> None:
-        """Copy every tensor's value from ``source``, which ``where`` names in errors."""
+    def assign(self, source: dict[str, np.ndarray], where: str) -> None:
+        """Copy every tensor's value from ``source``, values by name, which ``where`` names in errors."""
         for name, t in self._tensors.items():
             if name not in source:
                 raise FormatError(f"{where} missing tensor {name!r}")
@@ -278,20 +275,8 @@ class ParamStore:
     # -- persistence ------------------------------------------------------------
 
     def save(self, path: str, manifest: dict | None = None) -> None:
-        trainable = {n: t.trainable for n, t in self._tensors.items()}
         arrays = {f"param::{n}": t.value for n, t in self._tensors.items()}
-        save_npz(path, {"trainable": trainable, "manifest": manifest or {}}, arrays, CHECKPOINT_VERSION)
-
-    @classmethod
-    def load(cls, path: str) -> tuple["ParamStore", dict]:
-        raw, arrays = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
-        header = read_json(_CheckpointHeader, raw, FormatError, lambda key: f"checkpoint {path} field {key!r}")
-        store = cls()
-        for key, value in arrays.items():
-            if key.startswith("param::"):
-                name = key.removeprefix("param::")
-                store.add(name, value, trainable=header.trainable.get(name, True))
-        return store, header.manifest
+        save_npz(path, {"manifest": manifest or {}}, arrays, CHECKPOINT_VERSION)
 
 
 # -- artifact files: one npz of named arrays plus a versioned JSON header stored as uint8 ----
@@ -300,8 +285,16 @@ class ParamStore:
 @dataclass(frozen=True)
 class _CheckpointHeader:
     version: int
-    trainable: dict[str, bool]
     manifest: dict
+
+
+def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors by name and the manifest of a ``ParamStore.save`` file, for ``assign`` into the
+    model the manifest rebuilds, which also decides what is frozen."""
+    raw, arrays = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
+    header = read_json(_CheckpointHeader, raw, FormatError, lambda key: f"checkpoint {path} field {key!r}")
+    tensors = {k.removeprefix("param::"): v for k, v in arrays.items() if k.startswith("param::")}
+    return tensors, header.manifest
 
 
 def save_npz(path: str, header: dict, arrays: dict[str, np.ndarray], version: int) -> None:

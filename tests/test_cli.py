@@ -150,8 +150,6 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text, key", [
         ('{"worldmodel": {"train_steps": 10.5}}', "worldmodel.train_steps"),
-        ('{"jobs": 1.5}', "jobs"),
-        ('{"jobs": true}', "jobs"),
         ('{"worldmodel": {"expert_hidden": [16.5]}}', "worldmodel.expert_hidden[0]"),
         ('{"agent": {"hidden": ["x"]}}', "agent.hidden[0]"),
     ])
@@ -189,8 +187,6 @@ class TestParseConfig:
         ('{"counterfactual": {"fractions": [0.0]}}', "counterfactual.fractions"),
         ('{"evaluation": {"n_gen_samples": 0}}', "evaluation.n_gen_samples"),
         ('{"evaluation": {"n_gen_samples": -2}}', "evaluation.n_gen_samples"),
-        ('{"jobs": 0}', "jobs"),
-        ('{"jobs": -4}', "jobs"),
         ('{"worldmodel": {"n_experts": 0}}', "worldmodel.n_experts"),
         ('{"worldmodel": {"time_dim": 0}}', "worldmodel.time_dim"),
         ('{"worldmodel": {"cond_emb_dim": 0}}', "worldmodel.cond_emb_dim"),
@@ -276,6 +272,15 @@ class TestParseConfig:
         path = tmp_path / "c.json"
         path.write_text('{"foo": 1}')
         with pytest.raises(ConfigError, match="foo"):
+            parse_config(str(path))
+
+    # The worker count changes no output byte, so it is evaluate's --jobs flag and not in config_hash.
+    @pytest.mark.parametrize("text", ['{"jobs": 1}', '{"jobs": 1.5}', '{"jobs": true}', '{"jobs": 0}',
+                                      '{"jobs": -4}'])
+    def test_jobs_is_an_unknown_key(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape("unknown config key jobs") + "$"):
             parse_config(str(path))
 
     def test_nested_unknown_key_named(self, tmp_path):
@@ -710,7 +715,8 @@ class TestCliCommands:
         assert sum(key.endswith("_frac_of_range") for key in scores) == 4
 
     def test_eval_gen_on_a_three_window_day(self, tmp_path):
-        # Short-term prediction reveals all but the last of the three windows.
+        # Short-term prediction reveals all but the last of the three windows. One scored window has no
+        # lag-1 pair, so its autocorrelation gap is NaN; every other score is finite.
         cfg = write_config(
             tmp_path,
             scenario={"preset": "hex7", "seed": 0, "grid_dim": 2, "horizon_hours": 96, "traffic_step_hours": 8},
@@ -721,7 +727,8 @@ class TestCliCommands:
             assert main([command, "--config", cfg]) == 0, command
         rows = (tmp_path / "out" / "reports" / "generation.csv").read_text().strip().split("\n")
         short = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:] if r.startswith("short_")}
-        assert len(short) == 5 and all(np.isfinite(v) for v in short.values())
+        assert len(short) == 5 and np.isnan(short.pop("short_acf_lag1_gap"))
+        assert all(np.isfinite(v) for v in short.values())
 
     def test_import_does_not_load_scipy(self, child_env):
         # Nor numpy.ma (np.unique's first call imports it) or concurrent.futures (only a --jobs pool needs it).
@@ -812,9 +819,11 @@ class TestRunSide:
 
 
 def _edit_npz(path, header=None, raw_header=None, drop=(), **arrays):
-    """Rewrite an artifact: ``header`` edits the decoded header, ``raw_header`` replaces its bytes."""
+    """Rewrite an artifact: ``header`` edits the decoded header, ``raw_header`` replaces its bytes,
+    and an array given as a function is that function of the array it replaces."""
     with np.load(path) as data:
         payload = {k: data[k] for k in data.files if k not in drop}
+    arrays = {k: a(payload[k]) if callable(a) else a for k, a in arrays.items()}
     if header is not None:
         decoded = json.loads(bytes(payload["header"]).decode())
         header(decoded)
@@ -830,17 +839,27 @@ BAD_ARTIFACTS = {
     "non_utf8_header": ("models/users.npz", lambda p: _edit_npz(p, raw_header=b"\xff\xfe{"), "corrupt header"),
     "non_object_header": ("models/rsrp.npz", lambda p: _edit_npz(p, raw_header=b"[2]"), "not a JSON object"),
     "version_mismatch": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h.update(version=1)),
-                         "version mismatch: expected 2, found 1"),
+                         "version mismatch: expected 3, found 1"),
+    "checkpoint_version_2": ("models/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(version=2)),
+                             "version mismatch: expected 3, found 2"),
     "dataset_version_mismatch": ("datasets/traffic.npz",
                                  lambda p: _edit_npz(p, header=lambda h: h.update(version=3)),
-                                 "version mismatch: expected 1, found 3"),
+                                 "version mismatch: expected 2, found 3"),
+    "dataset_of_another_kind": ("datasets/traffic.npz",
+                                lambda p: _edit_npz(p, header=lambda h: h.update(kind="users")),
+                                "field 'kind' is 'users', expected 'traffic'"),
+    "conditions_short": ("datasets/traffic.npz", lambda p: _edit_npz(p, conditions=lambda a: a[:, :-1]),
+                         f"array 'conditions' has shape (7, {COND_DIM - 1}), expected (7, {COND_DIM})"),
+    "masks_short": ("datasets/traffic.npz", lambda p: _edit_npz(p, masks=lambda a: a[:, :-1]),
+                    "array 'masks' has shape (7, 11), expected (7, 12)"),
+    "split_out_of_range": ("datasets/traffic.npz", lambda p: _edit_npz(p, split_test=lambda a: a + 7),
+                           "arrays 'split_train', 'split_val' and 'split_test' are not together "
+                           "a permutation of range(7)"),
     "missing_array": ("datasets/traffic.npz", lambda p: _edit_npz(p, drop=("masks",)), "missing array 'masks'"),
     "dataset_mean_string": ("datasets/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(series_mean="x")),
                             "field 'series_mean' must be a number"),
     "dataset_std_nan": ("datasets/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.update(series_std=float("nan"))),
                         "field 'series_std' must be a finite number"),
-    "no_trainable": ("models/traffic.npz", lambda p: _edit_npz(p, header=lambda h: h.pop("trainable")),
-                     "field 'trainable' is missing"),
     "manifest_missing_key": ("models/users.npz",
                              lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].pop("series_len")),
                              "field 'manifest.arch.series_len' is missing"),
@@ -859,8 +878,12 @@ BAD_ARTIFACTS = {
     "series_len_string": ("models/rsrp.npz",
                           lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(series_len="3")),
                           "field 'manifest.arch.series_len' must be an integer"),
-    "trainable_not_object": ("models/policy.npz", lambda p: _edit_npz(p, header=lambda h: h.update(trainable=[1])),
-                             "field 'trainable' must be an object of booleans"),
+    "arch_no_experts": ("models/users.npz",
+                        lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(n_experts=0)),
+                        "field 'manifest.arch': n_experts must be >= 1, got 0"),
+    "arch_zero_width": ("models/rsrp.npz",
+                        lambda p: _edit_npz(p, header=lambda h: h["manifest"]["arch"].update(expert_hidden=[0])),
+                        "field 'manifest.arch': expert_hidden must be >= 1, got (0,)"),
     "policy_hidden_not_array": ("models/policy.npz",
                                 lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(hidden=5)),
                                 "field 'manifest.hidden' must be an array of integers"),
@@ -892,9 +915,6 @@ BAD_ARTIFACTS = {
                                          p, header=lambda h: h["manifest"]["schedule"].update(beta_min=1e-300)),
                                      "field 'manifest.schedule': beta_min 1e-300 is below float64 resolution: "
                                      "1 - beta_min rounds to 1"),
-    "policy_obs_dim_wrong": ("models/policy.npz",
-                             lambda p: _edit_npz(p, header=lambda h: h["manifest"].update(obs_dim=3)),
-                             "field 'manifest.obs_dim'"),
     "schedule_no_steps": ("models/rsrp.npz",
                           lambda p: _edit_npz(p, header=lambda h: h["manifest"]["schedule"].update(steps=0)),
                           "field 'manifest.schedule': steps must be >= 1, got 0"),
@@ -922,7 +942,7 @@ def artifacts(tmp_path_factory):
 def _load(out, target: str) -> None:
     """What the stage that reads ``target`` loads, through the API."""
     if target.startswith("datasets/"):
-        read_dataset(str(out / target))
+        read_dataset(str(out / target), Path(target).stem)
     else:
         WorldModelBundle.load({k: str(out / "models" / f"{k}.npz") for k in ("traffic", "users", "rsrp")})
         Policy.load(str(out / "models/policy.npz"))

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from celltwin.dataset import (
     COND_DIM,
+    DATASET_VERSION,
     ConditionLayout,
     NormalizationStats,
     SampleSet,
@@ -21,6 +23,7 @@ from celltwin.dataset import (
     write_dataset,
 )
 from celltwin.errors import ConfigError, FormatError
+from celltwin.nn import load_npz
 from celltwin.scenario import POI_PROFILES, Oracle, make_hex_scenario
 
 
@@ -140,7 +143,7 @@ class TestPersistence:
         ds = datasets["traffic"]
         path = str(tmp_path / "traffic.npz")
         write_dataset(ds, path)
-        back = read_dataset(path)
+        back = read_dataset(path, "traffic")
         assert back.kind == ds.kind
         assert np.array_equal(back.series, ds.series)
         assert np.array_equal(back.conditions, ds.conditions)
@@ -172,7 +175,7 @@ class TestPersistence:
         )
         with tempfile.TemporaryDirectory() as tmp:
             write_dataset(original, f"{tmp}/set.npz")
-            back = read_dataset(f"{tmp}/set.npz")
+            back = read_dataset(f"{tmp}/set.npz", original.kind)
         assert back.kind == original.kind and back.stats == original.stats
         for field in ("series", "conditions", "masks"):
             got, want = getattr(back, field), getattr(original, field)
@@ -190,7 +193,7 @@ class TestPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 3])
         with pytest.raises(FormatError, match="unreadable"):
-            read_dataset(str(path))
+            read_dataset(str(path), "traffic")
 
     def test_version_mismatch_names_versions(self, datasets, tmp_path, monkeypatch):
         import celltwin.dataset as dsmod
@@ -198,9 +201,22 @@ class TestPersistence:
         path = str(tmp_path / "traffic.npz")
         monkeypatch.setattr(dsmod, "DATASET_VERSION", 99)
         write_dataset(datasets["traffic"], path)
-        monkeypatch.setattr(dsmod, "DATASET_VERSION", 1)
-        with pytest.raises(FormatError, match="expected 1, found 99"):
-            read_dataset(path)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="expected 2, found 99"):
+            read_dataset(path, "traffic")
+
+    def test_header_holds_what_the_arrays_do_not(self, datasets, tmp_path):
+        path = str(tmp_path / "users.npz")
+        write_dataset(datasets["users"], path)
+        header, _ = load_npz(path, DATASET_VERSION, "dataset file")
+        assert sorted(header) == ["kind", "layout_fingerprint", "series_mean", "series_std", "version"]
+
+    def test_another_kind_refused(self, datasets, tmp_path):
+        path = str(tmp_path / "traffic.npz")
+        write_dataset(datasets["users"], path)
+        with pytest.raises(FormatError, match=re.escape(f"dataset file {path} field 'kind' is 'users', "
+                                                        "expected 'traffic'")):
+            read_dataset(path, "traffic")
 
 
 class TestConditionLayout:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -127,6 +128,21 @@ class TestForwardProcess:
 
 
 class TestMoEStructure:
+    @pytest.mark.parametrize("edit, message", [
+        ({"series_len": 0}, "series_len must be >= 1, got 0"),
+        ({"cond_emb_dim": -1}, "cond_emb_dim must be >= 1, got -1"),
+        ({"time_dim": 0}, "time_dim must be >= 1, got 0"),
+        ({"n_experts": 0}, "n_experts must be >= 1, got 0"),
+        ({"expert_hidden": (0, 64)}, "expert_hidden must be >= 1, got (0, 64)"),
+        ({"gate_hidden": (-3,)}, "gate_hidden must be >= 1, got (-3,)"),
+    ])
+    def test_arch_checks_itself(self, edit, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DenoiserArch(**{"series_len": 6, **edit})
+
+    def test_arch_without_hidden_layers_is_legal(self):
+        assert DenoiserArch(series_len=1, expert_hidden=(), gate_hidden=()).input_dim == 3 + 8 + 8
+
     def test_gate_rows_sum_to_one(self):
         model = tiny_model()
         rng = np.random.default_rng(2)
@@ -872,7 +888,7 @@ class TestPersistence:
         model.lora_attach(LoraSpec(2, 4.0))
         want = {
             "kind": "traffic",
-            "arch": {"series_len": 6, "cond_dim": COND_DIM, "cond_emb_dim": 4, "time_dim": 4, "n_experts": 2,
+            "arch": {"series_len": 6, "cond_emb_dim": 4, "time_dim": 4, "n_experts": 2,
                      "expert_hidden": (8,), "gate_hidden": (8,), "memory": None},
             "schedule": {"steps": 10, "beta_min": 1e-4, "beta_max": 0.02},
             "stats": {"mean": 0.0, "std": 1.0},

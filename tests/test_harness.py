@@ -711,7 +711,7 @@ class TestGenerationMetrics:
 
     def test_short_term_scores_only_masked_tail(self, scenario):
         # Heads that differ only on the 6 revealed windows get the same tail scores; a head that differs
-        # on one generated window does not. (The autocorrelation gap is a whole-day statistic.)
+        # on one generated window does not.
         reference = _traffic_reference(scenario, 8)
         base = np.linspace(10.0, 60.0, scenario.steps_per_day)
 
@@ -724,13 +724,21 @@ class TestGenerationMetrics:
 
         def tail_scores(profile):
             scores = _score_traffic(ProfileHead(profile), reference, 6)
-            return [scores[key] for key in ("mae", "mae_frac_of_range", "w1", "w1_frac_of_range")]
+            return [scores[key] for key in ("mae", "mae_frac_of_range", "w1", "w1_frac_of_range", "acf_lag1_gap")]
 
         revealed_differs, generated_differs = base.copy(), base.copy()
         revealed_differs[:6] += 50.0
         generated_differs[6] += 50.0
         assert tail_scores(revealed_differs) == tail_scores(base)
         assert all(a != b for a, b in zip(tail_scores(generated_differs), tail_scores(base)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("revealed, finite", [(9, True), (10, False), (11, False)])
+    def test_acf_gap_needs_three_scored_windows(self, scenario, revealed, finite):
+        # Two lag-1 pairs are the fewest a correlation is defined on; below that the gap is NaN, with no warning.
+        scores = _score_traffic(_FillHead(20.0), _traffic_reference(scenario, 4), revealed)
+        assert np.isfinite(scores["acf_lag1_gap"]) == finite
+        assert np.isfinite(scores["mae"])
 
     def test_unknown_task_rejected(self, scenario, bundle):
         with pytest.raises(ConfigError):

@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from celltwin.errors import FormatError, ShapeError, TrainingError
 from celltwin.nn import (
+    CHECKPOINT_VERSION,
     MLP,
     LoraSpec,
     ParamStore,
     finite_difference_check,
+    load_checkpoint,
     load_npz,
     save_npz,
     softmax,
@@ -313,7 +315,8 @@ def _adam_run(step_fn, n_steps=12):
     store = ParamStore()
     net = MLP(store, "net", (4, 6, 3), rng=rng)
     store.add("null_embed", rng.normal(size=5))
-    store.add("frozen", rng.normal(size=(2, 3)), trainable=False)
+    store.add("frozen", rng.normal(size=(2, 3)))
+    store.freeze(["frozen"])
     states = []
     for k in range(n_steps):
         grads = {name: rng.normal(0.0, 0.5, size=store[name].shape)
@@ -355,7 +358,8 @@ class TestAdam:
 
     def test_frozen_tensor_bit_exact(self):
         store = ParamStore()
-        store.add("w", np.array([1.0, 2.0]), trainable=False)
+        store.add("w", np.array([1.0, 2.0]))
+        store.freeze(["w"])
         before = store["w"].copy()
         store.adam_step({"w": np.ones(2)}, lr=0.5)
         assert np.array_equal(store["w"], before)
@@ -369,8 +373,9 @@ class TestAdam:
     def test_nothing_trainable_is_a_noop(self):
         store = ParamStore()
         store.adam_step({}, lr=0.1)
-        store.add("w", np.array([1.0, 2.0]), trainable=False)
-        store.add("b", np.array([3.0]), trainable=False)
+        store.add("w", np.array([1.0, 2.0]))
+        store.add("b", np.array([3.0]))
+        store.freeze(["w", "b"])
         before = adam_state(store)
         store.adam_step({"w": np.ones(2), "b": np.ones(1)}, lr=0.1)
         assert_same_state(adam_state(store), before)
@@ -403,7 +408,8 @@ class TestAdam:
     def test_non_finite_gradient_changes_nothing(self, bad, value):
         store = ParamStore()
         store.add("w", np.array([1.0, -2.0, 3.0]))
-        store.add("frozen", np.array([0.5]), trainable=False)
+        store.add("frozen", np.array([0.5]))
+        store.freeze(["frozen"])
         store.adam_step({"w": np.ones(3), "frozen": np.ones(1)}, lr=0.1)
         store.add("late", np.array([4.0, 5.0]))
         before = adam_state(store)
@@ -435,7 +441,8 @@ class TestAdam:
     def test_add_copies_its_value(self):
         value = np.array([1.0, 2.0])
         store = ParamStore()
-        store.add("w", value, trainable=False)
+        store.add("w", value)
+        store.freeze(["w"])
         store.set("w", np.zeros(2))
         assert np.array_equal(value, [1.0, 2.0])
 
@@ -471,41 +478,46 @@ class TestFiniteDifferenceOracle:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
         store = ParamStore()
-        MLP(store, "net", (3, 4, 2), rng=rng)
-        store.freeze(["net/W0"])
+        MLP(store, "net", (3, 4, 2), rng=np.random.default_rng(8))
         path = str(tmp_path / "ckpt.npz")
         store.save(path, manifest={"kind": "traffic"})
-        back, manifest = ParamStore.load(path)
+        tensors, manifest = load_checkpoint(path)
         assert manifest == {"kind": "traffic"}
-        assert set(back.names()) == set(store.names())
-        assert not back.is_trainable("net/W0")
+        assert list(tensors) == store.names()
         for name in store.names():
-            assert np.array_equal(back[name], store[name])
+            assert np.array_equal(tensors[name], store[name])
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_roundtrip_keeps_names_values_and_flags(self, data):
+    def test_roundtrip_keeps_names_and_values(self, data):
         names = data.draw(st.lists(st.from_regex(r"[a-z]{1,5}(/[a-zA-Z]{1,3}[0-9]?)?", fullmatch=True),
                                    max_size=6, unique=True))
         store = ParamStore()
         for name in names:
             shape = data.draw(st.lists(st.integers(1, 4), max_size=3).map(tuple))
-            store.add(name, data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))),
-                      trainable=data.draw(st.booleans()))
+            store.add(name, data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))))
+        store.freeze(data.draw(st.lists(st.sampled_from(names), unique=True)) if names else [])
         # Adam steps leave the trainable tensors as views into the packed buffer.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         for _ in range(data.draw(st.integers(0, 3))):
             store.adam_step({n: rng.normal(size=store[n].shape) for n in store.names()}, lr=0.1)
         with tempfile.TemporaryDirectory() as tmp:
             store.save(f"{tmp}/ckpt.npz")
-            back, _ = ParamStore.load(f"{tmp}/ckpt.npz")
-        assert back.names() == store.names()
+            tensors, manifest = load_checkpoint(f"{tmp}/ckpt.npz")
+        assert list(tensors) == names and manifest == {}
         for name in names:
-            assert back.is_trainable(name) == store.is_trainable(name)
-            assert back[name].shape == store[name].shape
-            assert np.array_equal(back[name], store[name])
+            assert tensors[name].shape == store[name].shape
+            assert np.array_equal(tensors[name], store[name])
+
+    def test_header_holds_only_the_manifest(self, tmp_path):
+        store = ParamStore()
+        store.add("w", np.zeros(4))
+        store.freeze(["w"])
+        path = str(tmp_path / "ckpt.npz")
+        store.save(path, manifest={"kind": "traffic"})
+        header, _ = load_npz(path, CHECKPOINT_VERSION, "checkpoint")
+        assert header == {"manifest": {"kind": "traffic"}, "version": CHECKPOINT_VERSION}
 
     def test_truncated_checkpoint(self, tmp_path):
         store = ParamStore()
@@ -515,7 +527,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
-            ParamStore.load(str(path))
+            load_checkpoint(str(path))
 
 
 def raw_npz(path, header: bytes, **arrays) -> str:
@@ -551,9 +563,15 @@ class TestArtifactFile:
             load_npz(path, 5, "artifact", required=("w", "v"))
 
     def test_missing_header_field_names_file_and_field(self, tmp_path):
-        path = raw_npz(tmp_path / "a.npz", b'{"version": 2, "manifest": {}}', **{"param::w": np.zeros(2)})
-        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} field 'trainable' is missing")):
-            ParamStore.load(path)
+        path = raw_npz(tmp_path / "a.npz", b'{"version": 3}', **{"param::w": np.zeros(2)})
+        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path} field 'manifest' is missing")):
+            load_checkpoint(path)
+
+    def test_old_flag_map_is_an_unknown_field(self, tmp_path):
+        path = raw_npz(tmp_path / "a.npz", b'{"version": 3, "manifest": {}, "trainable": {"w": true}}',
+                       **{"param::w": np.zeros(2)})
+        with pytest.raises(FormatError, match=re.escape(f"unknown checkpoint {path} field 'trainable'")):
+            load_checkpoint(path)
 
     def test_not_a_zip(self, tmp_path):
         path = tmp_path / "a.npz"
@@ -567,21 +585,19 @@ class TestAssign:
         source, target = ParamStore(), ParamStore()
         MLP(source, "net", (3, 4, 2), rng=np.random.default_rng(1))
         MLP(target, "net", (3, 4, 2), rng=np.random.default_rng(2))
-        target.assign(source, "source")
+        target.assign({name: source[name] for name in source.names()}, "source")
         for name in source.names():
             assert np.array_equal(target[name], source[name])
 
     def test_missing_tensor_named(self):
-        source, target = ParamStore(), ParamStore()
-        source.add("a", np.zeros(2))
+        target = ParamStore()
         target.add("a", np.zeros(2))
         target.add("b", np.zeros(2))
         with pytest.raises(FormatError, match="src missing tensor 'b'"):
-            target.assign(source, "src")
+            target.assign({"a": np.zeros(2)}, "src")
 
     def test_misshapen_tensor_named(self):
-        source, target = ParamStore(), ParamStore()
-        source.add("a", np.zeros(3))
+        target = ParamStore()
         target.add("a", np.zeros(2))
         with pytest.raises(FormatError, match=r"src tensor 'a' has shape \(3,\), expected \(2,\)"):
-            target.assign(source, "src")
+            target.assign({"a": np.zeros(3)}, "src")
